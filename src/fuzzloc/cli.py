@@ -20,7 +20,6 @@ from .aco import ACOConfig, run_aco
 from .errors import BudgetExceededError, DomainError, InfeasibleInstanceError, InstanceFormatError
 from .evaluation import MaximinContext, make_maximin_eval
 from .fuzzy import TriFuzzy
-from .ga import GAConfig
 from .instances import (
     GeneratorParams,
     generate_instance,
@@ -169,36 +168,18 @@ def _result_doc(report, ctx: MaximinContext) -> str:
 
 def cmd_solve(args) -> int:
     instance = _load(args.instance, args.gamma, args.logit)
+    ctx = None
     if args.bounds:
         prior = json.loads(Path(args.bounds).read_text())
         ctx = MaximinContext.from_dict(prior["bounds"])
-        fitness = make_maximin_eval(instance, ctx)
-        if args.algo == "brute":
-            result = enumerate_optimum(instance, fitness, budget=_enum_budget())
-            from .reports import SolverReport
-
-            report = SolverReport(
-                algorithm="brute", n=instance.n, m=instance.m_servers, seed=args.seed,
-                best=result.best.sorted(), objective=result.best_value,
-                iterations=result.evaluated_count, termination="exhaustive",
-                trace=[result.best_value], bounds_id=ctx.bounds_id,
-            )
-        else:
-            from .ga import run_ga
-
-            if args.algo == "ga":
-                report = run_ga(instance, fitness, GAConfig(seed=args.seed))
-            else:
-                report = run_aco(instance, fitness, ACOConfig(seed=args.seed))
-            report.bounds_id = ctx.bounds_id
-    else:
-        report, ctx = solve_protocol(
-            instance,
-            args.algo,
-            seed=args.seed,
-            use_exact_bounds=args.exact_bounds,
-            enum_budget=_enum_budget(),
-        )
+    report, ctx = solve_protocol(
+        instance,
+        args.algo,
+        seed=args.seed,
+        use_exact_bounds=args.exact_bounds,
+        enum_budget=_enum_budget(),
+        ctx=ctx,
+    )
     if args.out:
         Path(args.out).write_text(_result_doc(report, ctx))
     facilities = ",".join(str(j) for j in report.best)

@@ -13,13 +13,20 @@ import hashlib
 import json
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
 from .errors import DomainError
 from .fuzzy import TriFuzzy
-from .model import Instance, Solution, _facility_arrays, _slice_objective
+from .model import (
+    Instance,
+    Kernel,
+    Solution,
+    _open_indices,
+    capacity_threshold,
+    solution_kernel,
+)
 
 _DEGENERATE_EPS = 1e-12
 
@@ -85,15 +92,10 @@ def fuzzy_objective(instance: Instance, solution: Solution) -> Optional[TriFuzzy
 
     Returns None when any slice has an unstable queue.
     """
-    _, lam_bar, mu, benefit = _facility_arrays(instance, solution)
-    values = []
-    for s in range(3):
-        v = _slice_objective(lam_bar[:, s], mu[:, s], benefit[:, s], instance.mql)
-        if v is None:
-            return None
-        values.append(v)
-    lo, mid, hi = sorted(values)
-    return TriFuzzy(lo, mid, hi)
+    result = solution_kernel(instance, solution)
+    if not result.stable().all():
+        return None
+    return TriFuzzy(*result.objective().tolist())
 
 
 def spread_components(z: TriFuzzy) -> SpreadComponents:
@@ -108,6 +110,14 @@ def _membership(value: float, low: float, high: float, decreasing: bool) -> floa
     else:
         raw = (value - low) / (high - low)
     return min(max(raw, 0.0), 1.0)
+
+
+def _membership_block(values: np.ndarray, low: float, high: float, decreasing: bool) -> np.ndarray:
+    """_membership of every entry of an array."""
+    if not (math.isfinite(low) and math.isfinite(high)) or high - low <= _DEGENERATE_EPS:
+        return np.ones_like(values)
+    raw = (high - values) / (high - low) if decreasing else (values - low) / (high - low)
+    return np.clip(raw, 0.0, 1.0)
 
 
 def membership_values(c: SpreadComponents, ctx: MaximinContext) -> tuple[float, float, float]:
@@ -126,84 +136,79 @@ def maximin_level(mu1: float, mu2: float, mu3: float) -> float:
     return min(mu1, mu2, mu3)
 
 
-def capacity_threshold(instance: Instance) -> float:
-    """Crisp occupancy bound from the truth-degree transform of the constraint.
-
-    With B = (1-beta.hi, 1-beta.mid, 1-beta.lo), the occupancy center must not
-    exceed B.hi - gamma*(B.hi - B.mid); at gamma=1 this is the center-vs-center
-    comparison.
-    """
-    b_mid = 1.0 - instance.idle_min.mid
-    b_hi = 1.0 - instance.idle_min.lo
-    return b_hi - instance.gamma * (b_hi - b_mid)
-
-
-def _occupancy_mid(lam_bar: np.ndarray, mu: np.ndarray) -> np.ndarray:
-    # The center of the fuzzy occupancy ratio. The division triple
-    # (lo/hi', mid/mid', hi/lo') is already ascending for nonnegative
-    # arrival and positive service rates, so no component sort is needed.
-    return lam_bar[:, 1] / mu[:, 1]
-
-
 def fuzzy_capacity_feasible(instance: Instance, solution: Solution):
     """Truth-degree capacity check; returns (feasible, {facility: margin})."""
-    open_idx, lam_bar, mu, _ = _facility_arrays(instance, solution)
-    margins_arr = capacity_threshold(instance) - _occupancy_mid(lam_bar, mu)
+    open_idx = _open_indices(instance, solution)
+    margins_arr = capacity_threshold(instance) - Kernel(instance, open_idx).occupancy
     margins = {int(j) + 1: float(m) for j, m in zip(open_idx, margins_arr)}
     return (bool(np.all(margins_arr >= 0)), margins)
 
 
 def violation_total(instance: Instance, solution: Solution) -> float:
     """Relative constraint violation: capacity excess plus queue instability."""
-    _, lam_bar, mu, _ = _facility_arrays(instance, solution)
-    threshold = capacity_threshold(instance)
-    excess = np.maximum(_occupancy_mid(lam_bar, mu) - threshold, 0.0)
-    total = float(excess.sum() / threshold)
-    total += float(np.sum(np.maximum(lam_bar - mu, 0.0) / mu))
-    return total
+    return float(solution_kernel(instance, solution).violation())
 
 
 def evaluate(instance: Instance, solution: Solution, ctx: MaximinContext) -> float:
     """Maximin fitness in [0, 1] for feasible solutions, negative otherwise."""
-    _, lam_bar, mu, benefit = _facility_arrays(instance, solution)
-    threshold = capacity_threshold(instance)
-    occ = _occupancy_mid(lam_bar, mu)
-    z = None
-    if np.all(occ <= threshold):
-        values = []
-        for s in range(3):
-            v = _slice_objective(lam_bar[:, s], mu[:, s], benefit[:, s], instance.mql)
-            if v is None:
-                break
-            values.append(v)
-        if len(values) == 3:
-            z = TriFuzzy(*sorted(values))
-    if z is None:
-        total = float(np.sum(np.maximum(occ - threshold, 0.0)) / threshold)
-        total += float(np.sum(np.maximum(lam_bar - mu, 0.0) / mu))
-        return -(1.0 + total)
+    result = solution_kernel(instance, solution)
+    if not result.feasible():
+        return -(1.0 + float(result.violation()))
+    z = TriFuzzy(*result.objective().tolist())
     return maximin_level(*membership_values(spread_components(z), ctx))
+
+
+def evaluate_block(instance: Instance, idx: np.ndarray, ctx: MaximinContext) -> np.ndarray:
+    """evaluate() of every row of a (B, k) array of 0-based, ascending
+    facility indices, in one kernel call."""
+    result = Kernel(instance, idx)
+    lo, mid, hi = np.moveaxis(result.objective(), -1, 0)
+    level = np.minimum(
+        np.minimum(
+            _membership_block(mid - lo, *ctx.z1_bounds, decreasing=True),
+            _membership_block(mid, *ctx.z2_bounds, decreasing=False),
+        ),
+        _membership_block(hi - mid, *ctx.z3_bounds, decreasing=False),
+    )
+    return np.where(result.feasible(), level, -(1.0 + result.violation()))
+
+
+def _component(result: Kernel, name: str) -> Optional[float]:
+    if not result.feasible():
+        return None
+    return spread_components(TriFuzzy(*result.objective().tolist())).value(name)
 
 
 def component_value(instance: Instance, solution: Solution, name: str) -> Optional[float]:
     """One spread component of a feasible solution, or None if infeasible."""
-    _, lam_bar, mu, benefit = _facility_arrays(instance, solution)
-    if np.any(_occupancy_mid(lam_bar, mu) > capacity_threshold(instance)):
-        return None
-    values = []
-    for s in range(3):
-        v = _slice_objective(lam_bar[:, s], mu[:, s], benefit[:, s], instance.mql)
-        if v is None:
-            return None
-        values.append(v)
-    return spread_components(TriFuzzy(*sorted(values))).value(name)
+    return _component(solution_kernel(instance, solution), name)
 
 
-def make_maximin_eval(instance: Instance, ctx: MaximinContext) -> Callable[[Solution], float]:
-    """Fitness function used by the final solver run: evaluate with the
-    instance and bound context bound in."""
+def component_or_violation(
+    instance: Instance, solution: Solution, name: str
+) -> tuple[Optional[float], float]:
+    """component_value and violation_total from one kernel call; the
+    violation of a feasible solution is 0.0."""
+    result = solution_kernel(instance, solution)
+    value = _component(result, name)
+    return (value, 0.0 if value is not None else float(result.violation()))
 
-    def fitness(solution: Solution) -> float:
-        return evaluate(instance, solution, ctx)
 
-    return fitness
+class MaximinFitness:
+    """Fitness used by the final solver run: evaluate with the instance and
+    bound context bound in. ``block`` scores a (B, k) array of 0-based
+    subsets in one kernel call; the enumeration oracle uses it."""
+
+    def __init__(self, instance: Instance, ctx: MaximinContext):
+        self.instance = instance
+        self.ctx = ctx
+
+    def __call__(self, solution: Solution) -> float:
+        return evaluate(self.instance, solution, self.ctx)
+
+    def block(self, idx: np.ndarray) -> np.ndarray:
+        return evaluate_block(self.instance, idx, self.ctx)
+
+
+def make_maximin_eval(instance: Instance, ctx: MaximinContext) -> MaximinFitness:
+    return MaximinFitness(instance, ctx)

@@ -137,9 +137,25 @@ class QueueMetrics:
 def _open_indices(instance: Instance, solution: Solution) -> np.ndarray:
     # Size is deliberately not checked: the GA's greedy drop evaluates
     # oversized intermediate subsets through the same fitness interface.
-    if any(not (1 <= j <= instance.n) for j in solution.open):
+    genes = solution.sorted()
+    if genes[0] < 1 or genes[-1] > instance.n:
         raise DomainError(f"solution indices out of range 1..{instance.n}: {solution}")
-    return np.asarray(solution.sorted(), dtype=int) - 1
+    return np.array(genes) - 1
+
+
+def _allocation(instance: Instance, idx: np.ndarray) -> np.ndarray:
+    """Logit shares of shape (..., k, n) for 0-based facility indices (..., k).
+
+    probs[..., j, i] is the share of node i's demand captured by facility
+    idx[..., j]. Rows of the symmetric distance matrix stand in for its
+    columns, so the facility axis comes before the node axis and the shares
+    are C-ordered; the denominators are summed over axis -2 in facility
+    order, one facility at a time.
+    """
+    scores = -instance.logit_sensitivity * instance.distance[idx]
+    scores = scores - scores.max(axis=-2, keepdims=True)
+    weights = np.exp(scores)
+    return weights / weights.sum(axis=-2, keepdims=True)
 
 
 def logit_allocation(instance: Instance, solution: Solution) -> np.ndarray:
@@ -151,12 +167,8 @@ def logit_allocation(instance: Instance, solution: Solution) -> np.ndarray:
     open_idx = _open_indices(instance, solution)
     if open_idx.size == 0:
         raise DomainError("empty open set")
-    scores = -instance.logit_sensitivity * instance.distance[:, open_idx]
-    scores = scores - scores.max(axis=1, keepdims=True)
-    weights = np.exp(scores)
-    probs = weights / weights.sum(axis=1, keepdims=True)
     allocation = np.zeros((instance.n, instance.n))
-    allocation[:, open_idx] = probs
+    allocation[:, open_idx] = _allocation(instance, open_idx).T
     return allocation
 
 
@@ -195,34 +207,86 @@ def join_probability(lq: float, mql: float) -> float:
     return min(max(1.0 - lq / mql, 0.0), 1.0)
 
 
-def _facility_arrays(instance: Instance, solution: Solution):
-    """(open_idx, lam_bar, mu, benefit) with lam_bar/mu/benefit of shape (k, 3).
+def capacity_threshold(instance: Instance) -> float:
+    """Crisp occupancy bound from the truth-degree transform of the constraint.
 
-    benefit[j, s] = sum_i w_ij * lambda_i^s * p_ij, the weighted captured
-    demand that the objective discounts by queue state.
+    With B = (1-beta.hi, 1-beta.mid, 1-beta.lo), the occupancy center must not
+    exceed B.hi - gamma*(B.hi - B.mid); at gamma=1 this is the center-vs-center
+    comparison.
     """
-    open_idx = _open_indices(instance, solution)
-    scores = -instance.logit_sensitivity * instance.distance[:, open_idx]
-    scores = scores - scores.max(axis=1, keepdims=True)
-    weights = np.exp(scores)
-    probs = weights / weights.sum(axis=1, keepdims=True)  # (n, k)
-    lam_bar = probs.T @ instance.demand  # (k, 3)
-    mu = instance.service[open_idx]
-    if instance.benefit_weight is None:
-        benefit = lam_bar
-    else:
-        benefit = (instance.benefit_weight[:, open_idx] * probs).T @ instance.demand
-    return open_idx, lam_bar, mu, benefit
+    b_mid = 1.0 - instance.idle_min.mid
+    b_hi = 1.0 - instance.idle_min.lo
+    return b_hi - instance.gamma * (b_hi - b_mid)
 
 
-def _slice_objective(lam_bar, mu, benefit, mql: float):
-    """Objective value for one crisp slice, or None if any queue is unstable."""
-    if np.any(lam_bar >= mu):
-        return None
-    rho = lam_bar / mu
-    lq = lam_bar * lam_bar / (mu * (mu - lam_bar))
-    join = np.clip(1.0 - lq / mql, 0.0, 1.0)
-    return float(np.sum(benefit * ((1.0 - rho) + join * rho)))
+class Kernel:
+    """The model's figures for facility subsets given as 0-based, ascending
+    index arrays of shape (..., k): one subset when idx is (k,), a block of B
+    subsets when (B, k).
+
+    The per-facility arrays are computed on construction, each derived figure
+    by its method on each call. benefit[..., j, s] = sum_i w_ij * lambda_i^s
+    * p_ij is the weighted captured demand that the objective discounts by
+    queue state.
+
+    A block gives the same bits as its subsets one at a time: the logit
+    denominators are summed facility by facility over axis -2 (see
+    _allocation), and every other sum over the facilities runs along a
+    contiguous last axis, where numpy sums in pairs from k = 8 on.
+    """
+
+    def __init__(self, instance: Instance, idx: np.ndarray):
+        probs = _allocation(instance, idx)
+        self.instance = instance
+        self.lam_bar = probs @ instance.demand  # (..., k, 3) aggregated arrivals
+        self.mu = instance.service[idx]  # (..., k, 3)
+        weight = instance.benefit_weight
+        if weight is None:
+            self.benefit = self.lam_bar
+        else:
+            self.benefit = (weight.T[idx] * probs) @ instance.demand
+        # The center of the fuzzy occupancy ratio, (..., k). The division
+        # triple (lo/hi', mid/mid', hi/lo') is already ascending for
+        # nonnegative arrival and positive service rates, so no component
+        # sort is needed.
+        self.occupancy = self.lam_bar[..., 1] / self.mu[..., 1]
+
+    def stable(self) -> np.ndarray:
+        """(..., 3): every queue is stable at the slice."""
+        return (self.lam_bar < self.mu).all(axis=-2)
+
+    def slices(self) -> np.ndarray:
+        """(..., 3): objective per slice in slice order, meaningful where the
+        slice is stable."""
+        lam_bar, mu = self.lam_bar, self.mu
+        rho = lam_bar / mu
+        with np.errstate(divide="ignore"):  # lam_bar == mu, an unstable queue
+            lq = lam_bar * lam_bar / (mu * (mu - lam_bar))
+        join = np.minimum(np.maximum(1.0 - lq / self.instance.mql, 0.0), 1.0)
+        terms = self.benefit * ((1.0 - rho) + join * rho)
+        # A C-ordered (..., 3, k) copy, so each slice sums over a contiguous axis.
+        return terms.swapaxes(-1, -2).copy().sum(axis=-1)
+
+    def objective(self) -> np.ndarray:
+        """(..., 3): the slice objectives sorted ascending."""
+        return np.sort(self.slices(), axis=-1)
+
+    def feasible(self) -> np.ndarray:
+        """(...): the capacity threshold holds and every queue is stable."""
+        capacity = (self.occupancy <= capacity_threshold(self.instance)).all(axis=-1)
+        return capacity & (self.lam_bar < self.mu).all(axis=(-2, -1))
+
+    def violation(self) -> np.ndarray:
+        """(...): relative capacity excess plus queue instability."""
+        threshold = capacity_threshold(self.instance)
+        excess = np.maximum(self.occupancy - threshold, 0.0).sum(axis=-1) / threshold
+        overload = np.maximum(self.lam_bar - self.mu, 0.0) / self.mu
+        # One sum over the k * 3 entries per subset, in row order.
+        return excess + overload.reshape(overload.shape[:-2] + (-1,)).sum(axis=-1)
+
+
+def solution_kernel(instance: Instance, solution: Solution) -> Kernel:
+    return Kernel(instance, _open_indices(instance, solution))
 
 
 def crisp_objective_slice(instance: Instance, solution: Solution, slc: str):
@@ -231,16 +295,17 @@ def crisp_objective_slice(instance: Instance, solution: Solution, slc: str):
     Returns None (unstable marker) when some open facility has lam_bar >= mu.
     """
     s = SLICE_INDEX[slc]
-    _, lam_bar, mu, benefit = _facility_arrays(instance, solution)
-    return _slice_objective(lam_bar[:, s], mu[:, s], benefit[:, s], instance.mql)
+    result = solution_kernel(instance, solution)
+    return float(result.slices()[s]) if result.stable()[s] else None
 
 
 def capacity_feasible_slice(instance: Instance, solution: Solution, slc: str):
     """Check lam_bar_j <= mu_j * (1 - beta) at one slice; boundary inclusive."""
     s = SLICE_INDEX[slc]
-    open_idx, lam_bar, mu, _ = _facility_arrays(instance, solution)
-    cap = mu[:, s] * (1.0 - instance.idle_min.component(slc))
-    excess = lam_bar[:, s] - cap
+    open_idx = _open_indices(instance, solution)
+    result = Kernel(instance, open_idx)
+    cap = result.mu[:, s] * (1.0 - instance.idle_min.component(slc))
+    excess = result.lam_bar[:, s] - cap
     violations = [
         (int(open_idx[k]) + 1, float(excess[k]))
         for k in range(open_idx.size)
@@ -253,7 +318,9 @@ def queue_metrics(instance: Instance, solution: Solution) -> dict[int, QueueMetr
     """Inspection view of per-facility fuzzy demand, occupancy and queue state."""
     from .fuzzy import tri_combine
 
-    open_idx, lam_bar, mu, _ = _facility_arrays(instance, solution)
+    open_idx = _open_indices(instance, solution)
+    result = Kernel(instance, open_idx)
+    lam_bar, mu = result.lam_bar, result.mu
     out = {}
     for k, j0 in enumerate(open_idx):
         agg = TriFuzzy(*lam_bar[k])

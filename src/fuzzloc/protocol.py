@@ -3,6 +3,7 @@ maximin run evaluated against the calibrated membership functions."""
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import time
 from typing import Optional, Sequence
@@ -11,9 +12,9 @@ from .aco import ACOConfig, run_aco
 from .errors import DomainError
 from .evaluation import (
     MaximinContext,
+    component_or_violation,
     component_value,
     make_maximin_eval,
-    violation_total,
 )
 from .ga import GAConfig, run_ga
 from .model import Instance, Solution
@@ -43,10 +44,10 @@ def _bound_eval(instance: Instance, name: str, sense: str, solver: str):
     """
 
     def raw(solution: Solution) -> float:
-        value = component_value(instance, solution, name)
+        value, violation = component_or_violation(instance, solution, name)
         if value is not None:
             return value
-        penalty = _PENALTY_SCALE * (1.0 + violation_total(instance, solution))
+        penalty = _PENALTY_SCALE * (1.0 + violation)
         return -penalty if sense == "max" else penalty
 
     if solver == "ga" and sense == "min":
@@ -79,10 +80,10 @@ def estimate_bounds(
         eval_fn = _bound_eval(instance, name, sense, solver)
         if solver == "ga":
             base = ga_config or GAConfig()
-            report = run_ga(instance, eval_fn, _reseed_ga(base, seed))
+            report = run_ga(instance, eval_fn, dataclasses.replace(base, seed=seed))
         else:
             base = aco_config or ACOConfig()
-            report = run_aco(instance, eval_fn, _reseed_aco(base, seed), sense=sense)
+            report = run_aco(instance, eval_fn, dataclasses.replace(base, seed=seed), sense=sense)
         value = component_value(instance, Solution(report.best), name)
         bounds[name][sense] = math.nan if value is None else value
     return MaximinContext(
@@ -90,28 +91,6 @@ def estimate_bounds(
         z2_bounds=(bounds["z2"]["min"], bounds["z2"]["max"]),
         z3_bounds=(bounds["z3"]["min"], bounds["z3"]["max"]),
         provenance="metaheuristic-estimated",
-    )
-
-
-def _reseed_ga(config: GAConfig, seed: int) -> GAConfig:
-    return GAConfig(
-        population_floor=config.population_floor,
-        seed=seed,
-        convergence_limit=config.convergence_limit,
-        stagnation_limit=config.stagnation_limit,
-    )
-
-
-def _reseed_aco(config: ACOConfig, seed: int) -> ACOConfig:
-    return ACOConfig(
-        evaporation_rate=config.evaporation_rate,
-        max_pheromone=config.max_pheromone,
-        population_coefficient=config.population_coefficient,
-        alpha_exp=config.alpha_exp,
-        beta_exp=config.beta_exp,
-        seed=seed,
-        convergence_limit=config.convergence_limit,
-        stagnation_limit=config.stagnation_limit,
     )
 
 
@@ -123,15 +102,19 @@ def solve_protocol(
     enum_budget: int = DEFAULT_ENUM_BUDGET,
     ga_config: Optional[GAConfig] = None,
     aco_config: Optional[ACOConfig] = None,
+    ctx: Optional[MaximinContext] = None,
 ) -> tuple[SolverReport, MaximinContext]:
     """Full solve: calibrate bounds, then run the final maximin optimization.
 
     Bound-run seeds are seed+1..seed+6 so the whole protocol is reproducible
     from one seed. ``algo`` "brute" uses exact bounds and exhaustive search.
+    A given ``ctx`` (bounds replayed from an earlier solve) skips the
+    calibration.
     """
     if algo == "brute":
         start = time.perf_counter()
-        ctx = exact_bounds(instance, budget=enum_budget)
+        if ctx is None:
+            ctx = exact_bounds(instance, budget=enum_budget)
         result = enumerate_optimum(instance, make_maximin_eval(instance, ctx), budget=enum_budget)
         report = SolverReport(
             algorithm="brute",
@@ -149,17 +132,17 @@ def solve_protocol(
         return (report, ctx)
     if algo not in ("ga", "aco"):
         raise DomainError(f"unknown algorithm {algo!r}")
-    if use_exact_bounds:
+    if ctx is None and use_exact_bounds:
         ctx = exact_bounds(instance, budget=enum_budget)
-    else:
+    elif ctx is None:
         seeds = [seed + k for k in range(1, len(BOUND_RUNS) + 1)]
         ctx = estimate_bounds(
             instance, algo, seeds, ga_config=ga_config, aco_config=aco_config
         )
     fitness = make_maximin_eval(instance, ctx)
     if algo == "ga":
-        report = run_ga(instance, fitness, _reseed_ga(ga_config or GAConfig(), seed))
+        report = run_ga(instance, fitness, dataclasses.replace(ga_config or GAConfig(), seed=seed))
     else:
-        report = run_aco(instance, fitness, _reseed_aco(aco_config or ACOConfig(), seed))
+        report = run_aco(instance, fitness, dataclasses.replace(aco_config or ACOConfig(), seed=seed))
     report.bounds_id = ctx.bounds_id
     return (report, ctx)

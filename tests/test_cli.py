@@ -74,6 +74,19 @@ class TestSolve:
         assert a["bounds"] == b["bounds"]
         assert b["report"]["objective"] >= a["report"]["objective"] - 1e-12
 
+    def test_bounds_replay_brute_is_timed(self, small_file, tmp_path):
+        first = tmp_path / "first.json"
+        assert run(["solve", "--instance", small_file, "--algo", "brute", "--out", first]) == EXIT_OK
+        replay = tmp_path / "replay.json"
+        assert run([
+            "solve", "--instance", small_file, "--algo", "brute",
+            "--bounds", first, "--out", replay,
+        ]) == EXIT_OK
+        a = json.loads(first.read_text())["report"]
+        b = json.loads(replay.read_text())["report"]
+        assert b["elapsed_s"] > 0
+        assert (b["best"], b["objective"], b["bounds_id"]) == (a["best"], a["objective"], a["bounds_id"])
+
     def test_missing_instance_is_runtime_error(self, tmp_path):
         assert run(["solve", "--instance", tmp_path / "nope.json"]) == EXIT_RUNTIME
 

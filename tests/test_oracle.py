@@ -3,11 +3,13 @@
 import dataclasses
 import itertools
 import math
+import tracemalloc
 
 import pytest
 
 from conftest import crispen, mild_params
 from fuzzloc.errors import BudgetExceededError, DomainError, InfeasibleInstanceError
+from fuzzloc.evaluation import MaximinContext, make_maximin_eval
 from fuzzloc.instances import generate_instance
 from fuzzloc.model import Solution, crisp_objective_slice, mm1_metrics
 from fuzzloc.oracle import (
@@ -84,6 +86,27 @@ class TestExactBounds:
         ctx = exact_bounds(small_instance)
         via_protocol = estimate_bounds(small_instance, "oracle", [])
         assert via_protocol == ctx
+
+
+class TestStreaming:
+    def test_peak_memory_does_not_grow_with_subsets(self):
+        # n = 24: C(24, 3) = 2024 subsets against C(24, 6) = 134596, while a
+        # block of the larger subsets holds twice the facilities.
+        peaks = {}
+        for m in (3, 6):
+            instance = generate_instance(mild_params(24, m, 0))
+            fitness = make_maximin_eval(instance, MaximinContext((0, 1), (0, 1), (0, 1), "probe"))
+            tracemalloc.start()
+            try:
+                enumerate_optimum(instance, fitness)
+                try:
+                    exact_bounds(instance)
+                except InfeasibleInstanceError:
+                    pass
+                peaks[m] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peaks[6] < 4 * peaks[3]
 
 
 class TestSimulator:
