@@ -11,8 +11,10 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .errors import DomainError
+from .evaluation import score_rows
 from .model import Instance, Solution
 from .reports import SolverReport
+from .termination import Windows
 
 Fitness = Callable[[Solution], float]
 
@@ -103,27 +105,35 @@ def construct_solution(
     sampling without replacement) in one vectorized pass.
     """
     weights = state.tau**config.alpha_exp * eta**config.beta_exp
-    return _sample_solution(weights, instance.m_servers, state, eta, config, rng)
+    row = _sample_colony(weights, instance.m_servers, 1, state, eta, config, rng)[0]
+    return Solution(row + 1)
 
 
-def _sample_solution(
+def _sample_colony(
     weights: np.ndarray,
     m: int,
+    ants: int,
     state: PheromoneState,
     eta: np.ndarray,
     config: ACOConfig,
     rng: np.random.Generator,
-) -> Solution:
+) -> np.ndarray:
+    """One subset per ant as an (ants, m) array of 0-based, ascending node
+    indices. One (ants, n) Gumbel draw consumes the generator as ``ants``
+    draws of n values would, row by row."""
     if np.all(np.isfinite(weights)) and np.all(weights > 0):
-        keys = np.log(weights) + rng.gumbel(size=weights.size)
-        picks = np.argpartition(-keys, m - 1)[:m]
-        return Solution(int(j) + 1 for j in picks)
+        keys = np.log(weights) + rng.gumbel(size=(ants, weights.size))
+        return np.sort(np.argpartition(-keys, m - 1, axis=1)[:, :m], axis=1)
     # Degenerate weights: fall back to stepwise selection with its uniform
-    # fallback over the remaining nodes.
-    chosen: set[int] = set()
-    for _ in range(m):
-        chosen.add(select_next(state, eta, chosen, config, rng))
-    return Solution(chosen)
+    # fallback over the remaining nodes. The weights are shared, so either
+    # every ant of the colony falls back or none does.
+    rows = []
+    for _ in range(ants):
+        chosen: set[int] = set()
+        for _ in range(m):
+            chosen.add(select_next(state, eta, chosen, config, rng))
+        rows.append(sorted(chosen))
+    return np.array(rows) - 1
 
 
 def pheromone_update(
@@ -134,23 +144,36 @@ def pheromone_update(
 ) -> PheromoneState:
     """Evaporate, deposit per ant on every node it opened, then clamp.
 
-    Deposits are theta*F under maximization and theta/F under minimization;
-    penalized ants (negative F under max, nonpositive F under min) deposit
-    nothing.
+    Deposits are theta*F under maximization and theta/F under minimization.
+    An ant with a non-finite F, a negative F under maximization or a
+    nonpositive F under minimization deposits nothing. A penalized ant of a
+    minimization bound run has F = +1e12 * (1 + violation), so it still
+    deposits theta/F, about 2e-10. The colony's solutions must be of one size.
     """
+    idx = np.array([solution.sorted() for solution, _ in colony], dtype=np.intp) - 1
+    return _deposit(state, idx, [value for _, value in colony], config, sense)
+
+
+def _deposit(
+    state: PheromoneState,
+    idx: np.ndarray,
+    values: Sequence[float],
+    config: ACOConfig,
+    sense: str,
+) -> PheromoneState:
+    """pheromone_update for a colony given as (B, k) 0-based node indices and
+    the B fitness values. Each node receives its deposits in ant order."""
     tau = state.tau * config.evaporation_rate
-    for solution, fitness in colony:
-        if not math.isfinite(fitness):
-            continue
-        if sense == "max":
-            if fitness < 0:
-                continue
-            deposit = config.max_pheromone * fitness
-        else:
-            if fitness <= 0:
-                continue
-            deposit = config.max_pheromone / fitness
-        tau[np.fromiter(solution.open, dtype=int) - 1] += deposit
+    values = np.asarray(values, dtype=float)
+    if sense == "max":
+        kept = np.isfinite(values) & (values >= 0)
+        amounts = config.max_pheromone * values[kept]
+    else:
+        kept = np.isfinite(values) & (values > 0)
+        with np.errstate(over="ignore"):  # inf for a subnormal F, as in Python
+            amounts = config.max_pheromone / values[kept]
+    nodes = idx[kept]
+    np.add.at(tau, nodes.ravel(), np.repeat(amounts, nodes.shape[-1]))
     return PheromoneState(tau=np.clip(tau, TAU_MIN, config.max_pheromone))
 
 
@@ -163,7 +186,8 @@ def run_aco(
     Same two windows as the genetic algorithm: the per-iteration colony best
     equals the global best for floor(n * sqrt(m)) consecutive iterations
     (convergence), or the global best goes unimproved for the square of that
-    many iterations (stagnation).
+    many iterations (stagnation). Each colony is sampled first and scored in
+    one ``score_rows`` call, then walked in ant order.
     """
     if sense not in ("max", "min"):
         raise DomainError(f"sense must be 'max' or 'min', got {sense!r}")
@@ -171,52 +195,38 @@ def run_aco(
     rng = np.random.default_rng(config.seed)
     better = (lambda a, b: a > b) if sense == "max" else (lambda a, b: a < b)
     n, m = instance.n, instance.m_servers
-    limit = config.convergence_limit or int(n * math.sqrt(m))
-    cap = config.stagnation_limit or limit * limit
+    windows = Windows(n, m, config.convergence_limit, config.stagnation_limit)
     ants = ant_count(n, m, config.population_coefficient)
     eta = heuristic_index(instance)
     state = PheromoneState.initial(n)
-    best_solution: Optional[Solution] = None
+    best: Optional[list[int]] = None
     best_value = -math.inf if sense == "max" else math.inf
     trace: list[float] = []
-    converged = 0
-    stagnant = 0
     iterations = 0
-    termination = "stagnation"
     while True:
-        colony = []
         improved = False
         colony_best = -math.inf if sense == "max" else math.inf
         weights = state.tau**config.alpha_exp * eta**config.beta_exp
-        for _ in range(ants):
-            solution = _sample_solution(weights, m, state, eta, config, rng)
-            value = eval_fn(solution)
-            colony.append((solution, value))
+        idx = _sample_colony(weights, m, ants, state, eta, config, rng)
+        values = score_rows(eval_fn, idx)
+        for ant, value in enumerate(values):
             if better(value, colony_best):
                 colony_best = value
-            if best_solution is None or better(value, best_value):
-                best_solution, best_value = solution, value
+            if best is None or better(value, best_value):
+                best, best_value = (idx[ant] + 1).tolist(), value
                 improved = True
-        state = pheromone_update(state, colony, config, sense)
+        state = _deposit(state, idx, values, config, sense)
         iterations += 1
-        if improved:
-            stagnant = 0
-            converged = 0
-        else:
-            stagnant += 1
-            converged = converged + 1 if colony_best == best_value else 0
         trace.append(best_value)
-        if converged >= limit:
-            termination = "convergence"
-            break
-        if stagnant >= cap:
+        termination = windows.step(improved, colony_best == best_value)
+        if termination:
             break
     return SolverReport(
         algorithm="aco",
         n=n,
         m=m,
         seed=config.seed,
-        best=best_solution.sorted() if best_solution else [],
+        best=best,
         objective=best_value,
         iterations=iterations,
         termination=termination,

@@ -194,10 +194,21 @@ def component_or_violation(
     return (value, 0.0 if value is not None else float(result.violation()))
 
 
+def score_rows(fitness, idx: np.ndarray) -> list[float]:
+    """Fitness of every row of a (B, k) array of 0-based, ascending facility
+    indices: one ``fitness.block(idx)`` call when the fitness has that
+    method, one ``fitness(Solution)`` call per row otherwise."""
+    block = getattr(fitness, "block", None)
+    if block is None:
+        return [fitness(Solution(row)) for row in (idx + 1).tolist()]
+    return block(idx).tolist()
+
+
 class MaximinFitness:
     """Fitness used by the final solver run: evaluate with the instance and
     bound context bound in. ``block`` scores a (B, k) array of 0-based
-    subsets in one kernel call; the enumeration oracle uses it."""
+    subsets in one kernel call; the solvers and the oracle use it through
+    score_rows."""
 
     def __init__(self, instance: Instance, ctx: MaximinContext):
         self.instance = instance

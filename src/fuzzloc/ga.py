@@ -18,9 +18,13 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
+import numpy as np
+
 from .errors import DomainError
+from .evaluation import score_rows
 from .model import Instance, Solution
 from .reports import SolverReport
+from .termination import Windows, convergence_limit  # noqa: F401 (public name)
 
 Fitness = Callable[[Solution], float]
 
@@ -41,10 +45,6 @@ class GAConfig:
     def __post_init__(self) -> None:
         if self.population_floor < 2:
             raise DomainError("population_floor must be at least 2")
-
-
-def convergence_limit(n: int, m: int) -> int:
-    return int(n * math.sqrt(m))
 
 
 def population_size(n: int, m: int, floor: int) -> int:
@@ -72,7 +72,8 @@ def init_population(
         if missing > 0:
             pool = [g for g in range(1, n + 1) if g not in member]
             member.update(rng.sample(pool, missing))
-    return [Chromosome(frozenset(member), eval_fn(Solution(member))) for member in members]
+    values = score_rows(eval_fn, _rows(members))
+    return [Chromosome(frozenset(member), value) for member, value in zip(members, values)]
 
 
 def generate_candidate(
@@ -87,7 +88,8 @@ def generate_candidate(
     with the best remaining fitness wins; genes present in both parents are
     never dropped. Clamped memberships make large fitness plateaus common, so
     exact ties are broken at random (first gene in index order when no rng is
-    given) to avoid a systematic bias toward dropping low indices.
+    given) to avoid a systematic bias toward dropping low indices. The trial
+    subsets of each shrink step are scored in one score_rows call.
     """
     if p1.genes == p2.genes:
         raise DomainError("parents must have different gene sets")
@@ -96,9 +98,10 @@ def generate_candidate(
     shared = p1.genes & p2.genes
     value = None
     while len(draft) > m:
+        droppable = sorted(draft - shared)
+        trials = score_rows(eval_fn, _rows([draft - {gene} for gene in droppable]))
         tied, best_value = [], None
-        for gene in sorted(draft - shared):
-            trial = eval_fn(Solution(draft - {gene}))
+        for gene, trial in zip(droppable, trials):
             if best_value is None or trial > best_value:
                 tied, best_value = [gene], trial
             elif trial == best_value:
@@ -107,7 +110,7 @@ def generate_candidate(
         draft.remove(best_gene)
         value = best_value
     if value is None:  # parents already of size m and disjoint unions can't occur
-        value = eval_fn(Solution(draft))
+        value = score_rows(eval_fn, _rows([draft]))[0]
     return Chromosome(frozenset(draft), value)
 
 
@@ -149,16 +152,14 @@ def run_ga(instance: Instance, eval_fn: Fitness, config: GAConfig) -> SolverRepo
     """
     start = time.perf_counter()
     rng = random.Random(config.seed)
-    limit = config.convergence_limit or convergence_limit(instance.n, instance.m_servers)
-    cap = config.stagnation_limit or limit * limit
+    windows = Windows(
+        instance.n, instance.m_servers, config.convergence_limit, config.stagnation_limit
+    )
     fitness = _MemoFitness(eval_fn)
     population = init_population(instance, config, fitness, rng)
     best = max(population, key=lambda c: c.fitness)
     trace: list[float] = []
-    converged = 0
-    stagnant = 0
     iterations = 0
-    termination = "stagnation"
     while True:
         pair = _distinct_parents(population, rng)
         if pair is None:
@@ -167,19 +168,14 @@ def run_ga(instance: Instance, eval_fn: Fitness, config: GAConfig) -> SolverRepo
         candidate = generate_candidate(pair[0], pair[1], fitness, rng)
         replace(population, candidate)
         iterations += 1
-        converged = converged + 1 if candidate.fitness == best.fitness else 0
+        at_best = candidate.fitness == best.fitness
         current = max(population, key=lambda c: c.fitness)
-        if current.fitness > best.fitness:
+        improved = current.fitness > best.fitness
+        if improved:
             best = current
-            stagnant = 0
-            converged = 0
-        else:
-            stagnant += 1
         trace.append(best.fitness)
-        if converged >= limit:
-            termination = "convergence"
-            break
-        if stagnant >= cap:
+        termination = windows.step(improved, at_best)
+        if termination:
             break
     return SolverReport(
         algorithm="ga",
@@ -197,19 +193,28 @@ def run_ga(instance: Instance, eval_fn: Fitness, config: GAConfig) -> SolverRepo
 
 
 class _MemoFitness:
-    """Fitness cached by gene set; ``calls`` counts requests, hits included."""
+    """Fitness cached by gene set; ``calls`` counts requests, hits included.
+    ``block`` answers a (B, k) array of 0-based subsets and scores its misses
+    in one score_rows call."""
 
     def __init__(self, eval_fn: Fitness):
         self.eval_fn = eval_fn
         self.calls = 0
         self.values: dict[frozenset[int], float] = {}
 
-    def __call__(self, solution: Solution) -> float:
-        self.calls += 1
-        value = self.values.get(solution.open)
-        if value is None:
-            value = self.values[solution.open] = self.eval_fn(solution)
-        return value
+    def block(self, idx: np.ndarray) -> np.ndarray:
+        self.calls += len(idx)
+        keys = [frozenset(row) for row in (idx + 1).tolist()]
+        misses = {key: b for b, key in enumerate(keys) if key not in self.values}
+        if misses:
+            values = score_rows(self.eval_fn, idx[list(misses.values())])
+            self.values.update(zip(misses, values))
+        return np.array([self.values[key] for key in keys], dtype=float)
+
+
+def _rows(gene_sets) -> np.ndarray:
+    """Gene sets of one size as a (B, k) array of 0-based, ascending indices."""
+    return np.array([sorted(genes) for genes in gene_sets], dtype=np.intp) - 1
 
 
 def _distinct_parents(

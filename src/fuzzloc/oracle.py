@@ -12,7 +12,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import BudgetExceededError, DomainError, InfeasibleInstanceError
-from .evaluation import MaximinContext
+from .evaluation import MaximinContext, score_rows
 from .model import Instance, Kernel, Solution, solution_kernel
 
 DEFAULT_ENUM_BUDGET = 10**6
@@ -62,20 +62,17 @@ def enumerate_optimum(
     """Evaluate every m-subset; ties break to the lexicographically smallest
     sorted index set (combinations are visited in that order).
 
-    A fitness with a ``block`` method (see ``make_maximin_eval``) scores each
-    block of subsets in one call; any other callable is called per subset.
+    Each block of subsets goes through ``score_rows``: one call for a
+    fitness with a ``block`` method (see ``make_maximin_eval``), one call
+    per subset for any other callable.
     """
     count = _check_budget(instance, budget)
-    score_block = getattr(eval_fn, "block", None)
     best_subset = None
     best_value = -math.inf
     table = {} if keep_table else None
     for block in _blocks(instance):
         rows = block.tolist()
-        if score_block is None:
-            values = [eval_fn(Solution(row)) for row in rows]
-        else:
-            values = score_block(block - 1).tolist()
+        values = score_rows(eval_fn, block - 1)
         if table is not None:
             table.update(zip(map(frozenset, rows), values))
         for row, value in zip(rows, values):

@@ -8,6 +8,8 @@ import math
 import time
 from typing import Optional, Sequence
 
+import numpy as np
+
 from .aco import ACOConfig, run_aco
 from .errors import DomainError
 from .evaluation import (
@@ -17,7 +19,7 @@ from .evaluation import (
     make_maximin_eval,
 )
 from .ga import GAConfig, run_ga
-from .model import Instance, Solution
+from .model import Instance, Kernel, Solution
 from .oracle import DEFAULT_ENUM_BUDGET, enumerate_optimum, exact_bounds
 from .reports import SolverReport
 
@@ -34,25 +36,41 @@ BOUND_RUNS = (
 _PENALTY_SCALE = 1e12
 
 
-def _bound_eval(instance: Instance, name: str, sense: str, solver: str):
+class _BoundFitness:
     """Single-component objective with infeasibility pushed past any feasible
     value in the run's optimization direction.
 
     The GA always maximizes, so minimization runs hand it the negated
     component; the ACO takes the raw component plus a sense flag (its deposit
-    rule differs between the two directions).
+    rule differs between the two directions). ``block`` scores a (B, k) array
+    of 0-based subsets in one kernel call, with the same bits per row as the
+    per-subset call.
     """
 
-    def raw(solution: Solution) -> float:
-        value, violation = component_or_violation(instance, solution, name)
-        if value is not None:
-            return value
-        penalty = _PENALTY_SCALE * (1.0 + violation)
-        return -penalty if sense == "max" else penalty
+    def __init__(self, instance: Instance, name: str, sense: str, solver: str):
+        self.instance = instance
+        self.name = name
+        self.penalty = -_PENALTY_SCALE if sense == "max" else _PENALTY_SCALE
+        self.negate = solver == "ga" and sense == "min"
 
-    if solver == "ga" and sense == "min":
-        return lambda solution: -raw(solution)
-    return raw
+    def __call__(self, solution: Solution) -> float:
+        value, violation = component_or_violation(self.instance, solution, self.name)
+        if value is None:
+            value = self.penalty * (1.0 + violation)
+        return -value if self.negate else value
+
+    def block(self, idx: np.ndarray) -> np.ndarray:
+        result = Kernel(self.instance, idx)
+        lo, mid, hi = np.moveaxis(result.objective(), -1, 0)
+        component = {"z1": mid - lo, "z2": mid, "z3": hi - mid}[self.name]
+        values = np.where(
+            result.feasible(), component, self.penalty * (1.0 + result.violation())
+        )
+        return -values if self.negate else values
+
+
+def _bound_eval(instance: Instance, name: str, sense: str, solver: str) -> _BoundFitness:
+    return _BoundFitness(instance, name, sense, solver)
 
 
 def estimate_bounds(

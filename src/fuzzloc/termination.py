@@ -1,0 +1,39 @@
+"""The two stopping windows shared by the genetic algorithm and the ant colony."""
+
+from __future__ import annotations
+
+import math
+from typing import Optional
+
+
+def convergence_limit(n: int, m: int) -> int:
+    return int(n * math.sqrt(m))
+
+
+class Windows:
+    """Convergence and stagnation counters of one solver run.
+
+    The run converges after ``limit`` consecutive non-improving iterations
+    that end at the incumbent best, and stagnates after ``cap`` consecutive
+    non-improving iterations. Defaults: limit floor(n * sqrt(m)), cap limit².
+    """
+
+    def __init__(self, n: int, m: int, limit: Optional[int], cap: Optional[int]):
+        self.limit = limit or convergence_limit(n, m)
+        self.cap = cap or self.limit * self.limit
+        self.converged = 0
+        self.stagnant = 0
+
+    def step(self, improved: bool, at_best: bool) -> Optional[str]:
+        """Count one iteration; return the termination reason once a window
+        closes, None while the run goes on. An improvement resets both."""
+        if improved:
+            self.converged = self.stagnant = 0
+        else:
+            self.stagnant += 1
+            self.converged = self.converged + 1 if at_best else 0
+        if self.converged >= self.limit:
+            return "convergence"
+        if self.stagnant >= self.cap:
+            return "stagnation"
+        return None
