@@ -6,17 +6,15 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
 from .errors import DomainError
-from .evaluation import score_rows
+from .evaluation import Fitness, score_rows
 from .model import Instance, Solution
 from .reports import SolverReport
 from .termination import Windows
-
-Fitness = Callable[[Solution], float]
 
 TAU_MIN = 1e-6
 

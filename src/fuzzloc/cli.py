@@ -30,7 +30,7 @@ from .instances import (
 )
 from .model import Instance, Solution, crisp_objective_slice, mm1_metrics
 from .oracle import DEFAULT_ENUM_BUDGET, enumerate_optimum, mm1_simulate, simulate_objective_slice
-from .protocol import estimate_bounds, solve_protocol
+from .protocol import bound_seeds, estimate_bounds, solve_protocol
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -288,9 +288,7 @@ def cmd_tune(args) -> int:
         if args.exact_bounds:
             contexts[seed] = estimate_bounds(instance, "oracle", [], enum_budget=_enum_budget())
         else:
-            contexts[seed] = estimate_bounds(
-                instance, "aco", [seed + k for k in range(1, 7)]
-            )
+            contexts[seed] = estimate_bounds(instance, "aco", bound_seeds(seed))
     out = Path(args.out)
     with out.open("w", newline="") as fh:
         writer = csv.writer(fh)

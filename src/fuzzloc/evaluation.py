@@ -13,7 +13,7 @@ import hashlib
 import json
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -29,6 +29,11 @@ from .model import (
 )
 
 _DEGENERATE_EPS = 1e-12
+
+# The spread components in the order of Kernel.spreads().
+COMPONENTS = ("z1", "z2", "z3")
+
+Fitness = Callable[[Solution], float]
 
 
 @dataclass(frozen=True)
@@ -102,30 +107,19 @@ def spread_components(z: TriFuzzy) -> SpreadComponents:
     return SpreadComponents(z1=z.mid - z.lo, z2=z.mid, z3=z.hi - z.mid)
 
 
-def _membership(value: float, low: float, high: float, decreasing: bool) -> float:
-    if not (math.isfinite(low) and math.isfinite(high)) or high - low <= _DEGENERATE_EPS:
-        return 1.0  # degenerate bounds impose no discrimination
-    if decreasing:
-        raw = (high - value) / (high - low)
-    else:
-        raw = (value - low) / (high - low)
-    return min(max(raw, 0.0), 1.0)
-
-
-def _membership_block(values: np.ndarray, low: float, high: float, decreasing: bool) -> np.ndarray:
-    """_membership of every entry of an array."""
-    if not (math.isfinite(low) and math.isfinite(high)) or high - low <= _DEGENERATE_EPS:
-        return np.ones_like(values)
-    raw = (high - values) / (high - low) if decreasing else (values - low) / (high - low)
-    return np.clip(raw, 0.0, 1.0)
+def _membership(values, ctx: MaximinContext, name: str) -> np.ndarray:
+    """Linear membership degree of one spread component, clamped to [0, 1]:
+    decreasing for z1 (minimized), increasing for z2 and z3 (maximized)."""
+    if ctx.is_degenerate(name):
+        return np.ones_like(values)  # degenerate bounds impose no discrimination
+    low, high = ctx.bounds(name)
+    raw = (high - values) / (high - low) if name == "z1" else (values - low) / (high - low)
+    return np.minimum(np.maximum(raw, 0.0), 1.0)
 
 
 def membership_values(c: SpreadComponents, ctx: MaximinContext) -> tuple[float, float, float]:
     """Linear membership degrees of the three components; clamped to [0, 1]."""
-    mu1 = _membership(c.z1, *ctx.z1_bounds, decreasing=True)
-    mu2 = _membership(c.z2, *ctx.z2_bounds, decreasing=False)
-    mu3 = _membership(c.z3, *ctx.z3_bounds, decreasing=False)
-    return (mu1, mu2, mu3)
+    return tuple(float(_membership(c.value(name), ctx, name)) for name in COMPONENTS)
 
 
 def maximin_level(mu1: float, mu2: float, mu3: float) -> float:
@@ -151,50 +145,22 @@ def violation_total(instance: Instance, solution: Solution) -> float:
 
 def evaluate(instance: Instance, solution: Solution, ctx: MaximinContext) -> float:
     """Maximin fitness in [0, 1] for feasible solutions, negative otherwise."""
-    result = solution_kernel(instance, solution)
-    if not result.feasible():
-        return -(1.0 + float(result.violation()))
-    z = TriFuzzy(*result.objective().tolist())
-    return maximin_level(*membership_values(spread_components(z), ctx))
+    return MaximinFitness(instance, ctx)(solution)
 
 
 def evaluate_block(instance: Instance, idx: np.ndarray, ctx: MaximinContext) -> np.ndarray:
     """evaluate() of every row of a (B, k) array of 0-based, ascending
     facility indices, in one kernel call."""
-    result = Kernel(instance, idx)
-    lo, mid, hi = np.moveaxis(result.objective(), -1, 0)
-    level = np.minimum(
-        np.minimum(
-            _membership_block(mid - lo, *ctx.z1_bounds, decreasing=True),
-            _membership_block(mid, *ctx.z2_bounds, decreasing=False),
-        ),
-        _membership_block(hi - mid, *ctx.z3_bounds, decreasing=False),
-    )
-    return np.where(result.feasible(), level, -(1.0 + result.violation()))
-
-
-def _component(result: Kernel, name: str) -> Optional[float]:
-    if not result.feasible():
-        return None
-    return spread_components(TriFuzzy(*result.objective().tolist())).value(name)
+    return MaximinFitness(instance, ctx).block(idx)
 
 
 def component_value(instance: Instance, solution: Solution, name: str) -> Optional[float]:
     """One spread component of a feasible solution, or None if infeasible."""
-    return _component(solution_kernel(instance, solution), name)
-
-
-def component_or_violation(
-    instance: Instance, solution: Solution, name: str
-) -> tuple[Optional[float], float]:
-    """component_value and violation_total from one kernel call; the
-    violation of a feasible solution is 0.0."""
     result = solution_kernel(instance, solution)
-    value = _component(result, name)
-    return (value, 0.0 if value is not None else float(result.violation()))
+    return float(result.spreads()[COMPONENTS.index(name)]) if result.feasible() else None
 
 
-def score_rows(fitness, idx: np.ndarray) -> list[float]:
+def score_rows(fitness: Fitness, idx: np.ndarray) -> list[float]:
     """Fitness of every row of a (B, k) array of 0-based, ascending facility
     indices: one ``fitness.block(idx)`` call when the fitness has that
     method, one ``fitness(Solution)`` call per row otherwise."""
@@ -204,21 +170,40 @@ def score_rows(fitness, idx: np.ndarray) -> list[float]:
     return block(idx).tolist()
 
 
-class MaximinFitness:
-    """Fitness used by the final solver run: evaluate with the instance and
-    bound context bound in. ``block`` scores a (B, k) array of 0-based
-    subsets in one kernel call; the solvers and the oracle use it through
-    score_rows."""
+class KernelFitness:
+    """A fitness stated once, as ``score`` of a model.Kernel. ``block``
+    scores a (B, k) array of 0-based subsets in one kernel call, which is
+    how the solvers and the oracle use it through score_rows; a call scores
+    one subset with the same formula on a one-subset kernel."""
 
-    def __init__(self, instance: Instance, ctx: MaximinContext):
+    def __init__(self, instance: Instance):
         self.instance = instance
-        self.ctx = ctx
+
+    def score(self, result: Kernel) -> np.ndarray:
+        raise NotImplementedError
 
     def __call__(self, solution: Solution) -> float:
-        return evaluate(self.instance, solution, self.ctx)
+        return float(self.score(solution_kernel(self.instance, solution)))
 
     def block(self, idx: np.ndarray) -> np.ndarray:
-        return evaluate_block(self.instance, idx, self.ctx)
+        return self.score(Kernel(self.instance, idx))
+
+
+class MaximinFitness(KernelFitness):
+    """Fitness used by the final solver run: the smallest membership degree
+    of the spread components for a feasible subset, and -(1 + violation)
+    for an infeasible one."""
+
+    def __init__(self, instance: Instance, ctx: MaximinContext):
+        super().__init__(instance)
+        self.ctx = ctx
+
+    def score(self, result: Kernel) -> np.ndarray:
+        z = result.spreads()
+        level = np.minimum.reduce(
+            [_membership(z[..., s], self.ctx, name) for s, name in enumerate(COMPONENTS)]
+        )
+        return np.where(result.feasible(), level, -(1.0 + result.violation()))
 
 
 def make_maximin_eval(instance: Instance, ctx: MaximinContext) -> MaximinFitness:

@@ -16,17 +16,15 @@ import random
 import time
 from collections import Counter
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
 from .errors import DomainError
-from .evaluation import score_rows
+from .evaluation import Fitness, score_rows
 from .model import Instance, Solution
 from .reports import SolverReport
 from .termination import Windows, convergence_limit  # noqa: F401 (public name)
-
-Fitness = Callable[[Solution], float]
 
 
 @dataclass(frozen=True)

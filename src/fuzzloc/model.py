@@ -271,6 +271,14 @@ class Kernel:
         """(..., 3): the slice objectives sorted ascending."""
         return np.sort(self.slices(), axis=-1)
 
+    def spreads(self) -> np.ndarray:
+        """(..., 3): the spread components (z1, z2, z3) = (mid - lo, mid,
+        hi - mid) of the sorted slice objectives."""
+        z = self.objective()  # a fresh (lo, mid, hi) array from np.sort, rewritten in place
+        z[..., 0] = z[..., 1] - z[..., 0]
+        z[..., 2] -= z[..., 1]
+        return z
+
     def feasible(self) -> np.ndarray:
         """(...): the capacity threshold holds and every queue is stable."""
         capacity = (self.occupancy <= capacity_threshold(self.instance)).all(axis=-1)

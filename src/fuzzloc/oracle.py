@@ -7,12 +7,12 @@ import itertools
 import math
 import random
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
 from .errors import BudgetExceededError, DomainError, InfeasibleInstanceError
-from .evaluation import MaximinContext, score_rows
+from .evaluation import Fitness, MaximinContext, score_rows
 from .model import Instance, Kernel, Solution, solution_kernel
 
 DEFAULT_ENUM_BUDGET = 10**6
@@ -20,8 +20,6 @@ DEFAULT_ENUM_BUDGET = 10**6
 # with the number of subsets: a (B, k, n) intermediate takes 0.8 MB at
 # n = 20, k = 5, and a brute solve of such an instance peaks near 3 MB.
 BLOCK_SIZE = 1024
-
-Fitness = Callable[[Solution], float]
 
 
 @dataclass
@@ -94,13 +92,12 @@ def exact_bounds(instance: Instance, budget: int = DEFAULT_ENUM_BUDGET) -> Maxim
     any_feasible = False
     for block in _blocks(instance):
         result = Kernel(instance, block - 1)
-        lo, mid, hi = result.objective()[result.feasible()].T
-        if not mid.size:
+        spreads = result.spreads()[result.feasible()]
+        if not len(spreads):
             continue
         any_feasible = True
-        comps = np.stack((mid - lo, mid, hi - mid))
-        lows = np.minimum(lows, comps.min(axis=1))
-        highs = np.maximum(highs, comps.max(axis=1))
+        lows = np.minimum(lows, spreads.min(axis=0))
+        highs = np.maximum(highs, spreads.max(axis=0))
     if not any_feasible:
         raise InfeasibleInstanceError("no feasible facility subset exists")
     lows, highs = lows.tolist(), highs.tolist()

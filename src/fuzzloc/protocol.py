@@ -13,8 +13,9 @@ import numpy as np
 from .aco import ACOConfig, run_aco
 from .errors import DomainError
 from .evaluation import (
+    COMPONENTS,
+    KernelFitness,
     MaximinContext,
-    component_or_violation,
     component_value,
     make_maximin_eval,
 )
@@ -36,35 +37,31 @@ BOUND_RUNS = (
 _PENALTY_SCALE = 1e12
 
 
-class _BoundFitness:
+def bound_seeds(seed: int) -> list[int]:
+    """Seeds of the six bound runs of a solve with the given seed."""
+    return [seed + k for k in range(1, len(BOUND_RUNS) + 1)]
+
+
+class _BoundFitness(KernelFitness):
     """Single-component objective with infeasibility pushed past any feasible
     value in the run's optimization direction.
 
     The GA always maximizes, so minimization runs hand it the negated
     component; the ACO takes the raw component plus a sense flag (its deposit
-    rule differs between the two directions). ``block`` scores a (B, k) array
-    of 0-based subsets in one kernel call, with the same bits per row as the
-    per-subset call.
+    rule differs between the two directions).
     """
 
     def __init__(self, instance: Instance, name: str, sense: str, solver: str):
-        self.instance = instance
-        self.name = name
+        super().__init__(instance)
+        self.component = COMPONENTS.index(name)
         self.penalty = -_PENALTY_SCALE if sense == "max" else _PENALTY_SCALE
         self.negate = solver == "ga" and sense == "min"
 
-    def __call__(self, solution: Solution) -> float:
-        value, violation = component_or_violation(self.instance, solution, self.name)
-        if value is None:
-            value = self.penalty * (1.0 + violation)
-        return -value if self.negate else value
-
-    def block(self, idx: np.ndarray) -> np.ndarray:
-        result = Kernel(self.instance, idx)
-        lo, mid, hi = np.moveaxis(result.objective(), -1, 0)
-        component = {"z1": mid - lo, "z2": mid, "z3": hi - mid}[self.name]
+    def score(self, result: Kernel) -> np.ndarray:
         values = np.where(
-            result.feasible(), component, self.penalty * (1.0 + result.violation())
+            result.feasible(),
+            result.spreads()[..., self.component],
+            self.penalty * (1.0 + result.violation()),
         )
         return -values if self.negate else values
 
@@ -153,9 +150,8 @@ def solve_protocol(
     if ctx is None and use_exact_bounds:
         ctx = exact_bounds(instance, budget=enum_budget)
     elif ctx is None:
-        seeds = [seed + k for k in range(1, len(BOUND_RUNS) + 1)]
         ctx = estimate_bounds(
-            instance, algo, seeds, ga_config=ga_config, aco_config=aco_config
+            instance, algo, bound_seeds(seed), ga_config=ga_config, aco_config=aco_config
         )
     fitness = make_maximin_eval(instance, ctx)
     if algo == "ga":

@@ -14,10 +14,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import fuzzloc.oracle
-from conftest import mild_params
+from conftest import crispen, feasible_subsets, mild_params
 from fuzzloc.errors import InfeasibleInstanceError
 from fuzzloc.evaluation import (
     MaximinContext,
+    SpreadComponents,
     component_value,
     evaluate,
     evaluate_block,
@@ -105,7 +106,7 @@ def test_block_matches_subsets(case, sample_seed):
     ctx = ctx_from(block)
     values = evaluate_block(instance, np.array(rows), ctx)
     derived = {name: getattr(block, name)() for name in
-               ("stable", "slices", "objective", "feasible", "violation")}
+               ("stable", "slices", "objective", "spreads", "feasible", "violation")}
     for b, row in enumerate(rows):
         one = Kernel(instance, np.array(row))
         for name in ("lam_bar", "mu", "benefit", "occupancy"):
@@ -118,8 +119,21 @@ def test_block_matches_subsets(case, sample_seed):
         z = fuzzy_objective(instance, solution)
         if z is not None:
             assert tuple(derived["objective"][b]) == z.as_tuple()
+            assert SpreadComponents(*derived["spreads"][b].tolist()) == spread_components(z)
         if derived["feasible"][b]:
             assert derived["objective"][b][1] == component_value(instance, solution, "z2")
+
+
+def test_crisp_z1_is_positive_zero(medium_instance):
+    """On crisp data lo == mid, so z1 = mid - lo is +0.0; -(lo - mid) would
+    give -0.0, which changes the bounds JSON and bounds_id."""
+    instance = crispen(medium_instance)
+    feasible = feasible_subsets(instance)
+    assert feasible
+    for solution in feasible:
+        assert math.copysign(1.0, component_value(instance, solution, "z1")) == 1.0
+    ctx = exact_bounds(instance)
+    assert [math.copysign(1.0, b) for b in ctx.z1_bounds] == [1.0, 1.0]
 
 
 @given(case=cases(max_n=11), block_size=st.integers(1, 50))
