@@ -8,17 +8,19 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import math
 import os
 import sys
 from pathlib import Path
+from typing import Optional
 
 import numpy as np
 
-from .aco import ACOConfig, run_aco
+from .aco import ACOConfig
 from .errors import BudgetExceededError, DomainError, InfeasibleInstanceError, InstanceFormatError
-from .evaluation import MaximinContext, make_maximin_eval
+from .evaluation import MaximinContext
 from .fuzzy import TriFuzzy
 from .instances import (
     GeneratorParams,
@@ -29,7 +31,13 @@ from .instances import (
     table1_bytes,
 )
 from .model import Instance, Solution, crisp_objective_slice, mm1_metrics
-from .oracle import DEFAULT_ENUM_BUDGET, enumerate_optimum, mm1_simulate, simulate_objective_slice
+from .oracle import (
+    DEFAULT_ENUM_BUDGET,
+    enumerate_optimum,
+    exact_bounds,
+    mm1_simulate,
+    simulate_objective_slice,
+)
 from .protocol import bound_seeds, estimate_bounds, solve_protocol
 
 EXIT_OK = 0
@@ -66,14 +74,22 @@ def _enum_budget() -> int:
 def _load(path: str, gamma=None, logit=None) -> Instance:
     instance = load_instance(path)
     if gamma is not None or logit is not None:
-        import dataclasses
-
         instance = dataclasses.replace(
             instance,
             gamma=instance.gamma if gamma is None else gamma,
             logit_sensitivity=instance.logit_sensitivity if logit is None else logit,
         )
     return instance
+
+
+def _context(args, instance: Instance) -> Optional[MaximinContext]:
+    """Bounds of a solve: replayed from a ``--bounds`` result file, exact
+    for ``--exact-bounds``, or None, which lets the solve calibrate them."""
+    if getattr(args, "bounds", None):
+        return MaximinContext.from_dict(json.loads(Path(args.bounds).read_text())["bounds"])
+    if args.exact_bounds:
+        return exact_bounds(instance, budget=_enum_budget())
+    return None
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -168,17 +184,12 @@ def _result_doc(report, ctx: MaximinContext) -> str:
 
 def cmd_solve(args) -> int:
     instance = _load(args.instance, args.gamma, args.logit)
-    ctx = None
-    if args.bounds:
-        prior = json.loads(Path(args.bounds).read_text())
-        ctx = MaximinContext.from_dict(prior["bounds"])
     report, ctx = solve_protocol(
         instance,
         args.algo,
         seed=args.seed,
-        use_exact_bounds=args.exact_bounds,
         enum_budget=_enum_budget(),
-        ctx=ctx,
+        ctx=_context(args, instance),
     )
     if args.out:
         Path(args.out).write_text(_result_doc(report, ctx))
@@ -192,53 +203,45 @@ def cmd_solve(args) -> int:
     return EXIT_OK
 
 
-def _bench_rows(args):
+def _bench_row(args, instance: Instance, name: str, algo: str, seed: int) -> dict:
+    """One bench row; a failed solve gives NaN figures and an ``error:`` termination."""
+    row = {
+        "algorithm": algo, "instance": name, "n": instance.n, "m": instance.m_servers,
+        "seed": seed, "objective": math.nan, "runtime_ms": math.nan, "facilities": "",
+        "termination": "", "bounds_id": "", "evals": 0,
+    }
+    try:
+        report, ctx = solve_protocol(instance, algo, seed=seed, ctx=_context(args, instance))
+    except (DomainError, InfeasibleInstanceError, BudgetExceededError) as exc:
+        row["termination"] = f"error:{exc}"
+        return row
+    row.update(
+        objective=report.objective,
+        runtime_ms=report.elapsed_s * 1000.0,
+        facilities=";".join(str(j) for j in report.best),
+        termination=report.termination,
+        bounds_id=ctx.bounds_id,
+        evals=report.evaluations,
+    )
+    return row
+
+
+def cmd_bench(args) -> int:
     rows = []
     for inst_path in args.instance:
         instance = _load(inst_path, args.gamma, args.logit)
         name = Path(inst_path).stem
         for algo in ("ga", "aco"):
             for rep in range(args.replications):
-                seed = args.seed + rep
-                try:
-                    report, ctx = solve_protocol(
-                        instance, algo, seed=seed,
-                        use_exact_bounds=args.exact_bounds,
-                        enum_budget=_enum_budget(),
-                    )
-                    rows.append({
-                        "algorithm": algo, "instance": name,
-                        "n": instance.n, "m": instance.m_servers, "seed": seed,
-                        "objective": report.objective,
-                        "runtime_ms": report.elapsed_s * 1000.0,
-                        "evals": report.evaluations,
-                        "facilities": ";".join(str(j) for j in report.best),
-                        "termination": report.termination,
-                        "bounds_id": ctx.bounds_id,
-                    })
-                except (DomainError, InfeasibleInstanceError, BudgetExceededError) as exc:
-                    rows.append({
-                        "algorithm": algo, "instance": name,
-                        "n": instance.n, "m": instance.m_servers, "seed": seed,
-                        "objective": math.nan, "runtime_ms": math.nan,
-                        "evals": 0, "facilities": "", "termination": f"error:{exc}",
-                        "bounds_id": "",
-                    })
-    return rows
-
-
-def cmd_bench(args) -> int:
-    rows = _bench_rows(args)
+                rows.append(_bench_row(args, instance, name, algo, args.seed + rep))
     out = Path(args.out)
     with out.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(BENCH_HEADER)
+        writer = csv.DictWriter(fh, BENCH_HEADER)
+        writer.writeheader()
         for row in rows:
-            writer.writerow([
-                row["algorithm"], row["instance"], row["n"], row["m"], row["seed"],
-                _fmt(row["objective"]), _fmt(row["runtime_ms"]),
-                row["facilities"], row["termination"], row["bounds_id"], row["evals"],
-            ])
+            writer.writerow({
+                **row, "objective": _fmt(row["objective"]), "runtime_ms": _fmt(row["runtime_ms"]),
+            })
     # per-(instance, algorithm) means feed the summary and the plot data
     summary: dict[tuple[str, str], dict] = {}
     for row in rows:
@@ -283,12 +286,10 @@ def cmd_tune(args) -> int:
         for al in args.alpha
         for be in args.beta
     ]
-    contexts = {}
-    for seed in args.seeds:
-        if args.exact_bounds:
-            contexts[seed] = estimate_bounds(instance, "oracle", [], enum_budget=_enum_budget())
-        else:
-            contexts[seed] = estimate_bounds(instance, "aco", bound_seeds(seed))
+    ctx = _context(args, instance)
+    contexts = {
+        seed: ctx or estimate_bounds(instance, "aco", bound_seeds(seed)) for seed in args.seeds
+    }
     out = Path(args.out)
     with out.open("w", newline="") as fh:
         writer = csv.writer(fh)
@@ -303,7 +304,9 @@ def cmd_tune(args) -> int:
                     evaporation_rate=ev, max_pheromone=ph, population_coefficient=co,
                     alpha_exp=al, beta_exp=be, seed=seed,
                 )
-                report = run_aco(instance, make_maximin_eval(instance, contexts[seed]), config)
+                report, _ = solve_protocol(
+                    instance, "aco", seed=seed, aco_config=config, ctx=contexts[seed]
+                )
                 values.append(report.objective)
             writer.writerow([_fmt(ev), _fmt(ph), co, _fmt(al), _fmt(be),
                              _fmt(float(np.mean(values)))])
@@ -396,10 +399,7 @@ def main(argv=None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (DomainError, InstanceFormatError) as exc:
+    except (UsageError, DomainError, InstanceFormatError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (InfeasibleInstanceError, BudgetExceededError, OSError) as exc:

@@ -159,11 +159,8 @@ def run_ga(instance: Instance, eval_fn: Fitness, config: GAConfig) -> SolverRepo
     trace: list[float] = []
     iterations = 0
     while True:
-        pair = _distinct_parents(population, rng)
-        if pair is None:
-            termination = "convergence"  # gene pool collapsed; nothing left to recombine
-            break
-        candidate = generate_candidate(pair[0], pair[1], fitness, rng)
+        p1, p2 = _distinct_parents(population, rng)
+        candidate = generate_candidate(p1, p2, fitness, rng)
         replace(population, candidate)
         iterations += 1
         at_best = candidate.fitness == best.fitness
@@ -217,13 +214,18 @@ def _rows(gene_sets) -> np.ndarray:
 
 def _distinct_parents(
     population: Sequence[Chromosome], rng: random.Random
-) -> Optional[tuple[Chromosome, Chromosome]]:
+) -> tuple[Chromosome, Chromosome]:
+    """Two members with different gene sets: up to 32 random draws, then the
+    first member that differs from the first one.
+
+    Such a pair always exists. ``init_population`` deals every gene 1..n,
+    ``replace`` never lowers the number of distinct genes, and every member
+    holds m < n genes, so no member carries the whole pool and not all
+    members can be equal.
+    """
     for _ in range(32):
         p1, p2 = rng.sample(population, 2)
         if p1.genes != p2.genes:
             return (p1, p2)
-    for i in range(len(population)):
-        for j in range(i + 1, len(population)):
-            if population[i].genes != population[j].genes:
-                return (population[i], population[j])
-    return None
+    first = population[0]
+    return next((first, other) for other in population[1:] if other.genes != first.genes)

@@ -14,6 +14,7 @@ from .aco import ACOConfig, run_aco
 from .errors import DomainError
 from .evaluation import (
     COMPONENTS,
+    Fitness,
     KernelFitness,
     MaximinContext,
     component_value,
@@ -66,8 +67,23 @@ class _BoundFitness(KernelFitness):
         return -values if self.negate else values
 
 
-def _bound_eval(instance: Instance, name: str, sense: str, solver: str) -> _BoundFitness:
-    return _BoundFitness(instance, name, sense, solver)
+def _run(
+    instance: Instance,
+    fitness: Fitness,
+    algo: str,
+    seed: int,
+    ga_config: Optional[GAConfig],
+    aco_config: Optional[ACOConfig],
+    sense: str = "max",
+) -> SolverReport:
+    """One GA or ACO run of ``fitness``, seeded with ``seed``: the bound runs
+    and the final run all go through here. ``run_ga`` and ``run_aco`` are
+    looked up as module globals on each call, so a wrapper patched onto this
+    module sees every run."""
+    if algo == "ga":
+        return run_ga(instance, fitness, dataclasses.replace(ga_config or GAConfig(), seed=seed))
+    config = dataclasses.replace(aco_config or ACOConfig(), seed=seed)
+    return run_aco(instance, fitness, config, sense=sense)
 
 
 def estimate_bounds(
@@ -76,35 +92,25 @@ def estimate_bounds(
     seeds: Sequence[int],
     ga_config: Optional[GAConfig] = None,
     aco_config: Optional[ACOConfig] = None,
-    enum_budget: int = DEFAULT_ENUM_BUDGET,
 ) -> MaximinContext:
     """Run the six bound-calibration optimizations and collect the extrema.
 
-    ``solver`` is "ga", "aco" or "oracle"; the oracle ignores the seeds and
-    returns exact bounds by enumeration. A bound run that finds no feasible
-    solution records NaN, which the membership functions treat as degenerate.
+    ``solver`` is "ga" or "aco". A bound run that finds no feasible solution
+    records NaN, which the membership functions treat as degenerate. Exact
+    bounds come from ``oracle.exact_bounds``.
     """
-    if solver == "oracle":
-        return exact_bounds(instance, budget=enum_budget)
     if solver not in ("ga", "aco"):
         raise DomainError(f"unknown solver handle {solver!r}")
     if len(seeds) != len(BOUND_RUNS):
         raise DomainError(f"need {len(BOUND_RUNS)} seeds, got {len(seeds)}")
-    bounds: dict[str, dict[str, float]] = {"z1": {}, "z2": {}, "z3": {}}
+    found: dict[tuple[str, str], float] = {}
     for (name, sense), seed in zip(BOUND_RUNS, seeds):
-        eval_fn = _bound_eval(instance, name, sense, solver)
-        if solver == "ga":
-            base = ga_config or GAConfig()
-            report = run_ga(instance, eval_fn, dataclasses.replace(base, seed=seed))
-        else:
-            base = aco_config or ACOConfig()
-            report = run_aco(instance, eval_fn, dataclasses.replace(base, seed=seed), sense=sense)
+        fitness = _BoundFitness(instance, name, sense, solver)
+        report = _run(instance, fitness, solver, seed, ga_config, aco_config, sense)
         value = component_value(instance, Solution(report.best), name)
-        bounds[name][sense] = math.nan if value is None else value
+        found[name, sense] = math.nan if value is None else value
     return MaximinContext(
-        z1_bounds=(bounds["z1"]["min"], bounds["z1"]["max"]),
-        z2_bounds=(bounds["z2"]["min"], bounds["z2"]["max"]),
-        z3_bounds=(bounds["z3"]["min"], bounds["z3"]["max"]),
+        *[(found[name, "min"], found[name, "max"]) for name in COMPONENTS],
         provenance="metaheuristic-estimated",
     )
 
@@ -113,7 +119,7 @@ def solve_protocol(
     instance: Instance,
     algo: str,
     seed: int = 0,
-    use_exact_bounds: bool = False,
+    *,
     enum_budget: int = DEFAULT_ENUM_BUDGET,
     ga_config: Optional[GAConfig] = None,
     aco_config: Optional[ACOConfig] = None,
@@ -121,10 +127,12 @@ def solve_protocol(
 ) -> tuple[SolverReport, MaximinContext]:
     """Full solve: calibrate bounds, then run the final maximin optimization.
 
-    Bound-run seeds are seed+1..seed+6 so the whole protocol is reproducible
-    from one seed. ``algo`` "brute" uses exact bounds and exhaustive search.
-    A given ``ctx`` (bounds replayed from an earlier solve) skips the
-    calibration.
+    Bounds come in one of two ways. A given ``ctx`` (exact bounds, or bounds
+    replayed from an earlier solve) is used as it is. Otherwise "ga" and
+    "aco" calibrate them with six bound runs seeded seed+1..seed+6, so the
+    whole protocol is reproducible from one seed, and "brute" computes exact
+    bounds. "brute" searches exhaustively; ``enum_budget`` caps its
+    enumerations.
     """
     if algo == "brute":
         start = time.perf_counter()
@@ -147,16 +155,10 @@ def solve_protocol(
         return (report, ctx)
     if algo not in ("ga", "aco"):
         raise DomainError(f"unknown algorithm {algo!r}")
-    if ctx is None and use_exact_bounds:
-        ctx = exact_bounds(instance, budget=enum_budget)
-    elif ctx is None:
+    if ctx is None:
         ctx = estimate_bounds(
             instance, algo, bound_seeds(seed), ga_config=ga_config, aco_config=aco_config
         )
-    fitness = make_maximin_eval(instance, ctx)
-    if algo == "ga":
-        report = run_ga(instance, fitness, dataclasses.replace(ga_config or GAConfig(), seed=seed))
-    else:
-        report = run_aco(instance, fitness, dataclasses.replace(aco_config or ACOConfig(), seed=seed))
+    report = _run(instance, make_maximin_eval(instance, ctx), algo, seed, ga_config, aco_config)
     report.bounds_id = ctx.bounds_id
     return (report, ctx)

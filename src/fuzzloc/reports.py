@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Optional
 
 
@@ -25,20 +25,7 @@ class SolverReport:
     evaluations: int = 0  # fitness calls the solver requested
 
     def to_dict(self) -> dict:
-        return {
-            "algorithm": self.algorithm,
-            "n": self.n,
-            "m": self.m,
-            "seed": self.seed,
-            "best": list(self.best),
-            "objective": self.objective,
-            "iterations": self.iterations,
-            "termination": self.termination,
-            "trace": list(self.trace),
-            "elapsed_s": self.elapsed_s,
-            "bounds_id": self.bounds_id,
-            "evaluations": self.evaluations,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, data: dict) -> "SolverReport":

@@ -29,7 +29,7 @@ from fuzzloc.evaluation import make_maximin_eval, score_rows
 from fuzzloc.ga import GAConfig, run_ga
 from fuzzloc.model import Solution
 from fuzzloc.oracle import exact_bounds
-from fuzzloc.protocol import BOUND_RUNS, _bound_eval
+from fuzzloc.protocol import BOUND_RUNS, _BoundFitness
 from fuzzloc.termination import Windows
 from test_kernel import PROBE_CTX, build, cases
 
@@ -141,7 +141,7 @@ def test_bound_block_matches_calls(solver, case):
     instance = build(*case)
     idx = np.array(list(itertools.combinations(range(instance.n), instance.m_servers)))
     for name, sense in BOUND_RUNS:
-        fitness = _bound_eval(instance, name, sense, solver)
+        fitness = _BoundFitness(instance, name, sense, solver)
         expected = [fitness(Solution(row)) for row in (idx + 1).tolist()]
         assert fitness.block(idx).tolist() == expected
         assert score_rows(fitness, idx) == expected
@@ -153,7 +153,7 @@ def test_bound_block_covers_feasible_and_infeasible_rows(medium_instance, scale)
     idx = np.array(list(itertools.combinations(range(instance.n), instance.m_servers)))
     for solver in ("ga", "aco"):
         for name, sense in BOUND_RUNS:
-            fitness = _bound_eval(instance, name, sense, solver)
+            fitness = _BoundFitness(instance, name, sense, solver)
             got = fitness.block(idx).tolist()
             assert got == [fitness(Solution(row)) for row in (idx + 1).tolist()]
             penalized = [abs(v) >= 1e12 for v in got]
@@ -183,8 +183,8 @@ def _runs(instance):
     yield "ga", "max", maximin
     yield "aco", "max", maximin
     for name, sense in BOUND_RUNS:
-        yield "ga", "max", _bound_eval(instance, name, sense, "ga")  # the GA only maximizes
-        yield "aco", sense, _bound_eval(instance, name, sense, "aco")
+        yield "ga", "max", _BoundFitness(instance, name, sense, "ga")  # the GA only maximizes
+        yield "aco", sense, _BoundFitness(instance, name, sense, "aco")
 
 
 @pytest.mark.parametrize("instance_name", ["medium_instance", "table1"])

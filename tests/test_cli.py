@@ -140,6 +140,46 @@ class TestTune:
         assert len(rows) == 33
 
 
+class TestEnumBudget:
+    """FUZZLOC_ENUM_BUDGET below C(6, 2) = 15 subsets makes every exhaustive
+    enumeration of the small instance fail; at 15 it fits."""
+
+    @pytest.fixture(autouse=True)
+    def short_budget(self, monkeypatch):
+        monkeypatch.setenv("FUZZLOC_ENUM_BUDGET", "14")
+
+    @pytest.mark.parametrize("flags", [["--algo", "aco", "--exact-bounds"], ["--algo", "brute"]])
+    def test_solve_exits_runtime(self, small_file, flags, capsys):
+        assert run(["solve", "--instance", small_file, *flags]) == EXIT_RUNTIME
+        assert "budget is 14" in capsys.readouterr().err
+
+    def test_budget_that_fits(self, small_file, monkeypatch):
+        monkeypatch.setenv("FUZZLOC_ENUM_BUDGET", "15")
+        assert run(["solve", "--instance", small_file, "--algo", "brute"]) == EXIT_OK
+
+    def test_tune_exits_runtime(self, small_file, tmp_path):
+        out = tmp_path / "tune.csv"
+        assert run([
+            "tune", "--instance", small_file, "--out", out, "--exact-bounds",
+            "--evaporation", "0.97", "--max-pheromone", "200",
+            "--coefficient", "2", "--alpha", "0.75", "--beta", "0.75",
+        ]) == EXIT_RUNTIME
+
+    def test_bench_writes_error_rows(self, small_file, tmp_path):
+        out = tmp_path / "bench.csv"
+        assert run([
+            "bench", "--instance", small_file, "--replications", 1,
+            "--exact-bounds", "--out", out,
+        ]) == EXIT_OK
+        with out.open() as fh:
+            rows = list(csv.DictReader(fh))
+        assert [row["algorithm"] for row in rows] == ["ga", "aco"]
+        for row in rows:
+            assert row["termination"].startswith("error:")
+            assert "budget is 14" in row["termination"]
+            assert (row["objective"], row["facilities"], row["evals"]) == ("nan", "", "0")
+
+
 class TestValidate:
     def test_small_budget_warns_but_passes(self, capsys):
         assert run(["validate", "--events", 2000, "--skip-network"]) == EXIT_OK

@@ -1,8 +1,11 @@
 """Genetic algorithm: sizing, mating, replacement, termination, optimality."""
 
 import random
+from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import fuzzloc.ga
 from conftest import feasible_subsets
@@ -11,6 +14,7 @@ from fuzzloc.evaluation import make_maximin_eval
 from fuzzloc.ga import (
     Chromosome,
     GAConfig,
+    _distinct_parents,
     convergence_limit,
     generate_candidate,
     init_population,
@@ -125,6 +129,29 @@ class TestReplace:
         population = [Chromosome(frozenset({1, 2}), 5.0), Chromosome(frozenset({3, 4}), 3.0)]
         out = replace(population, Chromosome(frozenset({1, 3}), 4.0))
         assert [c.genes for c in out] == [frozenset({1, 2}), frozenset({3, 4})]
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.data())
+    def test_random_replacements_keep_every_gene(self, data):
+        # The invariant behind _distinct_parents: the pool 1..n never loses a
+        # gene, so with m < n two members always differ.
+        n = data.draw(st.integers(2, 12), label="n")
+        m = data.draw(st.integers(1, n - 1), label="m")
+        floor = data.draw(st.integers(2, 12), label="population_floor")
+        rng = random.Random(data.draw(st.integers(0, 2**32 - 1), label="rng seed"))
+        population = init_population(
+            SimpleNamespace(n=n, m_servers=m),
+            GAConfig(population_floor=floor),
+            lambda solution: float(rng.randint(0, 3)),
+            rng,
+        )
+        subsets = st.lists(st.integers(1, n), min_size=m, max_size=m, unique=True)
+        for _ in range(data.draw(st.integers(0, 40), label="replacements")):
+            genes = frozenset(data.draw(subsets))
+            replace(population, Chromosome(genes, float(data.draw(st.integers(0, 5)))))
+            assert set().union(*(c.genes for c in population)) == set(range(1, n + 1))
+            p1, p2 = _distinct_parents(population, rng)
+            assert p1.genes != p2.genes
 
 
 class TestRunGA:

@@ -31,7 +31,7 @@ from fuzzloc.evaluation import (
 from fuzzloc.instances import GeneratorParams, generate_instance
 from fuzzloc.model import Kernel, Solution
 from fuzzloc.oracle import enumerate_optimum, exact_bounds
-from fuzzloc.protocol import _PENALTY_SCALE, BOUND_RUNS, _bound_eval
+from fuzzloc.protocol import _PENALTY_SCALE, BOUND_RUNS, _BoundFitness
 
 PROBE_CTX = MaximinContext((0.0, 1.0), (0.0, 1.0), (0.0, 1.0), "probe")
 
@@ -218,6 +218,6 @@ def test_bound_eval_is_one_kernel_call(medium_instance, scale):
             expected.append(value)
         with mock.patch("fuzzloc.evaluation.solution_kernel",
                         wraps=fuzzloc.evaluation.solution_kernel) as spy:
-            got = [_bound_eval(instance, name, sense, "aco")(s) for s in subsets]
+            got = [_BoundFitness(instance, name, sense, "aco")(s) for s in subsets]
         assert spy.call_count == len(subsets)
         assert got == expected

@@ -18,7 +18,6 @@ from fuzzloc.oracle import (
     mm1_simulate,
     simulate_objective_slice,
 )
-from fuzzloc.protocol import estimate_bounds
 
 
 class TestEnumeration:
@@ -81,11 +80,6 @@ class TestExactBounds:
         )
         with pytest.raises(InfeasibleInstanceError):
             exact_bounds(overloaded)
-
-    def test_matches_oracle_estimate(self, small_instance):
-        ctx = exact_bounds(small_instance)
-        via_protocol = estimate_bounds(small_instance, "oracle", [])
-        assert via_protocol == ctx
 
 
 class TestStreaming:

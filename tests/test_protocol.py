@@ -1,5 +1,6 @@
 """Seven-run solve protocol: bound calibration plus the final maximin run."""
 
+import dataclasses
 import math
 
 import pytest
@@ -15,9 +16,6 @@ from fuzzloc.reports import SolverReport
 
 
 class TestEstimateBounds:
-    def test_oracle_handle_is_exact(self, small_instance):
-        assert estimate_bounds(small_instance, "oracle", []) == exact_bounds(small_instance)
-
     def test_unknown_solver_rejected(self, small_instance):
         with pytest.raises(DomainError, match="solver handle"):
             estimate_bounds(small_instance, "greedy", [1, 2, 3, 4, 5, 6])
@@ -79,9 +77,14 @@ class TestSolveProtocol:
         assert a_ctx == b_ctx
 
     def test_exact_bounds_flag(self, small_instance):
-        report, ctx = solve_protocol(small_instance, "ga", seed=0, use_exact_bounds=True)
+        report, ctx = solve_protocol(small_instance, "ga", seed=0, ctx=exact_bounds(small_instance))
         assert ctx.provenance == "oracle-exact"
         assert 0.0 <= report.objective <= 1.0
+
+    def test_options_after_seed_are_keyword_only(self, small_instance):
+        # A stale positional use_exact_bounds=True must not land in enum_budget.
+        with pytest.raises(TypeError):
+            solve_protocol(small_instance, "ga", 0, True)
 
     def test_objective_consistent_with_context(self, small_instance):
         report, ctx = solve_protocol(small_instance, "ga", seed=1)
@@ -93,7 +96,7 @@ class TestSolveProtocol:
             small_instance,
             "ga",
             seed=0,
-            use_exact_bounds=True,
+            ctx=exact_bounds(small_instance),
             ga_config=GAConfig(population_floor=4),
         )
         assert len(report.best) == small_instance.m_servers
@@ -121,12 +124,20 @@ class TestComponentValue:
 
 class TestSolverReport:
     def test_json_round_trip(self, small_instance):
-        report, _ = solve_protocol(small_instance, "ga", seed=0, use_exact_bounds=True)
+        report, _ = solve_protocol(small_instance, "ga", seed=0, ctx=exact_bounds(small_instance))
         assert report.evaluations > 0
         assert SolverReport.from_json(report.to_json()) == report
 
+    def test_to_dict_copies_lists_in_field_order(self):
+        report = SolverReport("ga", 6, 2, 0, [1, 2], 0.5, 3, "stagnation", trace=[0.5])
+        doc = report.to_dict()
+        assert list(doc) == [field.name for field in dataclasses.fields(SolverReport)]
+        doc["best"].append(6)
+        doc["trace"].append(1.0)
+        assert (report.best, report.trace) == ([1, 2], [0.5])
+
     def test_result_without_evaluations_loads(self, small_instance):
-        report, _ = solve_protocol(small_instance, "aco", seed=0, use_exact_bounds=True)
+        report, _ = solve_protocol(small_instance, "aco", seed=0, ctx=exact_bounds(small_instance))
         doc = report.to_dict()
         del doc["evaluations"]
         assert SolverReport.from_dict(doc).evaluations == 0
