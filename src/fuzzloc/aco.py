@@ -31,6 +31,8 @@ class ACOConfig:
     stagnation_limit: Optional[int] = None  # default convergence_limit ** 2
 
     def __post_init__(self) -> None:
+        if not all(map(math.isfinite, (self.alpha_exp, self.beta_exp, self.max_pheromone))):
+            raise DomainError("alpha_exp, beta_exp and max_pheromone must be finite")
         if not (0 < self.evaporation_rate < 1):
             raise DomainError("evaporation_rate must lie in (0, 1)")
         if self.max_pheromone <= 0:
@@ -63,14 +65,20 @@ def ant_count(n: int, m: int, coefficient: int) -> int:
     return coefficient * math.ceil(n / m)
 
 
+def _log_weights(tau: np.ndarray, eta: np.ndarray, config: ACOConfig) -> np.ndarray:
+    """Log selection weights alpha * log(tau) + beta * log(eta). They are
+    finite for every trail the package creates: updates clip tau to
+    [TAU_MIN, max_pheromone], eta is positive, and ACOConfig rejects
+    non-finite exponents."""
+    return config.alpha_exp * np.log(tau) + config.beta_exp * np.log(eta)
+
+
 def _selection_probabilities(
     state: PheromoneState, eta: np.ndarray, unchosen: np.ndarray, config: ACOConfig
 ) -> np.ndarray:
-    weights = state.tau[unchosen] ** config.alpha_exp * eta[unchosen] ** config.beta_exp
-    total = weights.sum()
-    if not np.isfinite(total) or total <= 0:
-        return np.full(unchosen.size, 1.0 / unchosen.size)
-    return weights / total
+    log_w = _log_weights(state.tau[unchosen], eta[unchosen], config)
+    weights = np.exp(log_w - log_w.max())
+    return weights / weights.sum()
 
 
 def select_next(
@@ -80,7 +88,9 @@ def select_next(
     config: ACOConfig,
     rng: np.random.Generator,
 ) -> int:
-    """Sample one more node (1-based) proportionally to tau^a * eta^b."""
+    """Sample one more node (1-based) proportionally to tau^a * eta^b.
+
+    The stepwise reference for _sample_colony, which draws whole subsets."""
     n = state.tau.size
     unchosen = np.asarray([j for j in range(n) if (j + 1) not in chosen], dtype=int)
     if unchosen.size == 0:
@@ -96,42 +106,22 @@ def construct_solution(
     config: ACOConfig,
     rng: np.random.Generator,
 ) -> Solution:
-    """Draw m_servers distinct nodes, each proportionally to tau^a * eta^b.
-
-    Sampled with the Gumbel top-k trick, which draws from the same
-    distribution as repeated select_next calls (sequential proportional
-    sampling without replacement) in one vectorized pass.
-    """
-    weights = state.tau**config.alpha_exp * eta**config.beta_exp
-    row = _sample_colony(weights, instance.m_servers, 1, state, eta, config, rng)[0]
-    return Solution(row + 1)
+    """Draw m_servers distinct nodes, each proportionally to tau^a * eta^b."""
+    log_w = _log_weights(state.tau, eta, config)
+    return Solution(_sample_colony(log_w, instance.m_servers, 1, rng)[0] + 1)
 
 
 def _sample_colony(
-    weights: np.ndarray,
-    m: int,
-    ants: int,
-    state: PheromoneState,
-    eta: np.ndarray,
-    config: ACOConfig,
-    rng: np.random.Generator,
+    log_w: np.ndarray, m: int, ants: int, rng: np.random.Generator
 ) -> np.ndarray:
     """One subset per ant as an (ants, m) array of 0-based, ascending node
-    indices. One (ants, n) Gumbel draw consumes the generator as ``ants``
-    draws of n values would, row by row."""
-    if np.all(np.isfinite(weights)) and np.all(weights > 0):
-        keys = np.log(weights) + rng.gumbel(size=(ants, weights.size))
-        return np.sort(np.argpartition(-keys, m - 1, axis=1)[:, :m], axis=1)
-    # Degenerate weights: fall back to stepwise selection with its uniform
-    # fallback over the remaining nodes. The weights are shared, so either
-    # every ant of the colony falls back or none does.
-    rows = []
-    for _ in range(ants):
-        chosen: set[int] = set()
-        for _ in range(m):
-            chosen.add(select_next(state, eta, chosen, config, rng))
-        rows.append(sorted(chosen))
-    return np.array(rows) - 1
+    indices, by the Gumbel top-k trick: the m largest of log_w plus Gumbel
+    noise are a draw from the same distribution as m select_next calls
+    (sequential proportional sampling without replacement). One (ants, n)
+    Gumbel draw consumes the generator as ``ants`` draws of n values would,
+    row by row."""
+    keys = log_w + rng.gumbel(size=(ants, log_w.size))
+    return np.sort(np.argpartition(-keys, m - 1, axis=1)[:, :m], axis=1)
 
 
 def pheromone_update(
@@ -204,8 +194,7 @@ def run_aco(
     while True:
         improved = False
         colony_best = -math.inf if sense == "max" else math.inf
-        weights = state.tau**config.alpha_exp * eta**config.beta_exp
-        idx = _sample_colony(weights, m, ants, state, eta, config, rng)
+        idx = _sample_colony(_log_weights(state.tau, eta, config), m, ants, rng)
         values = score_rows(eval_fn, idx)
         for ant, value in enumerate(values):
             if better(value, colony_best):

@@ -51,6 +51,9 @@ BENCH_HEADER = [
 ]
 
 
+_SOLVE_ERRORS = (DomainError, InfeasibleInstanceError, BudgetExceededError)
+
+
 class UsageError(Exception):
     pass
 
@@ -102,15 +105,23 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--seed", type=int, default=0)
     gen.add_argument("--out", required=True)
     gen.add_argument("--table1", action="store_true", help="write the 20-node fixture instead")
-    gen.add_argument("--demand-lo", type=int, nargs=2, default=[4, 80], metavar=("MIN", "MAX"))
-    gen.add_argument("--demand-offsets", type=int, nargs=2, default=[50, 100])
-    gen.add_argument("--service-lo", type=int, nargs=2, default=[144, 190], metavar=("MIN", "MAX"))
-    gen.add_argument("--service-offsets", type=int, nargs=2, default=[50, 100])
-    gen.add_argument("--distance", type=int, nargs=2, default=[1, 35], metavar=("MIN", "MAX"))
-    gen.add_argument("--idle-min", type=float, nargs=3, default=[0.1, 0.15, 0.2])
-    gen.add_argument("--mql", type=float, default=25.0)
-    gen.add_argument("--gamma", type=float, default=0.5)
-    gen.add_argument("--logit", type=float, default=0.5)
+    # a range flag that is not given keeps its GeneratorParams default
+    ranges = gen.add_argument_group("generator ranges", argument_default=argparse.SUPPRESS)
+    ranges.add_argument(
+        "--demand-lo", dest="demand_lo_range", type=int, nargs=2, metavar=("MIN", "MAX")
+    )
+    ranges.add_argument("--demand-offsets", type=int, nargs=2)
+    ranges.add_argument(
+        "--service-lo", dest="service_lo_range", type=int, nargs=2, metavar=("MIN", "MAX")
+    )
+    ranges.add_argument("--service-offsets", type=int, nargs=2)
+    ranges.add_argument(
+        "--distance", dest="distance_range", type=int, nargs=2, metavar=("MIN", "MAX")
+    )
+    ranges.add_argument("--idle-min", type=float, nargs=3)
+    ranges.add_argument("--mql", type=float)
+    ranges.add_argument("--gamma", type=float)
+    ranges.add_argument("--logit", dest="logit_sensitivity", type=float)
 
     slv = sub.add_parser("solve", help="run the full 7-run protocol on one instance")
     slv.add_argument("--instance", required=True)
@@ -158,20 +169,13 @@ def cmd_generate(args) -> int:
         Path(args.out).write_bytes(table1_bytes())
         print(f"wrote table1 fixture to {args.out}")
         return EXIT_OK
-    params = GeneratorParams(
-        n=args.n,
-        m_servers=args.m,
-        demand_lo_range=tuple(args.demand_lo),
-        demand_offsets=tuple(args.demand_offsets),
-        service_lo_range=tuple(args.service_lo),
-        service_offsets=tuple(args.service_offsets),
-        distance_range=tuple(args.distance),
-        idle_min=TriFuzzy(*args.idle_min),
-        mql=args.mql,
-        gamma=args.gamma,
-        logit_sensitivity=args.logit,
-        seed=args.seed,
-    )
+    fields = {f.name for f in dataclasses.fields(GeneratorParams)}
+    given = {
+        k: tuple(v) if isinstance(v, list) else v for k, v in vars(args).items() if k in fields
+    }
+    if "idle_min" in given:
+        given["idle_min"] = TriFuzzy(*given["idle_min"])
+    params = GeneratorParams(m_servers=args.m, **given)
     save_instance(generate_instance(params), args.out)
     print(f"wrote n={args.n} m={args.m} instance to {args.out}")
     return EXIT_OK
@@ -203,16 +207,20 @@ def cmd_solve(args) -> int:
     return EXIT_OK
 
 
-def _bench_row(args, instance: Instance, name: str, algo: str, seed: int) -> dict:
-    """One bench row; a failed solve gives NaN figures and an ``error:`` termination."""
+def _bench_row(instance: Instance, name: str, algo: str, seed: int, ctx) -> dict:
+    """One bench row. ``ctx`` is the instance's bounds, None to calibrate
+    them, or the error that building them raised; that error or a failed
+    solve gives NaN figures and an ``error:`` termination."""
     row = {
         "algorithm": algo, "instance": name, "n": instance.n, "m": instance.m_servers,
         "seed": seed, "objective": math.nan, "runtime_ms": math.nan, "facilities": "",
         "termination": "", "bounds_id": "", "evals": 0,
     }
     try:
-        report, ctx = solve_protocol(instance, algo, seed=seed, ctx=_context(args, instance))
-    except (DomainError, InfeasibleInstanceError, BudgetExceededError) as exc:
+        if isinstance(ctx, Exception):
+            raise ctx
+        report, ctx = solve_protocol(instance, algo, seed=seed, ctx=ctx)
+    except _SOLVE_ERRORS as exc:
         row["termination"] = f"error:{exc}"
         return row
     row.update(
@@ -231,9 +239,13 @@ def cmd_bench(args) -> int:
     for inst_path in args.instance:
         instance = _load(inst_path, args.gamma, args.logit)
         name = Path(inst_path).stem
+        try:  # bounds depend on the instance only: build them once
+            ctx = _context(args, instance)
+        except _SOLVE_ERRORS as exc:
+            ctx = exc
         for algo in ("ga", "aco"):
             for rep in range(args.replications):
-                rows.append(_bench_row(args, instance, name, algo, args.seed + rep))
+                rows.append(_bench_row(instance, name, algo, args.seed + rep, ctx))
     out = Path(args.out)
     with out.open("w", newline="") as fh:
         writer = csv.DictWriter(fh, BENCH_HEADER)

@@ -75,26 +75,25 @@ def init_population(
 
 
 def generate_candidate(
-    p1: Chromosome,
-    p2: Chromosome,
-    eval_fn: Fitness,
-    rng: Optional[random.Random] = None,
+    p1: Chromosome, p2: Chromosome, eval_fn: Fitness, rng: random.Random
 ) -> Chromosome:
     """Union the parents, then greedily drop unshared genes back to size m.
 
     At each shrink step every droppable gene is trial-removed and the removal
     with the best remaining fitness wins; genes present in both parents are
     never dropped. Clamped memberships make large fitness plateaus common, so
-    exact ties are broken at random (first gene in index order when no rng is
-    given) to avoid a systematic bias toward dropping low indices. The trial
-    subsets of each shrink step are scored in one score_rows call.
+    exact ties are broken at random to avoid a systematic bias toward
+    dropping low indices. The trial subsets of each shrink step are scored in
+    one score_rows call. The parents must differ and be of one size, so at
+    least one shrink step runs and scores the candidate.
     """
+    if len(p1.genes) != len(p2.genes):
+        raise DomainError("parents must be of one size")
     if p1.genes == p2.genes:
         raise DomainError("parents must have different gene sets")
     m = len(p1.genes)
     draft = set(p1.genes | p2.genes)
     shared = p1.genes & p2.genes
-    value = None
     while len(draft) > m:
         droppable = sorted(draft - shared)
         trials = score_rows(eval_fn, _rows([draft - {gene} for gene in droppable]))
@@ -104,12 +103,8 @@ def generate_candidate(
                 tied, best_value = [gene], trial
             elif trial == best_value:
                 tied.append(gene)
-        best_gene = tied[0] if rng is None or len(tied) == 1 else rng.choice(tied)
-        draft.remove(best_gene)
-        value = best_value
-    if value is None:  # parents already of size m and disjoint unions can't occur
-        value = score_rows(eval_fn, _rows([draft]))[0]
-    return Chromosome(frozenset(draft), value)
+        draft.remove(tied[0] if len(tied) == 1 else rng.choice(tied))
+    return Chromosome(frozenset(draft), best_value)
 
 
 def replace(population: list[Chromosome], candidate: Chromosome) -> list[Chromosome]:

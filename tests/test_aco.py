@@ -1,8 +1,12 @@
 """Ant colony optimizer: desirability index, sampling, pheromone dynamics."""
 
+import warnings
+
 import numpy as np
 import pytest
 
+from conftest import mild_params
+from fuzzloc import aco
 from fuzzloc.aco import (
     TAU_MIN,
     ACOConfig,
@@ -17,6 +21,7 @@ from fuzzloc.aco import (
 )
 from fuzzloc.errors import DomainError
 from fuzzloc.evaluation import make_maximin_eval
+from fuzzloc.instances import generate_instance
 from fuzzloc.model import Solution
 from fuzzloc.oracle import enumerate_optimum, exact_bounds
 
@@ -31,6 +36,12 @@ class TestConfig:
             ACOConfig(alpha_exp=0)
         with pytest.raises(DomainError):
             ACOConfig(population_coefficient=0)
+
+    @pytest.mark.parametrize("field", ["alpha_exp", "beta_exp", "max_pheromone"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite(self, field, value):
+        with pytest.raises(DomainError):
+            ACOConfig(**{field: value})
 
     def test_tuned_defaults(self):
         config = ACOConfig()
@@ -87,12 +98,6 @@ class TestSelection:
         )
         assert probs.sum() == pytest.approx(1.0, abs=1e-9)
 
-    def test_uniform_fallback_on_zero_weights(self):
-        state = PheromoneState(tau=np.zeros(4))
-        eta = np.full(4, 0.25)
-        probs = _selection_probabilities(state, eta, np.arange(4), ACOConfig())
-        assert probs == pytest.approx([0.25] * 4)
-
     def test_single_remaining_node(self):
         state = PheromoneState(tau=np.ones(3))
         eta = np.full(3, 1 / 3)
@@ -135,17 +140,23 @@ class TestConstruction:
         solution = construct_solution(state, eta, inst, ACOConfig(), rng)
         assert len(solution.open) == 7
 
-    def test_matches_stepwise_distribution(self, medium_instance):
-        # the vectorized sampler and repeated select_next draws agree on the
-        # marginal inclusion frequency of each node
-        state = PheromoneState(tau=np.linspace(1, 5, 8))
-        eta = heuristic_index(medium_instance)
-        config = ACOConfig()
+    @staticmethod
+    def check_stepwise_distribution(instance, tau, alpha):
+        # the vectorized sampler and repeated select_next draws agree with
+        # each other and with the exact marginal inclusion probability of
+        # each node, P(j) = p_j + sum_{i != j} p_i * p_j / (1 - p_i) for m = 2
+        state = PheromoneState(tau=tau)
+        eta = heuristic_index(instance)
+        config = ACOConfig(alpha_exp=alpha)
+        log_w = alpha * np.log(tau) + config.beta_exp * np.log(eta)
+        p = np.exp(log_w - log_w.max())
+        p /= p.sum()
+        exact = p + p * (np.sum(p / (1 - p)) - p / (1 - p))
         draws = 20_000
         rng = np.random.default_rng(3)
         fast = np.zeros(8)
         for _ in range(draws):
-            s = construct_solution(state, eta, medium_instance, config, rng)
+            s = construct_solution(state, eta, instance, config, rng)
             for j in s.open:
                 fast[j - 1] += 1
         rng = np.random.default_rng(4)
@@ -157,6 +168,15 @@ class TestConstruction:
             for j in chosen:
                 slow[j - 1] += 1
         assert np.allclose(fast / draws, slow / draws, atol=0.015)
+        assert np.allclose(fast / draws, exact, atol=0.015)
+        assert np.allclose(slow / draws, exact, atol=0.015)
+
+    def test_matches_stepwise_distribution(self, medium_instance):
+        self.check_stepwise_distribution(medium_instance, np.linspace(1, 5, 8), 0.75)
+
+    def test_matches_stepwise_distribution_near_cap(self, medium_instance):
+        # tau^150 overflows above tau of about 114: the weights exist only as logs
+        self.check_stepwise_distribution(medium_instance, np.linspace(198, 200, 8), 150.0)
 
 
 class TestPheromoneUpdate:
@@ -250,3 +270,20 @@ class TestRunACO:
         report = run_aco(small_instance, counted, config)
         ants = ant_count(small_instance.n, small_instance.m_servers, config.population_coefficient)
         assert report.evaluations == ants * report.iterations == len(calls)
+
+    def test_large_alpha_samples_in_log_space(self, monkeypatch):
+        # at alpha = 150 every trail above about 114 overflows tau^alpha; the
+        # colony is still drawn by Gumbel top-k, never stepwise
+        instance = generate_instance(mild_params(20, 5, 0))
+        fitness = make_maximin_eval(instance, exact_bounds(instance))
+
+        def stepwise(*args):
+            raise AssertionError("select_next called")
+
+        monkeypatch.setattr(aco, "select_next", stepwise)
+        config = ACOConfig(alpha_exp=150, stagnation_limit=100)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = run_aco(instance, fitness, config)
+        assert report.termination in ("convergence", "stagnation")
+        assert 0.0 <= report.objective <= 1.0

@@ -7,8 +7,16 @@ import json
 import pytest
 
 from conftest import mild_params
+from fuzzloc import cli
 from fuzzloc.cli import BENCH_HEADER, EXIT_OK, EXIT_RUNTIME, EXIT_USAGE, EXIT_VALIDATION, main
-from fuzzloc.instances import TABLE1_SHA256, generate_instance, load_instance, save_instance
+from fuzzloc.fuzzy import TriFuzzy
+from fuzzloc.instances import (
+    TABLE1_SHA256,
+    GeneratorParams,
+    generate_instance,
+    load_instance,
+    save_instance,
+)
 
 
 @pytest.fixture()
@@ -37,6 +45,25 @@ class TestGenerate:
     def test_m_at_least_n_rejected(self, tmp_path):
         out = tmp_path / "bad.json"
         assert run(["generate", "--n", 3, "--m", 5, "--out", out]) == EXIT_USAGE
+
+    def test_defaults_are_generator_params(self, tmp_path):
+        out, expected = tmp_path / "cli.json", tmp_path / "api.json"
+        assert run(["generate", "--n", 12, "--m", 3, "--seed", 4, "--out", out]) == EXIT_OK
+        save_instance(generate_instance(GeneratorParams(n=12, m_servers=3, seed=4)), expected)
+        assert out.read_bytes() == expected.read_bytes()
+
+    def test_given_flags_override_defaults(self, tmp_path):
+        out, expected = tmp_path / "cli.json", tmp_path / "api.json"
+        assert run([
+            "generate", "--n", 9, "--m", 2, "--out", out, "--demand-lo", 4, 30,
+            "--service-offsets", 10, 20, "--idle-min", 0.2, 0.25, 0.3, "--logit", 0.8,
+        ]) == EXIT_OK
+        params = GeneratorParams(
+            n=9, m_servers=2, demand_lo_range=(4, 30), service_offsets=(10, 20),
+            idle_min=TriFuzzy(0.2, 0.25, 0.3), logit_sensitivity=0.8,
+        )
+        save_instance(generate_instance(params), expected)
+        assert out.read_bytes() == expected.read_bytes()
 
 
 class TestSolve:
@@ -110,6 +137,21 @@ class TestBench:
         for row in rows[1:]:
             assert row[0] in ("ga", "aco")
             assert len(row[7].split(";")) == 2
+
+    def test_exact_bounds_built_once_per_instance(self, small_file, tmp_path, monkeypatch):
+        calls, exact_bounds = [], cli.exact_bounds
+
+        def counted(instance, **kwargs):
+            calls.append(instance.n)
+            return exact_bounds(instance, **kwargs)
+
+        monkeypatch.setattr(cli, "exact_bounds", counted)
+        out = tmp_path / "bench.csv"
+        assert run([
+            "bench", "--instance", small_file, "--replications", 3,
+            "--exact-bounds", "--out", out,
+        ]) == EXIT_OK
+        assert calls == [6]
 
     def test_plot_data_emitted(self, small_file, tmp_path):
         out = tmp_path / "bench.csv"

@@ -85,7 +85,13 @@ class TestGenerateCandidate:
     def test_identical_parents_rejected(self):
         p = Chromosome(frozenset({1, 2}), 0.0)
         with pytest.raises(DomainError):
-            generate_candidate(p, p, subset_size_fitness)
+            generate_candidate(p, p, subset_size_fitness, random.Random(0))
+
+    @pytest.mark.parametrize("order", [1, -1])
+    def test_parents_of_unequal_size_rejected(self, order):
+        parents = [Chromosome(frozenset({1, 2, 3}), 0.0), Chromosome(frozenset({1, 2}), 0.0)]
+        with pytest.raises(DomainError):
+            generate_candidate(*parents[::order], subset_size_fitness, random.Random(0))
 
     def test_candidate_fitness_matches_eval(self):
         p1 = Chromosome(frozenset({1, 2}), 0.0)
