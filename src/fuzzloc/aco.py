@@ -4,19 +4,24 @@ construction, and evaporation-plus-deposit updates with a pheromone cap."""
 from __future__ import annotations
 
 import math
-import time
+import sys
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 
 from .errors import DomainError
-from .evaluation import Fitness, score_rows
+from .evaluation import Fitness, Steps
 from .model import Instance, Solution
-from .reports import SolverReport
+from .reports import Outcome, SolverReport, run_solver
 from .termination import Windows
 
 TAU_MIN = 1e-6
+# Largest accepted alpha_exp and beta_exp. Every positive double has
+# |log x| < 746 (the smallest subnormal gives about -744.4), so below this
+# bound each term of _log_weights stays under half the largest double and
+# their sum stays finite.
+MAX_EXPONENT = sys.float_info.max / (2 * 746)
 
 
 @dataclass
@@ -39,6 +44,8 @@ class ACOConfig:
             raise DomainError("max_pheromone must be positive")
         if self.alpha_exp <= 0 or self.beta_exp <= 0:
             raise DomainError("exponents must be positive")
+        if self.alpha_exp > MAX_EXPONENT or self.beta_exp > MAX_EXPONENT:
+            raise DomainError(f"exponents must not exceed {MAX_EXPONENT:.4g}")
         if self.population_coefficient < 1:
             raise DomainError("population_coefficient must be at least 1")
 
@@ -68,8 +75,8 @@ def ant_count(n: int, m: int, coefficient: int) -> int:
 def _log_weights(tau: np.ndarray, eta: np.ndarray, config: ACOConfig) -> np.ndarray:
     """Log selection weights alpha * log(tau) + beta * log(eta). They are
     finite for every trail the package creates: updates clip tau to
-    [TAU_MIN, max_pheromone], eta is positive, and ACOConfig rejects
-    non-finite exponents."""
+    [TAU_MIN, max_pheromone], eta is positive, and ACOConfig bounds the
+    exponents by MAX_EXPONENT."""
     return config.alpha_exp * np.log(tau) + config.beta_exp * np.log(eta)
 
 
@@ -177,9 +184,13 @@ def run_aco(
     many iterations (stagnation). Each colony is sampled first and scored in
     one ``score_rows`` call, then walked in ant order.
     """
+    return run_solver("aco", instance, config.seed, _steps(instance, config, sense), eval_fn)
+
+
+def _steps(instance: Instance, config: ACOConfig, sense: str) -> Steps[Outcome]:
+    """run_aco as a step generator: it yields one colony per iteration."""
     if sense not in ("max", "min"):
         raise DomainError(f"sense must be 'max' or 'min', got {sense!r}")
-    start = time.perf_counter()
     rng = np.random.default_rng(config.seed)
     better = (lambda a, b: a > b) if sense == "max" else (lambda a, b: a < b)
     n, m = instance.n, instance.m_servers
@@ -190,12 +201,11 @@ def run_aco(
     best: Optional[list[int]] = None
     best_value = -math.inf if sense == "max" else math.inf
     trace: list[float] = []
-    iterations = 0
     while True:
         improved = False
         colony_best = -math.inf if sense == "max" else math.inf
         idx = _sample_colony(_log_weights(state.tau, eta, config), m, ants, rng)
-        values = score_rows(eval_fn, idx)
+        values = yield idx
         for ant, value in enumerate(values):
             if better(value, colony_best):
                 colony_best = value
@@ -203,21 +213,7 @@ def run_aco(
                 best, best_value = (idx[ant] + 1).tolist(), value
                 improved = True
         state = _deposit(state, idx, values, config, sense)
-        iterations += 1
         trace.append(best_value)
         termination = windows.step(improved, colony_best == best_value)
         if termination:
-            break
-    return SolverReport(
-        algorithm="aco",
-        n=n,
-        m=m,
-        seed=config.seed,
-        best=best,
-        objective=best_value,
-        iterations=iterations,
-        termination=termination,
-        trace=trace,
-        elapsed_s=time.perf_counter() - start,
-        evaluations=ants * iterations,
-    )
+            return Outcome(best, best_value, termination, trace, ants * len(trace))

@@ -13,7 +13,7 @@ import hashlib
 import json
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, Generator, Optional, TypeVar
 
 import numpy as np
 
@@ -34,6 +34,13 @@ _DEGENERATE_EPS = 1e-12
 COMPONENTS = ("z1", "z2", "z3")
 
 Fitness = Callable[[Solution], float]
+
+T = TypeVar("T")
+
+# A solver run as a generator: it yields each (B, k) array of 0-based,
+# ascending facility indices it wants scored, receives their B values through
+# send, and returns its result.
+Steps = Generator[np.ndarray, list, T]
 
 
 @dataclass(frozen=True)
@@ -168,6 +175,17 @@ def score_rows(fitness: Fitness, idx: np.ndarray) -> list[float]:
     if block is None:
         return [fitness(Solution(row)) for row in (idx + 1).tolist()]
     return block(idx).tolist()
+
+
+def drive(steps: Steps[T], fitness: Fitness) -> T:
+    """Run a step generator to its end, scoring each block it yields with
+    score_rows(fitness, ...), and return what the generator returns."""
+    try:
+        idx = next(steps)
+        while True:
+            idx = steps.send(score_rows(fitness, idx))
+    except StopIteration as stop:
+        return stop.value
 
 
 class KernelFitness:

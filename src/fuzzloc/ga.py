@@ -13,18 +13,21 @@ from __future__ import annotations
 
 import math
 import random
-import time
 from collections import Counter
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 from .errors import DomainError
-from .evaluation import Fitness, score_rows
+from .evaluation import Fitness, Steps, drive
 from .model import Instance, Solution
-from .reports import SolverReport
+from .reports import Outcome, SolverReport, run_solver
 from .termination import Windows, convergence_limit  # noqa: F401 (public name)
+
+# Scores a (B, k) block of 0-based subsets inside a step generator:
+# ``values = yield from score(idx)``.
+Scorer = Callable[[np.ndarray], Steps[list[float]]]
 
 
 @dataclass(frozen=True)
@@ -60,6 +63,14 @@ def init_population(
 ) -> list[Chromosome]:
     """Deal genes 1..n round-robin so every node appears, then fill randomly."""
     rng = rng if rng is not None else random.Random(config.seed)
+    return drive(_population(instance, config, rng, _ask), eval_fn)
+
+
+def _population(
+    instance: Instance, config: GAConfig, rng: random.Random, score: Scorer
+) -> Steps[list[Chromosome]]:
+    """init_population as a step generator that scores its members through
+    ``score``."""
     n, m = instance.n, instance.m_servers
     size = population_size(n, m, config.population_floor)
     members: list[set[int]] = [set() for _ in range(size)]
@@ -70,7 +81,7 @@ def init_population(
         if missing > 0:
             pool = [g for g in range(1, n + 1) if g not in member]
             member.update(rng.sample(pool, missing))
-    values = score_rows(eval_fn, _rows(members))
+    values = yield from score(_rows(members))
     return [Chromosome(frozenset(member), value) for member, value in zip(members, values)]
 
 
@@ -87,6 +98,12 @@ def generate_candidate(
     one score_rows call. The parents must differ and be of one size, so at
     least one shrink step runs and scores the candidate.
     """
+    return drive(_mate(p1, p2, rng, _ask), eval_fn)
+
+
+def _mate(p1: Chromosome, p2: Chromosome, rng: random.Random, score: Scorer) -> Steps[Chromosome]:
+    """generate_candidate as a step generator that scores each shrink step
+    through ``score``."""
     if len(p1.genes) != len(p2.genes):
         raise DomainError("parents must be of one size")
     if p1.genes == p2.genes:
@@ -96,7 +113,7 @@ def generate_candidate(
     shared = p1.genes & p2.genes
     while len(draft) > m:
         droppable = sorted(draft - shared)
-        trials = score_rows(eval_fn, _rows([draft - {gene} for gene in droppable]))
+        trials = yield from score(_rows([draft - {gene} for gene in droppable]))
         tied, best_value = [], None
         for gene, trial in zip(droppable, trials):
             if best_value is None or trial > best_value:
@@ -143,21 +160,24 @@ def run_ga(instance: Instance, eval_fn: Fitness, config: GAConfig) -> SolverRepo
     is evaluated once and its value reused. The report's ``evaluations``
     counts every fitness request, reused values included.
     """
-    start = time.perf_counter()
+    return run_solver("ga", instance, config.seed, _steps(instance, config), eval_fn)
+
+
+def _steps(instance: Instance, config: GAConfig) -> Steps[Outcome]:
+    """run_ga as a step generator. It yields only the rows its memo has not
+    scored yet, in request order."""
     rng = random.Random(config.seed)
     windows = Windows(
         instance.n, instance.m_servers, config.convergence_limit, config.stagnation_limit
     )
-    fitness = _MemoFitness(eval_fn)
-    population = init_population(instance, config, fitness, rng)
+    memo = _Memo()
+    population = yield from _population(instance, config, rng, memo.block)
     best = max(population, key=lambda c: c.fitness)
     trace: list[float] = []
-    iterations = 0
     while True:
         p1, p2 = _distinct_parents(population, rng)
-        candidate = generate_candidate(p1, p2, fitness, rng)
+        candidate = yield from _mate(p1, p2, rng, memo.block)
         replace(population, candidate)
-        iterations += 1
         at_best = candidate.fitness == best.fitness
         current = max(population, key=lambda c: c.fitness)
         improved = current.fitness > best.fitness
@@ -166,40 +186,32 @@ def run_ga(instance: Instance, eval_fn: Fitness, config: GAConfig) -> SolverRepo
         trace.append(best.fitness)
         termination = windows.step(improved, at_best)
         if termination:
-            break
-    return SolverReport(
-        algorithm="ga",
-        n=instance.n,
-        m=instance.m_servers,
-        seed=config.seed,
-        best=sorted(best.genes),
-        objective=best.fitness,
-        iterations=iterations,
-        termination=termination,
-        trace=trace,
-        elapsed_s=time.perf_counter() - start,
-        evaluations=fitness.calls,
-    )
+            return Outcome(sorted(best.genes), best.fitness, termination, trace, memo.calls)
 
 
-class _MemoFitness:
-    """Fitness cached by gene set; ``calls`` counts requests, hits included.
-    ``block`` answers a (B, k) array of 0-based subsets and scores its misses
-    in one score_rows call."""
+class _Memo:
+    """Fitness values cached by gene set; ``calls`` counts requests, hits
+    included. ``block`` is a step generator: given a (B, k) array of
+    0-based subsets, it yields the rows not cached yet, first occurrences
+    only, and returns the values of all B rows."""
 
-    def __init__(self, eval_fn: Fitness):
-        self.eval_fn = eval_fn
+    def __init__(self) -> None:
         self.calls = 0
         self.values: dict[frozenset[int], float] = {}
 
-    def block(self, idx: np.ndarray) -> np.ndarray:
+    def block(self, idx: np.ndarray) -> Steps[list[float]]:
         self.calls += len(idx)
         keys = [frozenset(row) for row in (idx + 1).tolist()]
         misses = {key: b for b, key in enumerate(keys) if key not in self.values}
         if misses:
-            values = score_rows(self.eval_fn, idx[list(misses.values())])
+            values = yield idx[list(misses.values())]
             self.values.update(zip(misses, values))
-        return np.array([self.values[key] for key in keys], dtype=float)
+        return [self.values[key] for key in keys]
+
+
+def _ask(idx: np.ndarray) -> Steps[list[float]]:
+    """The scorer without a memo: yield every row."""
+    return (yield idx)
 
 
 def _rows(gene_sets) -> np.ndarray:

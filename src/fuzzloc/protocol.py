@@ -10,7 +10,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .aco import ACOConfig, run_aco
+from .aco import ACOConfig, run_aco, _steps as _aco_steps
 from .errors import DomainError
 from .evaluation import (
     COMPONENTS,
@@ -20,7 +20,7 @@ from .evaluation import (
     component_value,
     make_maximin_eval,
 )
-from .ga import GAConfig, run_ga
+from .ga import GAConfig, run_ga, _steps as _ga_steps
 from .model import Instance, Kernel, Solution
 from .oracle import DEFAULT_ENUM_BUDGET, enumerate_optimum, exact_bounds
 from .reports import SolverReport
@@ -59,12 +59,25 @@ class _BoundFitness(KernelFitness):
         self.negate = solver == "ga" and sense == "min"
 
     def score(self, result: Kernel) -> np.ndarray:
+        return self.formula(result.feasible(), result.spreads(), result.violation())
+
+    def formula(
+        self, feasible: np.ndarray, spreads: np.ndarray, violation: np.ndarray
+    ) -> np.ndarray:
+        """The score from a kernel's feasible(), spreads() and violation()."""
         values = np.where(
-            result.feasible(),
-            result.spreads()[..., self.component],
-            self.penalty * (1.0 + result.violation()),
+            feasible, spreads[..., self.component], self.penalty * (1.0 + violation)
         )
         return -values if self.negate else values
+
+
+def _config(
+    algo: str, seed: int, ga_config: Optional[GAConfig], aco_config: Optional[ACOConfig]
+) -> GAConfig | ACOConfig:
+    """The GA or ACO configuration of one run, reseeded with ``seed``."""
+    if algo == "ga":
+        return dataclasses.replace(ga_config or GAConfig(), seed=seed)
+    return dataclasses.replace(aco_config or ACOConfig(), seed=seed)
 
 
 def _run(
@@ -76,13 +89,14 @@ def _run(
     aco_config: Optional[ACOConfig],
     sense: str = "max",
 ) -> SolverReport:
-    """One GA or ACO run of ``fitness``, seeded with ``seed``: the bound runs
-    and the final run all go through here. ``run_ga`` and ``run_aco`` are
-    looked up as module globals on each call, so a wrapper patched onto this
-    module sees every run."""
+    """One GA or ACO run of ``fitness``, seeded with ``seed``. The final run
+    of a solve goes through here. The bound runs do not: ``estimate_bounds``
+    steps them together, and each ends as a call of this would. ``run_ga``
+    and ``run_aco`` are looked up as module globals on each call, so a
+    wrapper patched onto this module sees the final run only."""
+    config = _config(algo, seed, ga_config, aco_config)
     if algo == "ga":
-        return run_ga(instance, fitness, dataclasses.replace(ga_config or GAConfig(), seed=seed))
-    config = dataclasses.replace(aco_config or ACOConfig(), seed=seed)
+        return run_ga(instance, fitness, config)
     return run_aco(instance, fitness, config, sense=sense)
 
 
@@ -98,16 +112,48 @@ def estimate_bounds(
     ``solver`` is "ga" or "aco". A bound run that finds no feasible solution
     records NaN, which the membership functions treat as degenerate. Exact
     bounds come from ``oracle.exact_bounds``.
+
+    The six runs step in lockstep. Each round, the blocks the live runs
+    want scored are grouped by subset size, and each group is one Kernel
+    whose feasible(), spreads() and violation() every run in it shares; each
+    run scores its own rows with its own formula. A kernel row has the same
+    bits in any block and each run keeps its own generator, so every run
+    ends as it would alone.
     """
     if solver not in ("ga", "aco"):
         raise DomainError(f"unknown solver handle {solver!r}")
     if len(seeds) != len(BOUND_RUNS):
         raise DomainError(f"need {len(BOUND_RUNS)} seeds, got {len(seeds)}")
-    found: dict[tuple[str, str], float] = {}
+    fitnesses, runs = [], []
     for (name, sense), seed in zip(BOUND_RUNS, seeds):
-        fitness = _BoundFitness(instance, name, sense, solver)
-        report = _run(instance, fitness, solver, seed, ga_config, aco_config, sense)
-        value = component_value(instance, Solution(report.best), name)
+        config = _config(solver, seed, ga_config, aco_config)
+        fitnesses.append(_BoundFitness(instance, name, sense, solver))
+        if solver == "ga":
+            runs.append(_ga_steps(instance, config))
+        else:
+            runs.append(_aco_steps(instance, config, sense))
+    pending = {r: next(run) for r, run in enumerate(runs)}
+    best: dict[int, list[int]] = {}
+    while pending:
+        groups: dict[int, list[int]] = {}
+        for r, idx in pending.items():
+            groups.setdefault(idx.shape[1], []).append(r)
+        for members in groups.values():
+            blocks = [pending.pop(r) for r in members]
+            kernel = Kernel(instance, np.concatenate(blocks))
+            figures = (kernel.feasible(), kernel.spreads(), kernel.violation())
+            start = 0
+            for r, block in zip(members, blocks):
+                rows = slice(start, start + len(block))
+                start = rows.stop
+                values = fitnesses[r].formula(*(figure[rows] for figure in figures))
+                try:
+                    pending[r] = runs[r].send(values.tolist())
+                except StopIteration as stop:
+                    best[r] = stop.value.best
+    found: dict[tuple[str, str], float] = {}
+    for r, (name, sense) in enumerate(BOUND_RUNS):
+        value = component_value(instance, Solution(best[r]), name)
         found[name, sense] = math.nan if value is None else value
     return MaximinContext(
         *[(found[name, "min"], found[name, "max"]) for name in COMPONENTS],

@@ -3,8 +3,12 @@
 from __future__ import annotations
 
 import json
+import time
 from dataclasses import asdict, dataclass, field
-from typing import Optional
+from typing import NamedTuple, Optional
+
+from .evaluation import Fitness, Steps, drive
+from .model import Instance
 
 
 @dataclass
@@ -37,3 +41,36 @@ class SolverReport:
     @classmethod
     def from_json(cls, text: str) -> "SolverReport":
         return cls.from_dict(json.loads(text))
+
+
+class Outcome(NamedTuple):
+    """What a GA or ACO step generator returns: the run's result, with one
+    trace entry per iteration."""
+
+    best: list[int]
+    objective: float
+    termination: str
+    trace: list[float]
+    evaluations: int
+
+
+def run_solver(
+    algorithm: str, instance: Instance, seed: int, steps: Steps[Outcome], fitness: Fitness
+) -> SolverReport:
+    """Drive one solver run with ``fitness`` and report it; ``elapsed_s``
+    times the whole run."""
+    start = time.perf_counter()
+    outcome = drive(steps, fitness)
+    return SolverReport(
+        algorithm=algorithm,
+        n=instance.n,
+        m=instance.m_servers,
+        seed=seed,
+        best=outcome.best,
+        objective=outcome.objective,
+        iterations=len(outcome.trace),
+        termination=outcome.termination,
+        trace=outcome.trace,
+        elapsed_s=time.perf_counter() - start,
+        evaluations=outcome.evaluations,
+    )

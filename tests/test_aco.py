@@ -43,6 +43,19 @@ class TestConfig:
         with pytest.raises(DomainError):
             ACOConfig(**{field: value})
 
+    @pytest.mark.parametrize("field", ["alpha_exp", "beta_exp"])
+    def test_rejects_exponent_above_bound(self, field):
+        for value in (np.nextafter(aco.MAX_EXPONENT, np.inf), 2e307):
+            with pytest.raises(DomainError, match="exceed"):
+                ACOConfig(**{field: value})
+
+    def test_log_weights_finite_at_exponent_bound(self):
+        config = ACOConfig(alpha_exp=aco.MAX_EXPONENT, beta_exp=aco.MAX_EXPONENT)
+        extremes = np.array([5e-324, 1e-6, 1.0, 200.0, np.finfo(float).max])
+        tau, eta = np.meshgrid(extremes, extremes)
+        log_w = aco._log_weights(tau.ravel(), eta.ravel(), config)
+        assert np.isfinite(log_w).all()
+
     def test_tuned_defaults(self):
         config = ACOConfig()
         assert config.evaporation_rate == 0.97

@@ -217,15 +217,15 @@ class TestRunGA:
 
 
 class _NoMemo:
-    """Stand-in for the GA's fitness memo: counts requests, caches nothing."""
+    """Stand-in for the GA's memo: counts requests, caches nothing, and
+    asks for every requested row to be scored."""
 
-    def __init__(self, eval_fn):
-        self.eval_fn = eval_fn
+    def __init__(self):
         self.calls = 0
 
-    def __call__(self, solution):
-        self.calls += 1
-        return self.eval_fn(solution)
+    def block(self, idx):
+        self.calls += len(idx)
+        return (yield idx)
 
 
 def _counting(fitness):
@@ -241,7 +241,7 @@ class TestFitnessMemo:
     def test_reports_identical_without_memo(self, medium_instance, monkeypatch):
         fitness = make_maximin_eval(medium_instance, exact_bounds(medium_instance))
         memo = [run_ga(medium_instance, fitness, GAConfig(seed=s)) for s in range(3)]
-        monkeypatch.setattr(fuzzloc.ga, "_MemoFitness", _NoMemo)
+        monkeypatch.setattr(fuzzloc.ga, "_Memo", _NoMemo)
         plain = [run_ga(medium_instance, fitness, GAConfig(seed=s)) for s in range(3)]
         for a, b in zip(memo, plain):
             assert (a.best, a.objective, a.trace, a.iterations, a.evaluations) == (
@@ -252,7 +252,7 @@ class TestFitnessMemo:
         fitness = make_maximin_eval(medium_instance, exact_bounds(medium_instance))
         cached = _counting(fitness)
         report = run_ga(medium_instance, cached, GAConfig(seed=1))
-        monkeypatch.setattr(fuzzloc.ga, "_MemoFitness", _NoMemo)
+        monkeypatch.setattr(fuzzloc.ga, "_Memo", _NoMemo)
         uncached = _counting(fitness)
         run_ga(medium_instance, uncached, GAConfig(seed=1))
         assert report.evaluations == uncached.calls

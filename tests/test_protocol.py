@@ -3,16 +3,37 @@
 import dataclasses
 import math
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import crispen
+from conftest import crispen, mild_params
+from fuzzloc.aco import ACOConfig
 from fuzzloc.errors import DomainError
 from fuzzloc.evaluation import component_value, make_maximin_eval
 from fuzzloc.ga import GAConfig
-from fuzzloc.model import Solution
+from fuzzloc.instances import GeneratorParams, generate_instance
+from fuzzloc.model import Kernel, Solution
 from fuzzloc.oracle import enumerate_optimum, exact_bounds
-from fuzzloc.protocol import BOUND_RUNS, estimate_bounds, solve_protocol
+from fuzzloc.protocol import (
+    BOUND_RUNS,
+    _BoundFitness,
+    _run,
+    bound_seeds,
+    estimate_bounds,
+    solve_protocol,
+)
 from fuzzloc.reports import SolverReport
+
+
+def _sequential_runs(instance, solver, seeds, ga_config, aco_config):
+    """The six bound runs one after another, each through protocol._run."""
+    return [
+        _run(instance, _BoundFitness(instance, name, sense, solver), solver, seed,
+             ga_config, aco_config, sense)
+        for (name, sense), seed in zip(BOUND_RUNS, seeds)
+    ]
 
 
 class TestEstimateBounds:
@@ -44,6 +65,56 @@ class TestEstimateBounds:
         a = estimate_bounds(small_instance, "ga", [3, 4, 5, 6, 7, 8])
         b = estimate_bounds(small_instance, "ga", [3, 4, 5, 6, 7, 8])
         assert a == b
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        n=st.integers(5, 12),
+        m=st.integers(2, 3),
+        instance_seed=st.integers(0, 2**16),
+        mild=st.booleans(),
+        window=st.integers(1, 12),
+        seed=st.integers(0, 100),
+    )
+    def test_lockstep_matches_sequential_runs(self, n, m, instance_seed, mild, window, seed):
+        """Lockstep bounds equal, bit for bit, the component values of six
+        separate runs. Default generator ranges give infeasible instances
+        whose bounds are NaN."""
+        params = mild_params(n, m, instance_seed) if mild else GeneratorParams(
+            n=n, m_servers=m, seed=instance_seed)
+        instance = generate_instance(params)
+        ga_config = GAConfig(stagnation_limit=window)
+        aco_config = ACOConfig(stagnation_limit=window)
+        seeds = bound_seeds(seed)
+        for solver in ("ga", "aco"):
+            ctx = estimate_bounds(instance, solver, seeds, ga_config, aco_config)
+            runs = _sequential_runs(instance, solver, seeds, ga_config, aco_config)
+            for (name, sense), report in zip(BOUND_RUNS, runs):
+                value = component_value(instance, Solution(report.best), name)
+                expected = math.nan if value is None else value
+                got = ctx.bounds(name)[0 if sense == "min" else 1]
+                assert got.hex() == expected.hex(), (solver, name, sense)
+
+    def test_aco_bound_runs_share_kernel_calls(self, medium_instance, monkeypatch):
+        """One kernel call per round scores every live colony, so the six
+        ACO bound runs make as many block calls as the longest run has
+        iterations."""
+        config = ACOConfig(stagnation_limit=20)
+        seeds = bound_seeds(0)
+        runs = _sequential_runs(medium_instance, "aco", seeds, None, config)
+        blocks = []
+        init = Kernel.__init__
+
+        def counted(self, instance, idx):
+            if np.ndim(idx) == 2:
+                blocks.append(len(idx))
+            init(self, instance, idx)
+
+        monkeypatch.setattr(Kernel, "__init__", counted)
+        estimate_bounds(medium_instance, "aco", seeds, aco_config=config)
+        iterations = [report.iterations for report in runs]
+        assert len(set(iterations)) > 1
+        assert len(blocks) == max(iterations)
+        assert sum(blocks) == sum(report.evaluations for report in runs)
 
     def test_bound_runs_cover_all_components(self):
         assert BOUND_RUNS == (
