@@ -1,11 +1,10 @@
 """Ground-truth machinery: exhaustive enumeration, exact membership bounds,
-and a discrete-event single-server queue simulator."""
+and a single-server queue simulator."""
 
 from __future__ import annotations
 
 import itertools
 import math
-import random
 from dataclasses import dataclass
 from typing import Optional
 
@@ -20,6 +19,9 @@ DEFAULT_ENUM_BUDGET = 10**6
 # with the number of subsets: a (B, k, n) intermediate takes 0.8 MB at
 # n = 20, k = 5, and a brute solve of such an instance peaks near 3 MB.
 BLOCK_SIZE = 1024
+# Customers per chunk of the simulator's draws. Peak memory grows with this,
+# not with the event budget; the draws and the estimates do not depend on it.
+CHUNK_SIZE = 1 << 14
 
 
 @dataclass
@@ -117,65 +119,125 @@ class SimulationResult:
     lq_se: float
 
 
+def _draws(lam: float, mu: float, seed: int):
+    """Interarrival and service times, CHUNK_SIZE customers at a time.
+
+    They come from two child streams of ``SeedSequence(seed)``, the first for
+    arrivals and the second for services, so the values do not depend on the
+    chunk size.
+    """
+    arrival_seq, service_seq = np.random.SeedSequence(seed).spawn(2)
+    arrivals = np.random.default_rng(arrival_seq)
+    services = np.random.default_rng(service_seq)
+    while True:
+        yield (
+            arrivals.exponential(1.0 / lam, CHUNK_SIZE),
+            services.exponential(1.0 / mu, CHUNK_SIZE),
+        )
+
+
+def _customers(draws):
+    """Arrival and departure instants of successive FIFO customers, one chunk
+    of ``(interarrival, service)`` arrays at a time.
+
+    Departures follow Lindley's recursion D_i = max(A_i, D_{i-1}) + S_i in
+    closed form: with C the running sum of the chunk's service times and
+    D_last the previous chunk's last departure,
+    D_i = C_i + max(D_last, max_{j <= i} (A_j - C_{j-1})).
+    """
+    last_arrival = last_departure = 0.0
+    for gaps, services in draws:
+        arrivals = np.cumsum(np.concatenate(([last_arrival], gaps)))[1:]
+        work = np.cumsum(np.concatenate(([0.0], services)))
+        departures = np.maximum.accumulate(arrivals - work[:-1])
+        np.maximum(departures, last_departure, out=departures)
+        departures += work[1:]
+        last_arrival, last_departure = arrivals[-1], departures[-1]
+        yield arrivals, departures
+
+
+def _batch_sums(customers, event_budget: int, batches: int):
+    """Idle time, area under (N - 1)+ and span of each batch of the first
+    ``event_budget`` events, as the rows of a (3, number of batches) array.
+
+    A batch holds ``event_budget // batches`` events (at least one); a
+    trailing partial batch is kept when its span is positive.
+    """
+    size = max(1, event_budget // batches)
+    sums = np.zeros((3, -(-event_budget // size)))
+    now, in_system, done = 0.0, 0, 0
+    waiting = np.empty(0)
+    for arrivals, departures in customers:
+        # Every later arrival comes after this chunk's last one, so the
+        # departures before that instant are final; the rest carry over.
+        departures = np.concatenate((waiting, departures))
+        cut = np.searchsorted(departures, arrivals[-1])
+        leaving, waiting = departures[:cut], departures[cut:]
+        # On a tie the arrival comes first, as in an event loop that
+        # serves ``next_arrival <= next_departure`` first.
+        is_departure = np.zeros(len(arrivals) + cut, dtype=bool)
+        is_departure[np.searchsorted(arrivals, leaving, side="right") + np.arange(cut)] = True
+        times = np.empty(len(is_departure))
+        times[is_departure] = leaving
+        times[~is_departure] = arrivals
+        take = min(len(times), event_budget - done)
+        times, step = times[:take], 1 - 2 * is_departure[:take].astype(np.intp)
+        after = in_system + np.cumsum(step)
+        before = after - step
+        dt = np.diff(times, prepend=now)
+        batch = np.arange(done, done + take) // size
+        first, last = batch[0], batch[-1] + 1
+        batch -= first
+        sums[0, first:last] += np.bincount(batch, dt * (before == 0))
+        sums[1, first:last] += np.bincount(batch, dt * np.maximum(before - 1, 0))
+        sums[2, first:last] += np.bincount(batch, dt)
+        done += take
+        if done == event_budget:
+            break
+        now, in_system = times[-1], after[-1]
+    if event_budget % size and not sums[2, -1] > 0:
+        sums = sums[:, :-1]
+    return sums
+
+
+def _estimate(idle, area, span) -> SimulationResult:
+    """Span-weighted means of the per-batch figures, and their batch-means
+    standard errors."""
+    p0s = idle / span
+    lqs = area / span
+    weights = span / span.sum()
+    p0_hat = float(p0s @ weights)
+    lq_hat = float(lqs @ weights)
+    k = len(span)
+    p0_se = float(p0s.std(ddof=1) / math.sqrt(k)) if k > 1 else math.nan
+    lq_se = float(lqs.std(ddof=1) / math.sqrt(k)) if k > 1 else math.nan
+    return SimulationResult(p0=p0_hat, lq=lq_hat, p0_se=p0_se, lq_se=lq_se)
+
+
 def mm1_simulate(
     lam: float, mu: float, event_budget: int, seed: int = 0, batches: int = 20
 ) -> SimulationResult:
-    """Event-driven M/M/1 simulation; standard errors come from batch means."""
+    """FIFO M/M/1 simulation over exactly ``event_budget`` arrival and
+    departure events, starting empty at time 0; standard errors come from
+    batch means by event count.
+
+    Customers are drawn and their departures computed in chunks of
+    CHUNK_SIZE, so memory does not grow with the event budget.
+    """
+    if not (math.isfinite(lam) and math.isfinite(mu)):
+        raise DomainError(f"rates must be finite: lam={lam}, mu={mu}")
     if mu <= 0 or lam <= 0:
         raise DomainError("rates must be positive")
     if lam >= mu:
         raise DomainError(f"unstable parameters: lam={lam} >= mu={mu}")
     if event_budget < 1:
         raise DomainError("event_budget must be positive")
-    rng = random.Random(seed)
-    now = 0.0
-    in_system = 0
-    next_arrival = rng.expovariate(lam)
-    next_departure = math.inf
-    batch_size = max(1, event_budget // batches)
-    batch_idle: list[float] = []
-    batch_area: list[float] = []
-    batch_time: list[float] = []
-    idle = area = span = 0.0
-    events_in_batch = 0
-    for _ in range(event_budget):
-        t_next = min(next_arrival, next_departure)
-        dt = t_next - now
-        span += dt
-        if in_system == 0:
-            idle += dt
-        else:
-            area += (in_system - 1) * dt
-        now = t_next
-        if next_arrival <= next_departure:
-            in_system += 1
-            if in_system == 1:
-                next_departure = now + rng.expovariate(mu)
-            next_arrival = now + rng.expovariate(lam)
-        else:
-            in_system -= 1
-            next_departure = now + rng.expovariate(mu) if in_system else math.inf
-        events_in_batch += 1
-        if events_in_batch >= batch_size:
-            batch_idle.append(idle)
-            batch_area.append(area)
-            batch_time.append(span)
-            idle = area = span = 0.0
-            events_in_batch = 0
-    if span > 0:
-        batch_idle.append(idle)
-        batch_area.append(area)
-        batch_time.append(span)
-    times = np.asarray(batch_time)
-    p0s = np.asarray(batch_idle) / times
-    lqs = np.asarray(batch_area) / times
-    weights = times / times.sum()
-    p0_hat = float(p0s @ weights)
-    lq_hat = float(lqs @ weights)
-    k = len(times)
-    p0_se = float(p0s.std(ddof=1) / math.sqrt(k)) if k > 1 else math.nan
-    lq_se = float(lqs.std(ddof=1) / math.sqrt(k)) if k > 1 else math.nan
-    return SimulationResult(p0=p0_hat, lq=lq_hat, p0_se=p0_se, lq_se=lq_se)
+    if batches < 1:
+        raise DomainError(f"batches must be positive, got {batches}")
+    if seed < 0:
+        raise DomainError(f"seed must be non-negative, got {seed}")
+    customers = _customers(_draws(lam, mu, seed))
+    return _estimate(*_batch_sums(customers, event_budget, batches))
 
 
 def simulate_objective_slice(

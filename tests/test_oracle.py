@@ -1,13 +1,18 @@
-"""Enumeration oracle, exact bounds, and the discrete-event queue simulator."""
+"""Enumeration oracle, exact bounds, and the M/M/1 queue simulator."""
 
 import dataclasses
 import itertools
 import math
 import tracemalloc
+from unittest import mock
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import crispen, mild_params
+from fuzzloc import oracle
 from fuzzloc.errors import BudgetExceededError, DomainError, InfeasibleInstanceError
 from fuzzloc.evaluation import MaximinContext, make_maximin_eval
 from fuzzloc.instances import generate_instance
@@ -132,10 +137,155 @@ class TestSimulator:
         with pytest.raises(DomainError):
             mm1_simulate(50, 100, 0)
 
+    @pytest.mark.parametrize(
+        "lam, mu",
+        [(math.nan, 100), (50, math.nan), (50, math.inf), (math.inf, math.inf), (-math.inf, 100)],
+    )
+    def test_non_finite_rates_rejected(self, lam, mu):
+        with pytest.raises(DomainError, match="finite"):
+            mm1_simulate(lam, mu, 1000)
+
+    @pytest.mark.parametrize("batches", [0, -3])
+    def test_bad_batches_rejected(self, batches):
+        with pytest.raises(DomainError, match="batches"):
+            mm1_simulate(50, 100, 1000, batches=batches)
+
+    def test_negative_seed_rejected(self):
+        with pytest.raises(DomainError, match="seed"):
+            mm1_simulate(50, 100, 1000, seed=-1)
+
     def test_seed_determinism(self):
         a = mm1_simulate(50, 100, 50_000, seed=9)
         b = mm1_simulate(50, 100, 50_000, seed=9)
         assert (a.p0, a.lq) == (b.p0, b.lq)
+
+
+def event_loop(gaps, services, event_budget, batches):
+    """Reference: the event-driven M/M/1 loop that the array simulator
+    replaced, reading its interarrival and service times from arrays.
+
+    Returns the departure instants it scheduled, the (3, k) per-batch idle,
+    area and span sums, and the instant of its last event.
+    """
+    gaps, services = iter(gaps.tolist()), iter(services.tolist())
+    now = 0.0
+    in_system = 0
+    next_arrival = next(gaps)
+    next_departure = math.inf
+    departures = []
+    batch_size = max(1, event_budget // batches)
+    sums = []
+    idle = area = span = 0.0
+    events_in_batch = 0
+    for _ in range(event_budget):
+        t_next = min(next_arrival, next_departure)
+        dt = t_next - now
+        span += dt
+        if in_system == 0:
+            idle += dt
+        else:
+            area += (in_system - 1) * dt
+        now = t_next
+        if next_arrival <= next_departure:
+            in_system += 1
+            if in_system == 1:
+                next_departure = now + next(services)
+                departures.append(next_departure)
+            next_arrival = now + next(gaps)
+        else:
+            in_system -= 1
+            if in_system:
+                next_departure = now + next(services)
+                departures.append(next_departure)
+            else:
+                next_departure = math.inf
+        events_in_batch += 1
+        if events_in_batch >= batch_size:
+            sums.append((idle, area, span))
+            idle = area = span = 0.0
+            events_in_batch = 0
+    if span > 0:
+        sums.append((idle, area, span))
+    return np.array(departures), np.array(sums).T, now
+
+
+def _first_departures(draws, count):
+    """The first ``count`` departure instants of ``oracle._customers``."""
+    chunks, total = [], 0
+    for _, departures in oracle._customers(draws):
+        chunks.append(departures)
+        total += len(departures)
+        if total >= count:
+            return np.concatenate(chunks)[:count]
+
+
+class TestEventLoopReference:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        rho=st.floats(0.05, 0.97),
+        event_budget=st.integers(1, 50_000),
+        batches=st.integers(1, 60),
+        seed=st.integers(0, 2**32 - 1),
+        chunk=st.integers(1, 7),
+    )
+    def test_matches_event_loop(self, rho, event_budget, batches, seed, chunk):
+        lam, mu = rho, 1.0
+        # One chunk holds every draw the loop can use: at most one more
+        # arrival than events, and a service per departure scheduled.
+        with mock.patch.object(oracle, "CHUNK_SIZE", event_budget + 1):
+            gaps, services = next(oracle._draws(lam, mu, seed))
+        departures, sums, horizon = event_loop(gaps, services, event_budget, batches)
+        expected = oracle._estimate(*sums)
+
+        with mock.patch.object(oracle, "CHUNK_SIZE", chunk):
+            chunked_departures = _first_departures(oracle._draws(lam, mu, seed), len(departures))
+            chunked = oracle._batch_sums(
+                oracle._customers(oracle._draws(lam, mu, seed)), event_budget, batches
+            )
+            chunked_result = mm1_simulate(lam, mu, event_budget, seed=seed, batches=batches)
+        result = mm1_simulate(lam, mu, event_budget, seed=seed, batches=batches)
+
+        np.testing.assert_allclose(chunked_departures, departures, rtol=1e-10, atol=0)
+        # A sum that missed or added one event would be off by about
+        # horizon / event_budget, far above this tolerance.
+        assert chunked.shape == sums.shape
+        np.testing.assert_allclose(chunked, sums, rtol=1e-9, atol=1e-9 * horizon)
+        assert chunked[2].sum() == pytest.approx(horizon, rel=1e-9)
+        for got in (result, chunked_result):
+            assert dataclasses.astuple(got) == pytest.approx(
+                dataclasses.astuple(expected), rel=1e-9, abs=1e-12, nan_ok=True
+            )
+
+    @pytest.mark.parametrize("chunk", [1, 2, 3, 64])
+    def test_tied_instants_match_event_loop_exactly(self, chunk):
+        # Whole-number draws make every departure tie with an arrival, and
+        # keep every sum exact.
+        gaps = np.ones(41)
+        services = np.tile([1.0, 2.0, 1.0, 3.0, 1.0], 9)[:41]
+        draws = ((gaps[i:i + chunk], services[i:i + chunk]) for i in range(0, 41, chunk))
+        customers = list(oracle._customers(draws))
+        chunked_departures = np.concatenate([d for _, d in customers])
+        # Budgets that end on either instant of a tie, with batch sizes that
+        # leave a trailing partial batch of zero span.
+        for event_budget in range(1, 41):
+            for batches in (1, 3, 6, event_budget):
+                departures, sums, _ = event_loop(gaps, services, event_budget, batches)
+                assert chunked_departures[: len(departures)].tolist() == departures.tolist()
+                chunked = oracle._batch_sums(iter(customers), event_budget, batches)
+                assert chunked.tolist() == sums.tolist()
+
+
+class TestSimulatorMemory:
+    def test_peak_memory_does_not_grow_with_events(self):
+        peaks = {}
+        for events in (10**6, 4 * 10**6):
+            tracemalloc.start()
+            try:
+                mm1_simulate(80, 100, events, seed=0)
+                peaks[events] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peaks[4 * 10**6] < 1.5 * peaks[10**6]
 
 
 class TestNetworkSimulation:

@@ -1,9 +1,9 @@
 """The README's examples run as written.
 
-Every ```python block is executed, and every `fuzzloc generate` and `fuzzloc
-solve` command line of the ```sh blocks is run through `cli.main`, in order,
-in a temporary directory. `bench`, `tune` and `validate --events 1000000` are
-left out: they take minutes, and tests/test_cli.py covers those commands.
+Every ```python block is executed, and every `fuzzloc generate`, `fuzzloc
+solve` and `fuzzloc validate` command line of the ```sh blocks is run through
+`cli.main`, in order, in a temporary directory. `bench` and `tune` are left
+out: they run many solves, and tests/test_cli.py covers those commands.
 """
 
 import re
@@ -13,7 +13,7 @@ from pathlib import Path
 from fuzzloc.cli import EXIT_OK, main
 
 README = Path(__file__).resolve().parent.parent / "README.md"
-RUN_COMMANDS = ("generate", "solve")
+RUN_COMMANDS = ("generate", "solve", "validate")
 
 
 def _blocks(language: str) -> list[str]:
