@@ -14,7 +14,7 @@ from .errors import DomainError
 from .evaluation import Fitness, Steps
 from .model import Instance, Solution
 from .reports import Outcome, SolverReport, run_solver
-from .termination import Windows
+from .termination import Windows, check_windows
 
 TAU_MIN = 1e-6
 # Largest accepted alpha_exp and beta_exp. Every positive double has
@@ -48,6 +48,7 @@ class ACOConfig:
             raise DomainError(f"exponents must not exceed {MAX_EXPONENT:.4g}")
         if self.population_coefficient < 1:
             raise DomainError("population_coefficient must be at least 1")
+        check_windows(self.convergence_limit, self.stagnation_limit)
 
 
 @dataclass

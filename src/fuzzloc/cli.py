@@ -26,7 +26,6 @@ from .instances import (
     GeneratorParams,
     generate_instance,
     load_instance,
-    load_table1,
     save_instance,
     table1_bytes,
 )
@@ -326,15 +325,6 @@ def cmd_tune(args) -> int:
     return EXIT_OK
 
 
-def _builtin_validation_instance() -> Instance:
-    # small, comfortably stable instance for the network cross-check
-    return generate_instance(GeneratorParams(
-        n=6, m_servers=2,
-        demand_lo_range=(4, 30), demand_offsets=(10, 20),
-        seed=123,
-    ))
-
-
 def cmd_validate(args) -> int:
     mu = 100.0
     enforce = True
@@ -368,7 +358,10 @@ def cmd_validate(args) -> int:
         if relax > 1:
             print(f"       (tolerance relaxed x{relax:.1f} for rho={rho:g})")
     if not args.skip_network:
-        instance = _builtin_validation_instance()
+        # a small, comfortably stable instance
+        instance = generate_instance(GeneratorParams(
+            n=6, m_servers=2, demand_lo_range=(4, 30), demand_offsets=(10, 20), seed=123,
+        ))
 
         def mid_objective(solution: Solution) -> float:
             value = crisp_objective_slice(instance, solution, "mid")

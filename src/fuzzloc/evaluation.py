@@ -77,21 +77,13 @@ class MaximinContext:
         return high - low <= _DEGENERATE_EPS
 
     def to_dict(self) -> dict:
-        return {
-            "z1_bounds": list(self.z1_bounds),
-            "z2_bounds": list(self.z2_bounds),
-            "z3_bounds": list(self.z3_bounds),
-            "provenance": self.provenance,
-        }
+        bounds = {f"{name}_bounds": list(self.bounds(name)) for name in COMPONENTS}
+        return {**bounds, "provenance": self.provenance}
 
     @classmethod
     def from_dict(cls, data: dict) -> "MaximinContext":
-        return cls(
-            z1_bounds=tuple(data["z1_bounds"]),
-            z2_bounds=tuple(data["z2_bounds"]),
-            z3_bounds=tuple(data["z3_bounds"]),
-            provenance=data["provenance"],
-        )
+        bounds = [tuple(data[f"{name}_bounds"]) for name in COMPONENTS]
+        return cls(*bounds, provenance=data["provenance"])
 
     @property
     def bounds_id(self) -> str:

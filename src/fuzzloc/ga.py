@@ -13,27 +13,34 @@ from __future__ import annotations
 
 import math
 import random
-from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 from .errors import DomainError
 from .evaluation import Fitness, Steps, drive
-from .model import Instance, Solution
+from .model import Instance
 from .reports import Outcome, SolverReport, run_solver
-from .termination import Windows, convergence_limit  # noqa: F401 (public name)
+from .termination import Windows, check_windows, convergence_limit  # noqa: F401 (public name)
 
-# Scores a (B, k) block of 0-based subsets inside a step generator:
-# ``values = yield from score(idx)``.
-Scorer = Callable[[np.ndarray], Steps[list[float]]]
+# ``yield from score(keys, row)`` scores gene bitmasks; row(b) lists key b's 0-based indices.
+Scorer = Callable[[list[int], Callable[[int], list[int]]], Steps[list[float]]]
+
+
+def _mask(genes) -> int:
+    """A gene set's identity: bit g is set for gene g."""
+    return sum(1 << gene for gene in genes)
 
 
 @dataclass(frozen=True)
 class Chromosome:
     genes: frozenset[int]
     fitness: float
+    mask: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "mask", _mask(self.genes))
 
 
 @dataclass
@@ -46,6 +53,7 @@ class GAConfig:
     def __post_init__(self) -> None:
         if self.population_floor < 2:
             raise DomainError("population_floor must be at least 2")
+        check_windows(self.convergence_limit, self.stagnation_limit)
 
 
 def population_size(n: int, m: int, floor: int) -> int:
@@ -81,7 +89,8 @@ def _population(
         if missing > 0:
             pool = [g for g in range(1, n + 1) if g not in member]
             member.update(rng.sample(pool, missing))
-    values = yield from score(_rows(members))
+    rows = [[gene - 1 for gene in sorted(member)] for member in members]
+    values = yield from score([_mask(member) for member in members], rows.__getitem__)
     return [Chromosome(frozenset(member), value) for member, value in zip(members, values)]
 
 
@@ -106,43 +115,55 @@ def _mate(p1: Chromosome, p2: Chromosome, rng: random.Random, score: Scorer) -> 
     through ``score``."""
     if len(p1.genes) != len(p2.genes):
         raise DomainError("parents must be of one size")
-    if p1.genes == p2.genes:
+    if p1.mask == p2.mask:
         raise DomainError("parents must have different gene sets")
-    m = len(p1.genes)
-    draft = set(p1.genes | p2.genes)
-    shared = p1.genes & p2.genes
-    while len(draft) > m:
-        droppable = sorted(draft - shared)
-        trials = yield from score(_rows([draft - {gene} for gene in droppable]))
+    draft = p1.mask | p2.mask
+    genes = sorted(p1.genes | p2.genes)
+    droppable = sorted(p1.genes ^ p2.genes)
+    # Both parents hold m genes, so half the unshared genes are dropped.
+    for _ in range(len(droppable) // 2):
+        trials = yield from score(
+            [draft ^ (1 << gene) for gene in droppable],
+            lambda b: [gene - 1 for gene in genes if gene != droppable[b]],
+        )
         tied, best_value = [], None
         for gene, trial in zip(droppable, trials):
             if best_value is None or trial > best_value:
                 tied, best_value = [gene], trial
             elif trial == best_value:
                 tied.append(gene)
-        draft.remove(tied[0] if len(tied) == 1 else rng.choice(tied))
-    return Chromosome(frozenset(draft), best_value)
+        dropped = tied[0] if len(tied) == 1 else rng.choice(tied)
+        draft ^= 1 << dropped
+        genes.remove(dropped)
+        droppable.remove(dropped)
+    return Chromosome(frozenset(genes), best_value)
 
 
 def replace(population: list[Chromosome], candidate: Chromosome) -> list[Chromosome]:
     """Gene-preserving elitist replacement, in place.
 
-    The candidate takes the place of the lowest-fitness member (first in
-    population order among ties) that it is at least as fit as and whose
-    removal, with the candidate added, does not lower the number of distinct
-    genes in the population. A candidate that duplicates an existing gene set,
-    or finds no such member, is rejected.
+    A candidate that duplicates a member's gene set is rejected. Otherwise it
+    takes the place of the lowest-fitness member (first in population order
+    among ties) that it is at least as fit as and whose removal loses no more
+    genes from the pool than the candidate brings in, or else it is rejected.
+    Folding the member masks gives ``union``, the genes held by any member,
+    and ``singles``, those held by exactly one: the candidate brings in
+    ``new & ~union``, and removing ``member`` loses ``member & ~new & singles``.
     """
-    if any(candidate.genes == member.genes for member in population):
-        return population
-    carriers = Counter(gene for member in population for gene in member.genes)
-    gained = sum(1 for gene in candidate.genes if gene not in carriers)
+    new = candidate.mask
+    union = twice = 0
+    for member in population:
+        if member.mask == new:
+            return population
+        twice |= union & member.mask
+        union |= member.mask
+    singles = union & ~twice
+    gained = (new & ~union).bit_count()
     for i in sorted(range(len(population)), key=lambda k: population[k].fitness):
         member = population[i]
         if candidate.fitness < member.fitness:
             break
-        lost = sum(1 for gene in member.genes - candidate.genes if carriers[gene] == 1)
-        if lost <= gained:
+        if (member.mask & ~new & singles).bit_count() <= gained:
             population[i] = candidate
             break
     return population
@@ -190,33 +211,27 @@ def _steps(instance: Instance, config: GAConfig) -> Steps[Outcome]:
 
 
 class _Memo:
-    """Fitness values cached by gene set; ``calls`` counts requests, hits
-    included. ``block`` is a step generator: given a (B, k) array of
-    0-based subsets, it yields the rows not cached yet, first occurrences
-    only, and returns the values of all B rows."""
+    """Fitness values cached by gene bitmask; ``calls`` counts requests, hits
+    included. ``block`` is a ``Scorer``: it yields the (B, k) rows of the
+    keys not cached yet, first occurrences only, in request order, and
+    returns the values of all requests. A block of hits yields nothing."""
 
     def __init__(self) -> None:
         self.calls = 0
-        self.values: dict[frozenset[int], float] = {}
+        self.values: dict[int, float] = {}
 
-    def block(self, idx: np.ndarray) -> Steps[list[float]]:
-        self.calls += len(idx)
-        keys = [frozenset(row) for row in (idx + 1).tolist()]
+    def block(self, keys: list[int], row: Callable[[int], list[int]]) -> Steps[list[float]]:
+        self.calls += len(keys)
         misses = {key: b for b, key in enumerate(keys) if key not in self.values}
         if misses:
-            values = yield idx[list(misses.values())]
-            self.values.update(zip(misses, values))
+            rows = np.array([row(b) for b in misses.values()], dtype=np.intp)
+            self.values.update(zip(misses, (yield rows)))
         return [self.values[key] for key in keys]
 
 
-def _ask(idx: np.ndarray) -> Steps[list[float]]:
+def _ask(keys: list[int], row: Callable[[int], list[int]]) -> Steps[list[float]]:
     """The scorer without a memo: yield every row."""
-    return (yield idx)
-
-
-def _rows(gene_sets) -> np.ndarray:
-    """Gene sets of one size as a (B, k) array of 0-based, ascending indices."""
-    return np.array([sorted(genes) for genes in gene_sets], dtype=np.intp) - 1
+    return (yield np.array([row(b) for b in range(len(keys))], dtype=np.intp))
 
 
 def _distinct_parents(
@@ -232,7 +247,7 @@ def _distinct_parents(
     """
     for _ in range(32):
         p1, p2 = rng.sample(population, 2)
-        if p1.genes != p2.genes:
+        if p1.mask != p2.mask:
             return (p1, p2)
     first = population[0]
-    return next((first, other) for other in population[1:] if other.genes != first.genes)
+    return next((first, other) for other in population[1:] if other.mask != first.mask)

@@ -11,7 +11,6 @@ import json
 from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
-from typing import Optional
 
 import numpy as np
 

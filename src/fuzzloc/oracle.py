@@ -12,7 +12,8 @@ import numpy as np
 
 from .errors import BudgetExceededError, DomainError, InfeasibleInstanceError
 from .evaluation import Fitness, MaximinContext, score_rows
-from .model import Instance, Kernel, Solution, solution_kernel
+from .fuzzy import SLICE_INDEX
+from .model import Instance, Kernel, Solution, join_probability, solution_kernel
 
 DEFAULT_ENUM_BUDGET = 10**6
 # Subsets per kernel call of the oracle. Peak memory grows with this, not
@@ -102,13 +103,7 @@ def exact_bounds(instance: Instance, budget: int = DEFAULT_ENUM_BUDGET) -> Maxim
         highs = np.maximum(highs, spreads.max(axis=0))
     if not any_feasible:
         raise InfeasibleInstanceError("no feasible facility subset exists")
-    lows, highs = lows.tolist(), highs.tolist()
-    return MaximinContext(
-        z1_bounds=(lows[0], highs[0]),
-        z2_bounds=(lows[1], highs[1]),
-        z3_bounds=(lows[2], highs[2]),
-        provenance="oracle-exact",
-    )
+    return MaximinContext(*zip(lows.tolist(), highs.tolist()), provenance="oracle-exact")
 
 
 @dataclass
@@ -253,9 +248,6 @@ def simulate_objective_slice(
     aggregated arrival rate; the analytic idle probability, occupancy and
     joining probability in the objective are replaced by their estimates.
     """
-    from .fuzzy import SLICE_INDEX
-    from .model import join_probability
-
     s = SLICE_INDEX[slc]
     facilities = solution_kernel(instance, solution)
     lam_bar, mu, benefit = facilities.lam_bar, facilities.mu, facilities.benefit

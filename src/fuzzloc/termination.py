@@ -5,9 +5,17 @@ from __future__ import annotations
 import math
 from typing import Optional
 
+from .errors import DomainError
+
 
 def convergence_limit(n: int, m: int) -> int:
     return int(n * math.sqrt(m))
+
+
+def check_windows(limit: Optional[int], cap: Optional[int]) -> None:
+    """A config's window lengths: None for the default, else at least 1."""
+    if any(window is not None and window < 1 for window in (limit, cap)):
+        raise DomainError("convergence_limit and stagnation_limit must be at least 1")
 
 
 class Windows:
@@ -19,8 +27,8 @@ class Windows:
     """
 
     def __init__(self, n: int, m: int, limit: Optional[int], cap: Optional[int]):
-        self.limit = limit or convergence_limit(n, m)
-        self.cap = cap or self.limit * self.limit
+        self.limit = convergence_limit(n, m) if limit is None else limit
+        self.cap = self.limit * self.limit if cap is None else cap
         self.converged = 0
         self.stagnant = 0
 

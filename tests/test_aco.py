@@ -43,6 +43,12 @@ class TestConfig:
         with pytest.raises(DomainError):
             ACOConfig(**{field: value})
 
+    @pytest.mark.parametrize("field", ["convergence_limit", "stagnation_limit"])
+    @pytest.mark.parametrize("value", [0, -5])
+    def test_rejects_window_below_one(self, field, value):
+        with pytest.raises(DomainError, match="at least 1"):
+            ACOConfig(**{field: value})
+
     @pytest.mark.parametrize("field", ["alpha_exp", "beta_exp"])
     def test_rejects_exponent_above_bound(self, field):
         for value in (np.nextafter(aco.MAX_EXPONENT, np.inf), 2e307):

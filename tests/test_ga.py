@@ -1,15 +1,17 @@
 """Genetic algorithm: sizing, mating, replacement, termination, optimality."""
 
+import dataclasses
 import random
+from collections import Counter
 from types import SimpleNamespace
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import fuzzloc.ga
-from conftest import feasible_subsets
-from fuzzloc.errors import DomainError
+from conftest import feasible_subsets, mild_params
+from fuzzloc.errors import DomainError, InfeasibleInstanceError
 from fuzzloc.evaluation import make_maximin_eval
 from fuzzloc.ga import (
     Chromosome,
@@ -22,6 +24,7 @@ from fuzzloc.ga import (
     replace,
     run_ga,
 )
+from fuzzloc.instances import generate_instance
 from fuzzloc.model import Solution
 from fuzzloc.oracle import enumerate_optimum, exact_bounds
 
@@ -48,6 +51,14 @@ class TestSizing:
     def test_config_floor(self):
         with pytest.raises(DomainError):
             GAConfig(population_floor=1)
+
+    @pytest.mark.parametrize("field", ["convergence_limit", "stagnation_limit"])
+    @pytest.mark.parametrize("value", [0, -5])
+    def test_config_rejects_window_below_one(self, field, value):
+        # A falsy limit used to fall back to the default window, and a
+        # negative one closed the window after one iteration.
+        with pytest.raises(DomainError, match="at least 1"):
+            GAConfig(**{field: value})
 
 
 class TestInitPopulation:
@@ -98,6 +109,25 @@ class TestGenerateCandidate:
         p2 = Chromosome(frozenset({2, 5}), 0.0)
         child = generate_candidate(p1, p2, subset_size_fitness, random.Random(3))
         assert child.fitness == subset_size_fitness(Solution(child.genes))
+
+
+def counter_replace(population: list[Chromosome], candidate: Chromosome) -> list[Chromosome]:
+    """``replace`` as it was before gene sets became bitmasks, counting gene
+    carriers with a Counter. The reference that ``replace`` is checked
+    against."""
+    if any(candidate.genes == member.genes for member in population):
+        return population
+    carriers = Counter(gene for member in population for gene in member.genes)
+    gained = sum(1 for gene in candidate.genes if gene not in carriers)
+    for i in sorted(range(len(population)), key=lambda k: population[k].fitness):
+        member = population[i]
+        if candidate.fitness < member.fitness:
+            break
+        lost = sum(1 for gene in member.genes - candidate.genes if carriers[gene] == 1)
+        if lost <= gained:
+            population[i] = candidate
+            break
+    return population
 
 
 class TestReplace:
@@ -158,6 +188,32 @@ class TestReplace:
             assert set().union(*(c.genes for c in population)) == set(range(1, n + 1))
             p1, p2 = _distinct_parents(population, rng)
             assert p1.genes != p2.genes
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_matches_counter_reference(self, data):
+        # Small fitness ranges give ties, copies of earlier members give
+        # duplicate gene sets, and few members over up to 16 genes leave
+        # genes with a sole carrier.
+        n = data.draw(st.integers(2, 16), label="n")
+        m = data.draw(st.integers(1, n - 1), label="m")
+        subsets = st.lists(st.integers(1, n), min_size=m, max_size=m, unique=True)
+        fitness = st.integers(0, 3).map(float)
+        population: list[Chromosome] = []
+        for _ in range(data.draw(st.integers(2, 12), label="size")):
+            if population and data.draw(st.booleans(), label="copy"):
+                genes = data.draw(st.sampled_from(population)).genes
+            else:
+                genes = frozenset(data.draw(subsets))
+            population.append(Chromosome(genes, data.draw(fitness)))
+        reference = list(population)
+        for _ in range(data.draw(st.integers(1, 20), label="candidates")):
+            if data.draw(st.booleans(), label="duplicate"):
+                genes = data.draw(st.sampled_from(population)).genes
+            else:
+                genes = frozenset(data.draw(subsets))
+            candidate = Chromosome(genes, data.draw(fitness))
+            assert replace(population, candidate) == counter_replace(reference, candidate)
 
 
 class TestRunGA:
@@ -223,17 +279,19 @@ class _NoMemo:
     def __init__(self):
         self.calls = 0
 
-    def block(self, idx):
-        self.calls += len(idx)
-        return (yield idx)
+    def block(self, keys, row):
+        self.calls += len(keys)
+        return (yield from fuzzloc.ga._ask(keys, row))
 
 
 def _counting(fitness):
     def counted(solution):
         counted.calls += 1
+        counted.distinct.add(solution.open)
         return fitness(solution)
 
     counted.calls = 0
+    counted.distinct = set()
     return counted
 
 
@@ -257,4 +315,23 @@ class TestFitnessMemo:
         run_ga(medium_instance, uncached, GAConfig(seed=1))
         assert report.evaluations == uncached.calls
         # the memo evaluates each distinct gene set once
-        assert cached.calls < uncached.calls
+        assert cached.calls == len(uncached.distinct) < uncached.calls
+
+    @settings(max_examples=15, deadline=None)
+    @given(
+        n=st.integers(5, 10),
+        m=st.integers(1, 4),
+        instance_seed=st.integers(0, 2**16),
+        seed=st.integers(0, 2**16),
+    )
+    def test_reports_bit_identical_on_mild_instances(self, n, m, instance_seed, seed):
+        instance = generate_instance(mild_params(n, m, instance_seed))
+        try:
+            fitness = make_maximin_eval(instance, exact_bounds(instance))
+        except InfeasibleInstanceError:
+            assume(False)
+        memo = run_ga(instance, fitness, GAConfig(seed=seed))
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(fuzzloc.ga, "_Memo", _NoMemo)
+            plain = run_ga(instance, fitness, GAConfig(seed=seed))
+        assert dataclasses.replace(memo, elapsed_s=0.0) == dataclasses.replace(plain, elapsed_s=0.0)

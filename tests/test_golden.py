@@ -1,8 +1,9 @@
 """Solve reports checked against recorded ones.
 
 ``tests/data/golden_reports.json`` holds the reports of GA, ACO and brute
-solves on three small instances. Regenerate it only for a change that is
-meant to alter reports:
+solves on three small instances, and of GA solves on the two benchmark
+workloads, table1 and mild20. Regenerate it only for a change that is meant
+to alter reports:
 
     PYTHONPATH=src:tests python tests/test_golden.py
 """
@@ -16,7 +17,7 @@ import pytest
 from conftest import mild_params
 from fuzzloc.aco import ACOConfig
 from fuzzloc.ga import GAConfig
-from fuzzloc.instances import generate_instance
+from fuzzloc.instances import generate_instance, load_table1
 from fuzzloc.protocol import solve_protocol
 
 GOLDEN = Path(__file__).parent / "data" / "golden_reports.json"
@@ -30,14 +31,19 @@ INSTANCES = {
 }
 SOLVES = [(name, algo, seed) for name in INSTANCES for algo in ("ga", "aco") for seed in (0, 1)]
 SOLVES += [(name, "brute", 0) for name in INSTANCES]
+# The benchmark's workloads at its stagnation window: table1, where every
+# subset is infeasible and the bounds are NaN, and mild20.
+INSTANCES["mild20"] = mild_params(20, 5, 0)
+SOLVES += [(name, "ga", seed) for name in ("table1", "mild20") for seed in (0, 1)]
 STAGNATION = 100
 
 EXACT_FIELDS = ("best", "iterations", "termination", "evaluations", "bounds_id")
 
 
 def solve(name: str, algo: str, seed: int) -> dict:
+    instance = load_table1() if name == "table1" else generate_instance(INSTANCES[name])
     report, ctx = solve_protocol(
-        generate_instance(INSTANCES[name]),
+        instance,
         algo,
         seed=seed,
         ga_config=GAConfig(stagnation_limit=STAGNATION),
@@ -60,8 +66,9 @@ def golden() -> dict:
 def close(a: float, b: float) -> bool:
     # BLAS may round the last bit differently on another CPU, so floats get a
     # relative tolerance here; bit-identity on one machine is checked by
-    # dumping reports and comparing the files byte for byte.
-    return math.isclose(a, b, rel_tol=1e-12)
+    # dumping reports and comparing the files byte for byte. A failed bound
+    # run records NaN, which must stay NaN.
+    return math.isclose(a, b, rel_tol=1e-12) or (math.isnan(a) and math.isnan(b))
 
 
 @pytest.mark.parametrize("name,algo,seed", SOLVES, ids=[key(*s) for s in SOLVES])
