@@ -81,32 +81,6 @@ def _log_weights(tau: np.ndarray, eta: np.ndarray, config: ACOConfig) -> np.ndar
     return config.alpha_exp * np.log(tau) + config.beta_exp * np.log(eta)
 
 
-def _selection_probabilities(
-    state: PheromoneState, eta: np.ndarray, unchosen: np.ndarray, config: ACOConfig
-) -> np.ndarray:
-    log_w = _log_weights(state.tau[unchosen], eta[unchosen], config)
-    weights = np.exp(log_w - log_w.max())
-    return weights / weights.sum()
-
-
-def select_next(
-    state: PheromoneState,
-    eta: np.ndarray,
-    chosen: set[int],
-    config: ACOConfig,
-    rng: np.random.Generator,
-) -> int:
-    """Sample one more node (1-based) proportionally to tau^a * eta^b.
-
-    The stepwise reference for _sample_colony, which draws whole subsets."""
-    n = state.tau.size
-    unchosen = np.asarray([j for j in range(n) if (j + 1) not in chosen], dtype=int)
-    if unchosen.size == 0:
-        raise DomainError("no unchosen nodes left")
-    probs = _selection_probabilities(state, eta, unchosen, config)
-    return int(unchosen[rng.choice(unchosen.size, p=probs)]) + 1
-
-
 def construct_solution(
     state: PheromoneState,
     eta: np.ndarray,
@@ -124,8 +98,9 @@ def _sample_colony(
 ) -> np.ndarray:
     """One subset per ant as an (ants, m) array of 0-based, ascending node
     indices, by the Gumbel top-k trick: the m largest of log_w plus Gumbel
-    noise are a draw from the same distribution as m select_next calls
-    (sequential proportional sampling without replacement). One (ants, n)
+    noise are a draw from the same distribution as m sequential draws, each
+    proportional to the weights of the nodes not yet chosen (tests/test_aco.py
+    keeps that stepwise sampler as the reference). One (ants, n)
     Gumbel draw consumes the generator as ``ants`` draws of n values would,
     row by row."""
     keys = log_w + rng.gumbel(size=(ants, log_w.size))

@@ -106,19 +106,31 @@ def spread_components(z: TriFuzzy) -> SpreadComponents:
     return SpreadComponents(z1=z.mid - z.lo, z2=z.mid, z3=z.hi - z.mid)
 
 
-def _membership(values, ctx: MaximinContext, name: str) -> np.ndarray:
-    """Linear membership degree of one spread component, clamped to [0, 1]:
-    decreasing for z1 (minimized), increasing for z2 and z3 (maximized)."""
+def _scale(ctx: MaximinContext, name: str) -> Optional[tuple[float, float, float]]:
+    """(low, high, high - low) of a component's bounds, or None when the
+    bounds are degenerate."""
     if ctx.is_degenerate(name):
-        return np.ones_like(values)  # degenerate bounds impose no discrimination
+        return None
     low, high = ctx.bounds(name)
-    raw = (high - values) / (high - low) if name == "z1" else (values - low) / (high - low)
+    return (low, high, high - low)
+
+
+def _membership(values, scale: Optional[tuple[float, float, float]], name: str) -> np.ndarray:
+    """Linear membership degree of one spread component, clamped to [0, 1]:
+    decreasing for z1 (minimized), increasing for z2 and z3 (maximized).
+    ``scale`` is the component's ``_scale``."""
+    if scale is None:
+        return np.ones_like(values)  # degenerate bounds impose no discrimination
+    low, high, width = scale
+    raw = (high - values) / width if name == "z1" else (values - low) / width
     return np.minimum(np.maximum(raw, 0.0), 1.0)
 
 
 def membership_values(c: SpreadComponents, ctx: MaximinContext) -> tuple[float, float, float]:
     """Linear membership degrees of the three components; clamped to [0, 1]."""
-    return tuple(float(_membership(c.value(name), ctx, name)) for name in COMPONENTS)
+    return tuple(
+        float(_membership(c.value(name), _scale(ctx, name), name)) for name in COMPONENTS
+    )
 
 
 def maximin_level(mu1: float, mu2: float, mu3: float) -> float:
@@ -181,7 +193,8 @@ def drive(steps: Steps[T], fitness: Fitness) -> T:
 
 
 class KernelFitness:
-    """A fitness stated once, as ``score`` of a model.Kernel. ``block``
+    """A fitness stated once, as ``formula`` of a model.Kernel's feasible(),
+    spreads() and violation(); ``score`` applies it to a kernel. ``block``
     scores a (B, k) array of 0-based subsets in one kernel call, which is
     how the solvers and the oracle use it through score_rows; a call scores
     one subset with the same formula on a one-subset kernel."""
@@ -189,8 +202,13 @@ class KernelFitness:
     def __init__(self, instance: Instance):
         self.instance = instance
 
-    def score(self, result: Kernel) -> np.ndarray:
+    def formula(
+        self, feasible: np.ndarray, spreads: np.ndarray, violation: np.ndarray
+    ) -> np.ndarray:
         raise NotImplementedError
+
+    def score(self, result: Kernel) -> np.ndarray:
+        return self.formula(result.feasible(), result.spreads(), result.violation())
 
     def __call__(self, solution: Solution) -> float:
         return float(self.score(solution_kernel(self.instance, solution)))
@@ -199,21 +217,33 @@ class KernelFitness:
         return self.score(Kernel(self.instance, idx))
 
 
+def penalty(violation):
+    """MaximinFitness's score of an infeasible subset: -(1 + violation),
+    below every feasible score."""
+    return -(1.0 + violation)
+
+
 class MaximinFitness(KernelFitness):
     """Fitness used by the final solver run: the smallest membership degree
     of the spread components for a feasible subset, and -(1 + violation)
-    for an infeasible one."""
+    for an infeasible one. Each component's degeneracy and scale are
+    resolved once, here."""
 
     def __init__(self, instance: Instance, ctx: MaximinContext):
         super().__init__(instance)
         self.ctx = ctx
+        self.scales = [_scale(ctx, name) for name in COMPONENTS]
 
-    def score(self, result: Kernel) -> np.ndarray:
-        z = result.spreads()
+    def formula(
+        self, feasible: np.ndarray, spreads: np.ndarray, violation: np.ndarray
+    ) -> np.ndarray:
         level = np.minimum.reduce(
-            [_membership(z[..., s], self.ctx, name) for s, name in enumerate(COMPONENTS)]
+            [
+                _membership(spreads[..., s], scale, name)
+                for s, (name, scale) in enumerate(zip(COMPONENTS, self.scales))
+            ]
         )
-        return np.where(result.feasible(), level, -(1.0 + result.violation()))
+        return np.where(feasible, level, penalty(violation))
 
 
 def make_maximin_eval(instance: Instance, ctx: MaximinContext) -> MaximinFitness:

@@ -151,11 +151,16 @@ def _allocation(instance: Instance, idx: np.ndarray) -> np.ndarray:
     columns, so the facility axis comes before the node axis and the shares
     are C-ordered; the denominators are summed over axis -2 in facility
     order, one facility at a time.
+
+    Every step works in place on the fresh array that the fancy index
+    ``distance[idx]`` returns; d * -a has the bits of -a * d.
     """
-    scores = -instance.logit_sensitivity * instance.distance[idx]
-    scores = scores - scores.max(axis=-2, keepdims=True)
-    weights = np.exp(scores)
-    return weights / weights.sum(axis=-2, keepdims=True)
+    shares = instance.distance[idx]
+    shares *= -instance.logit_sensitivity
+    shares -= shares.max(axis=-2, keepdims=True)
+    np.exp(shares, out=shares)
+    shares /= shares.sum(axis=-2, keepdims=True)
+    return shares
 
 
 def logit_allocation(instance: Instance, solution: Solution) -> np.ndarray:

@@ -11,14 +11,15 @@ from typing import Optional
 import numpy as np
 
 from .errors import BudgetExceededError, DomainError, InfeasibleInstanceError
-from .evaluation import Fitness, MaximinContext, score_rows
+from .evaluation import Fitness, MaximinContext, MaximinFitness, penalty, score_rows
 from .fuzzy import SLICE_INDEX
 from .model import Instance, Kernel, Solution, join_probability, solution_kernel
 
 DEFAULT_ENUM_BUDGET = 10**6
-# Subsets per kernel call of the oracle. Peak memory grows with this, not
-# with the number of subsets: a (B, k, n) intermediate takes 0.8 MB at
-# n = 20, k = 5, and a brute solve of such an instance peaks near 3 MB.
+# Subsets per kernel call of the oracle. The kernel's intermediates grow with
+# this, not with the number of subsets: a (B, k, n) one takes 0.8 MB at
+# n = 20, k = 5. A Scan (exact bounds, a brute solve) also keeps 32 bytes per
+# feasible subset, at most 32 MB at the default budget.
 BLOCK_SIZE = 1024
 # Customers per chunk of the simulator's draws. Peak memory grows with this,
 # not with the event budget; the draws and the estimates do not depend on it.
@@ -48,7 +49,8 @@ def _blocks(instance: Instance):
     m = instance.m_servers
     combos = itertools.combinations(range(1, instance.n + 1), m)
     while True:
-        block = np.fromiter(itertools.islice(combos, BLOCK_SIZE), dtype=(np.intp, m))
+        flat = itertools.chain.from_iterable(itertools.islice(combos, BLOCK_SIZE))
+        block = np.fromiter(flat, dtype=np.intp).reshape(-1, m)
         if not len(block):
             return
         yield block
@@ -87,22 +89,65 @@ def enumerate_optimum(
     )
 
 
-def exact_bounds(instance: Instance, budget: int = DEFAULT_ENUM_BUDGET) -> MaximinContext:
-    """Exact (min, max) of each spread component over all feasible subsets."""
-    _check_budget(instance, budget)
-    lows = np.full(3, math.inf)
-    highs = np.full(3, -math.inf)
-    any_feasible = False
-    for block in _blocks(instance):
-        result = Kernel(instance, block - 1)
-        spreads = result.spreads()[result.feasible()]
-        if not len(spreads):
-            continue
-        any_feasible = True
-        lows = np.minimum(lows, spreads.min(axis=0))
-        highs = np.maximum(highs, spreads.max(axis=0))
-    if not any_feasible:
+class Scan:
+    """One kernel pass over every m-subset, in lexicographic order, keeping
+    what exact bounds and a maximin optimum need. Each subset's kernel is
+    built once.
+
+    ``spreads`` (F, 3) and ``ranks`` (F,) hold the spread components of the
+    F feasible subsets and their positions in that order. ``fallback`` is
+    the (rank, penalty) of the first infeasible subset with the largest
+    penalty, or None when every subset is feasible.
+    """
+
+    def __init__(self, instance: Instance, budget: int = DEFAULT_ENUM_BUDGET):
+        self.instance = instance
+        self.count = _check_budget(instance, budget)
+        spreads, ranks = [], []
+        self.fallback = None
+        start = 0
+        for block in _blocks(instance):
+            kernel = Kernel(instance, block - 1)
+            feasible = kernel.feasible()
+            spreads.append(kernel.spreads()[feasible])
+            ranks.append(start + np.flatnonzero(feasible))
+            infeasible = np.flatnonzero(~feasible)
+            if len(infeasible):
+                values = penalty(kernel.violation()[infeasible])
+                i = int(np.argmax(values))
+                if self.fallback is None or values[i] > self.fallback[1]:
+                    self.fallback = (start + int(infeasible[i]), float(values[i]))
+            start += len(block)
+        self.spreads = np.concatenate(spreads)
+        self.ranks = np.concatenate(ranks)
+
+    def optimum(self, fitness: MaximinFitness) -> EnumerationResult:
+        """``enumerate_optimum(instance, fitness)`` from the kept rows: the
+        maximin formula applied once to the feasible spreads, and the first
+        argmax, so ties still go to the lexicographically smallest subset.
+        With no feasible subset, the fallback."""
+        if len(self.ranks):
+            values = fitness.formula(True, self.spreads, 0.0)  # every kept row is feasible
+            i = int(np.argmax(values))
+            rank, value = int(self.ranks[i]), float(values[i])
+        else:
+            rank, value = self.fallback
+        combos = itertools.combinations(range(1, self.instance.n + 1), self.instance.m_servers)
+        best = next(itertools.islice(combos, rank, None))
+        return EnumerationResult(best=Solution(best), best_value=value, evaluated_count=self.count)
+
+
+def exact_bounds(
+    instance: Instance, budget: int = DEFAULT_ENUM_BUDGET, *, scan: Optional[Scan] = None
+) -> MaximinContext:
+    """Exact (min, max) of each spread component over all feasible subsets,
+    from ``scan`` when given (a Scan of the same instance), else from a new
+    one."""
+    if scan is None:
+        scan = Scan(instance, budget)
+    if not len(scan.ranks):
         raise InfeasibleInstanceError("no feasible facility subset exists")
+    lows, highs = scan.spreads.min(axis=0), scan.spreads.max(axis=0)
     return MaximinContext(*zip(lows.tolist(), highs.tolist()), provenance="oracle-exact")
 
 

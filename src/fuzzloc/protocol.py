@@ -22,7 +22,9 @@ from .evaluation import (
 )
 from .ga import GAConfig, run_ga, _steps as _ga_steps
 from .model import Instance, Kernel, Solution
-from .oracle import DEFAULT_ENUM_BUDGET, enumerate_optimum, exact_bounds
+# A brute solve no longer calls enumerate_optimum; the name stays importable
+# here because benchmarks/tracer.py wraps it on this module.
+from .oracle import DEFAULT_ENUM_BUDGET, Scan, enumerate_optimum, exact_bounds  # noqa: F401
 from .reports import SolverReport
 
 # Bound runs in protocol order: min and max of each spread component.
@@ -58,13 +60,9 @@ class _BoundFitness(KernelFitness):
         self.penalty = -_PENALTY_SCALE if sense == "max" else _PENALTY_SCALE
         self.negate = solver == "ga" and sense == "min"
 
-    def score(self, result: Kernel) -> np.ndarray:
-        return self.formula(result.feasible(), result.spreads(), result.violation())
-
     def formula(
         self, feasible: np.ndarray, spreads: np.ndarray, violation: np.ndarray
     ) -> np.ndarray:
-        """The score from a kernel's feasible(), spreads() and violation()."""
         values = np.where(
             feasible, spreads[..., self.component], self.penalty * (1.0 + violation)
         )
@@ -177,14 +175,16 @@ def solve_protocol(
     replayed from an earlier solve) is used as it is. Otherwise "ga" and
     "aco" calibrate them with six bound runs seeded seed+1..seed+6, so the
     whole protocol is reproducible from one seed, and "brute" computes exact
-    bounds. "brute" searches exhaustively; ``enum_budget`` caps its
-    enumerations.
+    bounds. "brute" searches exhaustively in one pass (``oracle.Scan``)
+    that yields both its exact bounds and its optimum; ``enum_budget`` caps
+    that enumeration.
     """
     if algo == "brute":
         start = time.perf_counter()
+        scan = Scan(instance, enum_budget)
         if ctx is None:
-            ctx = exact_bounds(instance, budget=enum_budget)
-        result = enumerate_optimum(instance, make_maximin_eval(instance, ctx), budget=enum_budget)
+            ctx = exact_bounds(instance, budget=enum_budget, scan=scan)
+        result = scan.optimum(make_maximin_eval(instance, ctx))
         report = SolverReport(
             algorithm="brute",
             n=instance.n,

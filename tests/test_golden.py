@@ -1,8 +1,9 @@
 """Solve reports checked against recorded ones.
 
 ``tests/data/golden_reports.json`` holds the reports of GA, ACO and brute
-solves on three small instances, and of GA solves on the two benchmark
-workloads, table1 and mild20. Regenerate it only for a change that is meant
+solves on three small instances, of GA solves on the two benchmark
+workloads, table1 and mild20, and of a brute solve on mild20 (table1 has no
+feasible subset, so brute raises there). Regenerate it only for a change that is meant
 to alter reports:
 
     PYTHONPATH=src:tests python tests/test_golden.py
@@ -16,6 +17,7 @@ import pytest
 
 from conftest import mild_params
 from fuzzloc.aco import ACOConfig
+from fuzzloc.errors import InfeasibleInstanceError
 from fuzzloc.ga import GAConfig
 from fuzzloc.instances import generate_instance, load_table1
 from fuzzloc.protocol import solve_protocol
@@ -35,6 +37,7 @@ SOLVES += [(name, "brute", 0) for name in INSTANCES]
 # subset is infeasible and the bounds are NaN, and mild20.
 INSTANCES["mild20"] = mild_params(20, 5, 0)
 SOLVES += [(name, "ga", seed) for name in ("table1", "mild20") for seed in (0, 1)]
+SOLVES += [("mild20", "brute", 0)]
 STAGNATION = 100
 
 EXACT_FIELDS = ("best", "iterations", "termination", "evaluations", "bounds_id")
@@ -83,6 +86,11 @@ def test_report_matches_golden(golden, name, algo, seed):
     assert got["bounds"]["provenance"] == want["bounds"]["provenance"]
     for comp in ("z1_bounds", "z2_bounds", "z3_bounds"):
         assert all(map(close, got["bounds"][comp], want["bounds"][comp])), comp
+
+
+def test_table1_brute_raises():
+    with pytest.raises(InfeasibleInstanceError):
+        solve("table1", "brute", 0)
 
 
 if __name__ == "__main__":

@@ -29,7 +29,7 @@ from fuzzloc.evaluation import (
     violation_total,
 )
 from fuzzloc.instances import GeneratorParams, generate_instance
-from fuzzloc.model import Kernel, Solution
+from fuzzloc.model import Kernel, Solution, _allocation
 from fuzzloc.oracle import enumerate_optimum, exact_bounds
 from fuzzloc.protocol import _PENALTY_SCALE, BOUND_RUNS, _BoundFitness
 
@@ -122,6 +122,38 @@ def test_block_matches_subsets(case, sample_seed):
             assert SpreadComponents(*derived["spreads"][b].tolist()) == spread_components(z)
         if derived["feasible"][b]:
             assert derived["objective"][b][1] == component_value(instance, solution, "z2")
+
+
+def allocation_reference(instance, idx):
+    """The logit shares as computed before _allocation worked in place."""
+    scores = -instance.logit_sensitivity * instance.distance[idx]
+    scores = scores - scores.max(axis=-2, keepdims=True)
+    weights = np.exp(scores)
+    return weights / weights.sum(axis=-2, keepdims=True)
+
+
+@given(
+    k=st.integers(1, 11),
+    extra=st.integers(0, 20),
+    rows=st.one_of(st.none(), st.integers(1, 300)),
+    seed=st.integers(0, 2**32 - 1),
+    logit=st.sampled_from((0.1, 0.5, 2.0, 7.3)),
+)
+@settings(max_examples=60, deadline=None)
+def test_allocation_matches_reference(k, extra, rows, seed, logit):
+    """rows=None draws a 1-D idx, one subset, as the scalar views pass it."""
+    n = max(k + extra, 2)
+    instance = dataclasses.replace(
+        generate_instance(mild_params(n, 1, seed % 1000)), logit_sensitivity=logit
+    )
+    rng = np.random.default_rng(seed)
+    draws = rng.random((1 if rows is None else rows, n))
+    idx = np.sort(np.argsort(draws, axis=1)[:, :k], axis=1)
+    if rows is None:
+        idx = idx[0]
+    got = _allocation(instance, idx)
+    assert got.shape == idx.shape + (n,)
+    assert np.array_equal(got, allocation_reference(instance, idx))
 
 
 def test_crisp_z1_is_positive_zero(medium_instance):

@@ -8,21 +8,23 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import crispen, mild_params
+from conftest import crispen, feasible_subsets, mild_params
 from fuzzloc import oracle
 from fuzzloc.errors import BudgetExceededError, DomainError, InfeasibleInstanceError
-from fuzzloc.evaluation import MaximinContext, make_maximin_eval
+from fuzzloc.evaluation import MaximinContext, make_maximin_eval, violation_total
+from fuzzloc.fuzzy import TriFuzzy
 from fuzzloc.instances import generate_instance
-from fuzzloc.model import Solution, crisp_objective_slice, mm1_metrics
+from fuzzloc.model import Instance, Kernel, Solution, crisp_objective_slice, mm1_metrics
 from fuzzloc.oracle import (
     enumerate_optimum,
     exact_bounds,
     mm1_simulate,
     simulate_objective_slice,
 )
+from fuzzloc.protocol import solve_protocol
 
 
 class TestEnumeration:
@@ -106,6 +108,137 @@ class TestStreaming:
             finally:
                 tracemalloc.stop()
         assert peaks[6] < 4 * peaks[3]
+
+    def test_brute_peak_memory_does_not_grow_with_subsets(self):
+        # The same sizes through a brute solve, which also keeps 32 bytes per
+        # feasible subset: none of the 2024 at M = 3 (brute raises), 6280 of
+        # the 134596 at M = 6.
+        peaks = {}
+        for m in (3, 6):
+            instance = generate_instance(mild_params(24, m, 0))
+            tracemalloc.start()
+            try:
+                try:
+                    solve_protocol(instance, "brute")
+                except InfeasibleInstanceError:
+                    pass
+                peaks[m] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peaks[6] < 4 * peaks[3]
+
+
+HAND_CTX = MaximinContext((0.0, 60.0), (100.0, 250.0), (0.0, 60.0), "hand")
+# Every component degenerate: equal bounds, a NaN bound, low above high.
+DEGENERATE_CTX = MaximinContext((1.0, 1.0), (math.nan, 2.0), (5.0, 3.0), "degenerate")
+CTXS = {"exact": None, "hand": HAND_CTX, "degenerate": DEGENERATE_CTX}
+
+
+def two_pass(instance, ctx):
+    """Reference: a brute solve as two passes over the subsets, exact bounds
+    (unless ctx is given) and then enumerate_optimum of the maximin fitness."""
+    if ctx is None:
+        ctx = exact_bounds(instance)
+    return enumerate_optimum(instance, make_maximin_eval(instance, ctx)), ctx
+
+
+def brute_instance(n, m, seed, demand_scale, crisp):
+    instance = generate_instance(mild_params(n, m, seed))
+    instance = dataclasses.replace(instance, demand=instance.demand * demand_scale)
+    return crispen(instance) if crisp else instance
+
+
+class TestOnePassBrute:
+    """The brute solve builds each subset's kernel once (oracle.Scan) and must
+    report what the two-pass reference reports, bit for bit."""
+
+    @given(
+        case=st.integers(5, 12).flatmap(
+            lambda n: st.tuples(
+                st.just(n),
+                st.integers(1, min(n - 1, 6)),
+                st.integers(0, 2**32 - 1),
+                st.sampled_from((1.0, 1.6, 100.0)),
+                st.booleans(),
+            )
+        ),
+        ctx_name=st.sampled_from(sorted(CTXS)),
+        block_size=st.sampled_from((1, 7, 1024)),
+    )
+    # An infeasible instance with a given ctx, an all-degenerate ctx, and a
+    # crisp instance.
+    @example(case=(8, 2, 1, 100.0, False), ctx_name="hand", block_size=7)
+    @example(case=(8, 2, 1, 1.0, False), ctx_name="degenerate", block_size=7)
+    @example(case=(8, 2, 1, 1.0, True), ctx_name="exact", block_size=7)
+    @settings(max_examples=60, deadline=None)
+    def test_matches_two_pass_reference(self, case, ctx_name, block_size):
+        instance = brute_instance(*case)
+        ctx = CTXS[ctx_name]
+        with mock.patch.object(oracle, "BLOCK_SIZE", block_size):
+            try:
+                expected, expected_ctx = two_pass(instance, ctx)
+            except InfeasibleInstanceError:
+                with pytest.raises(InfeasibleInstanceError):
+                    solve_protocol(instance, "brute", ctx=ctx)
+                return
+            report, got_ctx = solve_protocol(instance, "brute", ctx=ctx)
+        assert got_ctx == expected_ctx
+        assert report.best == expected.best.sorted()
+        assert report.objective == expected.best_value
+        assert report.trace == [expected.best_value]
+        assert report.iterations == expected.evaluated_count == math.comb(*case[:2])
+        assert report.bounds_id == expected_ctx.bounds_id
+
+    def test_infeasible_instance_takes_first_least_violation(self):
+        instance = brute_instance(8, 2, 1, 100.0, False)
+        combos = list(itertools.combinations(range(1, 9), 2))
+        penalties = [-(1.0 + violation_total(instance, Solution(c))) for c in combos]
+        report, _ = solve_protocol(instance, "brute", ctx=HAND_CTX)
+        assert report.objective == max(penalties)
+        assert tuple(report.best) == combos[penalties.index(max(penalties))]
+
+    @pytest.mark.parametrize("block_size", [1, 4, 1024])
+    @pytest.mark.parametrize("demand", [2.0, 20.0])
+    def test_exact_tie_goes_to_first_subset(self, block_size, demand):
+        # Six identical nodes at equal distances: all 15 subsets score the
+        # same bits, feasible at demand 2 and infeasible at demand 20.
+        instance = Instance(
+            n=6,
+            m_servers=2,
+            distance=np.ones((6, 6)) - np.eye(6),
+            demand=np.tile([demand, 1.5 * demand, 2 * demand], (6, 1)),
+            service=np.tile([30.0, 40.0, 50.0], (6, 1)),
+            idle_min=TriFuzzy(0.1, 0.2, 0.3),
+            mql=5.0,
+        )
+        table = enumerate_optimum(
+            instance, make_maximin_eval(instance, HAND_CTX), keep_table=True
+        ).table
+        assert len(set(table.values())) == 1
+        with mock.patch.object(oracle, "BLOCK_SIZE", block_size):
+            report, _ = solve_protocol(instance, "brute", ctx=HAND_CTX)
+        assert report.best == [1, 2]
+        assert (report.objective >= 0) == (demand == 2.0)
+
+    def test_degenerate_ctx_takes_first_feasible(self, medium_instance):
+        report, _ = solve_protocol(medium_instance, "brute", ctx=DEGENERATE_CTX)
+        assert report.objective == 1.0
+        assert report.best == feasible_subsets(medium_instance)[0].sorted()
+
+    def test_one_kernel_per_block(self, monkeypatch):
+        # C(20, 5) = 15504 subsets in blocks of 1024: 16 kernels, where
+        # bounds and optimum from separate passes would build 32.
+        built = []
+        init = Kernel.__init__
+
+        def counted(self, *args):
+            built.append(len(args[1]))
+            init(self, *args)
+
+        monkeypatch.setattr(Kernel, "__init__", counted)
+        solve_protocol(generate_instance(mild_params(20, 5, 0)), "brute")
+        assert len(built) == math.ceil(math.comb(20, 5) / oracle.BLOCK_SIZE) == 16
+        assert sum(built) == math.comb(20, 5)
 
 
 class TestSimulator:
