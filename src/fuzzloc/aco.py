@@ -157,8 +157,8 @@ def run_aco(
     Same two windows as the genetic algorithm: the per-iteration colony best
     equals the global best for floor(n * sqrt(m)) consecutive iterations
     (convergence), or the global best goes unimproved for the square of that
-    many iterations (stagnation). Each colony is sampled first and scored in
-    one ``score_rows`` call, then walked in ant order.
+    many iterations (stagnation). Each colony is sampled first and scored as
+    one block of ``evaluation.drive``, then walked in ant order.
     """
     return run_solver("aco", instance, config.seed, _steps(instance, config, sense), eval_fn)
 

@@ -88,7 +88,11 @@ def _context(args, instance: Instance) -> Optional[MaximinContext]:
     """Bounds of a solve: replayed from a ``--bounds`` result file, exact
     for ``--exact-bounds``, or None, which lets the solve calibrate them."""
     if getattr(args, "bounds", None):
-        return MaximinContext.from_dict(json.loads(Path(args.bounds).read_text())["bounds"])
+        try:  # not text, not JSON, or not what MaximinContext.to_dict writes
+            doc = json.loads(Path(args.bounds).read_text())
+            return MaximinContext.from_dict(doc.get("bounds") if isinstance(doc, dict) else None)
+        except ValueError as exc:
+            raise UsageError(f"{args.bounds} is not a result file: {exc}") from exc
     if args.exact_bounds:
         return exact_bounds(instance, budget=_enum_budget())
     return None
@@ -278,7 +282,7 @@ def cmd_bench(args) -> int:
             continue
         ga_obj, aco_obj = float(np.mean(ga["objectives"])), float(np.mean(aco["objectives"]))
         ga_rt, aco_rt = float(np.mean(ga["runtimes"])), float(np.mean(aco["runtimes"]))
-        gap = (ga_obj - aco_obj) / ga_obj * 100.0 if ga_obj != 0 else math.nan
+        gap = (ga_obj - aco_obj) / abs(ga_obj) * 100.0 if ga_obj != 0 else math.nan
         print(
             f"{name}: GA obj {_fmt(ga_obj)} ({ga_rt:.0f} ms) | "
             f"ACO obj {_fmt(aco_obj)} ({aco_rt:.0f} ms) | gap {gap:.2f}%"

@@ -82,8 +82,16 @@ class MaximinContext:
 
     @classmethod
     def from_dict(cls, data: dict) -> "MaximinContext":
-        bounds = [tuple(data[f"{name}_bounds"]) for name in COMPONENTS]
-        return cls(*bounds, provenance=data["provenance"])
+        """The context of a to_dict() object; DomainError for anything else."""
+        if not (isinstance(data, dict) and isinstance(data.get("provenance"), str)):
+            raise DomainError("bounds must be an object with a provenance string")
+        bounds = [data.get(f"{name}_bounds") for name in COMPONENTS]
+        for name, pair in zip(COMPONENTS, bounds):
+            pair_ok = isinstance(pair, (list, tuple)) and len(pair) == 2
+            # type(v) is int: JSON true and false are ints, but not numbers
+            if not (pair_ok and all(isinstance(v, float) or type(v) is int for v in pair)):
+                raise DomainError(f"{name}_bounds must be a pair of numbers")
+        return cls(*map(tuple, bounds), provenance=data["provenance"])
 
     @property
     def bounds_id(self) -> str:
@@ -159,12 +167,6 @@ def evaluate(instance: Instance, solution: Solution, ctx: MaximinContext) -> flo
     return MaximinFitness(instance, ctx)(solution)
 
 
-def evaluate_block(instance: Instance, idx: np.ndarray, ctx: MaximinContext) -> np.ndarray:
-    """evaluate() of every row of a (B, k) array of 0-based, ascending
-    facility indices, in one kernel call."""
-    return MaximinFitness(instance, ctx).block(idx)
-
-
 def component_value(instance: Instance, solution: Solution, name: str) -> Optional[float]:
     """One spread component of a feasible solution, or None if infeasible."""
     result = solution_kernel(instance, solution)
@@ -181,23 +183,47 @@ def score_rows(fitness: Fitness, idx: np.ndarray) -> list[float]:
     return block(idx).tolist()
 
 
-def drive(steps: Steps[T], fitness: Fitness) -> T:
-    """Run a step generator to its end, scoring each block it yields with
-    score_rows(fitness, ...), and return what the generator returns."""
-    try:
-        idx = next(steps)
-        while True:
-            idx = steps.send(score_rows(fitness, idx))
-    except StopIteration as stop:
-        return stop.value
+def drive(runs: list[tuple[Steps[T], Fitness]]) -> list[T]:
+    """Step the (generator, fitness) runs together; return what each
+    generator returns, in order. Each round, the blocks of the runs whose
+    fitness is a KernelFitness are grouped by instance and subset size into
+    one Kernel, and each run applies its own formula to its rows; any other
+    fitness scores its block through score_rows. A kernel row has the same
+    bits in any block, so every run ends as it would alone."""
+    results: list = [None] * len(runs)
+    replies: dict[int, Optional[list]] = dict.fromkeys(range(len(runs)))
+    while replies:
+        groups: dict[tuple[int, int], list] = {}
+        for r, values in list(replies.items()):
+            steps, fitness = runs[r]
+            try:
+                idx = steps.send(values)
+            except StopIteration as stop:
+                results[r] = stop.value
+                del replies[r]
+                continue
+            if isinstance(fitness, KernelFitness):
+                key = (id(fitness.instance), idx.shape[-1])
+                groups.setdefault(key, []).append((r, idx))
+            else:
+                replies[r] = score_rows(fitness, idx)
+        for members in groups.values():
+            blocks = [idx for _, idx in members]
+            kernel = Kernel(runs[members[0][0]][1].instance, np.concatenate(blocks))
+            figures = (kernel.feasible(), kernel.spreads(), kernel.violation())
+            start = 0
+            for r, idx in members:
+                rows = slice(start, start + len(idx))
+                start = rows.stop
+                replies[r] = runs[r][1].formula(*(f[rows] for f in figures)).tolist()
+    return results
 
 
 class KernelFitness:
     """A fitness stated once, as ``formula`` of a model.Kernel's feasible(),
-    spreads() and violation(); ``score`` applies it to a kernel. ``block``
-    scores a (B, k) array of 0-based subsets in one kernel call, which is
-    how the solvers and the oracle use it through score_rows; a call scores
-    one subset with the same formula on a one-subset kernel."""
+    spreads() and violation(). ``block`` scores a (B, k) array of 0-based
+    subsets in one kernel call, which drive shares among runs; a call
+    scores one subset with the same formula on a one-subset kernel."""
 
     def __init__(self, instance: Instance):
         self.instance = instance
@@ -207,14 +233,13 @@ class KernelFitness:
     ) -> np.ndarray:
         raise NotImplementedError
 
-    def score(self, result: Kernel) -> np.ndarray:
-        return self.formula(result.feasible(), result.spreads(), result.violation())
-
     def __call__(self, solution: Solution) -> float:
-        return float(self.score(solution_kernel(self.instance, solution)))
+        result = solution_kernel(self.instance, solution)
+        return float(self.formula(result.feasible(), result.spreads(), result.violation()))
 
     def block(self, idx: np.ndarray) -> np.ndarray:
-        return self.score(Kernel(self.instance, idx))
+        result = Kernel(self.instance, idx)
+        return self.formula(result.feasible(), result.spreads(), result.violation())
 
 
 def penalty(violation):

@@ -24,9 +24,6 @@ from .model import Instance
 from .reports import Outcome, SolverReport, run_solver
 from .termination import Windows, check_windows, convergence_limit  # noqa: F401 (public name)
 
-# ``yield from score(keys, row)`` scores gene bitmasks; row(b) lists key b's 0-based indices.
-Scorer = Callable[[list[int], Callable[[int], list[int]]], Steps[list[float]]]
-
 
 def _mask(genes) -> int:
     """A gene set's identity: bit g is set for gene g."""
@@ -71,14 +68,14 @@ def init_population(
 ) -> list[Chromosome]:
     """Deal genes 1..n round-robin so every node appears, then fill randomly."""
     rng = rng if rng is not None else random.Random(config.seed)
-    return drive(_population(instance, config, rng, _ask), eval_fn)
+    return drive([(_population(instance, config, rng, _Memo()), eval_fn)])[0]
 
 
 def _population(
-    instance: Instance, config: GAConfig, rng: random.Random, score: Scorer
+    instance: Instance, config: GAConfig, rng: random.Random, memo: _Memo
 ) -> Steps[list[Chromosome]]:
     """init_population as a step generator that scores its members through
-    ``score``."""
+    ``memo``."""
     n, m = instance.n, instance.m_servers
     size = population_size(n, m, config.population_floor)
     members: list[set[int]] = [set() for _ in range(size)]
@@ -90,7 +87,7 @@ def _population(
             pool = [g for g in range(1, n + 1) if g not in member]
             member.update(rng.sample(pool, missing))
     rows = [[gene - 1 for gene in sorted(member)] for member in members]
-    values = yield from score([_mask(member) for member in members], rows.__getitem__)
+    values = yield from memo.block([_mask(member) for member in members], rows.__getitem__)
     return [Chromosome(frozenset(member), value) for member, value in zip(members, values)]
 
 
@@ -103,16 +100,17 @@ def generate_candidate(
     with the best remaining fitness wins; genes present in both parents are
     never dropped. Clamped memberships make large fitness plateaus common, so
     exact ties are broken at random to avoid a systematic bias toward
-    dropping low indices. The trial subsets of each shrink step are scored in
-    one score_rows call. The parents must differ and be of one size, so at
-    least one shrink step runs and scores the candidate.
+    dropping low indices. The trial subsets of each shrink step are one block
+    of evaluation.drive: one kernel call for a KernelFitness. The parents
+    must differ and be of one size, so at least one shrink step runs and
+    scores the candidate.
     """
-    return drive(_mate(p1, p2, rng, _ask), eval_fn)
+    return drive([(_mate(p1, p2, rng, _Memo()), eval_fn)])[0]
 
 
-def _mate(p1: Chromosome, p2: Chromosome, rng: random.Random, score: Scorer) -> Steps[Chromosome]:
+def _mate(p1: Chromosome, p2: Chromosome, rng: random.Random, memo: _Memo) -> Steps[Chromosome]:
     """generate_candidate as a step generator that scores each shrink step
-    through ``score``."""
+    through ``memo``."""
     if len(p1.genes) != len(p2.genes):
         raise DomainError("parents must be of one size")
     if p1.mask == p2.mask:
@@ -122,7 +120,7 @@ def _mate(p1: Chromosome, p2: Chromosome, rng: random.Random, score: Scorer) -> 
     droppable = sorted(p1.genes ^ p2.genes)
     # Both parents hold m genes, so half the unshared genes are dropped.
     for _ in range(len(droppable) // 2):
-        trials = yield from score(
+        trials = yield from memo.block(
             [draft ^ (1 << gene) for gene in droppable],
             lambda b: [gene - 1 for gene in genes if gene != droppable[b]],
         )
@@ -192,12 +190,12 @@ def _steps(instance: Instance, config: GAConfig) -> Steps[Outcome]:
         instance.n, instance.m_servers, config.convergence_limit, config.stagnation_limit
     )
     memo = _Memo()
-    population = yield from _population(instance, config, rng, memo.block)
+    population = yield from _population(instance, config, rng, memo)
     best = max(population, key=lambda c: c.fitness)
     trace: list[float] = []
     while True:
         p1, p2 = _distinct_parents(population, rng)
-        candidate = yield from _mate(p1, p2, rng, memo.block)
+        candidate = yield from _mate(p1, p2, rng, memo)
         replace(population, candidate)
         at_best = candidate.fitness == best.fitness
         current = max(population, key=lambda c: c.fitness)
@@ -212,7 +210,8 @@ def _steps(instance: Instance, config: GAConfig) -> Steps[Outcome]:
 
 class _Memo:
     """Fitness values cached by gene bitmask; ``calls`` counts requests, hits
-    included. ``block`` is a ``Scorer``: it yields the (B, k) rows of the
+    included. ``yield from block(keys, row)`` scores gene bitmasks, where
+    row(b) lists key b's 0-based indices: it yields the (B, k) rows of the
     keys not cached yet, first occurrences only, in request order, and
     returns the values of all requests. A block of hits yields nothing."""
 
@@ -227,11 +226,6 @@ class _Memo:
             rows = np.array([row(b) for b in misses.values()], dtype=np.intp)
             self.values.update(zip(misses, (yield rows)))
         return [self.values[key] for key in keys]
-
-
-def _ask(keys: list[int], row: Callable[[int], list[int]]) -> Steps[list[float]]:
-    """The scorer without a memo: yield every row."""
-    return (yield np.array([row(b) for b in range(len(keys))], dtype=np.intp))
 
 
 def _distinct_parents(

@@ -18,10 +18,11 @@ from .evaluation import (
     KernelFitness,
     MaximinContext,
     component_value,
+    drive,
     make_maximin_eval,
 )
 from .ga import GAConfig, run_ga, _steps as _ga_steps
-from .model import Instance, Kernel, Solution
+from .model import Instance, Solution
 # A brute solve no longer calls enumerate_optimum; the name stays importable
 # here because benchmarks/tracer.py wraps it on this module.
 from .oracle import DEFAULT_ENUM_BUDGET, Scan, enumerate_optimum, exact_bounds  # noqa: F401
@@ -85,17 +86,15 @@ def _run(
     seed: int,
     ga_config: Optional[GAConfig],
     aco_config: Optional[ACOConfig],
-    sense: str = "max",
 ) -> SolverReport:
-    """One GA or ACO run of ``fitness``, seeded with ``seed``. The final run
-    of a solve goes through here. The bound runs do not: ``estimate_bounds``
-    steps them together, and each ends as a call of this would. ``run_ga``
-    and ``run_aco`` are looked up as module globals on each call, so a
-    wrapper patched onto this module sees the final run only."""
+    """The final GA or ACO run of a solve, maximizing ``fitness``, seeded
+    with ``seed``. ``run_ga`` and ``run_aco`` are looked up as module
+    globals on each call, so a wrapper patched onto this module sees the
+    final run only: ``estimate_bounds`` steps the bound runs itself."""
     config = _config(algo, seed, ga_config, aco_config)
     if algo == "ga":
         return run_ga(instance, fitness, config)
-    return run_aco(instance, fitness, config, sense=sense)
+    return run_aco(instance, fitness, config)
 
 
 def estimate_bounds(
@@ -109,49 +108,25 @@ def estimate_bounds(
 
     ``solver`` is "ga" or "aco". A bound run that finds no feasible solution
     records NaN, which the membership functions treat as degenerate. Exact
-    bounds come from ``oracle.exact_bounds``.
-
-    The six runs step in lockstep. Each round, the blocks the live runs
-    want scored are grouped by subset size, and each group is one Kernel
-    whose feasible(), spreads() and violation() every run in it shares; each
-    run scores its own rows with its own formula. A kernel row has the same
-    bits in any block and each run keeps its own generator, so every run
-    ends as it would alone.
+    bounds come from ``oracle.exact_bounds``. The six runs step together in
+    one ``drive`` call, and each ends as it would alone.
     """
     if solver not in ("ga", "aco"):
         raise DomainError(f"unknown solver handle {solver!r}")
     if len(seeds) != len(BOUND_RUNS):
         raise DomainError(f"need {len(BOUND_RUNS)} seeds, got {len(seeds)}")
-    fitnesses, runs = [], []
+    runs = []
     for (name, sense), seed in zip(BOUND_RUNS, seeds):
         config = _config(solver, seed, ga_config, aco_config)
-        fitnesses.append(_BoundFitness(instance, name, sense, solver))
         if solver == "ga":
-            runs.append(_ga_steps(instance, config))
+            steps = _ga_steps(instance, config)
         else:
-            runs.append(_aco_steps(instance, config, sense))
-    pending = {r: next(run) for r, run in enumerate(runs)}
-    best: dict[int, list[int]] = {}
-    while pending:
-        groups: dict[int, list[int]] = {}
-        for r, idx in pending.items():
-            groups.setdefault(idx.shape[1], []).append(r)
-        for members in groups.values():
-            blocks = [pending.pop(r) for r in members]
-            kernel = Kernel(instance, np.concatenate(blocks))
-            figures = (kernel.feasible(), kernel.spreads(), kernel.violation())
-            start = 0
-            for r, block in zip(members, blocks):
-                rows = slice(start, start + len(block))
-                start = rows.stop
-                values = fitnesses[r].formula(*(figure[rows] for figure in figures))
-                try:
-                    pending[r] = runs[r].send(values.tolist())
-                except StopIteration as stop:
-                    best[r] = stop.value.best
+            steps = _aco_steps(instance, config, sense)
+        runs.append((steps, _BoundFitness(instance, name, sense, solver)))
+    outcomes = drive(runs)
     found: dict[tuple[str, str], float] = {}
-    for r, (name, sense) in enumerate(BOUND_RUNS):
-        value = component_value(instance, Solution(best[r]), name)
+    for (name, sense), outcome in zip(BOUND_RUNS, outcomes):
+        value = component_value(instance, Solution(outcome.best), name)
         found[name, sense] = math.nan if value is None else value
     return MaximinContext(
         *[(found[name, "min"], found[name, "max"]) for name in COMPONENTS],

@@ -60,7 +60,7 @@ def run_solver(
     """Drive one solver run with ``fitness`` and report it; ``elapsed_s``
     times the whole run."""
     start = time.perf_counter()
-    outcome = drive(steps, fitness)
+    outcome = drive([(steps, fitness)])[0]
     return SolverReport(
         algorithm=algorithm,
         n=instance.n,

@@ -9,6 +9,7 @@ import pytest
 from conftest import mild_params
 from fuzzloc import cli
 from fuzzloc.cli import BENCH_HEADER, EXIT_OK, EXIT_RUNTIME, EXIT_USAGE, EXIT_VALIDATION, main
+from fuzzloc.evaluation import MaximinContext
 from fuzzloc.fuzzy import TriFuzzy
 from fuzzloc.instances import (
     TABLE1_SHA256,
@@ -17,6 +18,7 @@ from fuzzloc.instances import (
     load_instance,
     save_instance,
 )
+from fuzzloc.reports import SolverReport
 
 
 @pytest.fixture()
@@ -122,6 +124,29 @@ class TestSolve:
             "solve", "--instance", small_file, "--algo", "brute", "--gamma", "1.0",
         ]) == EXIT_OK
 
+    @pytest.mark.parametrize("text", [
+        '{"report": {}}',
+        "not json",
+        "[1, 2]",
+        '{"bounds": [0, 1]}',
+        '{"bounds": {"z1_bounds": [1], "z2_bounds": [0, 1], "z3_bounds": [0, 1],'
+        ' "provenance": "oracle-exact"}}',
+        '{"bounds": {"z1_bounds": [0, 1], "z2_bounds": [0, "1"], "z3_bounds": [0, 1],'
+        ' "provenance": "oracle-exact"}}',
+        '{"bounds": {"z1_bounds": [0, 1], "z2_bounds": [0, 1], "z3_bounds": [true, 1],'
+        ' "provenance": "oracle-exact"}}',
+        '{"bounds": {"z1_bounds": [0, 1], "z2_bounds": [0, 1], "z3_bounds": [0, 1]}}',
+    ])
+    def test_malformed_bounds_file_is_usage_error(self, small_file, tmp_path, capsys, text):
+        bounds = tmp_path / "bounds.json"
+        bounds.write_text(text)
+        assert run([
+            "solve", "--instance", small_file, "--algo", "brute", "--bounds", bounds,
+        ]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("usage error: ")
+        assert str(bounds) in err
+
 
 class TestBench:
     def test_csv_schema_and_row_count(self, small_file, tmp_path):
@@ -152,6 +177,23 @@ class TestBench:
             "--exact-bounds", "--out", out,
         ]) == EXIT_OK
         assert calls == [6]
+
+    def test_gap_is_negative_when_ga_is_worse(self, small_file, tmp_path, monkeypatch, capsys):
+        """Both means negative, as on an infeasible instance: the GA's lower
+        mean is the worse one, and the gap says so."""
+        objectives = {"ga": -16.5, "aco": -16.3}
+
+        def fixed(instance, algo, seed=0, **kwargs):
+            report = SolverReport(
+                algorithm=algo, n=instance.n, m=instance.m_servers, seed=seed, best=[1, 2],
+                objective=objectives[algo], iterations=1, termination="stagnation",
+            )
+            return report, MaximinContext((0.0, 1.0), (0.0, 1.0), (0.0, 1.0), "oracle-exact")
+
+        monkeypatch.setattr(cli, "solve_protocol", fixed)
+        out = tmp_path / "bench.csv"
+        assert run(["bench", "--instance", small_file, "--replications", 2, "--out", out]) == EXIT_OK
+        assert "gap -1.21%" in capsys.readouterr().out
 
     def test_plot_data_emitted(self, small_file, tmp_path):
         out = tmp_path / "bench.csv"

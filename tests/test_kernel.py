@@ -21,7 +21,6 @@ from fuzzloc.evaluation import (
     SpreadComponents,
     component_value,
     evaluate,
-    evaluate_block,
     fuzzy_capacity_feasible,
     fuzzy_objective,
     make_maximin_eval,
@@ -104,7 +103,7 @@ def test_block_matches_subsets(case, sample_seed):
     rows = sorted(random.Random(sample_seed).sample(combos, min(len(combos), 40)))
     block = Kernel(instance, np.array(rows))
     ctx = ctx_from(block)
-    values = evaluate_block(instance, np.array(rows), ctx)
+    values = make_maximin_eval(instance, ctx).block(np.array(rows))
     derived = {name: getattr(block, name)() for name in
                ("stable", "slices", "objective", "spreads", "feasible", "violation")}
     for b, row in enumerate(rows):

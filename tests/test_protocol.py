@@ -9,17 +9,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import crispen, mild_params
-from fuzzloc.aco import ACOConfig
+from fuzzloc.aco import ACOConfig, run_aco, _steps as _aco_steps
 from fuzzloc.errors import DomainError
-from fuzzloc.evaluation import component_value, make_maximin_eval
-from fuzzloc.ga import GAConfig
+from fuzzloc.evaluation import component_value, drive, make_maximin_eval
+from fuzzloc.ga import GAConfig, run_ga, _steps as _ga_steps
 from fuzzloc.instances import GeneratorParams, generate_instance
 from fuzzloc.model import Kernel, Solution
 from fuzzloc.oracle import enumerate_optimum, exact_bounds
 from fuzzloc.protocol import (
     BOUND_RUNS,
     _BoundFitness,
-    _run,
+    _config,
     bound_seeds,
     estimate_bounds,
     solve_protocol,
@@ -28,12 +28,16 @@ from fuzzloc.reports import SolverReport
 
 
 def _sequential_runs(instance, solver, seeds, ga_config, aco_config):
-    """The six bound runs one after another, each through protocol._run."""
-    return [
-        _run(instance, _BoundFitness(instance, name, sense, solver), solver, seed,
-             ga_config, aco_config, sense)
-        for (name, sense), seed in zip(BOUND_RUNS, seeds)
-    ]
+    """The six bound runs one after another, each a run_ga or run_aco call."""
+    reports = []
+    for (name, sense), seed in zip(BOUND_RUNS, seeds):
+        fitness = _BoundFitness(instance, name, sense, solver)
+        config = _config(solver, seed, ga_config, aco_config)
+        if solver == "ga":
+            reports.append(run_ga(instance, fitness, config))
+        else:
+            reports.append(run_aco(instance, fitness, config, sense))
+    return reports
 
 
 class TestEstimateBounds:
@@ -122,6 +126,85 @@ class TestEstimateBounds:
             ("z2", "min"), ("z2", "max"),
             ("z3", "min"), ("z3", "max"),
         )
+
+
+class _BlockOnly:
+    """A fitness with only a block method; it counts the rows it scores."""
+
+    def __init__(self, fitness):
+        self.fitness = fitness
+        self.rows = 0
+
+    def block(self, idx):
+        self.rows += len(idx)
+        return self.fitness.block(idx)
+
+
+def _one_block(idx):
+    """A run that asks for one block to be scored and returns its values."""
+    return (yield idx)
+
+
+class TestDrive:
+    @staticmethod
+    def _runs(instance, seed):
+        """Fresh GA and ACO runs of KernelFitnesses, a block-only fitness and
+        a plain callable. The last run stops at its first iteration without
+        improvement, long before the others."""
+        maximin = make_maximin_eval(instance, exact_bounds(instance))
+
+        def plain(solution):
+            return maximin(solution)
+
+        ga = [GAConfig(seed=seed + k, stagnation_limit=30) for k in range(2)]
+        aco = [ACOConfig(seed=seed + k, stagnation_limit=30) for k in range(2)]
+        return [
+            (_ga_steps(instance, ga[0]), _BoundFitness(instance, "z2", "min", "ga")),
+            (_aco_steps(instance, aco[0], "min"), _BoundFitness(instance, "z1", "min", "aco")),
+            (_ga_steps(instance, ga[1]), _BlockOnly(maximin)),
+            (_aco_steps(instance, aco[1], "max"), plain),
+            (_aco_steps(instance, ACOConfig(seed=seed, stagnation_limit=1), "max"), maximin),
+        ]
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_mixed_runs_match_each_run_alone(self, medium_instance, seed, monkeypatch):
+        alone_runs = self._runs(medium_instance, seed)
+        alone = [drive([run])[0] for run in alone_runs]
+        sizes = []
+        init = Kernel.__init__
+
+        def counted(self, instance, idx):
+            sizes.append(np.shape(idx)[-1])
+            init(self, instance, idx)
+
+        together_runs = self._runs(medium_instance, seed)
+        monkeypatch.setattr(Kernel, "__init__", counted)
+        together = drive(together_runs)
+        assert together == alone
+        assert together_runs[2][1].rows == alone_runs[2][1].rows > 0
+        m = medium_instance.m_servers
+        assert m in sizes and max(sizes) > m  # GA shrink steps next to ACO colonies
+        iterations = [len(outcome.trace) for outcome in together]
+        assert iterations[-1] < min(iterations[:-1])
+
+    def test_one_kernel_for_a_round_of_one_size(self, medium_instance, monkeypatch):
+        blocks = [np.array([[0, 1], [2, 3]]), np.array([[4, 5], [1, 7], [0, 6]])]
+        fitnesses = [
+            make_maximin_eval(medium_instance, exact_bounds(medium_instance)),
+            _BoundFitness(medium_instance, "z3", "max", "aco"),
+        ]
+        expected = [fitness.block(idx).tolist() for fitness, idx in zip(fitnesses, blocks)]
+        shapes = []
+        init = Kernel.__init__
+
+        def counted(self, instance, idx):
+            shapes.append(np.shape(idx))
+            init(self, instance, idx)
+
+        monkeypatch.setattr(Kernel, "__init__", counted)
+        got = drive([(_one_block(idx), fitness) for idx, fitness in zip(blocks, fitnesses)])
+        assert shapes == [(5, 2)]
+        assert got == expected
 
 
 class TestSolveProtocol:
