@@ -349,8 +349,12 @@ def cmd_validate(args) -> int:
         # SE of queue estimates blows up as rho -> 1; relax relative to rho=0.8
         relax = max(1.0, (1.0 / (1.0 - rho)) / (1.0 / (1.0 - 0.8)))
         tol = args.tolerance * relax
-        sim = mm1_simulate(lam, mu, max(args.events, 1), seed=args.seed)
-        for label, ref, est in (("P0", analytic[0], sim.p0), ("Lq", analytic[1], sim.lq)):
+        # Independent replications: one run's Lq at rho = 0.8 is off by 2-4%
+        # on seed noise alone; the mean of five is within about 1%.
+        runs = [mm1_simulate(lam, mu, max(args.events, 1), seed=5 * args.seed + r)
+                for r in range(5)]
+        p0, lq = np.mean([(sim.p0, sim.lq) for sim in runs], axis=0)
+        for label, ref, est in (("P0", analytic[0], p0), ("Lq", analytic[1], lq)):
             rel = abs(est - ref) / abs(ref)
             ok = rel <= tol
             if enforce and not ok:

@@ -33,6 +33,8 @@ _DEGENERATE_EPS = 1e-12
 # The spread components in the order of Kernel.spreads().
 COMPONENTS = ("z1", "z2", "z3")
 
+# A fitness is a KernelFitness, whose rows drive scores on a shared kernel,
+# or any other callable, which drive calls once per subset.
 Fitness = Callable[[Solution], float]
 
 T = TypeVar("T")
@@ -173,23 +175,14 @@ def component_value(instance: Instance, solution: Solution, name: str) -> Option
     return float(result.spreads()[COMPONENTS.index(name)]) if result.feasible() else None
 
 
-def score_rows(fitness: Fitness, idx: np.ndarray) -> list[float]:
-    """Fitness of every row of a (B, k) array of 0-based, ascending facility
-    indices: one ``fitness.block(idx)`` call when the fitness has that
-    method, one ``fitness(Solution)`` call per row otherwise."""
-    block = getattr(fitness, "block", None)
-    if block is None:
-        return [fitness(Solution(row)) for row in (idx + 1).tolist()]
-    return block(idx).tolist()
-
-
 def drive(runs: list[tuple[Steps[T], Fitness]]) -> list[T]:
     """Step the (generator, fitness) runs together; return what each
-    generator returns, in order. Each round, the blocks of the runs whose
-    fitness is a KernelFitness are grouped by instance and subset size into
-    one Kernel, and each run applies its own formula to its rows; any other
-    fitness scores its block through score_rows. A kernel row has the same
-    bits in any block, so every run ends as it would alone."""
+    generator returns, in order. This is the only batch scorer: solver runs
+    and enumerate_optimum go through it. Each round, the blocks of the runs
+    whose fitness is a KernelFitness are grouped by instance and subset size
+    into one Kernel, and each run applies its own formula to its rows; any
+    other fitness is called once per row. A kernel row has the same bits in
+    any block, so every run ends as it would alone."""
     results: list = [None] * len(runs)
     replies: dict[int, Optional[list]] = dict.fromkeys(range(len(runs)))
     while replies:
@@ -206,7 +199,7 @@ def drive(runs: list[tuple[Steps[T], Fitness]]) -> list[T]:
                 key = (id(fitness.instance), idx.shape[-1])
                 groups.setdefault(key, []).append((r, idx))
             else:
-                replies[r] = score_rows(fitness, idx)
+                replies[r] = [fitness(Solution(row)) for row in (idx + 1).tolist()]
         for members in groups.values():
             blocks = [idx for _, idx in members]
             kernel = Kernel(runs[members[0][0]][1].instance, np.concatenate(blocks))
@@ -221,9 +214,9 @@ def drive(runs: list[tuple[Steps[T], Fitness]]) -> list[T]:
 
 class KernelFitness:
     """A fitness stated once, as ``formula`` of a model.Kernel's feasible(),
-    spreads() and violation(). ``block`` scores a (B, k) array of 0-based
-    subsets in one kernel call, which drive shares among runs; a call
-    scores one subset with the same formula on a one-subset kernel."""
+    spreads() and violation(). drive applies the formula to the rows of a
+    kernel that it shares among runs; a call scores one subset with the same
+    formula on a one-subset kernel."""
 
     def __init__(self, instance: Instance):
         self.instance = instance
@@ -236,10 +229,6 @@ class KernelFitness:
     def __call__(self, solution: Solution) -> float:
         result = solution_kernel(self.instance, solution)
         return float(self.formula(result.feasible(), result.spreads(), result.violation()))
-
-    def block(self, idx: np.ndarray) -> np.ndarray:
-        result = Kernel(self.instance, idx)
-        return self.formula(result.feasible(), result.spreads(), result.violation())
 
 
 def penalty(violation):

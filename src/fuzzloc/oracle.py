@@ -11,7 +11,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import BudgetExceededError, DomainError, InfeasibleInstanceError
-from .evaluation import Fitness, MaximinContext, MaximinFitness, penalty, score_rows
+from .evaluation import Fitness, MaximinContext, MaximinFitness, Steps, drive, penalty
 from .fuzzy import SLICE_INDEX
 from .model import Instance, Kernel, Solution, join_probability, solution_kernel
 
@@ -56,37 +56,43 @@ def _blocks(instance: Instance):
         yield block
 
 
+def _walk(instance: Instance, table: Optional[dict]) -> Steps[tuple[list, float]]:
+    """enumerate_optimum's run: yields each block of subsets (0-based), fills
+    ``table`` when given, and returns the best row and its value."""
+    first = None
+    best, best_value = None, -math.inf
+    for block in _blocks(instance):
+        values = yield block - 1
+        rows = block.tolist()
+        if table is not None:
+            table.update(zip(map(frozenset, rows), values))
+        if first is None:
+            first = (rows[0], values[0])
+        for row, value in zip(rows, values):
+            if value > best_value:
+                best, best_value = row, value
+    return first if best is None else (best, best_value)
+
+
 def enumerate_optimum(
     instance: Instance,
     eval_fn: Fitness,
     budget: int = DEFAULT_ENUM_BUDGET,
     keep_table: bool = False,
 ) -> EnumerationResult:
-    """Evaluate every m-subset; ties break to the lexicographically smallest
-    sorted index set (combinations are visited in that order).
+    """Evaluate every m-subset; the best is the first subset, in
+    lexicographic order of the sorted index sets, with the largest value
+    above -inf, and a NaN never wins. When no value is above -inf (every
+    value is -inf or NaN), the best is the first subset, with its own value.
 
-    Each block of subsets goes through ``score_rows``: one call for a
-    fitness with a ``block`` method (see ``make_maximin_eval``), one call
-    per subset for any other callable.
+    The subsets are scored in blocks of BLOCK_SIZE by one ``drive`` run: a
+    KernelFitness on one kernel per block, any other callable once per
+    subset.
     """
     count = _check_budget(instance, budget)
-    best_subset = None
-    best_value = -math.inf
     table = {} if keep_table else None
-    for block in _blocks(instance):
-        rows = block.tolist()
-        values = score_rows(eval_fn, block - 1)
-        if table is not None:
-            table.update(zip(map(frozenset, rows), values))
-        for row, value in zip(rows, values):
-            if value > best_value:
-                best_subset, best_value = row, value
-    return EnumerationResult(
-        best=Solution(best_subset),
-        best_value=best_value,
-        evaluated_count=count,
-        table=table,
-    )
+    [(best, best_value)] = drive([(_walk(instance, table), eval_fn)])
+    return EnumerationResult(Solution(best), best_value, count, table)
 
 
 class Scan:

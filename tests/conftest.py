@@ -5,7 +5,7 @@ import itertools
 import numpy as np
 import pytest
 
-from fuzzloc.evaluation import fuzzy_capacity_feasible, fuzzy_objective
+from fuzzloc.evaluation import drive, fuzzy_capacity_feasible, fuzzy_objective
 from fuzzloc.fuzzy import TriFuzzy
 from fuzzloc.instances import GeneratorParams, generate_instance, load_table1
 from fuzzloc.model import Instance, Solution
@@ -22,6 +22,17 @@ def mild_params(n: int, m: int, seed: int) -> GeneratorParams:
         demand_offsets=(10, 20),
         service_offsets=(10, 20),
     )
+
+
+def one_block(idx):
+    """A run that asks for one block of 0-based subsets to be scored and
+    returns their values."""
+    return (yield idx)
+
+
+def score_block(fitness, idx) -> list:
+    """The values ``drive`` gives the rows of ``idx`` under ``fitness``."""
+    return drive([(one_block(idx), fitness)])[0]
 
 
 def feasible_subsets(instance: Instance) -> list[Solution]:

@@ -1,7 +1,7 @@
 """Differential checks of the batched solvers: a colony drawn, scored and
 deposited at once against the same steps one ant at a time, bound fitness
-blocks against their per-subset calls, and solver reports from a
-block-capable fitness against the same fitness as a plain callable. Every
+blocks scored by drive against their per-subset calls, and solver reports
+from a KernelFitness against the same fitness as a plain callable. Every
 comparison is exact."""
 
 import dataclasses
@@ -25,12 +25,13 @@ from fuzzloc.aco import (
     run_aco,
 )
 from fuzzloc.errors import InfeasibleInstanceError
-from fuzzloc.evaluation import make_maximin_eval, score_rows
+from fuzzloc.evaluation import MaximinFitness, make_maximin_eval
 from fuzzloc.ga import GAConfig, run_ga
 from fuzzloc.model import Solution
 from fuzzloc.oracle import exact_bounds
 from fuzzloc.protocol import BOUND_RUNS, _BoundFitness
 from fuzzloc.termination import Windows
+from conftest import score_block
 from test_kernel import PROBE_CTX, build, cases
 
 
@@ -133,8 +134,7 @@ def test_bound_block_matches_calls(solver, case):
     for name, sense in BOUND_RUNS:
         fitness = _BoundFitness(instance, name, sense, solver)
         expected = [fitness(Solution(row)) for row in (idx + 1).tolist()]
-        assert fitness.block(idx).tolist() == expected
-        assert score_rows(fitness, idx) == expected
+        assert score_block(fitness, idx) == expected
 
 
 @pytest.mark.parametrize("scale", [1.0, 40.0])
@@ -144,7 +144,7 @@ def test_bound_block_covers_feasible_and_infeasible_rows(medium_instance, scale)
     for solver in ("ga", "aco"):
         for name, sense in BOUND_RUNS:
             fitness = _BoundFitness(instance, name, sense, solver)
-            got = fitness.block(idx).tolist()
+            got = score_block(fitness, idx)
             assert got == [fitness(Solution(row)) for row in (idx + 1).tolist()]
             penalized = [abs(v) >= 1e12 for v in got]
             if scale == 1.0:
@@ -196,26 +196,26 @@ def test_solver_reports_match_plain_callable(instance_name, request):
             assert _report(block) == _report(plain), (solver, sense, seed)
 
 
-class RowCounter:
-    """A block-capable fitness that counts the rows it scores and refuses
-    per-subset calls."""
+class RowCounter(MaximinFitness):
+    """A maximin fitness that counts the rows and the calls of its formula
+    and refuses per-subset calls."""
 
-    def __init__(self, fitness):
-        self.fitness = fitness
+    def __init__(self, instance, ctx):
+        super().__init__(instance, ctx)
         self.rows = 0
         self.blocks = 0
 
     def __call__(self, solution):
         raise AssertionError("scored one subset outside a block")
 
-    def block(self, idx):
-        self.rows += len(idx)
+    def formula(self, feasible, spreads, violation):
+        self.rows += len(feasible)
         self.blocks += 1
-        return self.fitness.block(idx)
+        return super().formula(feasible, spreads, violation)
 
 
 def test_aco_scores_each_colony_in_one_block(small_instance):
-    fitness = RowCounter(make_maximin_eval(small_instance, exact_bounds(small_instance)))
+    fitness = RowCounter(small_instance, exact_bounds(small_instance))
     config = ACOConfig(seed=2)
     report = run_aco(small_instance, fitness, config)
     ants = ant_count(small_instance.n, small_instance.m_servers, config.population_coefficient)
@@ -224,7 +224,7 @@ def test_aco_scores_each_colony_in_one_block(small_instance):
 
 
 def test_ga_scores_only_in_blocks(medium_instance):
-    fitness = RowCounter(make_maximin_eval(medium_instance, exact_bounds(medium_instance)))
+    fitness = RowCounter(medium_instance, exact_bounds(medium_instance))
     report = run_ga(medium_instance, fitness, GAConfig(seed=1))
     assert 0 < fitness.rows < report.evaluations
 

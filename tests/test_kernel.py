@@ -14,7 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import fuzzloc.oracle
-from conftest import crispen, feasible_subsets, mild_params
+from conftest import crispen, feasible_subsets, mild_params, score_block
 from fuzzloc.errors import InfeasibleInstanceError
 from fuzzloc.evaluation import (
     MaximinContext,
@@ -103,7 +103,7 @@ def test_block_matches_subsets(case, sample_seed):
     rows = sorted(random.Random(sample_seed).sample(combos, min(len(combos), 40)))
     block = Kernel(instance, np.array(rows))
     ctx = ctx_from(block)
-    values = make_maximin_eval(instance, ctx).block(np.array(rows))
+    values = score_block(make_maximin_eval(instance, ctx), np.array(rows))
     derived = {name: getattr(block, name)() for name in
                ("stable", "slices", "objective", "spreads", "feasible", "violation")}
     for b, row in enumerate(rows):
@@ -180,26 +180,37 @@ def test_exact_bounds_matches_reference_loop(case, block_size):
             assert exact_bounds(instance) == expected
 
 
-@given(case=cases(max_n=11), block_size=st.integers(1, 50))
-@settings(max_examples=40, deadline=None)
-def test_enumeration_block_path_matches_plain_callable(case, block_size):
+@given(
+    case=cases(max_n=11),
+    block_size=st.integers(1, 50),
+    which=st.sampled_from(("maximin",) + BOUND_RUNS),
+    solver=st.sampled_from(("ga", "aco")),
+)
+@settings(max_examples=60, deadline=None)
+def test_enumeration_block_path_matches_plain_callable(case, block_size, which, solver):
+    """A KernelFitness scored in blocks gives every subset the bits of its
+    per-subset call."""
     instance = build(*case)
-    try:
-        ctx = exact_bounds(instance)
-    except InfeasibleInstanceError:
-        ctx = PROBE_CTX
-    fitness = make_maximin_eval(instance, ctx)
+    if which == "maximin":
+        try:
+            ctx = exact_bounds(instance)
+        except InfeasibleInstanceError:
+            ctx = PROBE_CTX
+        fitness = make_maximin_eval(instance, ctx)
+    else:
+        fitness = _BoundFitness(instance, *which, solver)
     with mock.patch.object(fuzzloc.oracle, "BLOCK_SIZE", block_size):
         streamed = enumerate_optimum(instance, fitness, keep_table=True)
         plain = enumerate_optimum(instance, lambda s: fitness(s), keep_table=True)
     assert streamed.best == plain.best
     assert streamed.best_value == plain.best_value
-    assert streamed.table == plain.table
+    assert {k: v.hex() for k, v in streamed.table.items()} == {
+        k: v.hex() for k, v in plain.table.items()}
 
 
 class RankFitness:
     """Fitness by lexicographic rank of the subset: 1.0 at the tied ranks,
-    below that and distinct everywhere else. Scores blocks as well."""
+    below that and distinct everywhere else."""
 
     def __init__(self, n: int, m: int, tied: set):
         combos = itertools.combinations(range(1, n + 1), m)
@@ -210,9 +221,6 @@ class RankFitness:
 
     def __call__(self, solution):
         return self.values[tuple(solution.sorted())]
-
-    def block(self, idx):
-        return np.array([self.values[tuple(row)] for row in (idx + 1).tolist()])
 
 
 @pytest.mark.parametrize("ties", ["last|first", "first|second", "first|end", "start|first"])

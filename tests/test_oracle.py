@@ -56,6 +56,27 @@ class TestEnumeration:
         with pytest.raises(BudgetExceededError, match="15"):
             enumerate_optimum(small_instance, lambda s: 0.0, budget=10)
 
+    @pytest.mark.parametrize("value", [-math.inf, math.nan])
+    def test_nothing_beats_minus_inf(self, small_instance, value):
+        result = enumerate_optimum(small_instance, lambda s: value)
+        assert result.best.sorted() == [1, 2]
+        assert str(result.best_value) == str(value)
+
+    def test_kernel_fitness_one_kernel_per_block(self, monkeypatch):
+        # C(20, 5) = 15504 subsets in blocks of 1024: one kernel per block.
+        instance = generate_instance(mild_params(20, 5, 0))
+        built = []
+        init = Kernel.__init__
+
+        def counted(self, *args):
+            built.append(len(args[1]))
+            init(self, *args)
+
+        monkeypatch.setattr(Kernel, "__init__", counted)
+        enumerate_optimum(instance, make_maximin_eval(instance, HAND_CTX))
+        assert len(built) == math.ceil(math.comb(20, 5) / oracle.BLOCK_SIZE) == 16
+        assert sum(built) == math.comb(20, 5)
+
     def test_table_contains_every_subset(self, small_instance):
         result = enumerate_optimum(small_instance, lambda s: len(s.open), keep_table=True)
         assert len(result.table) == 15

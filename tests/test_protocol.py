@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import crispen, mild_params
+from conftest import crispen, mild_params, one_block
 from fuzzloc.aco import ACOConfig, run_aco, _steps as _aco_steps
 from fuzzloc.errors import DomainError
 from fuzzloc.evaluation import component_value, drive, make_maximin_eval
@@ -128,29 +128,24 @@ class TestEstimateBounds:
         )
 
 
-class _BlockOnly:
-    """A fitness with only a block method; it counts the rows it scores."""
+class _Counted:
+    """A plain callable fitness that counts its calls."""
 
     def __init__(self, fitness):
         self.fitness = fitness
-        self.rows = 0
+        self.calls = 0
 
-    def block(self, idx):
-        self.rows += len(idx)
-        return self.fitness.block(idx)
-
-
-def _one_block(idx):
-    """A run that asks for one block to be scored and returns its values."""
-    return (yield idx)
+    def __call__(self, solution):
+        self.calls += 1
+        return self.fitness(solution)
 
 
 class TestDrive:
     @staticmethod
     def _runs(instance, seed):
-        """Fresh GA and ACO runs of KernelFitnesses, a block-only fitness and
-        a plain callable. The last run stops at its first iteration without
-        improvement, long before the others."""
+        """Fresh GA and ACO runs of KernelFitnesses and of plain callables.
+        The last run stops at its first iteration without improvement, long
+        before the others."""
         maximin = make_maximin_eval(instance, exact_bounds(instance))
 
         def plain(solution):
@@ -161,7 +156,7 @@ class TestDrive:
         return [
             (_ga_steps(instance, ga[0]), _BoundFitness(instance, "z2", "min", "ga")),
             (_aco_steps(instance, aco[0], "min"), _BoundFitness(instance, "z1", "min", "aco")),
-            (_ga_steps(instance, ga[1]), _BlockOnly(maximin)),
+            (_ga_steps(instance, ga[1]), _Counted(maximin)),
             (_aco_steps(instance, aco[1], "max"), plain),
             (_aco_steps(instance, ACOConfig(seed=seed, stagnation_limit=1), "max"), maximin),
         ]
@@ -181,7 +176,7 @@ class TestDrive:
         monkeypatch.setattr(Kernel, "__init__", counted)
         together = drive(together_runs)
         assert together == alone
-        assert together_runs[2][1].rows == alone_runs[2][1].rows > 0
+        assert together_runs[2][1].calls == alone_runs[2][1].calls > 0
         m = medium_instance.m_servers
         assert m in sizes and max(sizes) > m  # GA shrink steps next to ACO colonies
         iterations = [len(outcome.trace) for outcome in together]
@@ -193,7 +188,10 @@ class TestDrive:
             make_maximin_eval(medium_instance, exact_bounds(medium_instance)),
             _BoundFitness(medium_instance, "z3", "max", "aco"),
         ]
-        expected = [fitness.block(idx).tolist() for fitness, idx in zip(fitnesses, blocks)]
+        expected = [
+            [fitness(Solution(row)) for row in (idx + 1).tolist()]
+            for fitness, idx in zip(fitnesses, blocks)
+        ]
         shapes = []
         init = Kernel.__init__
 
@@ -202,7 +200,7 @@ class TestDrive:
             init(self, instance, idx)
 
         monkeypatch.setattr(Kernel, "__init__", counted)
-        got = drive([(_one_block(idx), fitness) for idx, fitness in zip(blocks, fitnesses)])
+        got = drive([(one_block(idx), fitness) for idx, fitness in zip(blocks, fitnesses)])
         assert shapes == [(5, 2)]
         assert got == expected
 
