@@ -178,37 +178,53 @@ def component_value(instance: Instance, solution: Solution, name: str) -> Option
 def drive(runs: list[tuple[Steps[T], Fitness]]) -> list[T]:
     """Step the (generator, fitness) runs together; return what each
     generator returns, in order. This is the only batch scorer: solver runs
-    and enumerate_optimum go through it. Each round, the blocks of the runs
-    whose fitness is a KernelFitness are grouped by instance and subset size
-    into one Kernel, and each run applies its own formula to its rows; any
-    other fitness is called once per row. A kernel row has the same bits in
-    any block, so every run ends as it would alone."""
+    and enumerate_optimum go through it.
+
+    Each round steps the runs that have their values. A plain callable
+    fitness is called once per row at once; a KernelFitness run's block
+    waits. Then one subset size is served: the size that the most waiting
+    runs ask for, the larger on ties. Its blocks share one Kernel per
+    instance, each run applies its own formula to its rows, and blocks of
+    other sizes wait for a later round. Waiting lets runs share a kernel
+    call when their sizes differ: a GA mating scores trial subsets whose
+    size falls from |union| - 1 to m, so lockstep GA runs seldom ask for one
+    size in the same round. When every waiting block has one size, as in
+    every ACO round and every drive of a single run, a round serves them
+    all. A kernel row has the same bits in any block, and no run's sends
+    depend on another run, so every run ends as it would alone."""
     results: list = [None] * len(runs)
     replies: dict[int, Optional[list]] = dict.fromkeys(range(len(runs)))
-    while replies:
-        groups: dict[tuple[int, int], list] = {}
+    waiting: dict[int, list] = {}  # subset size -> [(run, block)]
+    while replies or waiting:
         for r, values in list(replies.items()):
+            del replies[r]
             steps, fitness = runs[r]
             try:
                 idx = steps.send(values)
             except StopIteration as stop:
                 results[r] = stop.value
-                del replies[r]
                 continue
             if isinstance(fitness, KernelFitness):
-                key = (id(fitness.instance), idx.shape[-1])
-                groups.setdefault(key, []).append((r, idx))
+                waiting.setdefault(idx.shape[-1], []).append((r, idx))
             else:
                 replies[r] = [fitness(Solution(row)) for row in (idx + 1).tolist()]
+        if not waiting:
+            continue
+        size = max(waiting, key=lambda k: (len(waiting[k]), k))
+        groups: dict[int, list] = {}
+        for r, idx in waiting.pop(size):
+            groups.setdefault(id(runs[r][1].instance), []).append((r, idx))
         for members in groups.values():
             blocks = [idx for _, idx in members]
-            kernel = Kernel(runs[members[0][0]][1].instance, np.concatenate(blocks))
+            whole = blocks[0] if len(blocks) == 1 else np.concatenate(blocks)
+            kernel = Kernel(runs[members[0][0]][1].instance, whole)
             figures = (kernel.feasible(), kernel.spreads(), kernel.violation())
             start = 0
             for r, idx in members:
                 rows = slice(start, start + len(idx))
                 start = rows.stop
-                replies[r] = runs[r][1].formula(*(f[rows] for f in figures)).tolist()
+                share = figures if len(members) == 1 else [f[rows] for f in figures]
+                replies[r] = runs[r][1].formula(*share).tolist()
     return results
 
 

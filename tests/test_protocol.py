@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -38,6 +39,19 @@ def _sequential_runs(instance, solver, seeds, ga_config, aco_config):
         else:
             reports.append(run_aco(instance, fitness, config, sense))
     return reports
+
+
+def _record_kernels(monkeypatch) -> list:
+    """Patch Kernel to record the shape of each index array it is built on."""
+    shapes = []
+    init = Kernel.__init__
+
+    def counted(self, instance, idx):
+        shapes.append(np.shape(idx))
+        init(self, instance, idx)
+
+    monkeypatch.setattr(Kernel, "__init__", counted)
+    return shapes
 
 
 class TestEstimateBounds:
@@ -120,6 +134,20 @@ class TestEstimateBounds:
         assert len(blocks) == max(iterations)
         assert sum(blocks) == sum(report.evaluations for report in runs)
 
+    def test_ga_bound_runs_share_kernel_calls(self, monkeypatch):
+        """GA shrink steps ask for sizes that differ between the lockstep
+        runs; drive serves one size per round, so the six GA bound runs build
+        at most 40% of the kernels that they build alone."""
+        instance = generate_instance(mild_params(20, 5, 0))
+        config = GAConfig(stagnation_limit=100)
+        seeds = bound_seeds(0)
+        shapes = _record_kernels(monkeypatch)
+        _sequential_runs(instance, "ga", seeds, config, None)
+        alone = len(shapes)
+        shapes.clear()
+        estimate_bounds(instance, "ga", seeds, ga_config=config)
+        assert len(shapes) <= 0.4 * alone
+
     def test_bound_runs_cover_all_components(self):
         assert BOUND_RUNS == (
             ("z1", "min"), ("z1", "max"),
@@ -138,6 +166,24 @@ class _Counted:
     def __call__(self, solution):
         self.calls += 1
         return self.fitness(solution)
+
+
+def _blocks_run(blocks):
+    """A run that asks for each block of 0-based subsets in turn and returns
+    the values of all of them."""
+    values = []
+    for idx in blocks:
+        values.append((yield idx))
+    return values
+
+
+# A block of one to four 0-based, ascending subsets of the medium instance's
+# eight nodes, all of one size from 2 to 6.
+_BLOCK = st.integers(2, 6).flatmap(
+    lambda k: st.lists(
+        st.sets(st.integers(0, 7), min_size=k, max_size=k).map(sorted), min_size=1, max_size=4
+    )
+)
 
 
 class TestDrive:
@@ -165,16 +211,10 @@ class TestDrive:
     def test_mixed_runs_match_each_run_alone(self, medium_instance, seed, monkeypatch):
         alone_runs = self._runs(medium_instance, seed)
         alone = [drive([run])[0] for run in alone_runs]
-        sizes = []
-        init = Kernel.__init__
-
-        def counted(self, instance, idx):
-            sizes.append(np.shape(idx)[-1])
-            init(self, instance, idx)
-
         together_runs = self._runs(medium_instance, seed)
-        monkeypatch.setattr(Kernel, "__init__", counted)
+        shapes = _record_kernels(monkeypatch)
         together = drive(together_runs)
+        sizes = [shape[-1] for shape in shapes]
         assert together == alone
         assert together_runs[2][1].calls == alone_runs[2][1].calls > 0
         m = medium_instance.m_servers
@@ -192,17 +232,77 @@ class TestDrive:
             [fitness(Solution(row)) for row in (idx + 1).tolist()]
             for fitness, idx in zip(fitnesses, blocks)
         ]
-        shapes = []
-        init = Kernel.__init__
-
-        def counted(self, instance, idx):
-            shapes.append(np.shape(idx))
-            init(self, instance, idx)
-
-        monkeypatch.setattr(Kernel, "__init__", counted)
+        shapes = _record_kernels(monkeypatch)
         got = drive([(one_block(idx), fitness) for idx, fitness in zip(blocks, fitnesses)])
         assert shapes == [(5, 2)]
         assert got == expected
+
+    def test_waiting_block_joins_a_later_round(self, medium_instance, monkeypatch):
+        """Round one serves A's size-3 block, the larger size on a tie, and
+        B's size-2 block waits to share a kernel with A's next block."""
+        a_blocks = [np.array([[0, 1, 2], [3, 4, 5]]), np.array([[0, 7], [2, 5]])]
+        b_blocks = [np.array([[1, 6], [3, 4], [5, 6]])]
+        fitnesses = [
+            make_maximin_eval(medium_instance, exact_bounds(medium_instance)),
+            _BoundFitness(medium_instance, "z1", "min", "ga"),
+        ]
+        expected = [
+            [[fitness(Solution(row)) for row in (idx + 1).tolist()] for idx in blocks]
+            for fitness, blocks in zip(fitnesses, (a_blocks, b_blocks))
+        ]
+        shapes = _record_kernels(monkeypatch)
+        got = drive([(_blocks_run(a_blocks), fitnesses[0]), (_blocks_run(b_blocks), fitnesses[1])])
+        assert shapes == [(2, 3), (5, 2)]
+        assert got == expected
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        specs=st.lists(
+            st.tuples(
+                st.lists(_BLOCK, min_size=1, max_size=5),
+                st.sampled_from(["maximin", "z1-min-ga", "z3-max-aco", "plain"]),
+            ),
+            min_size=2,
+            max_size=6,
+        )
+    )
+    def test_together_matches_each_run_alone(self, medium_instance, specs):
+        """Runs of random block sizes end, bit for bit, as they do alone, and
+        every block of a KernelFitness run is scored once, on a kernel of its
+        own size."""
+        maximin = make_maximin_eval(medium_instance, exact_bounds(medium_instance))
+
+        def plain(solution):
+            return maximin(solution)
+
+        fitnesses = {
+            "maximin": maximin,
+            "z1-min-ga": _BoundFitness(medium_instance, "z1", "min", "ga"),
+            "z3-max-aco": _BoundFitness(medium_instance, "z3", "max", "aco"),
+            "plain": plain,
+        }
+        runs = [
+            ([np.array(rows, dtype=np.intp) for rows in spec], fitnesses[name])
+            for spec, name in specs
+        ]
+        alone = [drive([(_blocks_run(blocks), fitness)])[0] for blocks, fitness in runs]
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            shapes = _record_kernels(monkeypatch)
+            together = drive([(_blocks_run(blocks), fitness) for blocks, fitness in runs])
+        def as_hex(values):
+            return [[v.hex() for v in block] for block in values]
+
+        assert [as_hex(v) for v in together] == [as_hex(v) for v in alone]
+        scored = [idx for blocks, fitness in runs if fitness is not plain for idx in blocks]
+        # The plain callable builds one-subset kernels; drive builds blocks.
+        kernels = [shape for shape in shapes if len(shape) == 2]
+        rows, served = Counter(), Counter()
+        for idx in scored:
+            rows[idx.shape[1]] += len(idx)
+        for count, size in kernels:
+            served[size] += count
+        assert served == rows
+        assert len(kernels) <= len(scored)
 
 
 class TestSolveProtocol:
