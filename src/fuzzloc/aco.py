@@ -1,12 +1,15 @@
 """Ant colony optimizer: static desirability index, pheromone-guided subset
-construction, and evaporation-plus-deposit updates with a pheromone cap."""
+construction, and evaporation-plus-deposit updates with a pheromone cap.
+Runs that step together keep their trails as the rows of one array."""
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import sys
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from itertools import compress
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -97,14 +100,24 @@ def _sample_colony(
     log_w: np.ndarray, m: int, ants: int, rng: np.random.Generator
 ) -> np.ndarray:
     """One subset per ant as an (ants, m) array of 0-based, ascending node
-    indices, by the Gumbel top-k trick: the m largest of log_w plus Gumbel
-    noise are a draw from the same distribution as m sequential draws, each
-    proportional to the weights of the nodes not yet chosen (tests/test_aco.py
-    keeps that stepwise sampler as the reference). One (ants, n)
-    Gumbel draw consumes the generator as ``ants`` draws of n values would,
-    row by row."""
-    keys = log_w + rng.gumbel(size=(ants, log_w.size))
-    return np.sort(np.argpartition(-keys, m - 1, axis=1)[:, :m], axis=1)
+    indices: ``_sample_colonies`` for one run. One (ants, n) Gumbel draw
+    consumes the generator as ``ants`` draws of n values would, row by
+    row."""
+    return _sample_colonies(log_w[None], m, rng.gumbel(size=(1, ants, log_w.size)))
+
+
+def _sample_colonies(log_w: np.ndarray, m: int, noise: np.ndarray) -> np.ndarray:
+    """One colony per row of the (R, n) log weights, given the (R, ants, n)
+    Gumbel noise of each run's generator (overwritten here), as one
+    (R * ants, m) array of 0-based, ascending node indices: run r's ants
+    are rows r * ants to (r + 1) * ants - 1. Each subset comes from the
+    Gumbel top-k trick: the m largest of log_w plus Gumbel noise are a draw
+    from the same distribution as m sequential draws, each proportional to
+    the weights of the nodes not yet chosen (tests/test_aco.py keeps that
+    stepwise sampler as the reference)."""
+    keys = np.add(noise, log_w[:, None, :], out=noise)
+    picks = np.negative(keys, out=keys).argpartition(m - 1, axis=-1)[..., :m]
+    return np.sort(picks, axis=-1).reshape(-1, m)
 
 
 def pheromone_update(
@@ -133,19 +146,36 @@ def _deposit(
     sense: str,
 ) -> PheromoneState:
     """pheromone_update for a colony given as (B, k) 0-based node indices and
-    the B fitness values. Each node receives its deposits in ant order."""
-    tau = state.tau * config.evaporation_rate
+    the B fitness values: ``_update`` for one run."""
+    tau = _update(state.tau[None], idx, values, config, np.full(len(values), sense == "max"))
+    return PheromoneState(tau=tau[0])
+
+
+def _update(
+    tau: np.ndarray,
+    nodes: np.ndarray,
+    values: Sequence[float],
+    config: ACOConfig,
+    maximize: np.ndarray,
+) -> np.ndarray:
+    """The (R, n) trails after one colony per row, with one evaporation, one
+    deposit and one clip for all R runs. ``nodes`` and ``values`` hold the
+    colonies one after another, each ant's nodes as indices into the
+    flattened trails (node j of run r at r * n + j), and ``maximize`` flags
+    the ants whose run deposits theta*F, not theta/F. Each node receives its
+    deposits in ant order; an ant that deposits nothing adds 0.0, which
+    leaves every positive trail as it is."""
     values = np.asarray(values, dtype=float)
-    if sense == "max":
-        kept = np.isfinite(values) & (values >= 0)
-        amounts = config.max_pheromone * values[kept]
-    else:
-        kept = np.isfinite(values) & (values > 0)
-        with np.errstate(over="ignore"):  # inf for a subnormal F, as in Python
-            amounts = config.max_pheromone / values[kept]
-    nodes = idx[kept]
-    np.add.at(tau, nodes.ravel(), np.repeat(amounts, nodes.shape[-1]))
-    return PheromoneState(tau=np.clip(tau, TAU_MIN, config.max_pheromone))
+    # inf for a subnormal F, as in Python; the other branch of np.where may
+    # divide by zero or overflow, and its values are dropped.
+    with np.errstate(over="ignore", divide="ignore"):
+        amounts = np.where(maximize, config.max_pheromone * values, config.max_pheromone / values)
+    # F >= 0 under maximization, F > 0 (at least the least subnormal) else
+    kept = (values >= np.where(maximize, 0.0, 5e-324)) & (values < math.inf)
+    trails = tau * config.evaporation_rate
+    deposits = np.where(kept, amounts, 0.0).repeat(nodes.shape[-1])
+    np.add.at(trails.reshape(-1), nodes.ravel(), deposits)
+    return np.minimum(np.maximum(trails, TAU_MIN, out=trails), config.max_pheromone, out=trails)
 
 
 def run_aco(
@@ -158,38 +188,97 @@ def run_aco(
     equals the global best for floor(n * sqrt(m)) consecutive iterations
     (convergence), or the global best goes unimproved for the square of that
     many iterations (stagnation). Each colony is sampled first and scored as
-    one block of ``evaluation.drive``, then walked in ant order.
+    one block of ``evaluation.drive``; its first ant that beats the best so
+    far becomes the new best.
     """
     return run_solver("aco", instance, config.seed, _steps(instance, config, sense), eval_fn)
 
 
 def _steps(instance: Instance, config: ACOConfig, sense: str) -> Steps[Outcome]:
     """run_aco as a step generator: it yields one colony per iteration."""
-    if sense not in ("max", "min"):
-        raise DomainError(f"sense must be 'max' or 'min', got {sense!r}")
-    rng = np.random.default_rng(config.seed)
-    better = (lambda a, b: a > b) if sense == "max" else (lambda a, b: a < b)
+    return (yield from _colonies(instance, [config], [sense]))[0]
+
+
+def _trail_parameters(config: ACOConfig) -> ACOConfig:
+    return dataclasses.replace(config, seed=0, convergence_limit=None, stagnation_limit=None)
+
+
+def _colonies(
+    instance: Instance,
+    configs: Sequence[ACOConfig],
+    senses: Sequence[str],
+    select: Optional[Callable[[np.ndarray], None]] = None,
+) -> Steps[list[Outcome]]:
+    """R ACO runs as one step generator over one (R, n) trail array; it
+    returns their Outcomes in order.
+
+    Run r takes its seed and windows from configs[r] and its sense from
+    senses[r]; the runs share every other parameter. Each iteration yields
+    the live runs' colonies as one block, run after run. ``select``, when
+    given, learns the run of each row of the blocks to come: before the
+    first block and whenever a run ends and its trail row is dropped. Every
+    run ends as it would alone: it draws its Gumbel noise from its own
+    generator, and the walk keeps each run's first ant that is strictly
+    better than its best so far.
+    """
+    if any(sense not in ("max", "min") for sense in senses):
+        raise DomainError(f"sense must be 'max' or 'min', got {senses!r}")
+    config = configs[0]
+    if any(_trail_parameters(c) != _trail_parameters(config) for c in configs):
+        raise DomainError("runs stepped together must differ only in seed and windows")
     n, m = instance.n, instance.m_servers
-    windows = Windows(n, m, config.convergence_limit, config.stagnation_limit)
     ants = ant_count(n, m, config.population_coefficient)
-    eta = heuristic_index(instance)
-    state = PheromoneState.initial(n)
-    best: Optional[list[int]] = None
-    best_value = -math.inf if sense == "max" else math.inf
-    trace: list[float] = []
-    while True:
-        improved = False
-        colony_best = -math.inf if sense == "max" else math.inf
-        idx = _sample_colony(_log_weights(state.tau, eta, config), m, ants, rng)
-        values = yield idx
-        for ant, value in enumerate(values):
-            if better(value, colony_best):
-                colony_best = value
-            if best is None or better(value, best_value):
-                best, best_value = (idx[ant] + 1).tolist(), value
-                improved = True
-        state = _deposit(state, idx, values, config, sense)
-        trace.append(best_value)
-        termination = windows.step(improved, colony_best == best_value)
-        if termination:
-            return Outcome(best, best_value, termination, trace, ants * len(trace))
+    log_eta = config.beta_exp * np.log(heuristic_index(instance))
+    rngs = [np.random.default_rng(c.seed) for c in configs]
+    windows = [Windows(n, m, c.convergence_limit, c.stagnation_limit) for c in configs]
+    # A value times its run's sign ranks the better values higher.
+    signs = [1.0 if sense == "max" else -1.0 for sense in senses]
+    best: list = [None] * len(configs)
+    best_value: list = [None] * len(configs)
+    traces: list[list[float]] = [[] for _ in configs]
+    outcomes: list = [None] * len(configs)
+    # One entry per live run: its run, its trails and its best times sign.
+    live = list(range(len(configs)))
+    tau = np.ones((len(configs), n))
+    signed_best = [-math.inf] * len(configs)
+    while live:
+        sign = np.array([signs[r] for r in live])[:, None]
+        maximize = np.repeat(sign[:, 0] > 0, ants)
+        # run i's trails start at i * n in the flattened trail array
+        offsets = np.repeat(np.arange(len(live)) * n, ants)[:, None]
+        if select:
+            select(np.repeat(live, ants))
+        gumbel = [rngs[r].gumbel for r in live]
+        noise = np.empty((len(live), ants, n))
+        ended = [False] * len(live)
+        while not any(ended):
+            for i, draw in enumerate(gumbel):
+                noise[i] = draw(size=(ants, n))
+            # _log_weights, with beta * log(eta) computed once
+            idx = _sample_colonies(config.alpha_exp * np.log(tau) + log_eta, m, noise)
+            sent = yield idx
+            values = np.asarray(sent, dtype=float)
+            scores = np.fmax(values.reshape(len(live), ants) * sign, -math.inf)  # NaN last
+            picks = scores.argmax(axis=1)
+            if best[live[0]] is None:  # a run's first ant is its first best, even when NaN
+                picks[np.isnan(values[::ants])] = 0
+            tau = _update(tau, idx + offsets, values, config, maximize)
+            for i, (r, pick, ranked) in enumerate(zip(live, picks.tolist(), scores.tolist())):
+                top = ranked[pick]
+                improved = best[r] is None or top > signed_best[i]
+                if improved:
+                    row = i * ants + pick
+                    best[r], best_value[r] = (idx[row] + 1).tolist(), sent[row]
+                    signed_best[i] = signs[r] * best_value[r]
+                termination = windows[r].step(improved, top == signed_best[i])
+                traces[r].append(best_value[r])
+                if termination:
+                    evaluations = ants * len(traces[r])
+                    outcomes[r] = Outcome(
+                        best[r], best_value[r], termination, traces[r], evaluations
+                    )
+                    ended[i] = True
+        kept = [not gone for gone in ended]
+        live, signed_best = list(compress(live, kept)), list(compress(signed_best, kept))
+        tau = tau[kept]
+    return outcomes

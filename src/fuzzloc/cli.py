@@ -52,6 +52,11 @@ BENCH_HEADER = [
 
 _SOLVE_ERRORS = (DomainError, InfeasibleInstanceError, BudgetExceededError)
 
+# validate's relative tolerance at rho <= 0.8. A row is enforced when this
+# bar spans at least ENFORCE_SPAN standard errors of its simulated mean.
+VALIDATE_TOLERANCE = 0.02
+ENFORCE_SPAN = 2.5
+
 
 class UsageError(Exception):
     pass
@@ -160,7 +165,7 @@ def build_parser() -> argparse.ArgumentParser:
     val.add_argument("--events", type=int, default=10**6)
     val.add_argument("--seed", type=int, default=0)
     val.add_argument("--rho", type=float, nargs="+", default=[0.3, 0.5, 0.8])
-    val.add_argument("--tolerance", type=float, default=0.02)
+    val.add_argument("--tolerance", type=float, default=VALIDATE_TOLERANCE)
     val.add_argument("--network-events", type=int, default=200_000)
     val.add_argument("--network-tolerance", type=float, default=0.05)
     val.add_argument("--skip-network", action="store_true")
@@ -331,14 +336,7 @@ def cmd_tune(args) -> int:
 
 def cmd_validate(args) -> int:
     mu = 100.0
-    enforce = True
-    if args.events < 10_000:
-        print(
-            f"warning: event budget {args.events} is below 10000; "
-            "tolerance is not enforceable and will not be checked"
-        )
-        enforce = False
-    failures = 0
+    failures = unchecked = 0
     print("rho    quantity  analytic   simulated  rel_err   tolerance  verdict")
     for rho in args.rho:
         lam = rho * mu
@@ -354,17 +352,29 @@ def cmd_validate(args) -> int:
         runs = [mm1_simulate(lam, mu, max(args.events, 1), seed=5 * args.seed + r)
                 for r in range(5)]
         p0, lq = np.mean([(sim.p0, sim.lq) for sim in runs], axis=0)
-        for label, ref, est in (("P0", analytic[0], p0), ("Lq", analytic[1], lq)):
+        # standard errors of the two means, from each run's batch means
+        p0_se, lq_se = np.sqrt(np.sum([(sim.p0_se**2, sim.lq_se**2) for sim in runs], axis=0)) / 5
+        rows = (("P0", analytic[0], p0, p0_se), ("Lq", analytic[1], lq, lq_se))
+        for label, ref, est, se in rows:
             rel = abs(est - ref) / abs(ref)
             ok = rel <= tol
-            if enforce and not ok:
-                failures += 1
+            # NaN (one batch per run) is never enforceable
+            enforce = ENFORCE_SPAN * se <= VALIDATE_TOLERANCE * relax * abs(ref)
+            failures += enforce and not ok
+            unchecked += not enforce
+            verdict = ("pass" if ok else "FAIL") if enforce else "unchecked"
             print(
                 f"{rho:<6.3g} {label:<9} {ref:<10.5f} {est:<10.5f} "
-                f"{rel:<9.5f} {tol:<10.5f} {'pass' if ok else 'FAIL'}"
+                f"{rel:<9.5f} {tol:<10.5f} {verdict}"
             )
         if relax > 1:
             print(f"       (tolerance relaxed x{relax:.1f} for rho={rho:g})")
+    if unchecked:
+        print(
+            f"warning: {unchecked} rows have a standard error above 1/{ENFORCE_SPAN:g} of "
+            f"the {VALIDATE_TOLERANCE:g} bar at {args.events} events; their tolerance is "
+            "not enforceable and was not checked"
+        )
     if not args.skip_network:
         # a small, comfortably stable instance
         instance = generate_instance(GeneratorParams(
@@ -382,8 +392,7 @@ def cmd_validate(args) -> int:
         )
         rel = abs(sim_obj - analytic_obj) / abs(analytic_obj)
         ok = rel <= args.network_tolerance
-        if enforce and not ok:
-            failures += 1
+        failures += not ok
         print(
             f"network objective (mid slice, facilities {best}): analytic "
             f"{analytic_obj:.4f}, simulated {sim_obj:.4f}, rel_err {rel:.5f} "

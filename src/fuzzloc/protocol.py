@@ -10,7 +10,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .aco import ACOConfig, run_aco, _steps as _aco_steps
+from .aco import ACOConfig, run_aco, _colonies
 from .errors import DomainError
 from .evaluation import (
     COMPONENTS,
@@ -57,17 +57,31 @@ class _BoundFitness(KernelFitness):
 
     def __init__(self, instance: Instance, name: str, sense: str, solver: str):
         super().__init__(instance)
-        self.component = COMPONENTS.index(name)
+        self.pick = (..., COMPONENTS.index(name))  # the component of every row
         self.penalty = -_PENALTY_SCALE if sense == "max" else _PENALTY_SCALE
         self.negate = solver == "ga" and sense == "min"
 
     def formula(
         self, feasible: np.ndarray, spreads: np.ndarray, violation: np.ndarray
     ) -> np.ndarray:
-        values = np.where(
-            feasible, spreads[..., self.component], self.penalty * (1.0 + violation)
-        )
+        values = np.where(feasible, spreads[self.pick], self.penalty * (1.0 + violation))
         return -values if self.negate else values
+
+
+class _BoundRows(_BoundFitness):
+    """The six ACO bound runs' fitnesses as one, for the blocks that
+    ``aco._colonies`` yields: ``select`` names the run of each row of the
+    blocks to come, and each row gets its run's component and penalty."""
+
+    def __init__(self, instance: Instance):
+        super().__init__(instance, *BOUND_RUNS[0], "aco")  # until select
+        runs = [_BoundFitness(instance, name, sense, "aco") for name, sense in BOUND_RUNS]
+        self.components = np.array([run.pick[-1] for run in runs])
+        self.penalties = np.array([run.penalty for run in runs])
+
+    def select(self, runs: np.ndarray) -> None:
+        self.pick = (np.arange(len(runs)), self.components[runs])
+        self.penalty = self.penalties[runs]
 
 
 def _config(
@@ -109,21 +123,24 @@ def estimate_bounds(
     ``solver`` is "ga" or "aco". A bound run that finds no feasible solution
     records NaN, which the membership functions treat as degenerate. Exact
     bounds come from ``oracle.exact_bounds``. The six runs step together in
-    one ``drive`` call, and each ends as it would alone.
+    one ``drive`` call, and each ends as it would alone: six GA step
+    generators, or one ACO generator over a six-row trail array whose
+    blocks one ``_BoundRows`` scores.
     """
     if solver not in ("ga", "aco"):
         raise DomainError(f"unknown solver handle {solver!r}")
     if len(seeds) != len(BOUND_RUNS):
         raise DomainError(f"need {len(BOUND_RUNS)} seeds, got {len(seeds)}")
-    runs = []
-    for (name, sense), seed in zip(BOUND_RUNS, seeds):
-        config = _config(solver, seed, ga_config, aco_config)
-        if solver == "ga":
-            steps = _ga_steps(instance, config)
-        else:
-            steps = _aco_steps(instance, config, sense)
-        runs.append((steps, _BoundFitness(instance, name, sense, solver)))
-    outcomes = drive(runs)
+    configs = [_config(solver, seed, ga_config, aco_config) for seed in seeds]
+    if solver == "ga":
+        outcomes = drive([
+            (_ga_steps(instance, config), _BoundFitness(instance, name, sense, solver))
+            for (name, sense), config in zip(BOUND_RUNS, configs)
+        ])
+    else:
+        fitness = _BoundRows(instance)
+        senses = [sense for _, sense in BOUND_RUNS]
+        outcomes = drive([(_colonies(instance, configs, senses, fitness.select), fitness)])[0]
     found: dict[tuple[str, str], float] = {}
     for (name, sense), outcome in zip(BOUND_RUNS, outcomes):
         value = component_value(instance, Solution(outcome.best), name)

@@ -1,8 +1,8 @@
 """Differential checks of the batched solvers: a colony drawn, scored and
-deposited at once against the same steps one ant at a time, bound fitness
-blocks scored by drive against their per-subset calls, and solver reports
-from a KernelFitness against the same fitness as a plain callable. Every
-comparison is exact."""
+deposited at once against the same steps one ant at a time, stacked ACO runs
+against each run alone, ant by ant, bound fitness blocks scored by drive
+against their per-subset calls, and solver reports from a KernelFitness
+against the same fitness as a plain callable. Every comparison is exact."""
 
 import dataclasses
 import itertools
@@ -17,19 +17,24 @@ from fuzzloc.aco import (
     TAU_MIN,
     ACOConfig,
     PheromoneState,
+    _colonies,
     _deposit,
     _log_weights,
     _sample_colony,
+    _steps,
     ant_count,
+    heuristic_index,
     pheromone_update,
     run_aco,
 )
-from fuzzloc.errors import InfeasibleInstanceError
-from fuzzloc.evaluation import MaximinFitness, make_maximin_eval
+from fuzzloc.errors import DomainError, InfeasibleInstanceError
+from fuzzloc.evaluation import MaximinFitness, drive, make_maximin_eval
 from fuzzloc.ga import GAConfig, run_ga
+from fuzzloc.instances import GeneratorParams, generate_instance
 from fuzzloc.model import Solution
 from fuzzloc.oracle import exact_bounds
 from fuzzloc.protocol import BOUND_RUNS, _BoundFitness
+from fuzzloc.reports import Outcome
 from fuzzloc.termination import Windows
 from conftest import score_block
 from test_kernel import PROBE_CTX, build, cases
@@ -123,6 +128,101 @@ def test_deposit_matches_ant_loop(sense, n, data, seed):
     expected = reference_update(state, colony, config, sense)
     assert np.array_equal(_deposit(state, idx, fitness, config, sense).tau, expected)
     assert np.array_equal(pheromone_update(state, colony, config, sense).tau, expected)
+
+
+def reference_steps(instance, config, sense):
+    """One ACO run ant by ant: each ant's subset drawn on its own, a walk
+    that keeps the first ant strictly better than the best so far, and the
+    deposit loop above. It yields and returns as aco._steps does."""
+    rng = np.random.default_rng(config.seed)
+    better = (lambda a, b: a > b) if sense == "max" else (lambda a, b: a < b)
+    worst = -math.inf if sense == "max" else math.inf
+    n, m = instance.n, instance.m_servers
+    windows = Windows(n, m, config.convergence_limit, config.stagnation_limit)
+    ants = ant_count(n, m, config.population_coefficient)
+    eta = heuristic_index(instance)
+    state = PheromoneState.initial(n)
+    best, best_value, trace = None, worst, []
+    while True:
+        log_w = _log_weights(state.tau, eta, config)
+        colony = [reference_sample(log_w, m, rng) for _ in range(ants)]
+        values = yield np.array([solution.sorted() for solution in colony], dtype=np.intp) - 1
+        improved, colony_best = False, worst
+        for solution, value in zip(colony, values):
+            if better(value, colony_best):
+                colony_best = value
+            if best is None or better(value, best_value):
+                best, best_value, improved = solution.sorted(), value, True
+        tau = reference_update(state, list(zip(colony, values)), config, sense)
+        state = PheromoneState(tau=tau)
+        trace.append(best_value)
+        termination = windows.step(improved, colony_best == best_value)
+        if termination:
+            return Outcome(best, best_value, termination, trace, ants * len(trace))
+
+
+# The default generator ranges overload every facility of this instance.
+INFEASIBLE = generate_instance(GeneratorParams(n=10, m_servers=3, seed=0))
+ODD_VALUES = (math.nan, math.inf, -math.inf, 0.0, -0.0, 0.25, 2.0, -1.0, 1e12)
+
+
+def _odd(solution):
+    """A plain fitness with NaN, infinities, signed zeros and ties."""
+    return ODD_VALUES[sum(j * j for j in solution.open) % len(ODD_VALUES)]
+
+
+def _exact(outcome):
+    return (outcome.best, outcome.objective.hex(), outcome.termination,
+            [value.hex() for value in outcome.trace], outcome.evaluations)
+
+
+@given(
+    runs=st.lists(
+        st.tuples(
+            st.integers(0, 2**32 - 1),
+            st.sampled_from(("max", "min")),
+            st.one_of(st.none(), st.integers(1, 30)),
+            st.integers(1, 30),
+        ),
+        min_size=1,
+        max_size=6,
+    ),
+    infeasible=st.booleans(),
+    scoring=st.sampled_from(("z1", "z2", "z3", "odd")),
+    alpha=st.sampled_from((0.75, 3.0)),
+    coefficient=st.integers(1, 2),
+)
+@settings(max_examples=60, deadline=None)
+def test_stacked_runs_match_each_run_alone(
+    medium_instance, runs, infeasible, scoring, alpha, coefficient
+):
+    """R runs over one trail array end, bit for bit, as each run alone does
+    in aco._steps and in the ant-by-ant reference. Random windows make the
+    runs end in different rounds."""
+    instance = INFEASIBLE if infeasible else medium_instance
+    if scoring == "odd":
+        fitness = _odd
+    else:
+        fitness = _BoundFitness(instance, scoring, "max", "aco")
+    configs = [
+        ACOConfig(seed=seed, convergence_limit=limit, stagnation_limit=cap,
+                  alpha_exp=alpha, population_coefficient=coefficient)
+        for seed, _, limit, cap in runs
+    ]
+    senses = [sense for _, sense, _, _ in runs]
+    stacked = drive([(_colonies(instance, configs, senses), fitness)])[0]
+    for outcome, config, sense in zip(stacked, configs, senses):
+        alone = drive([(_steps(instance, config, sense), fitness)])[0]
+        reference = drive([(reference_steps(instance, config, sense), fitness)])[0]
+        assert _exact(outcome) == _exact(alone) == _exact(reference)
+
+
+def test_stacked_runs_share_trail_parameters(medium_instance):
+    configs = [ACOConfig(seed=1), ACOConfig(seed=2, evaporation_rate=0.9)]
+    with pytest.raises(DomainError, match="differ only in seed and windows"):
+        next(_colonies(medium_instance, configs, ["max", "min"]))
+    with pytest.raises(DomainError, match="sense"):
+        next(_colonies(medium_instance, configs[:1], ["up"]))
 
 
 @pytest.mark.parametrize("solver", ["ga", "aco"])

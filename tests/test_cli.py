@@ -281,6 +281,21 @@ class TestValidate:
         # mean of five replications is within 0.4%.
         assert run(["validate", "--seed", 1, "--skip-network"]) == EXIT_OK
 
+    def test_default_budget_enforces_every_row(self, capsys):
+        assert run(["validate", "--skip-network"]) == EXIT_OK
+        out = capsys.readouterr().out
+        assert out.count(" pass\n") == 6
+        assert "unchecked" not in out and "not enforceable" not in out
+
+    @pytest.mark.parametrize("events,seed", [(20000, 0), (20000, 1), (20000, 2), (100000, 1)])
+    def test_small_budget_checks_only_precise_rows(self, events, seed, capsys):
+        # A fixed 10^4-event line enforced every row here: at 20 000 events
+        # Lq at rho = 0.5 is 2.4%, 2.7% and 6.7% off at seeds 0, 1 and 2.
+        argv = ["validate", "--events", events, "--seed", seed, "--skip-network"]
+        assert run(argv) == EXIT_OK
+        out = capsys.readouterr().out
+        assert "not enforceable" in out and " pass\n" in out
+
 
 class TestUsage:
     def test_unknown_command(self):

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import crispen, mild_params, one_block
+from fuzzloc import aco
 from fuzzloc.aco import ACOConfig, run_aco, _steps as _aco_steps
 from fuzzloc.errors import DomainError
 from fuzzloc.evaluation import component_value, drive, make_maximin_eval
@@ -133,6 +134,31 @@ class TestEstimateBounds:
         assert len(set(iterations)) > 1
         assert len(blocks) == max(iterations)
         assert sum(blocks) == sum(report.evaluations for report in runs)
+
+    def test_aco_bound_runs_share_trail_updates(self, medium_instance, monkeypatch):
+        """The six ACO bound runs keep their trails in one array: each round
+        makes one sampling pass and one trail update for every live run, so
+        there are as many of each as the longest run has iterations, not as
+        many as all runs together."""
+        config = ACOConfig(stagnation_limit=20)
+        seeds = bound_seeds(0)
+        runs = _sequential_runs(medium_instance, "aco", seeds, None, config)
+        live = {"_sample_colonies": [], "_update": []}
+        for name, calls in live.items():
+
+            def counted(tau, *args, _calls=calls, _original=getattr(aco, name)):
+                _calls.append(len(tau))
+                return _original(tau, *args)
+
+            monkeypatch.setattr(aco, name, counted)
+        estimate_bounds(medium_instance, "aco", seeds, aco_config=config)
+        iterations = sorted(report.iterations for report in runs)
+        assert len(live["_update"]) == max(iterations) < sum(iterations)
+        assert live["_sample_colonies"] == live["_update"]
+        # Live runs per round: six, then one fewer as each run ends.
+        assert live["_update"] == sorted(live["_update"], reverse=True)
+        rounds_above = [sum(1 for rows in live["_update"] if rows > k) for k in range(6)]
+        assert rounds_above == iterations[::-1]
 
     def test_ga_bound_runs_share_kernel_calls(self, monkeypatch):
         """GA shrink steps ask for sizes that differ between the lockstep
