@@ -1,7 +1,8 @@
 """Benchmark command line: generate, solve, bench, tune, validate.
 
 Exit codes: 0 success, 1 usage error, 2 runtime failure, 3 validation failure.
-The enumeration budget can be overridden with FUZZLOC_ENUM_BUDGET.
+The enumeration budget can be overridden with FUZZLOC_ENUM_BUDGET, a positive
+integer; any other value is a usage error.
 """
 
 from __future__ import annotations
@@ -74,8 +75,18 @@ def _fmt(value: float) -> str:
 
 
 def _enum_budget() -> int:
+    """FUZZLOC_ENUM_BUDGET, or the default when it is unset or empty; any
+    other value that is not a positive integer is a usage error."""
     raw = os.environ.get("FUZZLOC_ENUM_BUDGET")
-    return int(raw) if raw else DEFAULT_ENUM_BUDGET
+    if not raw:
+        return DEFAULT_ENUM_BUDGET
+    try:
+        budget = int(raw)
+        if budget < 1:
+            raise ValueError
+    except ValueError:
+        raise UsageError(f"FUZZLOC_ENUM_BUDGET must be a positive integer, got {raw!r}") from None
+    return budget
 
 
 def _load(path: str, gamma=None, logit=None) -> Instance:

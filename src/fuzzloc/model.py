@@ -144,23 +144,25 @@ def _open_indices(instance: Instance, solution: Solution) -> np.ndarray:
 
 
 def _allocation(instance: Instance, idx: np.ndarray) -> np.ndarray:
-    """Logit shares of shape (..., k, n) for 0-based facility indices (..., k).
+    """Logit shares of shape idx.shape + (n,) for 0-based facility indices
+    idx of shape (k,) or (B, k).
 
     probs[..., j, i] is the share of node i's demand captured by facility
     idx[..., j]. Rows of the symmetric distance matrix stand in for its
-    columns, so the facility axis comes before the node axis and the shares
-    are C-ordered; the denominators are summed over axis -2 in facility
-    order, one facility at a time.
+    columns. The shares are built facility-major, as a (k, B, n) array of
+    contiguous (B, n) slabs (k, n for one subset), so the max and the
+    denominators reduce over axis 0, one facility slab at a time in facility
+    order. The (B, k, n) result is a view of that array, not C-ordered.
 
-    Every step works in place on the fresh array that the fancy index
-    ``distance[idx]`` returns; d * -a has the bits of -a * d.
+    Every step works in place on the fresh array that ``np.take`` returns;
+    d * -a has the bits of -a * d.
     """
-    shares = instance.distance[idx]
+    shares = np.take(instance.distance, idx.T, axis=0)
     shares *= -instance.logit_sensitivity
-    shares -= shares.max(axis=-2, keepdims=True)
+    shares -= shares.max(axis=0)
     np.exp(shares, out=shares)
-    shares /= shares.sum(axis=-2, keepdims=True)
-    return shares
+    shares /= shares.sum(axis=0)
+    return shares.swapaxes(0, -2)
 
 
 def logit_allocation(instance: Instance, solution: Solution) -> np.ndarray:
@@ -235,21 +237,22 @@ class Kernel:
     queue state.
 
     A block gives the same bits as its subsets one at a time: the logit
-    denominators are summed facility by facility over axis -2 (see
-    _allocation), and every other sum over the facilities runs along a
-    contiguous last axis, where numpy sums in pairs from k = 8 on.
+    denominators are summed facility by facility, over axis 0 of a
+    facility-major array (see _allocation), and every other sum over the
+    facilities runs along a contiguous last axis, where numpy sums in pairs
+    from k = 8 on.
     """
 
     def __init__(self, instance: Instance, idx: np.ndarray):
         probs = _allocation(instance, idx)
         self.instance = instance
         self.lam_bar = probs @ instance.demand  # (..., k, 3) aggregated arrivals
-        self.mu = instance.service[idx]  # (..., k, 3)
+        self.mu = np.take(instance.service, idx, axis=0)  # (..., k, 3)
         weight = instance.benefit_weight
         if weight is None:
             self.benefit = self.lam_bar
         else:
-            self.benefit = (weight.T[idx] * probs) @ instance.demand
+            self.benefit = (np.take(weight.T, idx, axis=0) * probs) @ instance.demand
         # The center of the fuzzy occupancy ratio, (..., k). The division
         # triple (lo/hi', mid/mid', hi/lo') is already ascending for
         # nonnegative arrival and positive service rates, so no component

@@ -17,9 +17,10 @@ from .model import Instance, Kernel, Solution, join_probability, solution_kernel
 
 DEFAULT_ENUM_BUDGET = 10**6
 # Subsets per kernel call of the oracle. The kernel's intermediates grow with
-# this, not with the number of subsets: a (B, k, n) one takes 0.8 MB at
-# n = 20, k = 5. A Scan (exact bounds, a brute solve) also keeps 32 bytes per
-# feasible subset, at most 32 MB at the default budget.
+# this, not with the number of subsets: the facility-major (k, B, n) logit
+# shares take 0.8 MB at n = 20, k = 5. A Scan (exact bounds, a brute solve)
+# also keeps 32 bytes per feasible subset, at most 32 MB at the default
+# budget.
 BLOCK_SIZE = 1024
 # Customers per chunk of the simulator's draws. Peak memory grows with this,
 # not with the event budget; the draws and the estimates do not depend on it.
@@ -54,6 +55,24 @@ def _blocks(instance: Instance):
         if not len(block):
             return
         yield block
+
+
+def _unrank(n: int, m: int, rank: int) -> list[int]:
+    """The m-subset of 1..n at position ``rank`` of the lexicographic order,
+    as itertools.combinations yields it, without walking to it.
+
+    Past the entries already fixed, the subsets whose next entry is c number
+    comb(n - c, slots - 1), where slots counts the entries left; the rank
+    skips whole groups of them. That is at most n calls to math.comb.
+    """
+    subset, c = [], 1
+    for slots in range(m, 0, -1):
+        while rank >= (group := math.comb(n - c, slots - 1)):
+            rank -= group
+            c += 1
+        subset.append(c)
+        c += 1
+    return subset
 
 
 def _walk(instance: Instance, table: Optional[dict]) -> Steps[tuple[list, float]]:
@@ -138,8 +157,7 @@ class Scan:
             rank, value = int(self.ranks[i]), float(values[i])
         else:
             rank, value = self.fallback
-        combos = itertools.combinations(range(1, self.instance.n + 1), self.instance.m_servers)
-        best = next(itertools.islice(combos, rank, None))
+        best = _unrank(self.instance.n, self.instance.m_servers, rank)
         return EnumerationResult(best=Solution(best), best_value=value, evaluated_count=self.count)
 
 

@@ -224,6 +224,23 @@ class TestTune:
         assert len(rows) == 33
 
 
+@pytest.mark.parametrize("value", ["abc", "0", "-5", "1.5"])
+@pytest.mark.parametrize("command", [
+    ["solve", "--algo", "brute"],
+    ["bench", "--replications", 1, "--exact-bounds"],
+    ["tune", "--exact-bounds"],
+])
+def test_bad_enum_budget_is_usage_error(small_file, tmp_path, monkeypatch, capsys, value, command):
+    """A FUZZLOC_ENUM_BUDGET that is not a positive integer stops the command
+    with one line and no traceback, before any file is written."""
+    monkeypatch.setenv("FUZZLOC_ENUM_BUDGET", value)
+    out = tmp_path / "out"
+    assert run([*command, "--instance", small_file, "--out", out]) == EXIT_USAGE
+    assert capsys.readouterr().err == (
+        f"usage error: FUZZLOC_ENUM_BUDGET must be a positive integer, got {value!r}\n")
+    assert not out.exists()
+
+
 class TestEnumBudget:
     """FUZZLOC_ENUM_BUDGET below C(6, 2) = 15 subsets makes every exhaustive
     enumeration of the small instance fail; at 15 it fits."""

@@ -134,13 +134,17 @@ def allocation_reference(instance, idx):
 @given(
     k=st.integers(1, 11),
     extra=st.integers(0, 20),
-    rows=st.one_of(st.none(), st.integers(1, 300)),
+    rows=st.one_of(st.none(), st.integers(1, 2 * fuzzloc.oracle.BLOCK_SIZE)),
     seed=st.integers(0, 2**32 - 1),
     logit=st.sampled_from((0.1, 0.5, 2.0, 7.3)),
 )
+@example(k=5, extra=15, rows=None, seed=0, logit=0.5)
+@example(k=5, extra=15, rows=fuzzloc.oracle.BLOCK_SIZE, seed=0, logit=0.5)
 @settings(max_examples=60, deadline=None)
 def test_allocation_matches_reference(k, extra, rows, seed, logit):
-    """rows=None draws a 1-D idx, one subset, as the scalar views pass it."""
+    """rows=None draws a 1-D idx, one subset, as the scalar views pass it;
+    the row counts reach past a full enumeration block. The shape is
+    idx.shape + (n,) for both."""
     n = max(k + extra, 2)
     instance = dataclasses.replace(
         generate_instance(mild_params(n, 1, seed % 1000)), logit_sensitivity=logit
@@ -153,6 +157,27 @@ def test_allocation_matches_reference(k, extra, rows, seed, logit):
     got = _allocation(instance, idx)
     assert got.shape == idx.shape + (n,)
     assert np.array_equal(got, allocation_reference(instance, idx))
+
+
+@pytest.mark.parametrize("weighted", [False, True])
+def test_full_enumeration_block_matches_rows(weighted):
+    """The first enumeration block, BLOCK_SIZE rows, gives each subset the
+    bits of its own kernel: mild20 with k = 5, and a weighted instance with
+    k = 9, where numpy sums the contiguous facility axes in pairs. Both
+    blocks mix feasible and infeasible subsets."""
+    instance = build(14, 9, 3, False, True, 0.5) if weighted else build(20, 5, 0, True, False, 0.5)
+    rows = next(fuzzloc.oracle._blocks(instance)) - 1
+    assert len(rows) == fuzzloc.oracle.BLOCK_SIZE
+    block = Kernel(instance, rows)
+    derived = {name: getattr(block, name)() for name in
+               ("stable", "slices", "objective", "spreads", "feasible", "violation")}
+    assert derived["feasible"].any() and not derived["feasible"].all()
+    for b, row in enumerate(rows):
+        one = Kernel(instance, row)
+        for name in ("lam_bar", "mu", "benefit", "occupancy"):
+            assert np.array_equal(getattr(block, name)[b], getattr(one, name))
+        for name, array in derived.items():
+            assert np.array_equal(array[b], getattr(one, name)())
 
 
 def test_crisp_z1_is_positive_zero(medium_instance):

@@ -261,6 +261,20 @@ class TestOnePassBrute:
         assert len(built) == math.ceil(math.comb(20, 5) / oracle.BLOCK_SIZE) == 16
         assert sum(built) == math.comb(20, 5)
 
+    @pytest.mark.parametrize("n", range(1, 10))
+    def test_unrank_matches_combinations_at_every_rank(self, n):
+        for m in range(1, n + 1):
+            combos = itertools.combinations(range(1, n + 1), m)
+            assert [oracle._unrank(n, m, rank) for rank in range(math.comb(n, m))] == [
+                list(combo) for combo in combos]
+
+    @pytest.mark.parametrize("n, m", [(20, 5), (24, 6)])
+    def test_unrank_matches_combinations_at_first_middle_last(self, n, m):
+        count = math.comb(n, m)
+        for rank in (0, count // 2, count - 1):
+            combos = itertools.combinations(range(1, n + 1), m)
+            assert oracle._unrank(n, m, rank) == list(next(itertools.islice(combos, rank, None)))
+
 
 class TestSimulator:
     def test_half_load(self):
