@@ -5,7 +5,7 @@ queuing-adjusted benefit. Solvers: genetic algorithm and ant colony
 optimization, validated by exact enumeration and discrete-event simulation.
 """
 
-from .aco import ACOConfig, PheromoneState, run_aco
+from .aco import ACOConfig, run_aco
 from .errors import (
     BudgetExceededError,
     DomainError,

@@ -15,9 +15,9 @@ import numpy as np
 
 from .errors import DomainError
 from .evaluation import Fitness, Steps
-from .model import Instance, Solution
+from .model import Instance
 from .reports import Outcome, SolverReport, run_solver
-from .termination import Windows, check_windows
+from .termination import Windows, check_run
 
 TAU_MIN = 1e-6
 # Largest accepted alpha_exp and beta_exp. Every positive double has
@@ -51,16 +51,7 @@ class ACOConfig:
             raise DomainError(f"exponents must not exceed {MAX_EXPONENT:.4g}")
         if self.population_coefficient < 1:
             raise DomainError("population_coefficient must be at least 1")
-        check_windows(self.convergence_limit, self.stagnation_limit)
-
-
-@dataclass
-class PheromoneState:
-    tau: np.ndarray  # one trail level per node
-
-    @classmethod
-    def initial(cls, n: int) -> "PheromoneState":
-        return cls(tau=np.ones(n))
+        check_run(self.seed, self.convergence_limit, self.stagnation_limit)
 
 
 def heuristic_index(instance: Instance) -> np.ndarray:
@@ -76,34 +67,13 @@ def ant_count(n: int, m: int, coefficient: int) -> int:
     return coefficient * math.ceil(n / m)
 
 
-def _log_weights(tau: np.ndarray, eta: np.ndarray, config: ACOConfig) -> np.ndarray:
-    """Log selection weights alpha * log(tau) + beta * log(eta). They are
+def _log_weights(tau: np.ndarray, beta_log_eta: np.ndarray, config: ACOConfig) -> np.ndarray:
+    """Log selection weights alpha * log(tau) + beta * log(eta), given the
+    heuristic term beta * log(eta), which a run computes once. They are
     finite for every trail the package creates: updates clip tau to
     [TAU_MIN, max_pheromone], eta is positive, and ACOConfig bounds the
     exponents by MAX_EXPONENT."""
-    return config.alpha_exp * np.log(tau) + config.beta_exp * np.log(eta)
-
-
-def construct_solution(
-    state: PheromoneState,
-    eta: np.ndarray,
-    instance: Instance,
-    config: ACOConfig,
-    rng: np.random.Generator,
-) -> Solution:
-    """Draw m_servers distinct nodes, each proportionally to tau^a * eta^b."""
-    log_w = _log_weights(state.tau, eta, config)
-    return Solution(_sample_colony(log_w, instance.m_servers, 1, rng)[0] + 1)
-
-
-def _sample_colony(
-    log_w: np.ndarray, m: int, ants: int, rng: np.random.Generator
-) -> np.ndarray:
-    """One subset per ant as an (ants, m) array of 0-based, ascending node
-    indices: ``_sample_colonies`` for one run. One (ants, n) Gumbel draw
-    consumes the generator as ``ants`` draws of n values would, row by
-    row."""
-    return _sample_colonies(log_w[None], m, rng.gumbel(size=(1, ants, log_w.size)))
+    return config.alpha_exp * np.log(tau) + beta_log_eta
 
 
 def _sample_colonies(log_w: np.ndarray, m: int, noise: np.ndarray) -> np.ndarray:
@@ -120,37 +90,6 @@ def _sample_colonies(log_w: np.ndarray, m: int, noise: np.ndarray) -> np.ndarray
     return np.sort(picks, axis=-1).reshape(-1, m)
 
 
-def pheromone_update(
-    state: PheromoneState,
-    colony: Sequence[tuple[Solution, float]],
-    config: ACOConfig,
-    sense: str = "max",
-) -> PheromoneState:
-    """Evaporate, deposit per ant on every node it opened, then clamp.
-
-    Deposits are theta*F under maximization and theta/F under minimization.
-    An ant with a non-finite F, a negative F under maximization or a
-    nonpositive F under minimization deposits nothing. A penalized ant of a
-    minimization bound run has F = +1e12 * (1 + violation), so it still
-    deposits theta/F, about 2e-10. The colony's solutions must be of one size.
-    """
-    idx = np.array([solution.sorted() for solution, _ in colony], dtype=np.intp) - 1
-    return _deposit(state, idx, [value for _, value in colony], config, sense)
-
-
-def _deposit(
-    state: PheromoneState,
-    idx: np.ndarray,
-    values: Sequence[float],
-    config: ACOConfig,
-    sense: str,
-) -> PheromoneState:
-    """pheromone_update for a colony given as (B, k) 0-based node indices and
-    the B fitness values: ``_update`` for one run."""
-    tau = _update(state.tau[None], idx, values, config, np.full(len(values), sense == "max"))
-    return PheromoneState(tau=tau[0])
-
-
 def _update(
     tau: np.ndarray,
     nodes: np.ndarray,
@@ -158,13 +97,20 @@ def _update(
     config: ACOConfig,
     maximize: np.ndarray,
 ) -> np.ndarray:
-    """The (R, n) trails after one colony per row, with one evaporation, one
-    deposit and one clip for all R runs. ``nodes`` and ``values`` hold the
-    colonies one after another, each ant's nodes as indices into the
-    flattened trails (node j of run r at r * n + j), and ``maximize`` flags
-    the ants whose run deposits theta*F, not theta/F. Each node receives its
-    deposits in ant order; an ant that deposits nothing adds 0.0, which
-    leaves every positive trail as it is."""
+    """The (R, n) trails after one colony per row: evaporate, deposit per
+    ant on every node it opened, then clip to [TAU_MIN, max_pheromone], with
+    one pass of each for all R runs (the MAX-MIN Ant System rule).
+
+    ``nodes`` and ``values`` hold the colonies one after another, each ant's
+    nodes as indices into the flattened trails (node j of run r at
+    r * n + j), and ``maximize`` flags the ants of maximizing runs. Deposits
+    are theta*F under maximization and theta/F under minimization, with
+    theta = max_pheromone. An ant with a non-finite F, a negative F under
+    maximization or a nonpositive F under minimization deposits nothing. A
+    penalized ant of a minimization bound run has F = +1e12 * (1 +
+    violation), so it still deposits theta/F, about 2e-10. Each node
+    receives its deposits in ant order; an ant that deposits nothing adds
+    0.0, which leaves every positive trail as it is."""
     values = np.asarray(values, dtype=float)
     # inf for a subnormal F, as in Python; the other branch of np.where may
     # divide by zero or overflow, and its values are dropped.
@@ -228,7 +174,7 @@ def _colonies(
         raise DomainError("runs stepped together must differ only in seed and windows")
     n, m = instance.n, instance.m_servers
     ants = ant_count(n, m, config.population_coefficient)
-    log_eta = config.beta_exp * np.log(heuristic_index(instance))
+    beta_log_eta = config.beta_exp * np.log(heuristic_index(instance))
     rngs = [np.random.default_rng(c.seed) for c in configs]
     windows = [Windows(n, m, c.convergence_limit, c.stagnation_limit) for c in configs]
     # A value times its run's sign ranks the better values higher.
@@ -254,8 +200,7 @@ def _colonies(
         while not any(ended):
             for i, draw in enumerate(gumbel):
                 noise[i] = draw(size=(ants, n))
-            # _log_weights, with beta * log(eta) computed once
-            idx = _sample_colonies(config.alpha_exp * np.log(tau) + log_eta, m, noise)
+            idx = _sample_colonies(_log_weights(tau, beta_log_eta, config), m, noise)
             sent = yield idx
             values = np.asarray(sent, dtype=float)
             scores = np.fmax(values.reshape(len(live), ants) * sign, -math.inf)  # NaN last

@@ -309,8 +309,16 @@ def cmd_bench(args) -> int:
 
 def cmd_tune(args) -> int:
     instance = _load(args.instance)
+    # one config per cell and seed, built first, so a bad value or seed stops
+    # the command before any run and before the output file is opened
     cells = [
-        (ev, ph, co, al, be)
+        [
+            ACOConfig(
+                evaporation_rate=ev, max_pheromone=ph, population_coefficient=co,
+                alpha_exp=al, beta_exp=be, seed=seed,
+            )
+            for seed in args.seeds
+        ]
         for ev in args.evaporation
         for ph in args.max_pheromone
         for co in args.coefficient
@@ -328,19 +336,19 @@ def cmd_tune(args) -> int:
             "evaporation_rate", "max_pheromone", "population_coefficient",
             "alpha_exp", "beta_exp", "mean_objective",
         ])
-        for ev, ph, co, al, be in cells:
-            values = []
-            for seed in args.seeds:
-                config = ACOConfig(
-                    evaporation_rate=ev, max_pheromone=ph, population_coefficient=co,
-                    alpha_exp=al, beta_exp=be, seed=seed,
-                )
-                report, _ = solve_protocol(
-                    instance, "aco", seed=seed, aco_config=config, ctx=contexts[seed]
-                )
-                values.append(report.objective)
-            writer.writerow([_fmt(ev), _fmt(ph), co, _fmt(al), _fmt(be),
-                             _fmt(float(np.mean(values)))])
+        for configs in cells:
+            values = [
+                solve_protocol(
+                    instance, "aco", seed=c.seed, aco_config=c, ctx=contexts[c.seed]
+                )[0].objective
+                for c in configs
+            ]
+            cell = configs[0]
+            writer.writerow([
+                _fmt(cell.evaporation_rate), _fmt(cell.max_pheromone),
+                cell.population_coefficient, _fmt(cell.alpha_exp), _fmt(cell.beta_exp),
+                _fmt(float(np.mean(values))),
+            ])
     print(f"wrote {len(cells)} cells to {out}")
     return EXIT_OK
 

@@ -183,12 +183,13 @@ def drive(runs: list[tuple[Steps[T], Fitness]]) -> list[T]:
     Each round steps the runs that have their values. A plain callable
     fitness is called once per row at once; a KernelFitness run's block
     waits. Then one subset size is served: the size that the most waiting
-    runs ask for, the larger on ties. Its blocks share one Kernel per
-    instance, each run applies its own formula to its rows, and blocks of
-    other sizes wait for a later round. Waiting lets runs share a kernel
-    call when their sizes differ: a GA mating scores trial subsets whose
-    size falls from |union| - 1 to m, so lockstep GA runs seldom ask for one
-    size in the same round. When every waiting block has one size, as in
+    runs ask for, the larger on ties. Its blocks share one Kernel, each run
+    applies its own formula to its rows, and blocks of other sizes wait for
+    a later round. The KernelFitness runs of one drive share an instance:
+    the kernel is built on the instance of the first block's run. Waiting
+    lets runs share a kernel call when their sizes differ: a GA mating
+    scores trial subsets whose size falls from |union| - 1 to m, so
+    lockstep GA runs seldom ask for one size in the same round. When every waiting block has one size, as in
     every ACO round and every drive of a single run, a round serves them
     all. A kernel row has the same bits in any block, and no run's sends
     depend on another run, so every run ends as it would alone."""
@@ -210,21 +211,17 @@ def drive(runs: list[tuple[Steps[T], Fitness]]) -> list[T]:
                 replies[r] = [fitness(Solution(row)) for row in (idx + 1).tolist()]
         if not waiting:
             continue
-        size = max(waiting, key=lambda k: (len(waiting[k]), k))
-        groups: dict[int, list] = {}
-        for r, idx in waiting.pop(size):
-            groups.setdefault(id(runs[r][1].instance), []).append((r, idx))
-        for members in groups.values():
-            blocks = [idx for _, idx in members]
-            whole = blocks[0] if len(blocks) == 1 else np.concatenate(blocks)
-            kernel = Kernel(runs[members[0][0]][1].instance, whole)
-            figures = (kernel.feasible(), kernel.spreads(), kernel.violation())
-            start = 0
-            for r, idx in members:
-                rows = slice(start, start + len(idx))
-                start = rows.stop
-                share = figures if len(members) == 1 else [f[rows] for f in figures]
-                replies[r] = runs[r][1].formula(*share).tolist()
+        members = waiting.pop(max(waiting, key=lambda k: (len(waiting[k]), k)))
+        blocks = [idx for _, idx in members]
+        whole = blocks[0] if len(blocks) == 1 else np.concatenate(blocks)
+        kernel = Kernel(runs[members[0][0]][1].instance, whole)
+        figures = (kernel.feasible(), kernel.spreads(), kernel.violation())
+        start = 0
+        for r, idx in members:
+            rows = slice(start, start + len(idx))
+            start = rows.stop
+            share = figures if len(members) == 1 else [f[rows] for f in figures]
+            replies[r] = runs[r][1].formula(*share).tolist()
     return results
 
 

@@ -22,7 +22,7 @@ from .errors import DomainError
 from .evaluation import Fitness, Steps, drive
 from .model import Instance
 from .reports import Outcome, SolverReport, run_solver
-from .termination import Windows, check_windows, convergence_limit  # noqa: F401 (public name)
+from .termination import Windows, check_run, convergence_limit  # noqa: F401 (public name)
 
 
 def _mask(genes) -> int:
@@ -50,7 +50,7 @@ class GAConfig:
     def __post_init__(self) -> None:
         if self.population_floor < 2:
             raise DomainError("population_floor must be at least 2")
-        check_windows(self.convergence_limit, self.stagnation_limit)
+        check_run(self.seed, self.convergence_limit, self.stagnation_limit)
 
 
 def population_size(n: int, m: int, floor: int) -> int:

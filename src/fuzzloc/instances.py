@@ -53,6 +53,8 @@ class GeneratorParams:
                 raise DomainError(f"{name} must be positive and increasing")
         if self.distance_range[0] < 1:
             raise DomainError("distances must be positive")
+        if self.seed < 0:
+            raise DomainError(f"seed must be non-negative, got {self.seed}")
 
 
 def _fuzzy_column(rng: np.random.Generator, n: int, lo_range, offsets) -> np.ndarray:

@@ -22,6 +22,8 @@ def _fuzzy_rows(values, n: int, what: str) -> np.ndarray:
     )
     if arr.shape != (n, 3):
         raise DomainError(f"{what} must be {n} fuzzy triples, got shape {arr.shape}")
+    if not np.isfinite(arr).all():
+        raise DomainError(f"{what} must be finite")
     if not (np.all(arr[:, 0] <= arr[:, 1]) and np.all(arr[:, 1] <= arr[:, 2])):
         bad = int(np.argmax(~((arr[:, 0] <= arr[:, 1]) & (arr[:, 1] <= arr[:, 2])))) + 1
         raise DomainError(f"{what} triple at node {bad} is not ordered lo <= mid <= hi")
@@ -56,6 +58,9 @@ class Instance:
         dist = np.asarray(self.distance, dtype=float)
         if dist.shape != (n, n):
             raise DomainError(f"distance must be {n}x{n}, got {dist.shape}")
+        for name in ("distance", "mql", "logit_sensitivity"):
+            if not np.isfinite(getattr(self, name)).all():
+                raise DomainError(f"{name} must be finite")
         if np.any(np.diag(dist) != 0):
             raise DomainError("distance diagonal must be zero")
         if not np.array_equal(dist, dist.T):
@@ -80,8 +85,8 @@ class Instance:
             weight = np.asarray(weight, dtype=float)
             if weight.shape != (n, n):
                 raise DomainError(f"benefit_weight must be {n}x{n}, got {weight.shape}")
-            if np.any(weight < 0):
-                raise DomainError("benefit weights must be nonnegative")
+            if not (np.isfinite(weight).all() and np.all(weight >= 0)):
+                raise DomainError("benefit weights must be finite and nonnegative")
             weight.setflags(write=False)
         for name, arr in (("distance", dist), ("demand", demand), ("service", service)):
             arr.setflags(write=False)

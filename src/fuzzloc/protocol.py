@@ -93,20 +93,13 @@ def _config(
     return dataclasses.replace(aco_config or ACOConfig(), seed=seed)
 
 
-def _run(
-    instance: Instance,
-    fitness: Fitness,
-    algo: str,
-    seed: int,
-    ga_config: Optional[GAConfig],
-    aco_config: Optional[ACOConfig],
-) -> SolverReport:
-    """The final GA or ACO run of a solve, maximizing ``fitness``, seeded
-    with ``seed``. ``run_ga`` and ``run_aco`` are looked up as module
-    globals on each call, so a wrapper patched onto this module sees the
-    final run only: ``estimate_bounds`` steps the bound runs itself."""
-    config = _config(algo, seed, ga_config, aco_config)
-    if algo == "ga":
+def _run(instance: Instance, fitness: Fitness, config: GAConfig | ACOConfig) -> SolverReport:
+    """The final GA or ACO run of a solve, maximizing ``fitness``; the
+    config's type picks the solver. ``run_ga`` and ``run_aco`` are looked up
+    as module globals on each call, so a wrapper patched onto this module
+    sees the final run only: ``estimate_bounds`` steps the bound runs
+    itself."""
+    if isinstance(config, GAConfig):
         return run_ga(instance, fitness, config)
     return run_aco(instance, fitness, config)
 
@@ -193,10 +186,11 @@ def solve_protocol(
         return (report, ctx)
     if algo not in ("ga", "aco"):
         raise DomainError(f"unknown algorithm {algo!r}")
+    config = _config(algo, seed, ga_config, aco_config)  # a bad seed fails before the bound runs
     if ctx is None:
         ctx = estimate_bounds(
             instance, algo, bound_seeds(seed), ga_config=ga_config, aco_config=aco_config
         )
-    report = _run(instance, make_maximin_eval(instance, ctx), algo, seed, ga_config, aco_config)
+    report = _run(instance, make_maximin_eval(instance, ctx), config)
     report.bounds_id = ctx.bounds_id
     return (report, ctx)

@@ -1,4 +1,5 @@
-"""The two stopping windows shared by the genetic algorithm and the ant colony."""
+"""The two stopping windows shared by the genetic algorithm and the ant colony,
+and the check of a run's seed and window lengths."""
 
 from __future__ import annotations
 
@@ -12,8 +13,12 @@ def convergence_limit(n: int, m: int) -> int:
     return int(n * math.sqrt(m))
 
 
-def check_windows(limit: Optional[int], cap: Optional[int]) -> None:
-    """A config's window lengths: None for the default, else at least 1."""
+def check_run(seed: int, limit: Optional[int], cap: Optional[int]) -> None:
+    """A config's seed, at least 0 (numpy's generators reject a negative
+    seed, and random.Random(-s) replays seed s), and its window lengths:
+    None for the default, else at least 1."""
+    if seed < 0:
+        raise DomainError(f"seed must be non-negative, got {seed}")
     if any(window is not None and window < 1 for window in (limit, cap)):
         raise DomainError("convergence_limit and stagnation_limit must be at least 1")
 

@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from conftest import crispen, feasible_subsets, mild_params
-from fuzzloc.aco import TAU_MIN, ACOConfig, PheromoneState, pheromone_update, run_aco
+from fuzzloc.aco import TAU_MIN, ACOConfig, _update, run_aco
 from fuzzloc.cli import main as cli_main
 from fuzzloc.evaluation import (
     capacity_threshold,
@@ -313,20 +313,18 @@ def test_criterion_6_structural_invariants(verdict):
 
     np_rng = np.random.default_rng(1)
     config = ACOConfig()
-    state = PheromoneState(tau=np.ones(10))
+    tau = np.ones((1, 10))
     for _ in range(1000):
-        weights = state.tau**config.alpha_exp
+        weights = tau**config.alpha_exp
         probs = weights / weights.sum()
         assert abs(probs.sum() - 1.0) < 1e-9
         colony = [
-            (
-                Solution(np_rng.choice(10, size=3, replace=False) + 1),
-                float(np_rng.uniform(-1.0, 1.0)),
-            )
+            (np_rng.choice(10, size=3, replace=False), float(np_rng.uniform(-1.0, 1.0)))
             for _ in range(3)
         ]
-        state = pheromone_update(state, colony, config)
-        assert np.all(state.tau >= TAU_MIN) and np.all(state.tau <= config.max_pheromone)
+        nodes, values = np.array([nodes for nodes, _ in colony]), [value for _, value in colony]
+        tau = _update(tau, nodes, values, config, np.ones(3, dtype=bool))
+        assert np.all(tau >= TAU_MIN) and np.all(tau <= config.max_pheromone)
         cases["aco"] += 1
 
     for k in range(1000):

@@ -10,45 +10,56 @@ from fuzzloc import aco
 from fuzzloc.aco import (
     TAU_MIN,
     ACOConfig,
-    PheromoneState,
     ant_count,
-    construct_solution,
     heuristic_index,
-    pheromone_update,
     run_aco,
 )
 from fuzzloc.errors import DomainError
 from fuzzloc.evaluation import make_maximin_eval
 from fuzzloc.instances import generate_instance
-from fuzzloc.model import Solution
 from fuzzloc.oracle import enumerate_optimum, exact_bounds
 
 
 def _selection_probabilities(
-    state: PheromoneState, eta: np.ndarray, unchosen: np.ndarray, config: ACOConfig
+    tau: np.ndarray, eta: np.ndarray, unchosen: np.ndarray, config: ACOConfig
 ) -> np.ndarray:
-    log_w = aco._log_weights(state.tau[unchosen], eta[unchosen], config)
+    log_w = aco._log_weights(tau[unchosen], config.beta_exp * np.log(eta[unchosen]), config)
     weights = np.exp(log_w - log_w.max())
     return weights / weights.sum()
 
 
 def select_next(
-    state: PheromoneState,
+    tau: np.ndarray,
     eta: np.ndarray,
     chosen: set[int],
     config: ACOConfig,
     rng: np.random.Generator,
 ) -> int:
     """Reference: sample one more node (1-based) proportionally to
-    tau^a * eta^b. The colony sampler, aco._sample_colony, draws whole
+    tau^a * eta^b. The colony sampler, aco._sample_colonies, draws whole
     subsets at once; the distribution tests check it against repeated calls
     of this stepwise sampler."""
-    n = state.tau.size
+    n = tau.size
     unchosen = np.asarray([j for j in range(n) if (j + 1) not in chosen], dtype=int)
     if unchosen.size == 0:
         raise DomainError("no unchosen nodes left")
-    probs = _selection_probabilities(state, eta, unchosen, config)
+    probs = _selection_probabilities(tau, eta, unchosen, config)
     return int(unchosen[rng.choice(unchosen.size, p=probs)]) + 1
+
+
+def draw_colony(
+    tau: np.ndarray, eta: np.ndarray, m: int, ants: int, config: ACOConfig, rng
+) -> np.ndarray:
+    """One run's colony of ``ants`` subsets as aco._colonies draws it: the
+    log weights of the trail row, then aco._sample_colonies on one (1, ants,
+    n) Gumbel draw. Returns (ants, m) 0-based, ascending node indices."""
+    log_w = aco._log_weights(tau[None], config.beta_exp * np.log(eta), config)
+    return aco._sample_colonies(log_w, m, rng.gumbel(size=(1, ants, tau.size)))
+
+
+def evaporate(tau: np.ndarray, config: ACOConfig) -> np.ndarray:
+    """aco._update for a colony without ants."""
+    return aco._update(tau, np.empty((0, 1), dtype=np.intp), [], config, np.empty(0, dtype=bool))
 
 
 class TestConfig:
@@ -74,6 +85,10 @@ class TestConfig:
         with pytest.raises(DomainError, match="at least 1"):
             ACOConfig(**{field: value})
 
+    def test_rejects_negative_seed(self):
+        with pytest.raises(DomainError, match="seed must be non-negative, got -1"):
+            ACOConfig(seed=-1)
+
     @pytest.mark.parametrize("field", ["alpha_exp", "beta_exp"])
     def test_rejects_exponent_above_bound(self, field):
         for value in (np.nextafter(aco.MAX_EXPONENT, np.inf), 2e307):
@@ -84,8 +99,9 @@ class TestConfig:
         config = ACOConfig(alpha_exp=aco.MAX_EXPONENT, beta_exp=aco.MAX_EXPONENT)
         extremes = np.array([5e-324, 1e-6, 1.0, 200.0, np.finfo(float).max])
         tau, eta = np.meshgrid(extremes, extremes)
-        log_w = aco._log_weights(tau.ravel(), eta.ravel(), config)
-        assert np.isfinite(log_w).all()
+        beta_log_eta = config.beta_exp * np.log(eta.ravel())
+        log_w = aco._log_weights(tau.ravel(), beta_log_eta, config)
+        assert np.isfinite(beta_log_eta).all() and np.isfinite(log_w).all()
 
     def test_tuned_defaults(self):
         config = ACOConfig()
@@ -127,69 +143,63 @@ class TestHeuristicIndex:
 
 class TestSelection:
     def test_hand_probabilities(self):
-        state = PheromoneState(tau=np.asarray([1.0, 1.0]))
+        tau = np.asarray([1.0, 1.0])
         eta = np.asarray([2.0, 1.0])
         config = ACOConfig(alpha_exp=1.0, beta_exp=1.0)
-        probs = _selection_probabilities(state, eta, np.asarray([0, 1]), config)
+        probs = _selection_probabilities(tau, eta, np.asarray([0, 1]), config)
         assert probs == pytest.approx([2 / 3, 1 / 3])
 
     def test_probabilities_sum_to_one(self):
         rng = np.random.default_rng(0)
-        state = PheromoneState(tau=rng.uniform(TAU_MIN, 200, size=10))
+        tau = rng.uniform(TAU_MIN, 200, size=10)
         eta = rng.uniform(0.01, 1, size=10)
-        probs = _selection_probabilities(
-            state, eta, np.arange(10), ACOConfig()
-        )
+        probs = _selection_probabilities(tau, eta, np.arange(10), ACOConfig())
         assert probs.sum() == pytest.approx(1.0, abs=1e-9)
 
     def test_single_remaining_node(self):
-        state = PheromoneState(tau=np.ones(3))
+        tau = np.ones(3)
         eta = np.full(3, 1 / 3)
         rng = np.random.default_rng(0)
-        pick = select_next(state, eta, {1, 2}, ACOConfig(), rng)
+        pick = select_next(tau, eta, {1, 2}, ACOConfig(), rng)
         assert pick == 3
 
     def test_empirical_frequencies_match(self):
         # single-server constructions reduce to one proportional draw
-        state = PheromoneState(tau=np.asarray([1.0, 2.0, 3.0, 2.0, 2.0]))
+        tau = np.asarray([1.0, 2.0, 3.0, 2.0, 2.0])
         eta = np.full(5, 0.2)
         config = ACOConfig(alpha_exp=1.0, beta_exp=1.0)
-        expected = state.tau / state.tau.sum()
+        expected = tau / tau.sum()
         rng = np.random.default_rng(42)
         counts = np.zeros(5)
         draws = 50_000
         for _ in range(draws):
-            pick = select_next(state, eta, set(), config, rng)
+            pick = select_next(tau, eta, set(), config, rng)
             counts[pick - 1] += 1
         assert np.allclose(counts / draws, expected, atol=0.01)
 
 
 class TestConstruction:
     def test_size_and_range(self, medium_instance):
-        state = PheromoneState.initial(8)
+        tau = np.ones(8)
         eta = heuristic_index(medium_instance)
         rng = np.random.default_rng(1)
         for _ in range(50):
-            solution = construct_solution(state, eta, medium_instance, ACOConfig(), rng)
-            assert len(solution.open) == 2
-            assert all(1 <= j <= 8 for j in solution.open)
+            (nodes,) = draw_colony(tau, eta, medium_instance.m_servers, 1, ACOConfig(), rng)
+            assert len(set(nodes.tolist())) == 2
+            assert all(0 <= j < 8 for j in nodes)
 
     def test_near_exhaustive_choice(self, medium_instance):
-        import dataclasses
-
-        inst = dataclasses.replace(medium_instance, m_servers=7)
-        state = PheromoneState.initial(8)
-        eta = heuristic_index(inst)
+        tau = np.ones(8)
+        eta = heuristic_index(medium_instance)
         rng = np.random.default_rng(2)
-        solution = construct_solution(state, eta, inst, ACOConfig(), rng)
-        assert len(solution.open) == 7
+        (nodes,) = draw_colony(tau, eta, 7, 1, ACOConfig(), rng)
+        assert len(set(nodes.tolist())) == 7
 
     @staticmethod
     def check_stepwise_distribution(instance, tau, alpha):
         # the vectorized sampler and repeated select_next draws agree with
         # each other and with the exact marginal inclusion probability of
         # each node, P(j) = p_j + sum_{i != j} p_i * p_j / (1 - p_i) for m = 2
-        state = PheromoneState(tau=tau)
         eta = heuristic_index(instance)
         config = ACOConfig(alpha_exp=alpha)
         log_w = alpha * np.log(tau) + config.beta_exp * np.log(eta)
@@ -197,18 +207,17 @@ class TestConstruction:
         p /= p.sum()
         exact = p + p * (np.sum(p / (1 - p)) - p / (1 - p))
         draws = 20_000
+        # one colony of 20 000 ants takes the Gumbel draws of 20 000
+        # one-ant colonies, row by row
         rng = np.random.default_rng(3)
-        fast = np.zeros(8)
-        for _ in range(draws):
-            s = construct_solution(state, eta, instance, config, rng)
-            for j in s.open:
-                fast[j - 1] += 1
+        colony = draw_colony(tau, eta, 2, draws, config, rng)
+        fast = np.bincount(colony.ravel(), minlength=8).astype(float)
         rng = np.random.default_rng(4)
         slow = np.zeros(8)
         for _ in range(draws):
             chosen = set()
             for _ in range(2):
-                chosen.add(select_next(state, eta, chosen, config, rng))
+                chosen.add(select_next(tau, eta, chosen, config, rng))
             for j in chosen:
                 slow[j - 1] += 1
         assert np.allclose(fast / draws, slow / draws, atol=0.015)
@@ -224,42 +233,55 @@ class TestConstruction:
 
 
 class TestPheromoneUpdate:
+    """aco._update on (R, n) trails; ``nodes`` index the flattened trails."""
+
+    @staticmethod
+    def update(tau, nodes, values, maximize):
+        return aco._update(
+            np.asarray(tau, dtype=float), np.asarray(nodes, dtype=np.intp), values,
+            ACOConfig(), np.asarray(maximize),
+        )
+
     def test_pure_evaporation(self):
-        state = PheromoneState(tau=np.full(3, 100.0))
-        out = pheromone_update(state, [], ACOConfig())
-        assert out.tau == pytest.approx([97.0] * 3)
+        out = evaporate(np.full((1, 3), 100.0), ACOConfig())
+        assert out[0] == pytest.approx([97.0] * 3)
 
     def test_deposit_example(self):
-        state = PheromoneState(tau=np.ones(4))
-        out = pheromone_update(state, [(Solution([2]), 0.9)], ACOConfig())
-        assert out.tau[1] == pytest.approx(0.97 + 180.0)
-        assert out.tau[0] == pytest.approx(0.97)
+        out = self.update(np.ones((1, 4)), [[1]], [0.9], [True])
+        assert out[0, 1] == pytest.approx(0.97 + 180.0)
+        assert out[0, 0] == pytest.approx(0.97)
 
     def test_penalized_ant_deposits_nothing(self):
-        state = PheromoneState(tau=np.ones(4))
-        out = pheromone_update(state, [(Solution([2]), -1.5)], ACOConfig())
-        assert out.tau == pytest.approx([0.97] * 4)
+        out = self.update(np.ones((1, 4)), [[1]], [-1.5], [True])
+        assert out[0] == pytest.approx([0.97] * 4)
 
     def test_minimization_deposit(self):
-        state = PheromoneState(tau=np.ones(4))
-        out = pheromone_update(state, [(Solution([3]), 4.0)], ACOConfig(), sense="min")
-        assert out.tau[2] == pytest.approx(0.97 + 200.0 / 4.0)
+        out = self.update(np.ones((1, 4)), [[2]], [4.0], [False])
+        assert out[0, 2] == pytest.approx(0.97 + 200.0 / 4.0)
+        # the penalized ant of a minimization bound run still deposits theta/F
+        out = self.update(np.ones((1, 4)), [[2]], [1e12 * (1 + 0.5)], [False])
+        assert out[0, 2] - 0.97 == pytest.approx(200.0 / 1.5e12, rel=1e-4)
+
+    def test_row_offsets(self):
+        # node j of row r is r * n + j; a max row and a min row in one update
+        out = self.update(np.ones((2, 4)), [[1], [4 + 3]], [0.9, 4.0], [True, False])
+        assert out[0] == pytest.approx([0.97, 0.97 + 180.0, 0.97, 0.97])
+        assert out[1] == pytest.approx([0.97, 0.97, 0.97, 0.97 + 50.0])
 
     def test_clamped_to_bounds(self):
-        state = PheromoneState(tau=np.ones(4))
-        out = pheromone_update(state, [(Solution([1]), 10.0)], ACOConfig())
-        assert out.tau[0] == 200.0
+        out = self.update(np.ones((1, 4)), [[0]], [10.0], [True])
+        assert out[0, 0] == 200.0
         for _ in range(1000):
-            out = pheromone_update(out, [], ACOConfig())
-        assert np.all(out.tau >= TAU_MIN)
+            out = evaporate(out, ACOConfig())
+        assert np.all(out >= TAU_MIN)
 
     def test_geometric_decay(self):
         config = ACOConfig()
-        state = PheromoneState(tau=np.full(2, 50.0))
+        tau = np.full((1, 2), 50.0)
         for t in range(1, 11):
-            state = pheromone_update(state, [], config)
+            tau = evaporate(tau, config)
             expected = max(TAU_MIN, 0.97**t * 50.0)
-            assert state.tau == pytest.approx([expected] * 2)
+            assert tau[0] == pytest.approx([expected] * 2)
 
 
 class TestRunACO:

@@ -1,8 +1,9 @@
-"""Differential checks of the batched solvers: a colony drawn, scored and
-deposited at once against the same steps one ant at a time, stacked ACO runs
-against each run alone, ant by ant, bound fitness blocks scored by drive
-against their per-subset calls, and solver reports from a KernelFitness
-against the same fitness as a plain callable. Every comparison is exact."""
+"""Differential checks of the batched solvers: the colonies of stacked
+trail rows drawn and deposited at once against each run's steps one ant at
+a time, stacked ACO runs against each run alone, ant by ant, bound fitness
+blocks scored by drive against their per-subset calls, and solver reports
+from a KernelFitness against the same fitness as a plain callable. Every
+comparison is exact."""
 
 import dataclasses
 import itertools
@@ -16,15 +17,13 @@ from hypothesis import strategies as st
 from fuzzloc.aco import (
     TAU_MIN,
     ACOConfig,
-    PheromoneState,
     _colonies,
-    _deposit,
     _log_weights,
-    _sample_colony,
+    _sample_colonies,
     _steps,
+    _update,
     ant_count,
     heuristic_index,
-    pheromone_update,
     run_aco,
 )
 from fuzzloc.errors import DomainError, InfeasibleInstanceError
@@ -47,9 +46,9 @@ def reference_sample(log_w, m, rng):
     return Solution(int(j) + 1 for j in picks)
 
 
-def reference_update(state, colony, config, sense):
-    """pheromone_update as a loop over the ants."""
-    tau = state.tau * config.evaporation_rate
+def reference_update(tau, colony, config, sense):
+    """One run's trail row after aco._update, as a loop over the ants."""
+    tau = tau * config.evaporation_rate
     for solution, fitness in colony:
         if not math.isfinite(fitness):
             continue
@@ -65,37 +64,42 @@ def reference_update(state, colony, config, sense):
     return np.clip(tau, TAU_MIN, config.max_pheromone)
 
 
-taus = st.integers(2, 30).flatmap(
-    lambda n: st.lists(
+def trail_rows(n):
+    """Trail rows of n nodes, with the floor, 1 and the cap among them."""
+    return st.lists(
         st.one_of(st.floats(TAU_MIN, 200.0), st.sampled_from((TAU_MIN, 1.0, 200.0))),
         min_size=n,
         max_size=n,
     )
-)
 
 
 @given(
-    tau=taus,
+    trails=st.integers(2, 30).flatmap(lambda n: st.lists(trail_rows(n), min_size=1, max_size=4)),
     data=st.data(),
     ants=st.integers(1, 12),
     seed=st.integers(0, 2**32 - 1),
     alpha=st.sampled_from((0.75, 150.0)),
 )
 @settings(max_examples=80, deadline=None)
-def test_colony_draw_matches_ant_by_ant(tau, data, ants, seed, alpha):
-    n = len(tau)
+def test_colony_draw_matches_ant_by_ant(trails, data, ants, seed, alpha):
+    """R = 1-4 runs' colonies drawn by one _sample_colonies call, each from
+    its own generator's noise, against each run's ants drawn one by one."""
+    tau = np.array(trails)
+    runs, n = tau.shape
     m = data.draw(st.integers(1, n - 1))
     eta = np.random.default_rng(seed).uniform(0.01, 1.0, size=n)
-    log_w = _log_weights(np.array(tau), eta, ACOConfig(alpha_exp=alpha))
-    batched, single, reference = (np.random.default_rng(seed) for _ in range(3))
-    colony = _sample_colony(log_w, m, ants, batched)
-    assert colony.shape == (ants, m)
-    for row in colony.tolist():
-        one = _sample_colony(log_w, m, 1, single)
-        ref = reference_sample(log_w, m, reference)
-        assert row == one[0].tolist() == [j - 1 for j in ref.sorted()]
-    assert batched.bit_generator.state == single.bit_generator.state
-    assert batched.bit_generator.state == reference.bit_generator.state
+    config = ACOConfig(alpha_exp=alpha)
+    log_w = _log_weights(tau, config.beta_exp * np.log(eta), config)
+    batched = [np.random.default_rng(seed + r) for r in range(runs)]
+    reference = [np.random.default_rng(seed + r) for r in range(runs)]
+    noise = np.stack([rng.gumbel(size=(ants, n)) for rng in batched])
+    colonies = _sample_colonies(log_w, m, noise)
+    assert colonies.shape == (runs * ants, m)
+    for r in range(runs):
+        for row in colonies[r * ants:(r + 1) * ants].tolist():
+            ref = reference_sample(log_w[r], m, reference[r])
+            assert row == [j - 1 for j in ref.sorted()]
+        assert batched[r].bit_generator.state == reference[r].bit_generator.state
 
 
 values = st.one_of(
@@ -112,22 +116,37 @@ values = st.one_of(
 )
 @settings(max_examples=60, deadline=None)
 def test_deposit_matches_ant_loop(sense, n, data, seed):
+    """One _update of R = 1-4 trail rows, run r's nodes offset by r * n,
+    against each row's ant loop. Row 0 has the given sense, the other rows
+    a drawn one."""
     # few nodes and many ants, so most nodes take several deposits
+    runs = data.draw(st.integers(1, 4))
     m = data.draw(st.integers(1, n - 1))
     ants = data.draw(st.integers(0, 10))
+    senses = [sense] + data.draw(st.lists(st.sampled_from(("max", "min")),
+                                          min_size=runs - 1, max_size=runs - 1))
     rng = np.random.default_rng(seed)
     config = ACOConfig(
         evaporation_rate=data.draw(st.sampled_from((0.5, 0.97))),
         max_pheromone=data.draw(st.sampled_from((1.0, 200.0))),
     )
-    state = PheromoneState(tau=rng.uniform(TAU_MIN, config.max_pheromone, size=n))
-    idx = np.sort(np.array([rng.choice(n, size=m, replace=False) for _ in range(ants)],
-                           dtype=np.intp).reshape(ants, m), axis=1)
-    fitness = data.draw(st.lists(values, min_size=ants, max_size=ants))
-    colony = [(Solution(row + 1), value) for row, value in zip(idx, fitness)]
-    expected = reference_update(state, colony, config, sense)
-    assert np.array_equal(_deposit(state, idx, fitness, config, sense).tau, expected)
-    assert np.array_equal(pheromone_update(state, colony, config, sense).tau, expected)
+    tau = rng.uniform(TAU_MIN, config.max_pheromone, size=(runs, n))
+    idx = np.sort(np.array([rng.choice(n, size=m, replace=False) for _ in range(runs * ants)],
+                           dtype=np.intp).reshape(runs * ants, m), axis=1)
+    fitness = data.draw(st.lists(values, min_size=runs * ants, max_size=runs * ants))
+    offsets = np.repeat(np.arange(runs) * n, ants)[:, None]
+    maximize = np.repeat([s == "max" for s in senses], ants)
+    expected = [
+        reference_update(
+            tau[r],
+            [(Solution(row + 1), value) for row, value in
+             zip(idx[r * ants:(r + 1) * ants], fitness[r * ants:(r + 1) * ants])],
+            config,
+            senses[r],
+        )
+        for r in range(runs)
+    ]
+    assert np.array_equal(_update(tau, idx + offsets, fitness, config, maximize), expected)
 
 
 def reference_steps(instance, config, sense):
@@ -141,10 +160,10 @@ def reference_steps(instance, config, sense):
     windows = Windows(n, m, config.convergence_limit, config.stagnation_limit)
     ants = ant_count(n, m, config.population_coefficient)
     eta = heuristic_index(instance)
-    state = PheromoneState.initial(n)
+    tau = np.ones(n)
     best, best_value, trace = None, worst, []
     while True:
-        log_w = _log_weights(state.tau, eta, config)
+        log_w = _log_weights(tau, config.beta_exp * np.log(eta), config)
         colony = [reference_sample(log_w, m, rng) for _ in range(ants)]
         values = yield np.array([solution.sorted() for solution in colony], dtype=np.intp) - 1
         improved, colony_best = False, worst
@@ -153,8 +172,7 @@ def reference_steps(instance, config, sense):
                 colony_best = value
             if best is None or better(value, best_value):
                 best, best_value, improved = solution.sorted(), value, True
-        tau = reference_update(state, list(zip(colony, values)), config, sense)
-        state = PheromoneState(tau=tau)
+        tau = reference_update(tau, list(zip(colony, values)), config, sense)
         trace.append(best_value)
         termination = windows.step(improved, colony_best == best_value)
         if termination:

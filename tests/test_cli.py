@@ -241,6 +241,46 @@ def test_bad_enum_budget_is_usage_error(small_file, tmp_path, monkeypatch, capsy
     assert not out.exists()
 
 
+@pytest.mark.parametrize("value", ["nan", "inf"])
+@pytest.mark.parametrize("algo", ["ga", "brute"])
+def test_non_finite_logit_is_usage_error(small_file, capsys, value, algo):
+    assert run(["solve", "--instance", small_file, "--algo", algo, "--logit", value]) == EXIT_USAGE
+    assert capsys.readouterr().err == "usage error: logit_sensitivity must be finite\n"
+
+
+@pytest.mark.parametrize("command", [
+    ["generate", "--seed", -3],
+    ["solve", "--algo", "ga", "--seed", -3],
+    ["solve", "--algo", "aco", "--seed", -3],
+    ["tune", "--seeds", 0, -3],
+])
+def test_negative_seed_is_usage_error(small_file, tmp_path, capsys, command):
+    """A negative seed stops the command with one line, before any run and
+    before any file is written; the solve names the seed it was given."""
+    out = tmp_path / "out"
+    if command[0] != "generate":
+        command = [*command, "--instance", small_file]
+    assert run([*command, "--out", out]) == EXIT_USAGE
+    assert capsys.readouterr().err == "usage error: seed must be non-negative, got -3\n"
+    assert not out.exists()
+
+
+def test_bench_negative_seed_writes_error_rows(small_file, tmp_path):
+    out = tmp_path / "bench.csv"
+    assert run([
+        "bench", "--instance", small_file, "--replications", 2, "--seed", -1, "--out", out,
+    ]) == EXIT_OK
+    with out.open() as fh:
+        rows = list(csv.DictReader(fh))
+    assert [(row["algorithm"], row["seed"]) for row in rows] == [
+        ("ga", "-1"), ("ga", "0"), ("aco", "-1"), ("aco", "0"),
+    ]
+    for row in rows[::2]:
+        assert row["termination"] == "error:seed must be non-negative, got -1"
+        assert (row["objective"], row["facilities"], row["evals"]) == ("nan", "", "0")
+    assert all(row["termination"] in ("convergence", "stagnation") for row in rows[1::2])
+
+
 class TestEnumBudget:
     """FUZZLOC_ENUM_BUDGET below C(6, 2) = 15 subsets makes every exhaustive
     enumeration of the small instance fail; at 15 it fits."""

@@ -61,6 +61,11 @@ class TestSizing:
         with pytest.raises(DomainError, match="at least 1"):
             GAConfig(**{field: value})
 
+    def test_config_rejects_negative_seed(self):
+        # random.Random(-3) would replay seed 3
+        with pytest.raises(DomainError, match="seed must be non-negative, got -3"):
+            GAConfig(seed=-3)
+
 
 class TestInitPopulation:
     def test_covers_all_genes(self, medium_instance):

@@ -34,6 +34,10 @@ class TestGeneratorParams:
         with pytest.raises(DomainError):
             GeneratorParams(n=6, m_servers=2, distance_range=(0, 10))
 
+    def test_negative_seed_rejected(self):
+        with pytest.raises(DomainError, match="seed must be non-negative"):
+            GeneratorParams(n=6, m_servers=2, seed=-1)
+
 
 class TestGeneration:
     def test_deterministic(self):
@@ -109,6 +113,26 @@ class TestPersistence:
         path.write_text(json.dumps(doc))
         with pytest.raises(InstanceFormatError, match="not ordered"):
             load_instance(path)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize(
+        "field", ["distance", "demand", "service", "benefit_weight", "mql", "logit_sensitivity"]
+    )
+    def test_non_finite_field_rejected(self, small_instance, field, value):
+        # checked before the other rules, so a NaN distance is not reported
+        # as an asymmetric matrix nor a NaN rate as an unordered triple
+        doc = instance_to_dict(small_instance)
+        if field == "distance":
+            doc["distance"][0][1] = doc["distance"][1][0] = value
+        elif field == "benefit_weight":
+            doc["benefit_weight"] = np.ones((6, 6)).tolist()
+            doc["benefit_weight"][2][3] = value
+        elif field in ("demand", "service"):
+            doc[field][0][2] = value
+        else:
+            doc[field] = value
+        with pytest.raises(InstanceFormatError, match="finite"):
+            instance_from_dict(doc)
 
     def test_missing_field_rejected(self, small_instance):
         doc = instance_to_dict(small_instance)

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import mild_params
-from fuzzloc.aco import TAU_MIN, ACOConfig, PheromoneState, pheromone_update
+from fuzzloc.aco import TAU_MIN, ACOConfig, _update
 from fuzzloc.evaluation import MaximinContext, SpreadComponents, membership_values
 from fuzzloc.ga import Chromosome, generate_candidate
 from fuzzloc.instances import generate_instance
@@ -72,14 +72,15 @@ def test_ga_candidate_invariants(pool, seed):
 def test_pheromone_stays_in_bounds(seed):
     rng = np.random.default_rng(seed)
     config = ACOConfig()
-    state = PheromoneState(tau=rng.uniform(TAU_MIN, config.max_pheromone, size=8))
+    tau = rng.uniform(TAU_MIN, config.max_pheromone, size=(1, 8))
     colony = [
-        (Solution(rng.choice(8, size=2, replace=False) + 1), float(rng.uniform(-1.5, 1.0)))
+        (rng.choice(8, size=2, replace=False), float(rng.uniform(-1.5, 1.0)))
         for _ in range(4)
     ]
-    out = pheromone_update(state, colony, config)
-    assert np.all(out.tau >= TAU_MIN)
-    assert np.all(out.tau <= config.max_pheromone)
+    nodes, values = np.array([nodes for nodes, _ in colony]), [value for _, value in colony]
+    out = _update(tau, nodes, values, config, np.ones(4, dtype=bool))
+    assert np.all(out >= TAU_MIN)
+    assert np.all(out <= config.max_pheromone)
 
 
 @given(
