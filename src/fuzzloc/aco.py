@@ -124,11 +124,9 @@ def _update(
     return np.minimum(np.maximum(trails, TAU_MIN, out=trails), config.max_pheromone, out=trails)
 
 
-def run_aco(
-    instance: Instance, eval_fn: Fitness, config: ACOConfig, sense: str = "max"
-) -> SolverReport:
-    """Iterate colonies until the colony converges on the global best or
-    improvement stops.
+def run_aco(instance: Instance, eval_fn: Fitness, config: ACOConfig) -> SolverReport:
+    """Iterate colonies that maximize ``eval_fn`` until the colony converges
+    on the global best or improvement stops.
 
     Same two windows as the genetic algorithm: the per-iteration colony best
     equals the global best for floor(n * sqrt(m)) consecutive iterations
@@ -137,12 +135,12 @@ def run_aco(
     one block of ``evaluation.drive``; its first ant that beats the best so
     far becomes the new best.
     """
-    return run_solver("aco", instance, config.seed, _steps(instance, config, sense), eval_fn)
+    return run_solver("aco", instance, config.seed, _steps(instance, config), eval_fn)
 
 
-def _steps(instance: Instance, config: ACOConfig, sense: str) -> Steps[Outcome]:
+def _steps(instance: Instance, config: ACOConfig) -> Steps[Outcome]:
     """run_aco as a step generator: it yields one colony per iteration."""
-    return (yield from _colonies(instance, [config], [sense]))[0]
+    return (yield from _colonies(instance, [config], ["max"]))[0]
 
 
 def _trail_parameters(config: ACOConfig) -> ACOConfig:

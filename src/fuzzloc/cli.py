@@ -2,7 +2,8 @@
 
 Exit codes: 0 success, 1 usage error, 2 runtime failure, 3 validation failure.
 The enumeration budget can be overridden with FUZZLOC_ENUM_BUDGET, a positive
-integer; any other value is a usage error.
+integer; any other value is a usage error. So is an --events,
+--network-events or --replications count below 1.
 """
 
 from __future__ import annotations
@@ -89,6 +90,17 @@ def _enum_budget() -> int:
     return budget
 
 
+def _positive_int(text: str) -> int:
+    """argparse type of a count that must be at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
+    return value
+
+
 def _load(path: str, gamma=None, logit=None) -> Instance:
     instance = load_instance(path)
     if gamma is not None or logit is not None:
@@ -154,7 +166,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     ben = sub.add_parser("bench", help="paired GA/ACO replications over shared seeds")
     ben.add_argument("--instance", action="append", required=True)
-    ben.add_argument("--replications", type=int, default=5)
+    ben.add_argument("--replications", type=_positive_int, default=5)
     ben.add_argument("--seed", type=int, default=0)
     ben.add_argument("--out", required=True, help="CSV output path")
     ben.add_argument("--exact-bounds", action="store_true")
@@ -173,11 +185,11 @@ def build_parser() -> argparse.ArgumentParser:
     tun.add_argument("--exact-bounds", action="store_true")
 
     val = sub.add_parser("validate", help="check analytic queue formulas against simulation")
-    val.add_argument("--events", type=int, default=10**6)
+    val.add_argument("--events", type=_positive_int, default=10**6)
     val.add_argument("--seed", type=int, default=0)
     val.add_argument("--rho", type=float, nargs="+", default=[0.3, 0.5, 0.8])
     val.add_argument("--tolerance", type=float, default=VALIDATE_TOLERANCE)
-    val.add_argument("--network-events", type=int, default=200_000)
+    val.add_argument("--network-events", type=_positive_int, default=200_000)
     val.add_argument("--network-tolerance", type=float, default=0.05)
     val.add_argument("--skip-network", action="store_true")
     return parser
@@ -327,7 +339,8 @@ def cmd_tune(args) -> int:
     ]
     ctx = _context(args, instance)
     contexts = {
-        seed: ctx or estimate_bounds(instance, "aco", bound_seeds(seed)) for seed in args.seeds
+        seed: ctx or estimate_bounds(instance, ACOConfig(), bound_seeds(seed))
+        for seed in args.seeds
     }
     out = Path(args.out)
     with out.open("w", newline="") as fh:
@@ -368,8 +381,7 @@ def cmd_validate(args) -> int:
         tol = args.tolerance * relax
         # Independent replications: one run's Lq at rho = 0.8 is off by 2-4%
         # on seed noise alone; the mean of five is within about 1%.
-        runs = [mm1_simulate(lam, mu, max(args.events, 1), seed=5 * args.seed + r)
-                for r in range(5)]
+        runs = [mm1_simulate(lam, mu, args.events, seed=5 * args.seed + r) for r in range(5)]
         p0, lq = np.mean([(sim.p0, sim.lq) for sim in runs], axis=0)
         # standard errors of the two means, from each run's batch means
         p0_se, lq_se = np.sqrt(np.sum([(sim.p0_se**2, sim.lq_se**2) for sim in runs], axis=0)) / 5

@@ -19,10 +19,10 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .errors import DomainError
-from .evaluation import Fitness, Steps, drive
+from .evaluation import Fitness, Steps
 from .model import Instance
 from .reports import Outcome, SolverReport, run_solver
-from .termination import Windows, check_run, convergence_limit  # noqa: F401 (public name)
+from .termination import Windows, check_run
 
 
 def _mask(genes) -> int:
@@ -60,22 +60,12 @@ def population_size(n: int, m: int, floor: int) -> int:
     return max(math.ceil(n / m), floor)
 
 
-def init_population(
-    instance: Instance,
-    config: GAConfig,
-    eval_fn: Fitness,
-    rng: Optional[random.Random] = None,
-) -> list[Chromosome]:
-    """Deal genes 1..n round-robin so every node appears, then fill randomly."""
-    rng = rng if rng is not None else random.Random(config.seed)
-    return drive([(_population(instance, config, rng, _Memo()), eval_fn)])[0]
-
-
 def _population(
     instance: Instance, config: GAConfig, rng: random.Random, memo: _Memo
 ) -> Steps[list[Chromosome]]:
-    """init_population as a step generator that scores its members through
-    ``memo``."""
+    """The first population: deal genes 1..n round-robin so every node
+    appears, then fill each member at random; a step generator that scores
+    the members through ``memo``."""
     n, m = instance.n, instance.m_servers
     size = population_size(n, m, config.population_floor)
     members: list[set[int]] = [set() for _ in range(size)]
@@ -91,10 +81,9 @@ def _population(
     return [Chromosome(frozenset(member), value) for member, value in zip(members, values)]
 
 
-def generate_candidate(
-    p1: Chromosome, p2: Chromosome, eval_fn: Fitness, rng: random.Random
-) -> Chromosome:
-    """Union the parents, then greedily drop unshared genes back to size m.
+def _mate(p1: Chromosome, p2: Chromosome, rng: random.Random, memo: _Memo) -> Steps[Chromosome]:
+    """Union the parents, then greedily drop unshared genes back to size m;
+    a step generator that scores each shrink step through ``memo``.
 
     At each shrink step every droppable gene is trial-removed and the removal
     with the best remaining fitness wins; genes present in both parents are
@@ -105,12 +94,6 @@ def generate_candidate(
     must differ and be of one size, so at least one shrink step runs and
     scores the candidate.
     """
-    return drive([(_mate(p1, p2, rng, _Memo()), eval_fn)])[0]
-
-
-def _mate(p1: Chromosome, p2: Chromosome, rng: random.Random, memo: _Memo) -> Steps[Chromosome]:
-    """generate_candidate as a step generator that scores each shrink step
-    through ``memo``."""
     if len(p1.genes) != len(p2.genes):
         raise DomainError("parents must be of one size")
     if p1.mask == p2.mask:
@@ -234,7 +217,7 @@ def _distinct_parents(
     """Two members with different gene sets: up to 32 random draws, then the
     first member that differs from the first one.
 
-    Such a pair always exists. ``init_population`` deals every gene 1..n,
+    Such a pair always exists. ``_population`` deals every gene 1..n,
     ``replace`` never lowers the number of distinct genes, and every member
     holds m < n genes, so no member carries the whole pool and not all
     members can be equal.

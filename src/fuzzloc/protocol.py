@@ -84,15 +84,6 @@ class _BoundRows(_BoundFitness):
         self.penalty = self.penalties[runs]
 
 
-def _config(
-    algo: str, seed: int, ga_config: Optional[GAConfig], aco_config: Optional[ACOConfig]
-) -> GAConfig | ACOConfig:
-    """The GA or ACO configuration of one run, reseeded with ``seed``."""
-    if algo == "ga":
-        return dataclasses.replace(ga_config or GAConfig(), seed=seed)
-    return dataclasses.replace(aco_config or ACOConfig(), seed=seed)
-
-
 def _run(instance: Instance, fitness: Fitness, config: GAConfig | ACOConfig) -> SolverReport:
     """The final GA or ACO run of a solve, maximizing ``fitness``; the
     config's type picks the solver. ``run_ga`` and ``run_aco`` are looked up
@@ -105,30 +96,25 @@ def _run(instance: Instance, fitness: Fitness, config: GAConfig | ACOConfig) -> 
 
 
 def estimate_bounds(
-    instance: Instance,
-    solver: str,
-    seeds: Sequence[int],
-    ga_config: Optional[GAConfig] = None,
-    aco_config: Optional[ACOConfig] = None,
+    instance: Instance, config: GAConfig | ACOConfig, seeds: Sequence[int]
 ) -> MaximinContext:
     """Run the six bound-calibration optimizations and collect the extrema.
 
-    ``solver`` is "ga" or "aco". A bound run that finds no feasible solution
+    The config's type picks the solver, and each bound run is ``config``
+    reseeded with its seed. A bound run that finds no feasible solution
     records NaN, which the membership functions treat as degenerate. Exact
     bounds come from ``oracle.exact_bounds``. The six runs step together in
     one ``drive`` call, and each ends as it would alone: six GA step
     generators, or one ACO generator over a six-row trail array whose
     blocks one ``_BoundRows`` scores.
     """
-    if solver not in ("ga", "aco"):
-        raise DomainError(f"unknown solver handle {solver!r}")
     if len(seeds) != len(BOUND_RUNS):
         raise DomainError(f"need {len(BOUND_RUNS)} seeds, got {len(seeds)}")
-    configs = [_config(solver, seed, ga_config, aco_config) for seed in seeds]
-    if solver == "ga":
+    configs = [dataclasses.replace(config, seed=seed) for seed in seeds]
+    if isinstance(config, GAConfig):
         outcomes = drive([
-            (_ga_steps(instance, config), _BoundFitness(instance, name, sense, solver))
-            for (name, sense), config in zip(BOUND_RUNS, configs)
+            (_ga_steps(instance, run), _BoundFitness(instance, name, sense, "ga"))
+            for (name, sense), run in zip(BOUND_RUNS, configs)
         ])
     else:
         fitness = _BoundRows(instance)
@@ -186,11 +172,10 @@ def solve_protocol(
         return (report, ctx)
     if algo not in ("ga", "aco"):
         raise DomainError(f"unknown algorithm {algo!r}")
-    config = _config(algo, seed, ga_config, aco_config)  # a bad seed fails before the bound runs
+    base = (ga_config or GAConfig()) if algo == "ga" else (aco_config or ACOConfig())
+    config = dataclasses.replace(base, seed=seed)  # a bad seed fails before the bound runs
     if ctx is None:
-        ctx = estimate_bounds(
-            instance, algo, bound_seeds(seed), ga_config=ga_config, aco_config=aco_config
-        )
+        ctx = estimate_bounds(instance, config, bound_seeds(seed))
     report = _run(instance, make_maximin_eval(instance, ctx), config)
     report.bounds_id = ctx.bounds_id
     return (report, ctx)

@@ -1,12 +1,15 @@
 """Shared fixtures and instance helpers for the test suite."""
 
 import itertools
+import random
 
 import numpy as np
 import pytest
 
+from fuzzloc.aco import _colonies
 from fuzzloc.evaluation import drive, fuzzy_capacity_feasible, fuzzy_objective
 from fuzzloc.fuzzy import TriFuzzy
+from fuzzloc.ga import _Memo, _mate, _population
 from fuzzloc.instances import GeneratorParams, generate_instance, load_table1
 from fuzzloc.model import Instance, Solution
 
@@ -33,6 +36,25 @@ def one_block(idx):
 def score_block(fitness, idx) -> list:
     """The values ``drive`` gives the rows of ``idx`` under ``fitness``."""
     return drive([(one_block(idx), fitness)])[0]
+
+
+def populate(instance, config, fitness, rng=None) -> list:
+    """The GA's first population under ``fitness``, as ga._population builds
+    it in a run, with a fresh memo; ``rng`` defaults to the config's seed."""
+    rng = rng if rng is not None else random.Random(config.seed)
+    return drive([(_population(instance, config, rng, _Memo()), fitness)])[0]
+
+
+def mate(p1, p2, fitness, rng):
+    """One GA candidate of parents ``p1`` and ``p2`` under ``fitness``, as
+    ga._mate builds it in a run, with a fresh memo."""
+    return drive([(_mate(p1, p2, rng, _Memo()), fitness)])[0]
+
+
+def aco_run(instance, config, sense):
+    """One ACO run of either sense as a step generator: a stack of one run
+    in aco._colonies, the way the bound phase steps its runs."""
+    return (yield from _colonies(instance, [config], [sense]))[0]
 
 
 def feasible_subsets(instance: Instance) -> list[Solution]:

@@ -15,7 +15,7 @@ import time
 import numpy as np
 import pytest
 
-from conftest import crispen, feasible_subsets, mild_params
+from conftest import crispen, feasible_subsets, mate, mild_params
 from fuzzloc.aco import TAU_MIN, ACOConfig, _update, run_aco
 from fuzzloc.cli import main as cli_main
 from fuzzloc.evaluation import (
@@ -28,7 +28,7 @@ from fuzzloc.evaluation import (
     spread_components,
 )
 from fuzzloc.fuzzy import TriFuzzy
-from fuzzloc.ga import Chromosome, GAConfig, generate_candidate, run_ga
+from fuzzloc.ga import Chromosome, GAConfig, run_ga
 from fuzzloc.instances import generate_instance, save_instance
 from fuzzloc.model import (
     Instance,
@@ -297,7 +297,7 @@ def test_criterion_6_structural_invariants(verdict):
             g2 = frozenset(
                 sorted(g1 - {min(g1)} | {next(j for j in range(1, instance.n + 1) if j not in g1)})
             )
-        child = generate_candidate(
+        child = mate(
             Chromosome(g1, fitness(Solution(g1))),
             Chromosome(g2, fitness(Solution(g2))),
             fitness,

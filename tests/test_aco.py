@@ -320,10 +320,6 @@ class TestRunACO:
             report = run_aco(small_instance, fitness, ACOConfig(seed=seed))
             assert report.objective <= optimum.best_value + 1e-12
 
-    def test_invalid_sense(self, small_instance):
-        with pytest.raises(DomainError):
-            run_aco(small_instance, lambda s: 0.0, ACOConfig(), sense="up")
-
     def test_evaluations_are_ants_times_iterations(self, small_instance):
         fitness = make_maximin_eval(small_instance, exact_bounds(small_instance))
         calls = []

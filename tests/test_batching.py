@@ -20,7 +20,6 @@ from fuzzloc.aco import (
     _colonies,
     _log_weights,
     _sample_colonies,
-    _steps,
     _update,
     ant_count,
     heuristic_index,
@@ -33,9 +32,9 @@ from fuzzloc.instances import GeneratorParams, generate_instance
 from fuzzloc.model import Solution
 from fuzzloc.oracle import exact_bounds
 from fuzzloc.protocol import BOUND_RUNS, _BoundFitness
-from fuzzloc.reports import Outcome
+from fuzzloc.reports import Outcome, run_solver
 from fuzzloc.termination import Windows
-from conftest import score_block
+from conftest import aco_run, score_block
 from test_kernel import PROBE_CTX, build, cases
 
 
@@ -152,7 +151,7 @@ def test_deposit_matches_ant_loop(sense, n, data, seed):
 def reference_steps(instance, config, sense):
     """One ACO run ant by ant: each ant's subset drawn on its own, a walk
     that keeps the first ant strictly better than the best so far, and the
-    deposit loop above. It yields and returns as aco._steps does."""
+    deposit loop above. It yields and returns as aco_run does."""
     rng = np.random.default_rng(config.seed)
     better = (lambda a, b: a > b) if sense == "max" else (lambda a, b: a < b)
     worst = -math.inf if sense == "max" else math.inf
@@ -215,7 +214,7 @@ def test_stacked_runs_match_each_run_alone(
     medium_instance, runs, infeasible, scoring, alpha, coefficient
 ):
     """R runs over one trail array end, bit for bit, as each run alone does
-    in aco._steps and in the ant-by-ant reference. Random windows make the
+    in a stack of one and in the ant-by-ant reference. Random windows make the
     runs end in different rounds."""
     instance = INFEASIBLE if infeasible else medium_instance
     if scoring == "odd":
@@ -230,7 +229,7 @@ def test_stacked_runs_match_each_run_alone(
     senses = [sense for _, sense, _, _ in runs]
     stacked = drive([(_colonies(instance, configs, senses), fitness)])[0]
     for outcome, config, sense in zip(stacked, configs, senses):
-        alone = drive([(_steps(instance, config, sense), fitness)])[0]
+        alone = drive([(aco_run(instance, config, sense), fitness)])[0]
         reference = drive([(reference_steps(instance, config, sense), fitness)])[0]
         assert _exact(outcome) == _exact(alone) == _exact(reference)
 
@@ -309,8 +308,10 @@ def test_solver_reports_match_plain_callable(instance_name, request):
                 plain = run_ga(instance, _plain(fitness), config)
             else:
                 config = ACOConfig(seed=seed, **window)
-                block = run_aco(instance, fitness, config, sense=sense)
-                plain = run_aco(instance, _plain(fitness), config, sense=sense)
+                block = run_solver("aco", instance, seed, aco_run(instance, config, sense), fitness)
+                plain = run_solver(
+                    "aco", instance, seed, aco_run(instance, config, sense), _plain(fitness)
+                )
             assert _report(block) == _report(plain), (solver, sense, seed)
 
 

@@ -4,10 +4,12 @@ import csv
 import hashlib
 import json
 
+import numpy as np
 import pytest
 
 from conftest import mild_params
 from fuzzloc import cli
+from fuzzloc.aco import ACOConfig
 from fuzzloc.cli import BENCH_HEADER, EXIT_OK, EXIT_RUNTIME, EXIT_USAGE, EXIT_VALIDATION, main
 from fuzzloc.evaluation import MaximinContext
 from fuzzloc.fuzzy import TriFuzzy
@@ -18,6 +20,7 @@ from fuzzloc.instances import (
     load_instance,
     save_instance,
 )
+from fuzzloc.protocol import bound_seeds, estimate_bounds, solve_protocol
 from fuzzloc.reports import SolverReport
 
 
@@ -216,6 +219,31 @@ class TestTune:
         assert len(rows) == 2
         assert 0.0 <= float(rows[1][-1]) <= 1.0
 
+    def test_calibrated_grid(self, small_file, tmp_path):
+        """Without --exact-bounds each seed's bounds come from the six ACO
+        bound runs of that seed under the default ACOConfig."""
+        out = tmp_path / "tune.csv"
+        assert run([
+            "tune", "--instance", small_file, "--out", out, "--seeds", 0, 1,
+            "--evaporation", "0.95", "--max-pheromone", "150",
+            "--coefficient", "1", "--alpha", "0.5", "--beta", "1",
+        ]) == EXIT_OK
+        instance = load_instance(small_file)
+        cell = ACOConfig(
+            evaporation_rate=0.95, max_pheromone=150, population_coefficient=1,
+            alpha_exp=0.5, beta_exp=1,
+        )
+        objectives = [
+            solve_protocol(
+                instance, "aco", seed=s, aco_config=cell,
+                ctx=estimate_bounds(instance, ACOConfig(), bound_seeds(s)),
+            )[0].objective
+            for s in (0, 1)
+        ]
+        with out.open() as fh:
+            rows = list(csv.DictReader(fh))
+        assert [row["mean_objective"] for row in rows] == [cli._fmt(float(np.mean(objectives)))]
+
     def test_default_grid_is_32_cells(self, small_file, tmp_path):
         out = tmp_path / "tune32.csv"
         assert run(["tune", "--instance", small_file, "--out", out, "--exact-bounds"]) == EXIT_OK
@@ -238,6 +266,30 @@ def test_bad_enum_budget_is_usage_error(small_file, tmp_path, monkeypatch, capsy
     assert run([*command, "--instance", small_file, "--out", out]) == EXIT_USAGE
     assert capsys.readouterr().err == (
         f"usage error: FUZZLOC_ENUM_BUDGET must be a positive integer, got {value!r}\n")
+    assert not out.exists()
+
+
+def _never(*args, **kwargs):
+    raise AssertionError("ran before the usage error")
+
+
+@pytest.mark.parametrize("value", [0, -5])
+@pytest.mark.parametrize("flag", ["--events", "--network-events", "--replications"])
+def test_count_below_one_is_usage_error(small_file, tmp_path, monkeypatch, capsys, flag, value):
+    """A count below 1 stops the command with one line from the parser,
+    before any simulation or solve runs and before any file is written."""
+    for name in ("mm1_simulate", "simulate_objective_slice", "solve_protocol"):
+        monkeypatch.setattr(cli, name, _never)
+    out = tmp_path / "out.csv"
+    command = {
+        "--events": ["validate", "--skip-network"],
+        "--network-events": ["validate"],
+        "--replications": ["bench", "--instance", small_file, "--out", out],
+    }[flag]
+    assert run([*command, flag, value]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == (
+        "", f"usage error: argument {flag}: must be a positive integer, got '{value}'\n")
     assert not out.exists()
 
 

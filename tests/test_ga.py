@@ -11,16 +11,13 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import fuzzloc.ga
-from conftest import feasible_subsets, mild_params
+from conftest import feasible_subsets, mate, mild_params, populate
 from fuzzloc.errors import DomainError, InfeasibleInstanceError
 from fuzzloc.evaluation import make_maximin_eval
 from fuzzloc.ga import (
     Chromosome,
     GAConfig,
     _distinct_parents,
-    convergence_limit,
-    generate_candidate,
-    init_population,
     population_size,
     replace,
     run_ga,
@@ -28,6 +25,7 @@ from fuzzloc.ga import (
 from fuzzloc.instances import generate_instance
 from fuzzloc.model import Solution
 from fuzzloc.oracle import enumerate_optimum, exact_bounds
+from fuzzloc.termination import convergence_limit
 
 
 def subset_size_fitness(solution: Solution) -> float:
@@ -69,18 +67,18 @@ class TestSizing:
 
 class TestInitPopulation:
     def test_covers_all_genes(self, medium_instance):
-        population = init_population(medium_instance, GAConfig(seed=0), subset_size_fitness)
+        population = populate(medium_instance, GAConfig(seed=0), subset_size_fitness)
         union = set().union(*(c.genes for c in population))
         assert union == set(range(1, medium_instance.n + 1))
 
     def test_member_sizes(self, medium_instance):
-        population = init_population(medium_instance, GAConfig(seed=1), subset_size_fitness)
+        population = populate(medium_instance, GAConfig(seed=1), subset_size_fitness)
         assert all(len(c.genes) == medium_instance.m_servers for c in population)
         assert len(population) == population_size(medium_instance.n, 2, 10)
 
     def test_deterministic(self, medium_instance):
-        a = init_population(medium_instance, GAConfig(seed=7), subset_size_fitness)
-        b = init_population(medium_instance, GAConfig(seed=7), subset_size_fitness)
+        a = populate(medium_instance, GAConfig(seed=7), subset_size_fitness)
+        b = populate(medium_instance, GAConfig(seed=7), subset_size_fitness)
         assert [c.genes for c in a] == [c.genes for c in b]
 
 
@@ -88,7 +86,7 @@ class TestGenerateCandidate:
     def test_shared_gene_preserved(self):
         p1 = Chromosome(frozenset({1, 2, 3}), subset_size_fitness(Solution([1, 2, 3])))
         p2 = Chromosome(frozenset({3, 4, 5}), subset_size_fitness(Solution([3, 4, 5])))
-        child = generate_candidate(p1, p2, subset_size_fitness, random.Random(0))
+        child = mate(p1, p2, subset_size_fitness, random.Random(0))
         assert len(child.genes) == 3
         assert 3 in child.genes
         assert child.genes <= p1.genes | p2.genes
@@ -96,24 +94,24 @@ class TestGenerateCandidate:
     def test_greedy_drop_optimal_for_additive_fitness(self):
         p1 = Chromosome(frozenset({1, 2}), 0.0)
         p2 = Chromosome(frozenset({7, 8}), 0.0)
-        child = generate_candidate(p1, p2, subset_size_fitness, random.Random(0))
+        child = mate(p1, p2, subset_size_fitness, random.Random(0))
         assert child.genes == frozenset({7, 8})
 
     def test_identical_parents_rejected(self):
         p = Chromosome(frozenset({1, 2}), 0.0)
         with pytest.raises(DomainError):
-            generate_candidate(p, p, subset_size_fitness, random.Random(0))
+            mate(p, p, subset_size_fitness, random.Random(0))
 
     @pytest.mark.parametrize("order", [1, -1])
     def test_parents_of_unequal_size_rejected(self, order):
         parents = [Chromosome(frozenset({1, 2, 3}), 0.0), Chromosome(frozenset({1, 2}), 0.0)]
         with pytest.raises(DomainError):
-            generate_candidate(*parents[::order], subset_size_fitness, random.Random(0))
+            mate(*parents[::order], subset_size_fitness, random.Random(0))
 
     def test_candidate_fitness_matches_eval(self):
         p1 = Chromosome(frozenset({1, 2}), 0.0)
         p2 = Chromosome(frozenset({2, 5}), 0.0)
-        child = generate_candidate(p1, p2, subset_size_fitness, random.Random(3))
+        child = mate(p1, p2, subset_size_fitness, random.Random(3))
         assert child.fitness == subset_size_fitness(Solution(child.genes))
 
 
@@ -181,7 +179,7 @@ class TestReplace:
         m = data.draw(st.integers(1, n - 1), label="m")
         floor = data.draw(st.integers(2, 12), label="population_floor")
         rng = random.Random(data.draw(st.integers(0, 2**32 - 1), label="rng seed"))
-        population = init_population(
+        population = populate(
             SimpleNamespace(n=n, m_servers=m),
             GAConfig(population_floor=floor),
             lambda solution: float(rng.randint(0, 3)),

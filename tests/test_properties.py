@@ -7,10 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import mild_params
+from conftest import mate, mild_params
 from fuzzloc.aco import TAU_MIN, ACOConfig, _update
 from fuzzloc.evaluation import MaximinContext, SpreadComponents, membership_values
-from fuzzloc.ga import Chromosome, generate_candidate
+from fuzzloc.ga import Chromosome
 from fuzzloc.instances import generate_instance
 from fuzzloc.model import Solution, aggregate_demand, join_probability, logit_allocation
 
@@ -61,7 +61,7 @@ def test_ga_candidate_invariants(pool, seed):
         return
     p1 = Chromosome(g1, fitness(Solution(g1)))
     p2 = Chromosome(g2, fitness(Solution(g2)))
-    child = generate_candidate(p1, p2, fitness, rng)
+    child = mate(p1, p2, fitness, rng)
     assert len(child.genes) == m
     assert (g1 & g2) <= child.genes
     assert child.genes <= g1 | g2

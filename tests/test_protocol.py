@@ -9,9 +9,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import crispen, mild_params, one_block
+from conftest import aco_run, crispen, mild_params, one_block
 from fuzzloc import aco
-from fuzzloc.aco import ACOConfig, run_aco, _steps as _aco_steps
+from fuzzloc.aco import ACOConfig, _steps as _aco_steps
 from fuzzloc.errors import DomainError
 from fuzzloc.evaluation import component_value, drive, make_maximin_eval
 from fuzzloc.ga import GAConfig, run_ga, _steps as _ga_steps
@@ -21,24 +21,24 @@ from fuzzloc.oracle import enumerate_optimum, exact_bounds
 from fuzzloc.protocol import (
     BOUND_RUNS,
     _BoundFitness,
-    _config,
     bound_seeds,
     estimate_bounds,
     solve_protocol,
 )
-from fuzzloc.reports import SolverReport
+from fuzzloc.reports import SolverReport, run_solver
 
 
-def _sequential_runs(instance, solver, seeds, ga_config, aco_config):
-    """The six bound runs one after another, each a run_ga or run_aco call."""
+def _sequential_runs(instance, config, seeds):
+    """The six bound runs of ``config`` one after another: run_ga calls, or
+    one aco._colonies stack of one run each."""
     reports = []
     for (name, sense), seed in zip(BOUND_RUNS, seeds):
-        fitness = _BoundFitness(instance, name, sense, solver)
-        config = _config(solver, seed, ga_config, aco_config)
-        if solver == "ga":
-            reports.append(run_ga(instance, fitness, config))
+        run = dataclasses.replace(config, seed=seed)
+        if isinstance(config, GAConfig):
+            reports.append(run_ga(instance, _BoundFitness(instance, name, sense, "ga"), run))
         else:
-            reports.append(run_aco(instance, fitness, config, sense))
+            fitness = _BoundFitness(instance, name, sense, "aco")
+            reports.append(run_solver("aco", instance, seed, aco_run(instance, run, sense), fitness))
     return reports
 
 
@@ -56,18 +56,14 @@ def _record_kernels(monkeypatch) -> list:
 
 
 class TestEstimateBounds:
-    def test_unknown_solver_rejected(self, small_instance):
-        with pytest.raises(DomainError, match="solver handle"):
-            estimate_bounds(small_instance, "greedy", [1, 2, 3, 4, 5, 6])
-
     def test_seed_count_enforced(self, small_instance):
         with pytest.raises(DomainError, match="seeds"):
-            estimate_bounds(small_instance, "ga", [1, 2, 3])
+            estimate_bounds(small_instance, GAConfig(), [1, 2, 3])
 
-    @pytest.mark.parametrize("solver", ["ga", "aco"])
-    def test_estimated_bounds_within_exact_range(self, small_instance, solver):
+    @pytest.mark.parametrize("config", [GAConfig(), ACOConfig()], ids=["ga", "aco"])
+    def test_estimated_bounds_within_exact_range(self, small_instance, config):
         exact = exact_bounds(small_instance)
-        est = estimate_bounds(small_instance, solver, list(range(1, 7)))
+        est = estimate_bounds(small_instance, config, list(range(1, 7)))
         assert est.provenance == "metaheuristic-estimated"
         for name in ("z1", "z2", "z3"):
             lo_exact, hi_exact = exact.bounds(name)
@@ -76,13 +72,13 @@ class TestEstimateBounds:
             assert lo_exact - 1e-9 <= hi_est <= hi_exact + 1e-9
 
     def test_crisp_instance_spread_bounds_zero(self, medium_instance):
-        est = estimate_bounds(crispen(medium_instance), "ga", list(range(1, 7)))
+        est = estimate_bounds(crispen(medium_instance), GAConfig(), list(range(1, 7)))
         assert est.z1_bounds == (0.0, 0.0)
         assert est.z3_bounds == (0.0, 0.0)
 
     def test_same_seeds_reproduce(self, small_instance):
-        a = estimate_bounds(small_instance, "ga", [3, 4, 5, 6, 7, 8])
-        b = estimate_bounds(small_instance, "ga", [3, 4, 5, 6, 7, 8])
+        a = estimate_bounds(small_instance, GAConfig(), [3, 4, 5, 6, 7, 8])
+        b = estimate_bounds(small_instance, GAConfig(), [3, 4, 5, 6, 7, 8])
         assert a == b
 
     @settings(max_examples=40, deadline=None)
@@ -101,17 +97,15 @@ class TestEstimateBounds:
         params = mild_params(n, m, instance_seed) if mild else GeneratorParams(
             n=n, m_servers=m, seed=instance_seed)
         instance = generate_instance(params)
-        ga_config = GAConfig(stagnation_limit=window)
-        aco_config = ACOConfig(stagnation_limit=window)
         seeds = bound_seeds(seed)
-        for solver in ("ga", "aco"):
-            ctx = estimate_bounds(instance, solver, seeds, ga_config, aco_config)
-            runs = _sequential_runs(instance, solver, seeds, ga_config, aco_config)
+        for config in (GAConfig(stagnation_limit=window), ACOConfig(stagnation_limit=window)):
+            ctx = estimate_bounds(instance, config, seeds)
+            runs = _sequential_runs(instance, config, seeds)
             for (name, sense), report in zip(BOUND_RUNS, runs):
                 value = component_value(instance, Solution(report.best), name)
                 expected = math.nan if value is None else value
                 got = ctx.bounds(name)[0 if sense == "min" else 1]
-                assert got.hex() == expected.hex(), (solver, name, sense)
+                assert got.hex() == expected.hex(), (config, name, sense)
 
     def test_aco_bound_runs_share_kernel_calls(self, medium_instance, monkeypatch):
         """One kernel call per round scores every live colony, so the six
@@ -119,7 +113,7 @@ class TestEstimateBounds:
         iterations."""
         config = ACOConfig(stagnation_limit=20)
         seeds = bound_seeds(0)
-        runs = _sequential_runs(medium_instance, "aco", seeds, None, config)
+        runs = _sequential_runs(medium_instance, config, seeds)
         blocks = []
         init = Kernel.__init__
 
@@ -129,7 +123,7 @@ class TestEstimateBounds:
             init(self, instance, idx)
 
         monkeypatch.setattr(Kernel, "__init__", counted)
-        estimate_bounds(medium_instance, "aco", seeds, aco_config=config)
+        estimate_bounds(medium_instance, config, seeds)
         iterations = [report.iterations for report in runs]
         assert len(set(iterations)) > 1
         assert len(blocks) == max(iterations)
@@ -142,7 +136,7 @@ class TestEstimateBounds:
         many as all runs together."""
         config = ACOConfig(stagnation_limit=20)
         seeds = bound_seeds(0)
-        runs = _sequential_runs(medium_instance, "aco", seeds, None, config)
+        runs = _sequential_runs(medium_instance, config, seeds)
         live = {"_sample_colonies": [], "_update": []}
         for name, calls in live.items():
 
@@ -151,7 +145,7 @@ class TestEstimateBounds:
                 return _original(tau, *args)
 
             monkeypatch.setattr(aco, name, counted)
-        estimate_bounds(medium_instance, "aco", seeds, aco_config=config)
+        estimate_bounds(medium_instance, config, seeds)
         iterations = sorted(report.iterations for report in runs)
         assert len(live["_update"]) == max(iterations) < sum(iterations)
         assert live["_sample_colonies"] == live["_update"]
@@ -168,10 +162,10 @@ class TestEstimateBounds:
         config = GAConfig(stagnation_limit=100)
         seeds = bound_seeds(0)
         shapes = _record_kernels(monkeypatch)
-        _sequential_runs(instance, "ga", seeds, config, None)
+        _sequential_runs(instance, config, seeds)
         alone = len(shapes)
         shapes.clear()
-        estimate_bounds(instance, "ga", seeds, ga_config=config)
+        estimate_bounds(instance, config, seeds)
         assert len(shapes) <= 0.4 * alone
 
     def test_bound_runs_cover_all_components(self):
@@ -227,10 +221,10 @@ class TestDrive:
         aco = [ACOConfig(seed=seed + k, stagnation_limit=30) for k in range(2)]
         return [
             (_ga_steps(instance, ga[0]), _BoundFitness(instance, "z2", "min", "ga")),
-            (_aco_steps(instance, aco[0], "min"), _BoundFitness(instance, "z1", "min", "aco")),
+            (aco_run(instance, aco[0], "min"), _BoundFitness(instance, "z1", "min", "aco")),
             (_ga_steps(instance, ga[1]), _Counted(maximin)),
-            (_aco_steps(instance, aco[1], "max"), plain),
-            (_aco_steps(instance, ACOConfig(seed=seed, stagnation_limit=1), "max"), maximin),
+            (_aco_steps(instance, aco[1]), plain),
+            (_aco_steps(instance, ACOConfig(seed=seed, stagnation_limit=1)), maximin),
         ]
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
