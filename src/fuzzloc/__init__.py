@@ -19,11 +19,10 @@ from .evaluation import (
     fuzzy_capacity_feasible,
     fuzzy_objective,
     make_maximin_eval,
-    maximin_level,
     membership_values,
     spread_components,
 )
-from .fuzzy import TriFuzzy, tri_combine, tri_scale
+from .fuzzy import TriFuzzy
 from .ga import GAConfig, run_ga
 from .instances import (
     GeneratorParams,
@@ -34,15 +33,12 @@ from .instances import (
 )
 from .model import (
     Instance,
-    QueueMetrics,
     Solution,
     aggregate_demand,
-    capacity_feasible_slice,
     crisp_objective_slice,
     join_probability,
     logit_allocation,
     mm1_metrics,
-    queue_metrics,
 )
 from .oracle import enumerate_optimum, exact_bounds, mm1_simulate
 from .protocol import estimate_bounds, solve_protocol

@@ -143,14 +143,6 @@ def membership_values(c: SpreadComponents, ctx: MaximinContext) -> tuple[float, 
     )
 
 
-def maximin_level(mu1: float, mu2: float, mu3: float) -> float:
-    """Satisfaction level: the bottleneck membership degree."""
-    for mu in (mu1, mu2, mu3):
-        if not (0.0 <= mu <= 1.0):
-            raise DomainError(f"membership {mu} outside [0, 1]")
-    return min(mu1, mu2, mu3)
-
-
 def fuzzy_capacity_feasible(instance: Instance, solution: Solution):
     """Truth-degree capacity check; returns (feasible, {facility: margin})."""
     open_idx = _open_indices(instance, solution)

@@ -1,4 +1,4 @@
-"""Triangular fuzzy numbers and componentwise arithmetic on them."""
+"""Triangular fuzzy numbers and the names of their slices."""
 
 from __future__ import annotations
 
@@ -6,7 +6,6 @@ from dataclasses import dataclass
 
 from .errors import DomainError
 
-SLICES = ("lo", "mid", "hi")
 SLICE_INDEX = {"lo": 0, "mid": 1, "hi": 2}
 
 
@@ -25,52 +24,9 @@ class TriFuzzy:
             )
 
     @classmethod
-    def crisp(cls, value: float) -> "TriFuzzy":
-        return cls(value, value, value)
-
-    @classmethod
     def from_seq(cls, seq) -> "TriFuzzy":
         lo, mid, hi = (float(x) for x in seq)
         return cls(lo, mid, hi)
 
     def as_tuple(self) -> tuple[float, float, float]:
         return (self.lo, self.mid, self.hi)
-
-    def component(self, slc: str) -> float:
-        return self.as_tuple()[SLICE_INDEX[slc]]
-
-    @property
-    def is_crisp(self) -> bool:
-        return self.lo == self.hi
-
-
-_OPS = {
-    "add": lambda x, y: x + y,
-    "sub": lambda x, y: x - y,
-    "mul": lambda x, y: x * y,
-    "div": lambda x, y: x / y,
-}
-
-
-def tri_combine(a: TriFuzzy, b: TriFuzzy, operator: str) -> TriFuzzy:
-    """Componentwise fuzzy arithmetic.
-
-    The raw componentwise triple can come out unordered for sub/div, so the
-    result components are sorted ascending before construction.
-    """
-    if operator not in _OPS:
-        raise DomainError(f"unknown operator {operator!r}")
-    if operator == "div":
-        for name, comp in zip(SLICES, b.as_tuple()):
-            if comp == 0.0:
-                raise DomainError(f"division by zero in {name} component of divisor")
-    op = _OPS[operator]
-    parts = sorted(op(x, y) for x, y in zip(a.as_tuple(), b.as_tuple()))
-    return TriFuzzy(*parts)
-
-
-def tri_scale(a: TriFuzzy, c: float) -> TriFuzzy:
-    """Scale every component by a nonnegative scalar."""
-    if c < 0:
-        raise DomainError(f"negative scale factor {c} would flip component order")
-    return TriFuzzy(a.lo * c, a.mid * c, a.hi * c)

@@ -12,7 +12,7 @@ from typing import Iterable, Optional
 import numpy as np
 
 from .errors import DomainError
-from .fuzzy import SLICE_INDEX, SLICES, TriFuzzy
+from .fuzzy import SLICE_INDEX, TriFuzzy
 
 
 def _fuzzy_rows(values, n: int, what: str) -> np.ndarray:
@@ -93,24 +93,11 @@ class Instance:
             object.__setattr__(self, name, arr)
         object.__setattr__(self, "benefit_weight", weight)
 
-    def demand_fuzzy(self, node: int) -> TriFuzzy:
-        return TriFuzzy(*self.demand[node - 1])
-
-    def service_fuzzy(self, node: int) -> TriFuzzy:
-        return TriFuzzy(*self.service[node - 1])
-
-    def check_solution(self, solution: "Solution") -> None:
-        if len(solution.open) != self.m_servers:
-            raise DomainError(
-                f"solution opens {len(solution.open)} facilities, expected {self.m_servers}"
-            )
-        if any(not (1 <= j <= self.n) for j in solution.open):
-            raise DomainError(f"solution indices out of range 1..{self.n}: {solution}")
-
 
 @dataclass(frozen=True)
 class Solution:
-    """A set of exactly M distinct open-facility node indices (1-based)."""
+    """A nonempty set of distinct open-facility node indices (1-based); its
+    size is not checked against M (see _open_indices)."""
 
     open: frozenset[int] = field()
 
@@ -125,18 +112,6 @@ class Solution:
 
     def __str__(self) -> str:
         return "{" + ",".join(str(j) for j in self.sorted()) + "}"
-
-
-@dataclass(frozen=True)
-class QueueMetrics:
-    """Per-facility queue figures; slice entries are None when unstable."""
-
-    facility: int
-    agg_demand: TriFuzzy
-    occupancy: TriFuzzy
-    idle_prob: tuple  # per slice: float or None
-    queue_length: tuple
-    join_prob: tuple
 
 
 def _open_indices(instance: Instance, solution: Solution) -> np.ndarray:
@@ -177,8 +152,6 @@ def logit_allocation(instance: Instance, solution: Solution) -> np.ndarray:
     zeros for closed ones; the exponent is shifted per row for stability.
     """
     open_idx = _open_indices(instance, solution)
-    if open_idx.size == 0:
-        raise DomainError("empty open set")
     allocation = np.zeros((instance.n, instance.n))
     allocation[:, open_idx] = _allocation(instance, open_idx).T
     return allocation
@@ -318,50 +291,3 @@ def crisp_objective_slice(instance: Instance, solution: Solution, slc: str):
     s = SLICE_INDEX[slc]
     result = solution_kernel(instance, solution)
     return float(result.slices()[s]) if result.stable()[s] else None
-
-
-def capacity_feasible_slice(instance: Instance, solution: Solution, slc: str):
-    """Check lam_bar_j <= mu_j * (1 - beta) at one slice; boundary inclusive."""
-    s = SLICE_INDEX[slc]
-    open_idx = _open_indices(instance, solution)
-    result = Kernel(instance, open_idx)
-    cap = result.mu[:, s] * (1.0 - instance.idle_min.component(slc))
-    excess = result.lam_bar[:, s] - cap
-    violations = [
-        (int(open_idx[k]) + 1, float(excess[k]))
-        for k in range(open_idx.size)
-        if excess[k] > 0
-    ]
-    return (not violations, violations)
-
-
-def queue_metrics(instance: Instance, solution: Solution) -> dict[int, QueueMetrics]:
-    """Inspection view of per-facility fuzzy demand, occupancy and queue state."""
-    from .fuzzy import tri_combine
-
-    open_idx = _open_indices(instance, solution)
-    result = Kernel(instance, open_idx)
-    lam_bar, mu = result.lam_bar, result.mu
-    out = {}
-    for k, j0 in enumerate(open_idx):
-        agg = TriFuzzy(*lam_bar[k])
-        srv = TriFuzzy(*mu[k])
-        occ = tri_combine(agg, srv, "div")
-        p0, lq, join = [], [], []
-        for s in range(3):
-            metrics = mm1_metrics(lam_bar[k, s], mu[k, s])
-            if metrics is None:
-                p0.append(None), lq.append(None), join.append(None)
-            else:
-                p0.append(metrics[0])
-                lq.append(metrics[1])
-                join.append(join_probability(metrics[1], instance.mql))
-        out[int(j0) + 1] = QueueMetrics(
-            facility=int(j0) + 1,
-            agg_demand=agg,
-            occupancy=occ,
-            idle_prob=tuple(p0),
-            queue_length=tuple(lq),
-            join_prob=tuple(join),
-        )
-    return out

@@ -1,8 +1,7 @@
-"""Solver run reports and their on-disk JSON format."""
+"""Solver run reports, their dict form in result files, and the run driver."""
 
 from __future__ import annotations
 
-import json
 import time
 from dataclasses import asdict, dataclass, field
 from typing import NamedTuple, Optional
@@ -34,13 +33,6 @@ class SolverReport:
     @classmethod
     def from_dict(cls, data: dict) -> "SolverReport":
         return cls(**data)
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, indent=2) + "\n"
-
-    @classmethod
-    def from_json(cls, text: str) -> "SolverReport":
-        return cls.from_dict(json.loads(text))
 
 
 class Outcome(NamedTuple):

@@ -122,6 +122,14 @@ class TestSolve:
     def test_missing_instance_is_runtime_error(self, tmp_path):
         assert run(["solve", "--instance", tmp_path / "nope.json"]) == EXIT_RUNTIME
 
+    @pytest.mark.parametrize("flags", [["--algo", "brute"], ["--algo", "aco", "--exact-bounds"]])
+    def test_table1_has_no_feasible_subset(self, tmp_path, capsys, flags):
+        path = tmp_path / "t.json"
+        assert run(["generate", "--table1", "--out", path]) == EXIT_OK
+        capsys.readouterr()
+        assert run(["solve", "--instance", path, *flags]) == EXIT_RUNTIME
+        assert capsys.readouterr().err == "error: no feasible facility subset exists\n"
+
     def test_gamma_override(self, small_file, tmp_path, capsys):
         assert run([
             "solve", "--instance", small_file, "--algo", "brute", "--gamma", "1.0",
@@ -374,6 +382,24 @@ class TestEnumBudget:
 
 
 class TestValidate:
+    def test_network_events_passed_as_given(self, monkeypatch):
+        budgets = []
+
+        def analytic(instance, solution, slc, event_budget, seed=0):
+            budgets.append(event_budget)
+            return cli.crisp_objective_slice(instance, solution, slc)
+
+        monkeypatch.setattr(cli, "simulate_objective_slice", analytic)
+        argv = ["validate", "--events", 2000, "--rho", "0.3", "--network-events", 5000]
+        assert run(argv) == EXIT_OK
+        assert budgets == [5000]
+
+    def test_negative_seed_is_usage_error(self, capsys):
+        assert run(["validate", "--seed", -1, "--skip-network"]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == (
+            "", "usage error: seed must be non-negative, got -1\n")
+
     def test_small_budget_warns_but_passes(self, capsys):
         assert run(["validate", "--events", 2000, "--skip-network"]) == EXIT_OK
         captured = capsys.readouterr()

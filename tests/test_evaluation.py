@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from conftest import crispen, feasible_subsets
-from fuzzloc.errors import DomainError
 from fuzzloc.evaluation import (
     MaximinContext,
     SpreadComponents,
@@ -16,7 +15,6 @@ from fuzzloc.evaluation import (
     fuzzy_capacity_feasible,
     fuzzy_objective,
     make_maximin_eval,
-    maximin_level,
     membership_values,
     spread_components,
     violation_total,
@@ -42,7 +40,7 @@ class TestSpreadComponents:
         )
 
     def test_crisp(self):
-        c = spread_components(TriFuzzy.crisp(5.0))
+        c = spread_components(TriFuzzy(5.0, 5.0, 5.0))
         assert (c.z1, c.z2, c.z3) == (0.0, 5.0, 0.0)
 
     def test_symmetric(self):
@@ -92,14 +90,12 @@ class TestMembership:
 
 
 class TestMaximinLevel:
-    def test_examples(self):
-        assert maximin_level(0.4, 0.7, 0.9) == 0.4
-        assert maximin_level(1, 1, 1) == 1
-        assert maximin_level(0, 0.5, 0.9) == 0
-
-    def test_out_of_range_rejected(self):
-        with pytest.raises(DomainError):
-            maximin_level(0.5, 1.2, 0.5)
+    def test_examples(self, small_instance):
+        # under unit bounds the memberships of (z1, z2, z3) are (1 - z1, z2, z3)
+        formula = make_maximin_eval(small_instance, make_ctx()).formula
+        spreads = np.array([[0.6, 0.7, 0.9], [0.0, 1.0, 1.0], [1.0, 0.5, 0.9]])
+        level = formula(np.ones(3, dtype=bool), spreads, np.zeros(3))
+        assert level.tolist() == [0.4, 1.0, 0.0]
 
 
 class TestCapacityTransform:

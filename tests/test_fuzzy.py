@@ -1,25 +1,9 @@
-"""Triangular fuzzy numbers and componentwise arithmetic."""
-
-import math
+"""Triangular fuzzy numbers."""
 
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
 from fuzzloc.errors import DomainError
-from fuzzloc.fuzzy import TriFuzzy, tri_combine, tri_scale
-
-
-def ordered_triples(low=-1e6, high=1e6):
-    return (
-        st.tuples(
-            st.floats(low, high, allow_nan=False),
-            st.floats(low, high, allow_nan=False),
-            st.floats(low, high, allow_nan=False),
-        )
-        .map(sorted)
-        .map(lambda t: TriFuzzy(*t))
-    )
+from fuzzloc.fuzzy import TriFuzzy
 
 
 class TestTriFuzzy:
@@ -29,74 +13,6 @@ class TestTriFuzzy:
         with pytest.raises(DomainError):
             TriFuzzy(1.0, 3.0, 2.0)
 
-    def test_crisp_constructor(self):
-        c = TriFuzzy.crisp(4.0)
-        assert c.as_tuple() == (4.0, 4.0, 4.0)
-        assert c.is_crisp
-
     def test_from_seq_and_components(self):
         t = TriFuzzy.from_seq([1, 2, 3])
         assert t.as_tuple() == (1.0, 2.0, 3.0)
-        assert t.component("lo") == 1.0
-        assert t.component("mid") == 2.0
-        assert t.component("hi") == 3.0
-        assert not t.is_crisp
-
-
-class TestCombine:
-    def test_add(self):
-        out = tri_combine(TriFuzzy(1, 2, 3), TriFuzzy(4, 5, 6), "add")
-        assert out.as_tuple() == (5.0, 7.0, 9.0)
-
-    def test_sub_sorts_components(self):
-        out = tri_combine(TriFuzzy(1, 2, 3), TriFuzzy(-1, 1, 4), "sub")
-        assert out.as_tuple() == (-1.0, 1.0, 2.0)
-
-    def test_mul(self):
-        out = tri_combine(TriFuzzy(1, 2, 3), TriFuzzy(2, 2, 2), "mul")
-        assert out.as_tuple() == (2.0, 4.0, 6.0)
-
-    def test_div(self):
-        out = tri_combine(TriFuzzy(60, 110, 160), TriFuzzy(189, 239, 289), "div")
-        assert out.lo == pytest.approx(0.31746, abs=1e-5)
-        assert out.mid == pytest.approx(0.46025, abs=1e-5)
-        assert out.hi == pytest.approx(0.55363, abs=1e-5)
-
-    def test_div_by_zero_component(self):
-        with pytest.raises(DomainError, match="division by zero"):
-            tri_combine(TriFuzzy(1, 2, 3), TriFuzzy(0, 1, 2), "div")
-
-    def test_unknown_operator(self):
-        with pytest.raises(DomainError, match="unknown operator"):
-            tri_combine(TriFuzzy(1, 2, 3), TriFuzzy(1, 2, 3), "pow")
-
-    @given(ordered_triples(), ordered_triples())
-    def test_add_commutative(self, a, b):
-        x = tri_combine(a, b, "add")
-        y = tri_combine(b, a, "add")
-        assert x.as_tuple() == y.as_tuple()
-
-    @given(ordered_triples(-1e3, 1e3), ordered_triples(-1e3, 1e3), ordered_triples(-1e3, 1e3))
-    def test_add_associative(self, a, b, c):
-        x = tri_combine(tri_combine(a, b, "add"), c, "add")
-        y = tri_combine(a, tri_combine(b, c, "add"), "add")
-        for u, v in zip(x.as_tuple(), y.as_tuple()):
-            assert math.isclose(u, v, rel_tol=1e-12, abs_tol=1e-12)
-
-    @given(ordered_triples(), ordered_triples(), st.sampled_from(["add", "sub", "mul"]))
-    def test_result_ordered(self, a, b, op):
-        out = tri_combine(a, b, op)
-        assert out.lo <= out.mid <= out.hi
-
-
-class TestScale:
-    def test_example(self):
-        out = tri_scale(TriFuzzy(60, 110, 160), 0.5)
-        assert out.as_tuple() == (30.0, 55.0, 80.0)
-
-    def test_zero(self):
-        assert tri_scale(TriFuzzy(1, 2, 3), 0.0).as_tuple() == (0.0, 0.0, 0.0)
-
-    def test_negative_rejected(self):
-        with pytest.raises(DomainError, match="negative scale"):
-            tri_scale(TriFuzzy(1, 2, 3), -1.0)

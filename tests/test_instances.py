@@ -81,8 +81,8 @@ class TestTable1Fixture:
         assert table1.idle_min.as_tuple() == (0.1, 0.15, 0.2)
 
     def test_node_one_rates(self, table1):
-        assert table1.demand_fuzzy(1).as_tuple() == (60.0, 110.0, 160.0)
-        assert table1.service_fuzzy(1).as_tuple() == (189.0, 239.0, 289.0)
+        assert tuple(table1.demand[0]) == (60.0, 110.0, 160.0)
+        assert tuple(table1.service[0]) == (189.0, 239.0, 289.0)
 
     def test_distances(self, table1):
         assert table1.distance[0, 1] == 2.0

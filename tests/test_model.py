@@ -6,17 +6,16 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from fuzzloc.errors import DomainError
+from fuzzloc.evaluation import fuzzy_capacity_feasible
 from fuzzloc.fuzzy import TriFuzzy
 from fuzzloc.model import (
     Instance,
     Solution,
     aggregate_demand,
-    capacity_feasible_slice,
     crisp_objective_slice,
     join_probability,
     logit_allocation,
     mm1_metrics,
-    queue_metrics,
 )
 
 
@@ -99,11 +98,9 @@ class TestSolution:
         assert s.sorted() == [1, 2, 3]
         assert str(s) == "{1,2,3}"
 
-    def test_check_solution_size(self, small_instance):
-        with pytest.raises(DomainError, match="opens"):
-            small_instance.check_solution(Solution([1, 2, 3]))
+    def test_indices_out_of_range_rejected(self, small_instance):
         with pytest.raises(DomainError, match="out of range"):
-            small_instance.check_solution(Solution([1, 99]))
+            logit_allocation(small_instance, Solution([1, 99]))
 
 
 class TestLogitAllocation:
@@ -213,16 +210,16 @@ class TestObjectiveAndCapacity:
         assert crisp_objective_slice(inst, Solution([1]), "mid") is None
 
     def test_capacity_excess(self):
-        # total demand 90 against capacity 100 * (1 - 0.15) = 85 at the mid slice
+        # occupancy 90 / 100 against the crisp threshold 1 - 0.15 = 0.85
         inst = build_instance(
             [[0, 2], [2, 0]],
             crisp_rows([45, 45]),
             crisp_rows([100, 100]),
             idle=TriFuzzy(0.15, 0.15, 0.15),
         )
-        feasible, violations = capacity_feasible_slice(inst, Solution([1]), "mid")
+        feasible, margins = fuzzy_capacity_feasible(inst, Solution([1]))
         assert not feasible
-        assert violations == [(1, pytest.approx(5.0))]
+        assert margins == {1: pytest.approx(-0.05)}
 
     def test_capacity_boundary_inclusive(self):
         inst = build_instance(
@@ -231,22 +228,11 @@ class TestObjectiveAndCapacity:
             crisp_rows([100, 100]),
             idle=TriFuzzy(0.15, 0.15, 0.15),
         )
-        feasible, violations = capacity_feasible_slice(inst, Solution([1]), "mid")
+        feasible, margins = fuzzy_capacity_feasible(inst, Solution([1]))
         assert feasible
-        assert violations == []
+        assert margins == {1: 0.0}
 
     def test_oversized_subsets_evaluate(self, small_instance):
         # the genetic algorithm's greedy drop probes subsets larger than M
         value = crisp_objective_slice(small_instance, Solution([1, 2, 3]), "mid")
         assert value is not None and value > 0
-
-    def test_queue_metrics_view(self, small_instance):
-        out = queue_metrics(small_instance, Solution([1, 2]))
-        assert set(out) == {1, 2}
-        for qm in out.values():
-            agg = qm.agg_demand.as_tuple()
-            srv = small_instance.service_fuzzy(qm.facility).as_tuple()
-            occ = sorted(a / s for a, s in zip(agg, srv))
-            assert qm.occupancy.as_tuple() == pytest.approx(tuple(occ))
-            for p0 in qm.idle_prob:
-                assert p0 is None or 0 <= p0 <= 1

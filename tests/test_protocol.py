@@ -1,6 +1,7 @@
 """Seven-run solve protocol: bound calibration plus the final maximin run."""
 
 import dataclasses
+import json
 import math
 from collections import Counter
 
@@ -398,7 +399,7 @@ class TestSolverReport:
     def test_json_round_trip(self, small_instance):
         report, _ = solve_protocol(small_instance, "ga", seed=0, ctx=exact_bounds(small_instance))
         assert report.evaluations > 0
-        assert SolverReport.from_json(report.to_json()) == report
+        assert SolverReport.from_dict(json.loads(json.dumps(report.to_dict()))) == report
 
     def test_to_dict_copies_lists_in_field_order(self):
         report = SolverReport("ga", 6, 2, 0, [1, 2], 0.5, 3, "stagnation", trace=[0.5])

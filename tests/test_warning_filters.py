@@ -13,7 +13,7 @@ PROBE = '''
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from fuzzloc.fuzzy import TriFuzzy, tri_combine
+from fuzzloc.model import mm1_metrics
 
 
 @given(st.integers(0, 100))
@@ -27,8 +27,7 @@ def test_passing():
 
 
 def test_runtime_warning_in_package():
-    big = TriFuzzy(*np.full(3, 1e200))
-    tri_combine(big, big, "mul")  # overflow in numpy scalar arithmetic
+    mm1_metrics(np.float64(1e200), np.float64(1e300))  # overflow in numpy scalar arithmetic
 '''
 
 
