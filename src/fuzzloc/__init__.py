@@ -14,13 +14,10 @@ from .errors import (
 )
 from .evaluation import (
     MaximinContext,
-    SpreadComponents,
     evaluate,
     fuzzy_capacity_feasible,
     fuzzy_objective,
     make_maximin_eval,
-    membership_values,
-    spread_components,
 )
 from .fuzzy import TriFuzzy
 from .ga import GAConfig, run_ga
@@ -34,7 +31,6 @@ from .instances import (
 from .model import (
     Instance,
     Solution,
-    aggregate_demand,
     crisp_objective_slice,
     join_probability,
     logit_allocation,

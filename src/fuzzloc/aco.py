@@ -103,21 +103,25 @@ def _update(
 
     ``nodes`` and ``values`` hold the colonies one after another, each ant's
     nodes as indices into the flattened trails (node j of run r at
-    r * n + j), and ``maximize`` flags the ants of maximizing runs. Deposits
+    r * n + j), and ``maximize`` flags the ants of maximizing runs. Every
+    run maximizes its values. An ant's F is its value in a maximizing run
+    and -value, the objective it minimizes, in a minimizing run. Deposits
     are theta*F under maximization and theta/F under minimization, with
     theta = max_pheromone. An ant with a non-finite F, a negative F under
     maximization or a nonpositive F under minimization deposits nothing. A
-    penalized ant of a minimization bound run has F = +1e12 * (1 +
-    violation), so it still deposits theta/F, about 2e-10. Each node
-    receives its deposits in ant order; an ant that deposits nothing adds
-    0.0, which leaves every positive trail as it is."""
+    penalized ant of a minimization bound run has value -1e12 * (1 +
+    violation), so F = 1e12 * (1 + violation), and it still deposits
+    theta/F, about 2e-10. Each node receives its deposits in ant order; an
+    ant that deposits nothing adds 0.0, which leaves every positive trail
+    as it is."""
     values = np.asarray(values, dtype=float)
+    f = np.where(maximize, values, -values)
     # inf for a subnormal F, as in Python; the other branch of np.where may
     # divide by zero or overflow, and its values are dropped.
     with np.errstate(over="ignore", divide="ignore"):
-        amounts = np.where(maximize, config.max_pheromone * values, config.max_pheromone / values)
+        amounts = np.where(maximize, config.max_pheromone * f, config.max_pheromone / f)
     # F >= 0 under maximization, F > 0 (at least the least subnormal) else
-    kept = (values >= np.where(maximize, 0.0, 5e-324)) & (values < math.inf)
+    kept = (f >= np.where(maximize, 0.0, 5e-324)) & (f < math.inf)
     trails = tau * config.evaporation_rate
     deposits = np.where(kept, amounts, 0.0).repeat(nodes.shape[-1])
     np.add.at(trails.reshape(-1), nodes.ravel(), deposits)
@@ -156,10 +160,12 @@ def _colonies(
     """R ACO runs as one step generator over one (R, n) trail array; it
     returns their Outcomes in order.
 
-    Run r takes its seed and windows from configs[r] and its sense from
-    senses[r]; the runs share every other parameter. Each iteration yields
-    the live runs' colonies as one block, run after run. ``select``, when
-    given, learns the run of each row of the blocks to come: before the
+    Every run maximizes the values sent for its rows. Run r takes its seed
+    and windows from configs[r] and its sense from senses[r], which picks
+    only its deposit rule (see _update): a "min" run's values are minus its
+    objective. The runs share every other parameter. Each iteration
+    yields the live runs' colonies as one block, run after run. ``select``,
+    when given, learns the run of each row of the blocks to come: before the
     first block and whenever a run ends and its trail row is dropped. Every
     run ends as it would alone: it draws its Gumbel noise from its own
     generator, and the walk keeps each run's first ant that is strictly
@@ -175,19 +181,14 @@ def _colonies(
     beta_log_eta = config.beta_exp * np.log(heuristic_index(instance))
     rngs = [np.random.default_rng(c.seed) for c in configs]
     windows = [Windows(n, m, c.convergence_limit, c.stagnation_limit) for c in configs]
-    # A value times its run's sign ranks the better values higher.
-    signs = [1.0 if sense == "max" else -1.0 for sense in senses]
     best: list = [None] * len(configs)
     best_value: list = [None] * len(configs)
     traces: list[list[float]] = [[] for _ in configs]
     outcomes: list = [None] * len(configs)
-    # One entry per live run: its run, its trails and its best times sign.
-    live = list(range(len(configs)))
+    live = list(range(len(configs)))  # the runs of the trail rows, in order
     tau = np.ones((len(configs), n))
-    signed_best = [-math.inf] * len(configs)
     while live:
-        sign = np.array([signs[r] for r in live])[:, None]
-        maximize = np.repeat(sign[:, 0] > 0, ants)
+        maximize = np.repeat([senses[r] == "max" for r in live], ants)
         # run i's trails start at i * n in the flattened trail array
         offsets = np.repeat(np.arange(len(live)) * n, ants)[:, None]
         if select:
@@ -201,19 +202,18 @@ def _colonies(
             idx = _sample_colonies(_log_weights(tau, beta_log_eta, config), m, noise)
             sent = yield idx
             values = np.asarray(sent, dtype=float)
-            scores = np.fmax(values.reshape(len(live), ants) * sign, -math.inf)  # NaN last
+            scores = np.fmax(values.reshape(len(live), ants), -math.inf)  # NaN last
             picks = scores.argmax(axis=1)
             if best[live[0]] is None:  # a run's first ant is its first best, even when NaN
                 picks[np.isnan(values[::ants])] = 0
             tau = _update(tau, idx + offsets, values, config, maximize)
             for i, (r, pick, ranked) in enumerate(zip(live, picks.tolist(), scores.tolist())):
                 top = ranked[pick]
-                improved = best[r] is None or top > signed_best[i]
+                improved = best[r] is None or top > best_value[r]
                 if improved:
                     row = i * ants + pick
                     best[r], best_value[r] = (idx[row] + 1).tolist(), sent[row]
-                    signed_best[i] = signs[r] * best_value[r]
-                termination = windows[r].step(improved, top == signed_best[i])
+                termination = windows[r].step(improved, top == best_value[r])
                 traces[r].append(best_value[r])
                 if termination:
                     evaluations = ants * len(traces[r])
@@ -222,6 +222,6 @@ def _colonies(
                     )
                     ended[i] = True
         kept = [not gone for gone in ended]
-        live, signed_best = list(compress(live, kept)), list(compress(signed_best, kept))
+        live = list(compress(live, kept))
         tau = tau[kept]
     return outcomes

@@ -219,12 +219,14 @@ def _result_doc(report, ctx: MaximinContext) -> str:
 
 def cmd_solve(args) -> int:
     instance = _load(args.instance, args.gamma, args.logit)
+    # A brute solve computes exact bounds in its own enumeration pass.
+    own_bounds = args.algo == "brute" and args.exact_bounds and not args.bounds
     report, ctx = solve_protocol(
         instance,
         args.algo,
         seed=args.seed,
         enum_budget=_enum_budget(),
-        ctx=_context(args, instance),
+        ctx=None if own_bounds else _context(args, instance),
     )
     if args.out:
         Path(args.out).write_text(_result_doc(report, ctx))

@@ -46,28 +46,35 @@ Steps = Generator[np.ndarray, list, T]
 
 
 @dataclass(frozen=True)
-class SpreadComponents:
-    """Crisp decomposition of a fuzzy objective value.
-
-    z1 = mid - lo (minimized), z2 = mid (maximized), z3 = hi - mid (maximized).
-    """
-
-    z1: float
-    z2: float
-    z3: float
-
-    def value(self, name: str) -> float:
-        return getattr(self, name)
-
-
-@dataclass(frozen=True)
 class MaximinContext:
-    """Per-component (min, max) bounds calibrating the membership functions."""
+    """Per-component (min, max) bounds calibrating the membership functions.
+
+    Each component's direction and scale are resolved once, on
+    construction: z1 = mid - lo is minimized, so its membership decreases,
+    and z2 = mid and z3 = hi - mid are maximized, so theirs increase.
+    """
 
     z1_bounds: tuple[float, float]
     z2_bounds: tuple[float, float]
     z3_bounds: tuple[float, float]
     provenance: str  # "metaheuristic-estimated" or "oracle-exact"
+
+    def __post_init__(self) -> None:
+        # A degenerate component gets a unit scale, and memberships sets its
+        # degree to 1. The raw degree (spread * sign + offset) / width is, bit
+        # for bit, (high - z1) / width and (z - low) / width for z2 and z3.
+        degenerate = [self.is_degenerate(name) for name in COMPONENTS]
+        lows, highs = zip(*[
+            (0.0, 1.0) if d else self.bounds(name) for name, d in zip(COMPONENTS, degenerate)
+        ])
+        resolved = {  # columns, one row per component
+            "_degenerate": [k for k, d in enumerate(degenerate) if d],
+            "_sign": np.array([[-1.0], [1.0], [1.0]]),  # z1 decreases
+            "_offset": np.array([[highs[0]], [-lows[1]], [-lows[2]]], dtype=float),
+            "_width": np.array([[high - low] for low, high in zip(lows, highs)], dtype=float),
+        }
+        for name, value in resolved.items():
+            object.__setattr__(self, name, value)
 
     def bounds(self, name: str) -> tuple[float, float]:
         return getattr(self, f"{name}_bounds")
@@ -77,6 +84,19 @@ class MaximinContext:
         if not (math.isfinite(low) and math.isfinite(high)):
             return True
         return high - low <= _DEGENERATE_EPS
+
+    def memberships(self, spreads: np.ndarray) -> np.ndarray:
+        """Linear membership degrees (..., 3) of spread components (..., 3)
+        in COMPONENTS order, clamped to [0, 1], and 1 for a component with
+        degenerate bounds, which imposes no discrimination."""
+        # One row per component, so that each pass runs along the subsets.
+        rows = np.multiply(np.reshape(spreads, (-1, 3)).T, self._sign, order="C")
+        rows += self._offset
+        rows /= self._width
+        degrees = np.minimum(np.maximum(rows, 0.0, out=rows), 1.0, out=rows)
+        for k in self._degenerate:
+            degrees[k] = 1.0
+        return degrees.T.reshape(np.shape(spreads))
 
     def to_dict(self) -> dict:
         bounds = {f"{name}_bounds": list(self.bounds(name)) for name in COMPONENTS}
@@ -110,37 +130,6 @@ def fuzzy_objective(instance: Instance, solution: Solution) -> Optional[TriFuzzy
     if not result.stable().all():
         return None
     return TriFuzzy(*result.objective().tolist())
-
-
-def spread_components(z: TriFuzzy) -> SpreadComponents:
-    return SpreadComponents(z1=z.mid - z.lo, z2=z.mid, z3=z.hi - z.mid)
-
-
-def _scale(ctx: MaximinContext, name: str) -> Optional[tuple[float, float, float]]:
-    """(low, high, high - low) of a component's bounds, or None when the
-    bounds are degenerate."""
-    if ctx.is_degenerate(name):
-        return None
-    low, high = ctx.bounds(name)
-    return (low, high, high - low)
-
-
-def _membership(values, scale: Optional[tuple[float, float, float]], name: str) -> np.ndarray:
-    """Linear membership degree of one spread component, clamped to [0, 1]:
-    decreasing for z1 (minimized), increasing for z2 and z3 (maximized).
-    ``scale`` is the component's ``_scale``."""
-    if scale is None:
-        return np.ones_like(values)  # degenerate bounds impose no discrimination
-    low, high, width = scale
-    raw = (high - values) / width if name == "z1" else (values - low) / width
-    return np.minimum(np.maximum(raw, 0.0), 1.0)
-
-
-def membership_values(c: SpreadComponents, ctx: MaximinContext) -> tuple[float, float, float]:
-    """Linear membership degrees of the three components; clamped to [0, 1]."""
-    return tuple(
-        float(_membership(c.value(name), _scale(ctx, name), name)) for name in COMPONENTS
-    )
 
 
 def fuzzy_capacity_feasible(instance: Instance, solution: Solution):
@@ -245,23 +234,18 @@ def penalty(violation):
 class MaximinFitness(KernelFitness):
     """Fitness used by the final solver run: the smallest membership degree
     of the spread components for a feasible subset, and -(1 + violation)
-    for an infeasible one. Each component's degeneracy and scale are
-    resolved once, here."""
+    for an infeasible one."""
 
     def __init__(self, instance: Instance, ctx: MaximinContext):
         super().__init__(instance)
         self.ctx = ctx
-        self.scales = [_scale(ctx, name) for name in COMPONENTS]
 
     def formula(
         self, feasible: np.ndarray, spreads: np.ndarray, violation: np.ndarray
     ) -> np.ndarray:
-        level = np.minimum.reduce(
-            [
-                _membership(spreads[..., s], scale, name)
-                for s, (name, scale) in enumerate(zip(COMPONENTS, self.scales))
-            ]
-        )
+        degrees = self.ctx.memberships(spreads)
+        # column by column: far faster than a min over the short last axis
+        level = np.minimum(np.minimum(degrees[..., 0], degrees[..., 1]), degrees[..., 2])
         return np.where(feasible, level, penalty(violation))
 
 

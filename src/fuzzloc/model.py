@@ -157,16 +157,6 @@ def logit_allocation(instance: Instance, solution: Solution) -> np.ndarray:
     return allocation
 
 
-def aggregate_demand(instance: Instance, allocation: np.ndarray) -> dict[int, TriFuzzy]:
-    """Fuzzy arrival rate captured by each open facility (Poisson superposition)."""
-    totals = allocation.T @ instance.demand  # (n, 3); zero rows for closed nodes
-    out = {}
-    for j in range(instance.n):
-        if np.any(allocation[:, j] > 0):
-            out[j + 1] = TriFuzzy(*totals[j])
-    return out
-
-
 def mm1_metrics(lam: float, mu: float):
     """Analytic single-server idle probability and waiting-line length.
 

@@ -38,6 +38,11 @@ BOUND_RUNS = (
     ("z3", "max"),
 )
 
+# Each bound run maximizes sign * component, so a min run maximizes minus
+# the component: the runs' columns of Kernel.spreads() and their signs.
+_COMPONENT = np.array([COMPONENTS.index(name) for name, _ in BOUND_RUNS])
+_SIGN = np.array([1.0 if sense == "max" else -1.0 for _, sense in BOUND_RUNS])
+
 _PENALTY_SCALE = 1e12
 
 
@@ -47,41 +52,28 @@ def bound_seeds(seed: int) -> list[int]:
 
 
 class _BoundFitness(KernelFitness):
-    """Single-component objective with infeasibility pushed past any feasible
-    value in the run's optimization direction.
+    """The fitness of bound run ``run``, a position in BOUND_RUNS, which
+    either solver maximizes: sign * component for a feasible subset, and
+    -1e12 * (1 + violation), below any feasible value, for an infeasible
+    one. ``select`` gives each row of the blocks to come its own run."""
 
-    The GA always maximizes, so minimization runs hand it the negated
-    component; the ACO takes the raw component plus a sense flag (its deposit
-    rule differs between the two directions).
-    """
-
-    def __init__(self, instance: Instance, name: str, sense: str, solver: str):
+    def __init__(self, instance: Instance, run: int):
         super().__init__(instance)
-        self.pick = (..., COMPONENTS.index(name))  # the component of every row
-        self.penalty = -_PENALTY_SCALE if sense == "max" else _PENALTY_SCALE
-        self.negate = solver == "ga" and sense == "min"
+        self.select(run)
+
+    def select(self, runs) -> None:
+        """Score every row as run ``runs`` when it is one position, else row
+        i of each block as run ``runs[i]``."""
+        rows = np.arange(len(runs)) if np.ndim(runs) else ...
+        self.pick = (rows, _COMPONENT[runs])
+        self.sign = _SIGN[runs]
 
     def formula(
         self, feasible: np.ndarray, spreads: np.ndarray, violation: np.ndarray
     ) -> np.ndarray:
-        values = np.where(feasible, spreads[self.pick], self.penalty * (1.0 + violation))
-        return -values if self.negate else values
-
-
-class _BoundRows(_BoundFitness):
-    """The six ACO bound runs' fitnesses as one, for the blocks that
-    ``aco._colonies`` yields: ``select`` names the run of each row of the
-    blocks to come, and each row gets its run's component and penalty."""
-
-    def __init__(self, instance: Instance):
-        super().__init__(instance, *BOUND_RUNS[0], "aco")  # until select
-        runs = [_BoundFitness(instance, name, sense, "aco") for name, sense in BOUND_RUNS]
-        self.components = np.array([run.pick[-1] for run in runs])
-        self.penalties = np.array([run.penalty for run in runs])
-
-    def select(self, runs: np.ndarray) -> None:
-        self.pick = (np.arange(len(runs)), self.components[runs])
-        self.penalty = self.penalties[runs]
+        return np.where(
+            feasible, self.sign * spreads[self.pick], -_PENALTY_SCALE * (1.0 + violation)
+        )
 
 
 def _run(instance: Instance, fitness: Fitness, config: GAConfig | ACOConfig) -> SolverReport:
@@ -106,18 +98,18 @@ def estimate_bounds(
     bounds come from ``oracle.exact_bounds``. The six runs step together in
     one ``drive`` call, and each ends as it would alone: six GA step
     generators, or one ACO generator over a six-row trail array whose
-    blocks one ``_BoundRows`` scores.
+    blocks one ``_BoundFitness`` scores, each row as its own run.
     """
     if len(seeds) != len(BOUND_RUNS):
         raise DomainError(f"need {len(BOUND_RUNS)} seeds, got {len(seeds)}")
     configs = [dataclasses.replace(config, seed=seed) for seed in seeds]
     if isinstance(config, GAConfig):
         outcomes = drive([
-            (_ga_steps(instance, run), _BoundFitness(instance, name, sense, "ga"))
-            for (name, sense), run in zip(BOUND_RUNS, configs)
+            (_ga_steps(instance, run), _BoundFitness(instance, r))
+            for r, run in enumerate(configs)
         ])
     else:
-        fitness = _BoundRows(instance)
+        fitness = _BoundFitness(instance, 0)  # _colonies selects each row's run
         senses = [sense for _, sense in BOUND_RUNS]
         outcomes = drive([(_colonies(instance, configs, senses, fitness.select), fitness)])[0]
     found: dict[tuple[str, str], float] = {}

@@ -12,6 +12,7 @@ from fuzzloc.fuzzy import TriFuzzy
 from fuzzloc.ga import _Memo, _mate, _population
 from fuzzloc.instances import GeneratorParams, generate_instance, load_table1
 from fuzzloc.model import Instance, Solution
+from fuzzloc.protocol import BOUND_RUNS, _BoundFitness
 
 
 def mild_params(n: int, m: int, seed: int) -> GeneratorParams:
@@ -55,6 +56,12 @@ def aco_run(instance, config, sense):
     """One ACO run of either sense as a step generator: a stack of one run
     in aco._colonies, the way the bound phase steps its runs."""
     return (yield from _colonies(instance, [config], [sense]))[0]
+
+
+def bound_fitness(instance: Instance, name: str, sense: str) -> _BoundFitness:
+    """The fitness of the bound run that takes the ``sense`` of component
+    ``name``: either solver maximizes it."""
+    return _BoundFitness(instance, BOUND_RUNS.index((name, sense)))
 
 
 def feasible_subsets(instance: Instance) -> list[Solution]:

@@ -24,16 +24,14 @@ from fuzzloc.evaluation import (
     fuzzy_capacity_feasible,
     fuzzy_objective,
     make_maximin_eval,
-    membership_values,
-    spread_components,
 )
 from fuzzloc.fuzzy import TriFuzzy
 from fuzzloc.ga import Chromosome, GAConfig, run_ga
 from fuzzloc.instances import generate_instance, save_instance
 from fuzzloc.model import (
     Instance,
+    Kernel,
     Solution,
-    aggregate_demand,
     crisp_objective_slice,
     logit_allocation,
     mm1_metrics,
@@ -177,18 +175,24 @@ def test_criterion_3_benchmark_shape(tmp_path, verdict):
     )
 
 
+def spread_components(instance, solution) -> np.ndarray:
+    """(z1, z2, z3) = (mid - lo, mid, hi - mid) of the fuzzy objective."""
+    z = fuzzy_objective(instance, solution)
+    return np.array([z.mid - z.lo, z.mid, z.hi - z.mid])
+
+
 def test_criterion_4_fuzzy_layer_correctness(verdict):
     instance = generate_instance(mild_params(8, 2, 1))
     ctx = exact_bounds(instance)
     feasible = feasible_subsets(instance)
     in_bounds = True
     for solution in feasible:
-        comps = spread_components(fuzzy_objective(instance, solution))
-        for name in ("z1", "z2", "z3"):
+        comps = spread_components(instance, solution)
+        for index, name in enumerate(("z1", "z2", "z3")):
             low, high = ctx.bounds(name)
-            if not (low - 1e-9 <= comps.value(name) <= high + 1e-9):
+            if not (low - 1e-9 <= comps[index] <= high + 1e-9):
                 in_bounds = False
-        mus = membership_values(comps, ctx)
+        mus = ctx.memberships(comps)
         if not all(0.0 <= mu <= 1.0 for mu in mus):
             in_bounds = False
     attain = []
@@ -196,11 +200,9 @@ def test_criterion_4_fuzzy_layer_correctness(verdict):
         target = ctx.bounds(name)[0] if name == "z1" else ctx.bounds(name)[1]
         best = min(
             feasible,
-            key=lambda s: abs(
-                spread_components(fuzzy_objective(instance, s)).value(name) - target
-            ),
+            key=lambda s: abs(spread_components(instance, s)[index] - target),
         )
-        mus = membership_values(spread_components(fuzzy_objective(instance, best)), ctx)
+        mus = ctx.memberships(spread_components(instance, best))
         attain.append(mus[index] == 1.0)
     crisp = crispen(instance)
     crisp_ctx = exact_bounds(crisp)
@@ -336,9 +338,7 @@ def test_criterion_6_structural_invariants(verdict):
     for k in range(1000):
         instance = pool[(k + 1) % len(pool)]
         combo = np_rng.choice(instance.n, size=instance.m_servers, replace=False) + 1
-        alloc = logit_allocation(instance, Solution(combo))
-        agg = aggregate_demand(instance, alloc)
-        totals = np.sum([t.as_tuple() for t in agg.values()], axis=0)
+        totals = Kernel(instance, np.sort(combo) - 1).lam_bar.sum(axis=0)
         assert np.allclose(totals, instance.demand.sum(axis=0), rtol=1e-6)
         cases["aggregation"] += 1
 

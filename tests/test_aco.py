@@ -256,15 +256,16 @@ class TestPheromoneUpdate:
         assert out[0] == pytest.approx([0.97] * 4)
 
     def test_minimization_deposit(self):
-        out = self.update(np.ones((1, 4)), [[2]], [4.0], [False])
+        # a minimizing run's values are -F: F = 4 deposits theta/F
+        out = self.update(np.ones((1, 4)), [[2]], [-4.0], [False])
         assert out[0, 2] == pytest.approx(0.97 + 200.0 / 4.0)
         # the penalized ant of a minimization bound run still deposits theta/F
-        out = self.update(np.ones((1, 4)), [[2]], [1e12 * (1 + 0.5)], [False])
+        out = self.update(np.ones((1, 4)), [[2]], [-1e12 * (1 + 0.5)], [False])
         assert out[0, 2] - 0.97 == pytest.approx(200.0 / 1.5e12, rel=1e-4)
 
     def test_row_offsets(self):
         # node j of row r is r * n + j; a max row and a min row in one update
-        out = self.update(np.ones((2, 4)), [[1], [4 + 3]], [0.9, 4.0], [True, False])
+        out = self.update(np.ones((2, 4)), [[1], [4 + 3]], [0.9, -4.0], [True, False])
         assert out[0] == pytest.approx([0.97, 0.97 + 180.0, 0.97, 0.97])
         assert out[1] == pytest.approx([0.97, 0.97, 0.97, 0.97 + 50.0])
 

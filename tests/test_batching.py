@@ -34,7 +34,7 @@ from fuzzloc.oracle import exact_bounds
 from fuzzloc.protocol import BOUND_RUNS, _BoundFitness
 from fuzzloc.reports import Outcome, run_solver
 from fuzzloc.termination import Windows
-from conftest import aco_run, score_block
+from conftest import aco_run, bound_fitness, score_block
 from test_kernel import PROBE_CTX, build, cases
 
 
@@ -46,7 +46,8 @@ def reference_sample(log_w, m, rng):
 
 
 def reference_update(tau, colony, config, sense):
-    """One run's trail row after aco._update, as a loop over the ants."""
+    """One run's trail row after aco._update, as a loop over the ants; each
+    ant comes with its F, the objective of its run's sense."""
     tau = tau * config.evaporation_rate
     for solution, fitness in colony:
         if not math.isfinite(fitness):
@@ -117,7 +118,8 @@ values = st.one_of(
 def test_deposit_matches_ant_loop(sense, n, data, seed):
     """One _update of R = 1-4 trail rows, run r's nodes offset by r * n,
     against each row's ant loop. Row 0 has the given sense, the other rows
-    a drawn one."""
+    a drawn one. _update takes the values that the runs maximize, so a min
+    row's ant is handed -F."""
     # few nodes and many ants, so most nodes take several deposits
     runs = data.draw(st.integers(1, 4))
     m = data.draw(st.integers(1, n - 1))
@@ -145,33 +147,35 @@ def test_deposit_matches_ant_loop(sense, n, data, seed):
         )
         for r in range(runs)
     ]
-    assert np.array_equal(_update(tau, idx + offsets, fitness, config, maximize), expected)
+    sent = [f if keep else -f for f, keep in zip(fitness, maximize)]
+    assert np.array_equal(_update(tau, idx + offsets, sent, config, maximize), expected)
 
 
 def reference_steps(instance, config, sense):
     """One ACO run ant by ant: each ant's subset drawn on its own, a walk
-    that keeps the first ant strictly better than the best so far, and the
-    deposit loop above. It yields and returns as aco_run does."""
+    that keeps the first ant whose value is strictly above the best so far,
+    and the deposit loop above, with F = -value in a min run. It yields and
+    returns as aco_run does."""
     rng = np.random.default_rng(config.seed)
-    better = (lambda a, b: a > b) if sense == "max" else (lambda a, b: a < b)
-    worst = -math.inf if sense == "max" else math.inf
+    sign = 1.0 if sense == "max" else -1.0
     n, m = instance.n, instance.m_servers
     windows = Windows(n, m, config.convergence_limit, config.stagnation_limit)
     ants = ant_count(n, m, config.population_coefficient)
     eta = heuristic_index(instance)
     tau = np.ones(n)
-    best, best_value, trace = None, worst, []
+    best, best_value, trace = None, -math.inf, []
     while True:
         log_w = _log_weights(tau, config.beta_exp * np.log(eta), config)
         colony = [reference_sample(log_w, m, rng) for _ in range(ants)]
         values = yield np.array([solution.sorted() for solution in colony], dtype=np.intp) - 1
-        improved, colony_best = False, worst
+        improved, colony_best = False, -math.inf
         for solution, value in zip(colony, values):
-            if better(value, colony_best):
+            if value > colony_best:
                 colony_best = value
-            if best is None or better(value, best_value):
+            if best is None or value > best_value:
                 best, best_value, improved = solution.sorted(), value, True
-        tau = reference_update(tau, list(zip(colony, values)), config, sense)
+        deposits = [(solution, sign * value) for solution, value in zip(colony, values)]
+        tau = reference_update(tau, deposits, config, sense)
         trace.append(best_value)
         termination = windows.step(improved, colony_best == best_value)
         if termination:
@@ -220,7 +224,7 @@ def test_stacked_runs_match_each_run_alone(
     if scoring == "odd":
         fitness = _odd
     else:
-        fitness = _BoundFitness(instance, scoring, "max", "aco")
+        fitness = bound_fitness(instance, scoring, "max")
     configs = [
         ACOConfig(seed=seed, convergence_limit=limit, stagnation_limit=cap,
                   alpha_exp=alpha, population_coefficient=coefficient)
@@ -246,11 +250,20 @@ def test_stacked_runs_share_trail_parameters(medium_instance):
 @given(case=cases(max_n=10))
 @settings(max_examples=30, deadline=None)
 def test_bound_block_matches_calls(solver, case):
+    """A GA bound run has a fitness of its own; the ACO's six runs share one
+    whose select gives each row its run, here a different one per row."""
     instance = build(*case)
     idx = np.array(list(itertools.combinations(range(instance.n), instance.m_servers)))
-    for name, sense in BOUND_RUNS:
-        fitness = _BoundFitness(instance, name, sense, solver)
-        expected = [fitness(Solution(row)) for row in (idx + 1).tolist()]
+    for r in range(len(BOUND_RUNS)):
+        runs = np.full(len(idx), r)
+        fitness = _BoundFitness(instance, r)
+        if solver == "aco":
+            runs = (np.arange(len(idx)) + r) % len(BOUND_RUNS)
+            fitness.select(runs)
+        expected = [
+            _BoundFitness(instance, run)(Solution(row))
+            for run, row in zip(runs.tolist(), (idx + 1).tolist())
+        ]
         assert score_block(fitness, idx) == expected
 
 
@@ -258,16 +271,15 @@ def test_bound_block_matches_calls(solver, case):
 def test_bound_block_covers_feasible_and_infeasible_rows(medium_instance, scale):
     instance = dataclasses.replace(medium_instance, demand=medium_instance.demand * scale)
     idx = np.array(list(itertools.combinations(range(instance.n), instance.m_servers)))
-    for solver in ("ga", "aco"):
-        for name, sense in BOUND_RUNS:
-            fitness = _BoundFitness(instance, name, sense, solver)
-            got = score_block(fitness, idx)
-            assert got == [fitness(Solution(row)) for row in (idx + 1).tolist()]
-            penalized = [abs(v) >= 1e12 for v in got]
-            if scale == 1.0:
-                assert not all(penalized) and any(penalized)
-            else:
-                assert all(penalized)
+    for r in range(len(BOUND_RUNS)):
+        fitness = _BoundFitness(instance, r)
+        got = score_block(fitness, idx)
+        assert got == [fitness(Solution(row)) for row in (idx + 1).tolist()]
+        penalized = [v <= -1e12 for v in got]
+        if scale == 1.0:
+            assert not all(penalized) and any(penalized)
+        else:
+            assert all(penalized)
 
 
 def _plain(fitness):
@@ -290,8 +302,8 @@ def _runs(instance):
     yield "ga", "max", maximin
     yield "aco", "max", maximin
     for name, sense in BOUND_RUNS:
-        yield "ga", "max", _BoundFitness(instance, name, sense, "ga")  # the GA only maximizes
-        yield "aco", sense, _BoundFitness(instance, name, sense, "aco")
+        yield "ga", "max", bound_fitness(instance, name, sense)  # the GA has no sense
+        yield "aco", sense, bound_fitness(instance, name, sense)
 
 
 @pytest.mark.parametrize("instance_name", ["medium_instance", "table1"])

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from conftest import mild_params
-from fuzzloc import cli
+from fuzzloc import cli, oracle
 from fuzzloc.aco import ACOConfig
 from fuzzloc.cli import BENCH_HEADER, EXIT_OK, EXIT_RUNTIME, EXIT_USAGE, EXIT_VALIDATION, main
 from fuzzloc.evaluation import MaximinContext
@@ -122,7 +122,36 @@ class TestSolve:
     def test_missing_instance_is_runtime_error(self, tmp_path):
         assert run(["solve", "--instance", tmp_path / "nope.json"]) == EXIT_RUNTIME
 
-    @pytest.mark.parametrize("flags", [["--algo", "brute"], ["--algo", "aco", "--exact-bounds"]])
+    def test_brute_exact_bounds_enumerates_once(self, tmp_path, monkeypatch):
+        """--exact-bounds adds no second pass to a brute solve: one Scan, and
+        the result file of a solve without the flag."""
+        path = tmp_path / "g.json"
+        save_instance(generate_instance(mild_params(10, 3, 2)), path)
+        scans, init = [], oracle.Scan.__init__
+
+        def counted(self, *args, **kwargs):
+            scans.append(args)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(oracle.Scan, "__init__", counted)
+        docs = []
+        for flags in ([], ["--exact-bounds"]):
+            out = tmp_path / f"b{len(docs)}.json"
+            scans.clear()
+            argv = ["solve", "--instance", path, "--algo", "brute", *flags, "--out", out]
+            assert run(argv) == EXIT_OK
+            assert len(scans) == 1, flags
+            doc = json.loads(out.read_text())
+            doc["report"].pop("elapsed_s")
+            docs.append(doc)
+        assert docs[0] == docs[1]
+        assert docs[0]["bounds"]["provenance"] == "oracle-exact"
+
+    @pytest.mark.parametrize("flags", [
+        ["--algo", "brute"],
+        ["--algo", "brute", "--exact-bounds"],
+        ["--algo", "aco", "--exact-bounds"],
+    ])
     def test_table1_has_no_feasible_subset(self, tmp_path, capsys, flags):
         path = tmp_path / "t.json"
         assert run(["generate", "--table1", "--out", path]) == EXIT_OK

@@ -2,25 +2,26 @@
 
 import dataclasses
 import math
+import types
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from conftest import crispen, feasible_subsets
 from fuzzloc.evaluation import (
+    COMPONENTS,
     MaximinContext,
-    SpreadComponents,
     capacity_threshold,
     evaluate,
     fuzzy_capacity_feasible,
     fuzzy_objective,
     make_maximin_eval,
-    membership_values,
-    spread_components,
     violation_total,
 )
 from fuzzloc.fuzzy import TriFuzzy
-from fuzzloc.model import Solution, crisp_objective_slice
+from fuzzloc.model import Kernel, Solution, crisp_objective_slice
 from fuzzloc.oracle import enumerate_optimum, exact_bounds
 
 
@@ -30,63 +31,104 @@ def make_ctx(z1=(0.0, 1.0), z2=(0.0, 1.0), z3=(0.0, 1.0)):
     )
 
 
+def spreads_of(z: TriFuzzy) -> list:
+    """Kernel.spreads of a kernel whose sorted slice objectives are z."""
+    kernel = types.SimpleNamespace(objective=lambda: np.array(z.as_tuple()))
+    return Kernel.spreads(kernel).tolist()
+
+
+def memberships(ctx, z1, z2, z3) -> list:
+    return ctx.memberships(np.array([z1, z2, z3])).tolist()
+
+
+def reference_membership(z, bounds, name):
+    """One component's linear membership degree, one value at a time:
+    (high - z) / (high - low) for z1, which is minimized, and (z - low) /
+    (high - low) for z2 and z3, which are maximized, clamped to [0, 1]; 1
+    for degenerate bounds (a non-finite bound, or high - low <= 1e-12)."""
+    low, high = bounds
+    if not (math.isfinite(low) and math.isfinite(high)) or high - low <= 1e-12:
+        return 1.0
+    raw = (high - z) / (high - low) if name == "z1" else (z - low) / (high - low)
+    return float(np.minimum(np.maximum(raw, 0.0), 1.0))
+
+
 class TestSpreadComponents:
     def test_example(self):
-        c = spread_components(TriFuzzy(0.4, 0.6, 0.9))
-        assert (c.z1, c.z2, c.z3) == (
+        assert spreads_of(TriFuzzy(0.4, 0.6, 0.9)) == [
             pytest.approx(0.2),
             pytest.approx(0.6),
             pytest.approx(0.3),
-        )
+        ]
 
     def test_crisp(self):
-        c = spread_components(TriFuzzy(5.0, 5.0, 5.0))
-        assert (c.z1, c.z2, c.z3) == (0.0, 5.0, 0.0)
+        assert spreads_of(TriFuzzy(5.0, 5.0, 5.0)) == [0.0, 5.0, 0.0]
 
     def test_symmetric(self):
-        c = spread_components(TriFuzzy(0, 1, 2))
-        assert (c.z1, c.z2, c.z3) == (1.0, 1.0, 1.0)
-
-    def test_value_accessor(self):
-        c = SpreadComponents(z1=1.0, z2=2.0, z3=3.0)
-        assert [c.value(k) for k in ("z1", "z2", "z3")] == [1.0, 2.0, 3.0]
+        assert spreads_of(TriFuzzy(0, 1, 2)) == [1.0, 1.0, 1.0]
 
 
 class TestMembership:
     def test_endpoints(self):
         ctx = make_ctx(z2=(2.0, 6.0))
-        top = membership_values(SpreadComponents(0.0, 6.0, 1.0), ctx)
-        bottom = membership_values(SpreadComponents(0.0, 2.0, 1.0), ctx)
+        top = memberships(ctx, 0.0, 6.0, 1.0)
+        bottom = memberships(ctx, 0.0, 2.0, 1.0)
         assert top[1] == 1.0
         assert bottom[1] == 0.0
 
     def test_midpoint_linear(self):
         ctx = make_ctx(z2=(2.0, 6.0))
-        mid = membership_values(SpreadComponents(0.0, 4.0, 1.0), ctx)
+        mid = memberships(ctx, 0.0, 4.0, 1.0)
         assert mid[1] == pytest.approx(0.5)
 
     def test_z1_decreasing(self):
         ctx = make_ctx(z1=(1.0, 3.0))
-        low = membership_values(SpreadComponents(1.0, 1.0, 1.0), ctx)
-        high = membership_values(SpreadComponents(3.0, 1.0, 1.0), ctx)
+        low = memberships(ctx, 1.0, 1.0, 1.0)
+        high = memberships(ctx, 3.0, 1.0, 1.0)
         assert low[0] == 1.0
         assert high[0] == 0.0
 
     def test_clamping_out_of_range(self):
         ctx = make_ctx(z1=(1.0, 3.0), z2=(2.0, 6.0))
-        mus = membership_values(SpreadComponents(0.5, 8.0, 2.0), ctx)
+        mus = memberships(ctx, 0.5, 8.0, 2.0)
         assert mus[0] == 1.0  # below the z1 minimum clamps up
         assert mus[1] == 1.0  # above the z2 maximum clamps down to 1
 
     def test_degenerate_bounds_give_one(self):
         ctx = make_ctx(z1=(0.0, 0.0), z3=(2.0, 2.0))
-        mus = membership_values(SpreadComponents(0.0, 0.5, 2.0), ctx)
+        mus = memberships(ctx, 0.0, 0.5, 2.0)
         assert mus[0] == 1.0 and mus[2] == 1.0
 
     def test_nan_bounds_treated_degenerate(self):
         ctx = make_ctx(z1=(math.nan, math.nan))
-        mus = membership_values(SpreadComponents(0.3, 0.5, 0.1), ctx)
+        mus = memberships(ctx, 0.3, 0.5, 0.1)
         assert mus[0] == 1.0
+
+    _VALUE = st.floats(-1e6, 1e6)
+    _BOUND = st.one_of(
+        _VALUE, st.integers(-10**6, 10**6), st.sampled_from((math.nan, math.inf, -math.inf))
+    )
+
+    @given(
+        spreads=st.lists(st.tuples(_VALUE, _VALUE, _VALUE), min_size=1, max_size=6),
+        bounds=st.lists(
+            st.one_of(st.tuples(_BOUND, _BOUND), _BOUND.map(lambda v: (v, v))),
+            min_size=3,
+            max_size=3,
+        ),
+    )
+    def test_matches_scalar_reference(self, spreads, bounds):
+        """Every degree of a block, bit for bit, is the scalar formula's,
+        for any bounds: NaN, infinite, equal, reversed or integer."""
+        ctx = MaximinContext(*bounds, provenance="probe")
+        got = ctx.memberships(np.array(spreads)).tolist()
+        expected = [
+            [reference_membership(z, pair, name) for z, pair, name in zip(row, bounds, COMPONENTS)]
+            for row in spreads
+        ]
+        assert [[v.hex() for v in row] for row in got] == [
+            [v.hex() for v in row] for row in expected
+        ]
 
 
 class TestMaximinLevel:

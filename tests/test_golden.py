@@ -1,10 +1,10 @@
 """Solve reports checked against recorded ones.
 
 ``tests/data/golden_reports.json`` holds the reports of GA, ACO and brute
-solves on three small instances, of GA solves on the two benchmark
+solves on three small instances, of GA and ACO solves on the two benchmark
 workloads, table1 and mild20, and of a brute solve on mild20 (table1 has no
-feasible subset, so brute raises there). Regenerate it only for a change that is meant
-to alter reports:
+feasible subset, so brute raises there). Regenerate it only for a change
+that is meant to alter reports:
 
     PYTHONPATH=src:tests python tests/test_golden.py
 """
@@ -36,7 +36,12 @@ SOLVES += [(name, "brute", 0) for name in INSTANCES]
 # The benchmark's workloads at its stagnation window: table1, where every
 # subset is infeasible and the bounds are NaN, and mild20.
 INSTANCES["mild20"] = mild_params(20, 5, 0)
-SOLVES += [(name, "ga", seed) for name in ("table1", "mild20") for seed in (0, 1)]
+SOLVES += [
+    (name, algo, seed)
+    for name in ("table1", "mild20")
+    for algo in ("ga", "aco")
+    for seed in (0, 1)
+]
 SOLVES += [("mild20", "brute", 0)]
 STAGNATION = 100
 

@@ -14,23 +14,21 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import fuzzloc.oracle
-from conftest import crispen, feasible_subsets, mild_params, score_block
+from conftest import bound_fitness, crispen, feasible_subsets, mild_params, score_block
 from fuzzloc.errors import InfeasibleInstanceError
 from fuzzloc.evaluation import (
     MaximinContext,
-    SpreadComponents,
     component_value,
     evaluate,
     fuzzy_capacity_feasible,
     fuzzy_objective,
     make_maximin_eval,
-    spread_components,
     violation_total,
 )
 from fuzzloc.instances import GeneratorParams, generate_instance
 from fuzzloc.model import Kernel, Solution, _allocation
 from fuzzloc.oracle import enumerate_optimum, exact_bounds
-from fuzzloc.protocol import _PENALTY_SCALE, BOUND_RUNS, _BoundFitness
+from fuzzloc.protocol import _PENALTY_SCALE, BOUND_RUNS
 
 PROBE_CTX = MaximinContext((0.0, 1.0), (0.0, 1.0), (0.0, 1.0), "probe")
 
@@ -83,8 +81,7 @@ def reference_bounds(instance):
         if z is None:
             continue
         any_feasible = True
-        c = spread_components(z)
-        for k, v in enumerate((c.z1, c.z2, c.z3)):
+        for k, v in enumerate((z.mid - z.lo, z.mid, z.hi - z.mid)):
             lows[k] = min(lows[k], v)
             highs[k] = max(highs[k], v)
     if not any_feasible:
@@ -118,7 +115,7 @@ def test_block_matches_subsets(case, sample_seed):
         z = fuzzy_objective(instance, solution)
         if z is not None:
             assert tuple(derived["objective"][b]) == z.as_tuple()
-            assert SpreadComponents(*derived["spreads"][b].tolist()) == spread_components(z)
+            assert derived["spreads"][b].tolist() == [z.mid - z.lo, z.mid, z.hi - z.mid]
         if derived["feasible"][b]:
             assert derived["objective"][b][1] == component_value(instance, solution, "z2")
 
@@ -209,10 +206,9 @@ def test_exact_bounds_matches_reference_loop(case, block_size):
     case=cases(max_n=11),
     block_size=st.integers(1, 50),
     which=st.sampled_from(("maximin",) + BOUND_RUNS),
-    solver=st.sampled_from(("ga", "aco")),
 )
 @settings(max_examples=60, deadline=None)
-def test_enumeration_block_path_matches_plain_callable(case, block_size, which, solver):
+def test_enumeration_block_path_matches_plain_callable(case, block_size, which):
     """A KernelFitness scored in blocks gives every subset the bits of its
     per-subset call."""
     instance = build(*case)
@@ -223,7 +219,7 @@ def test_enumeration_block_path_matches_plain_callable(case, block_size, which, 
             ctx = PROBE_CTX
         fitness = make_maximin_eval(instance, ctx)
     else:
-        fitness = _BoundFitness(instance, *which, solver)
+        fitness = bound_fitness(instance, *which)
     with mock.patch.object(fuzzloc.oracle, "BLOCK_SIZE", block_size):
         streamed = enumerate_optimum(instance, fitness, keep_table=True)
         plain = enumerate_optimum(instance, lambda s: fitness(s), keep_table=True)
@@ -277,11 +273,12 @@ def test_bound_eval_is_one_kernel_call(medium_instance, scale):
         for solution in subsets:
             value = component_value(instance, solution, name)
             if value is None:
-                penalty = _PENALTY_SCALE * (1.0 + violation_total(instance, solution))
-                value = -penalty if sense == "max" else penalty
+                value = -_PENALTY_SCALE * (1.0 + violation_total(instance, solution))
+            elif sense == "min":
+                value = -value  # every bound run maximizes
             expected.append(value)
         with mock.patch("fuzzloc.evaluation.solution_kernel",
                         wraps=fuzzloc.evaluation.solution_kernel) as spy:
-            got = [_BoundFitness(instance, name, sense, "aco")(s) for s in subsets]
+            got = [bound_fitness(instance, name, sense)(s) for s in subsets]
         assert spy.call_count == len(subsets)
         assert got == expected

@@ -10,8 +10,8 @@ from fuzzloc.evaluation import fuzzy_capacity_feasible
 from fuzzloc.fuzzy import TriFuzzy
 from fuzzloc.model import (
     Instance,
+    Kernel,
     Solution,
-    aggregate_demand,
     crisp_objective_slice,
     join_probability,
     logit_allocation,
@@ -149,9 +149,11 @@ class TestLogitAllocation:
 class TestAggregateDemand:
     def test_conserves_per_slice(self, medium_instance):
         alloc = logit_allocation(medium_instance, Solution([3, 7]))
-        agg = aggregate_demand(medium_instance, alloc)
-        assert set(agg) == {3, 7}
-        totals = np.sum([t.as_tuple() for t in agg.values()], axis=0)
+        lam_bar = Kernel(medium_instance, np.array([2, 6])).lam_bar
+        # row k is open facility k's arrival rate: facilities 3 and 7
+        assert np.allclose(lam_bar, alloc[:, [2, 6]].T @ medium_instance.demand, rtol=1e-9)
+        assert np.count_nonzero(alloc.any(axis=0)) == len(lam_bar) == 2
+        totals = lam_bar.sum(axis=0)
         expected = medium_instance.demand.sum(axis=0)
         assert np.allclose(totals, expected, rtol=1e-9)
 

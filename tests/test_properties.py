@@ -9,10 +9,10 @@ from hypothesis import strategies as st
 
 from conftest import mate, mild_params
 from fuzzloc.aco import TAU_MIN, ACOConfig, _update
-from fuzzloc.evaluation import MaximinContext, SpreadComponents, membership_values
+from fuzzloc.evaluation import MaximinContext
 from fuzzloc.ga import Chromosome
 from fuzzloc.instances import generate_instance
-from fuzzloc.model import Solution, aggregate_demand, join_probability, logit_allocation
+from fuzzloc.model import Kernel, Solution, join_probability, logit_allocation
 
 
 @pytest.fixture(scope="module")
@@ -40,8 +40,7 @@ def test_aggregation_conserves_demand(seed):
     rng = random.Random(seed)
     inst = generate_instance(mild_params(8, 2, rng.randrange(50)))
     solution = Solution(rng.sample(range(1, 9), 2))
-    agg = aggregate_demand(inst, logit_allocation(inst, solution))
-    totals = np.sum([t.as_tuple() for t in agg.values()], axis=0)
+    totals = Kernel(inst, np.array(solution.sorted()) - 1).lam_bar.sum(axis=0)
     assert np.allclose(totals, inst.demand.sum(axis=0), rtol=1e-6)
 
 
@@ -109,5 +108,5 @@ def test_memberships_always_clamped(z1, z2, z3, lo1, w1, lo2, w2):
         z3_bounds=(0.0, 1.0),
         provenance="oracle-exact",
     )
-    mus = membership_values(SpreadComponents(z1, z2, z3), ctx)
+    mus = ctx.memberships(np.array([z1, z2, z3]))
     assert all(0.0 <= mu <= 1.0 for mu in mus)

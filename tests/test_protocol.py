@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import aco_run, crispen, mild_params, one_block
+from conftest import aco_run, bound_fitness, crispen, mild_params, one_block
 from fuzzloc import aco
 from fuzzloc.aco import ACOConfig, _steps as _aco_steps
 from fuzzloc.errors import DomainError
@@ -33,12 +33,12 @@ def _sequential_runs(instance, config, seeds):
     """The six bound runs of ``config`` one after another: run_ga calls, or
     one aco._colonies stack of one run each."""
     reports = []
-    for (name, sense), seed in zip(BOUND_RUNS, seeds):
+    for r, ((_, sense), seed) in enumerate(zip(BOUND_RUNS, seeds)):
         run = dataclasses.replace(config, seed=seed)
+        fitness = _BoundFitness(instance, r)
         if isinstance(config, GAConfig):
-            reports.append(run_ga(instance, _BoundFitness(instance, name, sense, "ga"), run))
+            reports.append(run_ga(instance, fitness, run))
         else:
-            fitness = _BoundFitness(instance, name, sense, "aco")
             reports.append(run_solver("aco", instance, seed, aco_run(instance, run, sense), fitness))
     return reports
 
@@ -221,8 +221,8 @@ class TestDrive:
         ga = [GAConfig(seed=seed + k, stagnation_limit=30) for k in range(2)]
         aco = [ACOConfig(seed=seed + k, stagnation_limit=30) for k in range(2)]
         return [
-            (_ga_steps(instance, ga[0]), _BoundFitness(instance, "z2", "min", "ga")),
-            (aco_run(instance, aco[0], "min"), _BoundFitness(instance, "z1", "min", "aco")),
+            (_ga_steps(instance, ga[0]), bound_fitness(instance, "z2", "min")),
+            (aco_run(instance, aco[0], "min"), bound_fitness(instance, "z1", "min")),
             (_ga_steps(instance, ga[1]), _Counted(maximin)),
             (_aco_steps(instance, aco[1]), plain),
             (_aco_steps(instance, ACOConfig(seed=seed, stagnation_limit=1)), maximin),
@@ -247,7 +247,7 @@ class TestDrive:
         blocks = [np.array([[0, 1], [2, 3]]), np.array([[4, 5], [1, 7], [0, 6]])]
         fitnesses = [
             make_maximin_eval(medium_instance, exact_bounds(medium_instance)),
-            _BoundFitness(medium_instance, "z3", "max", "aco"),
+            bound_fitness(medium_instance, "z3", "max"),
         ]
         expected = [
             [fitness(Solution(row)) for row in (idx + 1).tolist()]
@@ -265,7 +265,7 @@ class TestDrive:
         b_blocks = [np.array([[1, 6], [3, 4], [5, 6]])]
         fitnesses = [
             make_maximin_eval(medium_instance, exact_bounds(medium_instance)),
-            _BoundFitness(medium_instance, "z1", "min", "ga"),
+            bound_fitness(medium_instance, "z1", "min"),
         ]
         expected = [
             [[fitness(Solution(row)) for row in (idx + 1).tolist()] for idx in blocks]
@@ -281,7 +281,7 @@ class TestDrive:
         specs=st.lists(
             st.tuples(
                 st.lists(_BLOCK, min_size=1, max_size=5),
-                st.sampled_from(["maximin", "z1-min-ga", "z3-max-aco", "plain"]),
+                st.sampled_from(["maximin", "z1-min", "z3-max", "plain"]),
             ),
             min_size=2,
             max_size=6,
@@ -298,8 +298,8 @@ class TestDrive:
 
         fitnesses = {
             "maximin": maximin,
-            "z1-min-ga": _BoundFitness(medium_instance, "z1", "min", "ga"),
-            "z3-max-aco": _BoundFitness(medium_instance, "z3", "max", "aco"),
+            "z1-min": bound_fitness(medium_instance, "z1", "min"),
+            "z3-max": bound_fitness(medium_instance, "z3", "max"),
             "plain": plain,
         }
         runs = [
@@ -377,13 +377,14 @@ class TestSolveProtocol:
 
 class TestComponentValue:
     def test_matches_spread_decomposition(self, small_instance):
-        from fuzzloc.evaluation import fuzzy_objective, spread_components
+        from fuzzloc.evaluation import fuzzy_objective
 
         solution = Solution([1, 2])
-        comps = spread_components(fuzzy_objective(small_instance, solution))
+        z = fuzzy_objective(small_instance, solution)
+        comps = {"z1": z.mid - z.lo, "z2": z.mid, "z3": z.hi - z.mid}
         for name in ("z1", "z2", "z3"):
             assert component_value(small_instance, solution, name) == pytest.approx(
-                comps.value(name)
+                comps[name]
             )
 
     def test_infeasible_is_none(self, small_instance):
