@@ -7,6 +7,7 @@ from __future__ import annotations
 import dataclasses
 import math
 import sys
+import time
 from dataclasses import dataclass
 from itertools import compress
 from typing import Callable, Optional, Sequence
@@ -14,9 +15,9 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .errors import DomainError
-from .evaluation import Fitness, Steps
+from .evaluation import Fitness, Steps, drive
 from .model import Instance
-from .reports import Outcome, SolverReport, run_solver
+from .reports import SolverReport
 from .termination import Windows, check_run
 
 TAU_MIN = 1e-6
@@ -137,14 +138,10 @@ def run_aco(instance: Instance, eval_fn: Fitness, config: ACOConfig) -> SolverRe
     (convergence), or the global best goes unimproved for the square of that
     many iterations (stagnation). Each colony is sampled first and scored as
     one block of ``evaluation.drive``; its first ant that beats the best so
-    far becomes the new best.
+    far becomes the new best, and a NaN value ranks below every other value,
+    as -inf.
     """
-    return run_solver("aco", instance, config.seed, _steps(instance, config), eval_fn)
-
-
-def _steps(instance: Instance, config: ACOConfig) -> Steps[Outcome]:
-    """run_aco as a step generator: it yields one colony per iteration."""
-    return (yield from _colonies(instance, [config], ["max"]))[0]
+    return drive([(_colonies(instance, [config], ["max"]), eval_fn)])[0][0]
 
 
 def _trail_parameters(config: ACOConfig) -> ACOConfig:
@@ -156,9 +153,10 @@ def _colonies(
     configs: Sequence[ACOConfig],
     senses: Sequence[str],
     select: Optional[Callable[[np.ndarray], None]] = None,
-) -> Steps[list[Outcome]]:
+) -> Steps[list[SolverReport]]:
     """R ACO runs as one step generator over one (R, n) trail array; it
-    returns their Outcomes in order.
+    returns their SolverReports in order, each run timed from the first
+    step to the round it ends in.
 
     Every run maximizes the values sent for its rows. Run r takes its seed
     and windows from configs[r] and its sense from senses[r], which picks
@@ -169,10 +167,11 @@ def _colonies(
     first block and whenever a run ends and its trail row is dropped. Every
     run ends as it would alone: it draws its Gumbel noise from its own
     generator, and the walk keeps each run's first ant that is strictly
-    better than its best so far.
+    better than its best so far, scoring a NaN value as -inf.
     """
     if any(sense not in ("max", "min") for sense in senses):
         raise DomainError(f"sense must be 'max' or 'min', got {senses!r}")
+    start = time.perf_counter()
     config = configs[0]
     if any(_trail_parameters(c) != _trail_parameters(config) for c in configs):
         raise DomainError("runs stepped together must differ only in seed and windows")
@@ -184,7 +183,7 @@ def _colonies(
     best: list = [None] * len(configs)
     best_value: list = [None] * len(configs)
     traces: list[list[float]] = [[] for _ in configs]
-    outcomes: list = [None] * len(configs)
+    reports: list = [None] * len(configs)
     live = list(range(len(configs)))  # the runs of the trail rows, in order
     tau = np.ones((len(configs), n))
     while live:
@@ -200,28 +199,34 @@ def _colonies(
             for i, draw in enumerate(gumbel):
                 noise[i] = draw(size=(ants, n))
             idx = _sample_colonies(_log_weights(tau, beta_log_eta, config), m, noise)
-            sent = yield idx
-            values = np.asarray(sent, dtype=float)
+            values = np.asarray((yield idx), dtype=float)
             scores = np.fmax(values.reshape(len(live), ants), -math.inf)  # NaN last
             picks = scores.argmax(axis=1)
-            if best[live[0]] is None:  # a run's first ant is its first best, even when NaN
-                picks[np.isnan(values[::ants])] = 0
             tau = _update(tau, idx + offsets, values, config, maximize)
             for i, (r, pick, ranked) in enumerate(zip(live, picks.tolist(), scores.tolist())):
                 top = ranked[pick]
                 improved = best[r] is None or top > best_value[r]
                 if improved:
                     row = i * ants + pick
-                    best[r], best_value[r] = (idx[row] + 1).tolist(), sent[row]
+                    best[r], best_value[r] = (idx[row] + 1).tolist(), top
                 termination = windows[r].step(improved, top == best_value[r])
                 traces[r].append(best_value[r])
                 if termination:
-                    evaluations = ants * len(traces[r])
-                    outcomes[r] = Outcome(
-                        best[r], best_value[r], termination, traces[r], evaluations
+                    reports[r] = SolverReport(
+                        algorithm="aco",
+                        n=n,
+                        m=m,
+                        seed=configs[r].seed,
+                        best=best[r],
+                        objective=best_value[r],
+                        iterations=len(traces[r]),
+                        termination=termination,
+                        trace=traces[r],
+                        elapsed_s=time.perf_counter() - start,
+                        evaluations=ants * len(traces[r]),
                     )
                     ended[i] = True
         kept = [not gone for gone in ended]
         live = list(compress(live, kept))
         tau = tau[kept]
-    return outcomes
+    return reports

@@ -13,15 +13,16 @@ from __future__ import annotations
 
 import math
 import random
+import time
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 from .errors import DomainError
-from .evaluation import Fitness, Steps
+from .evaluation import Fitness, Steps, drive
 from .model import Instance
-from .reports import Outcome, SolverReport, run_solver
+from .reports import SolverReport
 from .termination import Windows, check_run
 
 
@@ -160,14 +161,16 @@ def run_ga(instance: Instance, eval_fn: Fitness, config: GAConfig) -> SolverRepo
 
     ``eval_fn`` must depend only on the solution's gene set: each distinct set
     is evaluated once and its value reused. The report's ``evaluations``
-    counts every fitness request, reused values included.
+    counts every fitness request, reused values included. A NaN value ranks
+    below every other value, as -inf.
     """
-    return run_solver("ga", instance, config.seed, _steps(instance, config), eval_fn)
+    return drive([(_steps(instance, config), eval_fn)])[0]
 
 
-def _steps(instance: Instance, config: GAConfig) -> Steps[Outcome]:
+def _steps(instance: Instance, config: GAConfig) -> Steps[SolverReport]:
     """run_ga as a step generator. It yields only the rows its memo has not
-    scored yet, in request order."""
+    scored yet, in request order, and times the run from its first step."""
+    start = time.perf_counter()
     rng = random.Random(config.seed)
     windows = Windows(
         instance.n, instance.m_servers, config.convergence_limit, config.stagnation_limit
@@ -188,7 +191,19 @@ def _steps(instance: Instance, config: GAConfig) -> Steps[Outcome]:
         trace.append(best.fitness)
         termination = windows.step(improved, at_best)
         if termination:
-            return Outcome(sorted(best.genes), best.fitness, termination, trace, memo.calls)
+            return SolverReport(
+                algorithm="ga",
+                n=instance.n,
+                m=instance.m_servers,
+                seed=config.seed,
+                best=sorted(best.genes),
+                objective=best.fitness,
+                iterations=len(trace),
+                termination=termination,
+                trace=trace,
+                elapsed_s=time.perf_counter() - start,
+                evaluations=memo.calls,
+            )
 
 
 class _Memo:
@@ -196,7 +211,9 @@ class _Memo:
     included. ``yield from block(keys, row)`` scores gene bitmasks, where
     row(b) lists key b's 0-based indices: it yields the (B, k) rows of the
     keys not cached yet, first occurrences only, in request order, and
-    returns the values of all requests. A block of hits yields nothing."""
+    returns the values of all requests. A block of hits yields nothing. A
+    NaN value is stored as -inf, so that it ranks below every other value,
+    as np.fmax ranks it within an ACO colony."""
 
     def __init__(self) -> None:
         self.calls = 0
@@ -207,7 +224,8 @@ class _Memo:
         misses = {key: b for b, key in enumerate(keys) if key not in self.values}
         if misses:
             rows = np.array([row(b) for b in misses.values()], dtype=np.intp)
-            self.values.update(zip(misses, (yield rows)))
+            values = yield rows
+            self.values.update(zip(misses, [v if v == v else -math.inf for v in values]))
         return [self.values[key] for key in keys]
 
 

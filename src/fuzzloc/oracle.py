@@ -25,6 +25,8 @@ BLOCK_SIZE = 1024
 # Customers per chunk of the simulator's draws. Peak memory grows with this,
 # not with the event budget; the draws and the estimates do not depend on it.
 CHUNK_SIZE = 1 << 14
+# Number of batches behind the simulator's batch-means standard errors.
+BATCHES = 20
 
 
 @dataclass
@@ -278,12 +280,10 @@ def _estimate(idle, area, span) -> SimulationResult:
     return SimulationResult(p0=p0_hat, lq=lq_hat, p0_se=p0_se, lq_se=lq_se)
 
 
-def mm1_simulate(
-    lam: float, mu: float, event_budget: int, seed: int = 0, batches: int = 20
-) -> SimulationResult:
+def mm1_simulate(lam: float, mu: float, event_budget: int, seed: int = 0) -> SimulationResult:
     """FIFO M/M/1 simulation over exactly ``event_budget`` arrival and
     departure events, starting empty at time 0; standard errors come from
-    batch means by event count.
+    batch means by event count, over BATCHES batches.
 
     Customers are drawn and their departures computed in chunks of
     CHUNK_SIZE, so memory does not grow with the event budget.
@@ -296,12 +296,10 @@ def mm1_simulate(
         raise DomainError(f"unstable parameters: lam={lam} >= mu={mu}")
     if event_budget < 1:
         raise DomainError("event_budget must be positive")
-    if batches < 1:
-        raise DomainError(f"batches must be positive, got {batches}")
     if seed < 0:
         raise DomainError(f"seed must be non-negative, got {seed}")
     customers = _customers(_draws(lam, mu, seed))
-    return _estimate(*_batch_sums(customers, event_budget, batches))
+    return _estimate(*_batch_sums(customers, event_budget, BATCHES))
 
 
 def simulate_objective_slice(

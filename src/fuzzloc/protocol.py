@@ -12,17 +12,9 @@ import numpy as np
 
 from .aco import ACOConfig, run_aco, _colonies
 from .errors import DomainError
-from .evaluation import (
-    COMPONENTS,
-    Fitness,
-    KernelFitness,
-    MaximinContext,
-    component_value,
-    drive,
-    make_maximin_eval,
-)
+from .evaluation import COMPONENTS, KernelFitness, MaximinContext, drive, make_maximin_eval
 from .ga import GAConfig, run_ga, _steps as _ga_steps
-from .model import Instance, Solution
+from .model import Instance
 # A brute solve no longer calls enumerate_optimum; the name stays importable
 # here because benchmarks/tracer.py wraps it on this module.
 from .oracle import DEFAULT_ENUM_BUDGET, Scan, enumerate_optimum, exact_bounds  # noqa: F401
@@ -76,50 +68,39 @@ class _BoundFitness(KernelFitness):
         )
 
 
-def _run(instance: Instance, fitness: Fitness, config: GAConfig | ACOConfig) -> SolverReport:
-    """The final GA or ACO run of a solve, maximizing ``fitness``; the
-    config's type picks the solver. ``run_ga`` and ``run_aco`` are looked up
-    as module globals on each call, so a wrapper patched onto this module
-    sees the final run only: ``estimate_bounds`` steps the bound runs
-    itself."""
-    if isinstance(config, GAConfig):
-        return run_ga(instance, fitness, config)
-    return run_aco(instance, fitness, config)
-
-
 def estimate_bounds(
     instance: Instance, config: GAConfig | ACOConfig, seeds: Sequence[int]
 ) -> MaximinContext:
     """Run the six bound-calibration optimizations and collect the extrema.
 
     The config's type picks the solver, and each bound run is ``config``
-    reseeded with its seed. A bound run that finds no feasible solution
-    records NaN, which the membership functions treat as degenerate. Exact
-    bounds come from ``oracle.exact_bounds``. The six runs step together in
-    one ``drive`` call, and each ends as it would alone: six GA step
-    generators, or one ACO generator over a six-row trail array whose
-    blocks one ``_BoundFitness`` scores, each row as its own run.
+    reseeded with its seed. Bound run k maximizes sign * component, so its
+    best objective read back through _SIGN[k] is its component extremum. A
+    bound run that finds no feasible solution ends at or below the penalty
+    -1e12 and records NaN, which the membership functions treat as
+    degenerate. Exact bounds come from ``oracle.exact_bounds``. The six runs
+    step together in one ``drive`` call, and each ends as it would alone:
+    six GA step generators, or one ACO generator over a six-row trail array
+    whose blocks one ``_BoundFitness`` scores, each row as its own run.
     """
     if len(seeds) != len(BOUND_RUNS):
         raise DomainError(f"need {len(BOUND_RUNS)} seeds, got {len(seeds)}")
     configs = [dataclasses.replace(config, seed=seed) for seed in seeds]
     if isinstance(config, GAConfig):
-        outcomes = drive([
+        reports = drive([
             (_ga_steps(instance, run), _BoundFitness(instance, r))
             for r, run in enumerate(configs)
         ])
     else:
         fitness = _BoundFitness(instance, 0)  # _colonies selects each row's run
         senses = [sense for _, sense in BOUND_RUNS]
-        outcomes = drive([(_colonies(instance, configs, senses, fitness.select), fitness)])[0]
-    found: dict[tuple[str, str], float] = {}
-    for (name, sense), outcome in zip(BOUND_RUNS, outcomes):
-        value = component_value(instance, Solution(outcome.best), name)
-        found[name, sense] = math.nan if value is None else value
-    return MaximinContext(
-        *[(found[name, "min"], found[name, "max"]) for name in COMPONENTS],
-        provenance="metaheuristic-estimated",
-    )
+        reports = drive([(_colonies(instance, configs, senses, fitness.select), fitness)])[0]
+    # BOUND_RUNS holds each component's min and max runs, in COMPONENTS order.
+    found = [
+        sign * report.objective if report.objective > -_PENALTY_SCALE else math.nan
+        for sign, report in zip(_SIGN.tolist(), reports)
+    ]
+    return MaximinContext(*zip(found[::2], found[1::2]), provenance="metaheuristic-estimated")
 
 
 def solve_protocol(
@@ -168,6 +149,9 @@ def solve_protocol(
     config = dataclasses.replace(base, seed=seed)  # a bad seed fails before the bound runs
     if ctx is None:
         ctx = estimate_bounds(instance, config, bound_seeds(seed))
-    report = _run(instance, make_maximin_eval(instance, ctx), config)
+    # Looked up at call time: benchmarks/tracer.py patches run_ga and run_aco here.
+    report = (run_ga if algo == "ga" else run_aco)(
+        instance, make_maximin_eval(instance, ctx), config
+    )
     report.bounds_id = ctx.bounds_id
     return (report, ctx)

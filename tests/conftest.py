@@ -58,6 +58,17 @@ def aco_run(instance, config, sense):
     return (yield from _colonies(instance, [config], [sense]))[0]
 
 
+def record(report) -> dict:
+    """A run's SolverReport as a dict without its wall time, with its
+    objective and trace as hex strings, so that two records compare bit for
+    bit (NaN and signed zeros included)."""
+    data = report.to_dict()
+    del data["elapsed_s"]
+    data["objective"] = data["objective"].hex()
+    data["trace"] = [value.hex() for value in data["trace"]]
+    return data
+
+
 def bound_fitness(instance: Instance, name: str, sense: str) -> _BoundFitness:
     """The fitness of the bound run that takes the ``sense`` of component
     ``name``: either solver maximizes it."""

@@ -32,9 +32,9 @@ from fuzzloc.instances import GeneratorParams, generate_instance
 from fuzzloc.model import Solution
 from fuzzloc.oracle import exact_bounds
 from fuzzloc.protocol import BOUND_RUNS, _BoundFitness
-from fuzzloc.reports import Outcome, run_solver
+from fuzzloc.reports import SolverReport
 from fuzzloc.termination import Windows
-from conftest import aco_run, bound_fitness, score_block
+from conftest import aco_run, bound_fitness, mild_params, record, score_block
 from test_kernel import PROBE_CTX, build, cases
 
 
@@ -153,9 +153,10 @@ def test_deposit_matches_ant_loop(sense, n, data, seed):
 
 def reference_steps(instance, config, sense):
     """One ACO run ant by ant: each ant's subset drawn on its own, a walk
-    that keeps the first ant whose value is strictly above the best so far,
-    and the deposit loop above, with F = -value in a min run. It yields and
-    returns as aco_run does."""
+    that keeps the first ant whose score is strictly above the best so far,
+    where a NaN value scores -inf, and the deposit loop above, with F =
+    -value in a min run. It yields and returns as aco_run does, with no wall
+    time."""
     rng = np.random.default_rng(config.seed)
     sign = 1.0 if sense == "max" else -1.0
     n, m = instance.n, instance.m_servers
@@ -170,16 +171,20 @@ def reference_steps(instance, config, sense):
         values = yield np.array([solution.sorted() for solution in colony], dtype=np.intp) - 1
         improved, colony_best = False, -math.inf
         for solution, value in zip(colony, values):
-            if value > colony_best:
-                colony_best = value
-            if best is None or value > best_value:
-                best, best_value, improved = solution.sorted(), value, True
+            score = -math.inf if math.isnan(value) else value
+            if score > colony_best:
+                colony_best = score
+            if best is None or score > best_value:
+                best, best_value, improved = solution.sorted(), score, True
         deposits = [(solution, sign * value) for solution, value in zip(colony, values)]
         tau = reference_update(tau, deposits, config, sense)
         trace.append(best_value)
         termination = windows.step(improved, colony_best == best_value)
         if termination:
-            return Outcome(best, best_value, termination, trace, ants * len(trace))
+            return SolverReport(
+                "aco", n, m, config.seed, best, best_value, len(trace), termination, trace,
+                evaluations=ants * len(trace),
+            )
 
 
 # The default generator ranges overload every facility of this instance.
@@ -190,11 +195,6 @@ ODD_VALUES = (math.nan, math.inf, -math.inf, 0.0, -0.0, 0.25, 2.0, -1.0, 1e12)
 def _odd(solution):
     """A plain fitness with NaN, infinities, signed zeros and ties."""
     return ODD_VALUES[sum(j * j for j in solution.open) % len(ODD_VALUES)]
-
-
-def _exact(outcome):
-    return (outcome.best, outcome.objective.hex(), outcome.termination,
-            [value.hex() for value in outcome.trace], outcome.evaluations)
 
 
 @given(
@@ -232,10 +232,23 @@ def test_stacked_runs_match_each_run_alone(
     ]
     senses = [sense for _, sense, _, _ in runs]
     stacked = drive([(_colonies(instance, configs, senses), fitness)])[0]
-    for outcome, config, sense in zip(stacked, configs, senses):
+    for report, config, sense in zip(stacked, configs, senses):
         alone = drive([(aco_run(instance, config, sense), fitness)])[0]
         reference = drive([(reference_steps(instance, config, sense), fitness)])[0]
-        assert _exact(outcome) == _exact(alone) == _exact(reference)
+        assert record(report) == record(alone) == record(reference)
+
+
+def test_stacked_runs_time_themselves(medium_instance):
+    """Each of three stacked runs times itself from the first step to the
+    round it ends in, so a run that ends later took at least as long."""
+    configs = [ACOConfig(seed=0, stagnation_limit=40), ACOConfig(seed=1, stagnation_limit=1),
+               ACOConfig(seed=2, stagnation_limit=8)]
+    fitness = bound_fitness(medium_instance, "z2", "max")
+    reports = drive([(_colonies(medium_instance, configs, ["max", "min", "max"]), fitness)])[0]
+    assert len({report.iterations for report in reports}) == len(configs)
+    assert all(report.elapsed_s > 0 for report in reports)
+    by_round = sorted(reports, key=lambda report: report.iterations)
+    assert [r.elapsed_s for r in by_round] == sorted(r.elapsed_s for r in by_round)
 
 
 def test_stacked_runs_share_trail_parameters(medium_instance):
@@ -282,14 +295,44 @@ def test_bound_block_covers_feasible_and_infeasible_rows(medium_instance, scale)
             assert all(penalized)
 
 
+class _FirstNaN:
+    """A plain fitness that returns NaN on its first call and the given
+    fitness's value after."""
+
+    def __init__(self, fitness):
+        self.fitness = fitness
+        self.calls = 0
+
+    def __call__(self, solution):
+        self.calls += 1
+        return math.nan if self.calls == 1 else self.fitness(solution)
+
+
+@pytest.mark.parametrize("solver", ["ga", "aco"])
+def test_nan_value_ranks_last(solver):
+    """A NaN from a run's first scored subset ranks below every other value,
+    as -inf, so the run goes on to a feasible best; a run of NaN values
+    only reports -inf."""
+    instance = generate_instance(mild_params(8, 2, 0))
+    maximin = make_maximin_eval(instance, exact_bounds(instance))
+    if solver == "ga":
+        run, config = run_ga, GAConfig(seed=0, stagnation_limit=30)
+    else:
+        run, config = run_aco, ACOConfig(seed=0, stagnation_limit=30)
+    report = run(instance, _FirstNaN(maximin), config)
+    assert report.objective > 0
+    assert report.objective == maximin(Solution(report.best))
+    assert not any(math.isnan(value) for value in report.trace)
+    if solver == "aco":
+        assert report.objective == run(instance, maximin, config).objective
+    nan_only = run(instance, lambda solution: math.nan, config)
+    assert nan_only.objective == -math.inf
+    assert set(nan_only.trace) == {-math.inf}
+    assert len(nan_only.best) == instance.m_servers
+
+
 def _plain(fitness):
     return lambda solution: fitness(solution)
-
-
-def _report(report):
-    data = report.to_dict()
-    data.pop("elapsed_s")
-    return data
 
 
 def _runs(instance):
@@ -320,11 +363,9 @@ def test_solver_reports_match_plain_callable(instance_name, request):
                 plain = run_ga(instance, _plain(fitness), config)
             else:
                 config = ACOConfig(seed=seed, **window)
-                block = run_solver("aco", instance, seed, aco_run(instance, config, sense), fitness)
-                plain = run_solver(
-                    "aco", instance, seed, aco_run(instance, config, sense), _plain(fitness)
-                )
-            assert _report(block) == _report(plain), (solver, sense, seed)
+                block = drive([(aco_run(instance, config, sense), fitness)])[0]
+                plain = drive([(aco_run(instance, config, sense), _plain(fitness))])[0]
+            assert record(block) == record(plain), (solver, sense, seed)
 
 
 class RowCounter(MaximinFitness):

@@ -313,11 +313,6 @@ class TestSimulator:
         with pytest.raises(DomainError, match="finite"):
             mm1_simulate(lam, mu, 1000)
 
-    @pytest.mark.parametrize("batches", [0, -3])
-    def test_bad_batches_rejected(self, batches):
-        with pytest.raises(DomainError, match="batches"):
-            mm1_simulate(50, 100, 1000, batches=batches)
-
     def test_negative_seed_rejected(self):
         with pytest.raises(DomainError, match="seed"):
             mm1_simulate(50, 100, 1000, seed=-1)
@@ -405,13 +400,16 @@ class TestEventLoopReference:
         departures, sums, horizon = event_loop(gaps, services, event_budget, batches)
         expected = oracle._estimate(*sums)
 
-        with mock.patch.object(oracle, "CHUNK_SIZE", chunk):
-            chunked_departures = _first_departures(oracle._draws(lam, mu, seed), len(departures))
-            chunked = oracle._batch_sums(
-                oracle._customers(oracle._draws(lam, mu, seed)), event_budget, batches
-            )
-            chunked_result = mm1_simulate(lam, mu, event_budget, seed=seed, batches=batches)
-        result = mm1_simulate(lam, mu, event_budget, seed=seed, batches=batches)
+        with mock.patch.object(oracle, "BATCHES", batches):
+            with mock.patch.object(oracle, "CHUNK_SIZE", chunk):
+                chunked_departures = _first_departures(
+                    oracle._draws(lam, mu, seed), len(departures)
+                )
+                chunked = oracle._batch_sums(
+                    oracle._customers(oracle._draws(lam, mu, seed)), event_budget, batches
+                )
+                chunked_result = mm1_simulate(lam, mu, event_budget, seed=seed)
+            result = mm1_simulate(lam, mu, event_budget, seed=seed)
 
         np.testing.assert_allclose(chunked_departures, departures, rtol=1e-10, atol=0)
         # A sum that missed or added one event would be off by about

@@ -10,14 +10,23 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import aco_run, bound_fitness, crispen, mild_params, one_block
+from conftest import (
+    aco_run,
+    bound_fitness,
+    crispen,
+    mild_params,
+    one_block,
+    record,
+    score_block,
+)
 from fuzzloc import aco
-from fuzzloc.aco import ACOConfig, _steps as _aco_steps
+from fuzzloc.aco import ACOConfig
 from fuzzloc.errors import DomainError
+from fuzzloc.fuzzy import TriFuzzy
 from fuzzloc.evaluation import component_value, drive, make_maximin_eval
 from fuzzloc.ga import GAConfig, run_ga, _steps as _ga_steps
 from fuzzloc.instances import GeneratorParams, generate_instance
-from fuzzloc.model import Kernel, Solution
+from fuzzloc.model import Instance, Kernel, Solution
 from fuzzloc.oracle import enumerate_optimum, exact_bounds
 from fuzzloc.protocol import (
     BOUND_RUNS,
@@ -26,7 +35,7 @@ from fuzzloc.protocol import (
     estimate_bounds,
     solve_protocol,
 )
-from fuzzloc.reports import SolverReport, run_solver
+from fuzzloc.reports import SolverReport
 
 
 def _sequential_runs(instance, config, seeds):
@@ -39,7 +48,7 @@ def _sequential_runs(instance, config, seeds):
         if isinstance(config, GAConfig):
             reports.append(run_ga(instance, fitness, run))
         else:
-            reports.append(run_solver("aco", instance, seed, aco_run(instance, run, sense), fitness))
+            reports.append(drive([(aco_run(instance, run, sense), fitness)])[0])
     return reports
 
 
@@ -54,6 +63,21 @@ def _record_kernels(monkeypatch) -> list:
 
     monkeypatch.setattr(Kernel, "__init__", counted)
     return shapes
+
+
+# Three nodes, one server: a facility captures all demand, 3 at every slice,
+# so the lo slice has lam_bar == mu == 3 exactly and the mid occupancy is
+# 3 / 30, under the threshold 0.85. Every subset then has violation 0.0 but
+# is infeasible, and every bound run scores it exactly -1e12.
+AT_PENALTY = Instance(
+    n=3,
+    m_servers=1,
+    distance=np.array([[0.0, 1.0, 2.0], [1.0, 0.0, 1.0], [2.0, 1.0, 0.0]]),
+    demand=np.ones((3, 3)),
+    service=np.tile([3.0, 30.0, 40.0], (3, 1)),
+    idle_min=TriFuzzy(0.15, 0.15, 0.15),
+    mql=25.0,
+)
 
 
 class TestEstimateBounds:
@@ -92,9 +116,10 @@ class TestEstimateBounds:
         seed=st.integers(0, 100),
     )
     def test_lockstep_matches_sequential_runs(self, n, m, instance_seed, mild, window, seed):
-        """Lockstep bounds equal, bit for bit, the component values of six
-        separate runs. Default generator ranges give infeasible instances
-        whose bounds are NaN."""
+        """Lockstep bounds, read from the runs' objectives, equal, bit for
+        bit, the component values of the bests of six separate runs.
+        Default generator ranges give infeasible instances whose bounds are
+        NaN."""
         params = mild_params(n, m, instance_seed) if mild else GeneratorParams(
             n=n, m_servers=m, seed=instance_seed)
         instance = generate_instance(params)
@@ -107,6 +132,24 @@ class TestEstimateBounds:
                 expected = math.nan if value is None else value
                 got = ctx.bounds(name)[0 if sense == "min" else 1]
                 assert got.hex() == expected.hex(), (config, name, sense)
+
+    @pytest.mark.parametrize("config", [GAConfig(), ACOConfig()], ids=["ga", "aco"])
+    def test_penalty_boundary_gives_nan_bounds(self, config, monkeypatch):
+        """A bound run whose best is exactly the penalty -1e12 found no
+        feasible subset: its bound is NaN. The bounds are read from the runs'
+        own objectives, with no one-subset kernel."""
+        idx = np.arange(AT_PENALTY.n)[:, None]
+        kernel = Kernel(AT_PENALTY, idx)
+        assert (kernel.lam_bar[..., 0] == kernel.mu[..., 0]).all()
+        assert kernel.violation().tolist() == [0.0] * AT_PENALTY.n
+        assert not kernel.feasible().any()
+        for r in range(len(BOUND_RUNS)):
+            assert score_block(_BoundFitness(AT_PENALTY, r), idx) == [-1e12] * AT_PENALTY.n
+        shapes = _record_kernels(monkeypatch)
+        ctx = estimate_bounds(AT_PENALTY, config, bound_seeds(0))
+        for name, sense in BOUND_RUNS:
+            assert math.isnan(ctx.bounds(name)[sense == "max"]), (name, sense)
+        assert shapes and all(len(shape) == 2 for shape in shapes)
 
     def test_aco_bound_runs_share_kernel_calls(self, medium_instance, monkeypatch):
         """One kernel call per round scores every live colony, so the six
@@ -224,8 +267,8 @@ class TestDrive:
             (_ga_steps(instance, ga[0]), bound_fitness(instance, "z2", "min")),
             (aco_run(instance, aco[0], "min"), bound_fitness(instance, "z1", "min")),
             (_ga_steps(instance, ga[1]), _Counted(maximin)),
-            (_aco_steps(instance, aco[1]), plain),
-            (_aco_steps(instance, ACOConfig(seed=seed, stagnation_limit=1)), maximin),
+            (aco_run(instance, aco[1], "max"), plain),
+            (aco_run(instance, ACOConfig(seed=seed, stagnation_limit=1), "max"), maximin),
         ]
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -236,11 +279,11 @@ class TestDrive:
         shapes = _record_kernels(monkeypatch)
         together = drive(together_runs)
         sizes = [shape[-1] for shape in shapes]
-        assert together == alone
+        assert list(map(record, together)) == list(map(record, alone))
         assert together_runs[2][1].calls == alone_runs[2][1].calls > 0
         m = medium_instance.m_servers
         assert m in sizes and max(sizes) > m  # GA shrink steps next to ACO colonies
-        iterations = [len(outcome.trace) for outcome in together]
+        iterations = [report.iterations for report in together]
         assert iterations[-1] < min(iterations[:-1])
 
     def test_one_kernel_for_a_round_of_one_size(self, medium_instance, monkeypatch):
