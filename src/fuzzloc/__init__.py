@@ -32,7 +32,6 @@ from .model import (
     Instance,
     Solution,
     crisp_objective_slice,
-    join_probability,
     logit_allocation,
     mm1_metrics,
 )

@@ -226,8 +226,8 @@ class KernelFitness:
 
 
 def penalty(violation):
-    """MaximinFitness's score of an infeasible subset: -(1 + violation),
-    below every feasible score."""
+    """The score of an infeasible subset: -(1 + violation), below every
+    feasible maximin score; the bound runs scale it by 1e12."""
     return -(1.0 + violation)
 
 

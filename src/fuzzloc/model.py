@@ -157,29 +157,35 @@ def logit_allocation(instance: Instance, solution: Solution) -> np.ndarray:
     return allocation
 
 
-def mm1_metrics(lam: float, mu: float):
-    """Analytic single-server idle probability and waiting-line length.
+def queue_state(lam, mu):
+    """M/M/1 occupancy rho = lam/mu and waiting-line length Lq, elementwise on
+    scalars or arrays. Lq is meaningful where lam < mu."""
+    rho = lam / mu
+    with np.errstate(divide="ignore"):  # lam == mu, an unstable queue
+        lq = lam * lam / (mu * (mu - lam))
+    return rho, lq
 
-    Returns (P0, Lq) for a stable queue and None when lam >= mu.
-    """
+
+def balking_ramp(lq, mql):
+    """Probability of joining a line of length lq: 1 when empty, 0 from MQL on."""
+    return np.minimum(np.maximum(1.0 - lq / mql, 0.0), 1.0)
+
+
+def served_share(rho, lq, mql):
+    """Counted share of captured demand: all while idle, the joining share while busy."""
+    return (1.0 - rho) + balking_ramp(lq, mql) * rho
+
+
+def mm1_metrics(lam: float, mu: float):
+    """Checked scalar (P0, Lq) from queue_state; None when lam >= mu."""
     if mu <= 0:
         raise DomainError(f"service rate must be positive, got {mu}")
     if lam < 0:
         raise DomainError(f"arrival rate must be nonnegative, got {lam}")
     if lam >= mu:
         return None
-    p0 = 1.0 - lam / mu
-    lq = lam * lam / (mu * (mu - lam))
-    return (p0, lq)
-
-
-def join_probability(lq: float, mql: float) -> float:
-    """Linear balking ramp: 1 at an empty queue, 0 at or beyond MQL."""
-    if mql <= 0:
-        raise DomainError(f"mql must be positive, got {mql}")
-    if lq < 0:
-        raise DomainError(f"queue length must be nonnegative, got {lq}")
-    return min(max(1.0 - lq / mql, 0.0), 1.0)
+    rho, lq = queue_state(lam, mu)
+    return (1.0 - rho, lq)
 
 
 def capacity_threshold(instance: Instance) -> float:
@@ -227,19 +233,14 @@ class Kernel:
         # sort is needed.
         self.occupancy = self.lam_bar[..., 1] / self.mu[..., 1]
 
-    def stable(self) -> np.ndarray:
-        """(..., 3): every queue is stable at the slice."""
-        return (self.lam_bar < self.mu).all(axis=-2)
+    def stable(self, axis=-2) -> np.ndarray:
+        """Every queue is stable, in one reduction over ``axis``: per slice by default."""
+        return (self.lam_bar < self.mu).all(axis=axis)
 
     def slices(self) -> np.ndarray:
         """(..., 3): objective per slice in slice order, meaningful where the
         slice is stable."""
-        lam_bar, mu = self.lam_bar, self.mu
-        rho = lam_bar / mu
-        with np.errstate(divide="ignore"):  # lam_bar == mu, an unstable queue
-            lq = lam_bar * lam_bar / (mu * (mu - lam_bar))
-        join = np.minimum(np.maximum(1.0 - lq / self.instance.mql, 0.0), 1.0)
-        terms = self.benefit * ((1.0 - rho) + join * rho)
+        terms = self.benefit * served_share(*queue_state(self.lam_bar, self.mu), self.instance.mql)
         # A C-ordered (..., 3, k) copy, so each slice sums over a contiguous axis.
         return terms.swapaxes(-1, -2).copy().sum(axis=-1)
 
@@ -258,7 +259,7 @@ class Kernel:
     def feasible(self) -> np.ndarray:
         """(...): the capacity threshold holds and every queue is stable."""
         capacity = (self.occupancy <= capacity_threshold(self.instance)).all(axis=-1)
-        return capacity & (self.lam_bar < self.mu).all(axis=(-2, -1))
+        return capacity & self.stable(axis=(-2, -1))
 
     def violation(self) -> np.ndarray:
         """(...): relative capacity excess plus queue instability."""

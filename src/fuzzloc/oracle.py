@@ -13,7 +13,7 @@ import numpy as np
 from .errors import BudgetExceededError, DomainError, InfeasibleInstanceError
 from .evaluation import Fitness, MaximinContext, MaximinFitness, Steps, drive, penalty
 from .fuzzy import SLICE_INDEX
-from .model import Instance, Kernel, Solution, join_probability, solution_kernel
+from .model import Instance, Kernel, Solution, served_share, solution_kernel
 
 DEFAULT_ENUM_BUDGET = 10**6
 # Subsets per kernel call of the oracle. The kernel's intermediates grow with
@@ -316,12 +316,9 @@ def simulate_objective_slice(
     joining probability in the objective are replaced by their estimates.
     """
     s = SLICE_INDEX[slc]
-    facilities = solution_kernel(instance, solution)
-    lam_bar, mu, benefit = facilities.lam_bar, facilities.mu, facilities.benefit
+    queues = solution_kernel(instance, solution)
     total = 0.0
-    for k in range(len(lam_bar)):
-        result = mm1_simulate(lam_bar[k, s], mu[k, s], event_budget, seed=seed + k)
-        rho_hat = 1.0 - result.p0
-        join_hat = join_probability(result.lq, instance.mql)
-        total += benefit[k, s] * ((1.0 - rho_hat) + join_hat * rho_hat)
+    for k, (lam, mu) in enumerate(zip(queues.lam_bar[:, s], queues.mu[:, s])):
+        result = mm1_simulate(lam, mu, event_budget, seed=seed + k)
+        total += queues.benefit[k, s] * served_share(1.0 - result.p0, result.lq, instance.mql)
     return total

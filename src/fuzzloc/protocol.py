@@ -12,7 +12,9 @@ import numpy as np
 
 from .aco import ACOConfig, run_aco, _colonies
 from .errors import DomainError
-from .evaluation import COMPONENTS, KernelFitness, MaximinContext, drive, make_maximin_eval
+from .evaluation import (
+    COMPONENTS, KernelFitness, MaximinContext, drive, make_maximin_eval, penalty,
+)
 from .ga import GAConfig, run_ga, _steps as _ga_steps
 from .model import Instance
 # A brute solve no longer calls enumerate_optimum; the name stays importable
@@ -46,7 +48,7 @@ def bound_seeds(seed: int) -> list[int]:
 class _BoundFitness(KernelFitness):
     """The fitness of bound run ``run``, a position in BOUND_RUNS, which
     either solver maximizes: sign * component for a feasible subset, and
-    -1e12 * (1 + violation), below any feasible value, for an infeasible
+    1e12 * penalty(violation), below any feasible value, for an infeasible
     one. ``select`` gives each row of the blocks to come its own run."""
 
     def __init__(self, instance: Instance, run: int):
@@ -64,7 +66,7 @@ class _BoundFitness(KernelFitness):
         self, feasible: np.ndarray, spreads: np.ndarray, violation: np.ndarray
     ) -> np.ndarray:
         return np.where(
-            feasible, self.sign * spreads[self.pick], -_PENALTY_SCALE * (1.0 + violation)
+            feasible, self.sign * spreads[self.pick], _PENALTY_SCALE * penalty(violation)
         )
 
 

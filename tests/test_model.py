@@ -5,6 +5,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from fuzzloc import model
+from fuzzloc.cli import EXIT_VALIDATION, main
 from fuzzloc.errors import DomainError
 from fuzzloc.evaluation import fuzzy_capacity_feasible
 from fuzzloc.fuzzy import TriFuzzy
@@ -12,8 +14,8 @@ from fuzzloc.model import (
     Instance,
     Kernel,
     Solution,
+    balking_ramp,
     crisp_objective_slice,
-    join_probability,
     logit_allocation,
     mm1_metrics,
 )
@@ -186,16 +188,10 @@ class TestQueueFormulas:
         assert lq == pytest.approx(rho * rho / (1 - rho), rel=1e-12)
 
     def test_join_probability(self):
-        assert join_probability(10, 25) == pytest.approx(0.6)
-        assert join_probability(0, 25) == 1.0
-        assert join_probability(25, 25) == 0.0
-        assert join_probability(40, 25) == 0.0
-
-    def test_join_probability_invalid(self):
-        with pytest.raises(DomainError):
-            join_probability(-1, 25)
-        with pytest.raises(DomainError):
-            join_probability(1, 0)
+        assert balking_ramp(10, 25) == pytest.approx(0.6)
+        assert balking_ramp(0, 25) == 1.0
+        assert balking_ramp(25, 25) == 0.0
+        assert balking_ramp(40, 25) == 0.0
 
 
 class TestObjectiveAndCapacity:
@@ -233,6 +229,29 @@ class TestObjectiveAndCapacity:
         feasible, margins = fuzzy_capacity_feasible(inst, Solution([1]))
         assert feasible
         assert margins == {1: 0.0}
+
+    def test_objective_with_live_balking(self):
+        # lam_bar = 80, rho = 0.8, Lq = 3.2 and join = 1 - 3.2 / 25 = 0.872:
+        # 80 * (0.2 + 0.872 * 0.8). Lq = lam / (mu - lam) gives 69.76, no
+        # balking 80.
+        inst = build_instance(
+            [[0, 2], [2, 0]], crisp_rows([40, 40]), crisp_rows([100, 100])
+        )
+        value = crisp_objective_slice(inst, Solution([1]), "mid")
+        assert value == pytest.approx(71.808, rel=1e-12)
+
+    def test_validate_checks_the_kernel_lq(self, monkeypatch, capsys):
+        # validate's analytic rows come from the Lq the kernel evaluates, so a
+        # wrong Lq there moves the objective and fails validate.
+        inst = build_instance(
+            [[0, 2], [2, 0]], crisp_rows([40, 40]), crisp_rows([100, 100])
+        )
+        kernel = Kernel(inst, np.array([0]))
+        assert kernel.slices() == pytest.approx([71.808] * 3, rel=1e-12)
+        monkeypatch.setattr(model, "queue_state", lambda lam, mu: (lam / mu, lam / (mu - lam)))
+        assert kernel.slices() == pytest.approx([69.76] * 3, rel=1e-12)
+        assert main(["validate", "--skip-network", "--events", "200000"]) == EXIT_VALIDATION
+        assert "validation FAILED" in capsys.readouterr().out
 
     def test_oversized_subsets_evaluate(self, small_instance):
         # the genetic algorithm's greedy drop probes subsets larger than M

@@ -12,7 +12,7 @@ from fuzzloc.aco import TAU_MIN, ACOConfig, _update
 from fuzzloc.evaluation import MaximinContext
 from fuzzloc.ga import Chromosome
 from fuzzloc.instances import generate_instance
-from fuzzloc.model import Kernel, Solution, join_probability, logit_allocation
+from fuzzloc.model import Kernel, Solution, balking_ramp, logit_allocation
 
 
 @pytest.fixture(scope="module")
@@ -87,14 +87,14 @@ def test_pheromone_stays_in_bounds(seed):
     st.floats(0.1, 100, allow_nan=False),
 )
 def test_join_probability_in_unit_interval(lq, mql):
-    p = join_probability(lq, mql)
+    p = balking_ramp(lq, mql)
     assert 0.0 <= p <= 1.0
 
 
 @given(st.floats(0, 50), st.floats(0, 50), st.floats(0.1, 100))
 def test_join_probability_nonincreasing(a, b, mql):
     lo, hi = sorted((a, b))
-    assert join_probability(lo, mql) >= join_probability(hi, mql)
+    assert balking_ramp(lo, mql) >= balking_ramp(hi, mql)
 
 
 @given(
