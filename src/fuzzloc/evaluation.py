@@ -30,7 +30,7 @@ from .model import (
 
 _DEGENERATE_EPS = 1e-12
 
-# The spread components in the order of Kernel.spreads().
+# The spread components in the order of the spreads of Kernel.figures().
 COMPONENTS = ("z1", "z2", "z3")
 
 # A fitness is a KernelFitness, whose rows drive scores on a shared kernel,
@@ -141,8 +141,10 @@ def fuzzy_capacity_feasible(instance: Instance, solution: Solution):
 
 
 def violation_total(instance: Instance, solution: Solution) -> float:
-    """Relative constraint violation: capacity excess plus queue instability."""
-    return float(solution_kernel(instance, solution).violation())
+    """Relative constraint violation: capacity excess plus queue instability,
+    0 for a feasible solution."""
+    violation = solution_kernel(instance, solution).figures()[2]
+    return 0.0 if violation is None else float(violation)
 
 
 def evaluate(instance: Instance, solution: Solution, ctx: MaximinContext) -> float:
@@ -152,8 +154,8 @@ def evaluate(instance: Instance, solution: Solution, ctx: MaximinContext) -> flo
 
 def component_value(instance: Instance, solution: Solution, name: str) -> Optional[float]:
     """One spread component of a feasible solution, or None if infeasible."""
-    result = solution_kernel(instance, solution)
-    return float(result.spreads()[COMPONENTS.index(name)]) if result.feasible() else None
+    feasible, spreads, _ = solution_kernel(instance, solution).figures()
+    return float(spreads[COMPONENTS.index(name)]) if feasible else None
 
 
 def drive(runs: list[tuple[Steps[T], Fitness]]) -> list[T]:
@@ -164,15 +166,16 @@ def drive(runs: list[tuple[Steps[T], Fitness]]) -> list[T]:
     Each round steps the runs that have their values. A plain callable
     fitness is called once per row at once; a KernelFitness run's block
     waits. Then one subset size is served: the size that the most waiting
-    runs ask for, the larger on ties. Its blocks share one Kernel, each run
-    applies its own formula to its rows, and blocks of other sizes wait for
-    a later round. The KernelFitness runs of one drive share an instance:
-    the kernel is built on the instance of the first block's run. Waiting
-    lets runs share a kernel call when their sizes differ: a GA mating
-    scores trial subsets whose size falls from |union| - 1 to m, so
-    lockstep GA runs seldom ask for one size in the same round. When every waiting block has one size, as in
-    every ACO round and every drive of a single run, a round serves them
-    all. A kernel row has the same bits in any block, and no run's sends
+    runs ask for, the larger on ties. Its blocks share one Kernel and one
+    call of its figures(), each run scores its own rows with
+    KernelFitness.score, and blocks of other sizes wait for a later round.
+    The KernelFitness runs of one drive share an instance: the kernel is built
+    on the instance of the first block's run. Waiting lets runs share a
+    kernel call when their sizes differ: a GA mating scores trial subsets
+    whose size falls from |union| - 1 to m, so lockstep GA runs seldom ask
+    for one size in the same round. When every waiting block has one size,
+    as in every ACO round and every drive of a single run, a round serves
+    them all. A kernel row has the same bits in any block, and no run's sends
     depend on another run, so every run ends as it would alone."""
     results: list = [None] * len(runs)
     replies: dict[int, Optional[list]] = dict.fromkeys(range(len(runs)))
@@ -195,40 +198,53 @@ def drive(runs: list[tuple[Steps[T], Fitness]]) -> list[T]:
         members = waiting.pop(max(waiting, key=lambda k: (len(waiting[k]), k)))
         blocks = [idx for _, idx in members]
         whole = blocks[0] if len(blocks) == 1 else np.concatenate(blocks)
-        kernel = Kernel(runs[members[0][0]][1].instance, whole)
-        figures = (kernel.feasible(), kernel.spreads(), kernel.violation())
+        figures = Kernel(runs[members[0][0]][1].instance, whole).figures()
         start = 0
         for r, idx in members:
             rows = slice(start, start + len(idx))
             start = rows.stop
-            share = figures if len(members) == 1 else [f[rows] for f in figures]
-            replies[r] = runs[r][1].formula(*share).tolist()
+            share = figures if len(members) == 1 else [
+                None if f is None else f[rows] for f in figures]
+            replies[r] = runs[r][1].score(*share).tolist()
     return results
-
-
-class KernelFitness:
-    """A fitness stated once, as ``formula`` of a model.Kernel's feasible(),
-    spreads() and violation(). drive applies the formula to the rows of a
-    kernel that it shares among runs; a call scores one subset with the same
-    formula on a one-subset kernel."""
-
-    def __init__(self, instance: Instance):
-        self.instance = instance
-
-    def formula(
-        self, feasible: np.ndarray, spreads: np.ndarray, violation: np.ndarray
-    ) -> np.ndarray:
-        raise NotImplementedError
-
-    def __call__(self, solution: Solution) -> float:
-        result = solution_kernel(self.instance, solution)
-        return float(self.formula(result.feasible(), result.spreads(), result.violation()))
 
 
 def penalty(violation):
     """The score of an infeasible subset: -(1 + violation), below every
     feasible maximin score; the bound runs scale it by 1e12."""
     return -(1.0 + violation)
+
+
+class KernelFitness:
+    """A fitness stated once, by ``feasible_value`` of the spreads of
+    feasible rows and ``infeasible_value`` of the violation of infeasible
+    ones (by default ``penalty``). ``score`` composes the two over the
+    figures of a model.Kernel, and is the only scorer: drive applies it to
+    the rows of a kernel that it shares among runs, a call to a one-subset
+    kernel."""
+
+    def __init__(self, instance: Instance):
+        self.instance = instance
+
+    def feasible_value(self, spreads: np.ndarray) -> np.ndarray:
+        raise NotImplementedError
+
+    def infeasible_value(self, violation: np.ndarray) -> np.ndarray:
+        return penalty(violation)
+
+    def score(
+        self, feasible: np.ndarray, spreads: Optional[np.ndarray], violation: Optional[np.ndarray]
+    ) -> np.ndarray:
+        """The values of rows with these Kernel.figures(). When ``spreads``
+        or ``violation`` is None, the other part alone gives the values."""
+        if violation is None:
+            return self.feasible_value(spreads)
+        if spreads is None:
+            return self.infeasible_value(violation)
+        return np.where(feasible, self.feasible_value(spreads), self.infeasible_value(violation))
+
+    def __call__(self, solution: Solution) -> float:
+        return float(self.score(*solution_kernel(self.instance, solution).figures()))
 
 
 class MaximinFitness(KernelFitness):
@@ -240,13 +256,10 @@ class MaximinFitness(KernelFitness):
         super().__init__(instance)
         self.ctx = ctx
 
-    def formula(
-        self, feasible: np.ndarray, spreads: np.ndarray, violation: np.ndarray
-    ) -> np.ndarray:
+    def feasible_value(self, spreads: np.ndarray) -> np.ndarray:
         degrees = self.ctx.memberships(spreads)
         # column by column: far faster than a min over the short last axis
-        level = np.minimum(np.minimum(degrees[..., 0], degrees[..., 1]), degrees[..., 2])
-        return np.where(feasible, level, penalty(violation))
+        return np.minimum(np.minimum(degrees[..., 0], degrees[..., 1]), degrees[..., 2])
 
 
 def make_maximin_eval(instance: Instance, ctx: MaximinContext) -> MaximinFitness:

@@ -206,9 +206,9 @@ class Kernel:
     subsets when (B, k).
 
     The per-facility arrays are computed on construction, each derived figure
-    by its method on each call. benefit[..., j, s] = sum_i w_ij * lambda_i^s
-    * p_ij is the weighted captured demand that the objective discounts by
-    queue state.
+    by its method on each call; a fitness reads figures(). benefit[..., j, s]
+    = sum_i w_ij * lambda_i^s * p_ij is the weighted captured demand that the
+    objective discounts by queue state.
 
     A block gives the same bits as its subsets one at a time: the logit
     denominators are summed facility by facility, over axis 0 of a
@@ -233,9 +233,9 @@ class Kernel:
         # sort is needed.
         self.occupancy = self.lam_bar[..., 1] / self.mu[..., 1]
 
-    def stable(self, axis=-2) -> np.ndarray:
-        """Every queue is stable, in one reduction over ``axis``: per slice by default."""
-        return (self.lam_bar < self.mu).all(axis=axis)
+    def stable(self) -> np.ndarray:
+        """(..., 3): every queue of the slice is stable."""
+        return (self.lam_bar < self.mu).all(axis=-2)
 
     def slices(self) -> np.ndarray:
         """(..., 3): objective per slice in slice order, meaningful where the
@@ -248,26 +248,31 @@ class Kernel:
         """(..., 3): the slice objectives sorted ascending."""
         return np.sort(self.slices(), axis=-1)
 
-    def spreads(self) -> np.ndarray:
-        """(..., 3): the spread components (z1, z2, z3) = (mid - lo, mid,
-        hi - mid) of the sorted slice objectives."""
-        z = self.objective()  # a fresh (lo, mid, hi) array from np.sort, rewritten in place
-        z[..., 0] = z[..., 1] - z[..., 0]
-        z[..., 2] -= z[..., 1]
-        return z
-
-    def feasible(self) -> np.ndarray:
-        """(...): the capacity threshold holds and every queue is stable."""
-        capacity = (self.occupancy <= capacity_threshold(self.instance)).all(axis=-1)
-        return capacity & self.stable(axis=(-2, -1))
-
-    def violation(self) -> np.ndarray:
-        """(...): relative capacity excess plus queue instability."""
+    def figures(self):
+        """(feasible, spreads, violation) of the rows, each part computed
+        only if some row reads it. ``feasible`` (...): the capacity threshold
+        holds and every queue is stable. ``spreads`` (..., 3): (z1, z2, z3)
+        = (mid - lo, mid, hi - mid) of the sorted slice objectives; None if
+        no row is feasible. ``violation`` (...): relative capacity excess
+        plus queue instability; None if every row is feasible (it would be
+        0). The mask and the violation share occupancy - threshold and
+        lam_bar - mu: a difference of doubles has the sign of their
+        comparison."""
         threshold = capacity_threshold(self.instance)
-        excess = np.maximum(self.occupancy - threshold, 0.0).sum(axis=-1) / threshold
-        overload = np.maximum(self.lam_bar - self.mu, 0.0) / self.mu
-        # One sum over the k * 3 entries per subset, in row order.
-        return excess + overload.reshape(overload.shape[:-2] + (-1,)).sum(axis=-1)
+        over = self.occupancy - threshold  # (..., k)
+        surplus = self.lam_bar - self.mu  # (..., k, 3)
+        feasible = (over <= 0.0).all(axis=-1) & (surplus < 0.0).all(axis=(-2, -1))
+        spreads = violation = None
+        if feasible.any():
+            spreads = self.objective()  # a fresh (lo, mid, hi) array, rewritten in place
+            spreads[..., 0] = spreads[..., 1] - spreads[..., 0]
+            spreads[..., 2] -= spreads[..., 1]
+        if not feasible.all():
+            excess = np.maximum(over, 0.0).sum(axis=-1) / threshold
+            overload = np.maximum(surplus, 0.0) / self.mu
+            # One sum over the k * 3 entries per subset, in row order.
+            violation = excess + overload.reshape(overload.shape[:-2] + (-1,)).sum(axis=-1)
+        return feasible, spreads, violation
 
 
 def solution_kernel(instance: Instance, solution: Solution) -> Kernel:

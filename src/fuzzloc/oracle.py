@@ -3,7 +3,6 @@ and a single-server queue simulator."""
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -48,15 +47,31 @@ def _check_budget(instance: Instance, budget: int) -> int:
 
 def _blocks(instance: Instance):
     """Every m-subset as rows of 1-based indices, in lexicographic order, in
-    (B, m) arrays of at most BLOCK_SIZE rows."""
-    m = instance.m_servers
-    combos = itertools.combinations(range(1, instance.n + 1), m)
-    while True:
-        flat = itertools.chain.from_iterable(itertools.islice(combos, BLOCK_SIZE))
-        block = np.fromiter(flat, dtype=np.intp).reshape(-1, m)
-        if not len(block):
-            return
-        yield block
+    (B, m) arrays of at most BLOCK_SIZE rows.
+
+    Each block is _unrank over its ranks, one entry at a time for all rows.
+    A row's key counts the subsets from its own to the last among those
+    sharing its entries so far. With s entries left, comb(j, s) of them take
+    all s from the last j values, so the next entry is n + 1 - J for the
+    least J with comb(J, s) >= key, and the key drops by comb(J - 1, s).
+    The last entry is n + 1 - key. Counts are capped at the total, which
+    only entries no row can take exceed, to stay within int64.
+    """
+    n, m = instance.n, instance.m_servers
+    count = math.comb(n, m)
+    counts = np.array(
+        [[min(math.comb(j, m - p), count) for j in range(n + 1)] for p in range(m - 1)],
+        dtype=np.int64,
+    )
+    for start in range(0, count, BLOCK_SIZE):
+        key = count - np.arange(start, min(start + BLOCK_SIZE, count), dtype=np.int64)
+        block = np.empty((m, len(key)), dtype=np.intp)  # row p: entry p of every subset
+        for p, row in enumerate(counts):
+            j = np.searchsorted(row, key)
+            block[p] = n + 1 - j
+            key -= row.take(j - 1)
+        block[-1] = n + 1 - key
+        yield block.T
 
 
 def _unrank(n: int, m: int, rank: int) -> list[int]:
@@ -130,17 +145,17 @@ class Scan:
     def __init__(self, instance: Instance, budget: int = DEFAULT_ENUM_BUDGET):
         self.instance = instance
         self.count = _check_budget(instance, budget)
-        spreads, ranks = [], []
+        spreads, ranks = [np.empty((0, 3))], [np.empty(0, dtype=np.intp)]
         self.fallback = None
         start = 0
         for block in _blocks(instance):
-            kernel = Kernel(instance, block - 1)
-            feasible = kernel.feasible()
-            spreads.append(kernel.spreads()[feasible])
-            ranks.append(start + np.flatnonzero(feasible))
-            infeasible = np.flatnonzero(~feasible)
-            if len(infeasible):
-                values = penalty(kernel.violation()[infeasible])
+            feasible, block_spreads, violation = Kernel(instance, block - 1).figures()
+            if block_spreads is not None:
+                spreads.append(block_spreads[feasible])
+                ranks.append(start + np.flatnonzero(feasible))
+            if violation is not None:
+                infeasible = np.flatnonzero(~feasible)
+                values = penalty(violation[infeasible])
                 i = int(np.argmax(values))
                 if self.fallback is None or values[i] > self.fallback[1]:
                     self.fallback = (start + int(infeasible[i]), float(values[i]))
@@ -150,11 +165,11 @@ class Scan:
 
     def optimum(self, fitness: MaximinFitness) -> EnumerationResult:
         """``enumerate_optimum(instance, fitness)`` from the kept rows: the
-        maximin formula applied once to the feasible spreads, and the first
-        argmax, so ties still go to the lexicographically smallest subset.
-        With no feasible subset, the fallback."""
+        fitness's score of the feasible spreads, all in one call, and the
+        first argmax, so ties still go to the lexicographically smallest
+        subset. With no feasible subset, the fallback."""
         if len(self.ranks):
-            values = fitness.formula(True, self.spreads, 0.0)  # every kept row is feasible
+            values = fitness.score(True, self.spreads, None)  # every kept row is feasible
             i = int(np.argmax(values))
             rank, value = int(self.ranks[i]), float(values[i])
         else:

@@ -33,7 +33,7 @@ BOUND_RUNS = (
 )
 
 # Each bound run maximizes sign * component, so a min run maximizes minus
-# the component: the runs' columns of Kernel.spreads() and their signs.
+# the component: the runs' columns of the spreads and their signs.
 _COMPONENT = np.array([COMPONENTS.index(name) for name, _ in BOUND_RUNS])
 _SIGN = np.array([1.0 if sense == "max" else -1.0 for _, sense in BOUND_RUNS])
 
@@ -62,12 +62,11 @@ class _BoundFitness(KernelFitness):
         self.pick = (rows, _COMPONENT[runs])
         self.sign = _SIGN[runs]
 
-    def formula(
-        self, feasible: np.ndarray, spreads: np.ndarray, violation: np.ndarray
-    ) -> np.ndarray:
-        return np.where(
-            feasible, self.sign * spreads[self.pick], _PENALTY_SCALE * penalty(violation)
-        )
+    def feasible_value(self, spreads: np.ndarray) -> np.ndarray:
+        return self.sign * spreads[self.pick]
+
+    def infeasible_value(self, violation: np.ndarray) -> np.ndarray:
+        return _PENALTY_SCALE * penalty(violation)
 
 
 def estimate_bounds(

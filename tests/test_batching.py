@@ -369,7 +369,7 @@ def test_solver_reports_match_plain_callable(instance_name, request):
 
 
 class RowCounter(MaximinFitness):
-    """A maximin fitness that counts the rows and the calls of its formula
+    """A maximin fitness that counts the rows and the calls of its score
     and refuses per-subset calls."""
 
     def __init__(self, instance, ctx):
@@ -380,10 +380,10 @@ class RowCounter(MaximinFitness):
     def __call__(self, solution):
         raise AssertionError("scored one subset outside a block")
 
-    def formula(self, feasible, spreads, violation):
+    def score(self, feasible, spreads, violation):
         self.rows += len(feasible)
         self.blocks += 1
-        return super().formula(feasible, spreads, violation)
+        return super().score(feasible, spreads, violation)
 
 
 def test_aco_scores_each_colony_in_one_block(small_instance):

@@ -32,9 +32,16 @@ def make_ctx(z1=(0.0, 1.0), z2=(0.0, 1.0), z3=(0.0, 1.0)):
 
 
 def spreads_of(z: TriFuzzy) -> list:
-    """Kernel.spreads of a kernel whose sorted slice objectives are z."""
-    kernel = types.SimpleNamespace(objective=lambda: np.array(z.as_tuple()))
-    return Kernel.spreads(kernel).tolist()
+    """The spreads in Kernel.figures of one feasible facility whose sorted
+    slice objectives are z."""
+    kernel = types.SimpleNamespace(
+        instance=types.SimpleNamespace(idle_min=TriFuzzy(0.15, 0.15, 0.15), gamma=0.5),
+        occupancy=np.zeros(1),
+        lam_bar=np.zeros((1, 3)),
+        mu=np.ones((1, 3)),
+        objective=lambda: np.array(z.as_tuple()),
+    )
+    return Kernel.figures(kernel)[1].tolist()
 
 
 def memberships(ctx, z1, z2, z3) -> list:
@@ -134,9 +141,9 @@ class TestMembership:
 class TestMaximinLevel:
     def test_examples(self, small_instance):
         # under unit bounds the memberships of (z1, z2, z3) are (1 - z1, z2, z3)
-        formula = make_maximin_eval(small_instance, make_ctx()).formula
+        fitness = make_maximin_eval(small_instance, make_ctx())
         spreads = np.array([[0.6, 0.7, 0.9], [0.0, 1.0, 1.0], [1.0, 0.5, 0.9]])
-        level = formula(np.ones(3, dtype=bool), spreads, np.zeros(3))
+        level = fitness.score(np.ones(3, dtype=bool), spreads, None)
         assert level.tolist() == [0.4, 1.0, 0.0]
 
 

@@ -1,6 +1,7 @@
 """Differential checks of the fitness kernel: a block of subsets against the
-subsets one at a time, and the streamed oracle against plain reference loops.
-Every comparison is exact."""
+subsets one at a time, the fused Kernel.figures() against the eager figures
+it replaced, and the streamed oracle against plain reference loops. Every
+comparison is exact."""
 
 import dataclasses
 import itertools
@@ -13,22 +14,30 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import fuzzloc.model
 import fuzzloc.oracle
-from conftest import bound_fitness, crispen, feasible_subsets, mild_params, score_block
+from conftest import (
+    bound_fitness, crispen, feasible_subsets, mild_params, one_block, score_block,
+)
+from fuzzloc.aco import ACOConfig
 from fuzzloc.errors import InfeasibleInstanceError
 from fuzzloc.evaluation import (
     MaximinContext,
+    MaximinFitness,
     component_value,
+    drive,
     evaluate,
     fuzzy_capacity_feasible,
     fuzzy_objective,
     make_maximin_eval,
     violation_total,
 )
+from fuzzloc.fuzzy import TriFuzzy
+from fuzzloc.ga import GAConfig
 from fuzzloc.instances import GeneratorParams, generate_instance
-from fuzzloc.model import Kernel, Solution, _allocation
-from fuzzloc.oracle import enumerate_optimum, exact_bounds
-from fuzzloc.protocol import _PENALTY_SCALE, BOUND_RUNS
+from fuzzloc.model import Instance, Kernel, Solution, _allocation, capacity_threshold
+from fuzzloc.oracle import Scan, enumerate_optimum, exact_bounds
+from fuzzloc.protocol import _PENALTY_SCALE, BOUND_RUNS, _BoundFitness, solve_protocol
 
 PROBE_CTX = MaximinContext((0.0, 1.0), (0.0, 1.0), (0.0, 1.0), "probe")
 
@@ -57,10 +66,56 @@ def cases(max_n: int):
     )
 
 
+def eager_feasible(kernel: Kernel) -> np.ndarray:
+    """Reference: the feasibility mask as an eager kernel method computed
+    it, for every block."""
+    capacity = (kernel.occupancy <= capacity_threshold(kernel.instance)).all(axis=-1)
+    return capacity & (kernel.lam_bar < kernel.mu).all(axis=(-2, -1))
+
+
+def eager_spreads(kernel: Kernel) -> np.ndarray:
+    """Reference: the spreads (mid - lo, mid, hi - mid) of every row."""
+    z = kernel.objective()
+    z[..., 0] = z[..., 1] - z[..., 0]
+    z[..., 2] -= z[..., 1]
+    return z
+
+
+def eager_violation(kernel: Kernel) -> np.ndarray:
+    """Reference: the violation of every row, feasible ones included."""
+    threshold = capacity_threshold(kernel.instance)
+    excess = np.maximum(kernel.occupancy - threshold, 0.0).sum(axis=-1) / threshold
+    overload = np.maximum(kernel.lam_bar - kernel.mu, 0.0) / kernel.mu
+    return excess + overload.reshape(overload.shape[:-2] + (-1,)).sum(axis=-1)
+
+
+EAGER = {"feasible": eager_feasible, "spreads": eager_spreads, "violation": eager_violation}
+
+
+def eager_values(fitness, kernel: Kernel) -> np.ndarray:
+    """Reference: a maximin or bound fitness as one np.where over the eager
+    figures of every row."""
+    spreads = eager_spreads(kernel)
+    if isinstance(fitness, _BoundFitness):
+        level = fitness.sign * spreads[fitness.pick]
+        low = _PENALTY_SCALE * -(1.0 + eager_violation(kernel))
+    else:
+        degrees = fitness.ctx.memberships(spreads)
+        level = np.minimum(np.minimum(degrees[..., 0], degrees[..., 1]), degrees[..., 2])
+        low = -(1.0 + eager_violation(kernel))
+    return np.where(eager_feasible(kernel), level, low)
+
+
+def derived(kernel: Kernel) -> dict:
+    """Every derived figure of a kernel, the eager trio included."""
+    figures = {name: getattr(kernel, name)() for name in ("stable", "slices", "objective")}
+    return {**figures, **{name: f(kernel) for name, f in EAGER.items()}}
+
+
 def ctx_from(result: Kernel) -> MaximinContext:
     """Bounds spanning the feasible rows of a block, so memberships fall
     inside (0, 1) as well as at the clamps."""
-    objective = result.objective()[result.feasible()]
+    objective = result.objective()[eager_feasible(result)]
     if not len(objective):
         return PROBE_CTX
     lo, mid, hi = objective.T
@@ -101,23 +156,22 @@ def test_block_matches_subsets(case, sample_seed):
     block = Kernel(instance, np.array(rows))
     ctx = ctx_from(block)
     values = score_block(make_maximin_eval(instance, ctx), np.array(rows))
-    derived = {name: getattr(block, name)() for name in
-               ("stable", "slices", "objective", "spreads", "feasible", "violation")}
+    figures = derived(block)
     for b, row in enumerate(rows):
         one = Kernel(instance, np.array(row))
         for name in ("lam_bar", "mu", "benefit", "occupancy"):
             assert np.array_equal(getattr(block, name)[b], getattr(one, name))
-        for name, array in derived.items():
-            assert np.array_equal(array[b], getattr(one, name)())
+        for name, array in derived(one).items():
+            assert np.array_equal(figures[name][b], array)
         solution = Solution(np.array(row) + 1)
         assert values[b] == evaluate(instance, solution, ctx)
-        assert derived["violation"][b] == violation_total(instance, solution)
+        assert figures["violation"][b] == violation_total(instance, solution)
         z = fuzzy_objective(instance, solution)
         if z is not None:
-            assert tuple(derived["objective"][b]) == z.as_tuple()
-            assert derived["spreads"][b].tolist() == [z.mid - z.lo, z.mid, z.hi - z.mid]
-        if derived["feasible"][b]:
-            assert derived["objective"][b][1] == component_value(instance, solution, "z2")
+            assert tuple(figures["objective"][b]) == z.as_tuple()
+            assert figures["spreads"][b].tolist() == [z.mid - z.lo, z.mid, z.hi - z.mid]
+        if figures["feasible"][b]:
+            assert figures["objective"][b][1] == component_value(instance, solution, "z2")
 
 
 def allocation_reference(instance, idx):
@@ -166,15 +220,14 @@ def test_full_enumeration_block_matches_rows(weighted):
     rows = next(fuzzloc.oracle._blocks(instance)) - 1
     assert len(rows) == fuzzloc.oracle.BLOCK_SIZE
     block = Kernel(instance, rows)
-    derived = {name: getattr(block, name)() for name in
-               ("stable", "slices", "objective", "spreads", "feasible", "violation")}
-    assert derived["feasible"].any() and not derived["feasible"].all()
+    figures = derived(block)
+    assert figures["feasible"].any() and not figures["feasible"].all()
     for b, row in enumerate(rows):
         one = Kernel(instance, row)
         for name in ("lam_bar", "mu", "benefit", "occupancy"):
             assert np.array_equal(getattr(block, name)[b], getattr(one, name))
-        for name, array in derived.items():
-            assert np.array_equal(array[b], getattr(one, name)())
+        for name, array in derived(one).items():
+            assert np.array_equal(figures[name][b], array)
 
 
 def test_crisp_z1_is_positive_zero(medium_instance):
@@ -282,3 +335,131 @@ def test_bound_eval_is_one_kernel_call(medium_instance, scale):
             got = [bound_fitness(instance, name, sense)(s) for s in subsets]
         assert spy.call_count == len(subsets)
         assert got == expected
+
+
+# One server on five nodes: the facility captures the whole demand, 5 at
+# every slice, and the capacity threshold is 0.5. Node 1's lo service rate
+# is 5, so its lo queue has lam_bar == mu exactly: unstable, but with 0
+# overload, and a mid occupancy of 5 / 40 under the threshold. Node 5's mid
+# occupancy 5 / 10 is the threshold itself, which is feasible. Nodes 2 and
+# 4 are feasible too; node 3 is overloaded at every slice and over capacity.
+LAMBDA_AT_MU = Instance(
+    n=5,
+    m_servers=1,
+    distance=np.ones((5, 5)) - np.eye(5),
+    demand=np.ones((5, 3)),
+    service=np.array([[5.0, 40.0, 50.0], [6.0, 50.0, 60.0], [1.0, 2.0, 3.0],
+                      [7.0, 60.0, 70.0], [6.0, 10.0, 12.0]]),
+    idle_min=TriFuzzy(0.5, 0.5, 0.5),
+    mql=25.0,
+)
+
+
+def check_fused(instance, rows, ctx, runs, cut):
+    """The fused path against the eager reference on the block ``rows``:
+    figures(); a maximin fitness and every bound run, through drive and one
+    subset at a time; a bound fitness that scores row i as run ``runs[i]``;
+    and, for 0 < cut < len(rows), a drive whose kernel is split at ``cut``
+    between a maximin and a bound member. Values compare as bytes."""
+    kernel = Kernel(instance, rows)
+    feasible, spreads, violation = kernel.figures()
+    assert feasible.tobytes() == eager_feasible(kernel).tobytes()
+    assert (spreads is None) == (not feasible.any())
+    assert (violation is None) == feasible.all()
+    if spreads is not None:
+        assert spreads.tobytes() == eager_spreads(kernel).tobytes()
+    if violation is not None:
+        assert violation.tobytes() == eager_violation(kernel).tobytes()
+    fitnesses = [make_maximin_eval(instance, ctx)] + [
+        _BoundFitness(instance, r) for r in range(len(BOUND_RUNS))]
+    for fitness in fitnesses:
+        expected = eager_values(fitness, kernel)
+        assert np.array(score_block(fitness, rows)).tobytes() == expected.tobytes()
+        for row, value in zip(rows, expected.tolist()):
+            assert fitness(Solution(row + 1)).hex() == value.hex()
+    stacked = _BoundFitness(instance, 0)
+    stacked.select(runs)
+    assert np.array(score_block(stacked, rows)).tobytes() == eager_values(stacked, kernel).tobytes()
+    if not 0 < cut < len(rows):
+        return
+    members = [(rows[:cut], fitnesses[0]), (rows[cut:], fitnesses[1 + runs[0]])]
+    got = drive([(one_block(part), fitness) for part, fitness in members])
+    for values, (part, fitness) in zip(got, members):
+        assert np.array(values).tobytes() == eager_values(fitness, Kernel(instance, part)).tobytes()
+
+
+def kinds(rows, mask):
+    """The block itself, its feasible rows and its infeasible rows, each
+    when it has any."""
+    return [block for block in (rows, rows[mask], rows[~mask]) if len(block)]
+
+
+@given(case=cases(max_n=12), sample_seed=st.integers(0, 2**32 - 1))
+@example(case=(14, 8, 0, True, False, 0.5), sample_seed=0)
+@example(case=(13, 9, 2, False, True, 0.1), sample_seed=2)
+@settings(max_examples=40, deadline=None)
+def test_fused_path_matches_eager_reference(case, sample_seed):
+    """Blocks that mix feasible and infeasible rows, blocks of feasible rows
+    only and blocks of infeasible rows only."""
+    instance = build(*case)
+    combos = list(itertools.combinations(range(instance.n), instance.m_servers))
+    draw = random.Random(sample_seed)
+    rows = np.array(sorted(draw.sample(combos, min(len(combos), 24))))
+    ctx = ctx_from(Kernel(instance, rows))
+    for block in kinds(rows, eager_feasible(Kernel(instance, rows))):
+        runs = [draw.randrange(len(BOUND_RUNS)) for _ in block]
+        check_fused(instance, block, ctx, runs, draw.randrange(len(block)))
+
+
+@pytest.mark.parametrize("which", ["lambda_at_mu", "mild20"])
+def test_fused_path_covers_every_kind_of_block(which):
+    """A block with a lam_bar == mu row (infeasible, violation 0), and the
+    first mild20 enumeration block; each mixed, and split into its feasible
+    and its infeasible rows."""
+    if which == "lambda_at_mu":
+        instance, rows = LAMBDA_AT_MU, np.arange(5)[:, None]
+        kernel = Kernel(instance, rows)
+        assert eager_feasible(kernel).tolist() == [False, True, False, True, True]
+        assert kernel.occupancy[4] == capacity_threshold(instance)
+        assert eager_violation(kernel)[0] == 0.0
+    else:
+        instance = build(20, 5, 0, True, False, 0.5)
+        rows = next(fuzzloc.oracle._blocks(instance))[:200] - 1
+    mask = eager_feasible(Kernel(instance, rows))
+    assert mask.any() and not mask.all()
+    ctx = ctx_from(Kernel(instance, rows))
+    for block in kinds(rows, mask):
+        runs = [b % len(BOUND_RUNS) for b in range(len(block))]
+        check_fused(instance, block, ctx, runs, len(block) // 2)
+
+
+def test_all_feasible_block_computes_no_violation():
+    rows = np.array([[1], [3], [4]])
+    feasible, spreads, violation = Kernel(LAMBDA_AT_MU, rows).figures()
+    assert feasible.all() and spreads is not None and violation is None
+
+    class NoPenalty(MaximinFitness):
+        def infeasible_value(self, violation):
+            raise AssertionError("scored an infeasible row")
+
+    fitness = NoPenalty(LAMBDA_AT_MU, PROBE_CTX)
+    expected = eager_values(fitness, Kernel(LAMBDA_AT_MU, rows)).tolist()
+    assert score_block(fitness, rows) == expected
+
+
+def test_no_slice_objective_without_a_feasible_row(table1, monkeypatch):
+    """table1 has no feasible subset, so neither solve nor the scan computes
+    a slice objective: the served share, which only the slice objectives
+    use, is never reached."""
+
+    def refuse(*args):
+        raise AssertionError("computed a slice objective")
+
+    monkeypatch.setattr(fuzzloc.model, "served_share", refuse)
+    with pytest.raises(AssertionError, match="slice objective"):
+        Kernel(LAMBDA_AT_MU, np.array([[1]])).figures()
+    window = {"convergence_limit": 10, "stagnation_limit": 20}
+    solve_protocol(table1, "ga", ga_config=GAConfig(**window))
+    solve_protocol(table1, "aco", aco_config=ACOConfig(**window))
+    scan = Scan(table1)
+    assert not len(scan.ranks) and scan.count == math.comb(20, 5)

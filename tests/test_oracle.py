@@ -4,6 +4,7 @@ import dataclasses
 import itertools
 import math
 import tracemalloc
+import types
 from unittest import mock
 
 import numpy as np
@@ -267,6 +268,35 @@ class TestOnePassBrute:
             combos = itertools.combinations(range(1, n + 1), m)
             assert [oracle._unrank(n, m, rank) for rank in range(math.comb(n, m))] == [
                 list(combo) for combo in combos]
+
+    @pytest.mark.parametrize("block_size", [1, 7, oracle.BLOCK_SIZE])
+    def test_blocks_match_combinations(self, block_size):
+        """Every block of every n <= 12, 1 <= m < n holds the rows that
+        itertools.combinations yields, byte for byte, in blocks of
+        block_size rows but the last."""
+        for n in range(2, 13):
+            for m in range(1, n):
+                instance = types.SimpleNamespace(n=n, m_servers=m)
+                combos = itertools.combinations(range(1, n + 1), m)
+                with mock.patch.object(oracle, "BLOCK_SIZE", block_size):
+                    blocks = list(oracle._blocks(instance))
+                assert [len(block) for block in blocks[:-1]] == [block_size] * (len(blocks) - 1)
+                assert 0 < len(blocks[-1]) <= block_size
+                for block in blocks:
+                    expected = np.array(list(itertools.islice(combos, len(block))), dtype=np.intp)
+                    assert block.dtype == np.intp and block.tobytes() == expected.tobytes()
+                assert next(combos, None) is None
+
+    @pytest.mark.parametrize("n, m", [(9, 4), (20, 5), (24, 6), (70, 67)])
+    def test_unrank_matches_blocks(self, n, m):
+        """_unrank of each rank gives that row of the blocks; at n = 70,
+        m = 67 comb(70, 35) does not fit in int64, but no row needs it."""
+        instance = types.SimpleNamespace(n=n, m_servers=m)
+        rows = np.concatenate(list(oracle._blocks(instance)))
+        assert len(rows) == math.comb(n, m)
+        ranks = range(len(rows)) if len(rows) < 200 else np.linspace(0, len(rows) - 1, 200)
+        for rank in map(int, ranks):
+            assert oracle._unrank(n, m, rank) == rows[rank].tolist()
 
     @pytest.mark.parametrize("n, m", [(20, 5), (24, 6)])
     def test_unrank_matches_combinations_at_first_middle_last(self, n, m):

@@ -141,8 +141,9 @@ class TestEstimateBounds:
         idx = np.arange(AT_PENALTY.n)[:, None]
         kernel = Kernel(AT_PENALTY, idx)
         assert (kernel.lam_bar[..., 0] == kernel.mu[..., 0]).all()
-        assert kernel.violation().tolist() == [0.0] * AT_PENALTY.n
-        assert not kernel.feasible().any()
+        feasible, spreads, violation = kernel.figures()
+        assert not feasible.any() and spreads is None
+        assert violation.tolist() == [0.0] * AT_PENALTY.n
         for r in range(len(BOUND_RUNS)):
             assert score_block(_BoundFitness(AT_PENALTY, r), idx) == [-1e12] * AT_PENALTY.n
         shapes = _record_kernels(monkeypatch)
