@@ -117,15 +117,16 @@ def _update(
     as it is."""
     values = np.asarray(values, dtype=float)
     f = np.where(maximize, values, -values)
-    # inf for a subnormal F, as in Python; the other branch of np.where may
-    # divide by zero or overflow, and its values are dropped.
-    with np.errstate(over="ignore", divide="ignore"):
-        amounts = np.where(maximize, config.max_pheromone * f, config.max_pheromone / f)
     # F >= 0 under maximization, F > 0 (at least the least subnormal) else
     kept = (f >= np.where(maximize, 0.0, 5e-324)) & (f < math.inf)
     trails = tau * config.evaporation_rate
-    deposits = np.where(kept, amounts, 0.0).repeat(nodes.shape[-1])
-    np.add.at(trails.reshape(-1), nodes.ravel(), deposits)
+    # inf for a subnormal F, as in Python; the other branch of np.where may
+    # divide by zero or overflow, and its values are dropped. Deposits near
+    # the float maximum may add up to inf on one node; the cap clips it.
+    with np.errstate(over="ignore", divide="ignore"):
+        amounts = np.where(maximize, config.max_pheromone * f, config.max_pheromone / f)
+        deposits = np.where(kept, amounts, 0.0).repeat(nodes.shape[-1])
+        np.add.at(trails.reshape(-1), nodes.ravel(), deposits)
     return np.minimum(np.maximum(trails, TAU_MIN, out=trails), config.max_pheromone, out=trails)
 
 

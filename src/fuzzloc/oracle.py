@@ -4,6 +4,7 @@ and a single-server queue simulator."""
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Optional
 
@@ -242,7 +243,10 @@ def _batch_sums(customers, event_budget: int, batches: int):
     ``event_budget`` events, as the rows of a (3, number of batches) array.
 
     A batch holds ``event_budget // batches`` events (at least one); a
-    trailing partial batch is kept when its span is positive.
+    trailing partial batch is kept when its span is positive. Each chunk's
+    arrivals and departures are merged by one stable sort, and each batch's
+    run of events is summed left to right in event order, the order in which
+    an event loop would add them.
     """
     size = max(1, event_budget // batches)
     sums = np.zeros((3, -(-event_budget // size)))
@@ -254,28 +258,32 @@ def _batch_sums(customers, event_budget: int, batches: int):
         departures = np.concatenate((waiting, departures))
         cut = np.searchsorted(departures, arrivals[-1])
         leaving, waiting = departures[:cut], departures[cut:]
-        # On a tie the arrival comes first, as in an event loop that
-        # serves ``next_arrival <= next_departure`` first.
-        is_departure = np.zeros(len(arrivals) + cut, dtype=bool)
-        is_departure[np.searchsorted(arrivals, leaving, side="right") + np.arange(cut)] = True
-        times = np.empty(len(is_departure))
-        times[is_departure] = leaving
-        times[~is_departure] = arrivals
-        take = min(len(times), event_budget - done)
-        times, step = times[:take], 1 - 2 * is_departure[:take].astype(np.intp)
-        after = in_system + np.cumsum(step)
-        before = after - step
-        dt = np.diff(times, prepend=now)
-        batch = np.arange(done, done + take) // size
-        first, last = batch[0], batch[-1] + 1
-        batch -= first
-        sums[0, first:last] += np.bincount(batch, dt * (before == 0))
-        sums[1, first:last] += np.bincount(batch, dt * np.maximum(before - 1, 0))
-        sums[2, first:last] += np.bincount(batch, dt)
+        # On a tie the stable sort keeps the arrival first, as in an event
+        # loop that serves ``next_arrival <= next_departure`` first.
+        times = np.concatenate((arrivals, leaving))
+        order = np.argsort(times, kind="stable")[:event_budget - done]
+        times, take = times[order], len(order)
+        step = (order < len(arrivals)).view(np.int8) * 2 - 1
+        before = np.empty(take, dtype=np.intp)  # customers just before each event
+        before[0] = 0
+        np.cumsum(step[:-1], out=before[1:])
+        before += in_system
+        weights = np.empty((3, take))  # idle, area and span of each event
+        dt = weights[2]
+        dt[0] = times[0] - now
+        np.subtract(times[1:], times[:-1], out=dt[1:])
+        np.multiply(dt, before == 0, out=weights[0])
+        np.maximum(before - 1, 0, out=weights[1])
+        weights[1] *= dt
+        # cumsum adds left to right, as bincount and an event loop do; sum()
+        # adds pairwise and would change the bits.
+        for batch in range(done // size, (done + take - 1) // size + 1):
+            run = weights[:, max(batch * size - done, 0):(batch + 1) * size - done]
+            sums[:, batch] += np.cumsum(run, axis=1)[:, -1]
         done += take
         if done == event_budget:
             break
-        now, in_system = times[-1], after[-1]
+        now, in_system = times[-1], before[-1] + step[-1]
     if event_budget % size and not sums[2, -1] > 0:
         sums = sums[:, :-1]
     return sums
@@ -309,10 +317,10 @@ def mm1_simulate(lam: float, mu: float, event_budget: int, seed: int = 0) -> Sim
         raise DomainError("rates must be positive")
     if lam >= mu:
         raise DomainError(f"unstable parameters: lam={lam} >= mu={mu}")
-    if event_budget < 1:
-        raise DomainError("event_budget must be positive")
-    if seed < 0:
-        raise DomainError(f"seed must be non-negative, got {seed}")
+    if not isinstance(event_budget, numbers.Integral) or event_budget < 1:
+        raise DomainError(f"event_budget must be a positive integer, got {event_budget!r}")
+    if not isinstance(seed, numbers.Integral) or seed < 0:
+        raise DomainError(f"seed must be a non-negative integer, got {seed!r}")
     customers = _customers(_draws(lam, mu, seed))
     return _estimate(*_batch_sums(customers, event_budget, BATCHES))
 

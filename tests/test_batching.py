@@ -8,6 +8,7 @@ comparison is exact."""
 import dataclasses
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -60,7 +61,10 @@ def reference_update(tau, colony, config, sense):
             if fitness <= 0:
                 continue
             deposit = config.max_pheromone / fitness
-        tau[np.fromiter(solution.open, dtype=int) - 1] += deposit
+        # Two deposits near the float maximum may add up to inf; the clip
+        # caps it, as in aco._update.
+        with np.errstate(over="ignore"):
+            tau[np.fromiter(solution.open, dtype=int) - 1] += deposit
     return np.clip(tau, TAU_MIN, config.max_pheromone)
 
 
@@ -149,6 +153,22 @@ def test_deposit_matches_ant_loop(sense, n, data, seed):
     ]
     sent = [f if keep else -f for f, keep in zip(fitness, maximize)]
     assert np.array_equal(_update(tau, idx + offsets, sent, config, maximize), expected)
+
+
+def test_overflowing_deposits_reach_the_cap_without_warning():
+    """Two min-sense ants on one node with a subnormal F each deposit
+    theta/F, about 1.02e308; their sum overflows to inf and is clipped to
+    the cap, with no RuntimeWarning."""
+    config = ACOConfig(max_pheromone=1.0)
+    tau = np.full((1, 3), 0.5)
+    fitness = 9.77e-309
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        trails = _update(tau, np.array([[0], [0]]), [-fitness, -fitness], config,
+                         np.array([False, False]))
+        expected = reference_update(tau[0], [(Solution([1]), fitness)] * 2, config, "min")
+    assert trails[0, 0] == config.max_pheromone
+    assert np.array_equal(trails, [expected])
 
 
 def reference_steps(instance, config, sense):

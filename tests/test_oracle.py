@@ -347,6 +347,20 @@ class TestSimulator:
         with pytest.raises(DomainError, match="seed"):
             mm1_simulate(50, 100, 1000, seed=-1)
 
+    @pytest.mark.parametrize("event_budget", [1000.5, 1e3, "1000", None])
+    def test_non_integer_budget_rejected(self, event_budget):
+        with pytest.raises(DomainError, match="event_budget"):
+            mm1_simulate(50, 100, event_budget)
+
+    @pytest.mark.parametrize("seed", [1.5, 2.0, "3", None])
+    def test_non_integer_seed_rejected(self, seed):
+        with pytest.raises(DomainError, match="seed"):
+            mm1_simulate(50, 100, 1000, seed=seed)
+
+    def test_numpy_integers_accepted(self):
+        expected = mm1_simulate(50, 100, 1000, seed=4)
+        assert mm1_simulate(50, 100, np.int64(1000), seed=np.uint32(4)) == expected
+
     def test_seed_determinism(self):
         a = mm1_simulate(50, 100, 50_000, seed=9)
         b = mm1_simulate(50, 100, 50_000, seed=9)
@@ -400,6 +414,46 @@ def event_loop(gaps, services, event_budget, batches):
     if span > 0:
         sums.append((idle, area, span))
     return np.array(departures), np.array(sums).T, now
+
+
+def reference_batch_sums(customers, event_budget, batches):
+    """Reference: the per-batch sums of oracle._batch_sums as first written.
+    Each chunk's departures are placed among its arrivals by searchsorted and
+    scattered into the event stream with boolean masks, and each batch's
+    sums come from weighted bincounts over an event-index // size batch
+    index. bincount adds each batch's weights in event order, so the
+    simulator must match it bit for bit."""
+    size = max(1, event_budget // batches)
+    sums = np.zeros((3, -(-event_budget // size)))
+    now, in_system, done = 0.0, 0, 0
+    waiting = np.empty(0)
+    for arrivals, departures in customers:
+        departures = np.concatenate((waiting, departures))
+        cut = np.searchsorted(departures, arrivals[-1])
+        leaving, waiting = departures[:cut], departures[cut:]
+        is_departure = np.zeros(len(arrivals) + cut, dtype=bool)
+        is_departure[np.searchsorted(arrivals, leaving, side="right") + np.arange(cut)] = True
+        times = np.empty(len(is_departure))
+        times[is_departure] = leaving
+        times[~is_departure] = arrivals
+        take = min(len(times), event_budget - done)
+        times, step = times[:take], 1 - 2 * is_departure[:take].astype(np.intp)
+        after = in_system + np.cumsum(step)
+        before = after - step
+        dt = np.diff(times, prepend=now)
+        batch = np.arange(done, done + take) // size
+        first, last = batch[0], batch[-1] + 1
+        batch -= first
+        sums[0, first:last] += np.bincount(batch, dt * (before == 0))
+        sums[1, first:last] += np.bincount(batch, dt * np.maximum(before - 1, 0))
+        sums[2, first:last] += np.bincount(batch, dt)
+        done += take
+        if done == event_budget:
+            break
+        now, in_system = times[-1], after[-1]
+    if event_budget % size and not sums[2, -1] > 0:
+        sums = sums[:, :-1]
+    return sums
 
 
 def _first_departures(draws, count):
@@ -469,6 +523,35 @@ class TestEventLoopReference:
                 assert chunked_departures[: len(departures)].tolist() == departures.tolist()
                 chunked = oracle._batch_sums(iter(customers), event_budget, batches)
                 assert chunked.tolist() == sums.tolist()
+                reference = reference_batch_sums(iter(customers), event_budget, batches)
+                assert chunked.tolist() == reference.tolist()
+
+
+class TestBatchSumsReference:
+    @settings(max_examples=10, deadline=None)
+    @given(
+        rho=st.floats(0.05, 0.97),
+        event_budget=st.integers(1, 50_000),
+        batches=st.integers(1, 60),
+        seed=st.integers(0, 2**32 - 1),
+        chunk=st.one_of(st.integers(1, 7), st.just(oracle.CHUNK_SIZE)),
+    )
+    # budgets that span several batches and several full chunks
+    @example(rho=0.97, event_budget=50_000, batches=20, seed=3, chunk=oracle.CHUNK_SIZE)
+    @example(rho=0.3, event_budget=20_000, batches=60, seed=1, chunk=7)
+    def test_matches_reference_bit_for_bit(self, rho, event_budget, batches, seed, chunk):
+        lam, mu = rho, 1.0
+        with mock.patch.object(oracle, "BATCHES", batches):
+            with mock.patch.object(oracle, "CHUNK_SIZE", chunk):
+                sums = oracle._batch_sums(
+                    oracle._customers(oracle._draws(lam, mu, seed)), event_budget, batches
+                )
+                expected = reference_batch_sums(
+                    oracle._customers(oracle._draws(lam, mu, seed)), event_budget, batches
+                )
+                result = mm1_simulate(lam, mu, event_budget, seed=seed)
+        assert sums.tolist() == expected.tolist()
+        assert dataclasses.astuple(result) == dataclasses.astuple(oracle._estimate(*expected))
 
 
 class TestSimulatorMemory:
