@@ -206,9 +206,17 @@ class Kernel:
     subsets when (B, k).
 
     The per-facility arrays are computed on construction, each derived figure
-    by its method on each call; a fitness reads figures(). benefit[..., j, s]
-    = sum_i w_ij * lambda_i^s * p_ij is the weighted captured demand that the
-    objective discounts by queue state.
+    by its method on each call. benefit[..., j, s] = sum_i w_ij * lambda_i^s
+    * p_ij is the weighted captured demand that the objective discounts by
+    queue state. ``over`` = occupancy - threshold and ``surplus`` = lam_bar -
+    mu are shared by the feasibility mask and the violation: a difference of
+    doubles has the sign of their comparison.
+
+    slices(), objective(), spreads() and violation() compute their figure for
+    the rows that ``rows`` selects on the leading axis (a boolean mask, say),
+    or for every row, with no copy, when it is None. Each is elementwise or
+    reduces along a row's own axes, so a row's bits do not depend on the
+    rows computed with it.
 
     A block gives the same bits as its subsets one at a time: the logit
     denominators are summed facility by facility, over axis 0 of a
@@ -232,46 +240,58 @@ class Kernel:
         # nonnegative arrival and positive service rates, so no component
         # sort is needed.
         self.occupancy = self.lam_bar[..., 1] / self.mu[..., 1]
+        self.threshold = capacity_threshold(instance)
+        self.over = self.occupancy - self.threshold  # (..., k)
+        self.surplus = self.lam_bar - self.mu  # (..., k, 3)
 
     def stable(self) -> np.ndarray:
         """(..., 3): every queue of the slice is stable."""
         return (self.lam_bar < self.mu).all(axis=-2)
 
-    def slices(self) -> np.ndarray:
+    def feasible(self) -> np.ndarray:
+        """(...): the capacity threshold holds and every queue is stable."""
+        return (self.over <= 0.0).all(axis=-1) & (self.surplus < 0.0).all(axis=(-2, -1))
+
+    def slices(self, rows=None) -> np.ndarray:
         """(..., 3): objective per slice in slice order, meaningful where the
         slice is stable."""
-        terms = self.benefit * served_share(*queue_state(self.lam_bar, self.mu), self.instance.mql)
+        lam_bar, mu, benefit = self.lam_bar, self.mu, self.benefit
+        if rows is not None:
+            lam_bar, mu, benefit = lam_bar[rows], mu[rows], benefit[rows]
+        terms = benefit * served_share(*queue_state(lam_bar, mu), self.instance.mql)
         # A C-ordered (..., 3, k) copy, so each slice sums over a contiguous axis.
         return terms.swapaxes(-1, -2).copy().sum(axis=-1)
 
-    def objective(self) -> np.ndarray:
+    def objective(self, rows=None) -> np.ndarray:
         """(..., 3): the slice objectives sorted ascending."""
-        return np.sort(self.slices(), axis=-1)
+        return np.sort(self.slices(rows), axis=-1)
+
+    def spreads(self, rows=None) -> np.ndarray:
+        """(..., 3): (z1, z2, z3) = (mid - lo, mid, hi - mid) of the sorted
+        slice objectives, meaningful where the row is feasible."""
+        spreads = self.objective(rows)  # a fresh (lo, mid, hi) array, rewritten in place
+        spreads[..., 0] = spreads[..., 1] - spreads[..., 0]
+        spreads[..., 2] -= spreads[..., 1]
+        return spreads
+
+    def violation(self, rows=None) -> np.ndarray:
+        """(...): relative capacity excess plus queue instability, 0 where
+        the row is feasible."""
+        over, surplus, mu = self.over, self.surplus, self.mu
+        if rows is not None:
+            over, surplus, mu = over[rows], surplus[rows], mu[rows]
+        excess = np.maximum(over, 0.0).sum(axis=-1) / self.threshold
+        overload = np.maximum(surplus, 0.0) / mu
+        # One sum over the k * 3 entries per subset, in row order.
+        return excess + overload.reshape(over.shape[:-1] + (3 * over.shape[-1],)).sum(axis=-1)
 
     def figures(self):
-        """(feasible, spreads, violation) of the rows, each part computed
-        only if some row reads it. ``feasible`` (...): the capacity threshold
-        holds and every queue is stable. ``spreads`` (..., 3): (z1, z2, z3)
-        = (mid - lo, mid, hi - mid) of the sorted slice objectives; None if
-        no row is feasible. ``violation`` (...): relative capacity excess
-        plus queue instability; None if every row is feasible (it would be
-        0). The mask and the violation share occupancy - threshold and
-        lam_bar - mu: a difference of doubles has the sign of their
-        comparison."""
-        threshold = capacity_threshold(self.instance)
-        over = self.occupancy - threshold  # (..., k)
-        surplus = self.lam_bar - self.mu  # (..., k, 3)
-        feasible = (over <= 0.0).all(axis=-1) & (surplus < 0.0).all(axis=(-2, -1))
-        spreads = violation = None
-        if feasible.any():
-            spreads = self.objective()  # a fresh (lo, mid, hi) array, rewritten in place
-            spreads[..., 0] = spreads[..., 1] - spreads[..., 0]
-            spreads[..., 2] -= spreads[..., 1]
-        if not feasible.all():
-            excess = np.maximum(over, 0.0).sum(axis=-1) / threshold
-            overload = np.maximum(surplus, 0.0) / self.mu
-            # One sum over the k * 3 entries per subset, in row order.
-            violation = excess + overload.reshape(overload.shape[:-2] + (-1,)).sum(axis=-1)
+        """(feasible, spreads, violation) of every row, each part computed
+        only if some row reads it: the spreads None if no row is feasible,
+        the violation None if every row is (it would be 0)."""
+        feasible = self.feasible()
+        spreads = self.spreads() if feasible.any() else None
+        violation = None if feasible.all() else self.violation()
         return feasible, spreads, violation
 
 

@@ -11,7 +11,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import BudgetExceededError, DomainError, InfeasibleInstanceError
-from .evaluation import Fitness, MaximinContext, MaximinFitness, Steps, drive, penalty
+from .evaluation import Fitness, MaximinContext, MaximinFitness, Steps, drive
 from .fuzzy import SLICE_INDEX
 from .model import Instance, Kernel, Solution, served_share, solution_kernel
 
@@ -135,31 +135,24 @@ def enumerate_optimum(
 class Scan:
     """One kernel pass over every m-subset, in lexicographic order, keeping
     what exact bounds and a maximin optimum need. Each subset's kernel is
-    built once.
+    built once, and each block's kernel computes the feasibility mask of
+    every row and the spreads of its feasible rows only.
 
     ``spreads`` (F, 3) and ``ranks`` (F,) hold the spread components of the
-    F feasible subsets and their positions in that order. ``fallback`` is
-    the (rank, penalty) of the first infeasible subset with the largest
-    penalty, or None when every subset is feasible.
+    F feasible subsets and their positions in that order.
     """
 
     def __init__(self, instance: Instance, budget: int = DEFAULT_ENUM_BUDGET):
         self.instance = instance
         self.count = _check_budget(instance, budget)
         spreads, ranks = [np.empty((0, 3))], [np.empty(0, dtype=np.intp)]
-        self.fallback = None
         start = 0
         for block in _blocks(instance):
-            feasible, block_spreads, violation = Kernel(instance, block - 1).figures()
-            if block_spreads is not None:
-                spreads.append(block_spreads[feasible])
+            kernel = Kernel(instance, block - 1)
+            feasible = kernel.feasible()
+            if feasible.any():
+                spreads.append(kernel.spreads(feasible))
                 ranks.append(start + np.flatnonzero(feasible))
-            if violation is not None:
-                infeasible = np.flatnonzero(~feasible)
-                values = penalty(violation[infeasible])
-                i = int(np.argmax(values))
-                if self.fallback is None or values[i] > self.fallback[1]:
-                    self.fallback = (start + int(infeasible[i]), float(values[i]))
             start += len(block)
         self.spreads = np.concatenate(spreads)
         self.ranks = np.concatenate(ranks)
@@ -168,15 +161,16 @@ class Scan:
         """``enumerate_optimum(instance, fitness)`` from the kept rows: the
         fitness's score of the feasible spreads, all in one call, and the
         first argmax, so ties still go to the lexicographically smallest
-        subset. With no feasible subset, the fallback."""
-        if len(self.ranks):
-            values = fitness.score(True, self.spreads, None)  # every kept row is feasible
-            i = int(np.argmax(values))
-            rank, value = int(self.ranks[i]), float(values[i])
-        else:
-            rank, value = self.fallback
-        best = _unrank(self.instance.n, self.instance.m_servers, rank)
-        return EnumerationResult(best=Solution(best), best_value=value, evaluated_count=self.count)
+        subset. With no feasible subset, a second pass, enumerate_optimum
+        itself, computes the violations that the penalties read."""
+        if not len(self.ranks):
+            return enumerate_optimum(self.instance, fitness, self.count)
+        values = fitness.score(True, self.spreads, None)  # every kept row is feasible
+        i = int(np.argmax(values))
+        best = _unrank(self.instance.n, self.instance.m_servers, int(self.ranks[i]))
+        return EnumerationResult(
+            best=Solution(best), best_value=float(values[i]), evaluated_count=self.count
+        )
 
 
 def exact_bounds(
@@ -311,6 +305,8 @@ def mm1_simulate(lam: float, mu: float, event_budget: int, seed: int = 0) -> Sim
     Customers are drawn and their departures computed in chunks of
     CHUNK_SIZE, so memory does not grow with the event budget.
     """
+    if not (isinstance(lam, numbers.Real) and isinstance(mu, numbers.Real)):
+        raise DomainError(f"rates must be real numbers: lam={lam!r}, mu={mu!r}")
     if not (math.isfinite(lam) and math.isfinite(mu)):
         raise DomainError(f"rates must be finite: lam={lam}, mu={mu}")
     if mu <= 0 or lam <= 0:

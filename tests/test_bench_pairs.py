@@ -1,0 +1,66 @@
+"""The summary of tools/bench_pairs.py on fixed inputs."""
+
+import argparse
+import importlib.util
+import json
+from pathlib import Path
+
+import pytest
+
+PATH = Path(__file__).resolve().parent.parent / "tools" / "bench_pairs.py"
+spec = importlib.util.spec_from_file_location("bench_pairs", PATH)
+bench_pairs = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(bench_pairs)
+
+
+def test_lower_is_better():
+    parent = [4.0, 1.0, 3.0, 2.0, 5.0]
+    change = [3.0, 1.0, 3.5, 1.0, 2.0]
+    summary = bench_pairs.summarize(parent, change, "lower")
+    assert summary["parent_median"] == 3.0 and summary["change_median"] == 2.0
+    assert summary["parent_quartiles"] == [2.0, 4.0]
+    # seed 1 is a tie, seed 2 a loss, seeds 0, 3 and 4 wins
+    assert (summary["change_won"], summary["parent_won"], summary["pairs"]) == (3, 1, 5)
+    assert summary["parent"] == parent and summary["change"] == change
+
+
+def test_higher_is_better():
+    summary = bench_pairs.summarize([10.0, 20.0, 30.0, 40.0], [11.0, 20.0, 29.0, 50.0], "higher")
+    assert summary["change_median"] == 24.5 and summary["parent_median"] == 25.0
+    assert summary["parent_quartiles"] == [17.5, 32.5]
+    assert (summary["change_won"], summary["parent_won"]) == (2, 1)
+
+
+def stdout(correct=True, failed=0):
+    machine = {"workload": "mild20", "seed": 0, "machine": {"nproc": 2}}
+    verdict = {"correct": correct, "attempted": 4, "failed": failed,
+               "metrics": {"brute_solve_s": {"value": 0.0125, "unit": "s"}}}
+    return "\n".join([json.dumps(machine), json.dumps({"raw": {}}), json.dumps(verdict)])
+
+
+@pytest.mark.parametrize(
+    "returncode, text, problem",
+    [
+        (0, stdout(), None),
+        (0, stdout(correct=False, failed=1), "incorrect outputs: 1 failed operations"),
+        (0, stdout(correct=True, failed=2), "incorrect outputs: 2 failed operations"),
+        (3, stdout(), "exit 3"),
+        (2, "", "exit 2, no metrics line"),
+        (0, '{"workload": "x"}\nTraceback', "exit 0, no metrics line"),
+    ],
+)
+def test_parse_run(returncode, text, problem):
+    record = bench_pairs.parse_run(returncode, text)
+    assert record["problem"] == problem
+    if problem is None:
+        assert record["values"] == {"brute_solve_s": 0.0125}
+        assert record["machine"] == {"nproc": 2}
+
+
+def test_parse_seeds():
+    assert bench_pairs.parse_seeds("0-9") == range(10)
+    assert bench_pairs.parse_seeds("10-19") == range(10, 20)
+    assert bench_pairs.parse_seeds("4-4") == range(4, 5)
+    for text in ("9-0", "4", "a-b", "1-2-3"):
+        with pytest.raises((ValueError, argparse.ArgumentTypeError)):
+            bench_pairs.parse_seeds(text)

@@ -32,16 +32,9 @@ def make_ctx(z1=(0.0, 1.0), z2=(0.0, 1.0), z3=(0.0, 1.0)):
 
 
 def spreads_of(z: TriFuzzy) -> list:
-    """The spreads in Kernel.figures of one feasible facility whose sorted
-    slice objectives are z."""
-    kernel = types.SimpleNamespace(
-        instance=types.SimpleNamespace(idle_min=TriFuzzy(0.15, 0.15, 0.15), gamma=0.5),
-        occupancy=np.zeros(1),
-        lam_bar=np.zeros((1, 3)),
-        mu=np.ones((1, 3)),
-        objective=lambda: np.array(z.as_tuple()),
-    )
-    return Kernel.figures(kernel)[1].tolist()
+    """Kernel.spreads of a subset whose sorted slice objectives are z."""
+    kernel = types.SimpleNamespace(objective=lambda rows: np.array(z.as_tuple()))
+    return Kernel.spreads(kernel).tolist()
 
 
 def memberships(ctx, z1, z2, z3) -> list:

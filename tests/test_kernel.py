@@ -388,6 +388,15 @@ def check_fused(instance, rows, ctx, runs, cut):
         assert np.array(values).tobytes() == eager_values(fitness, Kernel(instance, part)).tobytes()
 
 
+def check_rows(kernel, selections):
+    """Each figure of each row selection against the eager figures of every
+    row, selected afterwards. Values compare as bytes."""
+    for rows in selections:
+        assert kernel.slices(rows).tobytes() == kernel.slices()[rows].tobytes()
+        assert kernel.spreads(rows).tobytes() == eager_spreads(kernel)[rows].tobytes()
+        assert kernel.violation(rows).tobytes() == eager_violation(kernel)[rows].tobytes()
+
+
 def kinds(rows, mask):
     """The block itself, its feasible rows and its infeasible rows, each
     when it has any."""
@@ -405,10 +414,14 @@ def test_fused_path_matches_eager_reference(case, sample_seed):
     combos = list(itertools.combinations(range(instance.n), instance.m_servers))
     draw = random.Random(sample_seed)
     rows = np.array(sorted(draw.sample(combos, min(len(combos), 24))))
-    ctx = ctx_from(Kernel(instance, rows))
-    for block in kinds(rows, eager_feasible(Kernel(instance, rows))):
+    kernel = Kernel(instance, rows)
+    mask = eager_feasible(kernel)
+    ctx = ctx_from(kernel)
+    for block in kinds(rows, mask):
         runs = [draw.randrange(len(BOUND_RUNS)) for _ in block]
         check_fused(instance, block, ctx, runs, draw.randrange(len(block)))
+    mixed = np.array(sorted(draw.sample(range(len(rows)), draw.randint(1, len(rows)))))
+    check_rows(kernel, [mask, ~mask, mixed, np.ones_like(mask)])
 
 
 @pytest.mark.parametrize("which", ["lambda_at_mu", "mild20"])
@@ -463,3 +476,34 @@ def test_no_slice_objective_without_a_feasible_row(table1, monkeypatch):
     solve_protocol(table1, "aco", aco_config=ACOConfig(**window))
     scan = Scan(table1)
     assert not len(scan.ranks) and scan.count == math.comb(20, 5)
+
+
+def test_scan_computes_objectives_of_feasible_rows_only(monkeypatch):
+    """Scan reaches the served share, which only the slice objectives use,
+    with the 1 746 feasible rows of mild20's 15 504 subsets and no others."""
+    rows = []
+    served_share = fuzzloc.model.served_share
+
+    def counted(rho, lq, mql):
+        rows.append(len(rho))
+        return served_share(rho, lq, mql)
+
+    monkeypatch.setattr(fuzzloc.model, "served_share", counted)
+    scan = Scan(build(20, 5, 0, True, False, 0.5))
+    assert sum(rows) == len(scan.ranks) == 1746
+
+
+def test_feasible_brute_solve_computes_no_violation(monkeypatch):
+    """On mild20 some subset is feasible, so a brute solve, with exact or
+    with given bounds, never computes a violation."""
+
+    def refuse(*args):
+        raise AssertionError("computed a violation")
+
+    monkeypatch.setattr(Kernel, "violation", refuse)
+    with pytest.raises(AssertionError, match="violation"):
+        Kernel(LAMBDA_AT_MU, np.array([[2]])).figures()
+    instance = build(20, 5, 0, True, False, 0.5)
+    report, ctx = solve_protocol(instance, "brute")
+    assert report.objective >= 0
+    solve_protocol(instance, "brute", ctx=PROBE_CTX)

@@ -343,6 +343,19 @@ class TestSimulator:
         with pytest.raises(DomainError, match="finite"):
             mm1_simulate(lam, mu, 1000)
 
+    @pytest.mark.parametrize(
+        "lam, mu", [("0.5", 1.0), (0.5, None), (None, 1.0), (0.5 + 0j, 1.0), (0.5, 1j)]
+    )
+    def test_non_real_rates_rejected(self, lam, mu):
+        with mock.patch.object(oracle, "_draws", side_effect=AssertionError("drew")):
+            with pytest.raises(DomainError, match="real"):
+                mm1_simulate(lam, mu, 100)
+
+    def test_numpy_rates_accepted(self):
+        expected = mm1_simulate(50.0, 100.0, 1000, seed=4)
+        assert mm1_simulate(np.float64(50), np.int64(100), 1000, seed=4) == expected
+        assert math.isfinite(mm1_simulate(np.int32(50), np.float32(100), 1000, seed=4).lq)
+
     def test_negative_seed_rejected(self):
         with pytest.raises(DomainError, match="seed"):
             mm1_simulate(50, 100, 1000, seed=-1)
