@@ -4,10 +4,8 @@ Runs that step together keep their trails as the rows of one array."""
 
 from __future__ import annotations
 
-import dataclasses
 import math
 import sys
-import time
 from dataclasses import dataclass
 from itertools import compress
 from typing import Callable, Optional, Sequence
@@ -18,7 +16,7 @@ from .errors import DomainError
 from .evaluation import Fitness, Steps, drive
 from .model import Instance
 from .reports import SolverReport
-from .termination import Windows, check_run
+from .termination import Run, check_run
 
 TAU_MIN = 1e-6
 # Largest accepted alpha_exp and beta_exp. Every positive double has
@@ -142,27 +140,25 @@ def run_aco(instance: Instance, eval_fn: Fitness, config: ACOConfig) -> SolverRe
     far becomes the new best, and a NaN value ranks below every other value,
     as -inf.
     """
-    return drive([(_colonies(instance, [config], ["max"]), eval_fn)])[0][0]
-
-
-def _trail_parameters(config: ACOConfig) -> ACOConfig:
-    return dataclasses.replace(config, seed=0, convergence_limit=None, stagnation_limit=None)
+    return drive([(_colonies(instance, config, [config.seed], ["max"]), eval_fn)])[0][0]
 
 
 def _colonies(
     instance: Instance,
-    configs: Sequence[ACOConfig],
+    config: ACOConfig,
+    seeds: Sequence[int],
     senses: Sequence[str],
     select: Optional[Callable[[np.ndarray], None]] = None,
 ) -> Steps[list[SolverReport]]:
     """R ACO runs as one step generator over one (R, n) trail array; it
-    returns their SolverReports in order, each run timed from the first
-    step to the round it ends in.
+    returns their SolverReports in order, each built by the run's
+    termination.Run, which times it from the first step to the round it
+    ends in.
 
-    Every run maximizes the values sent for its rows. Run r takes its seed
-    and windows from configs[r] and its sense from senses[r], which picks
-    only its deposit rule (see _update): a "min" run's values are minus its
-    objective. The runs share every other parameter. Each iteration
+    Every run maximizes the values sent for its rows. The runs share
+    ``config``, its windows included; run r takes its seed from seeds[r] and
+    its sense from senses[r], which picks only its deposit rule (see
+    _update): a "min" run's values are minus its objective. Each iteration
     yields the live runs' colonies as one block, run after run. ``select``,
     when given, learns the run of each row of the blocks to come: before the
     first block and whenever a run ends and its trail row is dropped. Every
@@ -172,21 +168,13 @@ def _colonies(
     """
     if any(sense not in ("max", "min") for sense in senses):
         raise DomainError(f"sense must be 'max' or 'min', got {senses!r}")
-    start = time.perf_counter()
-    config = configs[0]
-    if any(_trail_parameters(c) != _trail_parameters(config) for c in configs):
-        raise DomainError("runs stepped together must differ only in seed and windows")
+    runs = [Run("aco", instance, config, seed) for seed in seeds]
     n, m = instance.n, instance.m_servers
     ants = ant_count(n, m, config.population_coefficient)
     beta_log_eta = config.beta_exp * np.log(heuristic_index(instance))
-    rngs = [np.random.default_rng(c.seed) for c in configs]
-    windows = [Windows(n, m, c.convergence_limit, c.stagnation_limit) for c in configs]
-    best: list = [None] * len(configs)
-    best_value: list = [None] * len(configs)
-    traces: list[list[float]] = [[] for _ in configs]
-    reports: list = [None] * len(configs)
-    live = list(range(len(configs)))  # the runs of the trail rows, in order
-    tau = np.ones((len(configs), n))
+    rngs = [np.random.default_rng(seed) for seed in seeds]
+    live = list(range(len(runs)))  # the runs of the trail rows, in order
+    tau = np.ones((len(runs), n))
     while live:
         maximize = np.repeat([senses[r] == "max" for r in live], ants)
         # run i's trails start at i * n in the flattened trail array
@@ -205,29 +193,12 @@ def _colonies(
             picks = scores.argmax(axis=1)
             tau = _update(tau, idx + offsets, values, config, maximize)
             for i, (r, pick, ranked) in enumerate(zip(live, picks.tolist(), scores.tolist())):
-                top = ranked[pick]
-                improved = best[r] is None or top > best_value[r]
+                run, top = runs[r], ranked[pick]
+                improved = run.best is None or top > run.best_value
                 if improved:
-                    row = i * ants + pick
-                    best[r], best_value[r] = (idx[row] + 1).tolist(), top
-                termination = windows[r].step(improved, top == best_value[r])
-                traces[r].append(best_value[r])
-                if termination:
-                    reports[r] = SolverReport(
-                        algorithm="aco",
-                        n=n,
-                        m=m,
-                        seed=configs[r].seed,
-                        best=best[r],
-                        objective=best_value[r],
-                        iterations=len(traces[r]),
-                        termination=termination,
-                        trace=traces[r],
-                        elapsed_s=time.perf_counter() - start,
-                        evaluations=ants * len(traces[r]),
-                    )
-                    ended[i] = True
+                    run.best, run.best_value = (idx[i * ants + pick] + 1).tolist(), top
+                ended[i] = bool(run.step(improved, top == run.best_value))
         kept = [not gone for gone in ended]
         live = list(compress(live, kept))
         tau = tau[kept]
-    return reports
+    return [run.report(ants * len(run.trace)) for run in runs]

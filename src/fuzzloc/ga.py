@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import math
 import random
-import time
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
@@ -23,7 +22,7 @@ from .errors import DomainError
 from .evaluation import Fitness, Steps, drive
 from .model import Instance
 from .reports import SolverReport
-from .termination import Windows, check_run
+from .termination import Run, check_run
 
 
 def _mask(genes) -> int:
@@ -168,42 +167,26 @@ def run_ga(instance: Instance, eval_fn: Fitness, config: GAConfig) -> SolverRepo
 
 
 def _steps(instance: Instance, config: GAConfig) -> Steps[SolverReport]:
-    """run_ga as a step generator. It yields only the rows its memo has not
-    scored yet, in request order, and times the run from its first step."""
-    start = time.perf_counter()
+    """run_ga as a step generator over one termination.Run, which times the
+    run from its first step and builds its report. It yields only the rows
+    its memo has not scored yet, in request order."""
+    run = Run("ga", instance, config, config.seed)
     rng = random.Random(config.seed)
-    windows = Windows(
-        instance.n, instance.m_servers, config.convergence_limit, config.stagnation_limit
-    )
     memo = _Memo()
     population = yield from _population(instance, config, rng, memo)
-    best = max(population, key=lambda c: c.fitness)
-    trace: list[float] = []
+    current = max(population, key=lambda c: c.fitness)
+    run.best, run.best_value = sorted(current.genes), current.fitness
     while True:
         p1, p2 = _distinct_parents(population, rng)
         candidate = yield from _mate(p1, p2, rng, memo)
         replace(population, candidate)
-        at_best = candidate.fitness == best.fitness
+        at_best = candidate.fitness == run.best_value
         current = max(population, key=lambda c: c.fitness)
-        improved = current.fitness > best.fitness
+        improved = current.fitness > run.best_value
         if improved:
-            best = current
-        trace.append(best.fitness)
-        termination = windows.step(improved, at_best)
-        if termination:
-            return SolverReport(
-                algorithm="ga",
-                n=instance.n,
-                m=instance.m_servers,
-                seed=config.seed,
-                best=sorted(best.genes),
-                objective=best.fitness,
-                iterations=len(trace),
-                termination=termination,
-                trace=trace,
-                elapsed_s=time.perf_counter() - start,
-                evaluations=memo.calls,
-            )
+            run.best, run.best_value = sorted(current.genes), current.fitness
+        if run.step(improved, at_best):
+            return run.report(memo.calls)
 
 
 class _Memo:

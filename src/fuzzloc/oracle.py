@@ -46,17 +46,17 @@ def _check_budget(instance: Instance, budget: int) -> int:
     return count
 
 
-def _blocks(instance: Instance):
-    """Every m-subset as rows of 1-based indices, in lexicographic order, in
-    (B, m) arrays of at most BLOCK_SIZE rows.
+def _blocks(instance: Instance, start: int = 0):
+    """Every m-subset from rank ``start`` on as rows of 1-based indices, in
+    lexicographic order, in (B, m) arrays of at most BLOCK_SIZE rows.
 
-    Each block is _unrank over its ranks, one entry at a time for all rows.
-    A row's key counts the subsets from its own to the last among those
-    sharing its entries so far. With s entries left, comb(j, s) of them take
-    all s from the last j values, so the next entry is n + 1 - J for the
-    least J with comb(J, s) >= key, and the key drops by comb(J - 1, s).
-    The last entry is n + 1 - key. Counts are capped at the total, which
-    only entries no row can take exceed, to stay within int64.
+    Each block unranks its ranks, one entry at a time for all rows. A row's
+    key counts the subsets from its own to the last among those sharing its
+    entries so far. With s entries left, comb(j, s) of them take all s from
+    the last j values, so the next entry is n + 1 - J for the least J with
+    comb(J, s) >= key, and the key drops by comb(J - 1, s). The last entry
+    is n + 1 - key. Counts are capped at the total, which only entries no
+    row can take exceed, to stay within int64.
     """
     n, m = instance.n, instance.m_servers
     count = math.comb(n, m)
@@ -64,8 +64,8 @@ def _blocks(instance: Instance):
         [[min(math.comb(j, m - p), count) for j in range(n + 1)] for p in range(m - 1)],
         dtype=np.int64,
     )
-    for start in range(0, count, BLOCK_SIZE):
-        key = count - np.arange(start, min(start + BLOCK_SIZE, count), dtype=np.int64)
+    for first in range(start, count, BLOCK_SIZE):
+        key = count - np.arange(first, min(first + BLOCK_SIZE, count), dtype=np.int64)
         block = np.empty((m, len(key)), dtype=np.intp)  # row p: entry p of every subset
         for p, row in enumerate(counts):
             j = np.searchsorted(row, key)
@@ -73,24 +73,6 @@ def _blocks(instance: Instance):
             key -= row.take(j - 1)
         block[-1] = n + 1 - key
         yield block.T
-
-
-def _unrank(n: int, m: int, rank: int) -> list[int]:
-    """The m-subset of 1..n at position ``rank`` of the lexicographic order,
-    as itertools.combinations yields it, without walking to it.
-
-    Past the entries already fixed, the subsets whose next entry is c number
-    comb(n - c, slots - 1), where slots counts the entries left; the rank
-    skips whole groups of them. That is at most n calls to math.comb.
-    """
-    subset, c = [], 1
-    for slots in range(m, 0, -1):
-        while rank >= (group := math.comb(n - c, slots - 1)):
-            rank -= group
-            c += 1
-        subset.append(c)
-        c += 1
-    return subset
 
 
 def _walk(instance: Instance, table: Optional[dict]) -> Steps[tuple[list, float]]:
@@ -167,7 +149,7 @@ class Scan:
             return enumerate_optimum(self.instance, fitness, self.count)
         values = fitness.score(True, self.spreads, None)  # every kept row is feasible
         i = int(np.argmax(values))
-        best = _unrank(self.instance.n, self.instance.m_servers, int(self.ranks[i]))
+        best = next(_blocks(self.instance, int(self.ranks[i])))[0]
         return EnumerationResult(
             best=Solution(best), best_value=float(values[i]), evaluated_count=self.count
         )
@@ -307,6 +289,7 @@ def mm1_simulate(lam: float, mu: float, event_budget: int, seed: int = 0) -> Sim
     """
     if not (isinstance(lam, numbers.Real) and isinstance(mu, numbers.Real)):
         raise DomainError(f"rates must be real numbers: lam={lam!r}, mu={mu!r}")
+    lam, mu = float(lam), float(mu)  # a float32 rate would draw at float32 scale
     if not (math.isfinite(lam) and math.isfinite(mu)):
         raise DomainError(f"rates must be finite: lam={lam}, mu={mu}")
     if mu <= 0 or lam <= 0:

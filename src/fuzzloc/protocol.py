@@ -86,7 +86,7 @@ def estimate_bounds(
     """
     if len(seeds) != len(BOUND_RUNS):
         raise DomainError(f"need {len(BOUND_RUNS)} seeds, got {len(seeds)}")
-    configs = [dataclasses.replace(config, seed=seed) for seed in seeds]
+    configs = [dataclasses.replace(config, seed=seed) for seed in seeds]  # checks each seed
     if isinstance(config, GAConfig):
         reports = drive([
             (_ga_steps(instance, run), _BoundFitness(instance, r))
@@ -95,7 +95,7 @@ def estimate_bounds(
     else:
         fitness = _BoundFitness(instance, 0)  # _colonies selects each row's run
         senses = [sense for _, sense in BOUND_RUNS]
-        reports = drive([(_colonies(instance, configs, senses, fitness.select), fitness)])[0]
+        reports = drive([(_colonies(instance, config, seeds, senses, fitness.select), fitness)])[0]
     # BOUND_RUNS holds each component's min and max runs, in COMPONENTS order.
     found = [
         sign * report.objective if report.objective > -_PENALTY_SCALE else math.nan

@@ -55,7 +55,7 @@ def mate(p1, p2, fitness, rng):
 def aco_run(instance, config, sense):
     """One ACO run of either sense as a step generator: a stack of one run
     in aco._colonies, the way the bound phase steps its runs."""
-    return (yield from _colonies(instance, [config], [sense]))[0]
+    return (yield from _colonies(instance, config, [config.seed], [sense]))[0]
 
 
 def record(report) -> dict:

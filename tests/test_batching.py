@@ -8,6 +8,7 @@ comparison is exact."""
 import dataclasses
 import itertools
 import math
+import types
 import warnings
 
 import numpy as np
@@ -33,8 +34,7 @@ from fuzzloc.instances import GeneratorParams, generate_instance
 from fuzzloc.model import Solution
 from fuzzloc.oracle import exact_bounds
 from fuzzloc.protocol import BOUND_RUNS, _BoundFitness
-from fuzzloc.reports import SolverReport
-from fuzzloc.termination import Windows
+from fuzzloc.termination import Run
 from conftest import aco_run, bound_fitness, mild_params, record, score_block
 from test_kernel import PROBE_CTX, build, cases
 
@@ -180,11 +180,10 @@ def reference_steps(instance, config, sense):
     rng = np.random.default_rng(config.seed)
     sign = 1.0 if sense == "max" else -1.0
     n, m = instance.n, instance.m_servers
-    windows = Windows(n, m, config.convergence_limit, config.stagnation_limit)
+    run = Run("aco", instance, config, config.seed)
     ants = ant_count(n, m, config.population_coefficient)
     eta = heuristic_index(instance)
     tau = np.ones(n)
-    best, best_value, trace = None, -math.inf, []
     while True:
         log_w = _log_weights(tau, config.beta_exp * np.log(eta), config)
         colony = [reference_sample(log_w, m, rng) for _ in range(ants)]
@@ -194,17 +193,12 @@ def reference_steps(instance, config, sense):
             score = -math.inf if math.isnan(value) else value
             if score > colony_best:
                 colony_best = score
-            if best is None or score > best_value:
-                best, best_value, improved = solution.sorted(), score, True
+            if run.best is None or score > run.best_value:
+                run.best, run.best_value, improved = solution.sorted(), score, True
         deposits = [(solution, sign * value) for solution, value in zip(colony, values)]
         tau = reference_update(tau, deposits, config, sense)
-        trace.append(best_value)
-        termination = windows.step(improved, colony_best == best_value)
-        if termination:
-            return SolverReport(
-                "aco", n, m, config.seed, best, best_value, len(trace), termination, trace,
-                evaluations=ants * len(trace),
-            )
+        if run.step(improved, colony_best == run.best_value):
+            return run.report(ants * len(run.trace))
 
 
 # The default generator ranges overload every facility of this instance.
@@ -219,15 +213,12 @@ def _odd(solution):
 
 @given(
     runs=st.lists(
-        st.tuples(
-            st.integers(0, 2**32 - 1),
-            st.sampled_from(("max", "min")),
-            st.one_of(st.none(), st.integers(1, 30)),
-            st.integers(1, 30),
-        ),
+        st.tuples(st.integers(0, 2**32 - 1), st.sampled_from(("max", "min"))),
         min_size=1,
         max_size=6,
     ),
+    limit=st.one_of(st.none(), st.integers(1, 30)),
+    cap=st.integers(1, 30),
     infeasible=st.booleans(),
     scoring=st.sampled_from(("z1", "z2", "z3", "odd")),
     alpha=st.sampled_from((0.75, 3.0)),
@@ -235,24 +226,24 @@ def _odd(solution):
 )
 @settings(max_examples=60, deadline=None)
 def test_stacked_runs_match_each_run_alone(
-    medium_instance, runs, infeasible, scoring, alpha, coefficient
+    medium_instance, runs, limit, cap, infeasible, scoring, alpha, coefficient
 ):
-    """R runs over one trail array end, bit for bit, as each run alone does
-    in a stack of one and in the ant-by-ant reference. Random windows make the
-    runs end in different rounds."""
+    """R runs over one trail array, sharing one config and its random
+    windows, end, bit for bit, as each run alone does in a stack of one and
+    in the ant-by-ant reference. Their seeds make them end in different
+    rounds."""
     instance = INFEASIBLE if infeasible else medium_instance
     if scoring == "odd":
         fitness = _odd
     else:
         fitness = bound_fitness(instance, scoring, "max")
-    configs = [
-        ACOConfig(seed=seed, convergence_limit=limit, stagnation_limit=cap,
-                  alpha_exp=alpha, population_coefficient=coefficient)
-        for seed, _, limit, cap in runs
-    ]
-    senses = [sense for _, sense, _, _ in runs]
-    stacked = drive([(_colonies(instance, configs, senses), fitness)])[0]
-    for report, config, sense in zip(stacked, configs, senses):
+    shared = ACOConfig(convergence_limit=limit, stagnation_limit=cap,
+                       alpha_exp=alpha, population_coefficient=coefficient)
+    seeds = [seed for seed, _ in runs]
+    senses = [sense for _, sense in runs]
+    stacked = drive([(_colonies(instance, shared, seeds, senses), fitness)])[0]
+    for report, seed, sense in zip(stacked, seeds, senses):
+        config = dataclasses.replace(shared, seed=seed)
         alone = drive([(aco_run(instance, config, sense), fitness)])[0]
         reference = drive([(reference_steps(instance, config, sense), fitness)])[0]
         assert record(report) == record(alone) == record(reference)
@@ -261,22 +252,22 @@ def test_stacked_runs_match_each_run_alone(
 def test_stacked_runs_time_themselves(medium_instance):
     """Each of three stacked runs times itself from the first step to the
     round it ends in, so a run that ends later took at least as long."""
-    configs = [ACOConfig(seed=0, stagnation_limit=40), ACOConfig(seed=1, stagnation_limit=1),
-               ACOConfig(seed=2, stagnation_limit=8)]
+    seeds = [0, 1, 3]  # under one window of 8 these end in rounds 9, 13 and 11
     fitness = bound_fitness(medium_instance, "z2", "max")
-    reports = drive([(_colonies(medium_instance, configs, ["max", "min", "max"]), fitness)])[0]
-    assert len({report.iterations for report in reports}) == len(configs)
+    config = ACOConfig(stagnation_limit=8)
+    stack = _colonies(medium_instance, config, seeds, ["max", "min", "max"])
+    reports = drive([(stack, fitness)])[0]
+    assert len({report.iterations for report in reports}) == len(seeds)
     assert all(report.elapsed_s > 0 for report in reports)
     by_round = sorted(reports, key=lambda report: report.iterations)
     assert [r.elapsed_s for r in by_round] == sorted(r.elapsed_s for r in by_round)
 
 
 def test_stacked_runs_share_trail_parameters(medium_instance):
-    configs = [ACOConfig(seed=1), ACOConfig(seed=2, evaporation_rate=0.9)]
-    with pytest.raises(DomainError, match="differ only in seed and windows"):
-        next(_colonies(medium_instance, configs, ["max", "min"]))
+    """Stacked runs share one config by construction; beside its seed, a
+    run's only own setting is its sense, and a bad one is rejected."""
     with pytest.raises(DomainError, match="sense"):
-        next(_colonies(medium_instance, configs[:1], ["up"]))
+        next(_colonies(medium_instance, ACOConfig(), [1], ["up"]))
 
 
 @pytest.mark.parametrize("solver", ["ga", "aco"])
@@ -422,24 +413,32 @@ def test_ga_scores_only_in_blocks(medium_instance):
 
 
 class TestWindows:
+    """The convergence and stagnation windows of termination.Run."""
+
+    N20_M5 = types.SimpleNamespace(n=20, m_servers=5)
+
+    def run(self, limit, cap):
+        config = GAConfig(convergence_limit=limit, stagnation_limit=cap)
+        return Run("ga", self.N20_M5, config, config.seed)
+
     def test_defaults(self):
-        windows = Windows(20, 5, None, None)
+        windows = self.run(None, None)
         assert (windows.limit, windows.cap) == (44, 44 * 44)
-        custom = Windows(20, 5, 3, 7)
+        custom = self.run(3, 7)
         assert (custom.limit, custom.cap) == (3, 7)
 
     def test_convergence_needs_consecutive_steps_at_best(self):
-        windows = Windows(20, 5, 3, 100)
+        windows = self.run(3, 100)
         steps = [(False, True), (False, True), (False, False), (False, True),
                  (False, True), (True, True), (False, True), (False, True), (False, True)]
         assert [windows.step(*s) for s in steps] == [None] * 8 + ["convergence"]
 
     def test_stagnation_counts_every_step_without_improvement(self):
-        windows = Windows(20, 5, 100, 4)
+        windows = self.run(100, 4)
         steps = [(False, True), (True, False), (False, False), (False, True),
                  (False, False), (False, False)]
         assert [windows.step(*s) for s in steps] == [None] * 5 + ["stagnation"]
 
     def test_convergence_checked_first(self):
-        windows = Windows(20, 5, 2, 2)
+        windows = self.run(2, 2)
         assert [windows.step(False, True) for _ in range(2)] == [None, "convergence"]

@@ -64,3 +64,36 @@ def test_parse_seeds():
     for text in ("9-0", "4", "a-b", "1-2-3"):
         with pytest.raises((ValueError, argparse.ArgumentTypeError)):
             bench_pairs.parse_seeds(text)
+
+
+def test_single_pair_has_no_quartiles():
+    summary = bench_pairs.summarize([2.0], [1.5], "lower")
+    assert summary["parent_quartiles"] is None
+    assert (summary["parent_median"], summary["change_median"]) == (2.0, 1.5)
+    assert (summary["change_won"], summary["parent_won"], summary["pairs"]) == (1, 0, 1)
+
+
+def test_one_seed_writes_its_file(tmp_path, monkeypatch):
+    """--seeds 4-4 runs one pair per side and still writes BENCH_<label>.json,
+    with null parent quartiles."""
+    for side in ("parent", "change"):
+        (tmp_path / side).mkdir()
+    spec = {"end_to_end": [{"name": "brute_solve_s", "better": "lower"}]}
+    (tmp_path / "change" / "BENCHMARK.json").write_text(json.dumps(spec))
+    runs = []
+
+    def run_once(checkout, workload, seed):
+        runs.append((checkout.name, workload, seed))
+        return bench_pairs.parse_run(0, stdout())
+
+    monkeypatch.setattr(bench_pairs, "run_once", run_once)
+    monkeypatch.setattr(bench_pairs, "git_head", lambda checkout: checkout.name)
+    monkeypatch.chdir(tmp_path)
+    status = bench_pairs.main(["--parent", "parent", "--change", "change",
+                               "--workload", "mild20", "--seeds", "4-4", "--label", "one"])
+    assert status == 0
+    assert runs == [("parent", "mild20", 4), ("change", "mild20", 4)]
+    [result] = json.loads((tmp_path / "BENCH_one.json").read_text())["sets"]
+    assert result["seeds"] == [4, 4] and result["problems"] == []
+    metric = result["metrics"]["brute_solve_s"]
+    assert metric["parent_quartiles"] is None and metric["pairs"] == 1

@@ -164,6 +164,12 @@ def two_pass(instance, ctx):
     return enumerate_optimum(instance, make_maximin_eval(instance, ctx)), ctx
 
 
+def unrank(n, m, rank):
+    """The m-subset of 1..n at position ``rank`` of the lexicographic order:
+    the first row of the oracle's blocks from that rank on."""
+    return next(oracle._blocks(types.SimpleNamespace(n=n, m_servers=m), rank))[0].tolist()
+
+
 def brute_instance(n, m, seed, demand_scale, crisp):
     instance = generate_instance(mild_params(n, m, seed))
     instance = dataclasses.replace(instance, demand=instance.demand * demand_scale)
@@ -266,7 +272,7 @@ class TestOnePassBrute:
     def test_unrank_matches_combinations_at_every_rank(self, n):
         for m in range(1, n + 1):
             combos = itertools.combinations(range(1, n + 1), m)
-            assert [oracle._unrank(n, m, rank) for rank in range(math.comb(n, m))] == [
+            assert [unrank(n, m, rank) for rank in range(math.comb(n, m))] == [
                 list(combo) for combo in combos]
 
     @pytest.mark.parametrize("block_size", [1, 7, oracle.BLOCK_SIZE])
@@ -289,21 +295,24 @@ class TestOnePassBrute:
 
     @pytest.mark.parametrize("n, m", [(9, 4), (20, 5), (24, 6), (70, 67)])
     def test_unrank_matches_blocks(self, n, m):
-        """_unrank of each rank gives that row of the blocks; at n = 70,
-        m = 67 comb(70, 35) does not fit in int64, but no row needs it."""
+        """The first block from each start rank holds the rows of the blocks
+        from rank 0 that follow that rank; at n = 70, m = 67 comb(70, 35)
+        does not fit in int64, but no row needs it."""
         instance = types.SimpleNamespace(n=n, m_servers=m)
         rows = np.concatenate(list(oracle._blocks(instance)))
         assert len(rows) == math.comb(n, m)
         ranks = range(len(rows)) if len(rows) < 200 else np.linspace(0, len(rows) - 1, 200)
         for rank in map(int, ranks):
-            assert oracle._unrank(n, m, rank) == rows[rank].tolist()
+            block = next(oracle._blocks(instance, rank))
+            assert len(block) == min(oracle.BLOCK_SIZE, len(rows) - rank)
+            assert block.tobytes() == rows[rank:rank + len(block)].tobytes()
 
     @pytest.mark.parametrize("n, m", [(20, 5), (24, 6)])
     def test_unrank_matches_combinations_at_first_middle_last(self, n, m):
         count = math.comb(n, m)
         for rank in (0, count // 2, count - 1):
             combos = itertools.combinations(range(1, n + 1), m)
-            assert oracle._unrank(n, m, rank) == list(next(itertools.islice(combos, rank, None)))
+            assert unrank(n, m, rank) == list(next(itertools.islice(combos, rank, None)))
 
 
 class TestSimulator:
@@ -350,6 +359,14 @@ class TestSimulator:
         with mock.patch.object(oracle, "_draws", side_effect=AssertionError("drew")):
             with pytest.raises(DomainError, match="real"):
                 mm1_simulate(lam, mu, 100)
+
+    def test_narrow_numpy_rates_draw_as_floats(self):
+        """Rates are drawn as Python floats, so an int32 or float32 rate
+        gives the bits of the same float64 rate."""
+        expected = mm1_simulate(50.0, 100.0, 1000, seed=4)
+        assert expected.p0.hex() == "0x1.f85564bb51010p-2"
+        assert mm1_simulate(np.int32(50), np.float32(100), 1000, seed=4) == expected
+        assert mm1_simulate(np.float32(50), np.int32(100), 1000, seed=4) == expected
 
     def test_numpy_rates_accepted(self):
         expected = mm1_simulate(50.0, 100.0, 1000, seed=4)

@@ -19,7 +19,7 @@ from conftest import (
     record,
     score_block,
 )
-from fuzzloc import aco
+from fuzzloc import aco, protocol
 from fuzzloc.aco import ACOConfig
 from fuzzloc.errors import DomainError
 from fuzzloc.fuzzy import TriFuzzy
@@ -84,6 +84,17 @@ class TestEstimateBounds:
     def test_seed_count_enforced(self, small_instance):
         with pytest.raises(DomainError, match="seeds"):
             estimate_bounds(small_instance, GAConfig(), [1, 2, 3])
+
+    @pytest.mark.parametrize("config", [GAConfig(), ACOConfig()], ids=["ga", "aco"])
+    @pytest.mark.parametrize("seeds", [[-1, 2, 3, 4, 5, 6], [1, 2, 3, 4, 5, -6]])
+    def test_negative_seed_rejected_before_any_run(self, small_instance, config, seeds,
+                                                   monkeypatch):
+        def no_run(runs):
+            raise AssertionError("a bound run started")
+
+        monkeypatch.setattr(protocol, "drive", no_run)
+        with pytest.raises(DomainError, match="seed must be non-negative"):
+            estimate_bounds(small_instance, config, seeds)
 
     @pytest.mark.parametrize("config", [GAConfig(), ACOConfig()], ids=["ga", "aco"])
     def test_estimated_bounds_within_exact_range(self, small_instance, config):

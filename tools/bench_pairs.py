@@ -60,16 +60,20 @@ def parse_run(returncode: int, stdout: str) -> dict:
 
 def summarize(parent: list[float], change: list[float], better: str) -> dict:
     """Medians, the parent's quartiles and the pairs won of one metric, for
-    values paired by position. ``better`` is "lower" or "higher"."""
+    values paired by position. ``better`` is "lower" or "higher". A single
+    pair has no quartiles: they are None (null in the file)."""
     sign = 1 if better == "lower" else -1
     won = sum(sign * (c - p) < 0 for p, c in zip(parent, change))
     lost = sum(sign * (c - p) > 0 for p, c in zip(parent, change))
-    q1, _, q3 = statistics.quantiles(parent, n=4, method="inclusive")
+    quartiles = None
+    if len(parent) > 1:
+        q1, _, q3 = statistics.quantiles(parent, n=4, method="inclusive")
+        quartiles = [q1, q3]
     return {
         "better": better,
         "parent_median": statistics.median(parent),
         "change_median": statistics.median(change),
-        "parent_quartiles": [q1, q3],
+        "parent_quartiles": quartiles,
         "pairs": len(parent),
         "change_won": won,
         "parent_won": lost,
