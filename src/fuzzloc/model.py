@@ -30,12 +30,23 @@ def _fuzzy_rows(values, n: int, what: str) -> np.ndarray:
     return arr
 
 
+# The largest a * max(distance) for which an instance keeps its attraction
+# matrix exp(-a * d): every entry is then at least e^-700, about 1e-304, a
+# normal double, so no share underflows to 0/0.
+ATTRACTION_LIMIT = 700.0
+
+
 @dataclass(frozen=True)
 class Instance:
     """One problem datum: network, fuzzy rates, and model parameters.
 
     ``demand`` and ``service`` are (n, 3) arrays of [lo, mid, hi] rows;
     ``distance`` is a symmetric zero-diagonal (n, n) matrix.
+
+    ``attraction`` is derived, never given: the read-only matrix
+    exp(distance * -logit_sensitivity) that the logit allocation reads, or
+    None when logit_sensitivity * max(distance) exceeds ATTRACTION_LIMIT.
+    ``dataclasses.replace`` recomputes it, and instance files do not hold it.
     """
 
     n: int
@@ -48,6 +59,7 @@ class Instance:
     gamma: float = 0.5
     logit_sensitivity: float = 0.5
     benefit_weight: Optional[np.ndarray] = None
+    attraction: Optional[np.ndarray] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         n = self.n
@@ -92,6 +104,11 @@ class Instance:
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
         object.__setattr__(self, "benefit_weight", weight)
+        attraction = None
+        if self.logit_sensitivity * dist.max() <= ATTRACTION_LIMIT:
+            attraction = np.exp(dist * -self.logit_sensitivity)
+            attraction.setflags(write=False)
+        object.__setattr__(self, "attraction", attraction)
 
 
 @dataclass(frozen=True)
@@ -130,17 +147,24 @@ def _allocation(instance: Instance, idx: np.ndarray) -> np.ndarray:
     probs[..., j, i] is the share of node i's demand captured by facility
     idx[..., j]. Rows of the symmetric distance matrix stand in for its
     columns. The shares are built facility-major, as a (k, B, n) array of
-    contiguous (B, n) slabs (k, n for one subset), so the max and the
-    denominators reduce over axis 0, one facility slab at a time in facility
-    order. The (B, k, n) result is a view of that array, not C-ordered.
+    contiguous (B, n) slabs (k, n for one subset), so the denominators
+    reduce over axis 0, one facility slab at a time in facility order. The
+    (B, k, n) result is a view of that array, not C-ordered.
 
-    Every step works in place on the fresh array that ``np.take`` returns;
-    d * -a has the bits of -a * d.
+    The numerators are rows of the instance's attraction matrix. An
+    instance past ATTRACTION_LIMIT has none; its exponents are computed on
+    each call and shifted by their maximum over the open facilities, so the
+    largest is exp(0) = 1 and no denominator underflows. Every step works in
+    place on the fresh array that ``np.take`` returns; d * -a has the bits
+    of -a * d.
     """
-    shares = np.take(instance.distance, idx.T, axis=0)
-    shares *= -instance.logit_sensitivity
-    shares -= shares.max(axis=0)
-    np.exp(shares, out=shares)
+    if instance.attraction is None:
+        shares = np.take(instance.distance, idx.T, axis=0)
+        shares *= -instance.logit_sensitivity
+        shares -= shares.max(axis=0)
+        np.exp(shares, out=shares)
+    else:
+        shares = np.take(instance.attraction, idx.T, axis=0)
     shares /= shares.sum(axis=0)
     return shares.swapaxes(0, -2)
 
@@ -149,7 +173,9 @@ def logit_allocation(instance: Instance, solution: Solution) -> np.ndarray:
     """Share of each node's demand captured by each open facility.
 
     Row i holds exp(-a*d_ij) / sum_k exp(-a*d_ik) over open facilities k and
-    zeros for closed ones; the exponent is shifted per row for stability.
+    zeros for closed ones. The exponentials are the instance's attraction
+    matrix, computed once, or on an instance past ATTRACTION_LIMIT shifted
+    per row by their maximum (see _allocation).
     """
     open_idx = _open_indices(instance, solution)
     allocation = np.zeros((instance.n, instance.n))

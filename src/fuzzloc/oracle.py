@@ -46,9 +46,10 @@ def _check_budget(instance: Instance, budget: int) -> int:
     return count
 
 
-def _blocks(instance: Instance, start: int = 0):
+def _blocks(instance: Instance, start: int = 0, size: Optional[int] = None):
     """Every m-subset from rank ``start`` on as rows of 1-based indices, in
-    lexicographic order, in (B, m) arrays of at most BLOCK_SIZE rows.
+    lexicographic order, in (B, m) arrays of at most ``size`` rows
+    (BLOCK_SIZE when None).
 
     Each block unranks its ranks, one entry at a time for all rows. A row's
     key counts the subsets from its own to the last among those sharing its
@@ -64,8 +65,9 @@ def _blocks(instance: Instance, start: int = 0):
         [[min(math.comb(j, m - p), count) for j in range(n + 1)] for p in range(m - 1)],
         dtype=np.int64,
     )
-    for first in range(start, count, BLOCK_SIZE):
-        key = count - np.arange(first, min(first + BLOCK_SIZE, count), dtype=np.int64)
+    size = BLOCK_SIZE if size is None else size
+    for first in range(start, count, size):
+        key = count - np.arange(first, min(first + size, count), dtype=np.int64)
         block = np.empty((m, len(key)), dtype=np.intp)  # row p: entry p of every subset
         for p, row in enumerate(counts):
             j = np.searchsorted(row, key)
@@ -149,7 +151,7 @@ class Scan:
             return enumerate_optimum(self.instance, fitness, self.count)
         values = fitness.score(True, self.spreads, None)  # every kept row is feasible
         i = int(np.argmax(values))
-        best = next(_blocks(self.instance, int(self.ranks[i])))[0]
+        [best] = next(_blocks(self.instance, int(self.ranks[i]), 1))
         return EnumerationResult(
             best=Solution(best), best_value=float(values[i]), evaluated_count=self.count
         )
@@ -289,7 +291,10 @@ def mm1_simulate(lam: float, mu: float, event_budget: int, seed: int = 0) -> Sim
     """
     if not (isinstance(lam, numbers.Real) and isinstance(mu, numbers.Real)):
         raise DomainError(f"rates must be real numbers: lam={lam!r}, mu={mu!r}")
-    lam, mu = float(lam), float(mu)  # a float32 rate would draw at float32 scale
+    try:
+        lam, mu = float(lam), float(mu)  # a float32 rate would draw at float32 scale
+    except OverflowError:  # an integer too large for a double
+        raise DomainError("rates must be finite: a rate overflows a double") from None
     if not (math.isfinite(lam) and math.isfinite(mu)):
         raise DomainError(f"rates must be finite: lam={lam}, mu={mu}")
     if mu <= 0 or lam <= 0:

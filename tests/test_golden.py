@@ -1,14 +1,16 @@
 """Solve reports checked against recorded ones.
 
 ``tests/data/golden_reports.json`` holds the reports of GA, ACO and brute
-solves on three small instances, of GA and ACO solves on the two benchmark
-workloads, table1 and mild20, and of a brute solve on mild20 (table1 has no
-feasible subset, so brute raises there). Regenerate it only for a change
-that is meant to alter reports:
+solves on three small instances and on the mild 10-node one at logit
+sensitivity 40, of GA and ACO solves on the two benchmark workloads, table1
+and mild20, and of a brute solve on mild20 (table1 has no feasible subset,
+so brute raises there). Regenerate it only for a change that is meant to
+alter reports:
 
     PYTHONPATH=src:tests python tests/test_golden.py
 """
 
+import dataclasses
 import json
 import math
 from pathlib import Path
@@ -33,6 +35,12 @@ INSTANCES = {
 }
 SOLVES = [(name, algo, seed) for name in INSTANCES for algo in ("ga", "aco") for seed in (0, 1)]
 SOLVES += [(name, "brute", 0) for name in INSTANCES]
+# a * max(distance) = 1400 here, past the limit under which the logit
+# allocation reads the attraction matrix, so these solves run the shifted
+# exponent path.
+INSTANCES["mild10_logit40"] = dataclasses.replace(mild_params(10, 3, 2), logit_sensitivity=40.0)
+SOLVES += [("mild10_logit40", algo, seed) for algo in ("ga", "aco") for seed in (0, 1)]
+SOLVES += [("mild10_logit40", "brute", 0)]
 # The benchmark's workloads at its stagnation window: table1, where every
 # subset is infeasible and the bounds are NaN, and mild20.
 INSTANCES["mild20"] = mild_params(20, 5, 0)

@@ -1,7 +1,8 @@
 """Differential checks of the fitness kernel: a block of subsets against the
 subsets one at a time, the fused Kernel.figures() against the eager figures
 it replaced, and the streamed oracle against plain reference loops. Every
-comparison is exact."""
+comparison is exact, except that the attraction-matrix logit shares are
+only close to the shifted ones."""
 
 import dataclasses
 import itertools
@@ -34,8 +35,10 @@ from fuzzloc.evaluation import (
 )
 from fuzzloc.fuzzy import TriFuzzy
 from fuzzloc.ga import GAConfig
-from fuzzloc.instances import GeneratorParams, generate_instance
-from fuzzloc.model import Instance, Kernel, Solution, _allocation, capacity_threshold
+from fuzzloc.instances import GeneratorParams, generate_instance, instance_to_dict
+from fuzzloc.model import (
+    ATTRACTION_LIMIT, Instance, Kernel, Solution, _allocation, capacity_threshold,
+)
 from fuzzloc.oracle import Scan, enumerate_optimum, exact_bounds
 from fuzzloc.protocol import _PENALTY_SCALE, BOUND_RUNS, _BoundFitness, solve_protocol
 
@@ -174,11 +177,18 @@ def test_block_matches_subsets(case, sample_seed):
             assert figures["objective"][b][1] == component_value(instance, solution, "z2")
 
 
-def allocation_reference(instance, idx):
-    """The logit shares as computed before _allocation worked in place."""
+def shifted_reference(instance, idx):
+    """The logit shares with the exponents shifted by their maximum over the
+    open facilities, as computed before _allocation worked in place."""
     scores = -instance.logit_sensitivity * instance.distance[idx]
     scores = scores - scores.max(axis=-2, keepdims=True)
     weights = np.exp(scores)
+    return weights / weights.sum(axis=-2, keepdims=True)
+
+
+def attraction_reference(instance, idx):
+    """The logit shares from the unshifted exponentials exp(-a * d)."""
+    weights = np.exp(-instance.logit_sensitivity * instance.distance[idx])
     return weights / weights.sum(axis=-2, keepdims=True)
 
 
@@ -187,15 +197,20 @@ def allocation_reference(instance, idx):
     extra=st.integers(0, 20),
     rows=st.one_of(st.none(), st.integers(1, 2 * fuzzloc.oracle.BLOCK_SIZE)),
     seed=st.integers(0, 2**32 - 1),
-    logit=st.sampled_from((0.1, 0.5, 2.0, 7.3)),
+    logit=st.sampled_from((0.1, 0.5, 2.0, 7.3, 20.0, 40.0)),
 )
 @example(k=5, extra=15, rows=None, seed=0, logit=0.5)
 @example(k=5, extra=15, rows=fuzzloc.oracle.BLOCK_SIZE, seed=0, logit=0.5)
+@example(k=5, extra=15, rows=fuzzloc.oracle.BLOCK_SIZE, seed=0, logit=20.0)
+@example(k=5, extra=15, rows=fuzzloc.oracle.BLOCK_SIZE, seed=0, logit=40.0)
 @settings(max_examples=60, deadline=None)
 def test_allocation_matches_reference(k, extra, rows, seed, logit):
     """rows=None draws a 1-D idx, one subset, as the scalar views pass it;
     the row counts reach past a full enumeration block. The shape is
-    idx.shape + (n,) for both."""
+    idx.shape + (n,) for both. Distances lie in 1..35, so a = 20 reaches
+    ATTRACTION_LIMIT on the larger instances, and a = 40 passes it. Within
+    the limit the shares are the attraction reference's bits and close to
+    the shifted ones; past it they are the shifted reference's bits."""
     n = max(k + extra, 2)
     instance = dataclasses.replace(
         generate_instance(mild_params(n, 1, seed % 1000)), logit_sensitivity=logit
@@ -207,7 +222,28 @@ def test_allocation_matches_reference(k, extra, rows, seed, logit):
         idx = idx[0]
     got = _allocation(instance, idx)
     assert got.shape == idx.shape + (n,)
-    assert np.array_equal(got, allocation_reference(instance, idx))
+    if instance.attraction is None:
+        assert np.array_equal(got, shifted_reference(instance, idx))
+    else:
+        assert np.array_equal(got, attraction_reference(instance, idx))
+        np.testing.assert_allclose(got, shifted_reference(instance, idx), rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize("logit", [0.5, 20.0, float(np.nextafter(20.0, 21.0)), 40.0])
+def test_attraction_kept_within_limit(logit):
+    """An instance keeps exp(d * -a), read-only, exactly when a * max(d) is
+    at most ATTRACTION_LIMIT; replace() recomputes it, and the instance
+    file does not hold it. This instance has max(d) = 35, so a = 20 sits on
+    the limit."""
+    base = generate_instance(mild_params(20, 5, 0))
+    assert base.distance.max() == 35.0 and ATTRACTION_LIMIT == 700.0
+    instance = dataclasses.replace(base, logit_sensitivity=logit)
+    assert (instance.attraction is None) == (logit * instance.distance.max() > ATTRACTION_LIMIT)
+    assert (instance.attraction is None) == (logit > 20.0)
+    if instance.attraction is not None:
+        assert np.array_equal(instance.attraction, np.exp(instance.distance * -logit))
+        assert not instance.attraction.flags.writeable
+    assert "attraction" not in instance_to_dict(instance)
 
 
 @pytest.mark.parametrize("weighted", [False, True])

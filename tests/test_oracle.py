@@ -268,6 +268,26 @@ class TestOnePassBrute:
         assert len(built) == math.ceil(math.comb(20, 5) / oracle.BLOCK_SIZE) == 16
         assert sum(built) == math.comb(20, 5)
 
+    @pytest.mark.parametrize("n, m", [(20, 5), (24, 6)])
+    def test_optimum_unranks_one_row(self, n, m):
+        """Scan.optimum unranks its winner alone, as a one-row block, and
+        finds the subset and value that enumerate_optimum finds."""
+        instance = generate_instance(mild_params(n, m, 0))
+        scan = oracle.Scan(instance)
+        fitness = make_maximin_eval(instance, exact_bounds(instance, scan=scan))
+        sizes = []
+        blocks = oracle._blocks
+
+        def counted(instance, start=0, size=None):
+            sizes.append(size)
+            return blocks(instance, start, size)
+
+        with mock.patch.object(oracle, "_blocks", counted):
+            got = scan.optimum(fitness)
+        expected = enumerate_optimum(instance, fitness)
+        assert sizes == [1]
+        assert got.best == expected.best and got.best_value == expected.best_value
+
     @pytest.mark.parametrize("n", range(1, 10))
     def test_unrank_matches_combinations_at_every_rank(self, n):
         for m in range(1, n + 1):
@@ -351,6 +371,12 @@ class TestSimulator:
     def test_non_finite_rates_rejected(self, lam, mu):
         with pytest.raises(DomainError, match="finite"):
             mm1_simulate(lam, mu, 1000)
+
+    @pytest.mark.parametrize("lam, mu", [(10**400, 10**401), (50, 10**401)])
+    def test_rates_beyond_a_double_rejected(self, lam, mu):
+        """An integer rate too large for a double is not finite as a rate."""
+        with pytest.raises(DomainError, match="finite"):
+            mm1_simulate(lam, mu, 100)
 
     @pytest.mark.parametrize(
         "lam, mu", [("0.5", 1.0), (0.5, None), (None, 1.0), (0.5 + 0j, 1.0), (0.5, 1j)]
