@@ -83,41 +83,60 @@ def _population(
 
 def _mate(p1: Chromosome, p2: Chromosome, rng: random.Random, memo: _Memo) -> Steps[Chromosome]:
     """Union the parents, then greedily drop unshared genes back to size m;
-    a step generator that scores each shrink step through ``memo``.
+    a step generator that yields the rows of each shrink step that ``memo``
+    has not scored yet.
 
     At each shrink step every droppable gene is trial-removed and the removal
     with the best remaining fitness wins; genes present in both parents are
     never dropped. Clamped memberships make large fitness plateaus common, so
     exact ties are broken at random to avoid a systematic bias toward
-    dropping low indices. The trial subsets of each shrink step are one block
-    of evaluation.drive: one kernel call for a KernelFitness. The parents
-    must differ and be of one size, so at least one shrink step runs and
-    scores the candidate.
+    dropping low indices. The missing trial rows of a shrink step are one
+    block of evaluation.drive: one kernel call for a KernelFitness. The
+    parents must differ and be of one size, so at least one shrink step runs
+    and scores the candidate.
+
+    The result depends only on the union and the unshared genes, on memo
+    values that never change once stored, and on the rng when a step ties.
+    So a mating that drew no tie is kept in ``memo`` under those two masks,
+    and a later mating of the same masks returns its child without a step.
     """
     if len(p1.genes) != len(p2.genes):
         raise DomainError("parents must be of one size")
     if p1.mask == p2.mask:
         raise DomainError("parents must have different gene sets")
     draft = p1.mask | p2.mask
+    mating = (draft, p1.mask ^ p2.mask)
+    child = memo.child(mating)
+    if child is not None:
+        return child
+    calls, tie_free = memo.calls, True
     genes = sorted(p1.genes | p2.genes)
     droppable = sorted(p1.genes ^ p2.genes)
     # Both parents hold m genes, so half the unshared genes are dropped.
     for _ in range(len(droppable) // 2):
-        trials = yield from memo.block(
-            [draft ^ (1 << gene) for gene in droppable],
-            lambda b: [gene - 1 for gene in genes if gene != droppable[b]],
-        )
-        tied, best_value = [], None
-        for gene, trial in zip(droppable, trials):
-            if best_value is None or trial > best_value:
-                tied, best_value = [gene], trial
-            elif trial == best_value:
-                tied.append(gene)
-        dropped = tied[0] if len(tied) == 1 else rng.choice(tied)
+        keys = [draft ^ (1 << gene) for gene in droppable]
+        trials = memo.scored(keys)
+        if None in trials:
+            missing = [b for b, trial in enumerate(trials) if trial is None]
+            values = yield np.array(
+                [[gene - 1 for gene in genes if gene != droppable[b]] for b in missing],
+                dtype=np.intp,
+            )
+            for b, value in zip(missing, memo.score([keys[b] for b in missing], values)):
+                trials[b] = value
+        best_value = max(trials)
+        tied = [gene for gene, trial in zip(droppable, trials) if trial == best_value]
+        if len(tied) == 1:
+            dropped = tied[0]
+        else:
+            dropped, tie_free = rng.choice(tied), False
         draft ^= 1 << dropped
         genes.remove(dropped)
         droppable.remove(dropped)
-    return Chromosome(frozenset(genes), best_value)
+    child = Chromosome(frozenset(genes), best_value)
+    if tie_free:
+        memo.keep(mating, child, memo.calls - calls)
+    return child
 
 
 def replace(population: list[Chromosome], candidate: Chromosome) -> list[Chromosome]:
@@ -159,9 +178,11 @@ def run_ga(instance: Instance, eval_fn: Fitness, config: GAConfig) -> SolverRepo
     many iterations (stagnation). One iteration is one mating.
 
     ``eval_fn`` must depend only on the solution's gene set: each distinct set
-    is evaluated once and its value reused. The report's ``evaluations``
-    counts every fitness request, reused values included. A NaN value ranks
-    below every other value, as -inf.
+    is evaluated once and its value reused, and a repeated mating that drew
+    no random tie-break returns its first child without a shrink step. The
+    report's ``evaluations`` counts every fitness request, reused values and
+    repeated matings included. A NaN value ranks below every other value, as
+    -inf.
     """
     return drive([(_steps(instance, config), eval_fn)])[0]
 
@@ -190,26 +211,55 @@ def _steps(instance: Instance, config: GAConfig) -> Steps[SolverReport]:
 
 
 class _Memo:
-    """Fitness values cached by gene bitmask; ``calls`` counts requests, hits
-    included. ``yield from block(keys, row)`` scores gene bitmasks, where
-    row(b) lists key b's 0-based indices: it yields the (B, k) rows of the
-    keys not cached yet, first occurrences only, in request order, and
-    returns the values of all requests. A block of hits yields nothing. A
-    NaN value is stored as -inf, so that it ranks below every other value,
-    as np.fmax ranks it within an ACO colony."""
+    """A run's cache: fitness values by gene bitmask, and the children of
+    tie-free matings. ``calls`` counts fitness requests, hits included.
+
+    ``scored(keys)`` counts len(keys) requests and returns each key's value,
+    or None where it is not scored yet; ``score(keys, values)`` stores the
+    values of such keys and returns them as stored. A NaN value is stored as
+    -inf, so that it ranks below every other value, as np.fmax ranks it
+    within an ACO colony. ``yield from block(keys, row)`` does both for a
+    list of keys that may repeat, where row(b) lists key b's 0-based
+    indices: it yields the (B, k) rows of the keys not scored yet, first
+    occurrences only, in request order, and returns the values of all
+    requests. A block of hits yields nothing.
+
+    ``keep(mating, child, requests)`` stores a mating's child and the
+    requests it made; ``child(mating)`` returns it, adding those requests to
+    ``calls`` as a repeat of the mating would, or returns None.
+    """
 
     def __init__(self) -> None:
         self.calls = 0
         self.values: dict[int, float] = {}
+        self.matings: dict[tuple[int, int], tuple[Chromosome, int]] = {}
+
+    def scored(self, keys: list[int]) -> list[Optional[float]]:
+        self.calls += len(keys)
+        return list(map(self.values.get, keys))
+
+    def score(self, keys: list[int], values: Sequence[float]) -> list[float]:
+        ranked = [v if v == v else -math.inf for v in values]
+        self.values.update(zip(keys, ranked))
+        return ranked
 
     def block(self, keys: list[int], row: Callable[[int], list[int]]) -> Steps[list[float]]:
-        self.calls += len(keys)
-        misses = {key: b for b, key in enumerate(keys) if key not in self.values}
+        values = self.scored(keys)
+        misses = {key: b for b, (key, value) in enumerate(zip(keys, values)) if value is None}
         if misses:
             rows = np.array([row(b) for b in misses.values()], dtype=np.intp)
-            values = yield rows
-            self.values.update(zip(misses, [v if v == v else -math.inf for v in values]))
+            self.score(list(misses), (yield rows))
         return [self.values[key] for key in keys]
+
+    def child(self, mating: tuple[int, int]) -> Optional[Chromosome]:
+        kept = self.matings.get(mating)
+        if kept is None:
+            return None
+        self.calls += kept[1]
+        return kept[0]
+
+    def keep(self, mating: tuple[int, int], child: Chromosome, requests: int) -> None:
+        self.matings[mating] = (child, requests)
 
 
 def _distinct_parents(

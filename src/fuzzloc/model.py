@@ -6,7 +6,7 @@ indexed internally with ``index - 1``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Iterable, Optional
 
 import numpy as np
@@ -36,7 +36,7 @@ def _fuzzy_rows(values, n: int, what: str) -> np.ndarray:
 ATTRACTION_LIMIT = 700.0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Instance:
     """One problem datum: network, fuzzy rates, and model parameters.
 
@@ -47,6 +47,9 @@ class Instance:
     exp(distance * -logit_sensitivity) that the logit allocation reads, or
     None when logit_sensitivity * max(distance) exceeds ATTRACTION_LIMIT.
     ``dataclasses.replace`` recomputes it, and instance files do not hold it.
+
+    Instances compare field by field, arrays by value, leaving ``attraction``
+    out. They are unhashable: their arrays are.
     """
 
     n: int
@@ -109,6 +112,21 @@ class Instance:
             attraction = np.exp(dist * -self.logit_sensitivity)
             attraction.setflags(write=False)
         object.__setattr__(self, "attraction", attraction)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        for f in fields(self):
+            if f.compare:
+                a, b = getattr(self, f.name), getattr(other, f.name)
+                if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
+                    if not np.array_equal(a, b):
+                        return False
+                elif a != b:
+                    return False
+        return True
+
+    __hash__ = None
 
 
 @dataclass(frozen=True)

@@ -3,6 +3,7 @@ and a single-server queue simulator."""
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 from dataclasses import dataclass
@@ -61,10 +62,7 @@ def _blocks(instance: Instance, start: int = 0, size: Optional[int] = None):
     """
     n, m = instance.n, instance.m_servers
     count = math.comb(n, m)
-    counts = np.array(
-        [[min(math.comb(j, m - p), count) for j in range(n + 1)] for p in range(m - 1)],
-        dtype=np.int64,
-    )
+    counts = _counts(n, m)
     size = BLOCK_SIZE if size is None else size
     for first in range(start, count, size):
         key = count - np.arange(first, min(first + size, count), dtype=np.int64)
@@ -75,6 +73,20 @@ def _blocks(instance: Instance, start: int = 0, size: Optional[int] = None):
             key -= row.take(j - 1)
         block[-1] = n + 1 - key
         yield block.T
+
+
+@functools.lru_cache(maxsize=64)
+def _counts(n: int, m: int) -> np.ndarray:
+    """The read-only (m - 1, n + 1) table that _blocks unranks with, built
+    once per (n, m): row p holds comb(j, m - p) for j = 0..n, capped at
+    comb(n, m)."""
+    count = math.comb(n, m)
+    counts = np.array(
+        [[min(math.comb(j, m - p), count) for j in range(n + 1)] for p in range(m - 1)],
+        dtype=np.int64,
+    )
+    counts.setflags(write=False)
+    return counts
 
 
 def _walk(instance: Instance, table: Optional[dict]) -> Steps[tuple[list, float]]:

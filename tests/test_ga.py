@@ -1,5 +1,6 @@
 """Genetic algorithm: sizing, mating, replacement, termination, optimality."""
 
+import math
 import random
 from collections import Counter
 from types import SimpleNamespace
@@ -12,11 +13,13 @@ from hypothesis import strategies as st
 import fuzzloc.ga
 from conftest import feasible_subsets, mate, mild_params, populate, record
 from fuzzloc.errors import DomainError, InfeasibleInstanceError
-from fuzzloc.evaluation import make_maximin_eval
+from fuzzloc.evaluation import drive, make_maximin_eval
 from fuzzloc.ga import (
     Chromosome,
     GAConfig,
     _distinct_parents,
+    _mate,
+    _Memo,
     population_size,
     replace,
     run_ga,
@@ -276,15 +279,29 @@ class TestRunGA:
 
 
 class _NoMemo:
-    """Stand-in for the GA's memo: counts requests, caches nothing, and
-    asks for every requested row to be scored."""
+    """Stand-in for the GA's memo: counts requests, caches nothing, asks for
+    every requested row to be scored, and keeps no mating. It ranks a NaN
+    value as -inf, as the memo does."""
 
     def __init__(self):
         self.calls = 0
 
     def block(self, keys, row):
         self.calls += len(keys)
-        return (yield np.array([row(b) for b in range(len(keys))], dtype=np.intp))
+        return self.score(keys, (yield np.array([row(b) for b in range(len(keys))], dtype=np.intp)))
+
+    def scored(self, keys):
+        self.calls += len(keys)
+        return [None] * len(keys)
+
+    def score(self, keys, values):
+        return [v if v == v else -math.inf for v in values]
+
+    def child(self, mating):
+        return None
+
+    def keep(self, mating, child, requests):
+        pass
 
 
 def _counting(fitness):
@@ -338,3 +355,74 @@ class TestFitnessMemo:
             patch.setattr(fuzzloc.ga, "_Memo", _NoMemo)
             plain = run_ga(instance, fitness, GAConfig(seed=seed))
         assert record(memo) == record(plain)
+
+
+def plateau_fitness(solution: Solution) -> float:
+    """Toy fitness with wide exact plateaus: the number of open facilities
+    whose index is a multiple of three."""
+    return float(sum(gene % 3 == 0 for gene in solution.open))
+
+
+class TestMatingMemo:
+    """Whole tie-free matings are kept in the run's memo, under the parents'
+    union and unshared genes, and served from it on a repeat."""
+
+    def test_repeated_tie_free_mating_yields_nothing(self):
+        p1 = Chromosome(frozenset({1, 2, 3}), 0.0)
+        p2 = Chromosome(frozenset({3, 7, 9}), 0.0)
+        memo, rng = _Memo(), random.Random(0)
+        [child] = drive([(_mate(p1, p2, rng, memo), subset_size_fitness)])
+        calls, state = memo.calls, rng.getstate()
+        assert calls > 0 and len(memo.matings) == 1
+        # parents in either order are one mating
+        repeat = _mate(p2, p1, rng, memo)
+        with pytest.raises(StopIteration) as stop:
+            next(repeat)
+        assert stop.value.value is child
+        assert child.genes == frozenset({3, 7, 9})
+        assert memo.calls == 2 * calls
+        assert rng.getstate() == state
+
+    def test_tied_matings_draw_as_without_memo(self, monkeypatch):
+        """On a plateau fitness the cached run makes the same rng.choice
+        calls, with the same arguments, as a run that caches nothing, and no
+        mating that drew a tie is kept."""
+        instance = generate_instance(mild_params(12, 4, 0))
+        config = GAConfig(seed=3, convergence_limit=60, stagnation_limit=60)
+        draws = []
+        choice = random.Random.choice
+
+        def logged(rng, seq):
+            draws.append(list(seq))
+            return choice(rng, seq)
+
+        memos = []
+
+        class Recording(_Memo):
+            def __init__(self):
+                super().__init__()
+                self.kept = self.served = 0
+                memos.append(self)
+
+            def child(self, mating):
+                self.start = len(draws)
+                found = super().child(mating)
+                self.served += found is not None
+                return found
+
+            def keep(self, mating, child, requests):
+                assert len(draws) == self.start, "a tied mating was kept"
+                self.kept += 1
+                super().keep(mating, child, requests)
+
+        monkeypatch.setattr(random.Random, "choice", logged)
+        monkeypatch.setattr(fuzzloc.ga, "_Memo", Recording)
+        cached = run_ga(instance, plateau_fitness, config)
+        cached_draws = draws[:]
+        draws.clear()
+        monkeypatch.setattr(fuzzloc.ga, "_Memo", _NoMemo)
+        plain = run_ga(instance, plateau_fitness, config)
+        assert record(cached) == record(plain)
+        assert cached_draws == draws and len(draws) > 0
+        [memo] = memos
+        assert memo.kept > 0 and memo.served > 0

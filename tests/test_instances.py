@@ -1,5 +1,6 @@
 """Instance generation, the 20-node fixture, and persistence."""
 
+import dataclasses
 import hashlib
 import json
 
@@ -105,6 +106,28 @@ class TestPersistence:
         assert (again.mql, again.gamma, again.logit_sensitivity) == (
             table1.mql, table1.gamma, table1.logit_sensitivity,
         )
+
+    @pytest.mark.parametrize("weighted", [False, True])
+    def test_round_trip_compares_equal(self, tmp_path, table1, weighted):
+        instance = table1
+        if weighted:
+            instance = dataclasses.replace(table1, benefit_weight=table1.distance / 10)
+        path = tmp_path / "t1.json"
+        save_instance(instance, path)
+        again = load_instance(path)
+        assert again == instance and not again != instance
+        assert again != table1 if weighted else again == table1
+
+    def test_changed_demand_entry_compares_unequal(self, table1):
+        demand = table1.demand.copy()
+        demand[7, 2] += 1.0
+        assert dataclasses.replace(table1, demand=demand) != table1
+        assert dataclasses.replace(table1, mql=table1.mql + 1) != table1
+        assert table1 != instance_to_dict(table1)
+
+    def test_unhashable(self, table1):
+        with pytest.raises(TypeError):
+            hash(table1)
 
     def test_unordered_triple_rejected(self, tmp_path, small_instance):
         doc = instance_to_dict(small_instance)

@@ -327,6 +327,17 @@ class TestOnePassBrute:
             assert len(block) == min(oracle.BLOCK_SIZE, len(rows) - rank)
             assert block.tobytes() == rows[rank:rank + len(block)].tobytes()
 
+    def test_blocks_reuse_their_table(self):
+        """The comb table is built once per (n, m) and is read-only."""
+        instance = types.SimpleNamespace(n=23, m_servers=6)
+        oracle._counts.cache_clear()
+        first = next(oracle._blocks(instance, 5000, 1))
+        again = next(oracle._blocks(instance, 5000, 1))
+        info = oracle._counts.cache_info()
+        assert (info.misses, info.hits) == (1, 1)
+        assert first.tobytes() == again.tobytes()
+        assert not oracle._counts(23, 6).flags.writeable
+
     @pytest.mark.parametrize("n, m", [(20, 5), (24, 6)])
     def test_unrank_matches_combinations_at_first_middle_last(self, n, m):
         count = math.comb(n, m)
