@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import reprlib
 from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
@@ -101,41 +102,52 @@ def instance_to_dict(instance: Instance) -> dict:
     return doc
 
 
+def _field(doc: dict, key: str, convert, what: str):
+    """``convert(doc[key])``; a value of the wrong type or length raises an
+    InstanceFormatError that names the field, what it must be and what it is."""
+    try:
+        return convert(doc[key])
+    except DomainError:  # a value of the right type that breaks a rule
+        raise
+    except (TypeError, ValueError, OverflowError):
+        raise InstanceFormatError(f"{key} must be {what}, got {reprlib.repr(doc[key])}") from None
+
+
+def _matrix(doc: dict, key: str, n: int, width: int, malformed_row: str) -> np.ndarray:
+    """``doc[key]`` as an (n, width) float array; a wrong row count, row
+    length or entry type raises an InstanceFormatError naming the field."""
+    lengths = _field(doc, key, lambda rows: [len(row) for row in rows], "a list of rows")
+    if len(lengths) != n:
+        raise InstanceFormatError(f"{key} has {len(lengths)} rows, expected {n}")
+    for i, length in enumerate(lengths):
+        if length != width:
+            raise InstanceFormatError(f"{key} row {i + 1} {malformed_row}")
+    return _field(doc, key, lambda rows: np.asarray(rows, dtype=float), "rows of numbers")
+
+
 def instance_from_dict(doc: dict) -> Instance:
     required = ("n", "m_servers", "mql", "gamma", "logit_sensitivity",
                 "idle_min", "demand", "service", "distance")
     for key in required:
         if key not in doc:
             raise InstanceFormatError(f"missing field {key!r}")
-    n = int(doc["n"])
-    for key, rows in (("demand", doc["demand"]), ("service", doc["service"])):
-        if len(rows) != n:
-            raise InstanceFormatError(f"{key} has {len(rows)} rows, expected {n}")
-        for i, row in enumerate(rows):
-            if len(row) != 3:
-                raise InstanceFormatError(f"{key} row {i + 1} is not a fuzzy triple")
-    if len(doc["distance"]) != n or any(len(row) != n for row in doc["distance"]):
-        bad = next(
-            (i + 1 for i, row in enumerate(doc["distance"]) if len(row) != n),
-            len(doc["distance"]),
-        )
-        raise InstanceFormatError(f"distance row {bad} malformed (matrix must be {n}x{n})")
+    n = _field(doc, "n", int, "an integer")
+    triple, square = "is not a fuzzy triple", f"malformed (matrix must be {n}x{n})"
+    weight = doc.get("benefit_weight")
+    if weight is not None:
+        weight = _matrix(doc, "benefit_weight", n, n, square)
     try:
         return Instance(
             n=n,
-            m_servers=int(doc["m_servers"]),
-            distance=np.asarray(doc["distance"], dtype=float),
-            demand=np.asarray(doc["demand"], dtype=float),
-            service=np.asarray(doc["service"], dtype=float),
-            idle_min=TriFuzzy.from_seq(doc["idle_min"]),
-            mql=float(doc["mql"]),
-            gamma=float(doc["gamma"]),
-            logit_sensitivity=float(doc["logit_sensitivity"]),
-            benefit_weight=(
-                np.asarray(doc["benefit_weight"], dtype=float)
-                if doc.get("benefit_weight") is not None
-                else None
-            ),
+            m_servers=_field(doc, "m_servers", int, "an integer"),
+            demand=_matrix(doc, "demand", n, 3, triple),
+            service=_matrix(doc, "service", n, 3, triple),
+            distance=_matrix(doc, "distance", n, n, square),
+            idle_min=_field(doc, "idle_min", TriFuzzy.from_seq, "a fuzzy triple [lo, mid, hi]"),
+            mql=_field(doc, "mql", float, "a number"),
+            gamma=_field(doc, "gamma", float, "a number"),
+            logit_sensitivity=_field(doc, "logit_sensitivity", float, "a number"),
+            benefit_weight=weight,
         )
     except DomainError as exc:
         raise InstanceFormatError(str(exc)) from exc

@@ -201,10 +201,15 @@ def logit_allocation(instance: Instance, solution: Solution) -> np.ndarray:
     return allocation
 
 
+def occupancy(lam, mu):
+    """M/M/1 occupancy rho = lam/mu, elementwise on scalars or arrays."""
+    return lam / mu
+
+
 def queue_state(lam, mu):
-    """M/M/1 occupancy rho = lam/mu and waiting-line length Lq, elementwise on
-    scalars or arrays. Lq is meaningful where lam < mu."""
-    rho = lam / mu
+    """M/M/1 occupancy rho (see occupancy) and waiting-line length Lq,
+    elementwise; Lq is meaningful where lam < mu."""
+    rho = occupancy(lam, mu)
     with np.errstate(divide="ignore"):  # lam == mu, an unstable queue
         lq = lam * lam / (mu * (mu - lam))
     return rho, lq
@@ -256,11 +261,11 @@ class Kernel:
     mu are shared by the feasibility mask and the violation: a difference of
     doubles has the sign of their comparison.
 
-    slices(), objective(), spreads() and violation() compute their figure for
-    the rows that ``rows`` selects on the leading axis (a boolean mask, say),
-    or for every row, with no copy, when it is None. Each is elementwise or
-    reduces along a row's own axes, so a row's bits do not depend on the
-    rows computed with it.
+    slices(), objective() and spreads() compute their figure for the rows
+    that ``rows`` selects on the leading axis (a boolean mask, say), or for
+    every row, with no copy, when it is None; violation() computes its
+    figure for every row. Each is elementwise or reduces along a row's own
+    axes, so a row's bits do not depend on the rows computed with it.
 
     A block gives the same bits as its subsets one at a time: the logit
     denominators are summed facility by facility, over axis 0 of a
@@ -283,7 +288,7 @@ class Kernel:
         # triple (lo/hi', mid/mid', hi/lo') is already ascending for
         # nonnegative arrival and positive service rates, so no component
         # sort is needed.
-        self.occupancy = self.lam_bar[..., 1] / self.mu[..., 1]
+        self.occupancy = occupancy(self.lam_bar[..., 1], self.mu[..., 1])
         self.threshold = capacity_threshold(instance)
         self.over = self.occupancy - self.threshold  # (..., k)
         self.surplus = self.lam_bar - self.mu  # (..., k, 3)
@@ -318,12 +323,10 @@ class Kernel:
         spreads[..., 2] -= spreads[..., 1]
         return spreads
 
-    def violation(self, rows=None) -> np.ndarray:
+    def violation(self) -> np.ndarray:
         """(...): relative capacity excess plus queue instability, 0 where
         the row is feasible."""
         over, surplus, mu = self.over, self.surplus, self.mu
-        if rows is not None:
-            over, surplus, mu = over[rows], surplus[rows], mu[rows]
         excess = np.maximum(over, 0.0).sum(axis=-1) / self.threshold
         overload = np.maximum(surplus, 0.0) / mu
         # One sum over the k * 3 entries per subset, in row order.

@@ -3,7 +3,6 @@ and a single-server queue simulator."""
 
 from __future__ import annotations
 
-import functools
 import math
 import numbers
 from dataclasses import dataclass
@@ -20,8 +19,8 @@ DEFAULT_ENUM_BUDGET = 10**6
 # Subsets per kernel call of the oracle. The kernel's intermediates grow with
 # this, not with the number of subsets: the facility-major (k, B, n) logit
 # shares take 0.8 MB at n = 20, k = 5. A Scan (exact bounds, a brute solve)
-# also keeps 32 bytes per feasible subset, at most 32 MB at the default
-# budget.
+# also keeps 24 + m bytes per feasible subset for n < 256 (three doubles and
+# m one-byte indices), at most (24 + m) MB at the default budget.
 BLOCK_SIZE = 1024
 # Customers per chunk of the simulator's draws. Peak memory grows with this,
 # not with the event budget; the draws and the estimates do not depend on it.
@@ -47,25 +46,27 @@ def _check_budget(instance: Instance, budget: int) -> int:
     return count
 
 
-def _blocks(instance: Instance, start: int = 0, size: Optional[int] = None):
-    """Every m-subset from rank ``start`` on as rows of 1-based indices, in
-    lexicographic order, in (B, m) arrays of at most ``size`` rows
-    (BLOCK_SIZE when None).
+def _blocks(instance: Instance):
+    """Every m-subset as rows of 1-based indices, in lexicographic order, in
+    (B, m) arrays of BLOCK_SIZE rows but the last.
 
     Each block unranks its ranks, one entry at a time for all rows. A row's
     key counts the subsets from its own to the last among those sharing its
     entries so far. With s entries left, comb(j, s) of them take all s from
     the last j values, so the next entry is n + 1 - J for the least J with
     comb(J, s) >= key, and the key drops by comb(J - 1, s). The last entry
-    is n + 1 - key. Counts are capped at the total, which only entries no
-    row can take exceed, to stay within int64.
+    is n + 1 - key. The table of these counts, row p holding comb(j, m - p)
+    for j = 0..n, is built once per enumeration. Counts are capped at the
+    total, which only entries no row can take exceed, to stay within int64.
     """
     n, m = instance.n, instance.m_servers
     count = math.comb(n, m)
-    counts = _counts(n, m)
-    size = BLOCK_SIZE if size is None else size
-    for first in range(start, count, size):
-        key = count - np.arange(first, min(first + size, count), dtype=np.int64)
+    counts = np.array(
+        [[min(math.comb(j, m - p), count) for j in range(n + 1)] for p in range(m - 1)],
+        dtype=np.int64,
+    )
+    for first in range(0, count, BLOCK_SIZE):
+        key = count - np.arange(first, min(first + BLOCK_SIZE, count), dtype=np.int64)
         block = np.empty((m, len(key)), dtype=np.intp)  # row p: entry p of every subset
         for p, row in enumerate(counts):
             j = np.searchsorted(row, key)
@@ -73,20 +74,6 @@ def _blocks(instance: Instance, start: int = 0, size: Optional[int] = None):
             key -= row.take(j - 1)
         block[-1] = n + 1 - key
         yield block.T
-
-
-@functools.lru_cache(maxsize=64)
-def _counts(n: int, m: int) -> np.ndarray:
-    """The read-only (m - 1, n + 1) table that _blocks unranks with, built
-    once per (n, m): row p holds comb(j, m - p) for j = 0..n, capped at
-    comb(n, m)."""
-    count = math.comb(n, m)
-    counts = np.array(
-        [[min(math.comb(j, m - p), count) for j in range(n + 1)] for p in range(m - 1)],
-        dtype=np.int64,
-    )
-    counts.setflags(write=False)
-    return counts
 
 
 def _walk(instance: Instance, table: Optional[dict]) -> Steps[tuple[list, float]]:
@@ -134,39 +121,36 @@ class Scan:
     built once, and each block's kernel computes the feasibility mask of
     every row and the spreads of its feasible rows only.
 
-    ``spreads`` (F, 3) and ``ranks`` (F,) hold the spread components of the
-    F feasible subsets and their positions in that order.
+    ``spreads`` (F, 3) and ``subsets`` (F, m) hold the spread components of
+    the F feasible subsets and their rows of 1-based indices, in that order,
+    the rows in the smallest unsigned dtype that holds n (a byte for n < 256).
     """
 
     def __init__(self, instance: Instance, budget: int = DEFAULT_ENUM_BUDGET):
         self.instance = instance
         self.count = _check_budget(instance, budget)
-        spreads, ranks = [np.empty((0, 3))], [np.empty(0, dtype=np.intp)]
-        start = 0
+        dtype = np.min_scalar_type(instance.n)
+        spreads, subsets = [np.empty((0, 3))], [np.empty((0, instance.m_servers), dtype)]
         for block in _blocks(instance):
             kernel = Kernel(instance, block - 1)
             feasible = kernel.feasible()
             if feasible.any():
                 spreads.append(kernel.spreads(feasible))
-                ranks.append(start + np.flatnonzero(feasible))
-            start += len(block)
+                subsets.append(block[feasible].astype(dtype))
         self.spreads = np.concatenate(spreads)
-        self.ranks = np.concatenate(ranks)
+        self.subsets = np.concatenate(subsets)
 
     def optimum(self, fitness: MaximinFitness) -> EnumerationResult:
         """``enumerate_optimum(instance, fitness)`` from the kept rows: the
-        fitness's score of the feasible spreads, all in one call, and the
-        first argmax, so ties still go to the lexicographically smallest
-        subset. With no feasible subset, a second pass, enumerate_optimum
-        itself, computes the violations that the penalties read."""
-        if not len(self.ranks):
+        fitness's score of the feasible spreads, all in one call, and the kept
+        subset at the first argmax, so ties go to the lexicographically first.
+        With no feasible subset, a second pass, enumerate_optimum itself,
+        computes the violations that the penalties read."""
+        if not len(self.subsets):
             return enumerate_optimum(self.instance, fitness, self.count)
         values = fitness.score(True, self.spreads, None)  # every kept row is feasible
         i = int(np.argmax(values))
-        [best] = next(_blocks(self.instance, int(self.ranks[i]), 1))
-        return EnumerationResult(
-            best=Solution(best), best_value=float(values[i]), evaluated_count=self.count
-        )
+        return EnumerationResult(Solution(self.subsets[i]), float(values[i]), self.count)
 
 
 def exact_bounds(
@@ -177,7 +161,7 @@ def exact_bounds(
     one."""
     if scan is None:
         scan = Scan(instance, budget)
-    if not len(scan.ranks):
+    if not len(scan.subsets):
         raise InfeasibleInstanceError("no feasible facility subset exists")
     lows, highs = scan.spreads.min(axis=0), scan.spreads.max(axis=0)
     return MaximinContext(*zip(lows.tolist(), highs.tolist()), provenance="oracle-exact")

@@ -31,6 +31,39 @@ def test_higher_is_better():
     assert (summary["change_won"], summary["parent_won"]) == (2, 1)
 
 
+def test_bound_verdict_lower_is_better():
+    # medians 2.0 -> 2.4: 20% worse, inside a 0.25 bound and outside 0.1
+    parent, change = [1.0, 2.0, 3.0], [1.5, 2.4, 3.0]
+    summary = bench_pairs.summarize(parent, change, "lower", 0.25)
+    assert summary["bound"] == 0.25 and summary["worse_by"] == pytest.approx(0.2)
+    assert summary["within_bound"] is True
+    assert bench_pairs.summarize(parent, change, "lower", 0.1)["within_bound"] is False
+    line = bench_pairs.verdict_line("brute_solve_s", summary)
+    assert line == "brute_solve_s: median 2 -> 2.4, worse by +20.0% (bound 25%): within bound"
+
+
+def test_bound_verdict_higher_is_better():
+    # medians 20 -> 14: a higher-is-better metric fell by 30%, worse than a
+    # 0.25 bound; a rise reads as negative worse_by, inside any bound
+    summary = bench_pairs.summarize([10.0, 20.0, 30.0], [14.0, 14.0, 40.0], "higher", 0.25)
+    assert summary["worse_by"] == pytest.approx(0.3) and summary["within_bound"] is False
+    assert bench_pairs.verdict_line("sim_events_per_s", summary).endswith(
+        "worse by +30.0% (bound 25%): OUTSIDE BOUND")
+    risen = bench_pairs.summarize([10.0, 30.0], [30.0, 50.0], "higher", 0.25)
+    assert risen["worse_by"] == pytest.approx(-1.0) and risen["within_bound"] is True
+
+
+def test_bound_verdict_undefined():
+    """A zero parent median has no relative difference, and a metric with
+    no bound has no verdict."""
+    zero = bench_pairs.summarize([0.0, 0.0, 1.0], [1.0, 1.0, 1.0], "lower", 0.25)
+    assert zero["worse_by"] is None and zero["within_bound"] is None
+    unbounded = bench_pairs.summarize([1.0], [2.0], "lower")
+    assert unbounded["bound"] is None and unbounded["worse_by"] == 1.0
+    assert unbounded["within_bound"] is None
+    assert bench_pairs.verdict_line("x", zero).endswith("worse by n/a (bound 25%): no verdict")
+
+
 def stdout(correct=True, failed=0):
     machine = {"workload": "mild20", "seed": 0, "machine": {"nproc": 2}}
     verdict = {"correct": correct, "attempted": 4, "failed": failed,
@@ -73,12 +106,12 @@ def test_single_pair_has_no_quartiles():
     assert (summary["change_won"], summary["parent_won"], summary["pairs"]) == (1, 0, 1)
 
 
-def test_one_seed_writes_its_file(tmp_path, monkeypatch):
+def test_one_seed_writes_its_file(tmp_path, monkeypatch, capsys):
     """--seeds 4-4 runs one pair per side and still writes BENCH_<label>.json,
-    with null parent quartiles."""
+    with null parent quartiles, the metric's bound and its verdict."""
     for side in ("parent", "change"):
         (tmp_path / side).mkdir()
-    spec = {"end_to_end": [{"name": "brute_solve_s", "better": "lower"}]}
+    spec = {"end_to_end": [{"name": "brute_solve_s", "better": "lower", "bound": 0.25}]}
     (tmp_path / "change" / "BENCHMARK.json").write_text(json.dumps(spec))
     runs = []
 
@@ -97,3 +130,6 @@ def test_one_seed_writes_its_file(tmp_path, monkeypatch):
     assert result["seeds"] == [4, 4] and result["problems"] == []
     metric = result["metrics"]["brute_solve_s"]
     assert metric["parent_quartiles"] is None and metric["pairs"] == 1
+    assert (metric["bound"], metric["worse_by"], metric["within_bound"]) == (0.25, 0.0, True)
+    assert ("brute_solve_s: median 0.0125 -> 0.0125, worse by +0.0% (bound 25%): within bound"
+            in capsys.readouterr().err.splitlines())

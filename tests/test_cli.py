@@ -337,6 +337,29 @@ def test_non_finite_logit_is_usage_error(small_file, capsys, value, algo):
     assert capsys.readouterr().err == "usage error: logit_sensitivity must be finite\n"
 
 
+@pytest.mark.parametrize("field, value", [
+    ("demand", 5),
+    ("distance", [1.0] * 6),
+    ("idle_min", [0.1, 0.2]),
+    ("n", "six"),
+    ("demand", [["a", "b", "c"]] * 6),
+    ("mql", None),
+    ("benefit_weight", [[1.0] * 6] * 5 + [[1.0] * 5]),
+], ids=["demand-number", "distance-flat", "idle_min-pair", "n-word", "demand-strings",
+        "mql-null", "benefit_weight-ragged"])
+def test_malformed_field_type_is_usage_error(small_file, capsys, field, value):
+    """An instance file field of the wrong type stops the solve with one
+    usage-error line that names the field, and no traceback."""
+    doc = json.loads(small_file.read_text())
+    doc[field] = value
+    small_file.write_text(json.dumps(doc))
+    assert run(["solve", "--instance", small_file, "--algo", "brute"]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == "" and "Traceback" not in captured.err
+    [line] = captured.err.splitlines()
+    assert line.startswith(f"usage error: {field} ")
+
+
 @pytest.mark.parametrize("command", [
     ["generate", "--seed", -3],
     ["solve", "--algo", "ga", "--seed", -3],

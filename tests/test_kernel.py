@@ -425,12 +425,11 @@ def check_fused(instance, rows, ctx, runs, cut):
 
 
 def check_rows(kernel, selections):
-    """Each figure of each row selection against the eager figures of every
-    row, selected afterwards. Values compare as bytes."""
+    """The slices and spreads of each row selection against the eager
+    figures of every row, selected afterwards. Values compare as bytes."""
     for rows in selections:
         assert kernel.slices(rows).tobytes() == kernel.slices()[rows].tobytes()
         assert kernel.spreads(rows).tobytes() == eager_spreads(kernel)[rows].tobytes()
-        assert kernel.violation(rows).tobytes() == eager_violation(kernel)[rows].tobytes()
 
 
 def kinds(rows, mask):
@@ -511,7 +510,7 @@ def test_no_slice_objective_without_a_feasible_row(table1, monkeypatch):
     solve_protocol(table1, "ga", ga_config=GAConfig(**window))
     solve_protocol(table1, "aco", aco_config=ACOConfig(**window))
     scan = Scan(table1)
-    assert not len(scan.ranks) and scan.count == math.comb(20, 5)
+    assert not len(scan.subsets) and scan.count == math.comb(20, 5)
 
 
 def test_scan_computes_objectives_of_feasible_rows_only(monkeypatch):
@@ -526,7 +525,7 @@ def test_scan_computes_objectives_of_feasible_rows_only(monkeypatch):
 
     monkeypatch.setattr(fuzzloc.model, "served_share", counted)
     scan = Scan(build(20, 5, 0, True, False, 0.5))
-    assert sum(rows) == len(scan.ranks) == 1746
+    assert sum(rows) == len(scan.subsets) == 1746
 
 
 def test_feasible_brute_solve_computes_no_violation(monkeypatch):

@@ -253,6 +253,20 @@ class TestObjectiveAndCapacity:
         assert main(["validate", "--skip-network", "--events", "200000"]) == EXIT_VALIDATION
         assert "validation FAILED" in capsys.readouterr().out
 
+    def test_occupancy_is_stated_once(self, monkeypatch):
+        # The capacity check and the scalar queue figures both take rho from
+        # model.occupancy: scaling it by 1.25 moves rho = 0.8 past the 0.875
+        # threshold, and P0 at lam = 40, mu = 100 from 0.6 to 0.5.
+        inst = build_instance(
+            [[0, 2], [2, 0]], crisp_rows([40, 40]), crisp_rows([100, 100])
+        )
+        assert fuzzy_capacity_feasible(inst, Solution([1])) == (True, {1: pytest.approx(0.075)})
+        assert model.mm1_metrics(40.0, 100.0)[0] == pytest.approx(0.6)
+        occupancy = model.occupancy
+        monkeypatch.setattr(model, "occupancy", lambda lam, mu: 1.25 * occupancy(lam, mu))
+        assert fuzzy_capacity_feasible(inst, Solution([1])) == (False, {1: pytest.approx(-0.125)})
+        assert model.mm1_metrics(40.0, 100.0)[0] == pytest.approx(0.5)
+
     def test_oversized_subsets_evaluate(self, small_instance):
         # the genetic algorithm's greedy drop probes subsets larger than M
         value = crisp_objective_slice(small_instance, Solution([1, 2, 3]), "mid")

@@ -132,8 +132,8 @@ class TestStreaming:
         assert peaks[6] < 4 * peaks[3]
 
     def test_brute_peak_memory_does_not_grow_with_subsets(self):
-        # The same sizes through a brute solve, which also keeps 32 bytes per
-        # feasible subset: none of the 2024 at M = 3 (brute raises), 6280 of
+        # The same sizes through a brute solve, which also keeps 24 + m bytes
+        # per feasible subset: none of the 2024 at M = 3 (brute raises), 6280 of
         # the 134596 at M = 6.
         peaks = {}
         for m in (3, 6):
@@ -164,10 +164,9 @@ def two_pass(instance, ctx):
     return enumerate_optimum(instance, make_maximin_eval(instance, ctx)), ctx
 
 
-def unrank(n, m, rank):
-    """The m-subset of 1..n at position ``rank`` of the lexicographic order:
-    the first row of the oracle's blocks from that rank on."""
-    return next(oracle._blocks(types.SimpleNamespace(n=n, m_servers=m), rank))[0].tolist()
+def enumeration(n, m):
+    """Every m-subset of 1..n as the rows of oracle._blocks, concatenated."""
+    return np.concatenate(list(oracle._blocks(types.SimpleNamespace(n=n, m_servers=m))))
 
 
 def brute_instance(n, m, seed, demand_scale, crisp):
@@ -269,31 +268,64 @@ class TestOnePassBrute:
         assert sum(built) == math.comb(20, 5)
 
     @pytest.mark.parametrize("n, m", [(20, 5), (24, 6)])
-    def test_optimum_unranks_one_row(self, n, m):
-        """Scan.optimum unranks its winner alone, as a one-row block, and
-        finds the subset and value that enumerate_optimum finds."""
+    def test_optimum_enumerates_nothing(self, n, m):
+        """Scan.optimum reads its winner from the kept subsets, with no
+        _blocks call, and finds the subset and value that
+        enumerate_optimum finds."""
         instance = generate_instance(mild_params(n, m, 0))
         scan = oracle.Scan(instance)
         fitness = make_maximin_eval(instance, exact_bounds(instance, scan=scan))
-        sizes = []
-        blocks = oracle._blocks
-
-        def counted(instance, start=0, size=None):
-            sizes.append(size)
-            return blocks(instance, start, size)
-
-        with mock.patch.object(oracle, "_blocks", counted):
+        with mock.patch.object(oracle, "_blocks", side_effect=AssertionError("enumerated")):
             got = scan.optimum(fitness)
         expected = enumerate_optimum(instance, fitness)
-        assert sizes == [1]
         assert got.best == expected.best and got.best_value == expected.best_value
+
+    def test_scan_keeps_feasible_subsets(self):
+        """Scan.subsets holds the rows of mild20's 1 746 feasible subsets in
+        lexicographic order, in a dtype narrower than intp (one byte per
+        index at n = 20), beside their spreads."""
+        instance = generate_instance(mild_params(20, 5, 0))
+        scan = oracle.Scan(instance)
+        expected = [solution.sorted() for solution in feasible_subsets(instance)]
+        assert len(expected) == 1746
+        assert scan.subsets.tolist() == expected
+        assert scan.subsets.dtype == np.uint8
+        assert scan.subsets.itemsize < np.dtype(np.intp).itemsize
+        assert scan.spreads.shape == (1746, 3)
+        assert scan.subsets.nbytes + scan.spreads.nbytes == 1746 * (24 + 5)
 
     @pytest.mark.parametrize("n", range(1, 10))
     def test_unrank_matches_combinations_at_every_rank(self, n):
+        """For every m <= n, every rank 0..comb(n, m) - 1 unranked by _blocks
+        holds the row of itertools.combinations, byte for byte."""
         for m in range(1, n + 1):
+            rows = enumeration(n, m)
+            expected = np.array(list(itertools.combinations(range(1, n + 1), m)), dtype=np.intp)
+            assert rows.dtype == np.intp and rows.shape == expected.shape == (math.comb(n, m), m)
+            assert rows.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("n, m", [(9, 4), (20, 5), (24, 6), (70, 67)])
+    def test_unrank_matches_blocks(self, n, m):
+        """Each rank unranks to the same row whatever block it falls in: the
+        enumerations in blocks of 7 and 1000 rows hold the rows of the one in
+        blocks of BLOCK_SIZE, which are those of itertools.combinations. At
+        n = 70, m = 67 comb(70, 35) does not fit in int64, but no row needs
+        it."""
+        rows = enumeration(n, m)
+        expected = np.array(list(itertools.combinations(range(1, n + 1), m)), dtype=np.intp)
+        assert rows.shape == (math.comb(n, m), m)
+        assert rows.tobytes() == expected.tobytes()
+        for block_size in (7, 1000):
+            with mock.patch.object(oracle, "BLOCK_SIZE", block_size):
+                assert enumeration(n, m).tobytes() == rows.tobytes()
+
+    @pytest.mark.parametrize("n, m", [(20, 5), (24, 6)])
+    def test_unrank_matches_combinations_at_first_middle_last(self, n, m):
+        rows = enumeration(n, m)
+        count = math.comb(n, m)
+        for rank in (0, count // 2, count - 1):
             combos = itertools.combinations(range(1, n + 1), m)
-            assert [unrank(n, m, rank) for rank in range(math.comb(n, m))] == [
-                list(combo) for combo in combos]
+            assert rows[rank].tolist() == list(next(itertools.islice(combos, rank, None)))
 
     @pytest.mark.parametrize("block_size", [1, 7, oracle.BLOCK_SIZE])
     def test_blocks_match_combinations(self, block_size):
@@ -312,38 +344,6 @@ class TestOnePassBrute:
                     expected = np.array(list(itertools.islice(combos, len(block))), dtype=np.intp)
                     assert block.dtype == np.intp and block.tobytes() == expected.tobytes()
                 assert next(combos, None) is None
-
-    @pytest.mark.parametrize("n, m", [(9, 4), (20, 5), (24, 6), (70, 67)])
-    def test_unrank_matches_blocks(self, n, m):
-        """The first block from each start rank holds the rows of the blocks
-        from rank 0 that follow that rank; at n = 70, m = 67 comb(70, 35)
-        does not fit in int64, but no row needs it."""
-        instance = types.SimpleNamespace(n=n, m_servers=m)
-        rows = np.concatenate(list(oracle._blocks(instance)))
-        assert len(rows) == math.comb(n, m)
-        ranks = range(len(rows)) if len(rows) < 200 else np.linspace(0, len(rows) - 1, 200)
-        for rank in map(int, ranks):
-            block = next(oracle._blocks(instance, rank))
-            assert len(block) == min(oracle.BLOCK_SIZE, len(rows) - rank)
-            assert block.tobytes() == rows[rank:rank + len(block)].tobytes()
-
-    def test_blocks_reuse_their_table(self):
-        """The comb table is built once per (n, m) and is read-only."""
-        instance = types.SimpleNamespace(n=23, m_servers=6)
-        oracle._counts.cache_clear()
-        first = next(oracle._blocks(instance, 5000, 1))
-        again = next(oracle._blocks(instance, 5000, 1))
-        info = oracle._counts.cache_info()
-        assert (info.misses, info.hits) == (1, 1)
-        assert first.tobytes() == again.tobytes()
-        assert not oracle._counts(23, 6).flags.writeable
-
-    @pytest.mark.parametrize("n, m", [(20, 5), (24, 6)])
-    def test_unrank_matches_combinations_at_first_middle_last(self, n, m):
-        count = math.comb(n, m)
-        for rank in (0, count // 2, count - 1):
-            combos = itertools.combinations(range(1, n + 1), m)
-            assert unrank(n, m, rank) == list(next(itertools.islice(combos, rank, None)))
 
 
 class TestSimulator:

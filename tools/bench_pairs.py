@@ -12,7 +12,10 @@ ones, so neither side always runs second. It adds the set of pairs to
 ``BENCH_<label>.json`` in the current directory, in place of an earlier set
 of the same workload and seeds. For each end-to-end metric of the change's
 BENCHMARK.json it records both medians, the parent's quartiles, the pairs
-each side won (a tie counts for neither) and the raw values in seed order.
+each side won (a tie counts for neither), the raw values in seed order, the
+metric's bound, how much worse the change's median is (``worse_by``,
+relative, positive for worse) and whether that stays inside the bound; it
+prints one line per metric with that verdict.
 The file also holds the machine record of the first run, both checkouts'
 ``git rev-parse HEAD`` and every run that failed or reported incorrect
 outputs. The exit status is 1 when there is such a run, else 0.
@@ -26,6 +29,7 @@ import statistics
 import subprocess
 import sys
 from pathlib import Path
+from typing import Optional
 
 SECONDS = 35
 SIDES = ("parent", "change")
@@ -58,10 +62,17 @@ def parse_run(returncode: int, stdout: str) -> dict:
     return {"problem": problem, "machine": machine, "values": values}
 
 
-def summarize(parent: list[float], change: list[float], better: str) -> dict:
+def summarize(parent: list[float], change: list[float], better: str,
+              bound: Optional[float] = None) -> dict:
     """Medians, the parent's quartiles and the pairs won of one metric, for
     values paired by position. ``better`` is "lower" or "higher". A single
-    pair has no quartiles: they are None (null in the file)."""
+    pair has no quartiles: they are None (null in the file).
+
+    ``worse_by`` is the change's median relative to the parent's, signed so
+    that a positive value means worse: (change - parent) / |parent| for a
+    lower-is-better metric, the negation for a higher-is-better one. It is
+    None when the parent's median is 0. ``within_bound`` says whether it is
+    at most ``bound``, and is None when either is None."""
     sign = 1 if better == "lower" else -1
     won = sum(sign * (c - p) < 0 for p, c in zip(parent, change))
     lost = sum(sign * (c - p) > 0 for p, c in zip(parent, change))
@@ -69,10 +80,17 @@ def summarize(parent: list[float], change: list[float], better: str) -> dict:
     if len(parent) > 1:
         q1, _, q3 = statistics.quantiles(parent, n=4, method="inclusive")
         quartiles = [q1, q3]
+    parent_median, change_median = statistics.median(parent), statistics.median(change)
+    worse_by = None
+    if parent_median != 0:
+        worse_by = sign * (change_median - parent_median) / abs(parent_median)
     return {
         "better": better,
-        "parent_median": statistics.median(parent),
-        "change_median": statistics.median(change),
+        "parent_median": parent_median,
+        "change_median": change_median,
+        "bound": bound,
+        "worse_by": worse_by,
+        "within_bound": None if worse_by is None or bound is None else worse_by <= bound,
         "parent_quartiles": quartiles,
         "pairs": len(parent),
         "change_won": won,
@@ -80,6 +98,16 @@ def summarize(parent: list[float], change: list[float], better: str) -> dict:
         "parent": parent,
         "change": change,
     }
+
+
+def verdict_line(name: str, summary: dict) -> str:
+    """One line on whether a metric's median stayed inside its bound."""
+    worse_by, bound = summary["worse_by"], summary["bound"]
+    worse = "n/a" if worse_by is None else f"{worse_by:+.1%}"
+    limit = "none" if bound is None else f"{bound:.0%}"
+    verdict = {True: "within bound", False: "OUTSIDE BOUND", None: "no verdict"}
+    return (f"{name}: median {summary['parent_median']:.6g} -> {summary['change_median']:.6g}, "
+            f"worse by {worse} (bound {limit}): {verdict[summary['within_bound']]}")
 
 
 def run_once(checkout: Path, workload: str, seed: int) -> dict:
@@ -127,7 +155,9 @@ def main(argv=None) -> int:
         pairs = [(p, c) for p, c in zip(values["parent"], values["change"])
                  if p is not None and c is not None]
         if pairs:
-            metrics[name] = summarize(*map(list, zip(*pairs)), metric["better"])
+            summary = summarize(*map(list, zip(*pairs)), metric["better"], metric.get("bound"))
+            metrics[name] = summary
+            print(verdict_line(name, summary), file=sys.stderr)
     result = {
         "workload": args.workload,
         "seeds": [args.seeds.start, args.seeds.stop - 1],
