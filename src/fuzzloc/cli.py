@@ -303,10 +303,9 @@ def cmd_bench(args) -> int:
             for (name, algo), entry in sorted(summary.items()):
                 mean = float(np.mean(entry[field])) if entry[field] else math.nan
                 writer.writerow([entry["n"], algo, _fmt(mean)])
-    instances = sorted({name for name, _ in summary})
-    for name in instances:
-        ga = summary.get((name, "ga"), {"objectives": [], "runtimes": []})
-        aco = summary.get((name, "aco"), {"objectives": [], "runtimes": []})
+    # --replications >= 1, so every instance has rows of both algorithms
+    for name in sorted({name for name, _ in summary}):
+        ga, aco = summary[name, "ga"], summary[name, "aco"]
         if not ga["objectives"] or not aco["objectives"]:
             print(f"{name}: incomplete results")
             continue

@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -64,8 +64,8 @@ def _population(
     instance: Instance, config: GAConfig, rng: random.Random, memo: _Memo
 ) -> Steps[list[Chromosome]]:
     """The first population: deal genes 1..n round-robin so every node
-    appears, then fill each member at random; a step generator that scores
-    the members through ``memo``."""
+    appears, then fill each member at random; a step generator that yields
+    the rows of the distinct members in order, valued by ``memo.score``."""
     n, m = instance.n, instance.m_servers
     size = population_size(n, m, config.population_floor)
     members: list[set[int]] = [set() for _ in range(size)]
@@ -76,15 +76,17 @@ def _population(
         if missing > 0:
             pool = [g for g in range(1, n + 1) if g not in member]
             member.update(rng.sample(pool, missing))
-    rows = [[gene - 1 for gene in sorted(member)] for member in members]
-    values = yield from memo.block([_mask(member) for member in members], rows.__getitem__)
-    return [Chromosome(frozenset(member), value) for member, value in zip(members, values)]
+    masks = [_mask(member) for member in members]
+    distinct = {mask: sorted(member) for mask, member in zip(masks, members)}
+    rows = np.array(list(distinct.values()), dtype=np.intp) - 1
+    values = dict(zip(distinct, memo.score(list(distinct), (yield rows))))
+    return [Chromosome(frozenset(member), values[mask]) for member, mask in zip(members, masks)]
 
 
 def _mate(p1: Chromosome, p2: Chromosome, rng: random.Random, memo: _Memo) -> Steps[Chromosome]:
     """Union the parents, then greedily drop unshared genes back to size m;
-    a step generator that yields the rows of each shrink step that ``memo``
-    has not scored yet.
+    a step generator that yields the rows of each shrink step that
+    ``memo.values`` does not hold yet.
 
     At each shrink step every droppable gene is trial-removed and the removal
     with the best remaining fitness wins; genes present in both parents are
@@ -93,12 +95,13 @@ def _mate(p1: Chromosome, p2: Chromosome, rng: random.Random, memo: _Memo) -> St
     dropping low indices. The missing trial rows of a shrink step are one
     block of evaluation.drive: one kernel call for a KernelFitness. The
     parents must differ and be of one size, so at least one shrink step runs
-    and scores the candidate.
+    and scores the candidate. Parents that differ in d genes each make d
+    shrink steps of 2d, 2d - 1, ..., d + 1 trial requests: d(3d + 1)/2.
 
     The result depends only on the union and the unshared genes, on memo
     values that never change once stored, and on the rng when a step ties.
-    So a mating that drew no tie is kept in ``memo`` under those two masks,
-    and a later mating of the same masks returns its child without a step.
+    So a mating that drew no tie keeps its child in ``memo.matings`` under
+    those two masks, and a later mating of the same masks returns it.
     """
     if len(p1.genes) != len(p2.genes):
         raise DomainError("parents must be of one size")
@@ -106,16 +109,16 @@ def _mate(p1: Chromosome, p2: Chromosome, rng: random.Random, memo: _Memo) -> St
         raise DomainError("parents must have different gene sets")
     draft = p1.mask | p2.mask
     mating = (draft, p1.mask ^ p2.mask)
-    child = memo.child(mating)
+    child = memo.matings.get(mating)
     if child is not None:
         return child
-    calls, tie_free = memo.calls, True
+    tie_free = True
     genes = sorted(p1.genes | p2.genes)
     droppable = sorted(p1.genes ^ p2.genes)
     # Both parents hold m genes, so half the unshared genes are dropped.
     for _ in range(len(droppable) // 2):
         keys = [draft ^ (1 << gene) for gene in droppable]
-        trials = memo.scored(keys)
+        trials = list(map(memo.values.get, keys))
         if None in trials:
             missing = [b for b, trial in enumerate(trials) if trial is None]
             values = yield np.array(
@@ -135,7 +138,7 @@ def _mate(p1: Chromosome, p2: Chromosome, rng: random.Random, memo: _Memo) -> St
         droppable.remove(dropped)
     child = Chromosome(frozenset(genes), best_value)
     if tie_free:
-        memo.keep(mating, child, memo.calls - calls)
+        memo.matings[mating] = child
     return child
 
 
@@ -190,16 +193,20 @@ def run_ga(instance: Instance, eval_fn: Fitness, config: GAConfig) -> SolverRepo
 def _steps(instance: Instance, config: GAConfig) -> Steps[SolverReport]:
     """run_ga as a step generator over one termination.Run, which times the
     run from its first step and builds its report. It yields only the rows
-    its memo has not scored yet, in request order."""
+    its memo has not scored yet, in request order, and counts every request,
+    hits included, from the population size and each mating's parents."""
     run = Run("ga", instance, config, config.seed)
     rng = random.Random(config.seed)
     memo = _Memo()
     population = yield from _population(instance, config, rng, memo)
+    requests = len(population)
     current = max(population, key=lambda c: c.fitness)
     run.best, run.best_value = sorted(current.genes), current.fitness
     while True:
         p1, p2 = _distinct_parents(population, rng)
         candidate = yield from _mate(p1, p2, rng, memo)
+        d = (p1.mask ^ p2.mask).bit_count() // 2
+        requests += d * (3 * d + 1) // 2
         replace(population, candidate)
         at_best = candidate.fitness == run.best_value
         current = max(population, key=lambda c: c.fitness)
@@ -207,59 +214,26 @@ def _steps(instance: Instance, config: GAConfig) -> Steps[SolverReport]:
         if improved:
             run.best, run.best_value = sorted(current.genes), current.fitness
         if run.step(improved, at_best):
-            return run.report(memo.calls)
+            return run.report(requests)
 
 
 class _Memo:
     """A run's cache: fitness values by gene bitmask, and the children of
-    tie-free matings. ``calls`` counts fitness requests, hits included.
+    tie-free matings by (union, unshared genes) mask pair.
 
-    ``scored(keys)`` counts len(keys) requests and returns each key's value,
-    or None where it is not scored yet; ``score(keys, values)`` stores the
-    values of such keys and returns them as stored. A NaN value is stored as
-    -inf, so that it ranks below every other value, as np.fmax ranks it
-    within an ACO colony. ``yield from block(keys, row)`` does both for a
-    list of keys that may repeat, where row(b) lists key b's 0-based
-    indices: it yields the (B, k) rows of the keys not scored yet, first
-    occurrences only, in request order, and returns the values of all
-    requests. A block of hits yields nothing.
-
-    ``keep(mating, child, requests)`` stores a mating's child and the
-    requests it made; ``child(mating)`` returns it, adding those requests to
-    ``calls`` as a repeat of the mating would, or returns None.
+    ``score(keys, values)`` stores the values of keys not scored yet and
+    returns them as stored. A NaN value is stored as -inf, so that it ranks
+    below every other value, as np.fmax ranks it within an ACO colony.
     """
 
     def __init__(self) -> None:
-        self.calls = 0
         self.values: dict[int, float] = {}
-        self.matings: dict[tuple[int, int], tuple[Chromosome, int]] = {}
-
-    def scored(self, keys: list[int]) -> list[Optional[float]]:
-        self.calls += len(keys)
-        return list(map(self.values.get, keys))
+        self.matings: dict[tuple[int, int], Chromosome] = {}
 
     def score(self, keys: list[int], values: Sequence[float]) -> list[float]:
         ranked = [v if v == v else -math.inf for v in values]
         self.values.update(zip(keys, ranked))
         return ranked
-
-    def block(self, keys: list[int], row: Callable[[int], list[int]]) -> Steps[list[float]]:
-        values = self.scored(keys)
-        misses = {key: b for b, (key, value) in enumerate(zip(keys, values)) if value is None}
-        if misses:
-            rows = np.array([row(b) for b in misses.values()], dtype=np.intp)
-            self.score(list(misses), (yield rows))
-        return [self.values[key] for key in keys]
-
-    def child(self, mating: tuple[int, int]) -> Optional[Chromosome]:
-        kept = self.matings.get(mating)
-        if kept is None:
-            return None
-        self.calls += kept[1]
-        return kept[0]
-
-    def keep(self, mating: tuple[int, int], child: Chromosome, requests: int) -> None:
-        self.matings[mating] = (child, requests)
 
 
 def _distinct_parents(

@@ -113,6 +113,13 @@ def _field(doc: dict, key: str, convert, what: str):
         raise InstanceFormatError(f"{key} must be {what}, got {reprlib.repr(doc[key])}") from None
 
 
+def _count(value) -> int:
+    """A JSON integer as it is: a float or a bool is not a count."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise TypeError(value)
+    return value
+
+
 def _matrix(doc: dict, key: str, n: int, width: int, malformed_row: str) -> np.ndarray:
     """``doc[key]`` as an (n, width) float array; a wrong row count, row
     length or entry type raises an InstanceFormatError naming the field."""
@@ -131,7 +138,7 @@ def instance_from_dict(doc: dict) -> Instance:
     for key in required:
         if key not in doc:
             raise InstanceFormatError(f"missing field {key!r}")
-    n = _field(doc, "n", int, "an integer")
+    n = _field(doc, "n", _count, "an integer")
     triple, square = "is not a fuzzy triple", f"malformed (matrix must be {n}x{n})"
     weight = doc.get("benefit_weight")
     if weight is not None:
@@ -139,7 +146,7 @@ def instance_from_dict(doc: dict) -> Instance:
     try:
         return Instance(
             n=n,
-            m_servers=_field(doc, "m_servers", int, "an integer"),
+            m_servers=_field(doc, "m_servers", _count, "an integer"),
             demand=_matrix(doc, "demand", n, 3, triple),
             service=_matrix(doc, "service", n, 3, triple),
             distance=_matrix(doc, "distance", n, n, square),

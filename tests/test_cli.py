@@ -345,8 +345,14 @@ def test_non_finite_logit_is_usage_error(small_file, capsys, value, algo):
     ("demand", [["a", "b", "c"]] * 6),
     ("mql", None),
     ("benefit_weight", [[1.0] * 6] * 5 + [[1.0] * 5]),
+    ("m_servers", 2.5),
+    ("n", 6.7),
+    ("n", 6.0),
+    ("m_servers", True),
+    ("n", True),
 ], ids=["demand-number", "distance-flat", "idle_min-pair", "n-word", "demand-strings",
-        "mql-null", "benefit_weight-ragged"])
+        "mql-null", "benefit_weight-ragged", "m_servers-fraction", "n-fraction", "n-float",
+        "m_servers-bool", "n-bool"])
 def test_malformed_field_type_is_usage_error(small_file, capsys, field, value):
     """An instance file field of the wrong type stops the solve with one
     usage-error line that names the field, and no traceback."""

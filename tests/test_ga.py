@@ -5,7 +5,6 @@ import random
 from collections import Counter
 from types import SimpleNamespace
 
-import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -278,30 +277,24 @@ class TestRunGA:
         assert report.iterations <= 16
 
 
+class _Forgetful(dict):
+    """A dict that stores nothing."""
+
+    def __setitem__(self, key, value):
+        pass
+
+
 class _NoMemo:
-    """Stand-in for the GA's memo: counts requests, caches nothing, asks for
-    every requested row to be scored, and keeps no mating. It ranks a NaN
-    value as -inf, as the memo does."""
+    """Stand-in for the GA's memo: caches no value and keeps no mating, so
+    every requested row is scored. It ranks a NaN value as -inf, as the memo
+    does."""
 
     def __init__(self):
-        self.calls = 0
-
-    def block(self, keys, row):
-        self.calls += len(keys)
-        return self.score(keys, (yield np.array([row(b) for b in range(len(keys))], dtype=np.intp)))
-
-    def scored(self, keys):
-        self.calls += len(keys)
-        return [None] * len(keys)
+        self.values = {}
+        self.matings = _Forgetful()
 
     def score(self, keys, values):
         return [v if v == v else -math.inf for v in values]
-
-    def child(self, mating):
-        return None
-
-    def keep(self, mating, child, requests):
-        pass
 
 
 def _counting(fitness):
@@ -333,7 +326,10 @@ class TestFitnessMemo:
         monkeypatch.setattr(fuzzloc.ga, "_Memo", _NoMemo)
         uncached = _counting(fitness)
         run_ga(medium_instance, uncached, GAConfig(seed=1))
-        assert report.evaluations == uncached.calls
+        # the first population scores each distinct member once, memo or not
+        first = populate(medium_instance, GAConfig(seed=1), fitness)
+        repeats = len(first) - len({member.genes for member in first})
+        assert report.evaluations == uncached.calls + repeats
         # the memo evaluates each distinct gene set once
         assert cached.calls == len(uncached.distinct) < uncached.calls
 
@@ -372,15 +368,14 @@ class TestMatingMemo:
         p2 = Chromosome(frozenset({3, 7, 9}), 0.0)
         memo, rng = _Memo(), random.Random(0)
         [child] = drive([(_mate(p1, p2, rng, memo), subset_size_fitness)])
-        calls, state = memo.calls, rng.getstate()
-        assert calls > 0 and len(memo.matings) == 1
+        state = rng.getstate()
+        assert len(memo.matings) == 1
         # parents in either order are one mating
         repeat = _mate(p2, p1, rng, memo)
         with pytest.raises(StopIteration) as stop:
             next(repeat)
         assert stop.value.value is child
         assert child.genes == frozenset({3, 7, 9})
-        assert memo.calls == 2 * calls
         assert rng.getstate() == state
 
     def test_tied_matings_draw_as_without_memo(self, monkeypatch):
@@ -396,27 +391,30 @@ class TestMatingMemo:
             draws.append(list(seq))
             return choice(rng, seq)
 
-        memos = []
+        tables = []
 
-        class Recording(_Memo):
-            def __init__(self):
-                super().__init__()
-                self.kept = self.served = 0
-                memos.append(self)
+        class Recording(dict):
+            kept = served = 0
 
-            def child(self, mating):
+            def get(self, mating):
                 self.start = len(draws)
-                found = super().child(mating)
+                found = super().get(mating)
                 self.served += found is not None
                 return found
 
-            def keep(self, mating, child, requests):
+            def __setitem__(self, mating, child):
                 assert len(draws) == self.start, "a tied mating was kept"
                 self.kept += 1
-                super().keep(mating, child, requests)
+                super().__setitem__(mating, child)
+
+        class RecordingMemo(_Memo):
+            def __init__(self):
+                super().__init__()
+                self.matings = Recording()
+                tables.append(self.matings)
 
         monkeypatch.setattr(random.Random, "choice", logged)
-        monkeypatch.setattr(fuzzloc.ga, "_Memo", Recording)
+        monkeypatch.setattr(fuzzloc.ga, "_Memo", RecordingMemo)
         cached = run_ga(instance, plateau_fitness, config)
         cached_draws = draws[:]
         draws.clear()
@@ -424,5 +422,23 @@ class TestMatingMemo:
         plain = run_ga(instance, plateau_fitness, config)
         assert record(cached) == record(plain)
         assert cached_draws == draws and len(draws) > 0
-        [memo] = memos
-        assert memo.kept > 0 and memo.served > 0
+        [matings] = tables
+        assert matings.kept > 0 and matings.served > 0
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), fitness=st.sampled_from([subset_size_fitness, plateau_fitness]))
+    def test_mating_requests_follow_from_parent_masks(self, data, fitness):
+        """Parents that differ in d genes each make d shrink steps of 2d,
+        2d - 1, ..., d + 1 trial rows: d(3d + 1)/2, the count a run adds for
+        each mating, hit or miss."""
+        n = data.draw(st.integers(2, 14))
+        m = data.draw(st.integers(1, n - 1))
+        genes = st.lists(st.integers(1, n), min_size=m, max_size=m, unique=True).map(frozenset)
+        g1, g2 = data.draw(genes), data.draw(genes)
+        assume(g1 != g2)
+        counted = _counting(fitness)
+        rng = random.Random(data.draw(st.integers(0, 2**16)))
+        parents = [Chromosome(g, 0.0) for g in (g1, g2)]
+        drive([(_mate(*parents, rng, _NoMemo()), counted)])
+        d = len(g1 ^ g2) // 2
+        assert counted.calls == d * (3 * d + 1) // 2
