@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import itertools
 import json
 import math
 import os
@@ -75,6 +76,16 @@ def _fmt(value: float) -> str:
     return format(value, ".12g")
 
 
+def _write_table(path: Path, header: list, rows) -> None:
+    """A CSV file: the header, then each row as ``rows`` yields it, with
+    every float formatted by _fmt."""
+    with path.open("w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow([_fmt(v) if isinstance(v, float) else v for v in row])
+
+
 def _enum_budget() -> int:
     """FUZZLOC_ENUM_BUDGET, or the default when it is unset or empty; any
     other value that is not a positive integer is a usage error."""
@@ -82,12 +93,9 @@ def _enum_budget() -> int:
     if not raw:
         return DEFAULT_ENUM_BUDGET
     try:
-        budget = int(raw)
-        if budget < 1:
-            raise ValueError
-    except ValueError:
-        raise UsageError(f"FUZZLOC_ENUM_BUDGET must be a positive integer, got {raw!r}") from None
-    return budget
+        return _positive_int(raw)
+    except argparse.ArgumentTypeError as exc:
+        raise UsageError(f"FUZZLOC_ENUM_BUDGET {exc}") from None
 
 
 def _positive_int(text: str) -> int:
@@ -268,60 +276,54 @@ def _bench_row(instance: Instance, name: str, algo: str, seed: int, ctx) -> dict
 
 
 def cmd_bench(args) -> int:
-    rows = []
-    for inst_path in args.instance:
-        instance = _load(inst_path, args.gamma, args.logit)
-        name = Path(inst_path).stem
+    # every file is loaded first, so a bad one stops the command before any run
+    instances = [(path, _load(path, args.gamma, args.logit)) for path in args.instance]
+    rows, plots = [], {"runtime": [], "objective": []}
+    for inst_path, instance in instances:
+        name = Path(inst_path).stem  # the CSV's instance column
         try:  # bounds depend on the instance only: build them once
             ctx = _context(args, instance)
         except _SOLVE_ERRORS as exc:
             ctx = exc
+        # each algorithm's (runtime, objective) means over this instance's rows
+        means = {}
         for algo in ("ga", "aco"):
-            for rep in range(args.replications):
-                rows.append(_bench_row(instance, name, algo, args.seed + rep, ctx))
-    out = Path(args.out)
-    with out.open("w", newline="") as fh:
-        writer = csv.DictWriter(fh, BENCH_HEADER)
-        writer.writeheader()
-        for row in rows:
-            writer.writerow({
-                **row, "objective": _fmt(row["objective"]), "runtime_ms": _fmt(row["runtime_ms"]),
-            })
-    # per-(instance, algorithm) means feed the summary and the plot data
-    summary: dict[tuple[str, str], dict] = {}
-    for row in rows:
-        key = (row["instance"], row["algorithm"])
-        entry = summary.setdefault(key, {"n": row["n"], "objectives": [], "runtimes": []})
-        if not math.isnan(row["objective"]):
-            entry["objectives"].append(row["objective"])
-            entry["runtimes"].append(row["runtime_ms"])
-    for suffix, field in (("runtime_vs_n", "runtimes"), ("objective_vs_n", "objectives")):
-        plot_path = out.with_name(out.stem + f"_{suffix}.csv")
-        with plot_path.open("w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["n", "algorithm", "mean_" + field[:-1]])
-            for (name, algo), entry in sorted(summary.items()):
-                mean = float(np.mean(entry[field])) if entry[field] else math.nan
-                writer.writerow([entry["n"], algo, _fmt(mean)])
-    # --replications >= 1, so every instance has rows of both algorithms
-    for name in sorted({name for name, _ in summary}):
-        ga, aco = summary[name, "ga"], summary[name, "aco"]
-        if not ga["objectives"] or not aco["objectives"]:
-            print(f"{name}: incomplete results")
+            solved = [
+                _bench_row(instance, name, algo, args.seed + rep, ctx)
+                for rep in range(args.replications)
+            ]
+            rows += solved
+            done = [row for row in solved if not math.isnan(row["objective"])]
+            means[algo] = [
+                float(np.mean([row[key] for row in done])) if done else math.nan
+                for key in ("runtime_ms", "objective")
+            ]
+        for algo, pair in sorted(means.items()):
+            for plot, mean in zip(plots.values(), pair):
+                plot.append([instance.n, algo, mean])
+        (ga_rt, ga_obj), (aco_rt, aco_obj) = means["ga"], means["aco"]
+        if math.isnan(ga_obj) or math.isnan(aco_obj):
+            print(f"{inst_path}: incomplete results")
             continue
-        ga_obj, aco_obj = float(np.mean(ga["objectives"])), float(np.mean(aco["objectives"]))
-        ga_rt, aco_rt = float(np.mean(ga["runtimes"])), float(np.mean(aco["runtimes"]))
         gap = (ga_obj - aco_obj) / abs(ga_obj) * 100.0 if ga_obj != 0 else math.nan
         print(
-            f"{name}: GA obj {_fmt(ga_obj)} ({ga_rt:.0f} ms) | "
+            f"{inst_path}: GA obj {_fmt(ga_obj)} ({ga_rt:.0f} ms) | "
             f"ACO obj {_fmt(aco_obj)} ({aco_rt:.0f} ms) | gap {gap:.2f}%"
         )
+    out = Path(args.out)
+    _write_table(out, BENCH_HEADER, ([row[key] for key in BENCH_HEADER] for row in rows))
+    for field, plot in plots.items():
+        _write_table(out.with_name(f"{out.stem}_{field}_vs_n.csv"),
+                     ["n", "algorithm", "mean_" + field], plot)
     print(f"wrote {len(rows)} rows to {out}")
     return EXIT_OK
 
 
 def cmd_tune(args) -> int:
     instance = _load(args.instance)
+    grid = list(itertools.product(
+        args.evaporation, args.max_pheromone, args.coefficient, args.alpha, args.beta
+    ))
     # one config per cell and seed, built first, so a bad value or seed stops
     # the command before any run and before the output file is opened
     cells = [
@@ -332,37 +334,29 @@ def cmd_tune(args) -> int:
             )
             for seed in args.seeds
         ]
-        for ev in args.evaporation
-        for ph in args.max_pheromone
-        for co in args.coefficient
-        for al in args.alpha
-        for be in args.beta
+        for ev, ph, co, al, be in grid
     ]
     ctx = _context(args, instance)
     contexts = {
         seed: ctx or estimate_bounds(instance, ACOConfig(), bound_seeds(seed))
         for seed in args.seeds
     }
+    header = [
+        "evaporation_rate", "max_pheromone", "population_coefficient",
+        "alpha_exp", "beta_exp", "mean_objective",
+    ]
+
+    def mean_objective(configs) -> float:
+        return float(np.mean([
+            solve_protocol(instance, "aco", seed=c.seed, aco_config=c, ctx=contexts[c.seed])[0]
+            .objective
+            for c in configs
+        ]))
+
+    # each cell's row is written as soon as its seeds are solved
     out = Path(args.out)
-    with out.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([
-            "evaporation_rate", "max_pheromone", "population_coefficient",
-            "alpha_exp", "beta_exp", "mean_objective",
-        ])
-        for configs in cells:
-            values = [
-                solve_protocol(
-                    instance, "aco", seed=c.seed, aco_config=c, ctx=contexts[c.seed]
-                )[0].objective
-                for c in configs
-            ]
-            cell = configs[0]
-            writer.writerow([
-                _fmt(cell.evaporation_rate), _fmt(cell.max_pheromone),
-                cell.population_coefficient, _fmt(cell.alpha_exp), _fmt(cell.beta_exp),
-                _fmt(float(np.mean(values))),
-            ])
+    rows = ([*values, mean_objective(configs)] for values, configs in zip(grid, cells))
+    _write_table(out, header, rows)
     print(f"wrote {len(cells)} cells to {out}")
     return EXIT_OK
 

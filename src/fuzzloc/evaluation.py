@@ -60,21 +60,18 @@ class MaximinContext:
     provenance: str  # "metaheuristic-estimated" or "oracle-exact"
 
     def __post_init__(self) -> None:
-        # A degenerate component gets a unit scale, and memberships sets its
-        # degree to 1. The raw degree (spread * sign + offset) / width is, bit
-        # for bit, (high - z1) / width and (z - low) / width for z2 and z3.
-        degenerate = [self.is_degenerate(name) for name in COMPONENTS]
-        lows, highs = zip(*[
-            (0.0, 1.0) if d else self.bounds(name) for name, d in zip(COMPONENTS, degenerate)
-        ])
-        resolved = {  # columns, one row per component
-            "_degenerate": [k for k, d in enumerate(degenerate) if d],
-            "_sign": np.array([[-1.0], [1.0], [1.0]]),  # z1 decreases
-            "_offset": np.array([[highs[0]], [-lows[1]], [-lows[2]]], dtype=float),
-            "_width": np.array([[high - low] for low, high in zip(lows, highs)], dtype=float),
-        }
-        for name, value in resolved.items():
-            object.__setattr__(self, name, value)
+        # The raw degree (spread * sign + offset) / width is, bit for bit,
+        # (high - z1) / width and (z - low) / width for z2 and z3. A
+        # degenerate component gets the constant row sign 0, offset 1, width
+        # 1, so its degree is 1 for any finite spread, as every kernel's is.
+        rows = [
+            (0.0, 1.0, 1.0) if self.is_degenerate(name)
+            else (sign, high if sign < 0 else -low, high - low)
+            for name, sign in zip(COMPONENTS, (-1.0, 1.0, 1.0))  # z1 decreases
+            for low, high in [self.bounds(name)]
+        ]
+        for name, column in zip(("_sign", "_offset", "_width"), zip(*rows)):
+            object.__setattr__(self, name, np.array(column, dtype=float)[:, None])
 
     def bounds(self, name: str) -> tuple[float, float]:
         return getattr(self, f"{name}_bounds")
@@ -94,8 +91,6 @@ class MaximinContext:
         rows += self._offset
         rows /= self._width
         degrees = np.minimum(np.maximum(rows, 0.0, out=rows), 1.0, out=rows)
-        for k in self._degenerate:
-            degrees[k] = 1.0
         return degrees.T.reshape(np.shape(spreads))
 
     def to_dict(self) -> dict:

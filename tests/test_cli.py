@@ -242,6 +242,48 @@ class TestBench:
         assert (tmp_path / "bench_runtime_vs_n.csv").exists()
         assert (tmp_path / "bench_objective_vs_n.csv").exists()
 
+    def test_same_stem_instances_stay_apart(self, tmp_path, capsys):
+        """Instance files of one stem in two directories each get their own
+        summary line, naming the path, and their own plot rows."""
+        paths = []
+        for folder, n in (("a", 8), ("b", 10)):
+            (tmp_path / folder).mkdir()
+            paths.append(tmp_path / folder / "g.json")
+            save_instance(generate_instance(mild_params(n, 3, 0)), paths[-1])
+        out = tmp_path / "bench.csv"
+        assert run([
+            "bench", "--instance", paths[0], "--instance", paths[1], "--replications", 1,
+            "--exact-bounds", "--out", out,
+        ]) == EXIT_OK
+        lines = capsys.readouterr().out.splitlines()
+        assert [line.split(": GA obj ")[0] for line in lines[:-1]] == [str(p) for p in paths]
+        with out.open() as fh:
+            rows = list(csv.DictReader(fh))
+        assert [(row["instance"], row["n"], row["algorithm"]) for row in rows] == [
+            ("g", "8", "ga"), ("g", "8", "aco"), ("g", "10", "ga"), ("g", "10", "aco")]
+        # one replication: each mean is its instance's own objective
+        objective = {(row["n"], row["algorithm"]): row["objective"] for row in rows}
+        expected = [(n, algo) for n in ("8", "10") for algo in ("aco", "ga")]
+        with (tmp_path / "bench_objective_vs_n.csv").open() as fh:
+            plot = [(r["n"], r["algorithm"], r["mean_objective"]) for r in csv.DictReader(fh)]
+        assert plot == [(*key, objective[key]) for key in expected]
+        with (tmp_path / "bench_runtime_vs_n.csv").open() as fh:
+            assert [(r["n"], r["algorithm"]) for r in csv.DictReader(fh)] == expected
+
+    def test_bad_instance_file_stops_before_any_run(
+        self, small_file, tmp_path, monkeypatch, capsys
+    ):
+        monkeypatch.setattr(cli, "solve_protocol", _never)
+        bad = tmp_path / "bad.json"
+        bad.write_text("[]")
+        out = tmp_path / "bench.csv"
+        argv = ["bench", "--instance", small_file, "--instance", bad, "--out", out]
+        assert run(argv) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == (
+            "", f"usage error: {bad}: top-level JSON must be an object\n")
+        assert not out.exists()
+
 
 class TestTune:
     def test_single_cell_grid(self, small_file, tmp_path):
@@ -462,6 +504,14 @@ class TestValidate:
         assert run(["validate", "--events", 2000, "--skip-network"]) == EXIT_OK
         captured = capsys.readouterr()
         assert "not enforceable" in captured.out
+
+    def test_unstable_rho_skipped_and_heavy_rho_relaxed(self, capsys):
+        argv = ["validate", "--events", 2000, "--rho", "1.0", "0.9", "--skip-network"]
+        assert run(argv) == EXIT_OK
+        out = capsys.readouterr().out.splitlines()
+        assert out[1] == "1      skipped (unstable)"
+        assert [line for line in out if "relaxed" in line] == [
+            "       (tolerance relaxed x2.0 for rho=0.9)"]
 
     def test_impossible_tolerance_fails(self):
         assert run([

@@ -194,6 +194,26 @@ class TestReplace:
             p1, p2 = _distinct_parents(population, rng)
             assert p1.genes != p2.genes
 
+    def test_distinct_parents_fall_back_after_32_equal_draws(self):
+        population = [
+            Chromosome(frozenset({1, 2}), 3.0),
+            Chromosome(frozenset({1, 2}), 2.0),
+            Chromosome(frozenset({3, 4}), 1.0),
+        ]
+
+        class Stuck:
+            """An rng whose every draw is the first member twice."""
+            draws = 0
+
+            def sample(self, members, k):
+                self.draws += 1
+                return [members[0]] * k
+
+        rng = Stuck()
+        p1, p2 = _distinct_parents(population, rng)
+        assert rng.draws == 32
+        assert (p1, p2) == (population[0], population[2])
+
     @settings(max_examples=200, deadline=None)
     @given(st.data())
     def test_matches_counter_reference(self, data):

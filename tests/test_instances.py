@@ -7,6 +7,7 @@ import json
 import numpy as np
 import pytest
 
+from fuzzloc import instances
 from fuzzloc.errors import DomainError, InstanceFormatError
 from fuzzloc.instances import (
     TABLE1_SHA256,
@@ -73,6 +74,14 @@ class TestTable1Fixture:
     def test_checksum(self):
         assert hashlib.sha256(table1_bytes()).hexdigest() == TABLE1_SHA256
 
+    def test_altered_bytes_rejected(self, monkeypatch):
+        # still a valid instance file, so only the checksum can reject it
+        altered = table1_bytes().replace(b'"mql": 25', b'"mql": 26', 1)
+        assert altered != table1_bytes()
+        monkeypatch.setattr(instances, "table1_bytes", lambda: altered)
+        with pytest.raises(InstanceFormatError, match="checksum mismatch"):
+            instances.load_table1()
+
     def test_shape_and_parameters(self, table1):
         assert table1.n == 20
         assert table1.m_servers == 5
@@ -137,6 +146,12 @@ class TestPersistence:
         with pytest.raises(InstanceFormatError, match="not ordered"):
             load_instance(path)
 
+    def test_unordered_idle_min_rejected(self, small_instance):
+        doc = instance_to_dict(small_instance)
+        doc["idle_min"] = [0.2, 0.1, 0.3]
+        with pytest.raises(InstanceFormatError, match="not ordered"):
+            instance_from_dict(doc)
+
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize(
         "field", ["distance", "demand", "service", "benefit_weight", "mql", "logit_sensitivity"]
@@ -167,6 +182,13 @@ class TestPersistence:
         doc = instance_to_dict(small_instance)
         doc["distance"][2] = doc["distance"][2][:-1]
         with pytest.raises(InstanceFormatError, match="row 3"):
+            instance_from_dict(doc)
+
+    @pytest.mark.parametrize("field", ["demand", "service", "distance"])
+    def test_wrong_row_count_rejected(self, small_instance, field):
+        doc = instance_to_dict(small_instance)
+        doc[field] = doc[field][:-1]
+        with pytest.raises(InstanceFormatError, match=f"^{field} has 5 rows, expected 6$"):
             instance_from_dict(doc)
 
     def test_invalid_json_reports_line(self, tmp_path):

@@ -1,5 +1,7 @@
 """Problem data types and the crisp queuing/allocation/objective formulas."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -88,6 +90,26 @@ class TestInstanceValidation:
                 crisp_rows([10, 10]),
                 idle=TriFuzzy(0.5, 0.8, 1.2),
             )
+
+    @pytest.mark.parametrize("field, value, match", [
+        ("n", 1, "at least two nodes"),
+        ("distance", np.zeros((3, 3)), "distance must be 2x2"),
+        ("distance", [[0.0, 0.0], [0.0, 0.0]], "off-diagonal distances must be positive"),
+        ("distance", [[0.0, -2.0], [-2.0, 0.0]], "off-diagonal distances must be positive"),
+        ("mql", 0.0, "mql must be positive"),
+        ("mql", -1.0, "mql must be positive"),
+        ("gamma", -0.1, "gamma must lie in"),
+        ("gamma", 1.5, "gamma must lie in"),
+        ("logit_sensitivity", 0.0, "logit_sensitivity must be positive"),
+        ("logit_sensitivity", -0.5, "logit_sensitivity must be positive"),
+        ("benefit_weight", np.ones((3, 3)), "benefit_weight must be 2x2"),
+        ("demand", crisp_rows([1, 1, 1]), "demand must be 2 fuzzy triples"),
+        ("service", [[10.0, 10.0], [10.0, 10.0]], "service must be 2 fuzzy triples"),
+    ])
+    def test_field_rule_rejected(self, field, value, match):
+        valid = build_instance([[0, 2], [2, 0]], crisp_rows([1, 1]), crisp_rows([10, 10]))
+        with pytest.raises(DomainError, match=match):
+            dataclasses.replace(valid, **{field: value})
 
 
 class TestSolution:

@@ -371,6 +371,11 @@ class TestSimulator:
         with pytest.raises(DomainError):
             mm1_simulate(120, 100, 1000)
 
+    @pytest.mark.parametrize("lam, mu", [(0, 100), (0.0, 100.0), (50, 0), (0, 0)])
+    def test_zero_rate_rejected(self, lam, mu):
+        with pytest.raises(DomainError, match="rates must be positive"):
+            mm1_simulate(lam, mu, 1000)
+
     def test_bad_budget_rejected(self):
         with pytest.raises(DomainError):
             mm1_simulate(50, 100, 0)
