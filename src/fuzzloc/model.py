@@ -249,6 +249,22 @@ def capacity_threshold(instance: Instance) -> float:
     return b_hi - instance.gamma * (b_hi - b_mid)
 
 
+def no_feasible_subset(instance: Instance) -> bool:
+    """A certificate that ``Kernel.feasible()`` holds for no m-subset.
+
+    Each node's logit shares sum to 1, so the open facilities' arrivals sum
+    to the total demand D_s of each slice s. A feasible subset S then has
+    D_mid <= threshold * sum_S mu_mid and D_s < sum_S mu_s for every slice,
+    and the m largest rates of a slice bound sum_S mu_s. The certificate
+    holds when either fails against those m rates by a relative margin of
+    1e-9. Every term is nonnegative, so the kernel's sums, and these, are
+    off by at most about n * 2**-53 relative, far below the margin.
+    """
+    demand = instance.demand.sum(axis=0)
+    top = np.sort(instance.service, axis=0)[-instance.m_servers:].sum(axis=0) * (1.0 + 1e-9)
+    return bool(demand[1] > capacity_threshold(instance) * top[1] or (demand >= top).any())
+
+
 class Kernel:
     """The model's figures for facility subsets given as 0-based, ascending
     index arrays of shape (..., k): one subset when idx is (k,), a block of B

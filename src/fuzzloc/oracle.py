@@ -13,7 +13,7 @@ import numpy as np
 from .errors import BudgetExceededError, DomainError, InfeasibleInstanceError
 from .evaluation import Fitness, MaximinContext, MaximinFitness, Steps, drive
 from .fuzzy import SLICE_INDEX
-from .model import Instance, Kernel, Solution, served_share, solution_kernel
+from .model import Instance, Kernel, Solution, no_feasible_subset, served_share, solution_kernel
 
 DEFAULT_ENUM_BUDGET = 10**6
 # Subsets per kernel call of the oracle. The kernel's intermediates grow with
@@ -124,6 +124,8 @@ class Scan:
     ``spreads`` (F, 3) and ``subsets`` (F, m) hold the spread components of
     the F feasible subsets and their rows of 1-based indices, in that order,
     the rows in the smallest unsigned dtype that holds n (a byte for n < 256).
+    An instance that ``model.no_feasible_subset`` certifies keeps no rows,
+    and its blocks are not scanned.
     """
 
     def __init__(self, instance: Instance, budget: int = DEFAULT_ENUM_BUDGET):
@@ -131,7 +133,7 @@ class Scan:
         self.count = _check_budget(instance, budget)
         dtype = np.min_scalar_type(instance.n)
         spreads, subsets = [np.empty((0, 3))], [np.empty((0, instance.m_servers), dtype)]
-        for block in _blocks(instance):
+        for block in () if no_feasible_subset(instance) else _blocks(instance):
             kernel = Kernel(instance, block - 1)
             feasible = kernel.feasible()
             if feasible.any():

@@ -16,7 +16,7 @@ from .evaluation import (
     COMPONENTS, KernelFitness, MaximinContext, drive, make_maximin_eval, penalty,
 )
 from .ga import GAConfig, run_ga, _steps as _ga_steps
-from .model import Instance
+from .model import Instance, no_feasible_subset
 # A brute solve no longer calls enumerate_optimum; the name stays importable
 # here because benchmarks/tracer.py wraps it on this module.
 from .oracle import DEFAULT_ENUM_BUDGET, Scan, enumerate_optimum, exact_bounds  # noqa: F401
@@ -83,10 +83,16 @@ def estimate_bounds(
     step together in one ``drive`` call, and each ends as it would alone:
     six GA step generators, or one ACO generator over a six-row trail array
     whose blocks one ``_BoundFitness`` scores, each row as its own run.
+
+    On an instance that ``model.no_feasible_subset`` certifies, every run
+    would end at or below the penalty, so after the seed checks no run is
+    made and every bound is NaN, the context the six runs would give.
     """
     if len(seeds) != len(BOUND_RUNS):
         raise DomainError(f"need {len(BOUND_RUNS)} seeds, got {len(seeds)}")
     configs = [dataclasses.replace(config, seed=seed) for seed in seeds]  # checks each seed
+    if no_feasible_subset(instance):
+        return MaximinContext(*[(math.nan, math.nan)] * 3, provenance="metaheuristic-estimated")
     if isinstance(config, GAConfig):
         reports = drive([
             (_ga_steps(instance, run), _BoundFitness(instance, r))

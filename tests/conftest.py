@@ -116,3 +116,12 @@ def medium_instance() -> Instance:
 @pytest.fixture(scope="session")
 def table1() -> Instance:
     return load_table1()
+
+
+@pytest.fixture(scope="session", params=["table1", "default"])
+def certified(request, table1) -> Instance:
+    """An instance that model.no_feasible_subset certifies: table1, or one
+    drawn from the generator's default ranges."""
+    if request.param == "table1":
+        return table1
+    return generate_instance(GeneratorParams(n=12, m_servers=3, seed=0))

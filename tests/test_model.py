@@ -1,25 +1,30 @@
 """Problem data types and the crisp queuing/allocation/objective formulas."""
 
 import dataclasses
+import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import mild_params
 from fuzzloc import model
 from fuzzloc.cli import EXIT_VALIDATION, main
 from fuzzloc.errors import DomainError
 from fuzzloc.evaluation import fuzzy_capacity_feasible
 from fuzzloc.fuzzy import TriFuzzy
+from fuzzloc.instances import GeneratorParams, generate_instance
 from fuzzloc.model import (
     Instance,
     Kernel,
     Solution,
     balking_ramp,
+    capacity_threshold,
     crisp_objective_slice,
     logit_allocation,
     mm1_metrics,
+    no_feasible_subset,
 )
 
 
@@ -293,3 +298,72 @@ class TestObjectiveAndCapacity:
         # the genetic algorithm's greedy drop probes subsets larger than M
         value = crisp_objective_slice(small_instance, Solution([1, 2, 3]), "mid")
         assert value is not None and value > 0
+
+
+def feasible_count(instance) -> int:
+    """The m-subsets that a full Kernel.feasible() pass finds feasible."""
+    idx = np.array(list(itertools.combinations(range(instance.n), instance.m_servers)))
+    return int(Kernel(instance, idx).feasible().sum())
+
+
+def near_capacity(instance, ratio):
+    """``instance`` with its service rates rescaled so that the total mid
+    demand is ``ratio`` times the capacity threshold of the m largest mid
+    service rates (up to rounding)."""
+    demand = instance.demand[:, 1].sum()
+    top = np.sort(instance.service[:, 1])[-instance.m_servers:].sum()
+    scale = demand / (capacity_threshold(instance) * top * ratio)
+    return dataclasses.replace(instance, service=instance.service * scale)
+
+
+class TestNoFeasibleSubset:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        n=st.integers(3, 10),
+        data=st.data(),
+        instance_seed=st.integers(0, 2**16),
+        mild=st.booleans(),
+        near=st.one_of(st.none(), st.floats(-1e-6, 1e-6)),
+    )
+    def test_certified_instances_have_no_feasible_subset(
+        self, n, data, instance_seed, mild, near
+    ):
+        """Whenever the certificate holds, no m-subset is feasible. ``near``
+        rescales the service rates to within 1e-6 of the mid capacity bound,
+        on either side."""
+        m = data.draw(st.integers(1, n - 1), label="m")
+        params = mild_params(n, m, instance_seed) if mild else GeneratorParams(
+            n=n, m_servers=m, seed=instance_seed)
+        instance = generate_instance(params)
+        if near is not None:
+            instance = near_capacity(instance, 1.0 + near)
+        if no_feasible_subset(instance):
+            assert feasible_count(instance) == 0
+
+    @pytest.mark.parametrize("side", [-1, 1])
+    def test_tight_at_one_facility(self, side):
+        """With one server, a facility captures all demand, so the mid
+        capacity bound decides feasibility: 1e-6 below it the best facility
+        is feasible, and 1e-6 above it the certificate holds."""
+        base = build_instance(
+            [[0, 2, 3], [2, 0, 2], [3, 2, 0]],
+            crisp_rows([20, 30, 40]),
+            [[100, 110, 120], [150, 160, 170], [90, 100, 110]],
+        )
+        instance = near_capacity(base, 1.0 + side * 1e-6)
+        assert no_feasible_subset(instance) == (side > 0)
+        assert feasible_count(instance) == (1 if side < 0 else 0)
+
+    def test_holds_on_table1(self, table1):
+        assert no_feasible_subset(table1)
+
+    @pytest.mark.parametrize("n, m", [(8, 2), (20, 5), (40, 10), (60, 15)])
+    def test_holds_on_default_ranges(self, n, m):
+        for seed in range(5):
+            params = GeneratorParams(n=n, m_servers=m, seed=seed)
+            assert no_feasible_subset(generate_instance(params))
+
+    @pytest.mark.parametrize("n, m", [(8, 2), (20, 5), (40, 10), (60, 15)])
+    def test_fails_on_mild_ranges(self, n, m):
+        for seed in range(5):
+            assert not no_feasible_subset(generate_instance(mild_params(n, m, seed)))

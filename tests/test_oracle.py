@@ -18,7 +18,9 @@ from fuzzloc.errors import BudgetExceededError, DomainError, InfeasibleInstanceE
 from fuzzloc.evaluation import MaximinContext, make_maximin_eval, violation_total
 from fuzzloc.fuzzy import TriFuzzy
 from fuzzloc.instances import generate_instance
-from fuzzloc.model import Instance, Kernel, Solution, crisp_objective_slice, mm1_metrics
+from fuzzloc.model import (
+    Instance, Kernel, Solution, crisp_objective_slice, mm1_metrics, no_feasible_subset,
+)
 from fuzzloc.oracle import (
     enumerate_optimum,
     exact_bounds,
@@ -133,21 +135,28 @@ class TestStreaming:
 
     def test_brute_peak_memory_does_not_grow_with_subsets(self):
         # The same sizes through a brute solve, which also keeps 24 + m bytes
-        # per feasible subset: none of the 2024 at M = 3 (brute raises), 6280 of
-        # the 134596 at M = 6.
-        peaks = {}
-        for m in (3, 6):
-            instance = generate_instance(mild_params(24, m, 0))
+        # per feasible subset: 6280 of the 134596 at M = 6. At M = 3 no
+        # subset is feasible, and model.no_feasible_subset certifies it, so
+        # that brute solve raises without a scan; the M = 3 baseline is the
+        # scan of enumerate_optimum over its 2024 subsets, and the certified
+        # solve peaks far below it.
+        def peak(solve):
             tracemalloc.start()
             try:
                 try:
-                    solve_protocol(instance, "brute")
+                    solve()
                 except InfeasibleInstanceError:
                     pass
-                peaks[m] = tracemalloc.get_traced_memory()[1]
+                return tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-        assert peaks[6] < 4 * peaks[3]
+
+        small, large = (generate_instance(mild_params(24, m, 0)) for m in (3, 6))
+        assert no_feasible_subset(small) and not no_feasible_subset(large)
+        fitness = make_maximin_eval(small, MaximinContext((0, 1), (0, 1), (0, 1), "probe"))
+        scan = peak(lambda: enumerate_optimum(small, fitness))
+        assert peak(lambda: solve_protocol(large, "brute")) < 4 * scan
+        assert peak(lambda: solve_protocol(small, "brute")) < scan / 50
 
 
 HAND_CTX = MaximinContext((0.0, 60.0), (100.0, 250.0), (0.0, 60.0), "hand")
@@ -344,6 +353,34 @@ class TestOnePassBrute:
                     expected = np.array(list(itertools.islice(combos, len(block))), dtype=np.intp)
                     assert block.dtype == np.intp and block.tobytes() == expected.tobytes()
                 assert next(combos, None) is None
+
+
+class TestCertifiedScan:
+    """On an instance that model.no_feasible_subset certifies, a Scan keeps
+    no rows and builds no kernel, and the brute errors and results stay."""
+
+    def test_scan_keeps_no_rows_and_builds_no_kernel(self, certified, monkeypatch):
+        assert no_feasible_subset(certified)
+        monkeypatch.setattr(Kernel, "__init__", mock.Mock(side_effect=AssertionError("kernel")))
+        scan = oracle.Scan(certified)
+        assert scan.count == math.comb(certified.n, certified.m_servers)
+        assert scan.spreads.shape == (0, 3)
+        assert scan.subsets.shape == (0, certified.m_servers)
+
+    def test_budget_and_error_text_unchanged(self, certified):
+        with pytest.raises(BudgetExceededError):
+            oracle.Scan(certified, budget=10)
+        with pytest.raises(InfeasibleInstanceError, match="^no feasible facility subset exists$"):
+            exact_bounds(certified)
+        with pytest.raises(InfeasibleInstanceError, match="^no feasible facility subset exists$"):
+            solve_protocol(certified, "brute")
+
+    @pytest.mark.parametrize("ctx", [HAND_CTX, DEGENERATE_CTX], ids=["hand", "degenerate"])
+    def test_brute_with_bounds_matches_two_pass(self, certified, ctx):
+        report, _ = solve_protocol(certified, "brute", ctx=ctx)
+        expected, _ = two_pass(certified, ctx)
+        assert report.best == expected.best.sorted()
+        assert report.objective.hex() == expected.best_value.hex()
 
 
 class TestSimulator:

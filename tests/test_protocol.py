@@ -23,10 +23,10 @@ from fuzzloc import aco, protocol
 from fuzzloc.aco import ACOConfig
 from fuzzloc.errors import DomainError
 from fuzzloc.fuzzy import TriFuzzy
-from fuzzloc.evaluation import component_value, drive, make_maximin_eval
+from fuzzloc.evaluation import MaximinContext, component_value, drive, make_maximin_eval
 from fuzzloc.ga import GAConfig, run_ga, _steps as _ga_steps
 from fuzzloc.instances import GeneratorParams, generate_instance
-from fuzzloc.model import Instance, Kernel, Solution
+from fuzzloc.model import Instance, Kernel, Solution, no_feasible_subset
 from fuzzloc.oracle import enumerate_optimum, exact_bounds
 from fuzzloc.protocol import (
     BOUND_RUNS,
@@ -130,7 +130,8 @@ class TestEstimateBounds:
         """Lockstep bounds, read from the runs' objectives, equal, bit for
         bit, the component values of the bests of six separate runs.
         Default generator ranges give infeasible instances whose bounds are
-        NaN."""
+        NaN, most of them certified by model.no_feasible_subset, so that
+        estimate_bounds makes no run on them."""
         params = mild_params(n, m, instance_seed) if mild else GeneratorParams(
             n=n, m_servers=m, seed=instance_seed)
         instance = generate_instance(params)
@@ -230,6 +231,57 @@ class TestEstimateBounds:
             ("z2", "min"), ("z2", "max"),
             ("z3", "min"), ("z3", "max"),
         )
+
+
+def _stepped_bounds(instance, config, seeds):
+    """The context of the six bound runs stepped together through drive,
+    with no certificate: six GA step generators, or one ACO stack, each
+    run's bound read from its objective, NaN at or below the penalty."""
+    if isinstance(config, GAConfig):
+        runs = [dataclasses.replace(config, seed=seed) for seed in seeds]
+        reports = drive([
+            (_ga_steps(instance, run), _BoundFitness(instance, r)) for r, run in enumerate(runs)
+        ])
+    else:
+        fitness = _BoundFitness(instance, 0)
+        senses = [sense for _, sense in BOUND_RUNS]
+        stack = aco._colonies(instance, config, seeds, senses, fitness.select)
+        reports = drive([(stack, fitness)])[0]
+    found = [
+        sign * report.objective if report.objective > -1e12 else math.nan
+        for sign, report in zip(protocol._SIGN.tolist(), reports)
+    ]
+    return MaximinContext(*zip(found[::2], found[1::2]), provenance="metaheuristic-estimated")
+
+
+class TestCertifiedBounds:
+    """On an instance that model.no_feasible_subset certifies, estimate_bounds
+    makes no run and returns the context the six runs give."""
+
+    @pytest.mark.parametrize("config", [
+        GAConfig(stagnation_limit=100), ACOConfig(stagnation_limit=100),
+    ], ids=["ga", "aco"])
+    @pytest.mark.parametrize("seed", range(5))
+    def test_matches_stepped_bound_runs(self, certified, config, seed, monkeypatch):
+        assert no_feasible_subset(certified)
+        expected = _stepped_bounds(certified, config, bound_seeds(seed))
+        shapes = _record_kernels(monkeypatch)
+        ctx = estimate_bounds(certified, config, bound_seeds(seed))
+        assert shapes == []
+        hexes = [[bound.hex() for bound in c.bounds(name)] for c in (ctx, expected)
+                 for name in ("z1", "z2", "z3")]
+        assert hexes[:3] == hexes[3:] == [["nan", "nan"]] * 3
+        assert ctx.provenance == expected.provenance
+        assert ctx.bounds_id == expected.bounds_id
+
+    @pytest.mark.parametrize("config", [GAConfig(), ACOConfig()], ids=["ga", "aco"])
+    def test_bad_seeds_raise_first(self, certified, config):
+        with pytest.raises(DomainError, match="need 6 seeds"):
+            estimate_bounds(certified, config, [1, 2, 3])
+        with pytest.raises(DomainError, match="seed must be non-negative"):
+            estimate_bounds(certified, config, [1, 2, 3, 4, 5, -6])
+        with pytest.raises(DomainError, match="seed must be non-negative"):
+            solve_protocol(certified, "ga" if isinstance(config, GAConfig) else "aco", seed=-1)
 
 
 class _Counted:
