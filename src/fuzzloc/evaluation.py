@@ -20,12 +20,7 @@ import numpy as np
 from .errors import DomainError
 from .fuzzy import TriFuzzy
 from .model import (
-    Instance,
-    Kernel,
-    Solution,
-    _open_indices,
-    capacity_threshold,
-    solution_kernel,
+    Instance, Kernel, Solution, _open_indices, capacity_threshold, solution_kernel,
 )
 
 _DEGENERATE_EPS = 1e-12
@@ -71,7 +66,7 @@ class MaximinContext:
             for low, high in [self.bounds(name)]
         ]
         for name, column in zip(("_sign", "_offset", "_width"), zip(*rows)):
-            object.__setattr__(self, name, np.array(column, dtype=float)[:, None])
+            object.__setattr__(self, name, np.array(column, dtype=float))
 
     def bounds(self, name: str) -> tuple[float, float]:
         return getattr(self, f"{name}_bounds")
@@ -86,12 +81,10 @@ class MaximinContext:
         """Linear membership degrees (..., 3) of spread components (..., 3)
         in COMPONENTS order, clamped to [0, 1], and 1 for a component with
         degenerate bounds, which imposes no discrimination."""
-        # One row per component, so that each pass runs along the subsets.
-        rows = np.multiply(np.reshape(spreads, (-1, 3)).T, self._sign, order="C")
-        rows += self._offset
-        rows /= self._width
-        degrees = np.minimum(np.maximum(rows, 0.0, out=rows), 1.0, out=rows)
-        return degrees.T.reshape(np.shape(spreads))
+        degrees = spreads * self._sign
+        degrees += self._offset
+        degrees /= self._width
+        return np.minimum(np.maximum(degrees, 0.0, out=degrees), 1.0, out=degrees)
 
     def to_dict(self) -> dict:
         bounds = {f"{name}_bounds": list(self.bounds(name)) for name in COMPONENTS}
@@ -207,7 +200,7 @@ def drive(runs: list[tuple[Steps[T], Fitness]]) -> list[T]:
 def penalty(violation):
     """The score of an infeasible subset: -(1 + violation), below every
     feasible maximin score; the bound runs scale it by 1e12."""
-    return -(1.0 + violation)
+    return -1.0 - violation  # the bits of -(1.0 + violation), as violation >= 0
 
 
 class KernelFitness:

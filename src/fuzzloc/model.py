@@ -173,17 +173,17 @@ def _allocation(instance: Instance, idx: np.ndarray) -> np.ndarray:
     instance past ATTRACTION_LIMIT has none; its exponents are computed on
     each call and shifted by their maximum over the open facilities, so the
     largest is exp(0) = 1 and no denominator underflows. Every step works in
-    place on the fresh array that ``np.take`` returns; d * -a has the bits
-    of -a * d.
+    place on the fresh array that ``take`` returns; d * -a has the bits of
+    -a * d.
     """
     if instance.attraction is None:
-        shares = np.take(instance.distance, idx.T, axis=0)
+        shares = instance.distance.take(idx.T, axis=0)
         shares *= -instance.logit_sensitivity
-        shares -= shares.max(axis=0)
+        shares -= np.maximum.reduce(shares, axis=0)
         np.exp(shares, out=shares)
     else:
-        shares = np.take(instance.attraction, idx.T, axis=0)
-    shares /= shares.sum(axis=0)
+        shares = instance.attraction.take(idx.T, axis=0)
+    shares /= np.add.reduce(shares, axis=0)
     return shares.swapaxes(0, -2)
 
 
@@ -206,13 +206,13 @@ def occupancy(lam, mu):
     return lam / mu
 
 
+@np.errstate(divide="ignore")  # lam == mu, an unstable queue
 def queue_state(lam, mu):
     """M/M/1 occupancy rho (see occupancy) and waiting-line length Lq,
-    elementwise; Lq is meaningful where lam < mu."""
-    rho = occupancy(lam, mu)
-    with np.errstate(divide="ignore"):  # lam == mu, an unstable queue
-        lq = lam * lam / (mu * (mu - lam))
-    return rho, lq
+    elementwise; Lq is meaningful where lam < mu, and +inf where lam == mu."""
+    lq = lam * lam
+    lq /= (mu - lam) * mu  # mu - lam, not -(lam - mu): a zero stays positive
+    return occupancy(lam, mu), lq
 
 
 def balking_ramp(lq, mql):
@@ -294,16 +294,14 @@ class Kernel:
         probs = _allocation(instance, idx)
         self.instance = instance
         self.lam_bar = probs @ instance.demand  # (..., k, 3) aggregated arrivals
-        self.mu = np.take(instance.service, idx, axis=0)  # (..., k, 3)
+        self.mu = instance.service.take(idx, axis=0)  # (..., k, 3)
         weight = instance.benefit_weight
         if weight is None:
             self.benefit = self.lam_bar
         else:
-            self.benefit = (np.take(weight.T, idx, axis=0) * probs) @ instance.demand
-        # The center of the fuzzy occupancy ratio, (..., k). The division
-        # triple (lo/hi', mid/mid', hi/lo') is already ascending for
-        # nonnegative arrival and positive service rates, so no component
-        # sort is needed.
+            self.benefit = (weight.T.take(idx, axis=0) * probs) @ instance.demand
+        # The center of the fuzzy occupancy ratio, (..., k): the triple
+        # (lo/hi', mid/mid', hi/lo') is ascending for lam >= 0 and mu > 0.
         self.occupancy = occupancy(self.lam_bar[..., 1], self.mu[..., 1])
         self.threshold = capacity_threshold(instance)
         self.over = self.occupancy - self.threshold  # (..., k)
@@ -315,7 +313,8 @@ class Kernel:
 
     def feasible(self) -> np.ndarray:
         """(...): the capacity threshold holds and every queue is stable."""
-        return (self.over <= 0.0).all(axis=-1) & (self.surplus < 0.0).all(axis=(-2, -1))
+        capacity = np.logical_and.reduce(self.over <= 0.0, axis=-1)
+        return capacity & np.logical_and.reduce(self.surplus < 0.0, axis=(-2, -1))
 
     def slices(self, rows=None) -> np.ndarray:
         """(..., 3): objective per slice in slice order, meaningful where the
@@ -325,36 +324,40 @@ class Kernel:
             lam_bar, mu, benefit = lam_bar[rows], mu[rows], benefit[rows]
         terms = benefit * served_share(*queue_state(lam_bar, mu), self.instance.mql)
         # A C-ordered (..., 3, k) copy, so each slice sums over a contiguous axis.
-        return terms.swapaxes(-1, -2).copy().sum(axis=-1)
+        return np.add.reduce(terms.swapaxes(-1, -2).copy(), axis=-1)
 
     def objective(self, rows=None) -> np.ndarray:
         """(..., 3): the slice objectives sorted ascending."""
-        return np.sort(self.slices(rows), axis=-1)
+        objective = self.slices(rows)  # a fresh array, sorted in place
+        objective.sort(axis=-1)
+        return objective
 
     def spreads(self, rows=None) -> np.ndarray:
         """(..., 3): (z1, z2, z3) = (mid - lo, mid, hi - mid) of the sorted
         slice objectives, meaningful where the row is feasible."""
         spreads = self.objective(rows)  # a fresh (lo, mid, hi) array, rewritten in place
-        spreads[..., 0] = spreads[..., 1] - spreads[..., 0]
-        spreads[..., 2] -= spreads[..., 1]
+        lo, mid, hi = spreads[..., 0], spreads[..., 1], spreads[..., 2]
+        np.subtract(mid, lo, out=lo)
+        hi -= mid
         return spreads
 
     def violation(self) -> np.ndarray:
         """(...): relative capacity excess plus queue instability, 0 where
         the row is feasible."""
-        over, surplus, mu = self.over, self.surplus, self.mu
-        excess = np.maximum(over, 0.0).sum(axis=-1) / self.threshold
-        overload = np.maximum(surplus, 0.0) / mu
+        excess = np.add.reduce(np.maximum(self.over, 0.0), axis=-1) / self.threshold
+        overload = np.maximum(self.surplus, 0.0)
+        overload /= self.mu
         # One sum over the k * 3 entries per subset, in row order.
-        return excess + overload.reshape(over.shape[:-1] + (3 * over.shape[-1],)).sum(axis=-1)
+        return excess + np.add.reduce(overload.reshape(excess.shape + (-1,)), axis=-1)
 
     def figures(self):
         """(feasible, spreads, violation) of every row, each part computed
         only if some row reads it: the spreads None if no row is feasible,
         the violation None if every row is (it would be 0)."""
         feasible = self.feasible()
-        spreads = self.spreads() if feasible.any() else None
-        violation = None if feasible.all() else self.violation()
+        count = np.count_nonzero(feasible)
+        spreads = self.spreads() if count else None
+        violation = None if count == feasible.size else self.violation()
         return feasible, spreads, violation
 
 
@@ -363,10 +366,8 @@ def solution_kernel(instance: Instance, solution: Solution) -> Kernel:
 
 
 def crisp_objective_slice(instance: Instance, solution: Solution, slc: str):
-    """Benefit objective with all fuzzy data pinned at one slice.
-
-    Returns None (unstable marker) when some open facility has lam_bar >= mu.
-    """
+    """Benefit objective with all fuzzy data pinned at one slice, or None
+    (unstable marker) when some open facility has lam_bar >= mu."""
     s = SLICE_INDEX[slc]
     result = solution_kernel(instance, solution)
     return float(result.slices()[s]) if result.stable()[s] else None

@@ -319,11 +319,17 @@ def simulate_objective_slice(
     Each open facility is simulated as an independent M/M/1 queue fed by its
     aggregated arrival rate; the analytic idle probability, occupancy and
     joining probability in the objective are replaced by their estimates.
+    A facility that captures no demand is not simulated: its queue is always
+    empty, so P0 = 1 and Lq = 0 exactly.
     """
     s = SLICE_INDEX[slc]
     queues = solution_kernel(instance, solution)
     total = 0.0
     for k, (lam, mu) in enumerate(zip(queues.lam_bar[:, s], queues.mu[:, s])):
-        result = mm1_simulate(lam, mu, event_budget, seed=seed + k)
-        total += queues.benefit[k, s] * served_share(1.0 - result.p0, result.lq, instance.mql)
+        if lam == 0.0:
+            p0, lq = 1.0, 0.0
+        else:
+            result = mm1_simulate(lam, mu, event_budget, seed=seed + k)
+            p0, lq = result.p0, result.lq
+        total += queues.benefit[k, s] * served_share(1.0 - p0, lq, instance.mql)
     return total

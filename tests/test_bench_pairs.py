@@ -39,7 +39,8 @@ def test_bound_verdict_lower_is_better():
     assert summary["within_bound"] is True
     assert bench_pairs.summarize(parent, change, "lower", 0.1)["within_bound"] is False
     line = bench_pairs.verdict_line("brute_solve_s", summary)
-    assert line == "brute_solve_s: median 2 -> 2.4, worse by +20.0% (bound 25%): within bound"
+    assert line == ("brute_solve_s: median 2 -> 2.4, worse by +20.0% (bound 25%): within bound; "
+                    "change won 0/3, no gain shown")
 
 
 def test_bound_verdict_higher_is_better():
@@ -48,7 +49,7 @@ def test_bound_verdict_higher_is_better():
     summary = bench_pairs.summarize([10.0, 20.0, 30.0], [14.0, 14.0, 40.0], "higher", 0.25)
     assert summary["worse_by"] == pytest.approx(0.3) and summary["within_bound"] is False
     assert bench_pairs.verdict_line("sim_events_per_s", summary).endswith(
-        "worse by +30.0% (bound 25%): OUTSIDE BOUND")
+        "worse by +30.0% (bound 25%): OUTSIDE BOUND; change won 2/3, no gain shown")
     risen = bench_pairs.summarize([10.0, 30.0], [30.0, 50.0], "higher", 0.25)
     assert risen["worse_by"] == pytest.approx(-1.0) and risen["within_bound"] is True
 
@@ -61,7 +62,41 @@ def test_bound_verdict_undefined():
     unbounded = bench_pairs.summarize([1.0], [2.0], "lower")
     assert unbounded["bound"] is None and unbounded["worse_by"] == 1.0
     assert unbounded["within_bound"] is None
-    assert bench_pairs.verdict_line("x", zero).endswith("worse by n/a (bound 25%): no verdict")
+    assert bench_pairs.verdict_line("x", zero).endswith(
+        "worse by n/a (bound 25%): no verdict; change won 0/3, no gain shown")
+
+
+PARENT = [10.0, 11.0, 12.0, 13.0, 14.0, 15.0, 16.0, 17.0, 18.0, 19.0]  # median 14.5, IQR 4.5
+
+
+@pytest.mark.parametrize(
+    "better, change, won, shown",
+    [
+        # nine wins and a loss; median 9.5, better by 5.0 > 4.5
+        ("lower", [p - 5.0 for p in PARENT[:9]] + [20.0], 9, True),
+        # the same wins, but median 10.0 is better by exactly the IQR
+        ("lower", [p - 4.5 for p in PARENT[:9]] + [20.0], 9, False),
+        # nine wins and a tie: the tie counts for neither side; median 4.5
+        ("lower", [p - 10.0 for p in PARENT[:9]] + [19.0], 9, True),
+        # eight wins and two ties, a median far below: 8/10 is too few
+        ("lower", [p - 10.0 for p in PARENT[:8]] + [18.0, 19.0], 8, False),
+        # all ten pairs won by 0.1: the medians are closer than the IQR
+        ("lower", [p - 0.1 for p in PARENT], 10, False),
+        # higher is better: nine wins, median 19.5 is better by 5.0
+        ("higher", [p + 6.0 for p in PARENT[:9]] + [10.0], 9, True),
+        # higher is better: median 18.5 is better by 4.0 only
+        ("higher", [p + 5.0 for p in PARENT[:9]] + [10.0], 9, False),
+        # a lower-is-better metric that rose: every pair lost
+        ("lower", [p + 10.0 for p in PARENT], 0, False),
+    ],
+)
+def test_gain_shown(better, change, won, shown):
+    summary = bench_pairs.summarize(PARENT, change, better, 0.25)
+    assert summary["parent_quartiles"] == [12.25, 16.75]
+    assert summary["change_won"] == won
+    assert summary["gain_shown"] is shown
+    assert bench_pairs.verdict_line("m", summary).endswith(
+        f"change won {won}/10, {'gain shown' if shown else 'no gain shown'}")
 
 
 def stdout(correct=True, failed=0):
@@ -131,5 +166,6 @@ def test_one_seed_writes_its_file(tmp_path, monkeypatch, capsys):
     metric = result["metrics"]["brute_solve_s"]
     assert metric["parent_quartiles"] is None and metric["pairs"] == 1
     assert (metric["bound"], metric["worse_by"], metric["within_bound"]) == (0.25, 0.0, True)
-    assert ("brute_solve_s: median 0.0125 -> 0.0125, worse by +0.0% (bound 25%): within bound"
-            in capsys.readouterr().err.splitlines())
+    assert metric["gain_shown"] is None
+    assert ("brute_solve_s: median 0.0125 -> 0.0125, worse by +0.0% (bound 25%): within bound; "
+            "change won 0/1, gain n/a" in capsys.readouterr().err.splitlines())

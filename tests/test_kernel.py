@@ -23,6 +23,7 @@ from conftest import (
 from fuzzloc.aco import ACOConfig
 from fuzzloc.errors import InfeasibleInstanceError
 from fuzzloc.evaluation import (
+    COMPONENTS,
     MaximinContext,
     MaximinFitness,
     component_value,
@@ -64,7 +65,7 @@ def cases(max_n: int):
             st.integers(0, 2**32 - 1),
             st.booleans(),
             st.booleans(),
-            st.sampled_from((0.1, 0.5, 2.0)),
+            st.sampled_from((0.1, 0.5, 2.0, 40.0)),  # 40 passes ATTRACTION_LIMIT
         )
     )
 
@@ -76,9 +77,22 @@ def eager_feasible(kernel: Kernel) -> np.ndarray:
     return capacity & (kernel.lam_bar < kernel.mu).all(axis=(-2, -1))
 
 
+def eager_slices(kernel: Kernel) -> np.ndarray:
+    """Reference: the slice objectives of every row, from the M/M/1 formulas
+    written out as plain expressions, Lq = lam^2 / (mu (mu - lam)) (+inf at
+    lam == mu)."""
+    lam, mu = kernel.lam_bar, kernel.mu
+    rho = lam / mu
+    with np.errstate(divide="ignore"):
+        lq = lam * lam / (mu * (mu - lam))
+    join = np.minimum(np.maximum(1.0 - lq / kernel.instance.mql, 0.0), 1.0)
+    terms = kernel.benefit * ((1.0 - rho) + join * rho)
+    return terms.swapaxes(-1, -2).copy().sum(axis=-1)
+
+
 def eager_spreads(kernel: Kernel) -> np.ndarray:
     """Reference: the spreads (mid - lo, mid, hi - mid) of every row."""
-    z = kernel.objective()
+    z = np.sort(eager_slices(kernel), axis=-1)
     z[..., 0] = z[..., 1] - z[..., 0]
     z[..., 2] -= z[..., 1]
     return z
@@ -95,6 +109,22 @@ def eager_violation(kernel: Kernel) -> np.ndarray:
 EAGER = {"feasible": eager_feasible, "spreads": eager_spreads, "violation": eager_violation}
 
 
+def eager_memberships(ctx: MaximinContext, spreads: np.ndarray) -> np.ndarray:
+    """Reference: the membership degrees of every row, component by
+    component: (high - z1) / width and (z - low) / width clamped to [0, 1],
+    and 1 where the bounds are degenerate."""
+    columns = []
+    for c, name in enumerate(COMPONENTS):
+        low, high = ctx.bounds(name)
+        z = spreads[..., c]
+        if ctx.is_degenerate(name):
+            columns.append(np.ones_like(z))
+        else:
+            raw = (high - z if name == "z1" else z - low) / (high - low)
+            columns.append(np.minimum(np.maximum(raw, 0.0), 1.0))
+    return np.stack(columns, axis=-1)
+
+
 def eager_values(fitness, kernel: Kernel) -> np.ndarray:
     """Reference: a maximin or bound fitness as one np.where over the eager
     figures of every row."""
@@ -103,10 +133,20 @@ def eager_values(fitness, kernel: Kernel) -> np.ndarray:
         level = fitness.sign * spreads[fitness.pick]
         low = _PENALTY_SCALE * -(1.0 + eager_violation(kernel))
     else:
-        degrees = fitness.ctx.memberships(spreads)
+        degrees = eager_memberships(fitness.ctx, spreads)
         level = np.minimum(np.minimum(degrees[..., 0], degrees[..., 1]), degrees[..., 2])
         low = -(1.0 + eager_violation(kernel))
     return np.where(eager_feasible(kernel), level, low)
+
+
+def edge_contexts(ctx: MaximinContext) -> list:
+    """Contexts that a lean membership pass can get wrong: z1's bounds NaN
+    (degenerate, so z1 imposes nothing), and -0.0 bounds, as z1's high
+    (every z1 degree is then -z1 / width <= 0) and as the lows of z2 and z3."""
+    return [
+        dataclasses.replace(ctx, z1_bounds=(math.nan, math.nan)),
+        MaximinContext((-1.0, -0.0), (-0.0, ctx.z2_bounds[1]), (-0.0, ctx.z3_bounds[1]), "test"),
+    ]
 
 
 def derived(kernel: Kernel) -> dict:
@@ -393,10 +433,12 @@ LAMBDA_AT_MU = Instance(
 
 def check_fused(instance, rows, ctx, runs, cut):
     """The fused path against the eager reference on the block ``rows``:
-    figures(); a maximin fitness and every bound run, through drive and one
-    subset at a time; a bound fitness that scores row i as run ``runs[i]``;
-    and, for 0 < cut < len(rows), a drive whose kernel is split at ``cut``
-    between a maximin and a bound member. Values compare as bytes."""
+    figures(), of the block and of each row's one-subset kernel, whose
+    figures are 0-d; a maximin fitness under ``ctx`` and under
+    edge_contexts(ctx), and every bound run, through drive and one subset at
+    a time; a bound fitness that scores row i as run ``runs[i]``; and, for
+    0 < cut < len(rows), a drive whose kernel is split at ``cut`` between a
+    maximin and a bound member. Values compare as bytes."""
     kernel = Kernel(instance, rows)
     feasible, spreads, violation = kernel.figures()
     assert feasible.tobytes() == eager_feasible(kernel).tobytes()
@@ -406,8 +448,18 @@ def check_fused(instance, rows, ctx, runs, cut):
         assert spreads.tobytes() == eager_spreads(kernel).tobytes()
     if violation is not None:
         assert violation.tobytes() == eager_violation(kernel).tobytes()
+    for b, row in enumerate(rows):
+        one, one_spreads, one_violation = Kernel(instance, row).figures()
+        assert np.ndim(one) == 0 and one == feasible[b]
+        if one:
+            assert one_spreads.tobytes() == eager_spreads(kernel)[b].tobytes()
+            assert one_violation is None
+        else:
+            assert one_spreads is None and np.ndim(one_violation) == 0
+            assert np.float64(one_violation).tobytes() == eager_violation(kernel)[b].tobytes()
     fitnesses = [make_maximin_eval(instance, ctx)] + [
-        _BoundFitness(instance, r) for r in range(len(BOUND_RUNS))]
+        _BoundFitness(instance, r) for r in range(len(BOUND_RUNS))] + [
+        make_maximin_eval(instance, edge) for edge in edge_contexts(ctx)]
     for fitness in fitnesses:
         expected = eager_values(fitness, kernel)
         assert np.array(score_block(fitness, rows)).tobytes() == expected.tobytes()
@@ -459,17 +511,31 @@ def test_fused_path_matches_eager_reference(case, sample_seed):
     check_rows(kernel, [mask, ~mask, mixed, np.ones_like(mask)])
 
 
-@pytest.mark.parametrize("which", ["lambda_at_mu", "mild20"])
+@pytest.mark.parametrize("which", ["lambda_at_mu", "lambda_at_mu_inside", "crisp", "mild20"])
 def test_fused_path_covers_every_kind_of_block(which):
-    """A block with a lam_bar == mu row (infeasible, violation 0), and the
-    first mild20 enumeration block; each mixed, and split into its feasible
-    and its infeasible rows."""
+    """A block with a lam_bar == mu row (infeasible, violation 0), first
+    and between two feasible rows, whose lo Lq is +inf, so its lo slice
+    objective is 0 (at -inf it would be the captured demand, 5); every
+    subset of a crisp instance, whose z1 spreads are +0.0, so that under a
+    -0.0 high z1 bound each z1 degree is -0.0; and the first mild20
+    enumeration block; each mixed, and split into its feasible and its
+    infeasible rows."""
     if which == "lambda_at_mu":
         instance, rows = LAMBDA_AT_MU, np.arange(5)[:, None]
         kernel = Kernel(instance, rows)
         assert eager_feasible(kernel).tolist() == [False, True, False, True, True]
         assert kernel.occupancy[4] == capacity_threshold(instance)
         assert eager_violation(kernel)[0] == 0.0
+    elif which == "lambda_at_mu_inside":
+        instance, rows = LAMBDA_AT_MU, np.array([[1], [0], [3]])
+        kernel = Kernel(instance, rows)
+        assert eager_feasible(kernel).tolist() == [True, False, True]
+        assert kernel.slices()[1, 0] == eager_slices(kernel)[1, 0] == 0.0
+    elif which == "crisp":
+        instance = crispen(build(8, 2, 1, True, False, 0.5))
+        rows = np.array(list(itertools.combinations(range(8), 2)))
+        spreads = eager_spreads(Kernel(instance, rows))
+        assert not np.signbit(spreads[:, 0]).any() and not spreads[:, 0].any()
     else:
         instance = build(20, 5, 0, True, False, 0.5)
         rows = next(fuzzloc.oracle._blocks(instance))[:200] - 1

@@ -13,11 +13,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import crispen, feasible_subsets, mild_params
-from fuzzloc import oracle
+from fuzzloc import model, oracle
 from fuzzloc.errors import BudgetExceededError, DomainError, InfeasibleInstanceError
 from fuzzloc.evaluation import MaximinContext, make_maximin_eval, violation_total
 from fuzzloc.fuzzy import TriFuzzy
-from fuzzloc.instances import generate_instance
+from fuzzloc.instances import GeneratorParams, generate_instance
 from fuzzloc.model import (
     Instance, Kernel, Solution, crisp_objective_slice, mm1_metrics, no_feasible_subset,
 )
@@ -684,3 +684,54 @@ class TestNetworkSimulation:
             small_instance, solution, "mid", 100_000, seed=0
         )
         assert simulated == pytest.approx(analytic, rel=0.05)
+
+    def test_idle_facilities_are_not_simulated(self):
+        """With every lo demand 0, both open facilities of `fuzzloc validate`'s
+        instance capture nothing at the lo slice: idle queues, P0 = 1 and
+        Lq = 0 exactly, so the simulated objective is the analytic 0.0 and no
+        queue is simulated."""
+        params = GeneratorParams(n=6, m_servers=2, demand_lo_range=(4, 30),
+                                 demand_offsets=(10, 20), seed=123)
+        base = generate_instance(params)
+        demand = base.demand.copy()
+        demand[:, 0] = 0.0
+        instance = dataclasses.replace(base, demand=demand)
+        solution = Solution([1, 2])
+        assert crisp_objective_slice(instance, solution, "lo") == 0.0
+        with mock.patch.object(oracle, "mm1_simulate", side_effect=AssertionError) as spy:
+            assert simulate_objective_slice(instance, solution, "lo", 10_000, seed=0) == 0.0
+        assert spy.call_count == 0
+        busy = simulate_objective_slice(instance, solution, "mid", 100_000, seed=0)
+        assert busy == pytest.approx(crisp_objective_slice(instance, solution, "mid"), rel=0.05)
+
+    def test_idle_facility_keeps_the_others_seeds(self):
+        """Past ATTRACTION_LIMIT, facility 6 captures none of node 1's demand,
+        the only demand there is, so only facility 1 is simulated, with the
+        seed it has as the first open facility."""
+        distance = np.abs(np.subtract.outer(np.arange(6), np.arange(6))) * 10.0
+        demand = np.zeros((6, 3))
+        demand[0] = (40.0, 50.0, 60.0)
+        instance = Instance(n=6, m_servers=2, distance=distance, demand=demand,
+                            service=np.tile([100.0, 110.0, 120.0], (6, 1)),
+                            idle_min=TriFuzzy(0.1, 0.15, 0.2), mql=25.0,
+                            logit_sensitivity=40.0)
+        assert instance.attraction is None
+        kernel = Kernel(instance, np.array([0, 5]))
+        assert kernel.lam_bar[1].tolist() == [0.0, 0.0, 0.0]
+        calls = []
+
+        def simulate(lam, mu, event_budget, seed=0):
+            calls.append((lam, mu, seed))
+            return mm1_simulate(lam, mu, event_budget, seed=seed)
+
+        with mock.patch.object(oracle, "mm1_simulate", simulate):
+            value = simulate_objective_slice(instance, Solution([1, 6]), "mid", 50_000, seed=7)
+        assert calls == [(50.0, 110.0, 7)]
+        result = mm1_simulate(50.0, 110.0, 50_000, seed=7)
+        assert value == 50.0 * model.served_share(1.0 - result.p0, result.lq, 25.0)
+
+    def test_unstable_facility_still_raises(self, small_instance):
+        overloaded = dataclasses.replace(small_instance, demand=small_instance.demand * 100)
+        assert crisp_objective_slice(overloaded, Solution([1, 2]), "mid") is None
+        with pytest.raises(DomainError, match="unstable"):
+            simulate_objective_slice(overloaded, Solution([1, 2]), "mid", 1000, seed=0)

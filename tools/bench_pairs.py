@@ -14,8 +14,11 @@ of the same workload and seeds. For each end-to-end metric of the change's
 BENCHMARK.json it records both medians, the parent's quartiles, the pairs
 each side won (a tie counts for neither), the raw values in seed order, the
 metric's bound, how much worse the change's median is (``worse_by``,
-relative, positive for worse) and whether that stays inside the bound; it
-prints one line per metric with that verdict.
+relative, positive for worse), whether that stays inside the bound, and
+whether the pairs show a gain (``gain_shown``: the change won at least 9 in
+10 of the pairs, and its median is better than the parent's by more than the
+parent's interquartile range); it prints one line per metric with both
+verdicts.
 The file also holds the machine record of the first run, both checkouts'
 ``git rev-parse HEAD`` and every run that failed or reported incorrect
 outputs. The exit status is 1 when there is such a run, else 0.
@@ -72,7 +75,12 @@ def summarize(parent: list[float], change: list[float], better: str,
     that a positive value means worse: (change - parent) / |parent| for a
     lower-is-better metric, the negation for a higher-is-better one. It is
     None when the parent's median is 0. ``within_bound`` says whether it is
-    at most ``bound``, and is None when either is None."""
+    at most ``bound``, and is None when either is None.
+
+    ``gain_shown`` says whether the change won at least 9 in 10 of the pairs
+    (a tie counts for neither side) and its median is better than the
+    parent's by more than the parent's interquartile range. It is None when
+    there are no quartiles."""
     sign = 1 if better == "lower" else -1
     won = sum(sign * (c - p) < 0 for p, c in zip(parent, change))
     lost = sum(sign * (c - p) > 0 for p, c in zip(parent, change))
@@ -84,6 +92,10 @@ def summarize(parent: list[float], change: list[float], better: str,
     worse_by = None
     if parent_median != 0:
         worse_by = sign * (change_median - parent_median) / abs(parent_median)
+    gain_shown = None
+    if quartiles is not None:
+        margin = sign * (parent_median - change_median)
+        gain_shown = 10 * won >= 9 * len(parent) and margin > quartiles[1] - quartiles[0]
     return {
         "better": better,
         "parent_median": parent_median,
@@ -91,6 +103,7 @@ def summarize(parent: list[float], change: list[float], better: str,
         "bound": bound,
         "worse_by": worse_by,
         "within_bound": None if worse_by is None or bound is None else worse_by <= bound,
+        "gain_shown": gain_shown,
         "parent_quartiles": quartiles,
         "pairs": len(parent),
         "change_won": won,
@@ -101,13 +114,17 @@ def summarize(parent: list[float], change: list[float], better: str,
 
 
 def verdict_line(name: str, summary: dict) -> str:
-    """One line on whether a metric's median stayed inside its bound."""
+    """One line on whether a metric's median stayed inside its bound, and
+    whether the pairs show a gain."""
     worse_by, bound = summary["worse_by"], summary["bound"]
     worse = "n/a" if worse_by is None else f"{worse_by:+.1%}"
     limit = "none" if bound is None else f"{bound:.0%}"
     verdict = {True: "within bound", False: "OUTSIDE BOUND", None: "no verdict"}
+    gain = {True: "gain shown", False: "no gain shown", None: "gain n/a"}
     return (f"{name}: median {summary['parent_median']:.6g} -> {summary['change_median']:.6g}, "
-            f"worse by {worse} (bound {limit}): {verdict[summary['within_bound']]}")
+            f"worse by {worse} (bound {limit}): {verdict[summary['within_bound']]}; "
+            f"change won {summary['change_won']}/{summary['pairs']}, "
+            f"{gain[summary['gain_shown']]}")
 
 
 def run_once(checkout: Path, workload: str, seed: int) -> dict:
