@@ -72,7 +72,8 @@ def _log_weights(tau: np.ndarray, beta_log_eta: np.ndarray, config: ACOConfig) -
     finite for every trail the package creates: updates clip tau to
     [TAU_MIN, max_pheromone], eta is positive, and ACOConfig bounds the
     exponents by MAX_EXPONENT."""
-    return config.alpha_exp * np.log(tau) + beta_log_eta
+    log_w = np.log(tau)
+    return np.add(np.multiply(log_w, config.alpha_exp, out=log_w), beta_log_eta, out=log_w)
 
 
 def _sample_colonies(log_w: np.ndarray, m: int, noise: np.ndarray) -> np.ndarray:
@@ -85,47 +86,52 @@ def _sample_colonies(log_w: np.ndarray, m: int, noise: np.ndarray) -> np.ndarray
     the weights of the nodes not yet chosen (tests/test_aco.py keeps that
     stepwise sampler as the reference)."""
     keys = np.add(noise, log_w[:, None, :], out=noise)
-    picks = np.negative(keys, out=keys).argpartition(m - 1, axis=-1)[..., :m]
-    return np.sort(picks, axis=-1).reshape(-1, m)
+    picks = np.negative(keys, out=keys).argpartition(m - 1, axis=-1)[..., :m].reshape(-1, m)
+    picks.sort(axis=-1)
+    return picks
 
 
-def _update(
-    tau: np.ndarray,
-    nodes: np.ndarray,
-    values: Sequence[float],
-    config: ACOConfig,
-    maximize: np.ndarray,
-) -> np.ndarray:
+def _deposit_rule(maximize: np.ndarray) -> tuple:
+    """_update's rule for ants that maximize where ``maximize`` is set: their
+    signs, least depositing F, and flags, one bool when all share a sense."""
+    maximize = maximize if maximize.any() and not maximize.all() else bool(maximize.all())
+    return np.where(maximize, 1.0, -1.0), np.where(maximize, 0.0, 5e-324), maximize
+
+
+@np.errstate(over="ignore", divide="ignore")
+def _update(tau: np.ndarray, nodes: np.ndarray, values: Sequence[float], config: ACOConfig,
+            rule: tuple) -> np.ndarray:
     """The (R, n) trails after one colony per row: evaporate, deposit per
     ant on every node it opened, then clip to [TAU_MIN, max_pheromone], with
     one pass of each for all R runs (the MAX-MIN Ant System rule).
 
     ``nodes`` and ``values`` hold the colonies one after another, each ant's
     nodes as indices into the flattened trails (node j of run r at
-    r * n + j), and ``maximize`` flags the ants of maximizing runs. Every
-    run maximizes its values. An ant's F is its value in a maximizing run
-    and -value, the objective it minimizes, in a minimizing run. Deposits
-    are theta*F under maximization and theta/F under minimization, with
-    theta = max_pheromone. An ant with a non-finite F, a negative F under
-    maximization or a nonpositive F under minimization deposits nothing. A
-    penalized ant of a minimization bound run has value -1e12 * (1 +
-    violation), so F = 1e12 * (1 + violation), and it still deposits
-    theta/F, about 2e-10. Each node receives its deposits in ant order; an
-    ant that deposits nothing adds 0.0, which leaves every positive trail
-    as it is."""
-    values = np.asarray(values, dtype=float)
-    f = np.where(maximize, values, -values)
-    # F >= 0 under maximization, F > 0 (at least the least subnormal) else
-    kept = (f >= np.where(maximize, 0.0, 5e-324)) & (f < math.inf)
+    r * n + j), and ``rule`` is the _deposit_rule of the flags of the ants
+    of maximizing runs. Every run maximizes its values. An ant's F is its
+    value in a maximizing run and -value, the objective it minimizes, in a
+    minimizing run. Deposits are theta*F under maximization and theta/F
+    under minimization, with theta = max_pheromone. An ant with a
+    non-finite F, a negative F under maximization or a nonpositive F under
+    minimization deposits nothing. A penalized ant of a minimization bound
+    run has value -1e12 * (1 + violation), so F = 1e12 * (1 + violation),
+    and it still deposits theta/F, about 2e-10. Each node receives its
+    deposits in ant order; an ant that deposits nothing adds 0.0, which
+    leaves every positive trail as it is. A subnormal F deposits inf, as in
+    Python, and deposits near the float maximum may add up to inf on one
+    node; the cap clips both."""
+    sign, floor, maximize = rule
+    f = np.multiply(values, sign)
+    kept = (f >= floor) & (f < math.inf)
     trails = tau * config.evaporation_rate
-    # inf for a subnormal F, as in Python; the other branch of np.where may
-    # divide by zero or overflow, and its values are dropped. Deposits near
-    # the float maximum may add up to inf on one node; the cap clips it.
-    with np.errstate(over="ignore", divide="ignore"):
-        amounts = np.where(maximize, config.max_pheromone * f, config.max_pheromone / f)
-        deposits = np.where(kept, amounts, 0.0).repeat(nodes.shape[-1])
-        np.add.at(trails.reshape(-1), nodes.ravel(), deposits)
-    return np.minimum(np.maximum(trails, TAU_MIN, out=trails), config.max_pheromone, out=trails)
+    theta = config.max_pheromone
+    if isinstance(maximize, bool):
+        amounts = np.multiply(f, theta, out=f) if maximize else np.divide(theta, f, out=f)
+    else:  # the branch an ant does not take may overflow; np.where drops it
+        amounts = np.where(maximize, theta * f, theta / f)
+    deposits = np.where(kept, amounts, 0.0).repeat(nodes.shape[-1])
+    np.add.at(trails.reshape(-1), nodes.ravel(), deposits)
+    return np.minimum(np.maximum(trails, TAU_MIN, out=trails), theta, out=trails)
 
 
 def run_aco(instance: Instance, eval_fn: Fitness, config: ACOConfig) -> SolverReport:
@@ -176,7 +182,7 @@ def _colonies(
     live = list(range(len(runs)))  # the runs of the trail rows, in order
     tau = np.ones((len(runs), n))
     while live:
-        maximize = np.repeat([senses[r] == "max" for r in live], ants)
+        rule = _deposit_rule(np.repeat([senses[r] == "max" for r in live], ants))
         # run i's trails start at i * n in the flattened trail array
         offsets = np.repeat(np.arange(len(live)) * n, ants)[:, None]
         if select:
@@ -191,7 +197,7 @@ def _colonies(
             values = np.asarray((yield idx), dtype=float)
             scores = np.fmax(values.reshape(len(live), ants), -math.inf)  # NaN last
             picks = scores.argmax(axis=1)
-            tau = _update(tau, idx + offsets, values, config, maximize)
+            tau = _update(tau, idx + offsets, values, config, rule)
             for i, (r, pick, ranked) in enumerate(zip(live, picks.tolist(), scores.tolist())):
                 run, top = runs[r], ranked[pick]
                 improved = run.best is None or top > run.best_value

@@ -362,11 +362,9 @@ def cmd_tune(args) -> int:
 
 
 def cmd_validate(args) -> int:
-    # Checked before the table header, naming the given seed: the
-    # replications below run on the derived seeds 5 * seed + r.
-    if args.seed < 0:
-        raise UsageError(f"seed must be non-negative, got {args.seed}")
     mu = 100.0
+    if all(mm1_metrics(rho * mu, mu) is None for rho in args.rho):
+        raise UsageError("no --rho is below 1: every queue is unstable, so no row can be checked")
     failures = unchecked = 0
     print("rho    quantity  analytic   simulated  rel_err   tolerance  verdict")
     for rho in args.rho:
@@ -450,6 +448,10 @@ def main(argv=None) -> int:
         "validate": cmd_validate,
     }
     try:
+        # Before any run or output, naming the given seed: bench and validate
+        # run on seeds derived from it (seed + r and 5 * seed + r).
+        if getattr(args, "seed", 0) < 0:
+            raise UsageError(f"seed must be non-negative, got {args.seed}")
         return handlers[args.command](args)
     except (UsageError, DomainError, InstanceFormatError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)

@@ -166,34 +166,35 @@ def drive(runs: list[tuple[Steps[T], Fitness]]) -> list[T]:
     them all. A kernel row has the same bits in any block, and no run's sends
     depend on another run, so every run ends as it would alone."""
     results: list = [None] * len(runs)
+    scorers = [f if isinstance(f, KernelFitness) else None for _, f in runs]  # None: a callable
     replies: dict[int, Optional[list]] = dict.fromkeys(range(len(runs)))
     waiting: dict[int, list] = {}  # subset size -> [(run, block)]
     while replies or waiting:
-        for r, values in list(replies.items()):
-            del replies[r]
+        stepped, replies = replies, {}
+        for r, values in stepped.items():
             steps, fitness = runs[r]
             try:
                 idx = steps.send(values)
             except StopIteration as stop:
                 results[r] = stop.value
                 continue
-            if isinstance(fitness, KernelFitness):
-                waiting.setdefault(idx.shape[-1], []).append((r, idx))
-            else:
+            if scorers[r] is None:
                 replies[r] = [fitness(Solution(row)) for row in (idx + 1).tolist()]
+            else:
+                waiting.setdefault(idx.shape[-1], []).append((r, idx))
         if not waiting:
             continue
-        members = waiting.pop(max(waiting, key=lambda k: (len(waiting[k]), k)))
-        blocks = [idx for _, idx in members]
-        whole = blocks[0] if len(blocks) == 1 else np.concatenate(blocks)
-        figures = Kernel(runs[members[0][0]][1].instance, whole).figures()
+        members = waiting.pop(next(iter(waiting)) if len(waiting) == 1 else
+                              max(waiting, key=lambda k: (len(waiting[k]), k)))
+        whole = members[0][1] if len(members) == 1 else np.concatenate([b for _, b in members])
+        feasible, spreads, violation = Kernel(scorers[members[0][0]].instance, whole).figures()
         start = 0
         for r, idx in members:
             rows = slice(start, start + len(idx))
             start = rows.stop
-            share = figures if len(members) == 1 else [
-                None if f is None else f[rows] for f in figures]
-            replies[r] = runs[r][1].score(*share).tolist()
+            replies[r] = scorers[r].score(
+                feasible[rows], spreads if spreads is None else spreads[rows],
+                violation if violation is None else violation[rows]).tolist()
     return results
 
 

@@ -11,6 +11,7 @@ run and recombination alone can reach every subset.
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 from dataclasses import dataclass, field
@@ -79,7 +80,7 @@ def _population(
     masks = [_mask(member) for member in members]
     distinct = {mask: sorted(member) for mask, member in zip(masks, members)}
     rows = np.array(list(distinct.values()), dtype=np.intp) - 1
-    values = dict(zip(distinct, memo.score(list(distinct), (yield rows))))
+    values = {mask: memo.score(mask, value) for mask, value in zip(distinct, (yield rows))}
     return [Chromosome(frozenset(member), values[mask]) for member, mask in zip(members, masks)]
 
 
@@ -113,37 +114,45 @@ def _mate(p1: Chromosome, p2: Chromosome, rng: random.Random, memo: _Memo) -> St
     if child is not None:
         return child
     tie_free = True
-    genes = sorted(p1.genes | p2.genes)
-    droppable = sorted(p1.genes ^ p2.genes)
+    union = sorted(p1.genes | p2.genes)
+    row = np.array(union, dtype=np.intp) - 1  # gene g at popcount(draft & (1 << g) - 1)
+    bits = [1 << gene for gene in sorted(p1.genes ^ p2.genes)]
+    lookup = memo.values.get
     # Both parents hold m genes, so half the unshared genes are dropped.
-    for _ in range(len(droppable) // 2):
-        keys = [draft ^ (1 << gene) for gene in droppable]
-        trials = list(map(memo.values.get, keys))
+    for _ in range(len(bits) // 2):
+        without = _leave_one_out(len(row))
+        trials = [lookup(draft ^ bit) for bit in bits]
         if None in trials:
             missing = [b for b, trial in enumerate(trials) if trial is None]
-            values = yield np.array(
-                [[gene - 1 for gene in genes if gene != droppable[b]] for b in missing],
-                dtype=np.intp,
-            )
-            for b, value in zip(missing, memo.score([keys[b] for b in missing], values)):
-                trials[b] = value
+            places = [(draft & (bits[b] - 1)).bit_count() for b in missing]
+            values = yield row.take(without.take(places, axis=0))
+            for b, value in zip(missing, values):
+                trials[b] = memo.score(draft ^ bits[b], value)
         best_value = max(trials)
-        tied = [gene for gene, trial in zip(droppable, trials) if trial == best_value]
-        if len(tied) == 1:
-            dropped = tied[0]
-        else:
-            dropped, tie_free = rng.choice(tied), False
-        draft ^= 1 << dropped
-        genes.remove(dropped)
-        droppable.remove(dropped)
-    child = Chromosome(frozenset(genes), best_value)
+        b = trials.index(best_value)
+        if trials.count(best_value) > 1:
+            b, tie_free = rng.choice([i for i, t in enumerate(trials) if t == best_value]), False
+        bit = bits.pop(b)
+        place = (draft & (bit - 1)).bit_count()
+        draft ^= bit
+        del union[place]
+        row = row.take(without[place])
+    child = Chromosome(frozenset(union), best_value)
     if tie_free:
         memo.matings[mating] = child
     return child
 
 
-def replace(population: list[Chromosome], candidate: Chromosome) -> list[Chromosome]:
-    """Gene-preserving elitist replacement, in place.
+@functools.cache
+def _leave_one_out(size: int) -> np.ndarray:
+    """The shared, read-only (size, size - 1) positions: row p is 0..size - 1 but p."""
+    table = np.arange(size - 1) + (np.arange(size - 1) >= np.arange(size)[:, None])
+    table.setflags(write=False)
+    return table
+
+
+def replace(population: list[Chromosome], candidate: Chromosome) -> bool:
+    """Gene-preserving elitist replacement, in place; True if the candidate entered.
 
     A candidate that duplicates a member's gene set is rejected. Otherwise it
     takes the place of the lowest-fitness member (first in population order
@@ -157,19 +166,19 @@ def replace(population: list[Chromosome], candidate: Chromosome) -> list[Chromos
     union = twice = 0
     for member in population:
         if member.mask == new:
-            return population
+            return False
         twice |= union & member.mask
         union |= member.mask
     singles = union & ~twice
     gained = (new & ~union).bit_count()
-    for i in sorted(range(len(population)), key=lambda k: population[k].fitness):
-        member = population[i]
-        if candidate.fitness < member.fitness:
-            break
-        if (member.mask & ~new & singles).bit_count() <= gained:
+    fitness = [member.fitness for member in population]
+    for i in sorted(range(len(fitness)), key=fitness.__getitem__):
+        if candidate.fitness < fitness[i]:
+            return False
+        if (population[i].mask & ~new & singles).bit_count() <= gained:
             population[i] = candidate
-            break
-    return population
+            return True
+    return False
 
 
 def run_ga(instance: Instance, eval_fn: Fitness, config: GAConfig) -> SolverReport:
@@ -202,17 +211,18 @@ def _steps(instance: Instance, config: GAConfig) -> Steps[SolverReport]:
     requests = len(population)
     current = max(population, key=lambda c: c.fitness)
     run.best, run.best_value = sorted(current.genes), current.fitness
+    # A member leaves only for a candidate at least as fit, so no member beats
+    # the run's best, and only an entering candidate can raise it.
     while True:
         p1, p2 = _distinct_parents(population, rng)
         candidate = yield from _mate(p1, p2, rng, memo)
         d = (p1.mask ^ p2.mask).bit_count() // 2
         requests += d * (3 * d + 1) // 2
-        replace(population, candidate)
+        entered = replace(population, candidate)
         at_best = candidate.fitness == run.best_value
-        current = max(population, key=lambda c: c.fitness)
-        improved = current.fitness > run.best_value
+        improved = entered and candidate.fitness > run.best_value
         if improved:
-            run.best, run.best_value = sorted(current.genes), current.fitness
+            run.best, run.best_value = sorted(candidate.genes), candidate.fitness
         if run.step(improved, at_best):
             return run.report(requests)
 
@@ -221,8 +231,8 @@ class _Memo:
     """A run's cache: fitness values by gene bitmask, and the children of
     tie-free matings by (union, unshared genes) mask pair.
 
-    ``score(keys, values)`` stores the values of keys not scored yet and
-    returns them as stored. A NaN value is stored as -inf, so that it ranks
+    ``score(key, value)`` stores the value of a key not scored yet and
+    returns it as stored. A NaN value is stored as -inf, so that it ranks
     below every other value, as np.fmax ranks it within an ACO colony.
     """
 
@@ -230,10 +240,9 @@ class _Memo:
         self.values: dict[int, float] = {}
         self.matings: dict[tuple[int, int], Chromosome] = {}
 
-    def score(self, keys: list[int], values: Sequence[float]) -> list[float]:
-        ranked = [v if v == v else -math.inf for v in values]
-        self.values.update(zip(keys, ranked))
-        return ranked
+    def score(self, key: int, value: float) -> float:
+        self.values[key] = value = value if value == value else -math.inf
+        return value
 
 
 def _distinct_parents(

@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from conftest import crispen, feasible_subsets, mate, mild_params
-from fuzzloc.aco import TAU_MIN, ACOConfig, _update, run_aco
+from fuzzloc.aco import TAU_MIN, ACOConfig, _deposit_rule, _update, run_aco
 from fuzzloc.cli import main as cli_main
 from fuzzloc.evaluation import (
     capacity_threshold,
@@ -325,7 +325,7 @@ def test_criterion_6_structural_invariants(verdict):
             for _ in range(3)
         ]
         nodes, values = np.array([nodes for nodes, _ in colony]), [value for _, value in colony]
-        tau = _update(tau, nodes, values, config, np.ones(3, dtype=bool))
+        tau = _update(tau, nodes, values, config, _deposit_rule(np.ones(3, dtype=bool)))
         assert np.all(tau >= TAU_MIN) and np.all(tau <= config.max_pheromone)
         cases["aco"] += 1
 

@@ -59,7 +59,8 @@ def draw_colony(
 
 def evaporate(tau: np.ndarray, config: ACOConfig) -> np.ndarray:
     """aco._update for a colony without ants."""
-    return aco._update(tau, np.empty((0, 1), dtype=np.intp), [], config, np.empty(0, dtype=bool))
+    return aco._update(tau, np.empty((0, 1), dtype=np.intp), [], config,
+                       aco._deposit_rule(np.empty(0, dtype=bool)))
 
 
 class TestConfig:
@@ -239,7 +240,7 @@ class TestPheromoneUpdate:
     def update(tau, nodes, values, maximize):
         return aco._update(
             np.asarray(tau, dtype=float), np.asarray(nodes, dtype=np.intp), values,
-            ACOConfig(), np.asarray(maximize),
+            ACOConfig(), aco._deposit_rule(np.asarray(maximize)),
         )
 
     def test_pure_evaporation(self):

@@ -20,6 +20,7 @@ from fuzzloc.aco import (
     TAU_MIN,
     ACOConfig,
     _colonies,
+    _deposit_rule,
     _log_weights,
     _sample_colonies,
     _update,
@@ -112,7 +113,7 @@ values = st.one_of(
 )
 
 
-@pytest.mark.parametrize("sense", ["max", "min"])
+@pytest.mark.parametrize("sense", ["max", "min", "mixed"])
 @given(
     n=st.integers(2, 8),
     data=st.data(),
@@ -121,15 +122,20 @@ values = st.one_of(
 @settings(max_examples=60, deadline=None)
 def test_deposit_matches_ant_loop(sense, n, data, seed):
     """One _update of R = 1-4 trail rows, run r's nodes offset by r * n,
-    against each row's ant loop. Row 0 has the given sense, the other rows
-    a drawn one. _update takes the values that the runs maximize, so a min
-    row's ant is handed -F."""
+    against each row's ant loop. Every row has the given sense, or for
+    "mixed" R >= 2 rows take both senses in a drawn order, so _deposit_rule
+    serves each of its rules. _update takes the values that the runs
+    maximize, so a min row's ant is handed -F."""
     # few nodes and many ants, so most nodes take several deposits
-    runs = data.draw(st.integers(1, 4))
+    runs = data.draw(st.integers(2 if sense == "mixed" else 1, 4))
     m = data.draw(st.integers(1, n - 1))
     ants = data.draw(st.integers(0, 10))
-    senses = [sense] + data.draw(st.lists(st.sampled_from(("max", "min")),
-                                          min_size=runs - 1, max_size=runs - 1))
+    if sense == "mixed":
+        rest = data.draw(st.lists(st.sampled_from(("max", "min")),
+                                  min_size=runs - 2, max_size=runs - 2))
+        senses = data.draw(st.permutations(["max", "min", *rest]))
+    else:
+        senses = [sense] * runs
     rng = np.random.default_rng(seed)
     config = ACOConfig(
         evaporation_rate=data.draw(st.sampled_from((0.5, 0.97))),
@@ -152,7 +158,10 @@ def test_deposit_matches_ant_loop(sense, n, data, seed):
         for r in range(runs)
     ]
     sent = [f if keep else -f for f, keep in zip(fitness, maximize)]
-    assert np.array_equal(_update(tau, idx + offsets, sent, config, maximize), expected)
+    rule = _deposit_rule(maximize)
+    # one bool flag for a live set of one sense, else a flag per ant
+    assert isinstance(rule[2], bool) == (ants == 0 or sense != "mixed")
+    assert np.array_equal(_update(tau, idx + offsets, sent, config, rule), expected)
 
 
 def test_overflowing_deposits_reach_the_cap_without_warning():
@@ -165,7 +174,7 @@ def test_overflowing_deposits_reach_the_cap_without_warning():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         trails = _update(tau, np.array([[0], [0]]), [-fitness, -fitness], config,
-                         np.array([False, False]))
+                         _deposit_rule(np.array([False, False])))
         expected = reference_update(tau[0], [(Solution([1]), fitness)] * 2, config, "min")
     assert trails[0, 0] == config.max_pheromone
     assert np.array_equal(trails, [expected])

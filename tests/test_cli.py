@@ -425,20 +425,18 @@ def test_negative_seed_is_usage_error(small_file, tmp_path, capsys, command):
     assert not out.exists()
 
 
-def test_bench_negative_seed_writes_error_rows(small_file, tmp_path):
+def test_bench_negative_seed_is_usage_error(small_file, tmp_path, monkeypatch, capsys):
+    """A negative bench seed stops the command with one line, as a solve's
+    does, before any solve and before any file is written. It used to exit 0
+    with an error row for every replication on a negative seed."""
+    monkeypatch.setattr(cli, "solve_protocol", _never)
     out = tmp_path / "bench.csv"
     assert run([
         "bench", "--instance", small_file, "--replications", 2, "--seed", -1, "--out", out,
-    ]) == EXIT_OK
-    with out.open() as fh:
-        rows = list(csv.DictReader(fh))
-    assert [(row["algorithm"], row["seed"]) for row in rows] == [
-        ("ga", "-1"), ("ga", "0"), ("aco", "-1"), ("aco", "0"),
-    ]
-    for row in rows[::2]:
-        assert row["termination"] == "error:seed must be non-negative, got -1"
-        assert (row["objective"], row["facilities"], row["evals"]) == ("nan", "", "0")
-    assert all(row["termination"] in ("convergence", "stagnation") for row in rows[1::2])
+    ]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", "usage error: seed must be non-negative, got -1\n")
+    assert list(tmp_path.iterdir()) == [small_file]  # no table and no plot file
 
 
 class TestEnumBudget:
@@ -504,6 +502,19 @@ class TestValidate:
         assert run(["validate", "--events", 2000, "--skip-network"]) == EXIT_OK
         captured = capsys.readouterr()
         assert "not enforceable" in captured.out
+
+    @pytest.mark.parametrize("rhos", [["1.2"], ["1.0"], ["1.0", "2.5"]])
+    @pytest.mark.parametrize("network", [[], ["--skip-network"]])
+    def test_every_rho_unstable_is_usage_error(self, monkeypatch, capsys, rhos, network):
+        """With no stable rho there is no row to check: one usage-error line,
+        before any simulation and with no "validation passed"."""
+        for name in ("mm1_simulate", "simulate_objective_slice", "enumerate_optimum"):
+            monkeypatch.setattr(cli, name, _never)
+        assert run(["validate", "--rho", *rhos, *network]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        [line] = captured.err.splitlines()
+        assert line.startswith("usage error: no --rho is below 1")
 
     def test_unstable_rho_skipped_and_heavy_rho_relaxed(self, capsys):
         argv = ["validate", "--events", 2000, "--rho", "1.0", "0.9", "--skip-network"]

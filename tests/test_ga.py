@@ -5,6 +5,7 @@ import random
 from collections import Counter
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -26,7 +27,7 @@ from fuzzloc.ga import (
 from fuzzloc.instances import generate_instance
 from fuzzloc.model import Solution
 from fuzzloc.oracle import enumerate_optimum, exact_bounds
-from fuzzloc.termination import convergence_limit
+from fuzzloc.termination import Run, convergence_limit
 
 
 def subset_size_fitness(solution: Solution) -> float:
@@ -138,19 +139,19 @@ def counter_replace(population: list[Chromosome], candidate: Chromosome) -> list
 class TestReplace:
     def test_worse_candidate_rejected(self):
         population = [Chromosome(frozenset({1, 2}), 5.0), Chromosome(frozenset({3, 4}), 3.0)]
-        out = replace(population, Chromosome(frozenset({5, 6}), 1.0))
-        assert {c.genes for c in out} == {frozenset({1, 2}), frozenset({3, 4})}
+        assert not replace(population, Chromosome(frozenset({5, 6}), 1.0))
+        assert {c.genes for c in population} == {frozenset({1, 2}), frozenset({3, 4})}
 
     def test_duplicate_rejected(self):
         population = [Chromosome(frozenset({1, 2}), 5.0), Chromosome(frozenset({3, 4}), 3.0)]
-        out = replace(population, Chromosome(frozenset({1, 2}), 9.0))
-        assert {c.genes for c in out} == {frozenset({1, 2}), frozenset({3, 4})}
+        assert not replace(population, Chromosome(frozenset({1, 2}), 9.0))
+        assert {c.genes for c in population} == {frozenset({1, 2}), frozenset({3, 4})}
 
     def test_better_candidate_replaces_worst(self):
         population = [Chromosome(frozenset({1, 2}), 5.0), Chromosome(frozenset({3, 4}), 3.0)]
-        out = replace(population, Chromosome(frozenset({5, 6}), 4.0))
-        assert frozenset({5, 6}) in {c.genes for c in out}
-        assert frozenset({3, 4}) not in {c.genes for c in out}
+        assert replace(population, Chromosome(frozenset({5, 6}), 4.0))
+        assert frozenset({5, 6}) in {c.genes for c in population}
+        assert frozenset({3, 4}) not in {c.genes for c in population}
 
     def test_sole_carrier_of_a_gene_kept(self):
         # {5, 6} is the worst member and the only carrier of genes 5 and 6;
@@ -161,15 +162,15 @@ class TestReplace:
             Chromosome(frozenset({1, 3}), 4.0),
             Chromosome(frozenset({5, 6}), 1.0),
         ]
-        out = replace(population, Chromosome(frozenset({2, 4}), 3.5))
-        assert [c.genes for c in out] == [
+        assert replace(population, Chromosome(frozenset({2, 4}), 3.5))
+        assert [c.genes for c in population] == [
             frozenset({1, 2}), frozenset({2, 4}), frozenset({1, 3}), frozenset({5, 6}),
         ]
 
     def test_rejected_when_every_weaker_member_is_a_sole_carrier(self):
         population = [Chromosome(frozenset({1, 2}), 5.0), Chromosome(frozenset({3, 4}), 3.0)]
-        out = replace(population, Chromosome(frozenset({1, 3}), 4.0))
-        assert [c.genes for c in out] == [frozenset({1, 2}), frozenset({3, 4})]
+        assert not replace(population, Chromosome(frozenset({1, 3}), 4.0))
+        assert [c.genes for c in population] == [frozenset({1, 2}), frozenset({3, 4})]
 
     @settings(max_examples=80, deadline=None)
     @given(st.data())
@@ -238,7 +239,9 @@ class TestReplace:
             else:
                 genes = frozenset(data.draw(subsets))
             candidate = Chromosome(genes, data.draw(fitness))
-            assert replace(population, candidate) == counter_replace(reference, candidate)
+            entered = replace(population, candidate)
+            assert population == counter_replace(reference, candidate)
+            assert entered == any(member is candidate for member in population)
 
 
 class TestRunGA:
@@ -313,8 +316,8 @@ class _NoMemo:
         self.values = {}
         self.matings = _Forgetful()
 
-    def score(self, keys, values):
-        return [v if v == v else -math.inf for v in values]
+    def score(self, key, value):
+        return value if value == value else -math.inf
 
 
 def _counting(fitness):
@@ -462,3 +465,152 @@ class TestMatingMemo:
         drive([(_mate(*parents, rng, _NoMemo()), counted)])
         d = len(g1 ^ g2) // 2
         assert counted.calls == d * (3 * d + 1) // 2
+
+
+def comprehension_mate(p1, p2, rng, memo):
+    """_mate's shrink steps with each block built by a comprehension: the
+    draft less each droppable gene whose value the memo lacks, ascending, in
+    the order of the droppable genes. The reference that _mate's rows, taken
+    from a leave-one-out table, are checked against; it keeps no mating."""
+    genes, droppable = sorted(p1.genes | p2.genes), sorted(p1.genes ^ p2.genes)
+    draft = p1.mask | p2.mask
+    for _ in range(len(droppable) // 2):
+        keys = [draft ^ (1 << gene) for gene in droppable]
+        trials = [memo.values.get(key) for key in keys]
+        missing = [b for b, trial in enumerate(trials) if trial is None]
+        if missing:
+            values = yield np.array(
+                [[gene - 1 for gene in genes if gene != droppable[b]] for b in missing],
+                dtype=np.intp,
+            )
+            for b, value in zip(missing, values):
+                trials[b] = memo.score(keys[b], value)
+        best = max(trials)
+        tied = [gene for gene, trial in zip(droppable, trials) if trial == best]
+        dropped = tied[0] if len(tied) == 1 else rng.choice(tied)
+        draft ^= 1 << dropped
+        genes.remove(dropped)
+        droppable.remove(dropped)
+    return Chromosome(frozenset(genes), best)
+
+
+def step_through(steps, value):
+    """The blocks a mating generator yields, each row valued by ``value`` of
+    its gene set, and what it returns."""
+    blocks = []
+    try:
+        block = next(steps)
+        while True:
+            blocks.append(block)
+            block = steps.send([value(frozenset((row + 1).tolist())) for row in block])
+    except StopIteration as stop:
+        return blocks, stop.value
+
+
+def drawn_fitness(levels: int, salt: int):
+    """A value per gene set from ``levels`` levels: few levels, many ties."""
+    def value(genes) -> float:
+        return float(random.Random(sum(1 << g for g in genes) ^ salt).randrange(levels))
+    return value
+
+
+class TestRoundInvariants:
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_blocks_match_comprehension_rows(self, data):
+        """Every block _mate yields equals the reference rows, with the memo
+        holding none, some or all of the trial values beforehand, for unions
+        of up to 2m genes at n up to 40; the child, the memo and the rng
+        end as the reference leaves them."""
+        n = data.draw(st.integers(2, 40), label="n")
+        m = data.draw(st.integers(1, n - 1), label="m")
+        genes = st.sets(st.integers(1, n), min_size=m, max_size=m).map(frozenset)
+        g1, g2 = data.draw(genes, label="p1"), data.draw(genes, label="p2")
+        assume(g1 != g2)
+        p1, p2 = Chromosome(g1, 0.0), Chromosome(g2, 0.0)
+        value = drawn_fitness(data.draw(st.sampled_from([2, 3, 10**6]), label="levels"),
+                              data.draw(st.integers(0, 2**32), label="salt"))
+        seed = data.draw(st.integers(0, 2**32), label="seed")
+        scout = _Memo()
+        step_through(comprehension_mate(p1, p2, random.Random(seed), scout), value)
+        share = data.draw(st.sampled_from([0.0, 0.5, 1.0]), label="known share")
+        pick = random.Random(seed)
+        known = {key: v for key, v in scout.values.items() if pick.random() < share}
+        memos, rngs = [_Memo(), _Memo()], [random.Random(seed), random.Random(seed)]
+        for memo in memos:
+            memo.values.update(known)
+        expected, reference = step_through(comprehension_mate(p1, p2, rngs[0], memos[0]), value)
+        blocks, child = step_through(_mate(p1, p2, rngs[1], memos[1]), value)
+        assert all(block.dtype == np.intp and block.ndim == 2 for block in blocks)
+        assert [block.tolist() for block in blocks] == [block.tolist() for block in expected]
+        assert (child.genes, child.fitness) == (reference.genes, reference.fitness)
+        assert memos[0].values == memos[1].values
+        assert rngs[0].getstate() == rngs[1].getstate()
+
+    @staticmethod
+    def logged_run(instance, fitness, config):
+        """run_ga, logging per mating: the candidate, whether it entered, the
+        population after it, the best that a max(population) scan (first
+        member among ties) gives, the best that scan keeps when it beats the
+        best so far (the rule before the scan was dropped), and the run's
+        best after the mating."""
+        log, kept = [], []
+        replace, step = fuzzloc.ga.replace, Run.step
+
+        def scan(population):
+            top = max(population, key=lambda c: c.fitness)
+            return (sorted(top.genes), top.fitness)
+
+        def logged_replace(population, candidate):
+            kept[:] = kept or [scan(population)]  # the first population's best
+            entered = replace(population, candidate)
+            scanned = scan(population)
+            if scanned[1] > kept[0][1]:
+                kept[0] = scanned
+            log.append([candidate, entered, population[:], scanned, kept[0]])
+            return entered
+
+        def logged_step(run, improved, at_best):
+            log[-1].append((run.best, run.best_value))
+            return step(run, improved, at_best)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(fuzzloc.ga, "replace", logged_replace)
+            patch.setattr(Run, "step", logged_step)
+            report = run_ga(instance, fitness, config)
+        return report, log
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_run_best_matches_population_scan(self, data):
+        """After every mating the run's best is the one the max(population)
+        scan kept, and its value is the scan's, under a plain fitness with
+        many ties."""
+        n = data.draw(st.integers(3, 12), label="n")
+        m = data.draw(st.integers(1, n - 1), label="m")
+        fitness = drawn_fitness(data.draw(st.sampled_from([2, 4, 10**6]), label="levels"),
+                                data.draw(st.integers(0, 2**32), label="salt"))
+        config = GAConfig(population_floor=data.draw(st.integers(2, 6), label="floor"),
+                          seed=data.draw(st.integers(0, 2**16), label="seed"),
+                          convergence_limit=20, stagnation_limit=30)
+        report, log = self.logged_run(SimpleNamespace(n=n, m_servers=m),
+                                      lambda solution: fitness(solution.open), config)
+        assert len(log) == report.iterations > 0
+        for _, _, _, scanned, kept, best in log:
+            assert best == kept and best[1] == scanned[1]
+
+    def test_rejected_candidate_above_every_member_is_not_the_best(self):
+        """A candidate fitter than every member that replace rejects, as
+        every weaker member is the sole carrier of a gene, does not become
+        the run's best."""
+        # n = 4, m = 2, two members: {1, 3} and {2, 4} carry one gene each
+        # alone, and every other pair scores 10.
+        values = {frozenset({1, 3}): 1.0, frozenset({2, 4}): 2.0}
+        config = GAConfig(population_floor=2, seed=0, convergence_limit=5, stagnation_limit=5)
+        report, log = self.logged_run(SimpleNamespace(n=4, m_servers=2),
+                                      lambda solution: values.get(solution.open, 10.0), config)
+        for candidate, entered, population, scanned, kept, best in log:
+            assert candidate.fitness == 10.0 > max(c.fitness for c in population)
+            assert not entered
+            assert best == scanned == kept == ([2, 4], 2.0)
+        assert (report.best, report.objective, report.iterations) == ([2, 4], 2.0, 5)

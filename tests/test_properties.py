@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import mate, mild_params
-from fuzzloc.aco import TAU_MIN, ACOConfig, _update
+from fuzzloc.aco import TAU_MIN, ACOConfig, _deposit_rule, _update
 from fuzzloc.evaluation import MaximinContext
 from fuzzloc.ga import Chromosome
 from fuzzloc.instances import generate_instance
@@ -77,7 +77,7 @@ def test_pheromone_stays_in_bounds(seed):
         for _ in range(4)
     ]
     nodes, values = np.array([nodes for nodes, _ in colony]), [value for _, value in colony]
-    out = _update(tau, nodes, values, config, np.ones(4, dtype=bool))
+    out = _update(tau, nodes, values, config, _deposit_rule(np.ones(4, dtype=bool)))
     assert np.all(out >= TAU_MIN)
     assert np.all(out <= config.max_pheromone)
 

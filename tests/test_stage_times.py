@@ -4,6 +4,7 @@ import importlib.util
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from fuzzloc import evaluation
 from fuzzloc.evaluation import MaximinFitness
@@ -19,13 +20,15 @@ spec.loader.exec_module(stage_times)
 def test_smoke_prints_every_stage(capsys):
     assert stage_times.main(["--workloads", "smoke", "--passes", "2"]) == 0
     header, *rows = capsys.readouterr().out.splitlines()
-    assert header.split()[:7] == ["solve", "blocks", "rows", "Kernel()", "figures()", "score",
-                                  "total"]
+    assert header.split()[:9] == ["solve", "blocks", "rows", "Kernel()", "figures()", "score",
+                                  "total", "wall", "other"]
     assert [row.split()[:2] for row in rows] == [["smoke", "ga"], ["smoke", "aco"]]
     for row in rows:
-        blocks, size, *stages, total = map(float, row.split()[2:])
+        blocks, size, *stages, total, wall, other = map(float, row.split()[2:])
         assert blocks >= 1 and size >= 1 and len(stages) == 3
         assert all(value > 0 for value in stages) and total > 0
+        # other is the solve's wall time (ms) less its blocks' scoring time
+        assert wall > 0 and other == pytest.approx(wall - blocks * total / 1e3, abs=0.01)
 
 
 def test_recorded_blocks_replay_the_solve():

@@ -15,8 +15,11 @@ order of the solves, through the three stages of a round:
     score      each member's fitness.score(...) on its rows of the figures
 
 and prints, per solve, the median over the passes of the mean µs per block
-of each stage and of their total. Run it against another checkout's
-``src`` (PYTHONPATH) to compare two versions of the kernel on the same
+of each stage and of their total. Each pass also runs every solve once
+unwrapped; ``wall`` is the median of those wall times, and ``other`` is
+``wall`` minus blocks × total: the ms that a solve spends outside the
+scoring pass, in the solvers' own Python and ``drive``. Run it against
+another checkout's ``src`` (PYTHONPATH) to compare two versions on the same
 blocks; a version's blocks are its own, and the scoring path does not
 change them.
 """
@@ -56,6 +59,12 @@ def snapshot(fitness):
     return fitness
 
 
+def solve(instance, algo: str):
+    """One seed-0 solve with the benchmark's configs."""
+    return protocol.solve_protocol(instance, algo, seed=0, ga_config=workloads.GA_CONFIG,
+                                   aco_config=workloads.ACO_CONFIG)
+
+
 def record(instance, algo: str) -> list:
     """The blocks of one seed-0 solve: (idx, [(fitness, rows)]), where
     ``rows`` is the member's slice of the block, in drive's order."""
@@ -75,8 +84,7 @@ def record(instance, algo: str) -> list:
 
     evaluation.Kernel, evaluation.KernelFitness.score = Recorded, recorded_score
     try:
-        protocol.solve_protocol(instance, algo, seed=0, ga_config=workloads.GA_CONFIG,
-                                aco_config=workloads.ACO_CONFIG)
+        solve(instance, algo)
     finally:
         evaluation.Kernel, evaluation.KernelFitness.score = Kernel, score
     return blocks
@@ -120,25 +128,32 @@ def main(argv=None) -> int:
     for name in args.workloads:
         instance = workloads.build_instance(name)
         for algo in ("ga", "aco"):
-            solves.append((f"{name} {algo}", instance, record(instance, algo)))
-    per_block = {label: [] for label, _, _ in solves}
-    gc.disable()
-    try:
-        for p in range(args.passes):
-            for label, instance, blocks in solves if p % 2 == 0 else solves[::-1]:
+            solves.append((f"{name} {algo}", instance, algo, record(instance, algo)))
+    per_block = {label: [] for label, *_ in solves}
+    walls = {label: [] for label, *_ in solves}
+    for p in range(args.passes):
+        for label, instance, algo, blocks in solves if p % 2 == 0 else solves[::-1]:
+            gc.disable()  # the replay only: a solve runs as it would alone
+            try:
                 totals = replay(instance, blocks)
-                per_block[label].append([t / 1e3 / len(blocks) for t in totals])
-    finally:
-        gc.enable()
+            finally:
+                gc.enable()
+            per_block[label].append([t / 1e3 / len(blocks) for t in totals])
+            start = time.perf_counter()
+            solve(instance, algo)
+            walls[label].append(time.perf_counter() - start)
 
     print(f"{'solve':<12} {'blocks':>6} {'rows':>6} "
-          + " ".join(f"{s:>10}" for s in STAGES + ("total",)) + "   (median us per block)")
-    for label, _, blocks in solves:
+          + " ".join(f"{s:>10}" for s in STAGES + ("total",)) + f" {'wall':>8} {'other':>8}"
+          + "   (median us per block; wall and other in ms per solve)")
+    for label, _, _, blocks in solves:
         stages = [statistics.median(col) for col in zip(*per_block[label])]
         total = statistics.median(sum(sample) for sample in per_block[label])
         rows = sum(len(idx) for idx, _ in blocks) / len(blocks)
+        wall = statistics.median(walls[label]) * 1e3
+        other = wall - len(blocks) * total / 1e3
         print(f"{label:<12} {len(blocks):>6} {rows:>6.1f} "
-              + " ".join(f"{v:>10.2f}" for v in stages + [total]))
+              + " ".join(f"{v:>10.2f}" for v in stages + [total]) + f" {wall:>8.2f} {other:>8.2f}")
     return 0
 
 
