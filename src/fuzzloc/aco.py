@@ -146,7 +146,7 @@ def run_aco(instance: Instance, eval_fn: Fitness, config: ACOConfig) -> SolverRe
     far becomes the new best, and a NaN value ranks below every other value,
     as -inf.
     """
-    return drive([(_colonies(instance, config, [config.seed], ["max"]), eval_fn)])[0][0]
+    return drive([(_colonies(instance, config, [config.seed], ["max"]), eval_fn)], table=True)[0][0]
 
 
 def _colonies(

@@ -3,7 +3,8 @@
 Exit codes: 0 success, 1 usage error, 2 runtime failure, 3 validation failure.
 The enumeration budget can be overridden with FUZZLOC_ENUM_BUDGET, a positive
 integer; any other value is a usage error. So is an --events,
---network-events or --replications count below 1.
+--network-events or --replications count below 1, and a validate --rho
+that is not a finite number above 0.
 """
 
 from __future__ import annotations
@@ -96,6 +97,17 @@ def _enum_budget() -> int:
         return _positive_int(raw)
     except argparse.ArgumentTypeError as exc:
         raise UsageError(f"FUZZLOC_ENUM_BUDGET {exc}") from None
+
+
+def _positive_float(text: str) -> float:
+    """argparse type of a finite number above 0."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not 0 < value < math.inf:
+        raise argparse.ArgumentTypeError(f"must be a finite number above 0, got {text!r}")
+    return value
 
 
 def _positive_int(text: str) -> int:
@@ -195,7 +207,7 @@ def build_parser() -> argparse.ArgumentParser:
     val = sub.add_parser("validate", help="check analytic queue formulas against simulation")
     val.add_argument("--events", type=_positive_int, default=10**6)
     val.add_argument("--seed", type=int, default=0)
-    val.add_argument("--rho", type=float, nargs="+", default=[0.3, 0.5, 0.8])
+    val.add_argument("--rho", type=_positive_float, nargs="+", default=[0.3, 0.5, 0.8])
     val.add_argument("--tolerance", type=float, default=VALIDATE_TOLERANCE)
     val.add_argument("--network-events", type=_positive_int, default=200_000)
     val.add_argument("--network-tolerance", type=float, default=0.05)

@@ -20,7 +20,7 @@ import numpy as np
 from .errors import DomainError
 from .fuzzy import TriFuzzy
 from .model import (
-    Instance, Kernel, Solution, _open_indices, capacity_threshold, solution_kernel,
+    Instance, Kernel, Solution, _open_indices, block_figures, capacity_threshold, solution_kernel,
 )
 
 _DEGENERATE_EPS = 1e-12
@@ -146,7 +146,7 @@ def component_value(instance: Instance, solution: Solution, name: str) -> Option
     return float(spreads[COMPONENTS.index(name)]) if feasible else None
 
 
-def drive(runs: list[tuple[Steps[T], Fitness]]) -> list[T]:
+def drive(runs: list[tuple[Steps[T], Fitness]], table: bool = False) -> list[T]:
     """Step the (generator, fitness) runs together; return what each
     generator returns, in order. This is the only batch scorer: solver runs
     and enumerate_optimum go through it.
@@ -155,16 +155,25 @@ def drive(runs: list[tuple[Steps[T], Fitness]]) -> list[T]:
     fitness is called once per row at once; a KernelFitness run's block
     waits. Then one subset size is served: the size that the most waiting
     runs ask for, the larger on ties. Its blocks share one Kernel and one
-    call of its figures(), each run scores its own rows with
+    call of its figures(), or with ``table`` one call of model.block_figures,
+    which gives the same figures and reads a round of m-subsets from the
+    instance's figures table. Each run scores its own rows with
     KernelFitness.score, and blocks of other sizes wait for a later round.
-    The KernelFitness runs of one drive share an instance: the kernel is built
-    on the instance of the first block's run. Waiting lets runs share a
-    kernel call when their sizes differ: a GA mating scores trial subsets
+    The KernelFitness runs of one drive share an instance: the figures are
+    those of the instance of the first block's run. Waiting lets runs share
+    a kernel call when their sizes differ: a GA mating scores trial subsets
     whose size falls from |union| - 1 to m, so lockstep GA runs seldom ask
     for one size in the same round. When every waiting block has one size,
     as in every ACO round and every drive of a single run, a round serves
-    them all. A kernel row has the same bits in any block, and no run's sends
-    depend on another run, so every run ends as it would alone."""
+    them all. A kernel row has the same bits in any block, and in the table,
+    and no run's sends depend on another run, so every run ends as it would
+    alone.
+
+    The ACO's drives pass ``table``: every ACO round asks for ants x runs
+    m-subsets, so an ACO solve soon repays the table's build. A GA asks for
+    m-subsets in a fraction of its rounds, a few rows at a time after its
+    memo, which would not repay it, and enumerate_optimum scores each
+    subset once."""
     results: list = [None] * len(runs)
     scorers = [f if isinstance(f, KernelFitness) else None for _, f in runs]  # None: a callable
     replies: dict[int, Optional[list]] = dict.fromkeys(range(len(runs)))
@@ -187,7 +196,9 @@ def drive(runs: list[tuple[Steps[T], Fitness]]) -> list[T]:
         members = waiting.pop(next(iter(waiting)) if len(waiting) == 1 else
                               max(waiting, key=lambda k: (len(waiting[k]), k)))
         whole = members[0][1] if len(members) == 1 else np.concatenate([b for _, b in members])
-        feasible, spreads, violation = Kernel(scorers[members[0][0]].instance, whole).figures()
+        instance = scorers[members[0][0]].instance
+        feasible, spreads, violation = (
+            block_figures(instance, whole) if table else Kernel(instance, whole).figures())
         start = 0
         for r, idx in members:
             rows = slice(start, start + len(idx))

@@ -6,6 +6,7 @@ indexed internally with ``index - 1``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, fields
 from typing import Iterable, Optional
 
@@ -34,6 +35,16 @@ def _fuzzy_rows(values, n: int, what: str) -> np.ndarray:
 # matrix exp(-a * d): every entry is then at least e^-700, about 1e-304, a
 # normal double, so no share underflows to 0/0.
 ATTRACTION_LIMIT = 700.0
+# Subsets per kernel block of an enumeration (_blocks). The kernel's
+# intermediates grow with this, not with the number of subsets: the
+# facility-major (k, B, n) logit shares take 0.8 MB at n = 20, k = 5.
+BLOCK_SIZE = 1024
+# The most m-subsets for which an instance keeps a figures table (see
+# block_figures): 33 bytes a subset, about 0.5 MB at the limit. An ACO
+# solve's first round builds the whole table, and single window-100 ACO
+# solves on fresh mild instances mostly repaid it below about 20 000
+# subsets and never at 42 504 or more (ROADMAP item 8 has the figures).
+TABLE_LIMIT = 1 << 14
 
 
 @dataclass(frozen=True, eq=False)
@@ -47,9 +58,11 @@ class Instance:
     exp(distance * -logit_sensitivity) that the logit allocation reads, or
     None when logit_sensitivity * max(distance) exceeds ATTRACTION_LIMIT.
     ``dataclasses.replace`` recomputes it, and instance files do not hold it.
+    Nor do they hold ``_table``, the figures table that block_figures builds
+    on first use and ``dataclasses.replace`` drops.
 
     Instances compare field by field, arrays by value, leaving ``attraction``
-    out. They are unhashable: their arrays are.
+    and ``_table`` out. They are unhashable: their arrays are.
     """
 
     n: int
@@ -63,6 +76,7 @@ class Instance:
     logit_sensitivity: float = 0.5
     benefit_weight: Optional[np.ndarray] = None
     attraction: Optional[np.ndarray] = field(init=False, repr=False, compare=False)
+    _table: Optional[_FiguresTable] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         n = self.n
@@ -112,6 +126,7 @@ class Instance:
             attraction = np.exp(dist * -self.logit_sensitivity)
             attraction.setflags(write=False)
         object.__setattr__(self, "attraction", attraction)
+        object.__setattr__(self, "_table", None)  # built by block_figures on first use
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not self.__class__:
@@ -359,6 +374,112 @@ class Kernel:
         spreads = self.spreads() if count else None
         violation = None if count == feasible.size else self.violation()
         return feasible, spreads, violation
+
+
+def _blocks(instance: Instance):
+    """Every m-subset as rows of 1-based indices, in lexicographic order, in
+    (B, m) arrays of BLOCK_SIZE rows but the last.
+
+    Each block unranks its ranks, one entry at a time for all rows. A row's
+    key counts the subsets from its own to the last among those sharing its
+    entries so far. With s entries left, comb(j, s) of them take all s from
+    the last j values, so the next entry is n + 1 - J for the least J with
+    comb(J, s) >= key, and the key drops by comb(J - 1, s). The last entry
+    is n + 1 - key. The table of these counts, row p holding comb(j, m - p)
+    for j = 0..n, is built once per enumeration. Counts are capped at the
+    total, which only entries no row can take exceed, to stay within int64.
+    """
+    n, m = instance.n, instance.m_servers
+    count = math.comb(n, m)
+    counts = np.array(
+        [[min(math.comb(j, m - p), count) for j in range(n + 1)] for p in range(m - 1)],
+        dtype=np.int64,
+    )
+    for first in range(0, count, BLOCK_SIZE):
+        key = count - np.arange(first, min(first + BLOCK_SIZE, count), dtype=np.int64)
+        block = np.empty((m, len(key)), dtype=np.intp)  # row p: entry p of every subset
+        for p, row in enumerate(counts):
+            j = np.searchsorted(row, key)
+            block[p] = n + 1 - j
+            key -= row.take(j - 1)
+        block[-1] = n + 1 - key
+        yield block.T
+
+
+class _FiguresTable:
+    """The figures of every m-subset of an instance, one read-only row per
+    subset in lexicographic order: ``feasible``, the ``spreads`` of feasible
+    rows (0 in the others) and the ``violation`` (0 where feasible, as the
+    kernel's is). One Kernel per block of _blocks computes them, as
+    oracle.Scan does, and by the block contract (a row's bits do not depend
+    on the rows computed with it) each row holds the bits that any block
+    gives its subset.
+
+    The lexicographic rank of the ascending 0-based row c_0 < ... < c_{m-1}
+    is comb(n, m) - 1 - sum_j comb(n - 1 - c_j, m - j). Row j of the
+    flattened (m, n) ``weights`` holds entry j's term, negated, with
+    comb(n, m) - 1 added to row 0, so a rank is one gather and one integer
+    dot product with ones (faster than a sum at solver block sizes).
+    Terms are capped at comb(n, m), which only entries no row can take
+    exceed (every term of a row is below it), to stay within intp.
+    """
+
+    def __init__(self, instance: Instance):
+        n, m = instance.n, instance.m_servers
+        count = math.comb(n, m)
+        feasible, spreads, violation = np.empty(count, bool), np.zeros((count, 3)), np.zeros(count)
+        start = 0
+        for block in _blocks(instance):
+            rows = slice(start, start + len(block))
+            start = rows.stop
+            kernel = Kernel(instance, block - 1)
+            feasible[rows] = mask = kernel.feasible()
+            if mask.any():
+                spreads[rows][mask] = kernel.spreads(mask)
+            if not mask.all():
+                violation[rows] = kernel.violation()
+        weights = -np.array(
+            [[min(math.comb(n - 1 - c, m - j), count) for c in range(n)] for j in range(m)],
+            dtype=np.intp,
+        )
+        weights[0] += count - 1
+        self.weights, self.ones = weights.ravel(), np.ones(m, np.intp)
+        self.offsets = np.arange(0, m * n, n)  # entry j reads row j of the weights
+        self.feasible, self.spreads, self.violation = feasible, spreads, violation
+        for array in vars(self).values():
+            array.setflags(write=False)
+
+    def figures(self, idx: np.ndarray):
+        """Kernel(instance, idx).figures() for a (B, m) block of ascending
+        0-based rows, gathered from the table, with the same None rules."""
+        rank = self.weights.take(idx + self.offsets).dot(self.ones)
+        feasible = self.feasible.take(rank)
+        count = np.count_nonzero(feasible)
+        spreads = self.spreads.take(rank, axis=0) if count else None
+        violation = None if count == feasible.size else self.violation.take(rank)
+        return feasible, spreads, violation
+
+
+def block_figures(instance: Instance, idx: np.ndarray):
+    """``Kernel(instance, idx).figures()`` of a (B, k) block of ascending
+    0-based rows, with the same None rules and the same bits, except for
+    the spreads of infeasible rows, which no score reads.
+
+    An instance with comb(n, m) <= TABLE_LIMIT builds its figures table of
+    every m-subset the first time it is asked for a block of m-subsets, and
+    looks those blocks up in it from then on. Every other block (a block of
+    another size, or any block of an instance past the limit) gets its own
+    Kernel. The table's figures are fixed when it is built: a model formula
+    patched later does not reach the instance's m-subsets.
+    """
+    if idx.shape[-1] == instance.m_servers:
+        table = instance._table
+        if table is None and math.comb(instance.n, instance.m_servers) <= TABLE_LIMIT:
+            table = _FiguresTable(instance)
+            object.__setattr__(instance, "_table", table)
+        if table is not None:
+            return table.figures(idx)
+    return Kernel(instance, idx).figures()
 
 
 def solution_kernel(instance: Instance, solution: Solution) -> Kernel:

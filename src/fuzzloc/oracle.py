@@ -13,15 +13,15 @@ import numpy as np
 from .errors import BudgetExceededError, DomainError, InfeasibleInstanceError
 from .evaluation import Fitness, MaximinContext, MaximinFitness, Steps, drive
 from .fuzzy import SLICE_INDEX
-from .model import Instance, Kernel, Solution, no_feasible_subset, served_share, solution_kernel
+from .model import (
+    Instance, Kernel, Solution, _blocks, no_feasible_subset, served_share, solution_kernel,
+)
 
+# The oracle scans the subsets in blocks of model.BLOCK_SIZE. A Scan (exact
+# bounds, a brute solve) also keeps 24 + m bytes per feasible subset for
+# n < 256 (three doubles and m one-byte indices), at most (24 + m) MB at the
+# default budget.
 DEFAULT_ENUM_BUDGET = 10**6
-# Subsets per kernel call of the oracle. The kernel's intermediates grow with
-# this, not with the number of subsets: the facility-major (k, B, n) logit
-# shares take 0.8 MB at n = 20, k = 5. A Scan (exact bounds, a brute solve)
-# also keeps 24 + m bytes per feasible subset for n < 256 (three doubles and
-# m one-byte indices), at most (24 + m) MB at the default budget.
-BLOCK_SIZE = 1024
 # Customers per chunk of the simulator's draws. Peak memory grows with this,
 # not with the event budget; the draws and the estimates do not depend on it.
 CHUNK_SIZE = 1 << 14
@@ -44,36 +44,6 @@ def _check_budget(instance: Instance, budget: int) -> int:
             f"enumeration needs {count} subsets, budget is {budget}"
         )
     return count
-
-
-def _blocks(instance: Instance):
-    """Every m-subset as rows of 1-based indices, in lexicographic order, in
-    (B, m) arrays of BLOCK_SIZE rows but the last.
-
-    Each block unranks its ranks, one entry at a time for all rows. A row's
-    key counts the subsets from its own to the last among those sharing its
-    entries so far. With s entries left, comb(j, s) of them take all s from
-    the last j values, so the next entry is n + 1 - J for the least J with
-    comb(J, s) >= key, and the key drops by comb(J - 1, s). The last entry
-    is n + 1 - key. The table of these counts, row p holding comb(j, m - p)
-    for j = 0..n, is built once per enumeration. Counts are capped at the
-    total, which only entries no row can take exceed, to stay within int64.
-    """
-    n, m = instance.n, instance.m_servers
-    count = math.comb(n, m)
-    counts = np.array(
-        [[min(math.comb(j, m - p), count) for j in range(n + 1)] for p in range(m - 1)],
-        dtype=np.int64,
-    )
-    for first in range(0, count, BLOCK_SIZE):
-        key = count - np.arange(first, min(first + BLOCK_SIZE, count), dtype=np.int64)
-        block = np.empty((m, len(key)), dtype=np.intp)  # row p: entry p of every subset
-        for p, row in enumerate(counts):
-            j = np.searchsorted(row, key)
-            block[p] = n + 1 - j
-            key -= row.take(j - 1)
-        block[-1] = n + 1 - key
-        yield block.T
 
 
 def _walk(instance: Instance, table: Optional[dict]) -> Steps[tuple[list, float]]:
@@ -105,9 +75,9 @@ def enumerate_optimum(
     above -inf, and a NaN never wins. When no value is above -inf (every
     value is -inf or NaN), the best is the first subset, with its own value.
 
-    The subsets are scored in blocks of BLOCK_SIZE by one ``drive`` run: a
-    KernelFitness on one kernel per block, any other callable once per
-    subset.
+    The subsets are scored in blocks of model.BLOCK_SIZE by one ``drive``
+    run: a KernelFitness on one kernel per block, any other callable once
+    per subset.
     """
     count = _check_budget(instance, budget)
     table = {} if keep_table else None

@@ -516,6 +516,39 @@ class TestValidate:
         [line] = captured.err.splitlines()
         assert line.startswith("usage error: no --rho is below 1")
 
+    @pytest.mark.parametrize("rhos, bad", [
+        (["--rho", "nan"], "nan"),
+        (["--rho", "inf"], "inf"),
+        (["--rho=-inf"], "-inf"),  # a bare -inf reads as an option: see below
+        (["--rho", "0"], "0"),
+        (["--rho", "-0.0"], "-0.0"),
+        (["--rho", "0.5", "-0.5"], "-0.5"),
+        (["--rho", "0.5", "nan", "0.8"], "nan"),
+        (["--rho", "1.2", "inf"], "inf"),
+    ])
+    @pytest.mark.parametrize("network", [[], ["--skip-network"]])
+    def test_bad_rho_is_usage_error(self, monkeypatch, capsys, rhos, bad, network):
+        """A --rho that is NaN, infinite or not above 0 is named in one
+        usage-error line, before the header, any simulation or any other
+        --rho: ``--rho 0.5 -0.5`` prints no row for 0.5."""
+        for name in ("mm1_simulate", "simulate_objective_slice", "enumerate_optimum"):
+            monkeypatch.setattr(cli, name, _never)
+        assert run(["validate", *rhos, *network]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"usage error: argument --rho: must be a finite number above 0, got '{bad}'\n")
+
+    def test_bare_minus_inf_rho_is_usage_error(self, monkeypatch, capsys):
+        """argparse reads a bare ``-inf`` as an option, not a number, so
+        ``--rho -inf`` names --rho as missing its value."""
+        monkeypatch.setattr(cli, "mm1_simulate", _never)
+        assert run(["validate", "--rho", "-inf", "--skip-network"]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        [line] = captured.err.splitlines()
+        assert line.startswith("usage error: ") and "--rho" in line
+
     def test_unstable_rho_skipped_and_heavy_rho_relaxed(self, capsys):
         argv = ["validate", "--events", 2000, "--rho", "1.0", "0.9", "--skip-network"]
         assert run(argv) == EXIT_OK

@@ -38,7 +38,8 @@ from fuzzloc.fuzzy import TriFuzzy
 from fuzzloc.ga import GAConfig
 from fuzzloc.instances import GeneratorParams, generate_instance, instance_to_dict
 from fuzzloc.model import (
-    ATTRACTION_LIMIT, Instance, Kernel, Solution, _allocation, capacity_threshold,
+    ATTRACTION_LIMIT, Instance, Kernel, Solution, _allocation, block_figures, capacity_threshold,
+    no_feasible_subset,
 )
 from fuzzloc.oracle import Scan, enumerate_optimum, exact_bounds
 from fuzzloc.protocol import _PENALTY_SCALE, BOUND_RUNS, _BoundFitness, solve_protocol
@@ -235,14 +236,14 @@ def attraction_reference(instance, idx):
 @given(
     k=st.integers(1, 11),
     extra=st.integers(0, 20),
-    rows=st.one_of(st.none(), st.integers(1, 2 * fuzzloc.oracle.BLOCK_SIZE)),
+    rows=st.one_of(st.none(), st.integers(1, 2 * fuzzloc.model.BLOCK_SIZE)),
     seed=st.integers(0, 2**32 - 1),
     logit=st.sampled_from((0.1, 0.5, 2.0, 7.3, 20.0, 40.0)),
 )
 @example(k=5, extra=15, rows=None, seed=0, logit=0.5)
-@example(k=5, extra=15, rows=fuzzloc.oracle.BLOCK_SIZE, seed=0, logit=0.5)
-@example(k=5, extra=15, rows=fuzzloc.oracle.BLOCK_SIZE, seed=0, logit=20.0)
-@example(k=5, extra=15, rows=fuzzloc.oracle.BLOCK_SIZE, seed=0, logit=40.0)
+@example(k=5, extra=15, rows=fuzzloc.model.BLOCK_SIZE, seed=0, logit=0.5)
+@example(k=5, extra=15, rows=fuzzloc.model.BLOCK_SIZE, seed=0, logit=20.0)
+@example(k=5, extra=15, rows=fuzzloc.model.BLOCK_SIZE, seed=0, logit=40.0)
 @settings(max_examples=60, deadline=None)
 def test_allocation_matches_reference(k, extra, rows, seed, logit):
     """rows=None draws a 1-D idx, one subset, as the scalar views pass it;
@@ -293,8 +294,8 @@ def test_full_enumeration_block_matches_rows(weighted):
     k = 9, where numpy sums the contiguous facility axes in pairs. Both
     blocks mix feasible and infeasible subsets."""
     instance = build(14, 9, 3, False, True, 0.5) if weighted else build(20, 5, 0, True, False, 0.5)
-    rows = next(fuzzloc.oracle._blocks(instance)) - 1
-    assert len(rows) == fuzzloc.oracle.BLOCK_SIZE
+    rows = next(fuzzloc.model._blocks(instance)) - 1
+    assert len(rows) == fuzzloc.model.BLOCK_SIZE
     block = Kernel(instance, rows)
     figures = derived(block)
     assert figures["feasible"].any() and not figures["feasible"].all()
@@ -323,7 +324,7 @@ def test_crisp_z1_is_positive_zero(medium_instance):
 def test_exact_bounds_matches_reference_loop(case, block_size):
     instance = build(*case)
     expected = reference_bounds(instance)
-    with mock.patch.object(fuzzloc.oracle, "BLOCK_SIZE", block_size):
+    with mock.patch.object(fuzzloc.model, "BLOCK_SIZE", block_size):
         if expected is None:
             with pytest.raises(InfeasibleInstanceError):
                 exact_bounds(instance)
@@ -349,7 +350,7 @@ def test_enumeration_block_path_matches_plain_callable(case, block_size, which):
         fitness = make_maximin_eval(instance, ctx)
     else:
         fitness = bound_fitness(instance, *which)
-    with mock.patch.object(fuzzloc.oracle, "BLOCK_SIZE", block_size):
+    with mock.patch.object(fuzzloc.model, "BLOCK_SIZE", block_size):
         streamed = enumerate_optimum(instance, fitness, keep_table=True)
         plain = enumerate_optimum(instance, lambda s: fitness(s), keep_table=True)
     assert streamed.best == plain.best
@@ -377,7 +378,7 @@ class RankFitness:
 def test_tie_across_block_boundary(ties):
     # C(14, 5) = 2002 subsets: one full block and a partial one.
     n, m = 14, 5
-    size = fuzzloc.oracle.BLOCK_SIZE
+    size = fuzzloc.model.BLOCK_SIZE
     count = math.comb(n, m)
     assert count > size and count % size
     rank = {"start": 0, "last": size - 1, "first": size, "second": size + 1, "end": count - 1}
@@ -538,7 +539,7 @@ def test_fused_path_covers_every_kind_of_block(which):
         assert not np.signbit(spreads[:, 0]).any() and not spreads[:, 0].any()
     else:
         instance = build(20, 5, 0, True, False, 0.5)
-        rows = next(fuzzloc.oracle._blocks(instance))[:200] - 1
+        rows = next(fuzzloc.model._blocks(instance))[:200] - 1
     mask = eager_feasible(Kernel(instance, rows))
     assert mask.any() and not mask.all()
     ctx = ctx_from(Kernel(instance, rows))
@@ -608,3 +609,123 @@ def test_feasible_brute_solve_computes_no_violation(monkeypatch):
     report, ctx = solve_protocol(instance, "brute")
     assert report.objective >= 0
     solve_protocol(instance, "brute", ctx=PROBE_CTX)
+
+
+def check_block_figures(instance, idx, tabled: bool):
+    """model.block_figures of the block ``idx`` against its own
+    Kernel.figures(): the feasibility mask and the None pattern, the spreads
+    of feasible rows (of every row on the Kernel path) and the violation,
+    byte for byte. ``tabled`` says which path must serve the block: the
+    instance's figures table, with no kernel, or a Kernel of its own, with
+    no table lookup."""
+    expected = Kernel(instance, idx).figures()
+    if tabled:
+        block_figures(instance, idx)  # the first block of m-subsets builds the table
+        with mock.patch.object(fuzzloc.model, "Kernel", side_effect=AssertionError("kernel")):
+            got = block_figures(instance, idx)
+        assert instance._table is not None
+    else:
+        table = mock.patch.object(
+            fuzzloc.model._FiguresTable, "__init__", side_effect=AssertionError("table"))
+        with table:
+            got = block_figures(instance, idx)
+    assert [part is None for part in got] == [part is None for part in expected]
+    feasible = expected[0]
+    assert got[0].dtype == feasible.dtype and got[0].tobytes() == feasible.tobytes()
+    if expected[1] is not None:
+        rows = feasible if tabled else slice(None)
+        assert got[1].shape == expected[1].shape
+        assert got[1][rows].tobytes() == expected[1][rows].tobytes()
+    if expected[2] is not None:
+        assert got[2].tobytes() == expected[2].tobytes()
+
+
+@given(
+    case=cases(max_n=12),
+    sample_seed=st.integers(0, 2**32 - 1),
+    rows=st.integers(1, 40),
+    extra=st.integers(0, 3),
+    past=st.booleans(),
+)
+@example(case=(12, 3, 5, True, False, 40.0), sample_seed=0, rows=40, extra=0, past=False)
+@example(case=(12, 4, 6, True, True, 0.5), sample_seed=1, rows=40, extra=0, past=False)
+@example(case=(12, 3, 0, False, False, 0.5), sample_seed=2, rows=40, extra=0, past=False)
+@example(case=(10, 3, 7, True, False, 0.5), sample_seed=3, rows=30, extra=2, past=False)
+@example(case=(10, 3, 7, True, False, 0.5), sample_seed=4, rows=30, extra=0, past=True)
+@settings(max_examples=120, deadline=None)
+def test_block_figures_match_kernel(case, sample_seed, rows, extra, past):
+    """Random (B, k) blocks of sorted rows on mild, default-range
+    (mostly certified), weighted and logit-40 instances: a block of
+    m-subsets is looked up in the instance's table, and an oversized block
+    (k > m) or any block of an instance past TABLE_LIMIT gets its own
+    Kernel, with the figures of the block's own Kernel in every case."""
+    instance = build(*case)
+    n, m = instance.n, instance.m_servers
+    k = min(m + extra, n)
+    rng = np.random.default_rng(sample_seed)
+    idx = np.sort(np.array([rng.choice(n, k, replace=False) for _ in range(rows)]), axis=1)
+    if past:
+        with mock.patch.object(fuzzloc.model, "TABLE_LIMIT", math.comb(n, m) - 1):
+            check_block_figures(instance, idx, tabled=False)
+        assert instance._table is None
+    else:
+        check_block_figures(instance, idx, tabled=k == m)
+        assert (instance._table is None) == (k > m)
+
+
+def check_table(instance):
+    """The instance's table is read-only and takes 33 bytes a subset."""
+    table = instance._table
+    assert not any(array.flags.writeable for array in vars(table).values())
+    assert table.feasible.nbytes + table.spreads.nbytes + table.violation.nbytes == (
+        33 * math.comb(instance.n, instance.m_servers))
+
+
+@pytest.mark.parametrize("which", ["lambda-at-mu", "every-subset"])
+def test_block_figures_match_kernel_on_fixed_blocks(which):
+    """The λ = μ rows of LAMBDA_AT_MU (unstable with 0 overload, and at the
+    capacity threshold itself), and every m-subset of a mild instance at
+    once, in reverse order, so that no row sits at its own rank."""
+    if which == "lambda-at-mu":
+        instance = dataclasses.replace(LAMBDA_AT_MU)
+        blocks = [np.array([[0], [4]]), np.array([[0], [1], [2], [3], [4]]), np.array([[2]])]
+    else:
+        instance = build(9, 4, 1, True, False, 0.5)
+        blocks = [np.array(list(itertools.combinations(range(9), 4)))[::-1]]
+    for idx in blocks:
+        check_block_figures(instance, idx, tabled=True)
+    check_table(instance)
+
+
+def test_block_figures_match_kernel_on_certified_instance(certified):
+    """A certified instance's blocks hold no feasible row: no spreads."""
+    instance = dataclasses.replace(certified)
+    combos = np.array(list(itertools.combinations(range(instance.n), instance.m_servers)))
+    for idx in (combos[:50], combos[-7:], combos[::97]):
+        check_block_figures(instance, idx, tabled=True)
+    assert no_feasible_subset(instance) and not instance._table.feasible.any()
+    check_table(instance)
+
+
+def test_figures_table_is_not_instance_data():
+    """The table is built on first use only, never compared, written or
+    copied: an equal instance without one compares equal, instance files do
+    not hold it, and dataclasses.replace drops it."""
+    instance = build(8, 3, 2, True, False, 0.5)
+    assert instance._table is None and "_table" not in repr(instance)
+    block_figures(instance, np.array([[0, 1, 2]]))
+    assert instance._table is not None
+    fresh = dataclasses.replace(instance)
+    assert fresh._table is None and fresh == instance
+    assert "_table" not in instance_to_dict(instance)
+
+
+def test_only_aco_drives_build_the_table():
+    """The ACO's drives read their rounds from the figures table; a GA solve
+    and an enumeration keep one kernel per block and build none."""
+    instance = build(8, 3, 2, True, False, 0.5)
+    enumerate_optimum(instance, make_maximin_eval(instance, PROBE_CTX))
+    solve_protocol(instance, "ga", seed=0, ga_config=GAConfig(stagnation_limit=5))
+    assert instance._table is None
+    solve_protocol(instance, "aco", seed=0, aco_config=ACOConfig(stagnation_limit=5))
+    assert instance._table is not None

@@ -77,7 +77,7 @@ class TestEnumeration:
 
         monkeypatch.setattr(Kernel, "__init__", counted)
         enumerate_optimum(instance, make_maximin_eval(instance, HAND_CTX))
-        assert len(built) == math.ceil(math.comb(20, 5) / oracle.BLOCK_SIZE) == 16
+        assert len(built) == math.ceil(math.comb(20, 5) / model.BLOCK_SIZE) == 16
         assert sum(built) == math.comb(20, 5)
 
     def test_table_contains_every_subset(self, small_instance):
@@ -174,8 +174,8 @@ def two_pass(instance, ctx):
 
 
 def enumeration(n, m):
-    """Every m-subset of 1..n as the rows of oracle._blocks, concatenated."""
-    return np.concatenate(list(oracle._blocks(types.SimpleNamespace(n=n, m_servers=m))))
+    """Every m-subset of 1..n as the rows of model._blocks, concatenated."""
+    return np.concatenate(list(model._blocks(types.SimpleNamespace(n=n, m_servers=m))))
 
 
 def brute_instance(n, m, seed, demand_scale, crisp):
@@ -210,7 +210,7 @@ class TestOnePassBrute:
     def test_matches_two_pass_reference(self, case, ctx_name, block_size):
         instance = brute_instance(*case)
         ctx = CTXS[ctx_name]
-        with mock.patch.object(oracle, "BLOCK_SIZE", block_size):
+        with mock.patch.object(model, "BLOCK_SIZE", block_size):
             try:
                 expected, expected_ctx = two_pass(instance, ctx)
             except InfeasibleInstanceError:
@@ -251,7 +251,7 @@ class TestOnePassBrute:
             instance, make_maximin_eval(instance, HAND_CTX), keep_table=True
         ).table
         assert len(set(table.values())) == 1
-        with mock.patch.object(oracle, "BLOCK_SIZE", block_size):
+        with mock.patch.object(model, "BLOCK_SIZE", block_size):
             report, _ = solve_protocol(instance, "brute", ctx=HAND_CTX)
         assert report.best == [1, 2]
         assert (report.objective >= 0) == (demand == 2.0)
@@ -273,7 +273,7 @@ class TestOnePassBrute:
 
         monkeypatch.setattr(Kernel, "__init__", counted)
         solve_protocol(generate_instance(mild_params(20, 5, 0)), "brute")
-        assert len(built) == math.ceil(math.comb(20, 5) / oracle.BLOCK_SIZE) == 16
+        assert len(built) == math.ceil(math.comb(20, 5) / model.BLOCK_SIZE) == 16
         assert sum(built) == math.comb(20, 5)
 
     @pytest.mark.parametrize("n, m", [(20, 5), (24, 6)])
@@ -325,7 +325,7 @@ class TestOnePassBrute:
         assert rows.shape == (math.comb(n, m), m)
         assert rows.tobytes() == expected.tobytes()
         for block_size in (7, 1000):
-            with mock.patch.object(oracle, "BLOCK_SIZE", block_size):
+            with mock.patch.object(model, "BLOCK_SIZE", block_size):
                 assert enumeration(n, m).tobytes() == rows.tobytes()
 
     @pytest.mark.parametrize("n, m", [(20, 5), (24, 6)])
@@ -336,7 +336,7 @@ class TestOnePassBrute:
             combos = itertools.combinations(range(1, n + 1), m)
             assert rows[rank].tolist() == list(next(itertools.islice(combos, rank, None)))
 
-    @pytest.mark.parametrize("block_size", [1, 7, oracle.BLOCK_SIZE])
+    @pytest.mark.parametrize("block_size", [1, 7, model.BLOCK_SIZE])
     def test_blocks_match_combinations(self, block_size):
         """Every block of every n <= 12, 1 <= m < n holds the rows that
         itertools.combinations yields, byte for byte, in blocks of
@@ -345,8 +345,8 @@ class TestOnePassBrute:
             for m in range(1, n):
                 instance = types.SimpleNamespace(n=n, m_servers=m)
                 combos = itertools.combinations(range(1, n + 1), m)
-                with mock.patch.object(oracle, "BLOCK_SIZE", block_size):
-                    blocks = list(oracle._blocks(instance))
+                with mock.patch.object(model, "BLOCK_SIZE", block_size):
+                    blocks = list(model._blocks(instance))
                 assert [len(block) for block in blocks[:-1]] == [block_size] * (len(blocks) - 1)
                 assert 0 < len(blocks[-1]) <= block_size
                 for block in blocks:

@@ -19,7 +19,7 @@ from conftest import (
     record,
     score_block,
 )
-from fuzzloc import aco, protocol
+from fuzzloc import aco, evaluation, protocol
 from fuzzloc.aco import ACOConfig
 from fuzzloc.errors import DomainError
 from fuzzloc.fuzzy import TriFuzzy
@@ -53,7 +53,9 @@ def _sequential_runs(instance, config, seeds):
 
 
 def _record_kernels(monkeypatch) -> list:
-    """Patch Kernel to record the shape of each index array it is built on."""
+    """Patch Kernel to record the shape of each index array it is built on,
+    and drive's table entry point, model.block_figures, to record the shape
+    of each block it serves."""
     shapes = []
     init = Kernel.__init__
 
@@ -61,7 +63,12 @@ def _record_kernels(monkeypatch) -> list:
         shapes.append(np.shape(idx))
         init(self, instance, idx)
 
+    def served(instance, idx, _figures=evaluation.block_figures):
+        shapes.append(np.shape(idx))
+        return _figures(instance, idx)
+
     monkeypatch.setattr(Kernel, "__init__", counted)
+    monkeypatch.setattr(evaluation, "block_figures", served)
     return shapes
 
 
@@ -165,21 +172,20 @@ class TestEstimateBounds:
         assert shapes and all(len(shape) == 2 for shape in shapes)
 
     def test_aco_bound_runs_share_kernel_calls(self, medium_instance, monkeypatch):
-        """One kernel call per round scores every live colony, so the six
+        """One figures call per round scores every live colony, so the six
         ACO bound runs make as many block calls as the longest run has
         iterations."""
         config = ACOConfig(stagnation_limit=20)
         seeds = bound_seeds(0)
         runs = _sequential_runs(medium_instance, config, seeds)
         blocks = []
-        init = Kernel.__init__
 
-        def counted(self, instance, idx):
+        def counted(instance, idx, _figures=evaluation.block_figures):
             if np.ndim(idx) == 2:
                 blocks.append(len(idx))
-            init(self, instance, idx)
+            return _figures(instance, idx)
 
-        monkeypatch.setattr(Kernel, "__init__", counted)
+        monkeypatch.setattr(evaluation, "block_figures", counted)
         estimate_bounds(medium_instance, config, seeds)
         iterations = [report.iterations for report in runs]
         assert len(set(iterations)) > 1

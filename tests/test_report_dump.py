@@ -2,8 +2,10 @@
 
 import importlib.util
 import json
+import math
 from pathlib import Path
 
+from fuzzloc.model import TABLE_LIMIT
 from fuzzloc.protocol import solve_protocol
 
 PATH = Path(__file__).resolve().parent.parent / "tools" / "report_dump.py"
@@ -45,3 +47,13 @@ def test_dump_lines_are_hex_reports(capsys):
 def test_hexed_keeps_structure():
     assert report_dump.hexed({"a": [1.5, -0.0, float("nan")], "b": (2, "x")}) == {
         "a": ["0x1.8000000000000p+0", "-0x0.0p+0", "nan"], "b": [2, "x"]}
+
+
+def test_instances_lie_on_both_sides_of_the_table_limit():
+    """Every dumped instance but mild24 keeps a figures table; mild24 is
+    past model.TABLE_LIMIT, so the dump covers both paths of the ACO's
+    block_figures."""
+    counts = {name: math.comb(build().n, build().m_servers)
+              for name, build in report_dump.INSTANCES.items()}
+    assert counts.pop("mild24") == 134_596 > TABLE_LIMIT
+    assert all(count <= TABLE_LIMIT for count in counts.values())

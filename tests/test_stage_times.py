@@ -8,7 +8,7 @@ import pytest
 
 from fuzzloc import evaluation
 from fuzzloc.evaluation import MaximinFitness
-from fuzzloc.model import Kernel
+from fuzzloc.model import Kernel, block_figures
 from fuzzloc.protocol import _BoundFitness
 
 PATH = Path(__file__).resolve().parent.parent / "tools" / "stage_times.py"
@@ -20,13 +20,18 @@ spec.loader.exec_module(stage_times)
 def test_smoke_prints_every_stage(capsys):
     assert stage_times.main(["--workloads", "smoke", "--passes", "2"]) == 0
     header, *rows = capsys.readouterr().out.splitlines()
-    assert header.split()[:9] == ["solve", "blocks", "rows", "Kernel()", "figures()", "score",
-                                  "total", "wall", "other"]
+    assert header.split()[:10] == ["solve", "blocks", "rows", "table", "Kernel()", "figures()",
+                                   "score", "total", "wall", "other"]
     assert [row.split()[:2] for row in rows] == [["smoke", "ga"], ["smoke", "aco"]]
-    for row in rows:
+    for algo, row in zip(("ga", "aco"), rows):
         blocks, size, *stages, total, wall, other = map(float, row.split()[2:])
-        assert blocks >= 1 and size >= 1 and len(stages) == 3
-        assert all(value > 0 for value in stages) and total > 0
+        assert blocks >= 1 and size >= 1 and len(stages) == 4
+        table, kernel, figures, score = stages
+        # only the ACO's drives go through block_figures: smoke has 28
+        # pairs, within TABLE_LIMIT, so its ACO blocks are table lookups
+        assert score > 0 and total > 0
+        assert (kernel > 0 and figures > 0 and table == 0) if algo == "ga" else (
+            kernel == figures == 0 and table > 0)
         # other is the solve's wall time (ms) less its blocks' scoring time
         assert wall > 0 and other == pytest.approx(wall - blocks * total / 1e3, abs=0.01)
 
@@ -39,9 +44,11 @@ def test_recorded_blocks_replay_the_solve():
     score = evaluation.KernelFitness.score
     for algo in ("ga", "aco"):
         blocks = stage_times.record(instance, algo)
-        assert evaluation.Kernel is Kernel and evaluation.KernelFitness.score is score
+        assert evaluation.Kernel is Kernel and evaluation.block_figures is block_figures
+        assert evaluation.KernelFitness.score is score
+        assert {tabled for _, tabled, _ in blocks} == {algo == "aco"}
         kinds = set()
-        for idx, members in blocks:
+        for idx, _, members in blocks:
             assert idx.ndim == 2 and len(members) >= 1
             assert members[0][1].start == 0 and members[-1][1].stop == len(idx)
             for (_, before), (_, after) in zip(members, members[1:]):

@@ -9,9 +9,12 @@ window (100), one JSON line per solve, with ``elapsed_s`` removed and every
 float written as its hex string, so that NaN, signed zeros and the last bit
 show. A brute solve that raises prints its error instead. The instances are
 the benchmark's table1 and mild20, a mild n = 12 instance with random
-benefit weights, and the mild n = 10 instance at logit sensitivity 40,
-which runs the shifted-exponent allocation. Two versions of the program
-that print the same bytes give the same reports:
+benefit weights, the mild n = 10 instance at logit sensitivity 40, which
+runs the shifted-exponent allocation, and a mild n = 24, M = 6 instance:
+its 134 596 subsets are past model.TABLE_LIMIT, so its ACO blocks get
+their own kernels, where the other instances' ACO blocks are looked up in
+their figures tables. Two versions of the program that print the same
+bytes give the same reports:
 
     PYTHONPATH=parent/src python3 tools/report_dump.py > before.txt
     PYTHONPATH=src python3 tools/report_dump.py > after.txt
@@ -56,6 +59,7 @@ INSTANCES = {
     "mild20": lambda: workloads.build_instance("mild20"),
     "weighted12": _weighted12,
     "logit40": _logit40,
+    "mild24": lambda: generate_instance(workloads._mild(24, 6, 0)),
 }
 ALGOS = ("ga", "aco", "brute")
 SEEDS = (0, 1)

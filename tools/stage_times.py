@@ -5,23 +5,29 @@
 For each workload (an instance of benchmarks/workloads.py) it runs one GA
 and one ACO ``solve_protocol`` at seed 0 with the benchmark's configs
 (stagnation window 100), and records every block that ``evaluation.drive``
-sends to ``Kernel`` with the fitness calls that score its rows: the final
-run's ``MaximinFitness`` and the bound runs' ``_BoundFitness``. It then
-replays every recorded block, in ``--passes`` passes that alternate the
-order of the solves, through the three stages of a round:
+scores, on a ``Kernel`` of its own or through ``model.block_figures`` (the
+ACO's drives), with the fitness calls that score its rows: the final run's
+``MaximinFitness`` and the bound runs' ``_BoundFitness``. It then replays
+every recorded block, in ``--passes`` passes that alternate the order of
+the solves, through the stages of a round:
 
-    Kernel()   Kernel(instance, idx)
+    table      block_figures(instance, idx), a block that drive served
+               through it: on an instance within model.TABLE_LIMIT, a
+               lookup in the instance's figures table
+    Kernel()   Kernel(instance, idx), any other block
     figures()  kernel.figures()
     score      each member's fitness.score(...) on its rows of the figures
 
 and prints, per solve, the median over the passes of the mean µs per block
-of each stage and of their total. Each pass also runs every solve once
-unwrapped; ``wall`` is the median of those wall times, and ``other`` is
-``wall`` minus blocks × total: the ms that a solve spends outside the
-scoring pass, in the solvers' own Python and ``drive``. Run it against
-another checkout's ``src`` (PYTHONPATH) to compare two versions on the same
-blocks; a version's blocks are its own, and the scoring path does not
-change them.
+of each stage and of their total. The recorded ACO solve builds the
+instance's table, so neither the replay nor a later solve pays for it.
+Each pass also runs every solve once unwrapped; ``wall`` is the median of
+those wall times, and ``other`` is ``wall`` minus blocks × total: the ms
+that a solve spends outside the scoring pass, in the solvers' own Python
+and ``drive``. Run it against another checkout's ``src`` (PYTHONPATH) to
+compare two versions on the same blocks; a version's blocks are its own,
+and the scoring path does not change them. A version without
+``block_figures`` records and replays Kernel blocks only.
 """
 
 from __future__ import annotations
@@ -43,10 +49,12 @@ import numpy as np  # noqa: E402
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "benchmarks"))
 
 import workloads  # noqa: E402
-from fuzzloc import evaluation, protocol  # noqa: E402
+from fuzzloc import evaluation, model, protocol  # noqa: E402
 from fuzzloc.model import Kernel  # noqa: E402
 
-STAGES = ("Kernel()", "figures()", "score")
+block_figures = getattr(model, "block_figures", None)
+
+STAGES = ("table", "Kernel()", "figures()", "score")
 
 
 def snapshot(fitness):
@@ -66,52 +74,65 @@ def solve(instance, algo: str):
 
 
 def record(instance, algo: str) -> list:
-    """The blocks of one seed-0 solve: (idx, [(fitness, rows)]), where
-    ``rows`` is the member's slice of the block, in drive's order."""
+    """The blocks of one seed-0 solve: (idx, tabled, [(fitness, rows)]),
+    where ``tabled`` says that drive served the block through
+    ``block_figures`` and ``rows`` is the member's slice of the block, in
+    drive's order."""
     blocks = []
     score = evaluation.KernelFitness.score
 
     class Recorded(Kernel):
         def __init__(self, instance, idx):
             super().__init__(instance, idx)
-            blocks.append((idx.copy(), []))
+            blocks.append((idx.copy(), False, []))
+
+    def recorded_figures(instance, idx):
+        blocks.append((idx.copy(), True, []))
+        return block_figures(instance, idx)
 
     def recorded_score(fitness, feasible, spreads, violation):
-        members = blocks[-1][1]
+        members = blocks[-1][2]
         start = members[-1][1].stop if members else 0
         members.append((snapshot(fitness), slice(start, start + np.size(feasible))))
         return score(fitness, feasible, spreads, violation)
 
     evaluation.Kernel, evaluation.KernelFitness.score = Recorded, recorded_score
+    if block_figures:
+        evaluation.block_figures = recorded_figures
     try:
         solve(instance, algo)
     finally:
         evaluation.Kernel, evaluation.KernelFitness.score = Kernel, score
+        if block_figures:
+            evaluation.block_figures = block_figures
     return blocks
 
 
 def replay(instance, blocks) -> list:
     """One pass over the blocks: the summed ns of each stage."""
     clock = time.perf_counter_ns
-    totals = [0, 0, 0]
-    for idx, members in blocks:
+    totals = [0, 0, 0, 0]
+    for idx, tabled, members in blocks:
         t0 = clock()
-        kernel = Kernel(instance, idx)
-        t1 = clock()
-        figures = kernel.figures()
-        t2 = clock()
-        totals[0] += t1 - t0
-        totals[1] += t2 - t1
+        if tabled:
+            figures = block_figures(instance, idx)
+            totals[0] += clock() - t0
+        else:
+            kernel = Kernel(instance, idx)
+            t1 = clock()
+            figures = kernel.figures()
+            totals[1] += t1 - t0
+            totals[2] += clock() - t1
         if len(members) == 1:
             t3 = clock()
             members[0][0].score(*figures)
-            totals[2] += clock() - t3
+            totals[3] += clock() - t3
             continue
         for fitness, rows in members:
             share = [None if f is None else f[rows] for f in figures]
             t3 = clock()
             fitness.score(*share)
-            totals[2] += clock() - t3
+            totals[3] += clock() - t3
     return totals
 
 
@@ -149,7 +170,7 @@ def main(argv=None) -> int:
     for label, _, _, blocks in solves:
         stages = [statistics.median(col) for col in zip(*per_block[label])]
         total = statistics.median(sum(sample) for sample in per_block[label])
-        rows = sum(len(idx) for idx, _ in blocks) / len(blocks)
+        rows = sum(len(idx) for idx, _, _ in blocks) / len(blocks)
         wall = statistics.median(walls[label]) * 1e3
         other = wall - len(blocks) * total / 1e3
         print(f"{label:<12} {len(blocks):>6} {rows:>6.1f} "
