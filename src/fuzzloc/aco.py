@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import DomainError
 from .evaluation import Fitness, Steps, drive
-from .model import Instance
+from .model import Instance, figures_table
 from .reports import SolverReport
 from .termination import Run, check_run
 
@@ -146,7 +146,7 @@ def run_aco(instance: Instance, eval_fn: Fitness, config: ACOConfig) -> SolverRe
     far becomes the new best, and a NaN value ranks below every other value,
     as -inf.
     """
-    return drive([(_colonies(instance, config, [config.seed], ["max"]), eval_fn)], table=True)[0][0]
+    return drive([(_colonies(instance, config, [config.seed], ["max"]), eval_fn)])[0][0]
 
 
 def _colonies(
@@ -170,11 +170,13 @@ def _colonies(
     first block and whenever a run ends and its trail row is dropped. Every
     run ends as it would alone: it draws its Gumbel noise from its own
     generator, and the walk keeps each run's first ant that is strictly
-    better than its best so far, scoring a NaN value as -inf.
+    better than its best so far, scoring a NaN value as -inf. The first step
+    builds the instance's figures table (model.figures_table).
     """
     if any(sense not in ("max", "min") for sense in senses):
         raise DomainError(f"sense must be 'max' or 'min', got {senses!r}")
     runs = [Run("aco", instance, config, seed) for seed in seeds]
+    figures_table(instance)
     n, m = instance.n, instance.m_servers
     ants = ant_count(n, m, config.population_coefficient)
     beta_log_eta = config.beta_exp * np.log(heuristic_index(instance))

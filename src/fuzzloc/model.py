@@ -40,7 +40,7 @@ ATTRACTION_LIMIT = 700.0
 # facility-major (k, B, n) logit shares take 0.8 MB at n = 20, k = 5.
 BLOCK_SIZE = 1024
 # The most m-subsets for which an instance keeps a figures table (see
-# block_figures): 33 bytes a subset, about 0.5 MB at the limit. An ACO
+# figures_table): 33 bytes a subset, about 0.5 MB at the limit. An ACO
 # solve's first round builds the whole table, and single window-100 ACO
 # solves on fresh mild instances mostly repaid it below about 20 000
 # subsets and never at 42 504 or more (ROADMAP item 8 has the figures).
@@ -58,8 +58,8 @@ class Instance:
     exp(distance * -logit_sensitivity) that the logit allocation reads, or
     None when logit_sensitivity * max(distance) exceeds ATTRACTION_LIMIT.
     ``dataclasses.replace`` recomputes it, and instance files do not hold it.
-    Nor do they hold ``_table``, the figures table that block_figures builds
-    on first use and ``dataclasses.replace`` drops.
+    Nor do they hold ``_table``, the figures table that figures_table builds
+    and every drive reads from then on; ``dataclasses.replace`` drops it.
 
     Instances compare field by field, arrays by value, leaving ``attraction``
     and ``_table`` out. They are unhashable: their arrays are.
@@ -126,7 +126,7 @@ class Instance:
             attraction = np.exp(dist * -self.logit_sensitivity)
             attraction.setflags(write=False)
         object.__setattr__(self, "attraction", attraction)
-        object.__setattr__(self, "_table", None)  # built by block_figures on first use
+        object.__setattr__(self, "_table", None)  # built by figures_table
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not self.__class__:
@@ -460,25 +460,26 @@ class _FiguresTable:
         return feasible, spreads, violation
 
 
+def figures_table(instance: Instance) -> Optional[_FiguresTable]:
+    """The instance's figures table, built on the first call if comb(n, m) <=
+    TABLE_LIMIT, else None. An ACO solve's first round is the only caller."""
+    if instance._table is None and math.comb(instance.n, instance.m_servers) <= TABLE_LIMIT:
+        object.__setattr__(instance, "_table", _FiguresTable(instance))
+    return instance._table
+
+
 def block_figures(instance: Instance, idx: np.ndarray):
     """``Kernel(instance, idx).figures()`` of a (B, k) block of ascending
     0-based rows, with the same None rules and the same bits, except for
     the spreads of infeasible rows, which no score reads.
 
-    An instance with comb(n, m) <= TABLE_LIMIT builds its figures table of
-    every m-subset the first time it is asked for a block of m-subsets, and
-    looks those blocks up in it from then on. Every other block (a block of
-    another size, or any block of an instance past the limit) gets its own
-    Kernel. The table's figures are fixed when it is built: a model formula
-    patched later does not reach the instance's m-subsets.
+    A block of m-subsets is looked up in the instance's figures table, if
+    figures_table has built one; any other block gets its own Kernel. A
+    model formula patched after the build does not reach the table's rows.
     """
-    if idx.shape[-1] == instance.m_servers:
-        table = instance._table
-        if table is None and math.comb(instance.n, instance.m_servers) <= TABLE_LIMIT:
-            table = _FiguresTable(instance)
-            object.__setattr__(instance, "_table", table)
-        if table is not None:
-            return table.figures(idx)
+    table = instance._table
+    if table is not None and idx.shape[-1] == instance.m_servers:
+        return table.figures(idx)
     return Kernel(instance, idx).figures()
 
 

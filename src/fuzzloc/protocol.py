@@ -101,8 +101,7 @@ def estimate_bounds(
     else:
         fitness = _BoundFitness(instance, 0)  # _colonies selects each row's run
         senses = [sense for _, sense in BOUND_RUNS]
-        reports = drive(
-            [(_colonies(instance, config, seeds, senses, fitness.select), fitness)], table=True)[0]
+        reports = drive([(_colonies(instance, config, seeds, senses, fitness.select), fitness)])[0]
     # BOUND_RUNS holds each component's min and max runs, in COMPONENTS order.
     found = [
         sign * report.objective if report.objective > -_PENALTY_SCALE else math.nan

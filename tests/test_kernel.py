@@ -39,7 +39,7 @@ from fuzzloc.ga import GAConfig
 from fuzzloc.instances import GeneratorParams, generate_instance, instance_to_dict
 from fuzzloc.model import (
     ATTRACTION_LIMIT, Instance, Kernel, Solution, _allocation, block_figures, capacity_threshold,
-    no_feasible_subset,
+    figures_table, no_feasible_subset,
 )
 from fuzzloc.oracle import Scan, enumerate_optimum, exact_bounds
 from fuzzloc.protocol import _PENALTY_SCALE, BOUND_RUNS, _BoundFitness, solve_protocol
@@ -563,20 +563,25 @@ def test_all_feasible_block_computes_no_violation():
 
 
 def test_no_slice_objective_without_a_feasible_row(table1, monkeypatch):
-    """table1 has no feasible subset, so neither solve nor the scan computes
-    a slice objective: the served share, which only the slice objectives
-    use, is never reached."""
+    """table1 has no feasible subset, so neither solve, nor the figures
+    table that the ACO builds, nor the scan computes a slice objective: the
+    served share, which only the slice objectives use, is never reached.
+    A copy of the shared fixture has no table yet, so the patch reaches
+    every round."""
 
     def refuse(*args):
         raise AssertionError("computed a slice objective")
 
+    instance = dataclasses.replace(table1)
+    assert instance._table is None
     monkeypatch.setattr(fuzzloc.model, "served_share", refuse)
     with pytest.raises(AssertionError, match="slice objective"):
         Kernel(LAMBDA_AT_MU, np.array([[1]])).figures()
     window = {"convergence_limit": 10, "stagnation_limit": 20}
-    solve_protocol(table1, "ga", ga_config=GAConfig(**window))
-    solve_protocol(table1, "aco", aco_config=ACOConfig(**window))
-    scan = Scan(table1)
+    solve_protocol(instance, "ga", ga_config=GAConfig(**window))
+    solve_protocol(instance, "aco", aco_config=ACOConfig(**window))
+    assert instance._table is not None
+    scan = Scan(instance)
     assert not len(scan.subsets) and scan.count == math.comb(20, 5)
 
 
@@ -617,18 +622,18 @@ def check_block_figures(instance, idx, tabled: bool):
     of feasible rows (of every row on the Kernel path) and the violation,
     byte for byte. ``tabled`` says which path must serve the block: the
     instance's figures table, with no kernel, or a Kernel of its own, with
-    no table lookup."""
+    no table lookup. Neither path builds a table."""
     expected = Kernel(instance, idx).figures()
+    table = instance._table
     if tabled:
-        block_figures(instance, idx)  # the first block of m-subsets builds the table
         with mock.patch.object(fuzzloc.model, "Kernel", side_effect=AssertionError("kernel")):
             got = block_figures(instance, idx)
-        assert instance._table is not None
     else:
-        table = mock.patch.object(
-            fuzzloc.model._FiguresTable, "__init__", side_effect=AssertionError("table"))
-        with table:
+        refuse = {"side_effect": AssertionError("table")}
+        with mock.patch.object(fuzzloc.model._FiguresTable, "__init__", **refuse), \
+                mock.patch.object(fuzzloc.model._FiguresTable, "figures", **refuse):
             got = block_figures(instance, idx)
+    assert instance._table is table
     assert [part is None for part in got] == [part is None for part in expected]
     feasible = expected[0]
     assert got[0].dtype == feasible.dtype and got[0].tobytes() == feasible.tobytes()
@@ -655,22 +660,24 @@ def check_block_figures(instance, idx, tabled: bool):
 @settings(max_examples=120, deadline=None)
 def test_block_figures_match_kernel(case, sample_seed, rows, extra, past):
     """Random (B, k) blocks of sorted rows on mild, default-range
-    (mostly certified), weighted and logit-40 instances: a block of
-    m-subsets is looked up in the instance's table, and an oversized block
-    (k > m) or any block of an instance past TABLE_LIMIT gets its own
-    Kernel, with the figures of the block's own Kernel in every case."""
+    (mostly certified), weighted and logit-40 instances: before the table
+    is built every block gets its own Kernel; after it, a block of
+    m-subsets is looked up in the table, and an oversized block (k > m)
+    still gets its own Kernel, as does any block of an instance past
+    TABLE_LIMIT, where figures_table builds nothing. Every path gives the
+    figures of the block's own Kernel."""
     instance = build(*case)
     n, m = instance.n, instance.m_servers
     k = min(m + extra, n)
     rng = np.random.default_rng(sample_seed)
     idx = np.sort(np.array([rng.choice(n, k, replace=False) for _ in range(rows)]), axis=1)
+    check_block_figures(instance, idx, tabled=False)
     if past:
         with mock.patch.object(fuzzloc.model, "TABLE_LIMIT", math.comb(n, m) - 1):
-            check_block_figures(instance, idx, tabled=False)
-        assert instance._table is None
+            assert figures_table(instance) is None
     else:
-        check_block_figures(instance, idx, tabled=k == m)
-        assert (instance._table is None) == (k > m)
+        assert figures_table(instance) is instance._table is not None
+    check_block_figures(instance, idx, tabled=k == m and not past)
 
 
 def check_table(instance):
@@ -692,6 +699,7 @@ def test_block_figures_match_kernel_on_fixed_blocks(which):
     else:
         instance = build(9, 4, 1, True, False, 0.5)
         blocks = [np.array(list(itertools.combinations(range(9), 4)))[::-1]]
+    figures_table(instance)
     for idx in blocks:
         check_block_figures(instance, idx, tabled=True)
     check_table(instance)
@@ -700,6 +708,7 @@ def test_block_figures_match_kernel_on_fixed_blocks(which):
 def test_block_figures_match_kernel_on_certified_instance(certified):
     """A certified instance's blocks hold no feasible row: no spreads."""
     instance = dataclasses.replace(certified)
+    figures_table(instance)
     combos = np.array(list(itertools.combinations(range(instance.n), instance.m_servers)))
     for idx in (combos[:50], combos[-7:], combos[::97]):
         check_block_figures(instance, idx, tabled=True)
@@ -708,13 +717,16 @@ def test_block_figures_match_kernel_on_certified_instance(certified):
 
 
 def test_figures_table_is_not_instance_data():
-    """The table is built on first use only, never compared, written or
-    copied: an equal instance without one compares equal, instance files do
-    not hold it, and dataclasses.replace drops it."""
+    """The table is built by figures_table only, once, and never compared,
+    written or copied: block_figures reads it, an equal instance without
+    one compares equal, instance files do not hold it, and
+    dataclasses.replace drops it."""
     instance = build(8, 3, 2, True, False, 0.5)
     assert instance._table is None and "_table" not in repr(instance)
     block_figures(instance, np.array([[0, 1, 2]]))
-    assert instance._table is not None
+    assert instance._table is None
+    table = figures_table(instance)
+    assert table is not None and figures_table(instance) is table is instance._table
     fresh = dataclasses.replace(instance)
     assert fresh._table is None and fresh == instance
     assert "_table" not in instance_to_dict(instance)
@@ -729,3 +741,56 @@ def test_only_aco_drives_build_the_table():
     assert instance._table is None
     solve_protocol(instance, "aco", seed=0, aco_config=ACOConfig(stagnation_limit=5))
     assert instance._table is not None
+
+
+def _hexed(value):
+    """``value`` with every float, nested ones included, as its hex string."""
+    if isinstance(value, float):
+        return value.hex()
+    if isinstance(value, dict):
+        return {key: _hexed(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_hexed(item) for item in value]
+    return value
+
+
+@given(case=cases(max_n=10), seed=st.integers(0, 3))
+@example(case=(10, 3, 7, True, False, 0.5), seed=0)
+@example(case=(10, 4, 1, True, True, 40.0), seed=1)
+@settings(max_examples=25, deadline=None)
+def test_warm_instance_gives_cold_results(case, seed):
+    """A GA solve and enumerate_optimum, with a KernelFitness and with a
+    plain callable, give the same bytes before and after the instance's
+    figures table is built; with the table, a GA solve builds no Kernel for
+    a block of m-subsets."""
+    instance = build(*case)
+    fitness = make_maximin_eval(instance, PROBE_CTX)
+
+    def solve():
+        report, ctx = solve_protocol(instance, "ga", seed=seed,
+                                     ga_config=GAConfig(stagnation_limit=20))
+        doc = report.to_dict()
+        del doc["elapsed_s"]
+        return _hexed([doc, ctx.to_dict()])
+
+    def enumerations():
+        return [
+            (result.best, result.best_value.hex(), _hexed(result.table))
+            for result in (enumerate_optimum(instance, fitness, keep_table=True),
+                           enumerate_optimum(instance, lambda s: fitness(s), keep_table=True))
+        ]
+
+    cold = solve(), enumerations()
+    assert instance._table is None
+    assert figures_table(instance) is not None
+    shapes = []
+    init = Kernel.__init__
+
+    def counted(self, instance, idx):
+        shapes.append(np.shape(idx))
+        init(self, instance, idx)
+
+    with mock.patch.object(Kernel, "__init__", counted):
+        warm_solve = solve()
+    assert all(shape[-1] != instance.m_servers for shape in shapes if len(shape) == 2)
+    assert (warm_solve, enumerations()) == cold

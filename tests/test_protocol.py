@@ -53,19 +53,26 @@ def _sequential_runs(instance, config, seeds):
 
 
 def _record_kernels(monkeypatch) -> list:
-    """Patch Kernel to record the shape of each index array it is built on,
-    and drive's table entry point, model.block_figures, to record the shape
-    of each block it serves."""
+    """Record the shape of each block that drive scores, once, at its entry
+    point model.block_figures (a table lookup or a Kernel of its own), and
+    of each Kernel built outside drive (a one-subset kernel of a plain
+    callable, say)."""
     shapes = []
     init = Kernel.__init__
+    serving = []  # nonempty while block_figures serves a block
 
     def counted(self, instance, idx):
-        shapes.append(np.shape(idx))
+        if not serving:
+            shapes.append(np.shape(idx))
         init(self, instance, idx)
 
     def served(instance, idx, _figures=evaluation.block_figures):
         shapes.append(np.shape(idx))
-        return _figures(instance, idx)
+        serving.append(idx)
+        try:
+            return _figures(instance, idx)
+        finally:
+            serving.pop()
 
     monkeypatch.setattr(Kernel, "__init__", counted)
     monkeypatch.setattr(evaluation, "block_figures", served)
@@ -402,7 +409,7 @@ class TestDrive:
     )
     def test_together_matches_each_run_alone(self, medium_instance, specs):
         """Runs of random block sizes end, bit for bit, as they do alone, and
-        every block of a KernelFitness run is scored once, on a kernel of its
+        every block of a KernelFitness run is scored once, in a round of its
         own size."""
         maximin = make_maximin_eval(medium_instance, exact_bounds(medium_instance))
 
@@ -428,7 +435,7 @@ class TestDrive:
 
         assert [as_hex(v) for v in together] == [as_hex(v) for v in alone]
         scored = [idx for blocks, fitness in runs if fitness is not plain for idx in blocks]
-        # The plain callable builds one-subset kernels; drive builds blocks.
+        # The plain callable builds one-subset kernels; drive serves blocks.
         kernels = [shape for shape in shapes if len(shape) == 2]
         rows, served = Counter(), Counter()
         for idx in scored:

@@ -15,16 +15,17 @@ spec.loader.exec_module(report_dump)
 
 
 def test_dump_lines_are_hex_reports(capsys):
-    """One JSON line per instance, solver and seed, in that order, with no
-    wall time and every float as hex; a brute solve of table1, which has no
-    feasible subset, prints its error. A second run prints the same bytes."""
+    """One JSON line per instance, solver and seed, in that order (the GA
+    before and after the ACO), with no wall time and every float as hex; a
+    brute solve of table1, which has no feasible subset, prints its error.
+    The GA's lines after the ACO repeat its lines before it. A second run prints the same bytes."""
     argv = ["--instances", "table1", "weighted12"]
     assert report_dump.main(argv) == 0
     out = capsys.readouterr().out
     lines = [json.loads(line) for line in out.splitlines()]
     assert [(d["instance"], d["algo"], d["seed"]) for d in lines] == [
         (name, algo, seed) for name in ("table1", "weighted12")
-        for algo in ("ga", "aco", "brute") for seed in (0, 1)
+        for algo in ("ga", "aco", "ga", "brute") for seed in (0, 1)
     ]
     for doc in lines:
         if doc["instance"] == "table1" and doc["algo"] == "brute":
@@ -38,8 +39,9 @@ def test_dump_lines_are_hex_reports(capsys):
     weighted = report_dump.INSTANCES["weighted12"]()
     assert weighted.benefit_weight is not None
     report, _ = solve_protocol(weighted, "ga", seed=1, ga_config=report_dump.workloads.GA_CONFIG)
-    [line] = [d for d in lines if (d["instance"], d["algo"], d["seed"]) == ("weighted12", "ga", 1)]
-    assert float.fromhex(line["report"]["objective"]) == report.objective
+    cold, warm = [d for d in lines
+                  if (d["instance"], d["algo"], d["seed"]) == ("weighted12", "ga", 1)]
+    assert cold == warm and float.fromhex(cold["report"]["objective"]) == report.objective
     assert report_dump.main(argv) == 0
     assert capsys.readouterr().out == out
 
@@ -51,7 +53,7 @@ def test_hexed_keeps_structure():
 
 def test_instances_lie_on_both_sides_of_the_table_limit():
     """Every dumped instance but mild24 keeps a figures table; mild24 is
-    past model.TABLE_LIMIT, so the dump covers both paths of the ACO's
+    past model.TABLE_LIMIT, so the dump covers both paths of
     block_figures."""
     counts = {name: math.comb(build().n, build().m_servers)
               for name, build in report_dump.INSTANCES.items()}

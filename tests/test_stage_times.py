@@ -22,31 +22,40 @@ def test_smoke_prints_every_stage(capsys):
     header, *rows = capsys.readouterr().out.splitlines()
     assert header.split()[:10] == ["solve", "blocks", "rows", "table", "Kernel()", "figures()",
                                    "score", "total", "wall", "other"]
-    assert [row.split()[:2] for row in rows] == [["smoke", "ga"], ["smoke", "aco"]]
-    for algo, row in zip(("ga", "aco"), rows):
+    assert [row.split()[:2] for row in rows] == [["smoke", "aco"], ["smoke", "ga"]]
+    for algo, row in zip(("aco", "ga"), rows):
         blocks, size, *stages, total, wall, other = map(float, row.split()[2:])
         assert blocks >= 1 and size >= 1 and len(stages) == 4
         table, kernel, figures, score = stages
-        # only the ACO's drives go through block_figures: smoke has 28
-        # pairs, within TABLE_LIMIT, so its ACO blocks are table lookups
-        assert score > 0 and total > 0
-        assert (kernel > 0 and figures > 0 and table == 0) if algo == "ga" else (
-            kernel == figures == 0 and table > 0)
+        # smoke has 28 pairs, within TABLE_LIMIT: the ACO, recorded first,
+        # builds the table, which serves all its blocks and the GA's blocks
+        # of pairs, and the GA's larger trial subsets get Kernels
+        assert score > 0 and total > 0 and table > 0
+        assert (kernel > 0 and figures > 0) if algo == "ga" else kernel == figures == 0
         # other is the solve's wall time (ms) less its blocks' scoring time
         assert wall > 0 and other == pytest.approx(wall - blocks * total / 1e3, abs=0.01)
 
 
-def test_recorded_blocks_replay_the_solve():
-    """Every recorded block is split among its members in drive's order,
-    each member scores its rows as the solve did, and the patched names are
-    restored afterwards."""
+def test_recorded_blocks_replay_the_solve(monkeypatch):
+    """Every block that drive serves is recorded once, in order; each is
+    split among its members in drive's order, each member scores its rows
+    as the solve did, and the patched names are restored afterwards."""
     instance = stage_times.workloads.build_instance("smoke")
     score = evaluation.KernelFitness.score
-    for algo in ("ga", "aco"):
+    for algo in ("aco", "ga"):
         blocks = stage_times.record(instance, algo)
+        served = []
+        with monkeypatch.context() as patch:
+            patch.setattr(evaluation, "block_figures",
+                          lambda instance, idx: served.append(idx) or block_figures(instance, idx))
+            stage_times.solve(instance, algo)
+        assert [idx.tolist() for idx, _, _ in blocks] == [idx.tolist() for idx in served]
         assert evaluation.Kernel is Kernel and evaluation.block_figures is block_figures
         assert evaluation.KernelFitness.score is score
-        assert {tabled for _, tabled, _ in blocks} == {algo == "aco"}
+        # the ACO's table serves every ACO block and the GA's blocks of pairs
+        assert {tabled for _, tabled, _ in blocks} == ({True} if algo == "aco" else {True, False})
+        for idx, tabled, _ in blocks:
+            assert tabled == (idx.shape[1] == instance.m_servers)
         kinds = set()
         for idx, _, members in blocks:
             assert idx.ndim == 2 and len(members) >= 1

@@ -2,32 +2,33 @@
 
     PYTHONPATH=src python3 tools/stage_times.py [--workloads table1 mild20] [--passes 30]
 
-For each workload (an instance of benchmarks/workloads.py) it runs one GA
-and one ACO ``solve_protocol`` at seed 0 with the benchmark's configs
+For each workload (an instance of benchmarks/workloads.py) it runs one ACO
+and then one GA ``solve_protocol`` at seed 0 with the benchmark's configs
 (stagnation window 100), and records every block that ``evaluation.drive``
-scores, on a ``Kernel`` of its own or through ``model.block_figures`` (the
-ACO's drives), with the fitness calls that score its rows: the final run's
+scores, once, with the fitness calls that score its rows: the final run's
 ``MaximinFitness`` and the bound runs' ``_BoundFitness``. It then replays
 every recorded block, in ``--passes`` passes that alternate the order of
 the solves, through the stages of a round:
 
-    table      block_figures(instance, idx), a block that drive served
-               through it: on an instance within model.TABLE_LIMIT, a
-               lookup in the instance's figures table
+    table      block_figures(instance, idx), a block of m-subsets that the
+               instance's figures table served
     Kernel()   Kernel(instance, idx), any other block
     figures()  kernel.figures()
     score      each member's fitness.score(...) on its rows of the figures
 
 and prints, per solve, the median over the passes of the mean µs per block
-of each stage and of their total. The recorded ACO solve builds the
-instance's table, so neither the replay nor a later solve pays for it.
-Each pass also runs every solve once unwrapped; ``wall`` is the median of
-those wall times, and ``other`` is ``wall`` minus blocks × total: the ms
-that a solve spends outside the scoring pass, in the solvers' own Python
-and ``drive``. Run it against another checkout's ``src`` (PYTHONPATH) to
-compare two versions on the same blocks; a version's blocks are its own,
-and the scoring path does not change them. A version without
-``block_figures`` records and replays Kernel blocks only.
+of each stage and of their total. The ACO solve, recorded first, builds
+the instance's table (on an instance within model.TABLE_LIMIT), so the
+GA's recorded blocks and every timed solve run on a warm instance, as the
+benchmark's rounds after its first do, and neither the replay nor a later
+solve pays for the build. Each pass also runs every solve once unwrapped;
+``wall`` is the median of those wall times, and ``other`` is ``wall``
+minus blocks × total: the ms that a solve spends outside the scoring pass,
+in the solvers' own Python and ``drive``. Run it against another
+checkout's ``src`` (PYTHONPATH) to compare two versions on the same
+blocks; a version's blocks are its own, and the scoring path does not
+change them. A version whose drive builds a Kernel of its own for the
+rounds outside the table has those Kernels recorded instead.
 """
 
 from __future__ import annotations
@@ -49,10 +50,8 @@ import numpy as np  # noqa: E402
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "benchmarks"))
 
 import workloads  # noqa: E402
-from fuzzloc import evaluation, model, protocol  # noqa: E402
-from fuzzloc.model import Kernel  # noqa: E402
-
-block_figures = getattr(model, "block_figures", None)
+from fuzzloc import evaluation, protocol  # noqa: E402
+from fuzzloc.model import Kernel, block_figures  # noqa: E402
 
 STAGES = ("table", "Kernel()", "figures()", "score")
 
@@ -75,9 +74,10 @@ def solve(instance, algo: str):
 
 def record(instance, algo: str) -> list:
     """The blocks of one seed-0 solve: (idx, tabled, [(fitness, rows)]),
-    where ``tabled`` says that drive served the block through
-    ``block_figures`` and ``rows`` is the member's slice of the block, in
-    drive's order."""
+    where ``tabled`` says that the instance's figures table served the
+    block and ``rows`` is the member's slice of the block, in drive's
+    order. Each block is recorded once, where drive asks for its figures:
+    ``block_figures``, or a Kernel built in ``evaluation`` itself."""
     blocks = []
     score = evaluation.KernelFitness.score
 
@@ -87,8 +87,10 @@ def record(instance, algo: str) -> list:
             blocks.append((idx.copy(), False, []))
 
     def recorded_figures(instance, idx):
-        blocks.append((idx.copy(), True, []))
-        return block_figures(instance, idx)
+        figures = block_figures(instance, idx)  # an older version builds the table here
+        tabled = instance._table is not None and idx.shape[-1] == instance.m_servers
+        blocks.append((idx.copy(), tabled, []))
+        return figures
 
     def recorded_score(fitness, feasible, spreads, violation):
         members = blocks[-1][2]
@@ -97,14 +99,12 @@ def record(instance, algo: str) -> list:
         return score(fitness, feasible, spreads, violation)
 
     evaluation.Kernel, evaluation.KernelFitness.score = Recorded, recorded_score
-    if block_figures:
-        evaluation.block_figures = recorded_figures
+    evaluation.block_figures = recorded_figures
     try:
         solve(instance, algo)
     finally:
         evaluation.Kernel, evaluation.KernelFitness.score = Kernel, score
-        if block_figures:
-            evaluation.block_figures = block_figures
+        evaluation.block_figures = block_figures
     return blocks
 
 
@@ -148,7 +148,7 @@ def main(argv=None) -> int:
     solves = []
     for name in args.workloads:
         instance = workloads.build_instance(name)
-        for algo in ("ga", "aco"):
+        for algo in ("aco", "ga"):  # the ACO builds the table that the GA reads
             solves.append((f"{name} {algo}", instance, algo, record(instance, algo)))
     per_block = {label: [] for label, *_ in solves}
     walls = {label: [] for label, *_ in solves}
