@@ -157,7 +157,7 @@ def _colonies(
     select: Optional[Callable[[np.ndarray], None]] = None,
 ) -> Steps[list[SolverReport]]:
     """R ACO runs as one step generator over one (R, n) trail array; it
-    returns their SolverReports in order, each built by the run's
+    returns their SolverReports in order, each the record of the run's
     termination.Run, which times it from the first step to the round it
     ends in.
 
@@ -176,6 +176,7 @@ def _colonies(
     if any(sense not in ("max", "min") for sense in senses):
         raise DomainError(f"sense must be 'max' or 'min', got {senses!r}")
     runs = [Run("aco", instance, config, seed) for seed in seeds]
+    reports = [run.report for run in runs]
     figures_table(instance)
     n, m = instance.n, instance.m_servers
     ants = ant_count(n, m, config.population_coefficient)
@@ -201,12 +202,14 @@ def _colonies(
             picks = scores.argmax(axis=1)
             tau = _update(tau, idx + offsets, values, config, rule)
             for i, (r, pick, ranked) in enumerate(zip(live, picks.tolist(), scores.tolist())):
-                run, top = runs[r], ranked[pick]
-                improved = run.best is None or top > run.best_value
+                report, top = reports[r], ranked[pick]
+                improved = report.best is None or top > report.objective
                 if improved:
-                    run.best, run.best_value = (idx[i * ants + pick] + 1).tolist(), top
-                ended[i] = bool(run.step(improved, top == run.best_value))
+                    report.best, report.objective = (idx[i * ants + pick] + 1).tolist(), top
+                ended[i] = bool(runs[r].step(improved, top == report.objective))
         kept = [not gone for gone in ended]
         live = list(compress(live, kept))
         tau = tau[kept]
-    return [run.report(ants * len(run.trace)) for run in runs]
+    for report in reports:
+        report.evaluations = ants * report.iterations
+    return reports

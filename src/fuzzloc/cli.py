@@ -18,7 +18,7 @@ import math
 import os
 import sys
 from pathlib import Path
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -99,15 +99,20 @@ def _enum_budget() -> int:
         raise UsageError(f"FUZZLOC_ENUM_BUDGET {exc}") from None
 
 
-def _positive_float(text: str) -> float:
-    """argparse type of a finite number above 0."""
-    try:
-        value = float(text)
-    except ValueError:
-        value = math.nan
-    if not 0 < value < math.inf:
-        raise argparse.ArgumentTypeError(f"must be a finite number above 0, got {text!r}")
-    return value
+def _finite_float(*, zero_ok: bool) -> Callable[[str], float]:
+    """argparse type of a finite number above 0, or at least 0 if ``zero_ok``."""
+    bound = "at least" if zero_ok else "above"
+
+    def parse(text: str) -> float:
+        try:
+            value = float(text)
+        except ValueError:
+            value = math.nan
+        if not (0 <= value if zero_ok else 0 < value) or value == math.inf:
+            raise argparse.ArgumentTypeError(f"must be a finite number {bound} 0, got {text!r}")
+        return value
+
+    return parse
 
 
 def _positive_int(text: str) -> int:
@@ -207,10 +212,11 @@ def build_parser() -> argparse.ArgumentParser:
     val = sub.add_parser("validate", help="check analytic queue formulas against simulation")
     val.add_argument("--events", type=_positive_int, default=10**6)
     val.add_argument("--seed", type=int, default=0)
-    val.add_argument("--rho", type=_positive_float, nargs="+", default=[0.3, 0.5, 0.8])
-    val.add_argument("--tolerance", type=float, default=VALIDATE_TOLERANCE)
+    val.add_argument("--rho", type=_finite_float(zero_ok=False), nargs="+",
+                     default=[0.3, 0.5, 0.8])
+    val.add_argument("--tolerance", type=_finite_float(zero_ok=True), default=VALIDATE_TOLERANCE)
     val.add_argument("--network-events", type=_positive_int, default=200_000)
-    val.add_argument("--network-tolerance", type=float, default=0.05)
+    val.add_argument("--network-tolerance", type=_finite_float(zero_ok=True), default=0.05)
     val.add_argument("--skip-network", action="store_true")
     return parser
 

@@ -201,30 +201,31 @@ def run_ga(instance: Instance, eval_fn: Fitness, config: GAConfig) -> SolverRepo
 
 def _steps(instance: Instance, config: GAConfig) -> Steps[SolverReport]:
     """run_ga as a step generator over one termination.Run, which times the
-    run from its first step and builds its report. It yields only the rows
+    run from its first step and holds its report. It yields only the rows
     its memo has not scored yet, in request order, and counts every request,
     hits included, from the population size and each mating's parents."""
     run = Run("ga", instance, config, config.seed)
+    report = run.report
     rng = random.Random(config.seed)
     memo = _Memo()
     population = yield from _population(instance, config, rng, memo)
-    requests = len(population)
+    report.evaluations = len(population)
     current = max(population, key=lambda c: c.fitness)
-    run.best, run.best_value = sorted(current.genes), current.fitness
+    report.best, report.objective = sorted(current.genes), current.fitness
     # A member leaves only for a candidate at least as fit, so no member beats
     # the run's best, and only an entering candidate can raise it.
     while True:
         p1, p2 = _distinct_parents(population, rng)
         candidate = yield from _mate(p1, p2, rng, memo)
         d = (p1.mask ^ p2.mask).bit_count() // 2
-        requests += d * (3 * d + 1) // 2
+        report.evaluations += d * (3 * d + 1) // 2
         entered = replace(population, candidate)
-        at_best = candidate.fitness == run.best_value
-        improved = entered and candidate.fitness > run.best_value
+        at_best = candidate.fitness == report.objective
+        improved = entered and candidate.fitness > report.objective
         if improved:
-            run.best, run.best_value = sorted(candidate.genes), candidate.fitness
+            report.best, report.objective = sorted(candidate.genes), candidate.fitness
         if run.step(improved, at_best):
-            return run.report(requests)
+            return report
 
 
 class _Memo:

@@ -107,6 +107,9 @@ class Instance:
             raise DomainError("mql must be positive")
         if not (0 <= self.gamma <= 1):
             raise DomainError("gamma must lie in [0, 1]")
+        if not capacity_threshold(self) > 0:  # the violation divides by it
+            raise DomainError("idle_min and gamma give a capacity threshold of 0: idle_min.lo "
+                              "must be below 1, and idle_min.mid too when gamma is 1")
         if self.logit_sensitivity <= 0:
             raise DomainError("logit_sensitivity must be positive")
         weight = self.benefit_weight

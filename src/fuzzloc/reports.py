@@ -8,18 +8,18 @@ from typing import Optional
 
 @dataclass
 class SolverReport:
-    """Outcome of one solver run: what every GA and ACO run returns, with
-    one trace entry per iteration and ``elapsed_s`` timed by the run
-    itself."""
+    """Outcome of one solver run: the record that every GA and ACO run
+    fills as it goes and returns, with one trace entry per iteration and
+    ``elapsed_s`` timed by the run itself."""
 
     algorithm: str
     n: int
     m: int
     seed: int
-    best: list[int]  # open facilities, ascending 1-based indices
+    best: Optional[list[int]]  # open facilities, ascending 1-based indices
     objective: float
     iterations: int
-    termination: str  # "convergence", "stagnation" or "exhaustive"
+    termination: Optional[str]  # "convergence", "stagnation" or "exhaustive"
     trace: list[float] = field(default_factory=list)
     elapsed_s: float = 0.0
     bounds_id: Optional[str] = None

@@ -1,6 +1,6 @@
-"""One solver run's record, shared by the genetic algorithm and the ant
-colony: its clock, stopping windows, trace and best; and the check of a
-run's seed and window lengths."""
+"""One solver run, shared by the genetic algorithm and the ant colony: its
+clock, its stopping windows and its SolverReport, which is the run's
+record; and the check of a run's seed and window lengths."""
 
 from __future__ import annotations
 
@@ -29,10 +29,11 @@ def check_run(seed: int, limit: Optional[int], cap: Optional[int]) -> None:
 
 class Run:
     """One GA or ACO run: its clock, started when the run is made at its
-    first step; its convergence and stagnation counters; its trace, one best
-    value per iteration; and ``best``, its best facilities so far (ascending
-    1-based indices, None before the first), and their value ``best_value``,
-    which the solver sets.
+    first step; its convergence and stagnation counters; and ``report``,
+    the run's SolverReport, which is its record. The solver sets the
+    report's ``best`` (ascending 1-based indices, None before the first),
+    its ``objective`` and its ``evaluations``; ``step`` fills the trace,
+    the iteration count, the termination reason and ``elapsed_s``.
 
     The run converges after ``limit`` consecutive non-improving iterations
     that end at the incumbent best, and stagnates after ``cap`` consecutive
@@ -42,48 +43,30 @@ class Run:
 
     def __init__(self, algorithm: str, instance: Instance, config, seed: int):
         self.start = time.perf_counter()
-        self.algorithm, self.n, self.m, self.seed = algorithm, instance.n, instance.m_servers, seed
+        n, m = instance.n, instance.m_servers
+        self.report = SolverReport(algorithm, n, m, seed, best=None, objective=math.nan,
+                                   iterations=0, termination=None)
         limit, cap = config.convergence_limit, config.stagnation_limit
-        self.limit = convergence_limit(self.n, self.m) if limit is None else limit
+        self.limit = convergence_limit(n, m) if limit is None else limit
         self.cap = self.limit * self.limit if cap is None else cap
         self.converged = self.stagnant = 0
-        self.trace: list[float] = []
-        self.best: Optional[list[int]] = None
-        self.best_value = math.nan
-        self.termination: Optional[str] = None
-        self.elapsed_s = 0.0
 
     def step(self, improved: bool, at_best: bool) -> Optional[str]:
         """Count one iteration and trace the best value; once a window
         closes, stop the clock and return the termination reason, else
         None. An improvement resets both windows."""
-        self.trace.append(self.best_value)
+        report = self.report
+        report.trace.append(report.objective)
+        report.iterations += 1
         if improved:
             self.converged = self.stagnant = 0
         else:
             self.stagnant += 1
             self.converged = self.converged + 1 if at_best else 0
         if self.converged >= self.limit:
-            self.termination = "convergence"
+            report.termination = "convergence"
         elif self.stagnant >= self.cap:
-            self.termination = "stagnation"
-        if self.termination:
-            self.elapsed_s = time.perf_counter() - self.start
-        return self.termination
-
-    def report(self, evaluations: int) -> SolverReport:
-        """The ended run's SolverReport; ``evaluations`` counts the fitness
-        requests the solver made."""
-        return SolverReport(
-            algorithm=self.algorithm,
-            n=self.n,
-            m=self.m,
-            seed=self.seed,
-            best=self.best,
-            objective=self.best_value,
-            iterations=len(self.trace),
-            termination=self.termination,
-            trace=self.trace,
-            elapsed_s=self.elapsed_s,
-            evaluations=evaluations,
-        )
+            report.termination = "stagnation"
+        if report.termination:
+            report.elapsed_s = time.perf_counter() - self.start
+        return report.termination

@@ -202,12 +202,13 @@ def reference_steps(instance, config, sense):
             score = -math.inf if math.isnan(value) else value
             if score > colony_best:
                 colony_best = score
-            if run.best is None or score > run.best_value:
-                run.best, run.best_value, improved = solution.sorted(), score, True
+            if run.report.best is None or score > run.report.objective:
+                run.report.best, run.report.objective, improved = solution.sorted(), score, True
         deposits = [(solution, sign * value) for solution, value in zip(colony, values)]
         tau = reference_update(tau, deposits, config, sense)
-        if run.step(improved, colony_best == run.best_value):
-            return run.report(ants * len(run.trace))
+        if run.step(improved, colony_best == run.report.objective):
+            run.report.evaluations = ants * run.report.iterations
+            return run.report
 
 
 # The default generator ranges overload every facility of this instance.
@@ -451,3 +452,53 @@ class TestWindows:
     def test_convergence_checked_first(self):
         windows = self.run(2, 2)
         assert [windows.step(False, True) for _ in range(2)] == [None, "convergence"]
+
+    def test_new_run_has_an_empty_record(self):
+        report = self.run(None, None).report
+        assert (report.algorithm, report.n, report.m, report.seed) == ("ga", 20, 5, 0)
+        assert report.best is None and math.isnan(report.objective)
+        assert (report.iterations, report.trace, report.termination) == (0, [], None)
+        assert (report.elapsed_s, report.evaluations) == (0.0, 0)
+
+    def test_steps_fill_the_record(self):
+        """Each step traces the objective and counts one iteration; the
+        clock is read only when a window closes."""
+        windows = self.run(3, 100)
+        report = windows.report
+        steps = [(1.0, True, True), (2.0, True, True), (2.0, False, True),
+                 (2.0, False, True), (2.0, False, True)]
+        for k, (objective, improved, at_best) in enumerate(steps, start=1):
+            report.objective = objective
+            ended = windows.step(improved, at_best)
+            assert report.iterations == len(report.trace) == k
+            assert report.trace[-1] == objective
+            assert ended == report.termination
+            if k < len(steps):
+                assert ended is None and report.elapsed_s == 0.0
+        assert report.termination == "convergence" and report.elapsed_s > 0
+        assert report.trace == [1.0, 2.0, 2.0, 2.0, 2.0]
+
+    @pytest.mark.parametrize("solver", ["ga", "aco", "stack"])
+    def test_solvers_return_the_runs_own_reports(self, medium_instance, monkeypatch, solver):
+        """run_ga, run_aco and a stacked _colonies return the SolverReport
+        objects that their runs filled, one per run, in order."""
+        runs, init = [], Run.__init__
+
+        def recorded(run, *args):
+            init(run, *args)
+            runs.append(run)
+
+        monkeypatch.setattr(Run, "__init__", recorded)
+        fitness = bound_fitness(medium_instance, "z2", "max")
+        if solver == "ga":
+            reports = [run_ga(medium_instance, fitness, GAConfig(seed=1, stagnation_limit=8))]
+        elif solver == "aco":
+            reports = [run_aco(medium_instance, fitness, ACOConfig(seed=1, stagnation_limit=8))]
+        else:
+            stack = _colonies(medium_instance, ACOConfig(stagnation_limit=8), [0, 1, 3],
+                              ["max", "min", "max"])
+            reports = drive([(stack, fitness)])[0]
+        assert len(runs) == len(reports) == (3 if solver == "stack" else 1)
+        for run, report in zip(runs, reports):
+            assert report is run.report
+            assert report.iterations == len(report.trace) > 0 and report.elapsed_s > 0

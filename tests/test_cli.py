@@ -51,6 +51,17 @@ class TestGenerate:
         out = tmp_path / "bad.json"
         assert run(["generate", "--n", 3, "--m", 5, "--out", out]) == EXIT_USAGE
 
+    @pytest.mark.parametrize("flags", [["--idle-min", 1, 1, 1],
+                                       ["--idle-min", 0.5, 1, 1, "--gamma", 1]])
+    def test_zero_capacity_threshold_rejected(self, tmp_path, capsys, flags):
+        out = tmp_path / "zero.json"
+        argv = ["generate", "--n", 8, "--m", 2, "--seed", 1, *flags, "--out", out]
+        assert run(argv) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == "" and not out.exists()
+        [line] = captured.err.splitlines()
+        assert line.startswith("usage error: idle_min and gamma give a capacity threshold of 0")
+
     def test_defaults_are_generator_params(self, tmp_path):
         out, expected = tmp_path / "cli.json", tmp_path / "api.json"
         assert run(["generate", "--n", 12, "--m", 3, "--seed", 4, "--out", out]) == EXIT_OK
@@ -548,6 +559,25 @@ class TestValidate:
         assert captured.out == ""
         [line] = captured.err.splitlines()
         assert line.startswith("usage error: ") and "--rho" in line
+
+    @pytest.mark.parametrize("flag", ["--tolerance", "--network-tolerance"])
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-1", "-0.5", "1e400", "abc"])
+    @pytest.mark.parametrize("network", [[], ["--skip-network"]])
+    def test_bad_tolerance_is_usage_error(self, monkeypatch, capsys, flag, bad, network):
+        """A tolerance that is NaN, infinite or below 0 is named in one
+        usage-error line, before the header or any simulation."""
+        for name in ("mm1_simulate", "simulate_objective_slice", "enumerate_optimum"):
+            monkeypatch.setattr(cli, name, _never)
+        assert run(["validate", f"{flag}={bad}", *network]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"usage error: argument {flag}: must be a finite number at least 0, got '{bad}'\n")
+
+    def test_zero_tolerance_is_valid(self):
+        args = cli.build_parser().parse_args(
+            ["validate", "--tolerance", "0", "--network-tolerance", "-0.0"])
+        assert (args.tolerance, args.network_tolerance) == (0.0, 0.0)
 
     def test_unstable_rho_skipped_and_heavy_rho_relaxed(self, capsys):
         argv = ["validate", "--events", 2000, "--rho", "1.0", "0.9", "--skip-network"]

@@ -571,7 +571,7 @@ class TestRoundInvariants:
             return entered
 
         def logged_step(run, improved, at_best):
-            log[-1].append((run.best, run.best_value))
+            log[-1].append((run.report.best, run.report.objective))
             return step(run, improved, at_best)
 
         with pytest.MonkeyPatch.context() as patch:

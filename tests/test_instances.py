@@ -152,6 +152,16 @@ class TestPersistence:
         with pytest.raises(InstanceFormatError, match="not ordered"):
             instance_from_dict(doc)
 
+    @pytest.mark.parametrize("idle, gamma", [([1, 1, 1], 0.5), ([0.5, 1, 1], 1)])
+    def test_zero_capacity_threshold_rejected(self, tmp_path, small_instance, idle, gamma):
+        doc = instance_to_dict(small_instance)
+        doc["idle_min"], doc["gamma"] = idle, gamma
+        path = tmp_path / "zero.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(InstanceFormatError, match="idle_min and gamma give a capacity "
+                                                       "threshold of 0"):
+            load_instance(path)
+
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize(
         "field", ["distance", "demand", "service", "benefit_weight", "mql", "logit_sensitivity"]

@@ -96,6 +96,28 @@ class TestInstanceValidation:
                 idle=TriFuzzy(0.5, 0.8, 1.2),
             )
 
+    @pytest.mark.parametrize("idle, gamma", [
+        (TriFuzzy(1.0, 1.0, 1.0), 0.5),
+        (TriFuzzy(1.0, 1.0, 1.0), 0.0),
+        (TriFuzzy(0.5, 1.0, 1.0), 1.0),
+        (TriFuzzy(0.0, 1.0, 1.0), 1.0),
+    ])
+    def test_zero_capacity_threshold_rejected(self, idle, gamma):
+        """The violation divides by the capacity threshold: idle_min.lo = 1,
+        or idle_min.mid = 1 at gamma = 1, would make it 0."""
+        with pytest.raises(DomainError, match="idle_min and gamma give a capacity threshold of 0"):
+            build_instance([[0, 2], [2, 0]], crisp_rows([1, 1]), crisp_rows([10, 10]),
+                           idle=idle, gamma=gamma)
+
+    @pytest.mark.parametrize("idle, gamma", [
+        (TriFuzzy(0.5, 1.0, 1.0), 0.5),
+        (TriFuzzy(0.99, 0.99, 1.0), 1.0),
+    ])
+    def test_positive_capacity_threshold_accepted(self, idle, gamma):
+        instance = build_instance([[0, 2], [2, 0]], crisp_rows([1, 1]), crisp_rows([10, 10]),
+                                  idle=idle, gamma=gamma)
+        assert capacity_threshold(instance) > 0
+
     @pytest.mark.parametrize("field, value, match", [
         ("n", 1, "at least two nodes"),
         ("distance", np.zeros((3, 3)), "distance must be 2x2"),

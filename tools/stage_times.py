@@ -27,8 +27,7 @@ minus blocks × total: the ms that a solve spends outside the scoring pass,
 in the solvers' own Python and ``drive``. Run it against another
 checkout's ``src`` (PYTHONPATH) to compare two versions on the same
 blocks; a version's blocks are its own, and the scoring path does not
-change them. A version whose drive builds a Kernel of its own for the
-rounds outside the table has those Kernels recorded instead.
+change them.
 """
 
 from __future__ import annotations
@@ -77,17 +76,12 @@ def record(instance, algo: str) -> list:
     where ``tabled`` says that the instance's figures table served the
     block and ``rows`` is the member's slice of the block, in drive's
     order. Each block is recorded once, where drive asks for its figures:
-    ``block_figures``, or a Kernel built in ``evaluation`` itself."""
+    ``block_figures``."""
     blocks = []
     score = evaluation.KernelFitness.score
 
-    class Recorded(Kernel):
-        def __init__(self, instance, idx):
-            super().__init__(instance, idx)
-            blocks.append((idx.copy(), False, []))
-
     def recorded_figures(instance, idx):
-        figures = block_figures(instance, idx)  # an older version builds the table here
+        figures = block_figures(instance, idx)
         tabled = instance._table is not None and idx.shape[-1] == instance.m_servers
         blocks.append((idx.copy(), tabled, []))
         return figures
@@ -98,13 +92,11 @@ def record(instance, algo: str) -> list:
         members.append((snapshot(fitness), slice(start, start + np.size(feasible))))
         return score(fitness, feasible, spreads, violation)
 
-    evaluation.Kernel, evaluation.KernelFitness.score = Recorded, recorded_score
-    evaluation.block_figures = recorded_figures
+    evaluation.block_figures, evaluation.KernelFitness.score = recorded_figures, recorded_score
     try:
         solve(instance, algo)
     finally:
-        evaluation.Kernel, evaluation.KernelFitness.score = Kernel, score
-        evaluation.block_figures = block_figures
+        evaluation.block_figures, evaluation.KernelFitness.score = block_figures, score
     return blocks
 
 
