@@ -59,7 +59,8 @@ class Instance:
     None when logit_sensitivity * max(distance) exceeds ATTRACTION_LIMIT.
     ``dataclasses.replace`` recomputes it, and instance files do not hold it.
     Nor do they hold ``_table``, the figures table that figures_table builds
-    and every drive reads from then on; ``dataclasses.replace`` drops it.
+    and every drive and oracle.Scan reads from then on; ``dataclasses.replace``
+    drops it.
 
     Instances compare field by field, arrays by value, leaving ``attraction``
     and ``_table`` out. They are unhashable: their arrays are.
@@ -379,18 +380,17 @@ class Kernel:
         return feasible, spreads, violation
 
 
-def _blocks(instance: Instance):
-    """Every m-subset as rows of 1-based indices, in lexicographic order, in
-    (B, m) arrays of BLOCK_SIZE rows but the last.
-
-    Each block unranks its ranks, one entry at a time for all rows. A row's
-    key counts the subsets from its own to the last among those sharing its
-    entries so far. With s entries left, comb(j, s) of them take all s from
-    the last j values, so the next entry is n + 1 - J for the least J with
-    comb(J, s) >= key, and the key drops by comb(J - 1, s). The last entry
-    is n + 1 - key. The table of these counts, row p holding comb(j, m - p)
-    for j = 0..n, is built once per enumeration. Counts are capped at the
-    total, which only entries no row can take exceed, to stay within int64.
+def _unranker(instance: Instance):
+    """unrank(ranks): the (len(ranks), m) rows of 1-based indices of the
+    m-subsets of those lexicographic ranks, one entry at a time for all
+    rows. A row's key counts the subsets from its own to the last among
+    those sharing its entries so far. With s entries left, comb(j, s) of
+    them take all s from the last j values, so the next entry is n + 1 - J
+    for the least J with comb(J, s) >= key, and the key drops by
+    comb(J - 1, s). The last entry is n + 1 - key. The table of these
+    counts, row p holding comb(j, m - p) for j = 0..n, is built once per
+    unranker. Counts are capped at the total, which only entries no row can
+    take exceed, to stay within int64.
     """
     n, m = instance.n, instance.m_servers
     count = math.comb(n, m)
@@ -398,25 +398,37 @@ def _blocks(instance: Instance):
         [[min(math.comb(j, m - p), count) for j in range(n + 1)] for p in range(m - 1)],
         dtype=np.int64,
     )
-    for first in range(0, count, BLOCK_SIZE):
-        key = count - np.arange(first, min(first + BLOCK_SIZE, count), dtype=np.int64)
-        block = np.empty((m, len(key)), dtype=np.intp)  # row p: entry p of every subset
+
+    def unrank(ranks: np.ndarray) -> np.ndarray:
+        key = count - np.asarray(ranks, dtype=np.int64)
+        rows = np.empty((m, len(key)), dtype=np.intp)  # row p: entry p of every subset
         for p, row in enumerate(counts):
             j = np.searchsorted(row, key)
-            block[p] = n + 1 - j
+            rows[p] = n + 1 - j
             key -= row.take(j - 1)
-        block[-1] = n + 1 - key
-        yield block.T
+        rows[-1] = n + 1 - key
+        return rows.T
+
+    return unrank
+
+
+def _blocks(instance: Instance):
+    """Every m-subset as rows of 1-based indices, in lexicographic order, in
+    (B, m) arrays of BLOCK_SIZE rows but the last, each one run of ranks
+    unranked. _FiguresTable and a cold oracle.Scan compute on these blocks."""
+    count, unrank = math.comb(instance.n, instance.m_servers), _unranker(instance)
+    for first in range(0, count, BLOCK_SIZE):
+        yield unrank(np.arange(first, min(first + BLOCK_SIZE, count)))
 
 
 class _FiguresTable:
     """The figures of every m-subset of an instance, one read-only row per
     subset in lexicographic order: ``feasible``, the ``spreads`` of feasible
     rows (0 in the others) and the ``violation`` (0 where feasible, as the
-    kernel's is). One Kernel per block of _blocks computes them, as
+    kernel's is). One Kernel per block of _blocks computes them, as a cold
     oracle.Scan does, and by the block contract (a row's bits do not depend
     on the rows computed with it) each row holds the bits that any block
-    gives its subset.
+    gives its subset. A Scan of an instance with a table reads its rows.
 
     The lexicographic rank of the ascending 0-based row c_0 < ... < c_{m-1}
     is comb(n, m) - 1 - sum_j comb(n - 1 - c_j, m - j). Row j of the
@@ -465,7 +477,8 @@ class _FiguresTable:
 
 def figures_table(instance: Instance) -> Optional[_FiguresTable]:
     """The instance's figures table, built on the first call if comb(n, m) <=
-    TABLE_LIMIT, else None. An ACO solve's first round is the only caller."""
+    TABLE_LIMIT, else None. An ACO solve's first round is the only caller;
+    block_figures and oracle.Scan read ``instance._table`` itself."""
     if instance._table is None and math.comb(instance.n, instance.m_servers) <= TABLE_LIMIT:
         object.__setattr__(instance, "_table", _FiguresTable(instance))
     return instance._table

@@ -14,7 +14,8 @@ from .errors import BudgetExceededError, DomainError, InfeasibleInstanceError
 from .evaluation import Fitness, MaximinContext, MaximinFitness, Steps, drive
 from .fuzzy import SLICE_INDEX
 from .model import (
-    Instance, Kernel, Solution, _blocks, no_feasible_subset, served_share, solution_kernel,
+    Instance, Kernel, Solution, _blocks, _unranker, no_feasible_subset, served_share,
+    solution_kernel,
 )
 
 # The oracle scans the subsets in blocks of model.BLOCK_SIZE. A Scan (exact
@@ -86,16 +87,17 @@ def enumerate_optimum(
 
 
 class Scan:
-    """One kernel pass over every m-subset, in lexicographic order, keeping
-    what exact bounds and a maximin optimum need. Each subset's kernel is
-    built once, and each block's kernel computes the feasibility mask of
-    every row and the spreads of its feasible rows only.
+    """Every m-subset's feasibility and spreads, in lexicographic order,
+    keeping what exact bounds and a maximin optimum need.
 
     ``spreads`` (F, 3) and ``subsets`` (F, m) hold the spread components of
     the F feasible subsets and their rows of 1-based indices, in that order,
     the rows in the smallest unsigned dtype that holds n (a byte for n < 256).
-    An instance that ``model.no_feasible_subset`` certifies keeps no rows,
-    and its blocks are not scanned.
+    An instance that ``model.no_feasible_subset`` certifies keeps no rows and
+    reads nothing. One that holds a figures table reads the table's feasible
+    rows. Any other gets one kernel pass, each block's kernel computing the
+    feasibility of every row and the spreads of feasible rows only, as the
+    table's kernels did on the same blocks, so both ways keep the same bits.
     """
 
     def __init__(self, instance: Instance, budget: int = DEFAULT_ENUM_BUDGET):
@@ -103,7 +105,12 @@ class Scan:
         self.count = _check_budget(instance, budget)
         dtype = np.min_scalar_type(instance.n)
         spreads, subsets = [np.empty((0, 3))], [np.empty((0, instance.m_servers), dtype)]
-        for block in () if no_feasible_subset(instance) else _blocks(instance):
+        certified, table = no_feasible_subset(instance), instance._table
+        if table is not None and not certified:
+            ranks = np.flatnonzero(table.feasible)
+            spreads.append(table.spreads.take(ranks, axis=0))
+            subsets.append(_unranker(instance)(ranks).astype(dtype))
+        for block in () if certified or table is not None else _blocks(instance):
             kernel = Kernel(instance, block - 1)
             feasible = kernel.feasible()
             if feasible.any():

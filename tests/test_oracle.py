@@ -12,8 +12,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import crispen, feasible_subsets, mild_params
+from conftest import crispen, feasible_subsets, mild_params, record
 from fuzzloc import model, oracle
+from fuzzloc.aco import ACOConfig
 from fuzzloc.errors import BudgetExceededError, DomainError, InfeasibleInstanceError
 from fuzzloc.evaluation import MaximinContext, make_maximin_eval, violation_total
 from fuzzloc.fuzzy import TriFuzzy
@@ -360,9 +361,12 @@ class TestCertifiedScan:
     no rows and builds no kernel, and the brute errors and results stay."""
 
     def test_scan_keeps_no_rows_and_builds_no_kernel(self, certified, monkeypatch):
-        assert no_feasible_subset(certified)
+        # A copy of the shared fixture holds no figures table, whatever
+        # earlier tests solved on it, so the Scan takes the kernel-pass path.
+        instance = dataclasses.replace(certified)
+        assert no_feasible_subset(instance) and instance._table is None
         monkeypatch.setattr(Kernel, "__init__", mock.Mock(side_effect=AssertionError("kernel")))
-        scan = oracle.Scan(certified)
+        scan = oracle.Scan(instance)
         assert scan.count == math.comb(certified.n, certified.m_servers)
         assert scan.spreads.shape == (0, 3)
         assert scan.subsets.shape == (0, certified.m_servers)
@@ -381,6 +385,123 @@ class TestCertifiedScan:
         expected, _ = two_pass(certified, ctx)
         assert report.best == expected.best.sorted()
         assert report.objective.hex() == expected.best_value.hex()
+
+
+def ctx_record(ctx) -> dict:
+    """A bound context as a dict with every bound as a hex string."""
+    return {key: [v.hex() for v in value] if isinstance(value, list) else value
+            for key, value in ctx.to_dict().items()}
+
+
+def scan_record(scan) -> tuple:
+    """What a Scan keeps, byte for byte: its count, its spreads and its
+    subsets with their dtype."""
+    return scan.count, scan.spreads.tobytes(), scan.subsets.dtype, scan.subsets.tobytes()
+
+
+class _RefusingTable:
+    """A figures table stand-in that fails on any read."""
+
+    def __getattr__(self, name):
+        raise AssertionError(f"read the table's {name}")
+
+
+class TestWarmScan:
+    """A Scan of an instance that holds a figures table (it has served an
+    ACO solve) takes its rows from the table, with no kernel pass, and keeps
+    the bits of a Scan of a fresh copy."""
+
+    def test_warm_brute_solve_takes_the_table_path(self):
+        """In the benchmark's order, a window-100 ACO solve and then a brute
+        solve on one mild20 instance: the brute solve and exact_bounds build
+        no Kernel and enumerate no block, and give the report and bounds of
+        a fresh copy's, as hex."""
+        instance = generate_instance(mild_params(20, 5, 0))
+        solve_protocol(instance, "aco", aco_config=ACOConfig(stagnation_limit=100))
+        assert instance._table is not None
+        cold = dataclasses.replace(instance)
+        assert cold._table is None
+        refuse = {"side_effect": AssertionError("kernel pass")}
+        with mock.patch.object(Kernel, "__init__", **refuse), \
+                mock.patch.object(model, "_blocks", **refuse), \
+                mock.patch.object(oracle, "_blocks", **refuse):
+            report, ctx = solve_protocol(instance, "brute")
+            bounds = exact_bounds(instance)
+        cold_report, cold_ctx = solve_protocol(cold, "brute")
+        assert record(report) == record(cold_report)
+        assert ctx_record(ctx) == ctx_record(cold_ctx) == ctx_record(bounds)
+        assert ctx_record(exact_bounds(cold)) == ctx_record(bounds)
+
+    def test_brute_solve_builds_no_table(self):
+        instance = generate_instance(mild_params(20, 5, 0))
+        solve_protocol(instance, "brute")
+        exact_bounds(instance)
+        assert instance._table is None
+
+    @given(
+        case=st.integers(4, 12).flatmap(
+            lambda n: st.tuples(
+                st.just(n),
+                st.integers(1, min(n - 1, 6)),
+                st.integers(0, 2**32 - 1),
+                st.sampled_from((1.0, 1.6, 2.0, 2.5, 100.0)),
+                st.booleans(),
+            )
+        ),
+    )
+    # A certified instance, and one with no feasible subset that the
+    # certificate misses.
+    @example(case=(8, 2, 1, 100.0, False))
+    @example(case=(5, 2, 0, 2.0, False))
+    @settings(max_examples=60, deadline=None)
+    def test_warm_scan_matches_cold_scan(self, case):
+        """Random instances, feasible, certified and uncertified with no
+        feasible subset: a warm and a cold Scan keep the same bytes, give
+        the same optimum under a given context (the penalty enumeration when
+        no subset is feasible), and the same exact bounds or error. A
+        certified instance reads nothing from its table."""
+        instance = brute_instance(*case)
+        cold = dataclasses.replace(instance)
+        assert model.figures_table(instance) is instance._table is not None
+        if no_feasible_subset(instance):
+            object.__setattr__(instance, "_table", _RefusingTable())
+        warm_scan, cold_scan = oracle.Scan(instance), oracle.Scan(cold)
+        assert scan_record(warm_scan) == scan_record(cold_scan)
+        assert cold._table is None
+        if no_feasible_subset(instance):
+            assert not len(warm_scan.subsets)
+            with pytest.raises(InfeasibleInstanceError):
+                exact_bounds(instance)
+            return
+        warm, cold_result = (scan.optimum(make_maximin_eval(scan.instance, HAND_CTX))
+                             for scan in (warm_scan, cold_scan))
+        assert (warm.best, warm.best_value.hex(), warm.evaluated_count) == (
+            cold_result.best, cold_result.best_value.hex(), cold_result.evaluated_count)
+        if len(cold_scan.subsets):
+            assert ctx_record(exact_bounds(instance)) == ctx_record(exact_bounds(cold))
+        else:
+            with pytest.raises(InfeasibleInstanceError):
+                exact_bounds(instance)
+
+    def test_wide_instance_keeps_uint16_rows(self):
+        """n = 256, m = 1: both Scans keep their rows as uint16, with the
+        same bytes."""
+        instance = generate_instance(mild_params(256, 1, 0))
+        instance = dataclasses.replace(instance, demand=instance.demand * 0.02)
+        cold = dataclasses.replace(instance)
+        assert model.figures_table(instance) is not None
+        warm_scan, cold_scan = oracle.Scan(instance), oracle.Scan(cold)
+        assert scan_record(warm_scan) == scan_record(cold_scan)
+        assert warm_scan.subsets.dtype == np.uint16 and 0 < len(warm_scan.subsets) < 256
+
+    def test_budget_is_checked_before_the_table_is_read(self):
+        instance = generate_instance(mild_params(8, 3, 0))
+        assert model.figures_table(instance) is not None
+        object.__setattr__(instance, "_table", _RefusingTable())
+        with pytest.raises(BudgetExceededError):
+            oracle.Scan(instance, budget=math.comb(8, 3) - 1)
+        with pytest.raises(BudgetExceededError):
+            solve_protocol(instance, "brute", enum_budget=math.comb(8, 3) - 1)
 
 
 class TestSimulator:

@@ -15,17 +15,18 @@ spec.loader.exec_module(report_dump)
 
 
 def test_dump_lines_are_hex_reports(capsys):
-    """One JSON line per instance, solver and seed, in that order (the GA
-    before and after the ACO), with no wall time and every float as hex; a
-    brute solve of table1, which has no feasible subset, prints its error.
-    The GA's lines after the ACO repeat its lines before it. A second run prints the same bytes."""
+    """One JSON line per instance, solver and seed, in that order (the brute
+    solve and the GA before and after the ACO), with no wall time and every
+    float as hex; a brute solve of table1, which has no feasible subset,
+    prints its error. The GA's and the brute solve's lines after the ACO
+    repeat their lines before it. A second run prints the same bytes."""
     argv = ["--instances", "table1", "weighted12"]
     assert report_dump.main(argv) == 0
     out = capsys.readouterr().out
     lines = [json.loads(line) for line in out.splitlines()]
     assert [(d["instance"], d["algo"], d["seed"]) for d in lines] == [
         (name, algo, seed) for name in ("table1", "weighted12")
-        for algo in ("ga", "aco", "ga", "brute") for seed in (0, 1)
+        for algo in ("brute", "ga", "aco", "ga", "brute") for seed in (0, 1)
     ]
     for doc in lines:
         if doc["instance"] == "table1" and doc["algo"] == "brute":
@@ -42,6 +43,10 @@ def test_dump_lines_are_hex_reports(capsys):
     cold, warm = [d for d in lines
                   if (d["instance"], d["algo"], d["seed"]) == ("weighted12", "ga", 1)]
     assert cold == warm and float.fromhex(cold["report"]["objective"]) == report.objective
+    for seed in (0, 1):
+        cold, warm = [d for d in lines if (d["instance"], d["algo"], d["seed"]) ==
+                      ("weighted12", "brute", seed)]
+        assert cold == warm and "report" in cold
     assert report_dump.main(argv) == 0
     assert capsys.readouterr().out == out
 

@@ -19,7 +19,8 @@ spec.loader.exec_module(stage_times)
 
 def test_smoke_prints_every_stage(capsys):
     assert stage_times.main(["--workloads", "smoke", "--passes", "2"]) == 0
-    header, *rows = capsys.readouterr().out.splitlines()
+    stages, brutes = capsys.readouterr().out.split("\n\n")
+    header, *rows = stages.splitlines()
     assert header.split()[:10] == ["solve", "blocks", "rows", "table", "Kernel()", "figures()",
                                    "score", "total", "wall", "other"]
     assert [row.split()[:2] for row in rows] == [["smoke", "aco"], ["smoke", "ga"]]
@@ -34,6 +35,28 @@ def test_smoke_prints_every_stage(capsys):
         assert (kernel > 0 and figures > 0) if algo == "ga" else kernel == figures == 0
         # other is the solve's wall time (ms) less its blocks' scoring time
         assert wall > 0 and other == pytest.approx(wall - blocks * total / 1e3, abs=0.01)
+    # one brute row: the warm and the cold solve's median ms
+    header, row = brutes.splitlines()
+    assert header.split()[:3] == ["solve", "warm", "cold"]
+    assert row.split()[:2] == ["smoke", "brute"]
+    assert all(float(wall) > 0 for wall in row.split()[2:]) and len(row.split()) == 4
+
+
+def test_brute_row_times_a_warm_and_a_cold_solve(monkeypatch):
+    """Each pass times one brute solve on the instance that the ACO has given
+    its table and one on a fresh copy, which has none. A solve that raises,
+    on table1, where no subset is feasible, is timed too."""
+    assert stage_times.brute_wall(stage_times.workloads.build_instance("table1")) > 0
+    tables = []
+
+    def timed(instance):
+        tables.append(instance._table is not None)
+        return 1e-3
+
+    monkeypatch.setattr(stage_times, "brute_wall", timed)
+    assert stage_times.main(["--workloads", "smoke", "--passes", "3"]) == 0
+    # passes alternate the order: warm, cold; cold, warm; warm, cold
+    assert tables == [True, False, False, True, True, False]
 
 
 def test_recorded_blocks_replay_the_solve(monkeypatch):

@@ -3,7 +3,7 @@
     PYTHONPATH=src python3 tools/report_dump.py > dump.txt
     PYTHONPATH=src python3 tools/report_dump.py --instances mild20 weighted12
 
-For each instance it prints the GA, ACO, GA again and brute
+For each instance it prints the brute, GA, ACO, GA again and brute again
 ``solve_protocol`` reports and bound contexts of seeds 0 and 1 at the
 benchmark's stagnation window (100), one JSON line per solve, with
 ``elapsed_s`` removed and every float written as its hex string, so that
@@ -13,10 +13,11 @@ mild n = 12 instance with random benefit weights, the mild n = 10 instance
 at logit sensitivity 40, which runs the shifted-exponent allocation, and a
 mild n = 24, M = 6 instance: its 134 596 subsets are past
 model.TABLE_LIMIT, so its ACO blocks get their own kernels, where the
-other instances' ACO solves build their figures tables. The second GA pass
-runs on the instance that the ACO solves have given a table, so its rounds
-of m-subsets are looked up in it (the first pass computes them on
-kernels). Two versions of the program that print the same bytes give the
+other instances' ACO solves build their figures tables. The second GA and
+brute passes run on the instance that the ACO solves have given a table:
+the GA's rounds of m-subsets are looked up in it, and the brute solve
+reads its feasible rows from it, where the first passes compute them on
+kernels. Two versions of the program that print the same bytes give the
 same reports:
 
     PYTHONPATH=parent/src python3 tools/report_dump.py > before.txt
@@ -64,7 +65,7 @@ INSTANCES = {
     "logit40": _logit40,
     "mild24": lambda: generate_instance(workloads._mild(24, 6, 0)),
 }
-ALGOS = ("ga", "aco", "ga", "brute")
+ALGOS = ("brute", "ga", "aco", "ga", "brute")
 SEEDS = (0, 1)
 
 

@@ -24,15 +24,21 @@ benchmark's rounds after its first do, and neither the replay nor a later
 solve pays for the build. Each pass also runs every solve once unwrapped;
 ``wall`` is the median of those wall times, and ``other`` is ``wall``
 minus blocks × total: the ms that a solve spends outside the scoring pass,
-in the solvers' own Python and ``drive``. Run it against another
-checkout's ``src`` (PYTHONPATH) to compare two versions on the same
-blocks; a version's blocks are its own, and the scoring path does not
-change them.
+in the solvers' own Python and ``drive``. Each pass also times one brute
+solve per workload twice: ``warm`` on the instance that the ACO solve has
+given its table, as in the benchmark's rounds, and ``cold`` on a fresh
+copy (``dataclasses.replace``), which makes the oracle's one kernel pass;
+it prints their median ms in one ``brute`` row per workload (a brute solve
+that raises, on an instance with no feasible subset, is timed too). Run it
+against another checkout's ``src`` (PYTHONPATH) to compare two versions on
+the same blocks; a version's blocks are its own, and the scoring path does
+not change them.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import gc
 import os
 import statistics
@@ -49,7 +55,7 @@ import numpy as np  # noqa: E402
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "benchmarks"))
 
 import workloads  # noqa: E402
-from fuzzloc import evaluation, protocol  # noqa: E402
+from fuzzloc import InfeasibleInstanceError, evaluation, protocol  # noqa: E402
 from fuzzloc.model import Kernel, block_figures  # noqa: E402
 
 STAGES = ("table", "Kernel()", "figures()", "score")
@@ -69,6 +75,16 @@ def solve(instance, algo: str):
     """One seed-0 solve with the benchmark's configs."""
     return protocol.solve_protocol(instance, algo, seed=0, ga_config=workloads.GA_CONFIG,
                                    aco_config=workloads.ACO_CONFIG)
+
+
+def brute_wall(instance) -> float:
+    """The wall time (s) of one brute solve."""
+    start = time.perf_counter()
+    try:
+        solve(instance, "brute")
+    except InfeasibleInstanceError:  # no feasible subset: the documented outcome
+        pass
+    return time.perf_counter() - start
 
 
 def record(instance, algo: str) -> list:
@@ -137,14 +153,19 @@ def main(argv=None) -> int:
     if args.passes < 1:
         parser.error("--passes must be at least 1")
 
-    solves = []
+    solves, instances = [], {}
     for name in args.workloads:
-        instance = workloads.build_instance(name)
+        instance = instances[name] = workloads.build_instance(name)
         for algo in ("aco", "ga"):  # the ACO builds the table that the GA reads
             solves.append((f"{name} {algo}", instance, algo, record(instance, algo)))
     per_block = {label: [] for label, *_ in solves}
     walls = {label: [] for label, *_ in solves}
+    brutes = {name: {"warm": [], "cold": []} for name in instances}
     for p in range(args.passes):
+        for name, instance in instances.items():
+            runs = {"warm": instance, "cold": dataclasses.replace(instance)}
+            for kind in ("warm", "cold") if p % 2 == 0 else ("cold", "warm"):
+                brutes[name][kind].append(brute_wall(runs[kind]))
         for label, instance, algo, blocks in solves if p % 2 == 0 else solves[::-1]:
             gc.disable()  # the replay only: a solve runs as it would alone
             try:
@@ -167,6 +188,11 @@ def main(argv=None) -> int:
         other = wall - len(blocks) * total / 1e3
         print(f"{label:<12} {len(blocks):>6} {rows:>6.1f} "
               + " ".join(f"{v:>10.2f}" for v in stages + [total]) + f" {wall:>8.2f} {other:>8.2f}")
+    print(f"\n{'solve':<12} {'warm':>8} {'cold':>8}"
+          "   (median ms per brute solve; warm after the ACO solve, cold on a fresh copy)")
+    for name, kinds in brutes.items():
+        print(f"{name + ' brute':<12} "
+              + " ".join(f"{statistics.median(kinds[k]) * 1e3:>8.3f}" for k in ("warm", "cold")))
     return 0
 
 
