@@ -3,8 +3,9 @@
 Exit codes: 0 success, 1 usage error, 2 runtime failure, 3 validation failure.
 The enumeration budget can be overridden with FUZZLOC_ENUM_BUDGET, a positive
 integer; any other value is a usage error. So is an --events,
---network-events or --replications count below 1, and a validate --rho
-that is not a finite number above 0.
+--network-events or --replications count below 1, a validate --rho
+that is not a finite number above 0, and a solve given both --bounds and
+--exact-bounds.
 """
 
 from __future__ import annotations
@@ -184,8 +185,9 @@ def build_parser() -> argparse.ArgumentParser:
     slv.add_argument("--algo", choices=("ga", "aco", "brute"), default="ga")
     slv.add_argument("--seed", type=int, default=0)
     slv.add_argument("--out", help="result file (report + bound context JSON)")
-    slv.add_argument("--exact-bounds", action="store_true")
-    slv.add_argument("--bounds", help="replay bounds from a prior result file")
+    bounds = slv.add_mutually_exclusive_group()
+    bounds.add_argument("--exact-bounds", action="store_true")
+    bounds.add_argument("--bounds", help="replay bounds from a prior result file")
     slv.add_argument("--gamma", type=float)
     slv.add_argument("--logit", type=float)
 
@@ -246,7 +248,7 @@ def _result_doc(report, ctx: MaximinContext) -> str:
 def cmd_solve(args) -> int:
     instance = _load(args.instance, args.gamma, args.logit)
     # A brute solve computes exact bounds in its own enumeration pass.
-    own_bounds = args.algo == "brute" and args.exact_bounds and not args.bounds
+    own_bounds = args.algo == "brute" and args.exact_bounds
     report, ctx = solve_protocol(
         instance,
         args.algo,

@@ -18,7 +18,7 @@ from typing import Callable, Generator, Optional, TypeVar
 import numpy as np
 
 from .errors import DomainError
-from .fuzzy import TriFuzzy
+from .fuzzy import TriFuzzy, is_number
 from .model import (
     Instance, Kernel, Solution, _open_indices, block_figures, capacity_threshold, solution_kernel,
 )
@@ -98,8 +98,7 @@ class MaximinContext:
         bounds = [data.get(f"{name}_bounds") for name in COMPONENTS]
         for name, pair in zip(COMPONENTS, bounds):
             pair_ok = isinstance(pair, (list, tuple)) and len(pair) == 2
-            # type(v) is int: JSON true and false are ints, but not numbers
-            if not (pair_ok and all(isinstance(v, float) or type(v) is int for v in pair)):
+            if not (pair_ok and all(map(is_number, pair))):
                 raise DomainError(f"{name}_bounds must be a pair of numbers")
         return cls(*map(tuple, bounds), provenance=data["provenance"])
 

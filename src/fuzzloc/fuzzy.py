@@ -9,6 +9,13 @@ from .errors import DomainError
 SLICE_INDEX = {"lo": 0, "mid": 1, "hi": 2}
 
 
+def is_number(value) -> bool:
+    """The number rule of instance and result files: an int or a float, as
+    json.loads gives a JSON number. JSON true and false load as ints, but
+    are not numbers; nor is a numeric string."""
+    return isinstance(value, float) or type(value) is int
+
+
 @dataclass(frozen=True)
 class TriFuzzy:
     """A triangular fuzzy number (lo, mid, hi) with lo <= mid <= hi."""

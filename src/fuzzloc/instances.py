@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DomainError, InstanceFormatError
-from .fuzzy import TriFuzzy
+from .fuzzy import TriFuzzy, is_number
 from .model import Instance
 
 TABLE1_SHA256 = "172a3c7598cd8bb5d8947d4d27b27de7bcfd52b3584cb20bac03207f75c9db6e"
@@ -120,6 +120,14 @@ def _count(value) -> int:
     return value
 
 
+def _number(value) -> float:
+    """A JSON number as a float: a bool or a numeric string is not a
+    number (fuzzy.is_number)."""
+    if not is_number(value):
+        raise TypeError(value)
+    return float(value)
+
+
 def _matrix(doc: dict, key: str, n: int, width: int, malformed_row: str) -> np.ndarray:
     """``doc[key]`` as an (n, width) float array; a wrong row count, row
     length or entry type raises an InstanceFormatError naming the field."""
@@ -129,7 +137,8 @@ def _matrix(doc: dict, key: str, n: int, width: int, malformed_row: str) -> np.n
     for i, length in enumerate(lengths):
         if length != width:
             raise InstanceFormatError(f"{key} row {i + 1} {malformed_row}")
-    return _field(doc, key, lambda rows: np.asarray(rows, dtype=float), "rows of numbers")
+    return _field(doc, key, lambda rows: np.asarray([[_number(v) for v in row] for row in rows]),
+                  "rows of numbers")
 
 
 def instance_from_dict(doc: dict) -> Instance:
@@ -150,10 +159,11 @@ def instance_from_dict(doc: dict) -> Instance:
             demand=_matrix(doc, "demand", n, 3, triple),
             service=_matrix(doc, "service", n, 3, triple),
             distance=_matrix(doc, "distance", n, n, square),
-            idle_min=_field(doc, "idle_min", TriFuzzy.from_seq, "a fuzzy triple [lo, mid, hi]"),
-            mql=_field(doc, "mql", float, "a number"),
-            gamma=_field(doc, "gamma", float, "a number"),
-            logit_sensitivity=_field(doc, "logit_sensitivity", float, "a number"),
+            idle_min=_field(doc, "idle_min", lambda seq: TriFuzzy.from_seq(map(_number, seq)),
+                            "a fuzzy triple [lo, mid, hi]"),
+            mql=_field(doc, "mql", _number, "a number"),
+            gamma=_field(doc, "gamma", _number, "a number"),
+            logit_sensitivity=_field(doc, "logit_sensitivity", _number, "a number"),
             benefit_weight=weight,
         )
     except DomainError as exc:

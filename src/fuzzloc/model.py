@@ -59,7 +59,7 @@ class Instance:
     None when logit_sensitivity * max(distance) exceeds ATTRACTION_LIMIT.
     ``dataclasses.replace`` recomputes it, and instance files do not hold it.
     Nor do they hold ``_table``, the figures table that figures_table builds
-    and every drive and oracle.Scan reads from then on; ``dataclasses.replace``
+    and every drive and feasible_rows reads from then on; ``dataclasses.replace``
     drops it.
 
     Instances compare field by field, arrays by value, leaving ``attraction``
@@ -380,45 +380,44 @@ class Kernel:
         return feasible, spreads, violation
 
 
-def _unranker(instance: Instance):
-    """unrank(ranks): the (len(ranks), m) rows of 1-based indices of the
-    m-subsets of those lexicographic ranks, one entry at a time for all
-    rows. A row's key counts the subsets from its own to the last among
-    those sharing its entries so far. With s entries left, comb(j, s) of
-    them take all s from the last j values, so the next entry is n + 1 - J
-    for the least J with comb(J, s) >= key, and the key drops by
-    comb(J - 1, s). The last entry is n + 1 - key. The table of these
-    counts, row p holding comb(j, m - p) for j = 0..n, is built once per
-    unranker. Counts are capped at the total, which only entries no row can
-    take exceed, to stay within int64.
-    """
-    n, m = instance.n, instance.m_servers
+def _comb_counts(n: int, m: int) -> np.ndarray:
+    """The read-only (m, n + 1) table that numbers the m-subsets of n: row p
+    holds comb(j, m - p) for j = 0..n, so row 0 ends in comb(n, m). Counts
+    are capped at comb(n, m), which only entries no subset can take exceed,
+    to stay within intp."""
     count = math.comb(n, m)
-    counts = np.array(
-        [[min(math.comb(j, m - p), count) for j in range(n + 1)] for p in range(m - 1)],
-        dtype=np.int64,
-    )
+    counts = np.array([[min(math.comb(j, m - p), count) for j in range(n + 1)]
+                       for p in range(m)], dtype=np.intp)
+    counts.setflags(write=False)
+    return counts
 
-    def unrank(ranks: np.ndarray) -> np.ndarray:
-        key = count - np.asarray(ranks, dtype=np.int64)
-        rows = np.empty((m, len(key)), dtype=np.intp)  # row p: entry p of every subset
-        for p, row in enumerate(counts):
-            j = np.searchsorted(row, key)
-            rows[p] = n + 1 - j
-            key -= row.take(j - 1)
-        rows[-1] = n + 1 - key
-        return rows.T
 
-    return unrank
+def _unrank(counts: np.ndarray, ranks: np.ndarray) -> np.ndarray:
+    """The (len(ranks), m) rows of 1-based indices of the m-subsets of those
+    lexicographic ranks, one entry at a time for all rows, by the counts of
+    _comb_counts. A row's key counts the subsets from its own to the last
+    among those sharing its entries so far. With s entries left, comb(j, s)
+    of them take all s from the last j values, so the next entry is
+    n + 1 - J for the least J with comb(J, s) >= key, and the key drops by
+    comb(J - 1, s).
+    """
+    m, n = counts.shape[0], counts.shape[1] - 1
+    key = counts[0, n] - ranks
+    rows = np.empty((m, len(key)), dtype=np.intp)  # row p: entry p of every subset
+    for p, row in enumerate(counts):
+        j = np.searchsorted(row, key)
+        rows[p] = n + 1 - j
+        key -= row.take(j - 1)
+    return rows.T
 
 
 def _blocks(instance: Instance):
     """Every m-subset as rows of 1-based indices, in lexicographic order, in
     (B, m) arrays of BLOCK_SIZE rows but the last, each one run of ranks
-    unranked. _FiguresTable and a cold oracle.Scan compute on these blocks."""
-    count, unrank = math.comb(instance.n, instance.m_servers), _unranker(instance)
-    for first in range(0, count, BLOCK_SIZE):
-        yield unrank(np.arange(first, min(first + BLOCK_SIZE, count)))
+    unranked. _FiguresTable and a cold feasible_rows compute on these blocks."""
+    counts = _comb_counts(instance.n, instance.m_servers)
+    for first in range(0, counts[0, -1], BLOCK_SIZE):
+        yield _unrank(counts, np.arange(first, min(first + BLOCK_SIZE, counts[0, -1])))
 
 
 class _FiguresTable:
@@ -426,21 +425,21 @@ class _FiguresTable:
     subset in lexicographic order: ``feasible``, the ``spreads`` of feasible
     rows (0 in the others) and the ``violation`` (0 where feasible, as the
     kernel's is). One Kernel per block of _blocks computes them, as a cold
-    oracle.Scan does, and by the block contract (a row's bits do not depend
+    feasible_rows does, and by the block contract (a row's bits do not depend
     on the rows computed with it) each row holds the bits that any block
-    gives its subset. A Scan of an instance with a table reads its rows.
+    gives its subset.
 
     The lexicographic rank of the ascending 0-based row c_0 < ... < c_{m-1}
-    is comb(n, m) - 1 - sum_j comb(n - 1 - c_j, m - j). Row j of the
-    flattened (m, n) ``weights`` holds entry j's term, negated, with
-    comb(n, m) - 1 added to row 0, so a rank is one gather and one integer
-    dot product with ones (faster than a sum at solver block sizes).
-    Terms are capped at comb(n, m), which only entries no row can take
-    exceed (every term of a row is below it), to stay within intp.
+    is comb(n, m) - 1 - sum_j comb(n - 1 - c_j, m - j), and entry j's term
+    is ``counts[j, n - 1 - c_j]``. Row j of the flattened (m, n) ``weights``
+    holds those terms, negated, with comb(n, m) - 1 added to row 0, so a
+    rank is one gather and one integer dot product with ones (faster than a
+    sum at solver block sizes).
     """
 
     def __init__(self, instance: Instance):
         n, m = instance.n, instance.m_servers
+        self.counts = counts = _comb_counts(n, m)
         count = math.comb(n, m)
         feasible, spreads, violation = np.empty(count, bool), np.zeros((count, 3)), np.zeros(count)
         start = 0
@@ -453,10 +452,7 @@ class _FiguresTable:
                 spreads[rows][mask] = kernel.spreads(mask)
             if not mask.all():
                 violation[rows] = kernel.violation()
-        weights = -np.array(
-            [[min(math.comb(n - 1 - c, m - j), count) for c in range(n)] for j in range(m)],
-            dtype=np.intp,
-        )
+        weights = -counts[:, n - 1::-1]
         weights[0] += count - 1
         self.weights, self.ones = weights.ravel(), np.ones(m, np.intp)
         self.offsets = np.arange(0, m * n, n)  # entry j reads row j of the weights
@@ -475,10 +471,40 @@ class _FiguresTable:
         return feasible, spreads, violation
 
 
+def feasible_rows(instance: Instance):
+    """(spreads, subsets) of the F feasible m-subsets in lexicographic order:
+    their (F, 3) spread components and (F, m) rows of 1-based indices, the
+    rows in the smallest unsigned dtype that holds n (a byte for n < 256).
+
+    An instance that no_feasible_subset certifies keeps no rows and reads
+    nothing. One that holds a figures table reads the table's feasible rows.
+    Any other gets one kernel pass, each block's kernel computing the
+    feasibility of every row and the spreads of feasible rows only, as the
+    table's kernels did on the same blocks, so both ways keep the same bits.
+    """
+    dtype = np.min_scalar_type(instance.n)
+    spreads, subsets = [np.empty((0, 3))], [np.empty((0, instance.m_servers), dtype)]
+    table = instance._table
+    if no_feasible_subset(instance):
+        pass  # no rows to keep
+    elif table is not None:
+        ranks = np.flatnonzero(table.feasible)
+        spreads.append(table.spreads.take(ranks, axis=0))
+        subsets.append(_unrank(table.counts, ranks).astype(dtype))
+    else:
+        for block in _blocks(instance):
+            kernel = Kernel(instance, block - 1)
+            feasible = kernel.feasible()
+            if feasible.any():
+                spreads.append(kernel.spreads(feasible))
+                subsets.append(block[feasible].astype(dtype))
+    return np.concatenate(spreads), np.concatenate(subsets)
+
+
 def figures_table(instance: Instance) -> Optional[_FiguresTable]:
     """The instance's figures table, built on the first call if comb(n, m) <=
     TABLE_LIMIT, else None. An ACO solve's first round is the only caller;
-    block_figures and oracle.Scan read ``instance._table`` itself."""
+    block_figures and feasible_rows read ``instance._table`` itself."""
     if instance._table is None and math.comb(instance.n, instance.m_servers) <= TABLE_LIMIT:
         object.__setattr__(instance, "_table", _FiguresTable(instance))
     return instance._table

@@ -13,10 +13,7 @@ import numpy as np
 from .errors import BudgetExceededError, DomainError, InfeasibleInstanceError
 from .evaluation import Fitness, MaximinContext, MaximinFitness, Steps, drive
 from .fuzzy import SLICE_INDEX
-from .model import (
-    Instance, Kernel, Solution, _blocks, _unranker, no_feasible_subset, served_share,
-    solution_kernel,
-)
+from .model import Instance, Solution, _blocks, feasible_rows, served_share, solution_kernel
 
 # The oracle scans the subsets in blocks of model.BLOCK_SIZE. A Scan (exact
 # bounds, a brute solve) also keeps 24 + m bytes per feasible subset for
@@ -87,37 +84,14 @@ def enumerate_optimum(
 
 
 class Scan:
-    """Every m-subset's feasibility and spreads, in lexicographic order,
-    keeping what exact bounds and a maximin optimum need.
-
-    ``spreads`` (F, 3) and ``subsets`` (F, m) hold the spread components of
-    the F feasible subsets and their rows of 1-based indices, in that order,
-    the rows in the smallest unsigned dtype that holds n (a byte for n < 256).
-    An instance that ``model.no_feasible_subset`` certifies keeps no rows and
-    reads nothing. One that holds a figures table reads the table's feasible
-    rows. Any other gets one kernel pass, each block's kernel computing the
-    feasibility of every row and the spreads of feasible rows only, as the
-    table's kernels did on the same blocks, so both ways keep the same bits.
-    """
+    """What exact bounds and a maximin optimum need of every m-subset:
+    ``spreads`` (F, 3) and ``subsets`` (F, m), the spread components and rows
+    of the F feasible subsets, in lexicographic order (model.feasible_rows)."""
 
     def __init__(self, instance: Instance, budget: int = DEFAULT_ENUM_BUDGET):
         self.instance = instance
         self.count = _check_budget(instance, budget)
-        dtype = np.min_scalar_type(instance.n)
-        spreads, subsets = [np.empty((0, 3))], [np.empty((0, instance.m_servers), dtype)]
-        certified, table = no_feasible_subset(instance), instance._table
-        if table is not None and not certified:
-            ranks = np.flatnonzero(table.feasible)
-            spreads.append(table.spreads.take(ranks, axis=0))
-            subsets.append(_unranker(instance)(ranks).astype(dtype))
-        for block in () if certified or table is not None else _blocks(instance):
-            kernel = Kernel(instance, block - 1)
-            feasible = kernel.feasible()
-            if feasible.any():
-                spreads.append(kernel.spreads(feasible))
-                subsets.append(block[feasible].astype(dtype))
-        self.spreads = np.concatenate(spreads)
-        self.subsets = np.concatenate(subsets)
+        self.spreads, self.subsets = feasible_rows(instance)
 
     def optimum(self, fitness: MaximinFitness) -> EnumerationResult:
         """``enumerate_optimum(instance, fitness)`` from the kept rows: the

@@ -133,6 +133,23 @@ class TestSolve:
     def test_missing_instance_is_runtime_error(self, tmp_path):
         assert run(["solve", "--instance", tmp_path / "nope.json"]) == EXIT_RUNTIME
 
+    @pytest.mark.parametrize("order", ["bounds-first", "exact-first"])
+    def test_bounds_with_exact_bounds_is_usage_error(self, tmp_path, capsys, order):
+        """--bounds and --exact-bounds together stop the solve with one line
+        from the parser, before any file is read or written: neither the
+        instance nor the bounds file exists, which a load would report as a
+        runtime error."""
+        flags = [["--bounds", tmp_path / "r.json"], ["--exact-bounds"]]
+        if order == "exact-first":
+            flags.reverse()
+        out = tmp_path / "out.json"
+        argv = ["solve", "--instance", tmp_path / "nope.json", *flags[0], *flags[1], "--out", out]
+        assert run(argv) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == "" and not out.exists()
+        [line] = captured.err.splitlines()
+        assert line.startswith("usage error: argument --") and "not allowed with argument" in line
+
     def test_brute_exact_bounds_enumerates_once(self, tmp_path, monkeypatch):
         """--exact-bounds adds no second pass to a brute solve: one Scan, and
         the result file of a solve without the flag."""
@@ -403,9 +420,11 @@ def test_non_finite_logit_is_usage_error(small_file, capsys, value, algo):
     ("n", 6.0),
     ("m_servers", True),
     ("n", True),
+    ("mql", True),
+    ("gamma", "0.5"),
 ], ids=["demand-number", "distance-flat", "idle_min-pair", "n-word", "demand-strings",
         "mql-null", "benefit_weight-ragged", "m_servers-fraction", "n-fraction", "n-float",
-        "m_servers-bool", "n-bool"])
+        "m_servers-bool", "n-bool", "mql-bool", "gamma-string"])
 def test_malformed_field_type_is_usage_error(small_file, capsys, field, value):
     """An instance file field of the wrong type stops the solve with one
     usage-error line that names the field, and no traceback."""

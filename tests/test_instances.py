@@ -182,6 +182,39 @@ class TestPersistence:
         with pytest.raises(InstanceFormatError, match="finite"):
             instance_from_dict(doc)
 
+    @pytest.mark.parametrize("value", [True, False, "4", "0.5"])
+    @pytest.mark.parametrize("field", ["mql", "gamma", "logit_sensitivity", "idle_min", "demand",
+                                       "service", "distance", "benefit_weight"])
+    def test_non_number_rejected(self, small_instance, field, value):
+        """A bool or a numeric string is not a number, as in result files:
+        the loader names the field instead of reading true as 1.0 or "4" as
+        4.0."""
+        doc = instance_to_dict(small_instance)
+        doc["benefit_weight"] = np.ones((6, 6)).tolist()
+        if field == "distance":
+            doc["distance"][0][1] = doc["distance"][1][0] = value
+        elif field in ("demand", "service", "benefit_weight"):
+            doc[field][2][1] = value
+        elif field == "idle_min":
+            doc["idle_min"][1] = value
+        else:
+            doc[field] = value
+        with pytest.raises(InstanceFormatError, match=f"^{field} must be "):
+            instance_from_dict(doc)
+
+    def test_json_ints_load_as_floats(self, small_instance):
+        """JSON ints and floats are numbers: an integral value written as an
+        int loads as the float it names."""
+        doc = instance_to_dict(small_instance)
+        doc["mql"] = int(doc["mql"])
+        for key in ("demand", "service", "distance"):
+            doc[key] = [[int(v) for v in row] for row in doc[key]]
+        doc["benefit_weight"] = [[1] * 6] * 6
+        loaded = instance_from_dict(json.loads(json.dumps(doc)))
+        assert loaded == dataclasses.replace(small_instance, benefit_weight=np.ones((6, 6)))
+        assert loaded.distance.dtype == loaded.demand.dtype == np.float64
+        assert isinstance(loaded.mql, float)
+
     def test_missing_field_rejected(self, small_instance):
         doc = instance_to_dict(small_instance)
         del doc["service"]

@@ -355,6 +355,19 @@ class TestOnePassBrute:
                     assert block.dtype == np.intp and block.tobytes() == expected.tobytes()
                 assert next(combos, None) is None
 
+    def test_rank_weights_invert_unrank(self):
+        """For every n <= 12 and 1 <= m < n, every rank unranked with the
+        figures table's counts and ranked back with the weights that
+        _FiguresTable.figures gathers is the rank itself. Near m = n, as at
+        (12, 11), the capped counts are reached."""
+        for n in range(2, 13):
+            for m in range(1, n):
+                table = model.figures_table(generate_instance(mild_params(n, m, 0)))
+                ranks = np.arange(math.comb(n, m))
+                idx = model._unrank(table.counts, ranks) - 1
+                back = table.weights.take(idx + table.offsets).dot(table.ones)
+                assert back.tolist() == ranks.tolist(), (n, m)
+
 
 class TestCertifiedScan:
     """On an instance that model.no_feasible_subset certifies, a Scan keeps
