@@ -91,9 +91,11 @@ def _sample_colonies(log_w: np.ndarray, m: int, noise: np.ndarray) -> np.ndarray
     return picks
 
 
-def _deposit_rule(maximize: np.ndarray) -> tuple:
-    """_update's rule for ants that maximize where ``maximize`` is set: their
-    signs, least depositing F, and flags, one bool when all share a sense."""
+def _deposit_rule(signs: np.ndarray) -> tuple:
+    """_update's rule for ants of the given signs, 1.0 for an ant of a
+    maximizing run and -1.0 for one of a minimizing run: their signs, least
+    depositing F, and maximize flags, one bool when all share a sign."""
+    maximize = signs > 0
     maximize = maximize if maximize.any() and not maximize.all() else bool(maximize.all())
     return np.where(maximize, 1.0, -1.0), np.where(maximize, 0.0, 5e-324), maximize
 
@@ -107,11 +109,11 @@ def _update(tau: np.ndarray, nodes: np.ndarray, values: Sequence[float], config:
 
     ``nodes`` and ``values`` hold the colonies one after another, each ant's
     nodes as indices into the flattened trails (node j of run r at
-    r * n + j), and ``rule`` is the _deposit_rule of the flags of the ants
-    of maximizing runs. Every run maximizes its values. An ant's F is its
-    value in a maximizing run and -value, the objective it minimizes, in a
-    minimizing run. Deposits are theta*F under maximization and theta/F
-    under minimization, with theta = max_pheromone. An ant with a
+    r * n + j), and ``rule`` is the _deposit_rule of the ants' signs. Every
+    run maximizes its values. An ant's F is sign * value: its value in a
+    maximizing run (sign 1) and -value, the objective it minimizes, in a
+    minimizing run (sign -1). Deposits are theta*F under maximization and
+    theta/F under minimization, with theta = max_pheromone. An ant with a
     non-finite F, a negative F under maximization or a nonpositive F under
     minimization deposits nothing. A penalized ant of a minimization bound
     run has value -1e12 * (1 + violation), so F = 1e12 * (1 + violation),
@@ -146,14 +148,14 @@ def run_aco(instance: Instance, eval_fn: Fitness, config: ACOConfig) -> SolverRe
     far becomes the new best, and a NaN value ranks below every other value,
     as -inf.
     """
-    return drive([(_colonies(instance, config, [config.seed], ["max"]), eval_fn)])[0][0]
+    return drive([(_colonies(instance, config, [config.seed], np.ones(1)), eval_fn)])[0][0]
 
 
 def _colonies(
     instance: Instance,
     config: ACOConfig,
     seeds: Sequence[int],
-    senses: Sequence[str],
+    signs: np.ndarray,
     select: Optional[Callable[[np.ndarray], None]] = None,
 ) -> Steps[list[SolverReport]]:
     """R ACO runs as one step generator over one (R, n) trail array; it
@@ -163,18 +165,17 @@ def _colonies(
 
     Every run maximizes the values sent for its rows. The runs share
     ``config``, its windows included; run r takes its seed from seeds[r] and
-    its sense from senses[r], which picks only its deposit rule (see
-    _update): a "min" run's values are minus its objective. Each iteration
-    yields the live runs' colonies as one block, run after run. ``select``,
-    when given, learns the run of each row of the blocks to come: before the
-    first block and whenever a run ends and its trail row is dropped. Every
-    run ends as it would alone: it draws its Gumbel noise from its own
-    generator, and the walk keeps each run's first ant that is strictly
-    better than its best so far, scoring a NaN value as -inf. The first step
-    builds the instance's figures table (model.figures_table).
+    its sign from signs[r], 1.0 or -1.0, which picks only its deposit rule
+    (see _update): a run of sign -1.0 minimizes an objective, and its values
+    are minus that objective. Each iteration yields the live runs' colonies
+    as one block, run after run. ``select``, when given, learns the run of
+    each row of the blocks to come: before the first block and whenever a
+    run ends and its trail row is dropped. Every run ends as it would alone:
+    it draws its Gumbel noise from its own generator, and the walk keeps
+    each run's first ant that is strictly better than its best so far,
+    scoring a NaN value as -inf. The first step builds the instance's
+    figures table (model.figures_table).
     """
-    if any(sense not in ("max", "min") for sense in senses):
-        raise DomainError(f"sense must be 'max' or 'min', got {senses!r}")
     runs = [Run("aco", instance, config, seed) for seed in seeds]
     reports = [run.report for run in runs]
     figures_table(instance)
@@ -185,7 +186,7 @@ def _colonies(
     live = list(range(len(runs)))  # the runs of the trail rows, in order
     tau = np.ones((len(runs), n))
     while live:
-        rule = _deposit_rule(np.repeat([senses[r] == "max" for r in live], ants))
+        rule = _deposit_rule(np.repeat(signs[live], ants))
         # run i's trails start at i * n in the flattened trail array
         offsets = np.repeat(np.arange(len(live)) * n, ants)[:, None]
         if select:

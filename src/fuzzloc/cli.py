@@ -42,7 +42,7 @@ from .oracle import (
     mm1_simulate,
     simulate_objective_slice,
 )
-from .protocol import bound_seeds, estimate_bounds, solve_protocol
+from .protocol import estimate_bounds, solve_protocol
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -358,7 +358,7 @@ def cmd_tune(args) -> int:
     ]
     ctx = _context(args, instance)
     contexts = {
-        seed: ctx or estimate_bounds(instance, ACOConfig(), bound_seeds(seed))
+        seed: ctx or estimate_bounds(instance, ACOConfig(seed=seed))
         for seed in args.seeds
     }
     header = [

@@ -147,6 +147,9 @@ def instance_from_dict(doc: dict) -> Instance:
     for key in required:
         if key not in doc:
             raise InstanceFormatError(f"missing field {key!r}")
+    unknown = sorted(doc.keys() - {*required, "benefit_weight"})
+    if unknown:
+        raise InstanceFormatError(f"unknown field {unknown[0]!r}")
     n = _field(doc, "n", _count, "an integer")
     triple, square = "is not a fuzzy triple", f"malformed (matrix must be {n}x{n})"
     weight = doc.get("benefit_weight")
@@ -176,7 +179,9 @@ def save_instance(instance: Instance, path) -> None:
 
 def load_instance(path) -> Instance:
     try:
-        doc = json.loads(Path(path).read_text())
+        doc = json.loads(Path(path).read_text(encoding="utf-8"))
+    except UnicodeDecodeError as exc:
+        raise InstanceFormatError(f"{path}: not UTF-8 text at byte {exc.start}") from exc
     except json.JSONDecodeError as exc:
         raise InstanceFormatError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from exc
     if not isinstance(doc, dict):

@@ -6,7 +6,7 @@ from __future__ import annotations
 import dataclasses
 import math
 import time
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -40,11 +40,6 @@ _SIGN = np.array([1.0 if sense == "max" else -1.0 for _, sense in BOUND_RUNS])
 _PENALTY_SCALE = 1e12
 
 
-def bound_seeds(seed: int) -> list[int]:
-    """Seeds of the six bound runs of a solve with the given seed."""
-    return [seed + k for k in range(1, len(BOUND_RUNS) + 1)]
-
-
 class _BoundFitness(KernelFitness):
     """The fitness of bound run ``run``, a position in BOUND_RUNS, which
     either solver maximizes: sign * component for a feasible subset, and
@@ -69,39 +64,37 @@ class _BoundFitness(KernelFitness):
         return _PENALTY_SCALE * penalty(violation)
 
 
-def estimate_bounds(
-    instance: Instance, config: GAConfig | ACOConfig, seeds: Sequence[int]
-) -> MaximinContext:
+def estimate_bounds(instance: Instance, config: GAConfig | ACOConfig) -> MaximinContext:
     """Run the six bound-calibration optimizations and collect the extrema.
 
-    The config's type picks the solver, and each bound run is ``config``
-    reseeded with its seed. Bound run k maximizes sign * component, so its
-    best objective read back through _SIGN[k] is its component extremum. A
-    bound run that finds no feasible solution ends at or below the penalty
-    -1e12 and records NaN, which the membership functions treat as
-    degenerate. Exact bounds come from ``oracle.exact_bounds``. The six runs
-    step together in one ``drive`` call, and each ends as it would alone:
-    six GA step generators, or one ACO generator over a six-row trail array
-    whose blocks one ``_BoundFitness`` scores, each row as its own run.
+    The config's type picks the solver, and bound run k (from 0) is
+    ``config`` reseeded with config.seed + k + 1, so a solve is reproducible
+    from its one seed. Bound run k maximizes sign * component, so its best
+    objective read back through _SIGN[k] is its component extremum. A bound
+    run that finds no feasible solution ends at or below the penalty -1e12
+    and records NaN, which the membership functions treat as degenerate.
+    Exact bounds come from ``oracle.exact_bounds``. The six runs step
+    together in one ``drive`` call, and each ends as it would alone: six GA
+    step generators, or one ACO generator over a six-row trail array whose
+    blocks one ``_BoundFitness`` scores, each row as its own run, and whose
+    deposits take each run's sign from _SIGN.
 
     On an instance that ``model.no_feasible_subset`` certifies, every run
-    would end at or below the penalty, so after the seed checks no run is
-    made and every bound is NaN, the context the six runs would give.
+    would end at or below the penalty, so no run is made and every bound is
+    NaN, the context the six runs would give.
     """
-    if len(seeds) != len(BOUND_RUNS):
-        raise DomainError(f"need {len(BOUND_RUNS)} seeds, got {len(seeds)}")
-    configs = [dataclasses.replace(config, seed=seed) for seed in seeds]  # checks each seed
     if no_feasible_subset(instance):
         return MaximinContext(*[(math.nan, math.nan)] * 3, provenance="metaheuristic-estimated")
+    seeds = [config.seed + k + 1 for k in range(len(BOUND_RUNS))]
     if isinstance(config, GAConfig):
         reports = drive([
-            (_ga_steps(instance, run), _BoundFitness(instance, r))
-            for r, run in enumerate(configs)
+            (_ga_steps(instance, dataclasses.replace(config, seed=seed)),
+             _BoundFitness(instance, r))
+            for r, seed in enumerate(seeds)
         ])
     else:
         fitness = _BoundFitness(instance, 0)  # _colonies selects each row's run
-        senses = [sense for _, sense in BOUND_RUNS]
-        reports = drive([(_colonies(instance, config, seeds, senses, fitness.select), fitness)])[0]
+        reports = drive([(_colonies(instance, config, seeds, _SIGN, fitness.select), fitness)])[0]
     # BOUND_RUNS holds each component's min and max runs, in COMPONENTS order.
     found = [
         sign * report.objective if report.objective > -_PENALTY_SCALE else math.nan
@@ -124,9 +117,9 @@ def solve_protocol(
 
     Bounds come in one of two ways. A given ``ctx`` (exact bounds, or bounds
     replayed from an earlier solve) is used as it is. Otherwise "ga" and
-    "aco" calibrate them with six bound runs seeded seed+1..seed+6, so the
-    whole protocol is reproducible from one seed, and "brute" computes exact
-    bounds. "brute" searches exhaustively in one pass (``oracle.Scan``)
+    "aco" calibrate them with the six bound runs of ``estimate_bounds``, so
+    the whole protocol is reproducible from one seed, and "brute" computes
+    exact bounds. "brute" searches exhaustively in one pass (``oracle.Scan``)
     that yields both its exact bounds and its optimum; ``enum_budget`` caps
     that enumeration.
     """
@@ -155,7 +148,7 @@ def solve_protocol(
     base = (ga_config or GAConfig()) if algo == "ga" else (aco_config or ACOConfig())
     config = dataclasses.replace(base, seed=seed)  # a bad seed fails before the bound runs
     if ctx is None:
-        ctx = estimate_bounds(instance, config, bound_seeds(seed))
+        ctx = estimate_bounds(instance, config)
     # Looked up at call time: benchmarks/tracer.py patches run_ga and run_aco here.
     report = (run_ga if algo == "ga" else run_aco)(
         instance, make_maximin_eval(instance, ctx), config

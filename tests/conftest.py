@@ -52,10 +52,11 @@ def mate(p1, p2, fitness, rng):
     return drive([(_mate(p1, p2, rng, _Memo()), fitness)])[0]
 
 
-def aco_run(instance, config, sense):
-    """One ACO run of either sense as a step generator: a stack of one run
-    in aco._colonies, the way the bound phase steps its runs."""
-    return (yield from _colonies(instance, config, [config.seed], [sense]))[0]
+def aco_run(instance, config, sign):
+    """One ACO run of either sign, 1.0 to maximize or -1.0 to minimize, as a
+    step generator: a stack of one run in aco._colonies, the way the bound
+    phase steps its runs."""
+    return (yield from _colonies(instance, config, [config.seed], np.array([sign])))[0]
 
 
 def record(report) -> dict:

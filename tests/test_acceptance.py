@@ -325,7 +325,7 @@ def test_criterion_6_structural_invariants(verdict):
             for _ in range(3)
         ]
         nodes, values = np.array([nodes for nodes, _ in colony]), [value for _, value in colony]
-        tau = _update(tau, nodes, values, config, _deposit_rule(np.ones(3, dtype=bool)))
+        tau = _update(tau, nodes, values, config, _deposit_rule(np.ones(3)))
         assert np.all(tau >= TAU_MIN) and np.all(tau <= config.max_pheromone)
         cases["aco"] += 1
 

@@ -60,7 +60,7 @@ def draw_colony(
 def evaporate(tau: np.ndarray, config: ACOConfig) -> np.ndarray:
     """aco._update for a colony without ants."""
     return aco._update(tau, np.empty((0, 1), dtype=np.intp), [], config,
-                       aco._deposit_rule(np.empty(0, dtype=bool)))
+                       aco._deposit_rule(np.empty(0)))
 
 
 class TestConfig:
@@ -237,10 +237,10 @@ class TestPheromoneUpdate:
     """aco._update on (R, n) trails; ``nodes`` index the flattened trails."""
 
     @staticmethod
-    def update(tau, nodes, values, maximize):
+    def update(tau, nodes, values, signs):
         return aco._update(
             np.asarray(tau, dtype=float), np.asarray(nodes, dtype=np.intp), values,
-            ACOConfig(), aco._deposit_rule(np.asarray(maximize)),
+            ACOConfig(), aco._deposit_rule(np.asarray(signs)),
         )
 
     def test_pure_evaporation(self):
@@ -248,30 +248,30 @@ class TestPheromoneUpdate:
         assert out[0] == pytest.approx([97.0] * 3)
 
     def test_deposit_example(self):
-        out = self.update(np.ones((1, 4)), [[1]], [0.9], [True])
+        out = self.update(np.ones((1, 4)), [[1]], [0.9], [1.0])
         assert out[0, 1] == pytest.approx(0.97 + 180.0)
         assert out[0, 0] == pytest.approx(0.97)
 
     def test_penalized_ant_deposits_nothing(self):
-        out = self.update(np.ones((1, 4)), [[1]], [-1.5], [True])
+        out = self.update(np.ones((1, 4)), [[1]], [-1.5], [1.0])
         assert out[0] == pytest.approx([0.97] * 4)
 
     def test_minimization_deposit(self):
         # a minimizing run's values are -F: F = 4 deposits theta/F
-        out = self.update(np.ones((1, 4)), [[2]], [-4.0], [False])
+        out = self.update(np.ones((1, 4)), [[2]], [-4.0], [-1.0])
         assert out[0, 2] == pytest.approx(0.97 + 200.0 / 4.0)
         # the penalized ant of a minimization bound run still deposits theta/F
-        out = self.update(np.ones((1, 4)), [[2]], [-1e12 * (1 + 0.5)], [False])
+        out = self.update(np.ones((1, 4)), [[2]], [-1e12 * (1 + 0.5)], [-1.0])
         assert out[0, 2] - 0.97 == pytest.approx(200.0 / 1.5e12, rel=1e-4)
 
     def test_row_offsets(self):
         # node j of row r is r * n + j; a max row and a min row in one update
-        out = self.update(np.ones((2, 4)), [[1], [4 + 3]], [0.9, -4.0], [True, False])
+        out = self.update(np.ones((2, 4)), [[1], [4 + 3]], [0.9, -4.0], [1.0, -1.0])
         assert out[0] == pytest.approx([0.97, 0.97 + 180.0, 0.97, 0.97])
         assert out[1] == pytest.approx([0.97, 0.97, 0.97, 0.97 + 50.0])
 
     def test_clamped_to_bounds(self):
-        out = self.update(np.ones((1, 4)), [[0]], [10.0], [True])
+        out = self.update(np.ones((1, 4)), [[0]], [10.0], [1.0])
         assert out[0, 0] == 200.0
         for _ in range(1000):
             out = evaporate(out, ACOConfig())

@@ -28,13 +28,13 @@ from fuzzloc.aco import (
     heuristic_index,
     run_aco,
 )
-from fuzzloc.errors import DomainError, InfeasibleInstanceError
+from fuzzloc.errors import InfeasibleInstanceError
 from fuzzloc.evaluation import MaximinFitness, drive, make_maximin_eval
 from fuzzloc.ga import GAConfig, run_ga
 from fuzzloc.instances import GeneratorParams, generate_instance
 from fuzzloc.model import Solution
 from fuzzloc.oracle import exact_bounds
-from fuzzloc.protocol import BOUND_RUNS, _BoundFitness
+from fuzzloc.protocol import _SIGN, BOUND_RUNS, _BoundFitness
 from fuzzloc.termination import Run
 from conftest import aco_run, bound_fitness, mild_params, record, score_block
 from test_kernel import PROBE_CTX, build, cases
@@ -47,14 +47,15 @@ def reference_sample(log_w, m, rng):
     return Solution(int(j) + 1 for j in picks)
 
 
-def reference_update(tau, colony, config, sense):
+def reference_update(tau, colony, config, sign):
     """One run's trail row after aco._update, as a loop over the ants; each
-    ant comes with its F, the objective of its run's sense."""
+    ant comes with its F, the objective that its run maximizes (sign 1.0)
+    or minimizes (sign -1.0)."""
     tau = tau * config.evaporation_rate
     for solution, fitness in colony:
         if not math.isfinite(fitness):
             continue
-        if sense == "max":
+        if sign > 0:
             if fitness < 0:
                 continue
             deposit = config.max_pheromone * fitness
@@ -122,20 +123,20 @@ values = st.one_of(
 @settings(max_examples=60, deadline=None)
 def test_deposit_matches_ant_loop(sense, n, data, seed):
     """One _update of R = 1-4 trail rows, run r's nodes offset by r * n,
-    against each row's ant loop. Every row has the given sense, or for
-    "mixed" R >= 2 rows take both senses in a drawn order, so _deposit_rule
-    serves each of its rules. _update takes the values that the runs
-    maximize, so a min row's ant is handed -F."""
+    against each row's ant loop. Every row has the given sense's sign, or
+    for "mixed" R >= 2 rows take both signs in a drawn order, so
+    _deposit_rule serves each of its rules. _update takes the values that
+    the runs maximize, so a min row's ant is handed -F."""
     # few nodes and many ants, so most nodes take several deposits
     runs = data.draw(st.integers(2 if sense == "mixed" else 1, 4))
     m = data.draw(st.integers(1, n - 1))
     ants = data.draw(st.integers(0, 10))
     if sense == "mixed":
-        rest = data.draw(st.lists(st.sampled_from(("max", "min")),
+        rest = data.draw(st.lists(st.sampled_from((1.0, -1.0)),
                                   min_size=runs - 2, max_size=runs - 2))
-        senses = data.draw(st.permutations(["max", "min", *rest]))
+        signs = data.draw(st.permutations([1.0, -1.0, *rest]))
     else:
-        senses = [sense] * runs
+        signs = [1.0 if sense == "max" else -1.0] * runs
     rng = np.random.default_rng(seed)
     config = ACOConfig(
         evaporation_rate=data.draw(st.sampled_from((0.5, 0.97))),
@@ -146,20 +147,20 @@ def test_deposit_matches_ant_loop(sense, n, data, seed):
                            dtype=np.intp).reshape(runs * ants, m), axis=1)
     fitness = data.draw(st.lists(values, min_size=runs * ants, max_size=runs * ants))
     offsets = np.repeat(np.arange(runs) * n, ants)[:, None]
-    maximize = np.repeat([s == "max" for s in senses], ants)
+    ant_signs = np.repeat(signs, ants)
     expected = [
         reference_update(
             tau[r],
             [(Solution(row + 1), value) for row, value in
              zip(idx[r * ants:(r + 1) * ants], fitness[r * ants:(r + 1) * ants])],
             config,
-            senses[r],
+            signs[r],
         )
         for r in range(runs)
     ]
-    sent = [f if keep else -f for f, keep in zip(fitness, maximize)]
-    rule = _deposit_rule(maximize)
-    # one bool flag for a live set of one sense, else a flag per ant
+    sent = [f if sign > 0 else -f for f, sign in zip(fitness, ant_signs)]
+    rule = _deposit_rule(ant_signs)
+    # one bool flag for a live set of one sign, else a flag per ant
     assert isinstance(rule[2], bool) == (ants == 0 or sense != "mixed")
     assert np.array_equal(_update(tau, idx + offsets, sent, config, rule), expected)
 
@@ -174,20 +175,19 @@ def test_overflowing_deposits_reach_the_cap_without_warning():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         trails = _update(tau, np.array([[0], [0]]), [-fitness, -fitness], config,
-                         _deposit_rule(np.array([False, False])))
-        expected = reference_update(tau[0], [(Solution([1]), fitness)] * 2, config, "min")
+                         _deposit_rule(np.array([-1.0, -1.0])))
+        expected = reference_update(tau[0], [(Solution([1]), fitness)] * 2, config, -1.0)
     assert trails[0, 0] == config.max_pheromone
     assert np.array_equal(trails, [expected])
 
 
-def reference_steps(instance, config, sense):
+def reference_steps(instance, config, sign):
     """One ACO run ant by ant: each ant's subset drawn on its own, a walk
     that keeps the first ant whose score is strictly above the best so far,
     where a NaN value scores -inf, and the deposit loop above, with F =
-    -value in a min run. It yields and returns as aco_run does, with no wall
-    time."""
+    -value in a run of sign -1.0. It yields and returns as aco_run does,
+    with no wall time."""
     rng = np.random.default_rng(config.seed)
-    sign = 1.0 if sense == "max" else -1.0
     n, m = instance.n, instance.m_servers
     run = Run("aco", instance, config, config.seed)
     ants = ant_count(n, m, config.population_coefficient)
@@ -205,7 +205,7 @@ def reference_steps(instance, config, sense):
             if run.report.best is None or score > run.report.objective:
                 run.report.best, run.report.objective, improved = solution.sorted(), score, True
         deposits = [(solution, sign * value) for solution, value in zip(colony, values)]
-        tau = reference_update(tau, deposits, config, sense)
+        tau = reference_update(tau, deposits, config, sign)
         if run.step(improved, colony_best == run.report.objective):
             run.report.evaluations = ants * run.report.iterations
             return run.report
@@ -223,7 +223,7 @@ def _odd(solution):
 
 @given(
     runs=st.lists(
-        st.tuples(st.integers(0, 2**32 - 1), st.sampled_from(("max", "min"))),
+        st.tuples(st.integers(0, 2**32 - 1), st.sampled_from((1.0, -1.0))),
         min_size=1,
         max_size=6,
     ),
@@ -250,12 +250,12 @@ def test_stacked_runs_match_each_run_alone(
     shared = ACOConfig(convergence_limit=limit, stagnation_limit=cap,
                        alpha_exp=alpha, population_coefficient=coefficient)
     seeds = [seed for seed, _ in runs]
-    senses = [sense for _, sense in runs]
-    stacked = drive([(_colonies(instance, shared, seeds, senses), fitness)])[0]
-    for report, seed, sense in zip(stacked, seeds, senses):
+    signs = [sign for _, sign in runs]
+    stacked = drive([(_colonies(instance, shared, seeds, np.array(signs)), fitness)])[0]
+    for report, seed, sign in zip(stacked, seeds, signs):
         config = dataclasses.replace(shared, seed=seed)
-        alone = drive([(aco_run(instance, config, sense), fitness)])[0]
-        reference = drive([(reference_steps(instance, config, sense), fitness)])[0]
+        alone = drive([(aco_run(instance, config, sign), fitness)])[0]
+        reference = drive([(reference_steps(instance, config, sign), fitness)])[0]
         assert record(report) == record(alone) == record(reference)
 
 
@@ -265,7 +265,7 @@ def test_stacked_runs_time_themselves(medium_instance):
     seeds = [0, 1, 3]  # under one window of 8 these end in rounds 9, 13 and 11
     fitness = bound_fitness(medium_instance, "z2", "max")
     config = ACOConfig(stagnation_limit=8)
-    stack = _colonies(medium_instance, config, seeds, ["max", "min", "max"])
+    stack = _colonies(medium_instance, config, seeds, np.array([1.0, -1.0, 1.0]))
     reports = drive([(stack, fitness)])[0]
     assert len({report.iterations for report in reports}) == len(seeds)
     assert all(report.elapsed_s > 0 for report in reports)
@@ -275,9 +275,13 @@ def test_stacked_runs_time_themselves(medium_instance):
 
 def test_stacked_runs_share_trail_parameters(medium_instance):
     """Stacked runs share one config by construction; beside its seed, a
-    run's only own setting is its sense, and a bad one is rejected."""
-    with pytest.raises(DomainError, match="sense"):
-        next(_colonies(medium_instance, ACOConfig(), [1], ["up"]))
+    run's only own setting is its sign, so two runs of one seed and sign end
+    alike, whatever run is stacked between them."""
+    fitness = bound_fitness(medium_instance, "z2", "max")
+    stack = _colonies(medium_instance, ACOConfig(stagnation_limit=8), [1, 0, 1],
+                      np.array([-1.0, 1.0, -1.0]))
+    first, _, third = drive([(stack, fitness)])[0]
+    assert record(first) == record(third)
 
 
 @pytest.mark.parametrize("solver", ["ga", "aco"])
@@ -357,17 +361,17 @@ def _plain(fitness):
 
 
 def _runs(instance):
-    """(solver, sense, fitness) of the final run and of the six bound runs."""
+    """(solver, sign, fitness) of the final run and of the six bound runs."""
     try:
         ctx = exact_bounds(instance)
     except InfeasibleInstanceError:
         ctx = PROBE_CTX
     maximin = make_maximin_eval(instance, ctx)
-    yield "ga", "max", maximin
-    yield "aco", "max", maximin
-    for name, sense in BOUND_RUNS:
-        yield "ga", "max", bound_fitness(instance, name, sense)  # the GA has no sense
-        yield "aco", sense, bound_fitness(instance, name, sense)
+    yield "ga", 1.0, maximin
+    yield "aco", 1.0, maximin
+    for sign, (name, sense) in zip(_SIGN.tolist(), BOUND_RUNS):
+        yield "ga", 1.0, bound_fitness(instance, name, sense)  # the GA has no sign
+        yield "aco", sign, bound_fitness(instance, name, sense)
 
 
 @pytest.mark.parametrize("instance_name", ["medium_instance", "table1"])
@@ -376,7 +380,7 @@ def test_solver_reports_match_plain_callable(instance_name, request):
     # table1 runs use the benchmark's stagnation window of 100 to stay short
     window = {} if instance_name == "medium_instance" else {"stagnation_limit": 100}
     seeds = range(3) if instance_name == "medium_instance" else range(2)
-    for solver, sense, fitness in _runs(instance):
+    for solver, sign, fitness in _runs(instance):
         for seed in seeds:
             if solver == "ga":
                 config = GAConfig(seed=seed, **window)
@@ -384,9 +388,9 @@ def test_solver_reports_match_plain_callable(instance_name, request):
                 plain = run_ga(instance, _plain(fitness), config)
             else:
                 config = ACOConfig(seed=seed, **window)
-                block = drive([(aco_run(instance, config, sense), fitness)])[0]
-                plain = drive([(aco_run(instance, config, sense), _plain(fitness))])[0]
-            assert record(block) == record(plain), (solver, sense, seed)
+                block = drive([(aco_run(instance, config, sign), fitness)])[0]
+                plain = drive([(aco_run(instance, config, sign), _plain(fitness))])[0]
+            assert record(block) == record(plain), (solver, sign, seed)
 
 
 class RowCounter(MaximinFitness):
@@ -496,7 +500,7 @@ class TestWindows:
             reports = [run_aco(medium_instance, fitness, ACOConfig(seed=1, stagnation_limit=8))]
         else:
             stack = _colonies(medium_instance, ACOConfig(stagnation_limit=8), [0, 1, 3],
-                              ["max", "min", "max"])
+                              np.array([1.0, -1.0, 1.0]))
             reports = drive([(stack, fitness)])[0]
         assert len(runs) == len(reports) == (3 if solver == "stack" else 1)
         for run, report in zip(runs, reports):

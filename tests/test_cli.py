@@ -20,7 +20,7 @@ from fuzzloc.instances import (
     load_instance,
     save_instance,
 )
-from fuzzloc.protocol import bound_seeds, estimate_bounds, solve_protocol
+from fuzzloc.protocol import estimate_bounds, solve_protocol
 from fuzzloc.reports import SolverReport
 
 
@@ -343,7 +343,7 @@ class TestTune:
         objectives = [
             solve_protocol(
                 instance, "aco", seed=s, aco_config=cell,
-                ctx=estimate_bounds(instance, ACOConfig(), bound_seeds(s)),
+                ctx=estimate_bounds(instance, ACOConfig(seed=s)),
             )[0].objective
             for s in (0, 1)
         ]
@@ -436,6 +436,36 @@ def test_malformed_field_type_is_usage_error(small_file, capsys, field, value):
     assert captured.out == "" and "Traceback" not in captured.err
     [line] = captured.err.splitlines()
     assert line.startswith(f"usage error: {field} ")
+
+
+@pytest.mark.parametrize("key", ["benefit_weights", "idle_mn"])
+def test_unknown_instance_field_is_usage_error(small_file, tmp_path, capsys, key):
+    """An instance file key that the loader does not know, a misspelt one
+    say, stops the solve with one usage-error line that names it."""
+    doc = json.loads(small_file.read_text())
+    doc[key] = 0.1
+    small_file.write_text(json.dumps(doc))
+    out = tmp_path / "r.json"
+    assert run(["solve", "--instance", small_file, "--algo", "brute", "--out", out]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"usage error: unknown field '{key}'\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", [["solve", "--algo", "brute"], ["bench"], ["tune"]],
+                         ids=["solve", "bench", "tune"])
+def test_non_utf8_instance_is_usage_error(tmp_path, monkeypatch, capsys, command):
+    """An instance file that is not UTF-8 text stops each command that reads
+    one with one usage-error line that names the file, before any run and
+    before any file is written."""
+    monkeypatch.setattr(cli, "solve_protocol", _never)
+    bad = tmp_path / "bin.json"
+    bad.write_bytes(b"\xff\xfe\x00bad")
+    out = tmp_path / "out"
+    assert run([*command, "--instance", bad, "--out", out]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"usage error: {bad}: not UTF-8 text at byte 0\n")
+    assert list(tmp_path.iterdir()) == [bad]
 
 
 @pytest.mark.parametrize("command", [

@@ -221,6 +221,20 @@ class TestPersistence:
         with pytest.raises(InstanceFormatError, match="service"):
             instance_from_dict(doc)
 
+    @pytest.mark.parametrize("keys, named", [
+        (["benefit_weights"], "benefit_weights"),
+        (["idle_mn"], "idle_mn"),
+        (["zeta", "idle_mn", "benefit_weights"], "benefit_weights"),
+    ], ids=["plural", "misspelt", "first-sorted"])
+    def test_unknown_field_rejected(self, small_instance, keys, named):
+        """A key outside the nine required keys and benefit_weight is
+        named, the first in sorted order, and not silently dropped."""
+        doc = instance_to_dict(small_instance)
+        for key in keys:
+            doc[key] = 0.1
+        with pytest.raises(InstanceFormatError, match=f"^unknown field '{named}'$"):
+            instance_from_dict(doc)
+
     def test_malformed_distance_row_named(self, small_instance):
         doc = instance_to_dict(small_instance)
         doc["distance"][2] = doc["distance"][2][:-1]
@@ -239,6 +253,13 @@ class TestPersistence:
         path.write_text("{\n  \"n\": 6,\n")
         with pytest.raises(InstanceFormatError, match="line"):
             load_instance(path)
+
+    def test_non_utf8_file_rejected(self, tmp_path):
+        path = tmp_path / "bin.json"
+        path.write_bytes(b"\xff\xfe\x00bad")
+        with pytest.raises(InstanceFormatError) as info:
+            load_instance(path)
+        assert str(info.value) == f"{path}: not UTF-8 text at byte 0"
 
     def test_non_object_rejected(self, tmp_path):
         path = tmp_path / "arr.json"

@@ -77,7 +77,7 @@ def test_pheromone_stays_in_bounds(seed):
         for _ in range(4)
     ]
     nodes, values = np.array([nodes for nodes, _ in colony]), [value for _, value in colony]
-    out = _update(tau, nodes, values, config, _deposit_rule(np.ones(4, dtype=bool)))
+    out = _update(tau, nodes, values, config, _deposit_rule(np.ones(4)))
     assert np.all(out >= TAU_MIN)
     assert np.all(out <= config.max_pheromone)
 

@@ -31,24 +31,24 @@ from fuzzloc.oracle import enumerate_optimum, exact_bounds
 from fuzzloc.protocol import (
     BOUND_RUNS,
     _BoundFitness,
-    bound_seeds,
     estimate_bounds,
     solve_protocol,
 )
 from fuzzloc.reports import SolverReport
 
 
-def _sequential_runs(instance, config, seeds):
-    """The six bound runs of ``config`` one after another: run_ga calls, or
-    one aco._colonies stack of one run each."""
+def _sequential_runs(instance, config):
+    """The six bound runs of ``config`` one after another, run r seeded
+    config.seed + r + 1: run_ga calls, or one aco._colonies stack of one run
+    each, of the run's sign."""
     reports = []
-    for r, ((_, sense), seed) in enumerate(zip(BOUND_RUNS, seeds)):
-        run = dataclasses.replace(config, seed=seed)
+    for r, sign in enumerate(protocol._SIGN):
+        run = dataclasses.replace(config, seed=config.seed + r + 1)
         fitness = _BoundFitness(instance, r)
         if isinstance(config, GAConfig):
             reports.append(run_ga(instance, fitness, run))
         else:
-            reports.append(drive([(aco_run(instance, run, sense), fitness)])[0])
+            reports.append(drive([(aco_run(instance, run, sign), fitness)])[0])
     return reports
 
 
@@ -95,25 +95,26 @@ AT_PENALTY = Instance(
 
 
 class TestEstimateBounds:
-    def test_seed_count_enforced(self, small_instance):
-        with pytest.raises(DomainError, match="seeds"):
-            estimate_bounds(small_instance, GAConfig(), [1, 2, 3])
-
-    @pytest.mark.parametrize("config", [GAConfig(), ACOConfig()], ids=["ga", "aco"])
-    @pytest.mark.parametrize("seeds", [[-1, 2, 3, 4, 5, 6], [1, 2, 3, 4, 5, -6]])
-    def test_negative_seed_rejected_before_any_run(self, small_instance, config, seeds,
+    @pytest.mark.parametrize("algo", ["ga", "aco"])
+    @pytest.mark.parametrize("seeds", [[0, 1, 2, 3, 4, 5], [-5, -4, -3, -2, -1, 0]])
+    def test_negative_seed_rejected_before_any_run(self, small_instance, algo, seeds,
                                                    monkeypatch):
+        """``seeds`` are the bound seeds, seed + k + 1, of a negative solve
+        seed: that seed fails whether they are all non-negative or not."""
+        seed = seeds[0] - 1
+        assert seeds == [seed + k + 1 for k in range(len(BOUND_RUNS))]
+
         def no_run(runs):
             raise AssertionError("a bound run started")
 
         monkeypatch.setattr(protocol, "drive", no_run)
         with pytest.raises(DomainError, match="seed must be non-negative"):
-            estimate_bounds(small_instance, config, seeds)
+            solve_protocol(small_instance, algo, seed=seed)
 
     @pytest.mark.parametrize("config", [GAConfig(), ACOConfig()], ids=["ga", "aco"])
     def test_estimated_bounds_within_exact_range(self, small_instance, config):
         exact = exact_bounds(small_instance)
-        est = estimate_bounds(small_instance, config, list(range(1, 7)))
+        est = estimate_bounds(small_instance, config)
         assert est.provenance == "metaheuristic-estimated"
         for name in ("z1", "z2", "z3"):
             lo_exact, hi_exact = exact.bounds(name)
@@ -122,13 +123,13 @@ class TestEstimateBounds:
             assert lo_exact - 1e-9 <= hi_est <= hi_exact + 1e-9
 
     def test_crisp_instance_spread_bounds_zero(self, medium_instance):
-        est = estimate_bounds(crispen(medium_instance), GAConfig(), list(range(1, 7)))
+        est = estimate_bounds(crispen(medium_instance), GAConfig())
         assert est.z1_bounds == (0.0, 0.0)
         assert est.z3_bounds == (0.0, 0.0)
 
     def test_same_seeds_reproduce(self, small_instance):
-        a = estimate_bounds(small_instance, GAConfig(), [3, 4, 5, 6, 7, 8])
-        b = estimate_bounds(small_instance, GAConfig(), [3, 4, 5, 6, 7, 8])
+        a = estimate_bounds(small_instance, GAConfig(seed=2))
+        b = estimate_bounds(small_instance, GAConfig(seed=2))
         assert a == b
 
     @settings(max_examples=40, deadline=None)
@@ -149,10 +150,10 @@ class TestEstimateBounds:
         params = mild_params(n, m, instance_seed) if mild else GeneratorParams(
             n=n, m_servers=m, seed=instance_seed)
         instance = generate_instance(params)
-        seeds = bound_seeds(seed)
-        for config in (GAConfig(stagnation_limit=window), ACOConfig(stagnation_limit=window)):
-            ctx = estimate_bounds(instance, config, seeds)
-            runs = _sequential_runs(instance, config, seeds)
+        for config in (GAConfig(seed=seed, stagnation_limit=window),
+                       ACOConfig(seed=seed, stagnation_limit=window)):
+            ctx = estimate_bounds(instance, config)
+            runs = _sequential_runs(instance, config)
             for (name, sense), report in zip(BOUND_RUNS, runs):
                 value = component_value(instance, Solution(report.best), name)
                 expected = math.nan if value is None else value
@@ -173,7 +174,7 @@ class TestEstimateBounds:
         for r in range(len(BOUND_RUNS)):
             assert score_block(_BoundFitness(AT_PENALTY, r), idx) == [-1e12] * AT_PENALTY.n
         shapes = _record_kernels(monkeypatch)
-        ctx = estimate_bounds(AT_PENALTY, config, bound_seeds(0))
+        ctx = estimate_bounds(AT_PENALTY, config)
         for name, sense in BOUND_RUNS:
             assert math.isnan(ctx.bounds(name)[sense == "max"]), (name, sense)
         assert shapes and all(len(shape) == 2 for shape in shapes)
@@ -183,8 +184,7 @@ class TestEstimateBounds:
         ACO bound runs make as many block calls as the longest run has
         iterations."""
         config = ACOConfig(stagnation_limit=20)
-        seeds = bound_seeds(0)
-        runs = _sequential_runs(medium_instance, config, seeds)
+        runs = _sequential_runs(medium_instance, config)
         blocks = []
 
         def counted(instance, idx, _figures=evaluation.block_figures):
@@ -193,7 +193,7 @@ class TestEstimateBounds:
             return _figures(instance, idx)
 
         monkeypatch.setattr(evaluation, "block_figures", counted)
-        estimate_bounds(medium_instance, config, seeds)
+        estimate_bounds(medium_instance, config)
         iterations = [report.iterations for report in runs]
         assert len(set(iterations)) > 1
         assert len(blocks) == max(iterations)
@@ -205,8 +205,7 @@ class TestEstimateBounds:
         there are as many of each as the longest run has iterations, not as
         many as all runs together."""
         config = ACOConfig(stagnation_limit=20)
-        seeds = bound_seeds(0)
-        runs = _sequential_runs(medium_instance, config, seeds)
+        runs = _sequential_runs(medium_instance, config)
         live = {"_sample_colonies": [], "_update": []}
         for name, calls in live.items():
 
@@ -215,7 +214,7 @@ class TestEstimateBounds:
                 return _original(tau, *args)
 
             monkeypatch.setattr(aco, name, counted)
-        estimate_bounds(medium_instance, config, seeds)
+        estimate_bounds(medium_instance, config)
         iterations = sorted(report.iterations for report in runs)
         assert len(live["_update"]) == max(iterations) < sum(iterations)
         assert live["_sample_colonies"] == live["_update"]
@@ -230,12 +229,11 @@ class TestEstimateBounds:
         at most 40% of the kernels that they build alone."""
         instance = generate_instance(mild_params(20, 5, 0))
         config = GAConfig(stagnation_limit=100)
-        seeds = bound_seeds(0)
         shapes = _record_kernels(monkeypatch)
-        _sequential_runs(instance, config, seeds)
+        _sequential_runs(instance, config)
         alone = len(shapes)
         shapes.clear()
-        estimate_bounds(instance, config, seeds)
+        estimate_bounds(instance, config)
         assert len(shapes) <= 0.4 * alone
 
     def test_bound_runs_cover_all_components(self):
@@ -246,10 +244,12 @@ class TestEstimateBounds:
         )
 
 
-def _stepped_bounds(instance, config, seeds):
+def _stepped_bounds(instance, config):
     """The context of the six bound runs stepped together through drive,
-    with no certificate: six GA step generators, or one ACO stack, each
-    run's bound read from its objective, NaN at or below the penalty."""
+    with no certificate, run r seeded config.seed + r + 1: six GA step
+    generators, or one ACO stack, each run's bound read from its objective,
+    NaN at or below the penalty."""
+    seeds = [config.seed + r + 1 for r in range(len(BOUND_RUNS))]
     if isinstance(config, GAConfig):
         runs = [dataclasses.replace(config, seed=seed) for seed in seeds]
         reports = drive([
@@ -257,8 +257,7 @@ def _stepped_bounds(instance, config, seeds):
         ])
     else:
         fitness = _BoundFitness(instance, 0)
-        senses = [sense for _, sense in BOUND_RUNS]
-        stack = aco._colonies(instance, config, seeds, senses, fitness.select)
+        stack = aco._colonies(instance, config, seeds, protocol._SIGN, fitness.select)
         reports = drive([(stack, fitness)])[0]
     found = [
         sign * report.objective if report.objective > -1e12 else math.nan
@@ -277,9 +276,10 @@ class TestCertifiedBounds:
     @pytest.mark.parametrize("seed", range(5))
     def test_matches_stepped_bound_runs(self, certified, config, seed, monkeypatch):
         assert no_feasible_subset(certified)
-        expected = _stepped_bounds(certified, config, bound_seeds(seed))
+        config = dataclasses.replace(config, seed=seed)
+        expected = _stepped_bounds(certified, config)
         shapes = _record_kernels(monkeypatch)
-        ctx = estimate_bounds(certified, config, bound_seeds(seed))
+        ctx = estimate_bounds(certified, config)
         assert shapes == []
         hexes = [[bound.hex() for bound in c.bounds(name)] for c in (ctx, expected)
                  for name in ("z1", "z2", "z3")]
@@ -289,10 +289,6 @@ class TestCertifiedBounds:
 
     @pytest.mark.parametrize("config", [GAConfig(), ACOConfig()], ids=["ga", "aco"])
     def test_bad_seeds_raise_first(self, certified, config):
-        with pytest.raises(DomainError, match="need 6 seeds"):
-            estimate_bounds(certified, config, [1, 2, 3])
-        with pytest.raises(DomainError, match="seed must be non-negative"):
-            estimate_bounds(certified, config, [1, 2, 3, 4, 5, -6])
         with pytest.raises(DomainError, match="seed must be non-negative"):
             solve_protocol(certified, "ga" if isinstance(config, GAConfig) else "aco", seed=-1)
 
@@ -342,10 +338,10 @@ class TestDrive:
         aco = [ACOConfig(seed=seed + k, stagnation_limit=30) for k in range(2)]
         return [
             (_ga_steps(instance, ga[0]), bound_fitness(instance, "z2", "min")),
-            (aco_run(instance, aco[0], "min"), bound_fitness(instance, "z1", "min")),
+            (aco_run(instance, aco[0], -1.0), bound_fitness(instance, "z1", "min")),
             (_ga_steps(instance, ga[1]), _Counted(maximin)),
-            (aco_run(instance, aco[1], "max"), plain),
-            (aco_run(instance, ACOConfig(seed=seed, stagnation_limit=1), "max"), maximin),
+            (aco_run(instance, aco[1], 1.0), plain),
+            (aco_run(instance, ACOConfig(seed=seed, stagnation_limit=1), 1.0), maximin),
         ]
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
