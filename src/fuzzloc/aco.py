@@ -34,8 +34,7 @@ class ACOConfig:
     alpha_exp: float = 0.75  # pheromone exponent
     beta_exp: float = 0.75  # heuristic exponent
     seed: int = 0
-    convergence_limit: Optional[int] = None  # default floor(n * sqrt(m))
-    stagnation_limit: Optional[int] = None  # default convergence_limit ** 2
+    stagnation_limit: Optional[int] = None  # None: termination.Run's default
 
     def __post_init__(self) -> None:
         if not all(map(math.isfinite, (self.alpha_exp, self.beta_exp, self.max_pheromone))):
@@ -50,7 +49,7 @@ class ACOConfig:
             raise DomainError(f"exponents must not exceed {MAX_EXPONENT:.4g}")
         if self.population_coefficient < 1:
             raise DomainError("population_coefficient must be at least 1")
-        check_run(self.seed, self.convergence_limit, self.stagnation_limit)
+        check_run(self.seed, self.stagnation_limit)
 
 
 def heuristic_index(instance: Instance) -> np.ndarray:
@@ -137,16 +136,13 @@ def _update(tau: np.ndarray, nodes: np.ndarray, values: Sequence[float], config:
 
 
 def run_aco(instance: Instance, eval_fn: Fitness, config: ACOConfig) -> SolverReport:
-    """Iterate colonies that maximize ``eval_fn`` until the colony converges
-    on the global best or improvement stops.
+    """Iterate colonies that maximize ``eval_fn`` until they converge on the
+    global best, as their bests equal it, or improvement stops: the two
+    windows of termination.Run.
 
-    Same two windows as the genetic algorithm: the per-iteration colony best
-    equals the global best for floor(n * sqrt(m)) consecutive iterations
-    (convergence), or the global best goes unimproved for the square of that
-    many iterations (stagnation). Each colony is sampled first and scored as
-    one block of ``evaluation.drive``; its first ant that beats the best so
-    far becomes the new best, and a NaN value ranks below every other value,
-    as -inf.
+    Each colony is sampled first and scored as one block of
+    ``evaluation.drive``; its first ant that beats the best so far becomes
+    the new best, and a NaN value ranks below every other value, as -inf.
     """
     return drive([(_colonies(instance, config, [config.seed], np.ones(1)), eval_fn)])[0][0]
 
@@ -164,7 +160,7 @@ def _colonies(
     ends in.
 
     Every run maximizes the values sent for its rows. The runs share
-    ``config``, its windows included; run r takes its seed from seeds[r] and
+    ``config``, and so both windows; run r takes its seed from seeds[r] and
     its sign from signs[r], 1.0 or -1.0, which picks only its deposit rule
     (see _update): a run of sign -1.0 minimizes an objective, and its values
     are minus that objective. Each iteration yields the live runs' colonies

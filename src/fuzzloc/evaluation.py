@@ -28,6 +28,10 @@ _DEGENERATE_EPS = 1e-12
 # The spread components in the order of the spreads of Kernel.figures().
 COMPONENTS = ("z1", "z2", "z3")
 
+# The provenances of the bounds the package computes: protocol.estimate_bounds
+# and oracle.exact_bounds.
+PROVENANCES = ("metaheuristic-estimated", "oracle-exact")
+
 # A fitness is a KernelFitness, whose rows drive scores on a shared kernel,
 # or any other callable, which drive calls once per subset.
 Fitness = Callable[[Solution], float]
@@ -47,14 +51,21 @@ class MaximinContext:
     Each component's direction and scale are resolved once, on
     construction: z1 = mid - lo is minimized, so its membership decreases,
     and z2 = mid and z3 = hi - mid are maximized, so theirs increase.
+
+    Each bound is stored as a float, so [0, 1] and [0.0, 1.0] give one
+    context and one bounds_id, and a NaN bound as math.nan: tuples compare
+    NaN by identity, so a context replayed from JSON equals the one written.
     """
 
     z1_bounds: tuple[float, float]
     z2_bounds: tuple[float, float]
     z3_bounds: tuple[float, float]
-    provenance: str  # "metaheuristic-estimated" or "oracle-exact"
+    provenance: str  # one of PROVENANCES
 
     def __post_init__(self) -> None:
+        for name in COMPONENTS:
+            pair = tuple(float(v) if v == v else math.nan for v in self.bounds(name))
+            object.__setattr__(self, f"{name}_bounds", pair)
         # The raw degree (spread * sign + offset) / width is, bit for bit,
         # (high - z1) / width and (z - low) / width for z2 and z3. A
         # degenerate component gets the constant row sign 0, offset 1, width
@@ -92,15 +103,22 @@ class MaximinContext:
 
     @classmethod
     def from_dict(cls, data: dict) -> "MaximinContext":
-        """The context of a to_dict() object; DomainError for anything else."""
+        """The context of a to_dict() object; DomainError for anything else,
+        naming the first unknown key in sorted order or the provenance."""
         if not (isinstance(data, dict) and isinstance(data.get("provenance"), str)):
             raise DomainError("bounds must be an object with a provenance string")
-        bounds = [data.get(f"{name}_bounds") for name in COMPONENTS]
-        for name, pair in zip(COMPONENTS, bounds):
+        keys = [f"{name}_bounds" for name in COMPONENTS]
+        unknown = sorted(data.keys() - {*keys, "provenance"})
+        if unknown:
+            raise DomainError(f"bounds has unknown field {unknown[0]!r}")
+        if data["provenance"] not in PROVENANCES:
+            raise DomainError(f"bounds has unknown provenance {data['provenance']!r}")
+        bounds = [data.get(key) for key in keys]
+        for key, pair in zip(keys, bounds):
             pair_ok = isinstance(pair, (list, tuple)) and len(pair) == 2
             if not (pair_ok and all(map(is_number, pair))):
-                raise DomainError(f"{name}_bounds must be a pair of numbers")
-        return cls(*map(tuple, bounds), provenance=data["provenance"])
+                raise DomainError(f"{key} must be a pair of numbers")
+        return cls(*bounds, provenance=data["provenance"])
 
     @property
     def bounds_id(self) -> str:

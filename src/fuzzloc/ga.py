@@ -45,13 +45,12 @@ class Chromosome:
 class GAConfig:
     population_floor: int = 10
     seed: int = 0
-    convergence_limit: Optional[int] = None  # default floor(n * sqrt(m))
-    stagnation_limit: Optional[int] = None  # default convergence_limit ** 2
+    stagnation_limit: Optional[int] = None  # None: termination.Run's default
 
     def __post_init__(self) -> None:
         if self.population_floor < 2:
             raise DomainError("population_floor must be at least 2")
-        check_run(self.seed, self.convergence_limit, self.stagnation_limit)
+        check_run(self.seed, self.stagnation_limit)
 
 
 def population_size(n: int, m: int, floor: int) -> int:
@@ -182,12 +181,9 @@ def replace(population: list[Chromosome], candidate: Chromosome) -> bool:
 
 
 def run_ga(instance: Instance, eval_fn: Fitness, config: GAConfig) -> SolverReport:
-    """Evolve until the population converges on its best or improvement stops.
-
-    Two windows, terminating on whichever closes first: candidates equal the
-    incumbent best fitness for floor(n * sqrt(m)) consecutive iterations
-    (convergence), or the best fitness goes unimproved for the square of that
-    many iterations (stagnation). One iteration is one mating.
+    """Evolve until the population converges on its best, as candidates
+    equal the best fitness, or improvement stops: the two windows of
+    termination.Run. One iteration is one mating.
 
     ``eval_fn`` must depend only on the solution's gene set: each distinct set
     is evaluated once and its value reused, and a repeated mating that drew

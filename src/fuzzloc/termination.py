@@ -1,6 +1,6 @@
 """One solver run, shared by the genetic algorithm and the ant colony: its
 clock, its stopping windows and its SolverReport, which is the run's
-record; and the check of a run's seed and window lengths."""
+record; and the check of a run's seed and stagnation window."""
 
 from __future__ import annotations
 
@@ -17,14 +17,14 @@ def convergence_limit(n: int, m: int) -> int:
     return int(n * math.sqrt(m))
 
 
-def check_run(seed: int, limit: Optional[int], cap: Optional[int]) -> None:
+def check_run(seed: int, cap: Optional[int]) -> None:
     """A config's seed, at least 0 (numpy's generators reject a negative
-    seed, and random.Random(-s) replays seed s), and its window lengths:
+    seed, and random.Random(-s) replays seed s), and its stagnation window:
     None for the default, else at least 1."""
     if seed < 0:
         raise DomainError(f"seed must be non-negative, got {seed}")
-    if any(window is not None and window < 1 for window in (limit, cap)):
-        raise DomainError("convergence_limit and stagnation_limit must be at least 1")
+    if cap is not None and cap < 1:
+        raise DomainError("stagnation_limit must be at least 1")
 
 
 class Run:
@@ -35,10 +35,10 @@ class Run:
     its ``objective`` and its ``evaluations``; ``step`` fills the trace,
     the iteration count, the termination reason and ``elapsed_s``.
 
-    The run converges after ``limit`` consecutive non-improving iterations
-    that end at the incumbent best, and stagnates after ``cap`` consecutive
-    non-improving iterations. They come from ``config``'s convergence_limit
-    and stagnation_limit; defaults: limit floor(n * sqrt(m)), cap limit².
+    The run converges after ``limit`` = floor(n * sqrt(m)) consecutive
+    non-improving iterations that end at the incumbent best, and stagnates
+    after ``cap`` consecutive non-improving iterations: ``config``'s
+    stagnation_limit, by default limit².
     """
 
     def __init__(self, algorithm: str, instance: Instance, config, seed: int):
@@ -46,8 +46,8 @@ class Run:
         n, m = instance.n, instance.m_servers
         self.report = SolverReport(algorithm, n, m, seed, best=None, objective=math.nan,
                                    iterations=0, termination=None)
-        limit, cap = config.convergence_limit, config.stagnation_limit
-        self.limit = convergence_limit(n, m) if limit is None else limit
+        self.limit = convergence_limit(n, m)
+        cap = config.stagnation_limit
         self.cap = self.limit * self.limit if cap is None else cap
         self.converged = self.stagnant = 0
 

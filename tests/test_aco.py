@@ -80,7 +80,7 @@ class TestConfig:
         with pytest.raises(DomainError):
             ACOConfig(**{field: value})
 
-    @pytest.mark.parametrize("field", ["convergence_limit", "stagnation_limit"])
+    @pytest.mark.parametrize("field", ["stagnation_limit"])
     @pytest.mark.parametrize("value", [0, -5])
     def test_rejects_window_below_one(self, field, value):
         with pytest.raises(DomainError, match="at least 1"):

@@ -227,7 +227,6 @@ def _odd(solution):
         min_size=1,
         max_size=6,
     ),
-    limit=st.one_of(st.none(), st.integers(1, 30)),
     cap=st.integers(1, 30),
     infeasible=st.booleans(),
     scoring=st.sampled_from(("z1", "z2", "z3", "odd")),
@@ -236,19 +235,18 @@ def _odd(solution):
 )
 @settings(max_examples=60, deadline=None)
 def test_stacked_runs_match_each_run_alone(
-    medium_instance, runs, limit, cap, infeasible, scoring, alpha, coefficient
+    medium_instance, runs, cap, infeasible, scoring, alpha, coefficient
 ):
     """R runs over one trail array, sharing one config and its random
-    windows, end, bit for bit, as each run alone does in a stack of one and
-    in the ant-by-ant reference. Their seeds make them end in different
-    rounds."""
+    stagnation window, end, bit for bit, as each run alone does in a stack
+    of one and in the ant-by-ant reference. Their seeds make them end in
+    different rounds."""
     instance = INFEASIBLE if infeasible else medium_instance
     if scoring == "odd":
         fitness = _odd
     else:
         fitness = bound_fitness(instance, scoring, "max")
-    shared = ACOConfig(convergence_limit=limit, stagnation_limit=cap,
-                       alpha_exp=alpha, population_coefficient=coefficient)
+    shared = ACOConfig(stagnation_limit=cap, alpha_exp=alpha, population_coefficient=coefficient)
     seeds = [seed for seed, _ in runs]
     signs = [sign for _, sign in runs]
     stacked = drive([(_colonies(instance, shared, seeds, np.array(signs)), fitness)])[0]
@@ -432,8 +430,11 @@ class TestWindows:
     N20_M5 = types.SimpleNamespace(n=20, m_servers=5)
 
     def run(self, limit, cap):
-        config = GAConfig(convergence_limit=limit, stagnation_limit=cap)
-        return Run("ga", self.N20_M5, config, config.seed)
+        """A Run with convergence window ``limit``, on n = limit and m = 1,
+        as floor(n * sqrt(1)) = n, or on n = 20 and m = 5 for None."""
+        instance = self.N20_M5 if limit is None else types.SimpleNamespace(n=limit, m_servers=1)
+        config = GAConfig(stagnation_limit=cap)
+        return Run("ga", instance, config, config.seed)
 
     def test_defaults(self):
         windows = self.run(None, None)

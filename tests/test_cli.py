@@ -3,6 +3,7 @@
 import csv
 import hashlib
 import json
+import math
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from conftest import mild_params
 from fuzzloc import cli, oracle
 from fuzzloc.aco import ACOConfig
 from fuzzloc.cli import BENCH_HEADER, EXIT_OK, EXIT_RUNTIME, EXIT_USAGE, EXIT_VALIDATION, main
-from fuzzloc.evaluation import MaximinContext
+from fuzzloc.evaluation import COMPONENTS, MaximinContext
 from fuzzloc.fuzzy import TriFuzzy
 from fuzzloc.instances import (
     TABLE1_SHA256,
@@ -214,6 +215,71 @@ class TestSolve:
         err = capsys.readouterr().err
         assert err.startswith("usage error: ")
         assert str(bounds) in err
+
+    @pytest.mark.parametrize("key, value, named", [
+        ("z4_bounds", [0, 1], "unknown field 'z4_bounds'"),
+        ("provenance", "made-up", "unknown provenance 'made-up'"),
+    ], ids=["key", "provenance"])
+    def test_unknown_bounds_key_or_provenance_is_usage_error(
+        self, small_file, tmp_path, capsys, key, value, named
+    ):
+        """A written result file given a bounds key or a provenance that no
+        solve writes stops the solve with one line naming it, before any
+        output."""
+        written = tmp_path / "b.json"
+        assert run(["solve", "--instance", small_file, "--algo", "brute", "--out", written]) == EXIT_OK
+        doc = json.loads(written.read_text())
+        doc["bounds"][key] = value
+        bounds = tmp_path / "bounds.json"
+        bounds.write_text(json.dumps(doc))
+        capsys.readouterr()
+        out = tmp_path / "out.json"
+        argv = ["solve", "--instance", small_file, "--algo", "ga", "--bounds", bounds, "--out", out]
+        assert run(argv) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == "" and not out.exists()
+        [line] = captured.err.splitlines()
+        assert line == f"usage error: {bounds} is not a result file: bounds has {named}"
+
+    @pytest.mark.parametrize("algo, feasible", [("brute", True), ("ga", True), ("aco", False)])
+    def test_written_bounds_replay_to_their_context(self, tmp_path, algo, feasible):
+        """The bounds of every written result file, NaN bounds included,
+        replay to a context equal to the solve's own, with its bounds_id,
+        and a replaying solve writes them back as they were."""
+        params = mild_params(8, 2, 0) if feasible else GeneratorParams(n=10, m_servers=3, seed=0)
+        instance, path = generate_instance(params), tmp_path / "g.json"
+        save_instance(instance, path)
+        written, replayed = tmp_path / "w.json", tmp_path / "r.json"
+        assert run(["solve", "--instance", path, "--algo", algo, "--out", written]) == EXIT_OK
+        assert run(["solve", "--instance", path, "--algo", "ga", "--bounds", written,
+                    "--out", replayed]) == EXIT_OK
+        _, ctx = solve_protocol(instance, algo)
+        docs = [json.loads(p.read_text()) for p in (written, replayed)]
+        for doc in docs:
+            assert MaximinContext.from_dict(doc["bounds"]) == ctx
+            assert doc["bounds_id"] == ctx.bounds_id
+        assert json.dumps(docs[0]["bounds"]) == json.dumps(docs[1]["bounds"])
+        assert feasible == all(map(math.isfinite, ctx.z1_bounds))
+
+    def test_integer_bounds_replay_as_their_float_twin(self, small_file, tmp_path):
+        """Copies of a written result file with [0, 1]-style integer bounds
+        and with [0.0, 1.0]-style float bounds replay to the same result
+        file: floats written back, and one bounds_id."""
+        written = tmp_path / "b.json"
+        assert run(["solve", "--instance", small_file, "--algo", "brute", "--out", written]) == EXIT_OK
+        doc = json.loads(written.read_text())
+        replays = []
+        for number in (int, float):
+            doc["bounds"].update({f"{name}_bounds": [number(0), number(k + 1)]
+                                  for k, name in enumerate(COMPONENTS)})
+            copy, replay = tmp_path / f"{number.__name__}.json", tmp_path / "replay.json"
+            copy.write_text(json.dumps(doc))
+            assert run(["solve", "--instance", small_file, "--algo", "brute",
+                        "--bounds", copy, "--out", replay]) == EXIT_OK
+            replays.append(json.loads(replay.read_text()))
+            replays[-1]["report"].pop("elapsed_s")
+        assert json.dumps(replays[0]) == json.dumps(replays[1])
+        assert json.dumps(replays[0]["bounds"]["z3_bounds"]) == "[0.0, 3.0]"
 
 
 class TestBench:

@@ -1,6 +1,7 @@
 """Fuzzification, membership functions, maximin fitness, capacity transform."""
 
 import dataclasses
+import json
 import math
 import types
 
@@ -12,6 +13,7 @@ from hypothesis import strategies as st
 from conftest import crispen, feasible_subsets
 from fuzzloc.evaluation import (
     COMPONENTS,
+    PROVENANCES,
     MaximinContext,
     capacity_threshold,
     evaluate,
@@ -20,6 +22,7 @@ from fuzzloc.evaluation import (
     make_maximin_eval,
     violation_total,
 )
+from fuzzloc.errors import DomainError
 from fuzzloc.fuzzy import TriFuzzy
 from fuzzloc.model import Kernel, Solution, crisp_objective_slice
 from fuzzloc.oracle import enumerate_optimum, exact_bounds
@@ -212,6 +215,45 @@ class TestMaximinContext:
         again = MaximinContext.from_dict(ctx.to_dict())
         assert again == ctx
         assert again.bounds_id == ctx.bounds_id
+
+    def test_int_and_float_bounds_are_one_context(self):
+        """Bounds are stored as floats, so [0, 1] and [0.0, 1.0] give equal
+        contexts with one bounds_id, and to_dict writes floats back."""
+        as_ints = {"z1_bounds": [0, 1], "z2_bounds": [2, 5], "z3_bounds": [-1, 0],
+                   "provenance": "oracle-exact"}
+        as_floats = {"z1_bounds": [0.0, 1.0], "z2_bounds": [2.0, 5.0], "z3_bounds": [-1.0, 0.0],
+                     "provenance": "oracle-exact"}
+        contexts = [MaximinContext.from_dict(doc) for doc in (as_ints, as_floats)]
+        contexts.append(make_ctx(z1=(0, 1), z2=(2, 5), z3=(-1, 0)))
+        assert contexts[0] == contexts[1] == contexts[2]
+        assert len({ctx.bounds_id for ctx in contexts}) == 1
+        assert contexts[0].to_dict() == as_floats
+        assert all(type(v) is float for ctx in contexts for name in COMPONENTS
+                   for v in ctx.bounds(name))
+
+    @pytest.mark.parametrize("provenance", PROVENANCES)
+    def test_written_provenances_round_trip(self, provenance):
+        ctx = dataclasses.replace(make_ctx(z2=(0.5, 2.0)), provenance=provenance)
+        again = MaximinContext.from_dict(ctx.to_dict())
+        assert again == ctx and again.provenance == provenance
+        assert again.bounds_id == ctx.bounds_id
+
+    def test_nan_bounds_round_trip_through_json(self):
+        """JSON loads NaN as its own float object; the replayed context
+        still equals the one written, with the same bounds_id."""
+        ctx = MaximinContext(*[(math.nan, math.nan)] * 3, provenance="metaheuristic-estimated")
+        again = MaximinContext.from_dict(json.loads(json.dumps(ctx.to_dict())))
+        assert again == ctx and again.bounds_id == ctx.bounds_id
+
+    @pytest.mark.parametrize("extra, named", [
+        ({"zz": 1, "z4_bounds": [0, 1]}, "unknown field 'z4_bounds'"),
+        ({"provenance": "made-up"}, "unknown provenance 'made-up'"),
+    ], ids=["key", "provenance"])
+    def test_from_dict_rejects_what_no_solve_writes(self, extra, named):
+        """An unknown key, the first in sorted order, or a provenance that
+        neither estimate_bounds nor exact_bounds writes is named."""
+        with pytest.raises(DomainError, match=f"^bounds has {named}$"):
+            MaximinContext.from_dict({**make_ctx().to_dict(), **extra})
 
     def test_bounds_id_changes_with_bounds(self):
         a = make_ctx(z2=(0.0, 1.0))

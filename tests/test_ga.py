@@ -53,7 +53,7 @@ class TestSizing:
         with pytest.raises(DomainError):
             GAConfig(population_floor=1)
 
-    @pytest.mark.parametrize("field", ["convergence_limit", "stagnation_limit"])
+    @pytest.mark.parametrize("field", ["stagnation_limit"])
     @pytest.mark.parametrize("value", [0, -5])
     def test_config_rejects_window_below_one(self, field, value):
         # A falsy limit used to fall back to the default window, and a
@@ -293,7 +293,7 @@ class TestRunGA:
         report = run_ga(
             small_instance,
             fitness,
-            GAConfig(seed=0, convergence_limit=1, stagnation_limit=1),
+            GAConfig(seed=0, stagnation_limit=1),
         )
         # every iteration before the last strictly improves the best, and the
         # fitness only takes one value per distinct 2-subset (15 of them)
@@ -406,7 +406,7 @@ class TestMatingMemo:
         calls, with the same arguments, as a run that caches nothing, and no
         mating that drew a tie is kept."""
         instance = generate_instance(mild_params(12, 4, 0))
-        config = GAConfig(seed=3, convergence_limit=60, stagnation_limit=60)
+        config = GAConfig(seed=3, stagnation_limit=60)
         draws = []
         choice = random.Random.choice
 
@@ -592,7 +592,7 @@ class TestRoundInvariants:
                                 data.draw(st.integers(0, 2**32), label="salt"))
         config = GAConfig(population_floor=data.draw(st.integers(2, 6), label="floor"),
                           seed=data.draw(st.integers(0, 2**16), label="seed"),
-                          convergence_limit=20, stagnation_limit=30)
+                          stagnation_limit=30)
         report, log = self.logged_run(SimpleNamespace(n=n, m_servers=m),
                                       lambda solution: fitness(solution.open), config)
         assert len(log) == report.iterations > 0
@@ -606,7 +606,7 @@ class TestRoundInvariants:
         # n = 4, m = 2, two members: {1, 3} and {2, 4} carry one gene each
         # alone, and every other pair scores 10.
         values = {frozenset({1, 3}): 1.0, frozenset({2, 4}): 2.0}
-        config = GAConfig(population_floor=2, seed=0, convergence_limit=5, stagnation_limit=5)
+        config = GAConfig(population_floor=2, seed=0, stagnation_limit=5)
         report, log = self.logged_run(SimpleNamespace(n=4, m_servers=2),
                                       lambda solution: values.get(solution.open, 10.0), config)
         for candidate, entered, population, scanned, kept, best in log:

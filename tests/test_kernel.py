@@ -577,9 +577,8 @@ def test_no_slice_objective_without_a_feasible_row(table1, monkeypatch):
     monkeypatch.setattr(fuzzloc.model, "served_share", refuse)
     with pytest.raises(AssertionError, match="slice objective"):
         Kernel(LAMBDA_AT_MU, np.array([[1]])).figures()
-    window = {"convergence_limit": 10, "stagnation_limit": 20}
-    solve_protocol(instance, "ga", ga_config=GAConfig(**window))
-    solve_protocol(instance, "aco", aco_config=ACOConfig(**window))
+    solve_protocol(instance, "ga", ga_config=GAConfig(stagnation_limit=20))
+    solve_protocol(instance, "aco", aco_config=ACOConfig(stagnation_limit=20))
     assert instance._table is not None
     scan = Scan(instance)
     assert not len(scan.subsets) and scan.count == math.comb(20, 5)
