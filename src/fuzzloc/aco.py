@@ -15,8 +15,7 @@ import numpy as np
 from .errors import DomainError
 from .evaluation import Fitness, Steps, drive
 from .model import Instance, figures_table
-from .reports import SolverReport
-from .termination import Run, check_run
+from .reports import Run, SolverReport, check_count, check_run
 
 TAU_MIN = 1e-6
 # Largest accepted alpha_exp and beta_exp. Every positive double has
@@ -34,7 +33,7 @@ class ACOConfig:
     alpha_exp: float = 0.75  # pheromone exponent
     beta_exp: float = 0.75  # heuristic exponent
     seed: int = 0
-    stagnation_limit: Optional[int] = None  # None: termination.Run's default
+    stagnation_limit: Optional[int] = None  # None: reports.Run's default
 
     def __post_init__(self) -> None:
         if not all(map(math.isfinite, (self.alpha_exp, self.beta_exp, self.max_pheromone))):
@@ -47,8 +46,7 @@ class ACOConfig:
             raise DomainError("exponents must be positive")
         if self.alpha_exp > MAX_EXPONENT or self.beta_exp > MAX_EXPONENT:
             raise DomainError(f"exponents must not exceed {MAX_EXPONENT:.4g}")
-        if self.population_coefficient < 1:
-            raise DomainError("population_coefficient must be at least 1")
+        check_count("population_coefficient", self.population_coefficient, 1)
         check_run(self.seed, self.stagnation_limit)
 
 
@@ -138,7 +136,7 @@ def _update(tau: np.ndarray, nodes: np.ndarray, values: Sequence[float], config:
 def run_aco(instance: Instance, eval_fn: Fitness, config: ACOConfig) -> SolverReport:
     """Iterate colonies that maximize ``eval_fn`` until they converge on the
     global best, as their bests equal it, or improvement stops: the two
-    windows of termination.Run.
+    windows of reports.Run.
 
     Each colony is sampled first and scored as one block of
     ``evaluation.drive``; its first ant that beats the best so far becomes
@@ -156,7 +154,7 @@ def _colonies(
 ) -> Steps[list[SolverReport]]:
     """R ACO runs as one step generator over one (R, n) trail array; it
     returns their SolverReports in order, each the record of the run's
-    termination.Run, which times it from the first step to the round it
+    reports.Run, which times it from the first step to the round it
     ends in.
 
     Every run maximizes the values sent for its rows. The runs share
@@ -172,7 +170,7 @@ def _colonies(
     scoring a NaN value as -inf. The first step builds the instance's
     figures table (model.figures_table).
     """
-    runs = [Run("aco", instance, config, seed) for seed in seeds]
+    runs = [Run("aco", instance, seed, config.stagnation_limit) for seed in seeds]
     reports = [run.report for run in runs]
     figures_table(instance)
     n, m = instance.n, instance.m_servers

@@ -22,8 +22,7 @@ import numpy as np
 from .errors import DomainError
 from .evaluation import Fitness, Steps, drive
 from .model import Instance
-from .reports import SolverReport
-from .termination import Run, check_run
+from .reports import Run, SolverReport, check_count, check_run
 
 
 def _mask(genes) -> int:
@@ -45,11 +44,10 @@ class Chromosome:
 class GAConfig:
     population_floor: int = 10
     seed: int = 0
-    stagnation_limit: Optional[int] = None  # None: termination.Run's default
+    stagnation_limit: Optional[int] = None  # None: reports.Run's default
 
     def __post_init__(self) -> None:
-        if self.population_floor < 2:
-            raise DomainError("population_floor must be at least 2")
+        check_count("population_floor", self.population_floor, 2)
         check_run(self.seed, self.stagnation_limit)
 
 
@@ -183,7 +181,7 @@ def replace(population: list[Chromosome], candidate: Chromosome) -> bool:
 def run_ga(instance: Instance, eval_fn: Fitness, config: GAConfig) -> SolverReport:
     """Evolve until the population converges on its best, as candidates
     equal the best fitness, or improvement stops: the two windows of
-    termination.Run. One iteration is one mating.
+    reports.Run. One iteration is one mating.
 
     ``eval_fn`` must depend only on the solution's gene set: each distinct set
     is evaluated once and its value reused, and a repeated mating that drew
@@ -192,17 +190,18 @@ def run_ga(instance: Instance, eval_fn: Fitness, config: GAConfig) -> SolverRepo
     repeated matings included. A NaN value ranks below every other value, as
     -inf.
     """
-    return drive([(_steps(instance, config), eval_fn)])[0]
+    return drive([(_steps(instance, config, config.seed), eval_fn)])[0]
 
 
-def _steps(instance: Instance, config: GAConfig) -> Steps[SolverReport]:
-    """run_ga as a step generator over one termination.Run, which times the
-    run from its first step and holds its report. It yields only the rows
-    its memo has not scored yet, in request order, and counts every request,
-    hits included, from the population size and each mating's parents."""
-    run = Run("ga", instance, config, config.seed)
+def _steps(instance: Instance, config: GAConfig, seed: int) -> Steps[SolverReport]:
+    """run_ga of ``config`` at ``seed`` as a step generator over one
+    reports.Run, which times the run from its first step and holds its
+    report. It yields only the rows its memo has not scored yet, in request
+    order, and counts every request, hits included, from the population
+    size and each mating's parents."""
+    run = Run("ga", instance, seed, config.stagnation_limit)
     report = run.report
-    rng = random.Random(config.seed)
+    rng = random.Random(seed)
     memo = _Memo()
     population = yield from _population(instance, config, rng, memo)
     report.evaluations = len(population)

@@ -5,7 +5,6 @@ from __future__ import annotations
 
 import dataclasses
 import math
-import time
 from typing import Optional
 
 import numpy as np
@@ -20,7 +19,7 @@ from .model import Instance, no_feasible_subset
 # A brute solve no longer calls enumerate_optimum; the name stays importable
 # here because benchmarks/tracer.py wraps it on this module.
 from .oracle import DEFAULT_ENUM_BUDGET, Scan, enumerate_optimum, exact_bounds  # noqa: F401
-from .reports import SolverReport
+from .reports import Run, SolverReport
 
 # Bound runs in protocol order: min and max of each spread component.
 BOUND_RUNS = (
@@ -67,8 +66,8 @@ class _BoundFitness(KernelFitness):
 def estimate_bounds(instance: Instance, config: GAConfig | ACOConfig) -> MaximinContext:
     """Run the six bound-calibration optimizations and collect the extrema.
 
-    The config's type picks the solver, and bound run k (from 0) is
-    ``config`` reseeded with config.seed + k + 1, so a solve is reproducible
+    The config's type picks the solver, and bound run k (from 0) runs
+    ``config`` at seed config.seed + k + 1, so a solve is reproducible
     from its one seed. Bound run k maximizes sign * component, so its best
     objective read back through _SIGN[k] is its component extremum. A bound
     run that finds no feasible solution ends at or below the penalty -1e12
@@ -88,8 +87,7 @@ def estimate_bounds(instance: Instance, config: GAConfig | ACOConfig) -> Maximin
     seeds = [config.seed + k + 1 for k in range(len(BOUND_RUNS))]
     if isinstance(config, GAConfig):
         reports = drive([
-            (_ga_steps(instance, dataclasses.replace(config, seed=seed)),
-             _BoundFitness(instance, r))
+            (_ga_steps(instance, config, seed), _BoundFitness(instance, r))
             for r, seed in enumerate(seeds)
         ])
     else:
@@ -121,37 +119,31 @@ def solve_protocol(
     the whole protocol is reproducible from one seed, and "brute" computes
     exact bounds. "brute" searches exhaustively in one pass (``oracle.Scan``)
     that yields both its exact bounds and its optimum; ``enum_budget`` caps
-    that enumeration.
+    that enumeration. Its report is the record of a reports.Run, as every
+    GA and ACO report is, timed over the scan and the exact bounds.
     """
     if algo == "brute":
-        start = time.perf_counter()
+        run = Run("brute", instance, seed)
         scan = Scan(instance, enum_budget)
         if ctx is None:
             ctx = exact_bounds(instance, budget=enum_budget, scan=scan)
         result = scan.optimum(make_maximin_eval(instance, ctx))
-        report = SolverReport(
-            algorithm="brute",
-            n=instance.n,
-            m=instance.m_servers,
-            seed=seed,
-            best=result.best.sorted(),
-            objective=result.best_value,
-            iterations=result.evaluated_count,
-            termination="exhaustive",
-            trace=[result.best_value],
-            elapsed_s=time.perf_counter() - start,
-            bounds_id=ctx.bounds_id,
+        report = run.report
+        report.best = result.best.sorted()
+        report.objective = result.best_value
+        report.iterations = result.evaluated_count
+        report.trace.append(result.best_value)
+        run.finish("exhaustive")
+    elif algo in ("ga", "aco"):
+        base = (ga_config or GAConfig()) if algo == "ga" else (aco_config or ACOConfig())
+        config = dataclasses.replace(base, seed=seed)  # a bad seed fails before the bound runs
+        if ctx is None:
+            ctx = estimate_bounds(instance, config)
+        # Looked up at call time: benchmarks/tracer.py patches run_ga and run_aco here.
+        report = (run_ga if algo == "ga" else run_aco)(
+            instance, make_maximin_eval(instance, ctx), config
         )
-        return (report, ctx)
-    if algo not in ("ga", "aco"):
+    else:
         raise DomainError(f"unknown algorithm {algo!r}")
-    base = (ga_config or GAConfig()) if algo == "ga" else (aco_config or ACOConfig())
-    config = dataclasses.replace(base, seed=seed)  # a bad seed fails before the bound runs
-    if ctx is None:
-        ctx = estimate_bounds(instance, config)
-    # Looked up at call time: benchmarks/tracer.py patches run_ga and run_aco here.
-    report = (run_ga if algo == "ga" else run_aco)(
-        instance, make_maximin_eval(instance, ctx), config
-    )
     report.bounds_id = ctx.bounds_id
     return (report, ctx)

@@ -1,16 +1,24 @@
-"""Solver run reports and their dict form in result files."""
+"""Solver reports: the SolverReport of one solver run and its dict form in
+result files; the Run that builds, times and ends that report for every
+GA, ACO and brute solve, with its stopping windows; and the checks of a
+config's integer counts."""
 
 from __future__ import annotations
 
+import math
+import time
 from dataclasses import asdict, dataclass, field
 from typing import Optional
+
+from .errors import DomainError
+from .model import Instance
 
 
 @dataclass
 class SolverReport:
-    """Outcome of one solver run: the record that every GA and ACO run
-    fills as it goes and returns, with one trace entry per iteration and
-    ``elapsed_s`` timed by the run itself."""
+    """Outcome of one solver run: the record that its Run builds and
+    times. A GA or ACO run fills it as it goes, one trace entry per
+    iteration; a brute solve fills it from its scan."""
 
     algorithm: str
     n: int
@@ -31,3 +39,75 @@ class SolverReport:
     @classmethod
     def from_dict(cls, data: dict) -> "SolverReport":
         return cls(**data)
+
+
+def convergence_limit(n: int, m: int) -> int:
+    return int(n * math.sqrt(m))
+
+
+def check_count(name: str, value, least: int, message: Optional[str] = None) -> None:
+    """A config count: a number below ``least`` raises ``message`` (by
+    default "<name> must be at least <least>"), and any other value that is
+    not a Python int, or is a bool, raises a DomainError naming ``name``
+    (the rule of instances._count)."""
+    if isinstance(value, (int, float)) and value < least:
+        raise DomainError(message or f"{name} must be at least {least}")
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise DomainError(f"{name} must be an integer, got {value!r}")
+
+
+def check_run(seed: int, cap: Optional[int]) -> None:
+    """A config's seed, at least 0 (numpy's generators reject a negative
+    seed, and random.Random(-s) replays seed s), and its stagnation window:
+    None for the default, else at least 1."""
+    check_count("seed", seed, 0, f"seed must be non-negative, got {seed}")
+    if cap is not None:
+        check_count("stagnation_limit", cap, 1)
+
+
+class Run:
+    """One solver run: its clock, started when the run is made; its
+    convergence and stagnation counters; and ``report``, the run's
+    SolverReport, which is its record. The solver sets the report's
+    ``best`` (ascending 1-based indices, None before the first), its
+    ``objective`` and its ``evaluations``; ``step`` fills the trace and the
+    iteration count of a GA or ACO run, and ``finish`` ends every run.
+
+    A GA or ACO run converges after ``limit`` = floor(n * sqrt(m))
+    consecutive non-improving iterations that end at the incumbent best,
+    and stagnates after ``cap`` consecutive non-improving iterations, a
+    config's stagnation_limit, or limit² when ``cap`` is None.
+    """
+
+    def __init__(self, algorithm: str, instance: Instance, seed: int,
+                 cap: Optional[int] = None):
+        self.start = time.perf_counter()
+        n, m = instance.n, instance.m_servers
+        self.report = SolverReport(algorithm, n, m, seed, best=None, objective=math.nan,
+                                   iterations=0, termination=None)
+        self.limit = convergence_limit(n, m)
+        self.cap = self.limit * self.limit if cap is None else cap
+        self.converged = self.stagnant = 0
+
+    def step(self, improved: bool, at_best: bool) -> Optional[str]:
+        """Count one iteration and trace the best value; once a window
+        closes, finish the run and return the termination reason, else
+        None. An improvement resets both windows."""
+        report = self.report
+        report.trace.append(report.objective)
+        report.iterations += 1
+        if improved:
+            self.converged = self.stagnant = 0
+        else:
+            self.stagnant += 1
+            self.converged = self.converged + 1 if at_best else 0
+        if self.converged >= self.limit:
+            self.finish("convergence")
+        elif self.stagnant >= self.cap:
+            self.finish("stagnation")
+        return report.termination
+
+    def finish(self, termination: str) -> None:
+        """End the run: stop its clock and record why it ended."""
+        self.report.termination = termination
+        self.report.elapsed_s = time.perf_counter() - self.start

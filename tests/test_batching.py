@@ -35,7 +35,7 @@ from fuzzloc.instances import GeneratorParams, generate_instance
 from fuzzloc.model import Solution
 from fuzzloc.oracle import exact_bounds
 from fuzzloc.protocol import _SIGN, BOUND_RUNS, _BoundFitness
-from fuzzloc.termination import Run
+from fuzzloc.reports import Run
 from conftest import aco_run, bound_fitness, mild_params, record, score_block
 from test_kernel import PROBE_CTX, build, cases
 
@@ -189,7 +189,7 @@ def reference_steps(instance, config, sign):
     with no wall time."""
     rng = np.random.default_rng(config.seed)
     n, m = instance.n, instance.m_servers
-    run = Run("aco", instance, config, config.seed)
+    run = Run("aco", instance, config.seed, config.stagnation_limit)
     ants = ant_count(n, m, config.population_coefficient)
     eta = heuristic_index(instance)
     tau = np.ones(n)
@@ -425,7 +425,7 @@ def test_ga_scores_only_in_blocks(medium_instance):
 
 
 class TestWindows:
-    """The convergence and stagnation windows of termination.Run."""
+    """The convergence and stagnation windows of reports.Run."""
 
     N20_M5 = types.SimpleNamespace(n=20, m_servers=5)
 
@@ -433,8 +433,7 @@ class TestWindows:
         """A Run with convergence window ``limit``, on n = limit and m = 1,
         as floor(n * sqrt(1)) = n, or on n = 20 and m = 5 for None."""
         instance = self.N20_M5 if limit is None else types.SimpleNamespace(n=limit, m_servers=1)
-        config = GAConfig(stagnation_limit=cap)
-        return Run("ga", instance, config, config.seed)
+        return Run("ga", instance, 0, cap)
 
     def test_defaults(self):
         windows = self.run(None, None)

@@ -27,7 +27,7 @@ from fuzzloc.ga import (
 from fuzzloc.instances import generate_instance
 from fuzzloc.model import Solution
 from fuzzloc.oracle import enumerate_optimum, exact_bounds
-from fuzzloc.termination import Run, convergence_limit
+from fuzzloc.reports import Run, convergence_limit
 
 
 def subset_size_fitness(solution: Solution) -> float:

@@ -251,9 +251,9 @@ def _stepped_bounds(instance, config):
     NaN at or below the penalty."""
     seeds = [config.seed + r + 1 for r in range(len(BOUND_RUNS))]
     if isinstance(config, GAConfig):
-        runs = [dataclasses.replace(config, seed=seed) for seed in seeds]
         reports = drive([
-            (_ga_steps(instance, run), _BoundFitness(instance, r)) for r, run in enumerate(runs)
+            (_ga_steps(instance, config, seed), _BoundFitness(instance, r))
+            for r, seed in enumerate(seeds)
         ])
     else:
         fitness = _BoundFitness(instance, 0)
@@ -291,6 +291,18 @@ class TestCertifiedBounds:
     def test_bad_seeds_raise_first(self, certified, config):
         with pytest.raises(DomainError, match="seed must be non-negative"):
             solve_protocol(certified, "ga" if isinstance(config, GAConfig) else "aco", seed=-1)
+
+
+@pytest.mark.parametrize("value", [1.5, True])
+@pytest.mark.parametrize("config, name", [
+    (GAConfig, "seed"), (GAConfig, "stagnation_limit"), (GAConfig, "population_floor"),
+    (ACOConfig, "seed"), (ACOConfig, "stagnation_limit"), (ACOConfig, "population_coefficient"),
+])
+def test_config_counts_are_integers(config, name, value):
+    """A config count that is not a Python int, or is a bool, is a
+    DomainError that names its field."""
+    with pytest.raises(DomainError, match=name):
+        config(**{name: value})
 
 
 class _Counted:
@@ -337,9 +349,9 @@ class TestDrive:
         ga = [GAConfig(seed=seed + k, stagnation_limit=30) for k in range(2)]
         aco = [ACOConfig(seed=seed + k, stagnation_limit=30) for k in range(2)]
         return [
-            (_ga_steps(instance, ga[0]), bound_fitness(instance, "z2", "min")),
+            (_ga_steps(instance, ga[0], ga[0].seed), bound_fitness(instance, "z2", "min")),
             (aco_run(instance, aco[0], -1.0), bound_fitness(instance, "z1", "min")),
-            (_ga_steps(instance, ga[1]), _Counted(maximin)),
+            (_ga_steps(instance, ga[1], ga[1].seed), _Counted(maximin)),
             (aco_run(instance, aco[1], 1.0), plain),
             (aco_run(instance, ACOConfig(seed=seed, stagnation_limit=1), 1.0), maximin),
         ]
@@ -452,6 +464,23 @@ class TestSolveProtocol:
         assert report.termination == "exhaustive"
         assert report.bounds_id == ctx.bounds_id
         assert ctx.provenance == "oracle-exact"
+
+    @pytest.mark.parametrize("path", ["scan", "fallback"])
+    def test_brute_report_is_its_runs_record(self, medium_instance, table1, path):
+        """Both brute paths, a scan of the mild n = 8 instance and table1's
+        all-infeasible fallback under a replayed NaN context, return the
+        record of a finished, timed Run that requested no fitness calls."""
+        if path == "scan":
+            instance, ctx = medium_instance, None
+        else:
+            instance = table1
+            nan_ctx = estimate_bounds(table1, ACOConfig())
+            ctx = MaximinContext.from_dict(json.loads(json.dumps(nan_ctx.to_dict())))
+            assert math.isnan(ctx.z1_bounds[0])
+        report, _ = solve_protocol(instance, "brute", ctx=ctx)
+        assert report.termination == "exhaustive" and report.trace == [report.objective]
+        assert report.iterations == math.comb(instance.n, instance.m_servers)
+        assert report.evaluations == 0 and report.elapsed_s > 0
 
     def test_unknown_algorithm_rejected(self, small_instance):
         with pytest.raises(DomainError, match="unknown algorithm"):

@@ -16,20 +16,29 @@ spec.loader.exec_module(report_dump)
 
 def test_dump_lines_are_hex_reports(capsys):
     """One JSON line per instance, solver and seed, in that order (the brute
-    solve and the GA before and after the ACO), with no wall time and every
-    float as hex; a brute solve of table1, which has no feasible subset,
-    prints its error. The GA's and the brute solve's lines after the ACO
-    repeat their lines before it. A second run prints the same bytes."""
+    solve and the GA before and after the ACO, then the brute solve under
+    the seed-0 ACO context), with no wall time and every float as hex; a
+    brute solve of table1, which has no feasible subset, prints its error,
+    and under the given NaN context takes the all-infeasible fallback. The
+    GA's and the brute solve's lines after the ACO repeat their lines before
+    it. A second run prints the same bytes."""
     argv = ["--instances", "table1", "weighted12"]
     assert report_dump.main(argv) == 0
     out = capsys.readouterr().out
     lines = [json.loads(line) for line in out.splitlines()]
-    assert [(d["instance"], d["algo"], d["seed"]) for d in lines] == [
-        (name, algo, seed) for name in ("table1", "weighted12")
-        for algo in ("brute", "ga", "aco", "ga", "brute") for seed in (0, 1)
+    assert [(d["instance"], d["algo"], d["seed"], d.get("ctx")) for d in lines] == [
+        (name, algo, seed, ctx) for name in ("table1", "weighted12")
+        for algo, ctx in (("brute", None), ("ga", None), ("aco", None), ("ga", None),
+                          ("brute", None), ("brute", "aco-0"))
+        for seed in (0, 1)
     ]
+    for name in ("table1", "weighted12"):
+        aco = next(d for d in lines if (d["instance"], d["algo"], d["seed"]) == (name, "aco", 0))
+        given = [d for d in lines if d["instance"] == name and "ctx" in d]
+        assert all(d["bounds"] == aco["bounds"] for d in given)
+        assert all(d["report"]["termination"] == "exhaustive" for d in given)
     for doc in lines:
-        if doc["instance"] == "table1" and doc["algo"] == "brute":
+        if doc["instance"] == "table1" and doc["algo"] == "brute" and "ctx" not in doc:
             assert doc["error"] == "no feasible facility subset exists"
             continue
         report = doc["report"]
@@ -45,7 +54,7 @@ def test_dump_lines_are_hex_reports(capsys):
     assert cold == warm and float.fromhex(cold["report"]["objective"]) == report.objective
     for seed in (0, 1):
         cold, warm = [d for d in lines if (d["instance"], d["algo"], d["seed"]) ==
-                      ("weighted12", "brute", seed)]
+                      ("weighted12", "brute", seed) and "ctx" not in d]
         assert cold == warm and "report" in cold
     assert report_dump.main(argv) == 0
     assert capsys.readouterr().out == out

@@ -17,7 +17,10 @@ other instances' ACO solves build their figures tables. The second GA and
 brute passes run on the instance that the ACO solves have given a table:
 the GA's rounds of m-subsets are looked up in it, and the brute solve
 reads its feasible rows from it, where the first passes compute them on
-kernels. Two versions of the program that print the same bytes give the
+kernels. Last come the brute solves of seeds 0 and 1 under a given
+context, the instance's seed-0 ACO context, passed as ``ctx``; their lines
+carry ``"ctx": "aco-0"``. On table1, whose ACO context is all NaN, these
+take the scan's all-infeasible fallback. Two versions of the program that print the same bytes give the
 same reports:
 
     PYTHONPATH=parent/src python3 tools/report_dump.py > before.txt
@@ -80,13 +83,16 @@ def hexed(value):
     return value
 
 
-def dump_line(name: str, instance, algo: str, seed: int) -> str:
-    """One solve's JSON line: its report without ``elapsed_s`` and its
-    bound context, floats as hex; or the error a brute solve raised."""
+def dump_line(name: str, instance, algo: str, seed: int, ctx=None) -> str:
+    """One solve's JSON line, under ``ctx`` when given: its report without
+    ``elapsed_s`` and its bound context, floats as hex; or the error a
+    brute solve raised."""
     head = {"instance": name, "algo": algo, "seed": seed}
+    if ctx is not None:
+        head["ctx"] = "aco-0"
     try:
         report, ctx = solve_protocol(instance, algo, seed=seed, ga_config=workloads.GA_CONFIG,
-                                     aco_config=workloads.ACO_CONFIG)
+                                     aco_config=workloads.ACO_CONFIG, ctx=ctx)
     except InfeasibleInstanceError as exc:
         return json.dumps({**head, "error": str(exc)}, sort_keys=True)
     doc = report.to_dict()
@@ -104,6 +110,9 @@ def main(argv=None) -> int:
         for algo in ALGOS:
             for seed in SEEDS:
                 print(dump_line(name, instance, algo, seed))
+        _, given = solve_protocol(instance, "aco", seed=0, aco_config=workloads.ACO_CONFIG)
+        for seed in SEEDS:
+            print(dump_line(name, instance, "brute", seed, given))
     return 0
 
 
