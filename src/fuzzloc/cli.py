@@ -144,9 +144,14 @@ def _context(args, instance: Instance) -> Optional[MaximinContext]:
     if getattr(args, "bounds", None):
         try:  # not text, not JSON, or not what MaximinContext.to_dict writes
             doc = json.loads(Path(args.bounds).read_text())
-            return MaximinContext.from_dict(doc.get("bounds") if isinstance(doc, dict) else None)
+            ctx = MaximinContext.from_dict(doc.get("bounds") if isinstance(doc, dict) else None)
         except ValueError as exc:
             raise UsageError(f"{args.bounds} is not a result file: {exc}") from exc
+        # A stored id that its bounds no longer give: the bounds were edited.
+        if "bounds_id" in doc and doc["bounds_id"] != ctx.bounds_id:
+            raise UsageError(f"{args.bounds} holds bounds_id {doc['bounds_id']!r}, "
+                             f"but its bounds give {ctx.bounds_id!r}")
+        return ctx
     if args.exact_bounds:
         return exact_bounds(instance, budget=_enum_budget())
     return None

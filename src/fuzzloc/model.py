@@ -40,10 +40,12 @@ ATTRACTION_LIMIT = 700.0
 # facility-major (k, B, n) logit shares take 0.8 MB at n = 20, k = 5.
 BLOCK_SIZE = 1024
 # The most m-subsets for which an instance keeps a figures table (see
-# figures_table): 33 bytes a subset, about 0.5 MB at the limit. An ACO
-# solve's first round builds the whole table, and single window-100 ACO
-# solves on fresh mild instances mostly repaid it below about 20 000
-# subsets and never at 42 504 or more (ROADMAP item 8 has the figures).
+# figures_table): 33 bytes a subset, about 0.5 MB at the limit, and 24 + m
+# more per feasible subset for n < 256 (the rows that feasible_rows gives a
+# Scan), about 1 MB in all at most. An ACO solve's first round builds the
+# whole table, and single window-100 ACO solves on fresh mild instances
+# mostly repaid it below about 20 000 subsets and never at 42 504 or more
+# (ROADMAP item 8 has the figures).
 TABLE_LIMIT = 1 << 14
 
 
@@ -414,49 +416,80 @@ def _unrank(counts: np.ndarray, ranks: np.ndarray) -> np.ndarray:
 def _blocks(instance: Instance):
     """Every m-subset as rows of 1-based indices, in lexicographic order, in
     (B, m) arrays of BLOCK_SIZE rows but the last, each one run of ranks
-    unranked. _FiguresTable and a cold feasible_rows compute on these blocks."""
+    unranked. _kernel_pass computes on these blocks."""
     counts = _comb_counts(instance.n, instance.m_servers)
     for first in range(0, counts[0, -1], BLOCK_SIZE):
         yield _unrank(counts, np.arange(first, min(first + BLOCK_SIZE, counts[0, -1])))
+
+
+def _kernel_pass(instance: Instance):
+    """One Kernel per block of _blocks, yielding the block's kernel, its
+    feasibility mask, and the spreads and rows of its feasible subsets, or
+    None and None when it has none. The kernel computes the spreads of the
+    feasible rows only; the rows are in the smallest unsigned dtype that
+    holds n (a byte for n < 256). _FiguresTable and a cold feasible_rows
+    both read this pass, so they keep the same bytes."""
+    dtype = np.min_scalar_type(instance.n)
+    for block in _blocks(instance):
+        kernel = Kernel(instance, block - 1)
+        feasible = kernel.feasible()
+        if feasible.any():
+            yield kernel, feasible, kernel.spreads(feasible), block[feasible].astype(dtype)
+        else:
+            yield kernel, feasible, None, None
+
+
+def _joined(instance: Instance, parts) -> tuple[np.ndarray, np.ndarray]:
+    """The (F, 3) spreads and (F, m) rows of the (spreads, rows) parts that
+    _kernel_pass gives, in order; no part gives F = 0. The spreads are held
+    column by column, the transpose of a C-ordered (3, F) array: each
+    component is contiguous, so the extrema of exact_bounds and the
+    elementwise memberships of a score run along it, with the bits that
+    row-ordered spreads give."""
+    empty = np.empty((0, 3)), np.empty((0, instance.m_servers), np.min_scalar_type(instance.n))
+    spreads, subsets = zip(empty, *parts)
+    return np.concatenate([part.T for part in spreads], axis=1).T, np.concatenate(subsets)
 
 
 class _FiguresTable:
     """The figures of every m-subset of an instance, one read-only row per
     subset in lexicographic order: ``feasible``, the ``spreads`` of feasible
     rows (0 in the others) and the ``violation`` (0 where feasible, as the
-    kernel's is). One Kernel per block of _blocks computes them, as a cold
-    feasible_rows does, and by the block contract (a row's bits do not depend
-    on the rows computed with it) each row holds the bits that any block
-    gives its subset.
+    kernel's is). It also keeps feasible_rows' two arrays, the
+    ``feasible_spreads`` (F, 3) and ``feasible_subsets`` (F, m) of its F
+    feasible subsets. One _kernel_pass fills all five, as it does a cold
+    feasible_rows, and by the block contract (a row's bits do not depend on
+    the rows computed with it) each row holds the bits that any block gives
+    its subset.
 
     The lexicographic rank of the ascending 0-based row c_0 < ... < c_{m-1}
     is comb(n, m) - 1 - sum_j comb(n - 1 - c_j, m - j), and entry j's term
-    is ``counts[j, n - 1 - c_j]``. Row j of the flattened (m, n) ``weights``
-    holds those terms, negated, with comb(n, m) - 1 added to row 0, so a
-    rank is one gather and one integer dot product with ones (faster than a
-    sum at solver block sizes).
+    is ``counts[j, n - 1 - c_j]`` of _comb_counts. Row j of the flattened
+    (m, n) ``weights`` holds those terms, negated, with comb(n, m) - 1 added
+    to row 0, so a rank is one gather and one integer dot product with ones
+    (faster than a sum at solver block sizes).
     """
 
     def __init__(self, instance: Instance):
         n, m = instance.n, instance.m_servers
-        self.counts = counts = _comb_counts(n, m)
         count = math.comb(n, m)
         feasible, spreads, violation = np.empty(count, bool), np.zeros((count, 3)), np.zeros(count)
-        start = 0
-        for block in _blocks(instance):
-            rows = slice(start, start + len(block))
+        parts, start = [], 0
+        for kernel, mask, kept, subsets in _kernel_pass(instance):
+            rows = slice(start, start + len(mask))
             start = rows.stop
-            kernel = Kernel(instance, block - 1)
-            feasible[rows] = mask = kernel.feasible()
-            if mask.any():
-                spreads[rows][mask] = kernel.spreads(mask)
+            feasible[rows] = mask
+            if kept is not None:
+                spreads[rows][mask] = kept
+                parts.append((kept, subsets))
             if not mask.all():
                 violation[rows] = kernel.violation()
-        weights = -counts[:, n - 1::-1]
+        weights = -_comb_counts(n, m)[:, n - 1::-1]
         weights[0] += count - 1
         self.weights, self.ones = weights.ravel(), np.ones(m, np.intp)
         self.offsets = np.arange(0, m * n, n)  # entry j reads row j of the weights
         self.feasible, self.spreads, self.violation = feasible, spreads, violation
+        self.feasible_spreads, self.feasible_subsets = _joined(instance, parts)
         for array in vars(self).values():
             array.setflags(write=False)
 
@@ -477,28 +510,18 @@ def feasible_rows(instance: Instance):
     rows in the smallest unsigned dtype that holds n (a byte for n < 256).
 
     An instance that no_feasible_subset certifies keeps no rows and reads
-    nothing. One that holds a figures table reads the table's feasible rows.
-    Any other gets one kernel pass, each block's kernel computing the
-    feasibility of every row and the spreads of feasible rows only, as the
-    table's kernels did on the same blocks, so both ways keep the same bits.
+    nothing. One that holds a figures table gets the table's own read-only
+    arrays, with nothing computed or copied. Any other gets one _kernel_pass,
+    the pass that built the table of an instance that holds one, so both
+    ways keep the same bits.
     """
-    dtype = np.min_scalar_type(instance.n)
-    spreads, subsets = [np.empty((0, 3))], [np.empty((0, instance.m_servers), dtype)]
     table = instance._table
     if no_feasible_subset(instance):
-        pass  # no rows to keep
-    elif table is not None:
-        ranks = np.flatnonzero(table.feasible)
-        spreads.append(table.spreads.take(ranks, axis=0))
-        subsets.append(_unrank(table.counts, ranks).astype(dtype))
-    else:
-        for block in _blocks(instance):
-            kernel = Kernel(instance, block - 1)
-            feasible = kernel.feasible()
-            if feasible.any():
-                spreads.append(kernel.spreads(feasible))
-                subsets.append(block[feasible].astype(dtype))
-    return np.concatenate(spreads), np.concatenate(subsets)
+        return _joined(instance, ())
+    if table is not None:
+        return table.feasible_spreads, table.feasible_subsets
+    return _joined(instance, [(kept, subsets) for _, _, kept, subsets in _kernel_pass(instance)
+                              if kept is not None])
 
 
 def figures_table(instance: Instance) -> Optional[_FiguresTable]:

@@ -86,7 +86,8 @@ def enumerate_optimum(
 class Scan:
     """What exact bounds and a maximin optimum need of every m-subset:
     ``spreads`` (F, 3) and ``subsets`` (F, m), the spread components and rows
-    of the F feasible subsets, in lexicographic order (model.feasible_rows)."""
+    of the F feasible subsets, in lexicographic order (model.feasible_rows,
+    which holds the spreads column by column)."""
 
     def __init__(self, instance: Instance, budget: int = DEFAULT_ENUM_BUDGET):
         self.instance = instance
@@ -116,7 +117,11 @@ def exact_bounds(
         scan = Scan(instance, budget)
     if not len(scan.subsets):
         raise InfeasibleInstanceError("no feasible facility subset exists")
-    lows, highs = scan.spreads.min(axis=0), scan.spreads.max(axis=0)
+    # Each extremum reduces one contiguous row of the (3, F) transpose, which
+    # feasible_rows keeps contiguous; over axis 0 of a row-ordered (F, 3) it
+    # would step 3 doubles at a time.
+    columns = np.ascontiguousarray(scan.spreads.T)
+    lows, highs = columns.min(axis=1), columns.max(axis=1)
     return MaximinContext(*zip(lows.tolist(), highs.tolist()), provenance="oracle-exact")
 
 

@@ -19,7 +19,7 @@ from .model import Instance, no_feasible_subset
 # A brute solve no longer calls enumerate_optimum; the name stays importable
 # here because benchmarks/tracer.py wraps it on this module.
 from .oracle import DEFAULT_ENUM_BUDGET, Scan, enumerate_optimum, exact_bounds  # noqa: F401
-from .reports import Run, SolverReport
+from .reports import Run, SolverReport, check_run
 
 # Bound runs in protocol order: min and max of each spread component.
 BOUND_RUNS = (
@@ -123,6 +123,7 @@ def solve_protocol(
     GA and ACO report is, timed over the scan and the exact bounds.
     """
     if algo == "brute":
+        check_run(seed, None)  # as the GA and ACO configs check theirs
         run = Run("brute", instance, seed)
         scan = Scan(instance, enum_budget)
         if ctx is None:

@@ -241,6 +241,32 @@ class TestSolve:
         [line] = captured.err.splitlines()
         assert line == f"usage error: {bounds} is not a result file: bounds has {named}"
 
+    def test_edited_bounds_under_their_old_id_are_usage_error(self, small_file, tmp_path, capsys):
+        """A written result file whose bounds were edited and whose bounds_id
+        was left as it was stops the solve with one line naming the file and
+        both ids, before any output; the same file with no bounds_id
+        replays."""
+        written = tmp_path / "b.json"
+        assert run(["solve", "--instance", small_file, "--algo", "brute", "--out", written]) == EXIT_OK
+        doc = json.loads(written.read_text())
+        doc["bounds"]["z1_bounds"] = [0.0, 9.0]
+        edited_id = MaximinContext.from_dict(doc["bounds"]).bounds_id
+        assert edited_id != doc["bounds_id"]
+        bounds, out = tmp_path / "bounds.json", tmp_path / "out.json"
+        bounds.write_text(json.dumps(doc))
+        capsys.readouterr()
+        argv = ["solve", "--instance", small_file, "--algo", "ga", "--bounds", bounds, "--out", out]
+        assert run(argv) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == "" and not out.exists()
+        [line] = captured.err.splitlines()
+        assert line == (f"usage error: {bounds} holds bounds_id {doc['bounds_id']!r}, "
+                        f"but its bounds give {edited_id!r}")
+        del doc["bounds_id"]
+        bounds.write_text(json.dumps(doc))
+        assert run(argv) == EXIT_OK
+        assert json.loads(out.read_text())["bounds_id"] == edited_id
+
     @pytest.mark.parametrize("algo, feasible", [("brute", True), ("ga", True), ("aco", False)])
     def test_written_bounds_replay_to_their_context(self, tmp_path, algo, feasible):
         """The bounds of every written result file, NaN bounds included,
@@ -264,10 +290,12 @@ class TestSolve:
     def test_integer_bounds_replay_as_their_float_twin(self, small_file, tmp_path):
         """Copies of a written result file with [0, 1]-style integer bounds
         and with [0.0, 1.0]-style float bounds replay to the same result
-        file: floats written back, and one bounds_id."""
+        file: floats written back, and one bounds_id. The copies hold no
+        bounds_id: the written one names the exact bounds they replace."""
         written = tmp_path / "b.json"
         assert run(["solve", "--instance", small_file, "--algo", "brute", "--out", written]) == EXIT_OK
         doc = json.loads(written.read_text())
+        del doc["bounds_id"]
         replays = []
         for number in (int, float):
             doc["bounds"].update({f"{name}_bounds": [number(0), number(k + 1)]

@@ -357,14 +357,14 @@ class TestOnePassBrute:
 
     def test_rank_weights_invert_unrank(self):
         """For every n <= 12 and 1 <= m < n, every rank unranked with the
-        figures table's counts and ranked back with the weights that
+        counts of _comb_counts and ranked back with the weights that
         _FiguresTable.figures gathers is the rank itself. Near m = n, as at
         (12, 11), the capped counts are reached."""
         for n in range(2, 13):
             for m in range(1, n):
                 table = model.figures_table(generate_instance(mild_params(n, m, 0)))
                 ranks = np.arange(math.comb(n, m))
-                idx = model._unrank(table.counts, ranks) - 1
+                idx = model._unrank(model._comb_counts(n, m), ranks) - 1
                 back = table.weights.take(idx + table.offsets).dot(table.ones)
                 assert back.tolist() == ranks.tolist(), (n, m)
 
@@ -444,6 +444,24 @@ class TestWarmScan:
         assert record(report) == record(cold_report)
         assert ctx_record(ctx) == ctx_record(cold_ctx) == ctx_record(bounds)
         assert ctx_record(exact_bounds(cold)) == ctx_record(bounds)
+
+    def test_warm_scan_keeps_the_tables_own_rows(self):
+        """After a window-100 ACO solve on mild20, a brute solve and
+        exact_bounds unrank no subset, where a fresh copy's Scan does: the
+        Scan's spreads and subsets are the figures table's own read-only
+        arrays, not copies of them."""
+        instance = generate_instance(mild_params(20, 5, 0))
+        solve_protocol(instance, "aco", aco_config=ACOConfig(stagnation_limit=100))
+        table = instance._table
+        with mock.patch.object(model, "_unrank", side_effect=AssertionError("unranked")):
+            solve_protocol(instance, "brute")
+            exact_bounds(instance)
+            scan = oracle.Scan(instance)
+            with pytest.raises(AssertionError, match="unranked"):
+                oracle.Scan(dataclasses.replace(instance))
+        assert scan.spreads is table.feasible_spreads and scan.subsets is table.feasible_subsets
+        assert not (scan.spreads.flags.writeable or scan.subsets.flags.writeable)
+        assert len(scan.subsets) == 1746
 
     def test_brute_solve_builds_no_table(self):
         instance = generate_instance(mild_params(20, 5, 0))

@@ -482,6 +482,19 @@ class TestSolveProtocol:
         assert report.iterations == math.comb(instance.n, instance.m_servers)
         assert report.evaluations == 0 and report.elapsed_s > 0
 
+    @pytest.mark.parametrize("seed", [1.5, -3, True])
+    @pytest.mark.parametrize("algo", ["brute", "ga", "aco"])
+    def test_every_algorithm_rejects_a_bad_seed(self, medium_instance, monkeypatch, algo, seed):
+        """A seed that no config takes is a DomainError naming the seed for
+        all three algorithms, raised before a brute solve scans anything."""
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("scanned")
+
+        monkeypatch.setattr(protocol, "Scan", refuse)
+        with pytest.raises(DomainError, match="^seed must be"):
+            solve_protocol(medium_instance, algo, seed=seed)
+
     def test_unknown_algorithm_rejected(self, small_instance):
         with pytest.raises(DomainError, match="unknown algorithm"):
             solve_protocol(small_instance, "anneal")
