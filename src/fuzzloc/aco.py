@@ -14,8 +14,9 @@ import numpy as np
 
 from .errors import DomainError
 from .evaluation import Fitness, Steps, drive
+from .fuzzy import check_count
 from .model import Instance, figures_table
-from .reports import Run, SolverReport, check_count, check_run
+from .reports import Run, SolverReport
 
 TAU_MIN = 1e-6
 # Largest accepted alpha_exp and beta_exp. Every positive double has
@@ -32,7 +33,6 @@ class ACOConfig:
     population_coefficient: int = 2
     alpha_exp: float = 0.75  # pheromone exponent
     beta_exp: float = 0.75  # heuristic exponent
-    seed: int = 0
     stagnation_limit: Optional[int] = None  # None: reports.Run's default
 
     def __post_init__(self) -> None:
@@ -47,7 +47,8 @@ class ACOConfig:
         if self.alpha_exp > MAX_EXPONENT or self.beta_exp > MAX_EXPONENT:
             raise DomainError(f"exponents must not exceed {MAX_EXPONENT:.4g}")
         check_count("population_coefficient", self.population_coefficient, 1)
-        check_run(self.seed, self.stagnation_limit)
+        if self.stagnation_limit is not None:
+            check_count("stagnation_limit", self.stagnation_limit, 1)
 
 
 def heuristic_index(instance: Instance) -> np.ndarray:
@@ -133,16 +134,17 @@ def _update(tau: np.ndarray, nodes: np.ndarray, values: Sequence[float], config:
     return np.minimum(np.maximum(trails, TAU_MIN, out=trails), theta, out=trails)
 
 
-def run_aco(instance: Instance, eval_fn: Fitness, config: ACOConfig) -> SolverReport:
-    """Iterate colonies that maximize ``eval_fn`` until they converge on the
-    global best, as their bests equal it, or improvement stops: the two
-    windows of reports.Run.
+def run_aco(instance: Instance, eval_fn: Fitness, config: ACOConfig,
+            seed: int = 0) -> SolverReport:
+    """Iterate colonies from ``seed`` that maximize ``eval_fn`` until they
+    converge on the global best, as their bests equal it, or improvement
+    stops: the two windows of reports.Run, which also checks the seed.
 
     Each colony is sampled first and scored as one block of
     ``evaluation.drive``; its first ant that beats the best so far becomes
     the new best, and a NaN value ranks below every other value, as -inf.
     """
-    return drive([(_colonies(instance, config, [config.seed], np.ones(1)), eval_fn)])[0][0]
+    return drive([(_colonies(instance, config, [seed], np.ones(1)), eval_fn)])[0][0]
 
 
 def _colonies(

@@ -349,38 +349,29 @@ def cmd_tune(args) -> int:
     grid = list(itertools.product(
         args.evaporation, args.max_pheromone, args.coefficient, args.alpha, args.beta
     ))
-    # one config per cell and seed, built first, so a bad value or seed stops
-    # the command before any run and before the output file is opened
+    # one config per cell, built first: a bad value stops the command before any run or file
     cells = [
-        [
-            ACOConfig(
-                evaporation_rate=ev, max_pheromone=ph, population_coefficient=co,
-                alpha_exp=al, beta_exp=be, seed=seed,
-            )
-            for seed in args.seeds
-        ]
+        ACOConfig(evaporation_rate=ev, max_pheromone=ph, population_coefficient=co,
+                  alpha_exp=al, beta_exp=be)
         for ev, ph, co, al, be in grid
     ]
     ctx = _context(args, instance)
-    contexts = {
-        seed: ctx or estimate_bounds(instance, ACOConfig(seed=seed))
-        for seed in args.seeds
-    }
+    contexts = {seed: ctx or estimate_bounds(instance, ACOConfig(), seed) for seed in args.seeds}
     header = [
         "evaporation_rate", "max_pheromone", "population_coefficient",
         "alpha_exp", "beta_exp", "mean_objective",
     ]
 
-    def mean_objective(configs) -> float:
+    def mean_objective(config) -> float:
         return float(np.mean([
-            solve_protocol(instance, "aco", seed=c.seed, aco_config=c, ctx=contexts[c.seed])[0]
+            solve_protocol(instance, "aco", seed=seed, aco_config=config, ctx=contexts[seed])[0]
             .objective
-            for c in configs
+            for seed in args.seeds
         ]))
 
     # each cell's row is written as soon as its seeds are solved
     out = Path(args.out)
-    rows = ([*values, mean_objective(configs)] for values, configs in zip(grid, cells))
+    rows = ([*values, mean_objective(config)] for values, config in zip(grid, cells))
     _write_table(out, header, rows)
     print(f"wrote {len(cells)} cells to {out}")
     return EXIT_OK
@@ -473,10 +464,11 @@ def main(argv=None) -> int:
         "validate": cmd_validate,
     }
     try:
-        # Before any run or output, naming the given seed: bench and validate
-        # run on seeds derived from it (seed + r and 5 * seed + r).
-        if getattr(args, "seed", 0) < 0:
-            raise UsageError(f"seed must be non-negative, got {args.seed}")
+        # Before any run or output, naming the bad seed: bench and validate run
+        # on seeds derived from --seed (seed + r and 5 * seed + r), tune on --seeds.
+        for seed in getattr(args, "seeds", [getattr(args, "seed", 0)]):
+            if seed < 0:
+                raise UsageError(f"seed must be non-negative, got {seed}")
         return handlers[args.command](args)
     except (UsageError, DomainError, InstanceFormatError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)

@@ -21,8 +21,9 @@ import numpy as np
 
 from .errors import DomainError
 from .evaluation import Fitness, Steps, drive
+from .fuzzy import check_count
 from .model import Instance
-from .reports import Run, SolverReport, check_count, check_run
+from .reports import Run, SolverReport
 
 
 def _mask(genes) -> int:
@@ -43,12 +44,12 @@ class Chromosome:
 @dataclass
 class GAConfig:
     population_floor: int = 10
-    seed: int = 0
     stagnation_limit: Optional[int] = None  # None: reports.Run's default
 
     def __post_init__(self) -> None:
         check_count("population_floor", self.population_floor, 2)
-        check_run(self.seed, self.stagnation_limit)
+        if self.stagnation_limit is not None:
+            check_count("stagnation_limit", self.stagnation_limit, 1)
 
 
 def population_size(n: int, m: int, floor: int) -> int:
@@ -178,10 +179,10 @@ def replace(population: list[Chromosome], candidate: Chromosome) -> bool:
     return False
 
 
-def run_ga(instance: Instance, eval_fn: Fitness, config: GAConfig) -> SolverReport:
-    """Evolve until the population converges on its best, as candidates
-    equal the best fitness, or improvement stops: the two windows of
-    reports.Run. One iteration is one mating.
+def run_ga(instance: Instance, eval_fn: Fitness, config: GAConfig, seed: int = 0) -> SolverReport:
+    """Evolve from ``seed`` until the population converges on its best, as
+    candidates equal the best fitness, or improvement stops: the two windows
+    of reports.Run, which also checks the seed. One iteration is one mating.
 
     ``eval_fn`` must depend only on the solution's gene set: each distinct set
     is evaluated once and its value reused, and a repeated mating that drew
@@ -190,7 +191,7 @@ def run_ga(instance: Instance, eval_fn: Fitness, config: GAConfig) -> SolverRepo
     repeated matings included. A NaN value ranks below every other value, as
     -inf.
     """
-    return drive([(_steps(instance, config, config.seed), eval_fn)])[0]
+    return drive([(_steps(instance, config, seed), eval_fn)])[0]
 
 
 def _steps(instance: Instance, config: GAConfig, seed: int) -> Steps[SolverReport]:

@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DomainError, InstanceFormatError
-from .fuzzy import TriFuzzy, is_number
+from .fuzzy import TriFuzzy, check_count, is_count, is_number
 from .model import Instance
 
 TABLE1_SHA256 = "172a3c7598cd8bb5d8947d4d27b27de7bcfd52b3584cb20bac03207f75c9db6e"
@@ -54,8 +54,8 @@ class GeneratorParams:
                 raise DomainError(f"{name} must be positive and increasing")
         if self.distance_range[0] < 1:
             raise DomainError("distances must be positive")
-        if self.seed < 0:
-            raise DomainError(f"seed must be non-negative, got {self.seed}")
+        check_count("n", self.n, 2, "instance needs at least two nodes")
+        check_count("seed", self.seed, 0, f"seed must be non-negative, got {self.seed}")
 
 
 def _fuzzy_column(rng: np.random.Generator, n: int, lo_range, offsets) -> np.ndarray:
@@ -114,8 +114,8 @@ def _field(doc: dict, key: str, convert, what: str):
 
 
 def _count(value) -> int:
-    """A JSON integer as it is: a float or a bool is not a count."""
-    if isinstance(value, bool) or not isinstance(value, int):
+    """A JSON integer as it is: a float or a bool is not a count (is_count)."""
+    if not is_count(value):
         raise TypeError(value)
     return value
 

@@ -13,7 +13,7 @@ from typing import Iterable, Optional
 import numpy as np
 
 from .errors import DomainError
-from .fuzzy import SLICE_INDEX, TriFuzzy
+from .fuzzy import SLICE_INDEX, TriFuzzy, check_count
 
 
 def _fuzzy_rows(values, n: int, what: str) -> np.ndarray:
@@ -83,10 +83,10 @@ class Instance:
 
     def __post_init__(self) -> None:
         n = self.n
-        if n < 2:
-            raise DomainError("instance needs at least two nodes")
+        check_count("n", n, 2, "instance needs at least two nodes")
         if not (1 <= self.m_servers < n):
             raise DomainError(f"m_servers must satisfy 1 <= M < n, got {self.m_servers}")
+        check_count("m_servers", self.m_servers, 1)
         dist = np.asarray(self.distance, dtype=float)
         if dist.shape != (n, n):
             raise DomainError(f"distance must be {n}x{n}, got {dist.shape}")

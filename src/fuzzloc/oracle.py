@@ -255,9 +255,11 @@ def mm1_simulate(lam: float, mu: float, event_budget: int, seed: int = 0) -> Sim
         raise DomainError("rates must be positive")
     if lam >= mu:
         raise DomainError(f"unstable parameters: lam={lam} >= mu={mu}")
-    if not isinstance(event_budget, numbers.Integral) or event_budget < 1:
+    # A numpy integer is a count here, unlike in instance files; a bool is not.
+    if (isinstance(event_budget, bool) or not isinstance(event_budget, numbers.Integral)
+            or event_budget < 1):
         raise DomainError(f"event_budget must be a positive integer, got {event_budget!r}")
-    if not isinstance(seed, numbers.Integral) or seed < 0:
+    if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) or seed < 0:
         raise DomainError(f"seed must be a non-negative integer, got {seed!r}")
     customers = _customers(_draws(lam, mu, seed))
     return _estimate(*_batch_sums(customers, event_budget, BATCHES))

@@ -3,7 +3,6 @@ maximin run evaluated against the calibrated membership functions."""
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from typing import Optional
 
@@ -19,7 +18,7 @@ from .model import Instance, no_feasible_subset
 # A brute solve no longer calls enumerate_optimum; the name stays importable
 # here because benchmarks/tracer.py wraps it on this module.
 from .oracle import DEFAULT_ENUM_BUDGET, Scan, enumerate_optimum, exact_bounds  # noqa: F401
-from .reports import Run, SolverReport, check_run
+from .reports import Run, SolverReport, check_seed
 
 # Bound runs in protocol order: min and max of each spread component.
 BOUND_RUNS = (
@@ -63,18 +62,20 @@ class _BoundFitness(KernelFitness):
         return _PENALTY_SCALE * penalty(violation)
 
 
-def estimate_bounds(instance: Instance, config: GAConfig | ACOConfig) -> MaximinContext:
+def estimate_bounds(instance: Instance, config: GAConfig | ACOConfig,
+                    seed: int = 0) -> MaximinContext:
     """Run the six bound-calibration optimizations and collect the extrema.
 
     The config's type picks the solver, and bound run k (from 0) runs
-    ``config`` at seed config.seed + k + 1, so a solve is reproducible
-    from its one seed. Bound run k maximizes sign * component, so its best
-    objective read back through _SIGN[k] is its component extremum. A bound
-    run that finds no feasible solution ends at or below the penalty -1e12
-    and records NaN, which the membership functions treat as degenerate.
-    Exact bounds come from ``oracle.exact_bounds``. The six runs step
-    together in one ``drive`` call, and each ends as it would alone: six GA
-    step generators, or one ACO generator over a six-row trail array whose
+    ``config`` at seed + k + 1, so a solve is reproducible from its one
+    seed, which is checked first: seed -1 must not pass as bound seeds 0-5.
+    Bound run k maximizes sign * component, so its best objective read back
+    through _SIGN[k] is its component extremum. A bound run that finds no
+    feasible solution ends at or below the penalty -1e12 and records NaN,
+    which the membership functions treat as degenerate. Exact bounds come
+    from ``oracle.exact_bounds``. The six runs step together in one
+    ``drive`` call, and each ends as it would alone: six GA step
+    generators, or one ACO generator over a six-row trail array whose
     blocks one ``_BoundFitness`` scores, each row as its own run, and whose
     deposits take each run's sign from _SIGN.
 
@@ -82,13 +83,14 @@ def estimate_bounds(instance: Instance, config: GAConfig | ACOConfig) -> Maximin
     would end at or below the penalty, so no run is made and every bound is
     NaN, the context the six runs would give.
     """
+    check_seed(seed)
     if no_feasible_subset(instance):
         return MaximinContext(*[(math.nan, math.nan)] * 3, provenance="metaheuristic-estimated")
-    seeds = [config.seed + k + 1 for k in range(len(BOUND_RUNS))]
+    seeds = [seed + k + 1 for k in range(len(BOUND_RUNS))]
     if isinstance(config, GAConfig):
         reports = drive([
-            (_ga_steps(instance, config, seed), _BoundFitness(instance, r))
-            for r, seed in enumerate(seeds)
+            (_ga_steps(instance, config, bound_seed), _BoundFitness(instance, r))
+            for r, bound_seed in enumerate(seeds)
         ])
     else:
         fitness = _BoundFitness(instance, 0)  # _colonies selects each row's run
@@ -123,7 +125,6 @@ def solve_protocol(
     GA and ACO report is, timed over the scan and the exact bounds.
     """
     if algo == "brute":
-        check_run(seed, None)  # as the GA and ACO configs check theirs
         run = Run("brute", instance, seed)
         scan = Scan(instance, enum_budget)
         if ctx is None:
@@ -136,13 +137,12 @@ def solve_protocol(
         report.trace.append(result.best_value)
         run.finish("exhaustive")
     elif algo in ("ga", "aco"):
-        base = (ga_config or GAConfig()) if algo == "ga" else (aco_config or ACOConfig())
-        config = dataclasses.replace(base, seed=seed)  # a bad seed fails before the bound runs
+        config = (ga_config or GAConfig()) if algo == "ga" else (aco_config or ACOConfig())
         if ctx is None:
-            ctx = estimate_bounds(instance, config)
+            ctx = estimate_bounds(instance, config, seed)
         # Looked up at call time: benchmarks/tracer.py patches run_ga and run_aco here.
         report = (run_ga if algo == "ga" else run_aco)(
-            instance, make_maximin_eval(instance, ctx), config
+            instance, make_maximin_eval(instance, ctx), config, seed
         )
     else:
         raise DomainError(f"unknown algorithm {algo!r}")

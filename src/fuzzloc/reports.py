@@ -1,7 +1,6 @@
 """Solver reports: the SolverReport of one solver run and its dict form in
-result files; the Run that builds, times and ends that report for every
-GA, ACO and brute solve, with its stopping windows; and the checks of a
-config's integer counts."""
+result files; and the Run that checks the seed of every GA, ACO and brute
+solve, then builds, times and ends its report, with its stopping windows."""
 
 from __future__ import annotations
 
@@ -10,7 +9,7 @@ import time
 from dataclasses import asdict, dataclass, field
 from typing import Optional
 
-from .errors import DomainError
+from .fuzzy import check_count
 from .model import Instance
 
 
@@ -45,33 +44,19 @@ def convergence_limit(n: int, m: int) -> int:
     return int(n * math.sqrt(m))
 
 
-def check_count(name: str, value, least: int, message: Optional[str] = None) -> None:
-    """A config count: a number below ``least`` raises ``message`` (by
-    default "<name> must be at least <least>"), and any other value that is
-    not a Python int, or is a bool, raises a DomainError naming ``name``
-    (the rule of instances._count)."""
-    if isinstance(value, (int, float)) and value < least:
-        raise DomainError(message or f"{name} must be at least {least}")
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise DomainError(f"{name} must be an integer, got {value!r}")
-
-
-def check_run(seed: int, cap: Optional[int]) -> None:
-    """A config's seed, at least 0 (numpy's generators reject a negative
-    seed, and random.Random(-s) replays seed s), and its stagnation window:
-    None for the default, else at least 1."""
+def check_seed(seed: int) -> None:
+    """The seed rule of every Run: a count of at least 0 (numpy's generators
+    reject a negative seed, and random.Random(-s) replays seed s)."""
     check_count("seed", seed, 0, f"seed must be non-negative, got {seed}")
-    if cap is not None:
-        check_count("stagnation_limit", cap, 1)
 
 
 class Run:
-    """One solver run: its clock, started when the run is made; its
-    convergence and stagnation counters; and ``report``, the run's
-    SolverReport, which is its record. The solver sets the report's
-    ``best`` (ascending 1-based indices, None before the first), its
-    ``objective`` and its ``evaluations``; ``step`` fills the trace and the
-    iteration count of a GA or ACO run, and ``finish`` ends every run.
+    """One solver run: its seed, checked first; its clock, started when the
+    run is made; its convergence and stagnation counters; and ``report``,
+    the run's SolverReport, which is its record. The solver sets the
+    report's ``best`` (ascending 1-based indices, None before the first),
+    its ``objective`` and its ``evaluations``; ``step`` fills the trace and
+    the iteration count of a GA or ACO run, and ``finish`` ends every run.
 
     A GA or ACO run converges after ``limit`` = floor(n * sqrt(m))
     consecutive non-improving iterations that end at the incumbent best,
@@ -81,6 +66,7 @@ class Run:
 
     def __init__(self, algorithm: str, instance: Instance, seed: int,
                  cap: Optional[int] = None):
+        check_seed(seed)
         self.start = time.perf_counter()
         n, m = instance.n, instance.m_servers
         self.report = SolverReport(algorithm, n, m, seed, best=None, objective=math.nan,

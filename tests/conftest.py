@@ -39,10 +39,11 @@ def score_block(fitness, idx) -> list:
     return drive([(one_block(idx), fitness)])[0]
 
 
-def populate(instance, config, fitness, rng=None) -> list:
+def populate(instance, config, fitness, rng=None, seed=0) -> list:
     """The GA's first population under ``fitness``, as ga._population builds
-    it in a run, with a fresh memo; ``rng`` defaults to the config's seed."""
-    rng = rng if rng is not None else random.Random(config.seed)
+    it in a run of ``seed``, with a fresh memo; ``rng`` defaults to that
+    run's generator."""
+    rng = rng if rng is not None else random.Random(seed)
     return drive([(_population(instance, config, rng, _Memo()), fitness)])[0]
 
 
@@ -52,11 +53,11 @@ def mate(p1, p2, fitness, rng):
     return drive([(_mate(p1, p2, rng, _Memo()), fitness)])[0]
 
 
-def aco_run(instance, config, sign):
-    """One ACO run of either sign, 1.0 to maximize or -1.0 to minimize, as a
-    step generator: a stack of one run in aco._colonies, the way the bound
-    phase steps its runs."""
-    return (yield from _colonies(instance, config, [config.seed], np.array([sign])))[0]
+def aco_run(instance, config, sign, seed=0):
+    """One ACO run of ``seed`` and of either sign, 1.0 to maximize or -1.0 to
+    minimize, as a step generator: a stack of one run in aco._colonies, the
+    way the bound phase steps its runs."""
+    return (yield from _colonies(instance, config, [seed], np.array([sign])))[0]
 
 
 def record(report) -> dict:

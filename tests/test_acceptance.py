@@ -85,8 +85,8 @@ def test_criterion_1_oracle_equivalence(verdict):
         fitness = make_maximin_eval(instance, ctx)
         optimum = enumerate_optimum(instance, fitness)
         for seed in range(20):
-            ga = run_ga(instance, fitness, GAConfig(seed=seed))
-            aco = run_aco(instance, fitness, ACOConfig(seed=seed))
+            ga = run_ga(instance, fitness, GAConfig(), seed=seed)
+            aco = run_aco(instance, fitness, ACOConfig(), seed=seed)
             ga_hits += abs(ga.objective - optimum.best_value) < 1e-9
             aco_hits += abs(aco.objective - optimum.best_value) < 1e-9
             runs += 1
@@ -310,7 +310,7 @@ def test_criterion_6_structural_invariants(verdict):
         cases["ga"] += 1
     for instance in pool:
         ctx = exact_bounds(instance)
-        report = run_ga(instance, make_maximin_eval(instance, ctx), GAConfig(seed=0))
+        report = run_ga(instance, make_maximin_eval(instance, ctx), GAConfig(), seed=0)
         assert all(x <= y for x, y in zip(report.trace, report.trace[1:]))
 
     np_rng = np.random.default_rng(1)

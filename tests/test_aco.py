@@ -86,9 +86,10 @@ class TestConfig:
         with pytest.raises(DomainError, match="at least 1"):
             ACOConfig(**{field: value})
 
-    def test_rejects_negative_seed(self):
+    def test_rejects_negative_seed(self, small_instance):
+        # the seed is run_aco's, not the config's
         with pytest.raises(DomainError, match="seed must be non-negative, got -1"):
-            ACOConfig(seed=-1)
+            run_aco(small_instance, lambda solution: 0.0, ACOConfig(), seed=-1)
 
     @pytest.mark.parametrize("field", ["alpha_exp", "beta_exp"])
     def test_rejects_exponent_above_bound(self, field):
@@ -290,8 +291,8 @@ class TestRunACO:
     def test_deterministic(self, small_instance):
         ctx = exact_bounds(small_instance)
         fitness = make_maximin_eval(small_instance, ctx)
-        a = run_aco(small_instance, fitness, ACOConfig(seed=5))
-        b = run_aco(small_instance, fitness, ACOConfig(seed=5))
+        a = run_aco(small_instance, fitness, ACOConfig(), seed=5)
+        b = run_aco(small_instance, fitness, ACOConfig(), seed=5)
         assert a.best == b.best
         assert a.objective == b.objective
         assert a.trace == b.trace
@@ -299,7 +300,7 @@ class TestRunACO:
     def test_trace_nondecreasing(self, small_instance):
         ctx = exact_bounds(small_instance)
         fitness = make_maximin_eval(small_instance, ctx)
-        report = run_aco(small_instance, fitness, ACOConfig(seed=3))
+        report = run_aco(small_instance, fitness, ACOConfig(), seed=3)
         assert all(x <= y for x, y in zip(report.trace, report.trace[1:]))
         assert report.termination in ("convergence", "stagnation")
 
@@ -308,7 +309,7 @@ class TestRunACO:
         fitness = make_maximin_eval(small_instance, ctx)
         optimum = enumerate_optimum(small_instance, fitness)
         hits = sum(
-            abs(run_aco(small_instance, fitness, ACOConfig(seed=s)).objective
+            abs(run_aco(small_instance, fitness, ACOConfig(), seed=s).objective
                 - optimum.best_value) < 1e-9
             for s in range(20)
         )
@@ -319,7 +320,7 @@ class TestRunACO:
         fitness = make_maximin_eval(small_instance, ctx)
         optimum = enumerate_optimum(small_instance, fitness)
         for seed in range(5):
-            report = run_aco(small_instance, fitness, ACOConfig(seed=seed))
+            report = run_aco(small_instance, fitness, ACOConfig(), seed=seed)
             assert report.objective <= optimum.best_value + 1e-12
 
     def test_evaluations_are_ants_times_iterations(self, small_instance):
@@ -330,8 +331,8 @@ class TestRunACO:
             calls.append(solution)
             return fitness(solution)
 
-        config = ACOConfig(seed=2)
-        report = run_aco(small_instance, counted, config)
+        config = ACOConfig()
+        report = run_aco(small_instance, counted, config, seed=2)
         ants = ant_count(small_instance.n, small_instance.m_servers, config.population_coefficient)
         assert report.evaluations == ants * report.iterations == len(calls)
 

@@ -181,15 +181,15 @@ def test_overflowing_deposits_reach_the_cap_without_warning():
     assert np.array_equal(trails, [expected])
 
 
-def reference_steps(instance, config, sign):
-    """One ACO run ant by ant: each ant's subset drawn on its own, a walk
+def reference_steps(instance, config, sign, seed):
+    """One ACO run of ``seed``, ant by ant: each ant's subset drawn on its own, a walk
     that keeps the first ant whose score is strictly above the best so far,
     where a NaN value scores -inf, and the deposit loop above, with F =
     -value in a run of sign -1.0. It yields and returns as aco_run does,
     with no wall time."""
-    rng = np.random.default_rng(config.seed)
+    rng = np.random.default_rng(seed)
     n, m = instance.n, instance.m_servers
-    run = Run("aco", instance, config.seed, config.stagnation_limit)
+    run = Run("aco", instance, seed, config.stagnation_limit)
     ants = ant_count(n, m, config.population_coefficient)
     eta = heuristic_index(instance)
     tau = np.ones(n)
@@ -251,9 +251,8 @@ def test_stacked_runs_match_each_run_alone(
     signs = [sign for _, sign in runs]
     stacked = drive([(_colonies(instance, shared, seeds, np.array(signs)), fitness)])[0]
     for report, seed, sign in zip(stacked, seeds, signs):
-        config = dataclasses.replace(shared, seed=seed)
-        alone = drive([(aco_run(instance, config, sign), fitness)])[0]
-        reference = drive([(reference_steps(instance, config, sign), fitness)])[0]
+        alone = drive([(aco_run(instance, shared, sign, seed), fitness)])[0]
+        reference = drive([(reference_steps(instance, shared, sign, seed), fitness)])[0]
         assert record(report) == record(alone) == record(reference)
 
 
@@ -339,9 +338,9 @@ def test_nan_value_ranks_last(solver):
     instance = generate_instance(mild_params(8, 2, 0))
     maximin = make_maximin_eval(instance, exact_bounds(instance))
     if solver == "ga":
-        run, config = run_ga, GAConfig(seed=0, stagnation_limit=30)
+        run, config = run_ga, GAConfig(stagnation_limit=30)
     else:
-        run, config = run_aco, ACOConfig(seed=0, stagnation_limit=30)
+        run, config = run_aco, ACOConfig(stagnation_limit=30)
     report = run(instance, _FirstNaN(maximin), config)
     assert report.objective > 0
     assert report.objective == maximin(Solution(report.best))
@@ -381,13 +380,13 @@ def test_solver_reports_match_plain_callable(instance_name, request):
     for solver, sign, fitness in _runs(instance):
         for seed in seeds:
             if solver == "ga":
-                config = GAConfig(seed=seed, **window)
-                block = run_ga(instance, fitness, config)
-                plain = run_ga(instance, _plain(fitness), config)
+                config = GAConfig(**window)
+                block = run_ga(instance, fitness, config, seed)
+                plain = run_ga(instance, _plain(fitness), config, seed)
             else:
-                config = ACOConfig(seed=seed, **window)
-                block = drive([(aco_run(instance, config, sign), fitness)])[0]
-                plain = drive([(aco_run(instance, config, sign), _plain(fitness))])[0]
+                config = ACOConfig(**window)
+                block = drive([(aco_run(instance, config, sign, seed), fitness)])[0]
+                plain = drive([(aco_run(instance, config, sign, seed), _plain(fitness))])[0]
             assert record(block) == record(plain), (solver, sign, seed)
 
 
@@ -411,8 +410,8 @@ class RowCounter(MaximinFitness):
 
 def test_aco_scores_each_colony_in_one_block(small_instance):
     fitness = RowCounter(small_instance, exact_bounds(small_instance))
-    config = ACOConfig(seed=2)
-    report = run_aco(small_instance, fitness, config)
+    config = ACOConfig()
+    report = run_aco(small_instance, fitness, config, seed=2)
     ants = ant_count(small_instance.n, small_instance.m_servers, config.population_coefficient)
     assert fitness.rows == ants * report.iterations == report.evaluations
     assert fitness.blocks == report.iterations
@@ -420,7 +419,7 @@ def test_aco_scores_each_colony_in_one_block(small_instance):
 
 def test_ga_scores_only_in_blocks(medium_instance):
     fitness = RowCounter(medium_instance, exact_bounds(medium_instance))
-    report = run_ga(medium_instance, fitness, GAConfig(seed=1))
+    report = run_ga(medium_instance, fitness, GAConfig(), seed=1)
     assert 0 < fitness.rows < report.evaluations
 
 
@@ -495,9 +494,9 @@ class TestWindows:
         monkeypatch.setattr(Run, "__init__", recorded)
         fitness = bound_fitness(medium_instance, "z2", "max")
         if solver == "ga":
-            reports = [run_ga(medium_instance, fitness, GAConfig(seed=1, stagnation_limit=8))]
+            reports = [run_ga(medium_instance, fitness, GAConfig(stagnation_limit=8), seed=1)]
         elif solver == "aco":
-            reports = [run_aco(medium_instance, fitness, ACOConfig(seed=1, stagnation_limit=8))]
+            reports = [run_aco(medium_instance, fitness, ACOConfig(stagnation_limit=8), seed=1)]
         else:
             stack = _colonies(medium_instance, ACOConfig(stagnation_limit=8), [0, 1, 3],
                               np.array([1.0, -1.0, 1.0]))

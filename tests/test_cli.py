@@ -437,7 +437,7 @@ class TestTune:
         objectives = [
             solve_protocol(
                 instance, "aco", seed=s, aco_config=cell,
-                ctx=estimate_bounds(instance, ACOConfig(seed=s)),
+                ctx=estimate_bounds(instance, ACOConfig(), s),
             )[0].objective
             for s in (0, 1)
         ]

@@ -61,26 +61,26 @@ class TestSizing:
         with pytest.raises(DomainError, match="at least 1"):
             GAConfig(**{field: value})
 
-    def test_config_rejects_negative_seed(self):
-        # random.Random(-3) would replay seed 3
+    def test_config_rejects_negative_seed(self, small_instance):
+        # random.Random(-3) would replay seed 3; the seed is run_ga's, not the config's
         with pytest.raises(DomainError, match="seed must be non-negative, got -3"):
-            GAConfig(seed=-3)
+            run_ga(small_instance, subset_size_fitness, GAConfig(), seed=-3)
 
 
 class TestInitPopulation:
     def test_covers_all_genes(self, medium_instance):
-        population = populate(medium_instance, GAConfig(seed=0), subset_size_fitness)
+        population = populate(medium_instance, GAConfig(), subset_size_fitness, seed=0)
         union = set().union(*(c.genes for c in population))
         assert union == set(range(1, medium_instance.n + 1))
 
     def test_member_sizes(self, medium_instance):
-        population = populate(medium_instance, GAConfig(seed=1), subset_size_fitness)
+        population = populate(medium_instance, GAConfig(), subset_size_fitness, seed=1)
         assert all(len(c.genes) == medium_instance.m_servers for c in population)
         assert len(population) == population_size(medium_instance.n, 2, 10)
 
     def test_deterministic(self, medium_instance):
-        a = populate(medium_instance, GAConfig(seed=7), subset_size_fitness)
-        b = populate(medium_instance, GAConfig(seed=7), subset_size_fitness)
+        a = populate(medium_instance, GAConfig(), subset_size_fitness, seed=7)
+        b = populate(medium_instance, GAConfig(), subset_size_fitness, seed=7)
         assert [c.genes for c in a] == [c.genes for c in b]
 
 
@@ -248,8 +248,8 @@ class TestRunGA:
     def test_deterministic(self, small_instance):
         ctx = exact_bounds(small_instance)
         fitness = make_maximin_eval(small_instance, ctx)
-        a = run_ga(small_instance, fitness, GAConfig(seed=5))
-        b = run_ga(small_instance, fitness, GAConfig(seed=5))
+        a = run_ga(small_instance, fitness, GAConfig(), seed=5)
+        b = run_ga(small_instance, fitness, GAConfig(), seed=5)
         assert a.best == b.best
         assert a.objective == b.objective
         assert a.trace == b.trace
@@ -257,14 +257,14 @@ class TestRunGA:
     def test_trace_nondecreasing(self, small_instance):
         ctx = exact_bounds(small_instance)
         fitness = make_maximin_eval(small_instance, ctx)
-        report = run_ga(small_instance, fitness, GAConfig(seed=2))
+        report = run_ga(small_instance, fitness, GAConfig(), seed=2)
         assert all(x <= y for x, y in zip(report.trace, report.trace[1:]))
         assert report.termination in ("convergence", "stagnation")
 
     def test_best_is_valid_solution(self, small_instance):
         ctx = exact_bounds(small_instance)
         fitness = make_maximin_eval(small_instance, ctx)
-        report = run_ga(small_instance, fitness, GAConfig(seed=0))
+        report = run_ga(small_instance, fitness, GAConfig(), seed=0)
         assert len(report.best) == small_instance.m_servers
         assert all(1 <= j <= small_instance.n for j in report.best)
 
@@ -273,7 +273,7 @@ class TestRunGA:
         fitness = make_maximin_eval(small_instance, ctx)
         optimum = enumerate_optimum(small_instance, fitness)
         hits = sum(
-            abs(run_ga(small_instance, fitness, GAConfig(seed=s)).objective
+            abs(run_ga(small_instance, fitness, GAConfig(), seed=s).objective
                 - optimum.best_value) < 1e-9
             for s in range(20)
         )
@@ -284,7 +284,7 @@ class TestRunGA:
         fitness = make_maximin_eval(small_instance, ctx)
         optimum = enumerate_optimum(small_instance, fitness)
         for seed in range(5):
-            report = run_ga(small_instance, fitness, GAConfig(seed=seed))
+            report = run_ga(small_instance, fitness, GAConfig(), seed=seed)
             assert report.objective <= optimum.best_value + 1e-12
 
     def test_explicit_window_overrides(self, small_instance):
@@ -293,7 +293,8 @@ class TestRunGA:
         report = run_ga(
             small_instance,
             fitness,
-            GAConfig(seed=0, stagnation_limit=1),
+            GAConfig(stagnation_limit=1),
+            seed=0,
         )
         # every iteration before the last strictly improves the best, and the
         # fitness only takes one value per distinct 2-subset (15 of them)
@@ -334,9 +335,9 @@ def _counting(fitness):
 class TestFitnessMemo:
     def test_reports_identical_without_memo(self, medium_instance, monkeypatch):
         fitness = make_maximin_eval(medium_instance, exact_bounds(medium_instance))
-        memo = [run_ga(medium_instance, fitness, GAConfig(seed=s)) for s in range(3)]
+        memo = [run_ga(medium_instance, fitness, GAConfig(), seed=s) for s in range(3)]
         monkeypatch.setattr(fuzzloc.ga, "_Memo", _NoMemo)
-        plain = [run_ga(medium_instance, fitness, GAConfig(seed=s)) for s in range(3)]
+        plain = [run_ga(medium_instance, fitness, GAConfig(), seed=s) for s in range(3)]
         for a, b in zip(memo, plain):
             assert (a.best, a.objective, a.trace, a.iterations, a.evaluations) == (
                 b.best, b.objective, b.trace, b.iterations, b.evaluations
@@ -345,12 +346,12 @@ class TestFitnessMemo:
     def test_evaluations_count_every_request(self, medium_instance, monkeypatch):
         fitness = make_maximin_eval(medium_instance, exact_bounds(medium_instance))
         cached = _counting(fitness)
-        report = run_ga(medium_instance, cached, GAConfig(seed=1))
+        report = run_ga(medium_instance, cached, GAConfig(), seed=1)
         monkeypatch.setattr(fuzzloc.ga, "_Memo", _NoMemo)
         uncached = _counting(fitness)
-        run_ga(medium_instance, uncached, GAConfig(seed=1))
+        run_ga(medium_instance, uncached, GAConfig(), seed=1)
         # the first population scores each distinct member once, memo or not
-        first = populate(medium_instance, GAConfig(seed=1), fitness)
+        first = populate(medium_instance, GAConfig(), fitness, seed=1)
         repeats = len(first) - len({member.genes for member in first})
         assert report.evaluations == uncached.calls + repeats
         # the memo evaluates each distinct gene set once
@@ -369,10 +370,10 @@ class TestFitnessMemo:
             fitness = make_maximin_eval(instance, exact_bounds(instance))
         except InfeasibleInstanceError:
             assume(False)
-        memo = run_ga(instance, fitness, GAConfig(seed=seed))
+        memo = run_ga(instance, fitness, GAConfig(), seed=seed)
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(fuzzloc.ga, "_Memo", _NoMemo)
-            plain = run_ga(instance, fitness, GAConfig(seed=seed))
+            plain = run_ga(instance, fitness, GAConfig(), seed=seed)
         assert record(memo) == record(plain)
 
 
@@ -406,7 +407,7 @@ class TestMatingMemo:
         calls, with the same arguments, as a run that caches nothing, and no
         mating that drew a tie is kept."""
         instance = generate_instance(mild_params(12, 4, 0))
-        config = GAConfig(seed=3, stagnation_limit=60)
+        config = GAConfig(stagnation_limit=60)
         draws = []
         choice = random.Random.choice
 
@@ -438,11 +439,11 @@ class TestMatingMemo:
 
         monkeypatch.setattr(random.Random, "choice", logged)
         monkeypatch.setattr(fuzzloc.ga, "_Memo", RecordingMemo)
-        cached = run_ga(instance, plateau_fitness, config)
+        cached = run_ga(instance, plateau_fitness, config, seed=3)
         cached_draws = draws[:]
         draws.clear()
         monkeypatch.setattr(fuzzloc.ga, "_Memo", _NoMemo)
-        plain = run_ga(instance, plateau_fitness, config)
+        plain = run_ga(instance, plateau_fitness, config, seed=3)
         assert record(cached) == record(plain)
         assert cached_draws == draws and len(draws) > 0
         [matings] = tables
@@ -548,8 +549,8 @@ class TestRoundInvariants:
         assert rngs[0].getstate() == rngs[1].getstate()
 
     @staticmethod
-    def logged_run(instance, fitness, config):
-        """run_ga, logging per mating: the candidate, whether it entered, the
+    def logged_run(instance, fitness, config, seed):
+        """run_ga at ``seed``, logging per mating: the candidate, whether it entered, the
         population after it, the best that a max(population) scan (first
         member among ties) gives, the best that scan keeps when it beats the
         best so far (the rule before the scan was dropped), and the run's
@@ -577,7 +578,7 @@ class TestRoundInvariants:
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(fuzzloc.ga, "replace", logged_replace)
             patch.setattr(Run, "step", logged_step)
-            report = run_ga(instance, fitness, config)
+            report = run_ga(instance, fitness, config, seed)
         return report, log
 
     @settings(max_examples=60, deadline=None)
@@ -591,10 +592,10 @@ class TestRoundInvariants:
         fitness = drawn_fitness(data.draw(st.sampled_from([2, 4, 10**6]), label="levels"),
                                 data.draw(st.integers(0, 2**32), label="salt"))
         config = GAConfig(population_floor=data.draw(st.integers(2, 6), label="floor"),
-                          seed=data.draw(st.integers(0, 2**16), label="seed"),
                           stagnation_limit=30)
+        seed = data.draw(st.integers(0, 2**16), label="seed")
         report, log = self.logged_run(SimpleNamespace(n=n, m_servers=m),
-                                      lambda solution: fitness(solution.open), config)
+                                      lambda solution: fitness(solution.open), config, seed)
         assert len(log) == report.iterations > 0
         for _, _, _, scanned, kept, best in log:
             assert best == kept and best[1] == scanned[1]
@@ -606,9 +607,9 @@ class TestRoundInvariants:
         # n = 4, m = 2, two members: {1, 3} and {2, 4} carry one gene each
         # alone, and every other pair scores 10.
         values = {frozenset({1, 3}): 1.0, frozenset({2, 4}): 2.0}
-        config = GAConfig(population_floor=2, seed=0, stagnation_limit=5)
+        config = GAConfig(population_floor=2, stagnation_limit=5)
         report, log = self.logged_run(SimpleNamespace(n=4, m_servers=2),
-                                      lambda solution: values.get(solution.open, 10.0), config)
+                                      lambda solution: values.get(solution.open, 10.0), config, 0)
         for candidate, entered, population, scanned, kept, best in log:
             assert candidate.fitness == 10.0 > max(c.fitness for c in population)
             assert not entered

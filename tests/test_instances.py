@@ -40,6 +40,19 @@ class TestGeneratorParams:
         with pytest.raises(DomainError, match="seed must be non-negative"):
             GeneratorParams(n=6, m_servers=2, seed=-1)
 
+    @pytest.mark.parametrize("field, value", [("seed", 1.5), ("seed", True), ("n", 6.0)])
+    def test_counts_are_integers(self, field, value):
+        """A float seed used to reach numpy as a TypeError, and seed True
+        to draw the instance of seed 1."""
+        with pytest.raises(DomainError, match=f"^{field} must be an integer, got {value!r}$"):
+            GeneratorParams(**{"n": 6, "m_servers": 2, field: value})
+
+    def test_float_m_servers_rejected(self):
+        """An instance with m_servers 2.0 used to be drawn and saved, and the
+        file then failed to load."""
+        with pytest.raises(DomainError, match="^m_servers must be an integer, got 2.0$"):
+            generate_instance(GeneratorParams(n=6, m_servers=2.0))
+
 
 class TestGeneration:
     def test_deterministic(self):

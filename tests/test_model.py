@@ -2,6 +2,7 @@
 
 import dataclasses
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -136,6 +137,17 @@ class TestInstanceValidation:
     def test_field_rule_rejected(self, field, value, match):
         valid = build_instance([[0, 2], [2, 0]], crisp_rows([1, 1]), crisp_rows([10, 10]))
         with pytest.raises(DomainError, match=match):
+            dataclasses.replace(valid, **{field: value})
+
+    @pytest.mark.parametrize("field, value", [
+        ("n", 2.0), ("n", np.int64(2)), ("m_servers", 1.0), ("m_servers", True),
+    ])
+    def test_counts_are_integers(self, field, value):
+        """n and m_servers follow the count rule of instance files, so that
+        every instance that save_instance writes loads again."""
+        valid = build_instance([[0, 2], [2, 0]], crisp_rows([1, 1]), crisp_rows([10, 10]))
+        message = re.escape(f"{field} must be an integer, got {value!r}")
+        with pytest.raises(DomainError, match=f"^{message}$"):
             dataclasses.replace(valid, **{field: value})
 
 

@@ -608,12 +608,12 @@ class TestSimulator:
         with pytest.raises(DomainError, match="seed"):
             mm1_simulate(50, 100, 1000, seed=-1)
 
-    @pytest.mark.parametrize("event_budget", [1000.5, 1e3, "1000", None])
+    @pytest.mark.parametrize("event_budget", [1000.5, 1e3, "1000", None, True, False])
     def test_non_integer_budget_rejected(self, event_budget):
         with pytest.raises(DomainError, match="event_budget"):
             mm1_simulate(50, 100, event_budget)
 
-    @pytest.mark.parametrize("seed", [1.5, 2.0, "3", None])
+    @pytest.mark.parametrize("seed", [1.5, 2.0, "3", None, True, False])
     def test_non_integer_seed_rejected(self, seed):
         with pytest.raises(DomainError, match="seed"):
             mm1_simulate(50, 100, 1000, seed=seed)

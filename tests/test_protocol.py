@@ -20,7 +20,7 @@ from conftest import (
     score_block,
 )
 from fuzzloc import aco, evaluation, protocol
-from fuzzloc.aco import ACOConfig
+from fuzzloc.aco import ACOConfig, run_aco
 from fuzzloc.errors import DomainError
 from fuzzloc.fuzzy import TriFuzzy
 from fuzzloc.evaluation import MaximinContext, component_value, drive, make_maximin_eval
@@ -37,18 +37,17 @@ from fuzzloc.protocol import (
 from fuzzloc.reports import SolverReport
 
 
-def _sequential_runs(instance, config):
+def _sequential_runs(instance, config, seed=0):
     """The six bound runs of ``config`` one after another, run r seeded
-    config.seed + r + 1: run_ga calls, or one aco._colonies stack of one run
-    each, of the run's sign."""
+    seed + r + 1: run_ga calls, or one aco._colonies stack of one run each,
+    of the run's sign."""
     reports = []
     for r, sign in enumerate(protocol._SIGN):
-        run = dataclasses.replace(config, seed=config.seed + r + 1)
         fitness = _BoundFitness(instance, r)
         if isinstance(config, GAConfig):
-            reports.append(run_ga(instance, fitness, run))
+            reports.append(run_ga(instance, fitness, config, seed + r + 1))
         else:
-            reports.append(drive([(aco_run(instance, run, sign), fitness)])[0])
+            reports.append(drive([(aco_run(instance, config, sign, seed + r + 1), fitness)])[0])
     return reports
 
 
@@ -128,8 +127,8 @@ class TestEstimateBounds:
         assert est.z3_bounds == (0.0, 0.0)
 
     def test_same_seeds_reproduce(self, small_instance):
-        a = estimate_bounds(small_instance, GAConfig(seed=2))
-        b = estimate_bounds(small_instance, GAConfig(seed=2))
+        a = estimate_bounds(small_instance, GAConfig(), 2)
+        b = estimate_bounds(small_instance, GAConfig(), 2)
         assert a == b
 
     @settings(max_examples=40, deadline=None)
@@ -150,10 +149,9 @@ class TestEstimateBounds:
         params = mild_params(n, m, instance_seed) if mild else GeneratorParams(
             n=n, m_servers=m, seed=instance_seed)
         instance = generate_instance(params)
-        for config in (GAConfig(seed=seed, stagnation_limit=window),
-                       ACOConfig(seed=seed, stagnation_limit=window)):
-            ctx = estimate_bounds(instance, config)
-            runs = _sequential_runs(instance, config)
+        for config in (GAConfig(stagnation_limit=window), ACOConfig(stagnation_limit=window)):
+            ctx = estimate_bounds(instance, config, seed)
+            runs = _sequential_runs(instance, config, seed)
             for (name, sense), report in zip(BOUND_RUNS, runs):
                 value = component_value(instance, Solution(report.best), name)
                 expected = math.nan if value is None else value
@@ -244,16 +242,16 @@ class TestEstimateBounds:
         )
 
 
-def _stepped_bounds(instance, config):
+def _stepped_bounds(instance, config, seed):
     """The context of the six bound runs stepped together through drive,
-    with no certificate, run r seeded config.seed + r + 1: six GA step
-    generators, or one ACO stack, each run's bound read from its objective,
-    NaN at or below the penalty."""
-    seeds = [config.seed + r + 1 for r in range(len(BOUND_RUNS))]
+    with no certificate, run r seeded seed + r + 1: six GA step generators,
+    or one ACO stack, each run's bound read from its objective, NaN at or
+    below the penalty."""
+    seeds = [seed + r + 1 for r in range(len(BOUND_RUNS))]
     if isinstance(config, GAConfig):
         reports = drive([
-            (_ga_steps(instance, config, seed), _BoundFitness(instance, r))
-            for r, seed in enumerate(seeds)
+            (_ga_steps(instance, config, bound_seed), _BoundFitness(instance, r))
+            for r, bound_seed in enumerate(seeds)
         ])
     else:
         fitness = _BoundFitness(instance, 0)
@@ -276,10 +274,9 @@ class TestCertifiedBounds:
     @pytest.mark.parametrize("seed", range(5))
     def test_matches_stepped_bound_runs(self, certified, config, seed, monkeypatch):
         assert no_feasible_subset(certified)
-        config = dataclasses.replace(config, seed=seed)
-        expected = _stepped_bounds(certified, config)
+        expected = _stepped_bounds(certified, config, seed)
         shapes = _record_kernels(monkeypatch)
-        ctx = estimate_bounds(certified, config)
+        ctx = estimate_bounds(certified, config, seed)
         assert shapes == []
         hexes = [[bound.hex() for bound in c.bounds(name)] for c in (ctx, expected)
                  for name in ("z1", "z2", "z3")]
@@ -298,11 +295,46 @@ class TestCertifiedBounds:
     (GAConfig, "seed"), (GAConfig, "stagnation_limit"), (GAConfig, "population_floor"),
     (ACOConfig, "seed"), (ACOConfig, "stagnation_limit"), (ACOConfig, "population_coefficient"),
 ])
-def test_config_counts_are_integers(config, name, value):
-    """A config count that is not a Python int, or is a bool, is a
-    DomainError that names its field."""
-    with pytest.raises(DomainError, match=name):
-        config(**{name: value})
+def test_config_counts_are_integers(small_instance, config, name, value):
+    """A count that is not a Python int, or is a bool, is a DomainError that
+    names it: a config's field when the config is built, and a run's seed,
+    which no config holds, at every entry point that takes one."""
+    if name != "seed":
+        with pytest.raises(DomainError, match=name):
+            config(**{name: value})
+        return
+    algo, run = ("ga", run_ga) if config is GAConfig else ("aco", run_aco)
+    for call in (
+        lambda: run(small_instance, lambda solution: 0.0, config(), seed=value),
+        lambda: estimate_bounds(small_instance, config(), value),
+        lambda: solve_protocol(small_instance, algo, seed=value),
+    ):
+        with pytest.raises(DomainError, match=f"^seed must be an integer, got {value!r}$"):
+            call()
+
+
+@pytest.mark.parametrize("config, fields", [(GAConfig, 2), (ACOConfig, 6)], ids=["ga", "aco"])
+def test_configs_hold_no_seed(config, fields):
+    """A run's seed is an argument of its entry point, not a config field."""
+    assert len(dataclasses.fields(config)) == fields
+    with pytest.raises(TypeError, match="seed"):
+        config(seed=0)
+
+
+@pytest.mark.parametrize("seed", [0, 3])
+@pytest.mark.parametrize("algo", ["ga", "aco"])
+def test_entry_points_replay_a_solve(medium_instance, algo, seed):
+    """estimate_bounds at a solve's seed gives that solve's context, and
+    run_ga or run_aco at that seed, under that context, its final report."""
+    config = (GAConfig if algo == "ga" else ACOConfig)(stagnation_limit=30)
+    options = {"ga_config" if algo == "ga" else "aco_config": config}
+    report, ctx = solve_protocol(medium_instance, algo, seed=seed, **options)
+    bounds = estimate_bounds(medium_instance, config, seed)
+    assert bounds == ctx and bounds.bounds_id == ctx.bounds_id
+    run = (run_ga if algo == "ga" else run_aco)(
+        medium_instance, make_maximin_eval(medium_instance, ctx), config, seed=seed)
+    run.bounds_id = ctx.bounds_id
+    assert record(run) == record(report)
 
 
 class _Counted:
@@ -346,14 +378,13 @@ class TestDrive:
         def plain(solution):
             return maximin(solution)
 
-        ga = [GAConfig(seed=seed + k, stagnation_limit=30) for k in range(2)]
-        aco = [ACOConfig(seed=seed + k, stagnation_limit=30) for k in range(2)]
+        ga, aco = GAConfig(stagnation_limit=30), ACOConfig(stagnation_limit=30)
         return [
-            (_ga_steps(instance, ga[0], ga[0].seed), bound_fitness(instance, "z2", "min")),
-            (aco_run(instance, aco[0], -1.0), bound_fitness(instance, "z1", "min")),
-            (_ga_steps(instance, ga[1], ga[1].seed), _Counted(maximin)),
-            (aco_run(instance, aco[1], 1.0), plain),
-            (aco_run(instance, ACOConfig(seed=seed, stagnation_limit=1), 1.0), maximin),
+            (_ga_steps(instance, ga, seed), bound_fitness(instance, "z2", "min")),
+            (aco_run(instance, aco, -1.0, seed), bound_fitness(instance, "z1", "min")),
+            (_ga_steps(instance, ga, seed + 1), _Counted(maximin)),
+            (aco_run(instance, aco, 1.0, seed + 1), plain),
+            (aco_run(instance, ACOConfig(stagnation_limit=1), 1.0, seed), maximin),
         ]
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
