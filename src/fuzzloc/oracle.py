@@ -21,7 +21,10 @@ from .model import Instance, Solution, _blocks, feasible_rows, served_share, sol
 # default budget.
 DEFAULT_ENUM_BUDGET = 10**6
 # Customers per chunk of the simulator's draws. Peak memory grows with this,
-# not with the event budget; the draws and the estimates do not depend on it.
+# not with the event budget. The draws do not depend on it, and the estimates
+# only up to rounding: each chunk restarts the running work sum, and a batch
+# that spans two chunks adds its two chunk partials. For a given CHUNK_SIZE
+# the estimates are fixed bit for bit.
 CHUNK_SIZE = 1 << 14
 # Number of batches behind the simulator's batch-means standard errors.
 BATCHES = 20
@@ -161,8 +164,14 @@ def _customers(draws):
     """
     last_arrival = last_departure = 0.0
     for gaps, services in draws:
-        arrivals = np.cumsum(np.concatenate(([last_arrival], gaps)))[1:]
-        work = np.cumsum(np.concatenate(([0.0], services)))
+        # One scan sums two lanes: complex addition adds the real parts (the
+        # arrival instants) and the imaginary parts (the work sum C) each
+        # left to right, with the bits of a real cumsum of each lane.
+        lanes = np.empty(len(gaps) + 1, dtype=complex)
+        lanes[0] = last_arrival
+        lanes.real[1:], lanes.imag[1:] = gaps, services
+        np.cumsum(lanes, out=lanes)
+        arrivals, work = lanes.real[1:], lanes.imag
         departures = np.maximum.accumulate(arrivals - work[:-1])
         np.maximum(departures, last_departure, out=departures)
         departures += work[1:]
@@ -177,8 +186,9 @@ def _batch_sums(customers, event_budget: int, batches: int):
     A batch holds ``event_budget // batches`` events (at least one); a
     trailing partial batch is kept when its span is positive. Each chunk's
     arrivals and departures are merged by one stable sort, and each batch's
-    run of events is summed left to right in event order, the order in which
-    an event loop would add them.
+    run of events within a chunk is summed left to right in event order, the
+    order in which an event loop would add them; a batch that spans two
+    chunks adds its two chunk partials.
     """
     size = max(1, event_budget // batches)
     sums = np.zeros((3, -(-event_budget // size)))
@@ -200,18 +210,20 @@ def _batch_sums(customers, event_budget: int, batches: int):
         before[0] = 0
         np.cumsum(step[:-1], out=before[1:])
         before += in_system
-        weights = np.empty((3, take))  # idle, area and span of each event
-        dt = weights[2]
+        dt = np.empty(take)  # span of each event
         dt[0] = times[0] - now
         np.subtract(times[1:], times[:-1], out=dt[1:])
-        np.multiply(dt, before == 0, out=weights[0])
-        np.maximum(before - 1, 0, out=weights[1])
-        weights[1] *= dt
-        # cumsum adds left to right, as bincount and an event loop do; sum()
-        # adds pairwise and would change the bits.
+        lanes = np.empty(take, dtype=complex)  # idle time + i * area of each event
+        np.multiply(dt, before == 0, out=lanes.real)
+        np.maximum(before - 1, 0, out=lanes.imag)
+        lanes.imag *= dt
+        # cumsum adds left to right, as bincount and an event loop do, and a
+        # complex cumsum adds each lane so; sum() adds pairwise and would
+        # change the bits.
         for batch in range(done // size, (done + take - 1) // size + 1):
-            run = weights[:, max(batch * size - done, 0):(batch + 1) * size - done]
-            sums[:, batch] += np.cumsum(run, axis=1)[:, -1]
+            run = slice(max(batch * size - done, 0), (batch + 1) * size - done)
+            pair = np.cumsum(lanes[run])[-1]
+            sums[:, batch] += pair.real, pair.imag, np.cumsum(dt[run])[-1]
         done += take
         if done == event_budget:
             break
@@ -243,8 +255,10 @@ def mm1_simulate(lam: float, mu: float, event_budget: int, seed: int = 0) -> Sim
     Customers are drawn and their departures computed in chunks of
     CHUNK_SIZE, so memory does not grow with the event budget.
     """
-    if not (isinstance(lam, numbers.Real) and isinstance(mu, numbers.Real)):
-        raise DomainError(f"rates must be real numbers: lam={lam!r}, mu={mu!r}")
+    for name, rate in (("lam", lam), ("mu", mu)):
+        if isinstance(rate, bool) or not isinstance(rate, numbers.Real):
+            raise DomainError(f"rates must be real numbers, not {type(rate).__name__}: "
+                              f"{name}={rate!r}")
     try:
         lam, mu = float(lam), float(mu)  # a float32 rate would draw at float32 scale
     except OverflowError:  # an integer too large for a double

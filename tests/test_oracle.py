@@ -584,11 +584,19 @@ class TestSimulator:
             mm1_simulate(lam, mu, 100)
 
     @pytest.mark.parametrize(
-        "lam, mu", [("0.5", 1.0), (0.5, None), (None, 1.0), (0.5 + 0j, 1.0), (0.5, 1j)]
+        "lam, mu",
+        [("0.5", 1.0), (0.5, None), (None, 1.0), (0.5 + 0j, 1.0), (0.5, 1j), (np.True_, 2.0)],
     )
     def test_non_real_rates_rejected(self, lam, mu):
         with mock.patch.object(oracle, "_draws", side_effect=AssertionError("drew")):
             with pytest.raises(DomainError, match="real"):
+                mm1_simulate(lam, mu, 100)
+
+    @pytest.mark.parametrize("lam, mu, named", [(True, 2.0, "lam=True"), (0.5, True, "mu=True")])
+    def test_bool_rate_is_named(self, lam, mu, named):
+        """A bool is an int to Python, but not a rate: True would run as 1.0."""
+        with mock.patch.object(oracle, "_draws", side_effect=AssertionError("drew")):
+            with pytest.raises(DomainError, match=f"real numbers, not bool: {named}$"):
                 mm1_simulate(lam, mu, 100)
 
     def test_narrow_numpy_rates_draw_as_floats(self):
@@ -626,6 +634,20 @@ class TestSimulator:
         a = mm1_simulate(50, 100, 50_000, seed=9)
         b = mm1_simulate(50, 100, 50_000, seed=9)
         assert (a.p0, a.lq) == (b.p0, b.lq)
+
+    @pytest.mark.parametrize("seed", [0, 3, 11])
+    def test_chunk_size_changes_only_rounding(self, seed):
+        """Each chunk restarts the running work sum, and a batch that spans
+        two chunks adds two chunk partials, so another CHUNK_SIZE moves the
+        estimates by rounding only: at seed 3, p0 reads
+        0.20064015084392173 at 2^12 and 0.20064015084391873 at 2^14."""
+        results = []
+        for chunk in (1 << 12, 1 << 14, 1 << 16):
+            with mock.patch.object(oracle, "CHUNK_SIZE", chunk):
+                results.append(mm1_simulate(80, 100, 10**6, seed=seed))
+        for result in results[1:]:
+            assert result.p0 == pytest.approx(results[0].p0, rel=1e-12, abs=0)
+            assert result.lq == pytest.approx(results[0].lq, rel=1e-12, abs=0)
 
 
 def event_loop(gaps, services, event_budget, batches):
@@ -715,6 +737,42 @@ def reference_batch_sums(customers, event_budget, batches):
     if event_budget % size and not sums[2, -1] > 0:
         sums = sums[:, :-1]
     return sums
+
+
+def reference_customers(draws):
+    """Reference: oracle._customers with one real cumsum for the arrivals
+    and another for the work sum, which its one two-lane scan must match
+    bit for bit."""
+    last_arrival = last_departure = 0.0
+    for gaps, services in draws:
+        arrivals = np.cumsum(np.concatenate(([last_arrival], gaps)))[1:]
+        work = np.cumsum(np.concatenate(([0.0], services)))
+        departures = np.maximum.accumulate(arrivals - work[:-1])
+        np.maximum(departures, last_departure, out=departures)
+        departures += work[1:]
+        last_arrival, last_departure = arrivals[-1], departures[-1]
+        yield arrivals, departures
+
+
+class TestCustomersReference:
+    @settings(max_examples=25, deadline=None)
+    @given(
+        lam=st.floats(0.01, 100.0),
+        rho=st.floats(0.05, 0.97),
+        seed=st.integers(0, 2**32 - 1),
+        chunk=st.one_of(st.integers(1, 7), st.just(oracle.CHUNK_SIZE)),
+        chunks=st.integers(2, 4),
+    )
+    @example(lam=80.0, rho=0.8, seed=3, chunk=oracle.CHUNK_SIZE, chunks=4)
+    def test_matches_reference_bit_for_bit(self, lam, rho, seed, chunk, chunks):
+        with mock.patch.object(oracle, "CHUNK_SIZE", chunk):
+            draws = list(itertools.islice(oracle._draws(lam, lam / rho, seed), chunks))
+        got = list(oracle._customers(iter(draws)))
+        expected = list(reference_customers(iter(draws)))
+        assert len(got) == len(expected) == chunks
+        for (arrivals, departures), (ref_arrivals, ref_departures) in zip(got, expected):
+            assert arrivals.tolist() == ref_arrivals.tolist()
+            assert departures.tolist() == ref_departures.tolist()
 
 
 def _first_departures(draws, count):

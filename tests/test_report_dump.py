@@ -1,11 +1,13 @@
 """tools/report_dump.py on two of its instances."""
 
+import dataclasses
 import importlib.util
 import json
 import math
 from pathlib import Path
 
 from fuzzloc.model import TABLE_LIMIT
+from fuzzloc.oracle import CHUNK_SIZE, mm1_simulate
 from fuzzloc.protocol import solve_protocol
 
 PATH = Path(__file__).resolve().parent.parent / "tools" / "report_dump.py"
@@ -21,11 +23,17 @@ def test_dump_lines_are_hex_reports(capsys):
     brute solve of table1, which has no feasible subset, prints its error,
     and under the given NaN context takes the all-infeasible fallback. The
     GA's and the brute solve's lines after the ACO repeat their lines before
-    it. A second run prints the same bytes."""
+    it. The simulator's lines follow the solves'. A second run prints the
+    same bytes."""
     argv = ["--instances", "table1", "weighted12"]
     assert report_dump.main(argv) == 0
     out = capsys.readouterr().out
-    lines = [json.loads(line) for line in out.splitlines()]
+    docs = [json.loads(line) for line in out.splitlines()]
+    count = len(report_dump.SIMULATIONS)
+    lines, simulations = docs[:-count], docs[-count:]
+    assert all("simulation" not in d for d in lines)
+    assert [(float.fromhex(d["lam"]), d["event_budget"], d["seed"]) for d in simulations] == \
+        report_dump.SIMULATIONS
     assert [(d["instance"], d["algo"], d["seed"], d.get("ctx")) for d in lines] == [
         (name, algo, seed, ctx) for name in ("table1", "weighted12")
         for algo, ctx in (("brute", None), ("ga", None), ("aco", None), ("ga", None),
@@ -58,6 +66,21 @@ def test_dump_lines_are_hex_reports(capsys):
         assert cold == warm and "report" in cold
     assert report_dump.main(argv) == 0
     assert capsys.readouterr().out == out
+
+
+def test_simulation_line_is_the_hexed_result():
+    line = json.loads(report_dump.simulation_line(0.5, 999, 1))
+    result = mm1_simulate(0.5, 1.0, 999, seed=1)
+    assert line == {"simulation": "mm1", "lam": (0.5).hex(), "mu": (1.0).hex(),
+                    "event_budget": 999, "seed": 1,
+                    "result": {name: value.hex()
+                               for name, value in dataclasses.asdict(result).items()}}
+
+
+def test_simulations_span_several_chunks():
+    """The largest dumped budget draws more than two chunks of customers:
+    about one customer per two events."""
+    assert max(events for _, events, _ in report_dump.SIMULATIONS) > 4 * CHUNK_SIZE
 
 
 def test_hexed_keeps_structure():

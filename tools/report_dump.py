@@ -20,8 +20,13 @@ reads its feasible rows from it, where the first passes compute them on
 kernels. Last come the brute solves of seeds 0 and 1 under a given
 context, the instance's seed-0 ACO context, passed as ``ctx``; their lines
 carry ``"ctx": "aco-0"``. On table1, whose ACO context is all NaN, these
-take the scan's all-infeasible fallback. Two versions of the program that print the same bytes give the
-same reports:
+take the scan's all-infeasible fallback.
+
+After the solves come the ``mm1_simulate`` results of a small grid of loads
+rho = lam / mu (mu = 1), event budgets and seeds, one JSON line per call,
+floats as hex; the 200 000-event budgets span several chunks of
+oracle.CHUNK_SIZE customers. Two versions of the program that print the
+same bytes give the same reports and simulations:
 
     PYTHONPATH=parent/src python3 tools/report_dump.py > before.txt
     PYTHONPATH=src python3 tools/report_dump.py > after.txt
@@ -47,6 +52,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "benchmarks"))
 
 import workloads  # noqa: E402
 from fuzzloc import InfeasibleInstanceError, generate_instance  # noqa: E402
+from fuzzloc.oracle import mm1_simulate  # noqa: E402
 from fuzzloc.protocol import solve_protocol  # noqa: E402
 
 
@@ -70,6 +76,8 @@ INSTANCES = {
 }
 ALGOS = ("brute", "ga", "aco", "ga", "brute")
 SEEDS = (0, 1)
+SIMULATIONS = [(rho, events, seed) for rho in (0.05, 0.5, 0.97)
+               for events in (7, 50_000, 200_000) for seed in SEEDS]
 
 
 def hexed(value):
@@ -101,6 +109,15 @@ def dump_line(name: str, instance, algo: str, seed: int, ctx=None) -> str:
                       sort_keys=True)
 
 
+def simulation_line(rho: float, event_budget: int, seed: int) -> str:
+    """One ``mm1_simulate(rho, 1.0, event_budget, seed)`` call's JSON line,
+    floats as hex."""
+    result = mm1_simulate(rho, 1.0, event_budget, seed=seed)
+    return json.dumps(hexed({"simulation": "mm1", "lam": rho, "mu": 1.0,
+                             "event_budget": event_budget, "seed": seed,
+                             "result": dataclasses.asdict(result)}), sort_keys=True)
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--instances", nargs="+", default=list(INSTANCES), choices=INSTANCES)
@@ -113,6 +130,8 @@ def main(argv=None) -> int:
         _, given = solve_protocol(instance, "aco", seed=0, aco_config=workloads.ACO_CONFIG)
         for seed in SEEDS:
             print(dump_line(name, instance, "brute", seed, given))
+    for case in SIMULATIONS:
+        print(simulation_line(*case))
     return 0
 
 
