@@ -123,15 +123,26 @@ def _update(tau: np.ndarray, nodes: np.ndarray, values: Sequence[float], config:
     sign, floor, maximize = rule
     f = np.multiply(values, sign)
     kept = (f >= floor) & (f < math.inf)
-    trails = tau * config.evaporation_rate
     theta = config.max_pheromone
     if isinstance(maximize, bool):
         amounts = np.multiply(f, theta, out=f) if maximize else np.divide(theta, f, out=f)
     else:  # the branch an ant does not take may overflow; np.where drops it
         amounts = np.where(maximize, theta * f, theta / f)
     deposits = np.where(kept, amounts, 0.0).repeat(nodes.shape[-1])
-    np.add.at(trails.reshape(-1), nodes.ravel(), deposits)
-    return np.minimum(np.maximum(trails, TAU_MIN, out=trails), theta, out=trails)
+    return _evaporate(tau, config, nodes.ravel(), deposits)
+
+
+def _evaporate(tau: np.ndarray, config: ACOConfig, nodes: Optional[np.ndarray] = None,
+               deposits: Optional[np.ndarray] = None) -> np.ndarray:
+    """The (R, n) trails after evaporation, the ``deposits`` added at the
+    flattened ``nodes`` when given, and the clip to [TAU_MIN, max_pheromone],
+    in that order. A colony that deposits nothing takes this step without
+    deposits: _update would add 0.0 to every trail, which leaves each
+    positive trail as it is."""
+    trails = tau * config.evaporation_rate
+    if deposits is not None:
+        np.add.at(trails.reshape(-1), nodes, deposits)
+    return np.minimum(np.maximum(trails, TAU_MIN, out=trails), config.max_pheromone, out=trails)
 
 
 def run_aco(instance: Instance, eval_fn: Fitness, config: ACOConfig,
@@ -169,8 +180,10 @@ def _colonies(
     run ends and its trail row is dropped. Every run ends as it would alone:
     it draws its Gumbel noise from its own generator, and the walk keeps
     each run's first ant that is strictly better than its best so far,
-    scoring a NaN value as -inf. The first step builds the instance's
-    figures table (model.figures_table).
+    scoring a NaN value as -inf. A round in which every live run maximizes
+    and every colony's best is below 0 deposits nothing (see _update), so
+    its trails only evaporate (_evaporate). The first step builds the
+    instance's figures table (model.figures_table).
     """
     runs = [Run("aco", instance, seed, config.stagnation_limit) for seed in seeds]
     reports = [run.report for run in runs]
@@ -183,6 +196,7 @@ def _colonies(
     tau = np.ones((len(runs), n))
     while live:
         rule = _deposit_rule(np.repeat(signs[live], ants))
+        maximizing = rule[2] is True  # every ant deposits theta * value, if any
         # run i's trails start at i * n in the flattened trail array
         offsets = np.repeat(np.arange(len(live)) * n, ants)[:, None]
         if select:
@@ -197,13 +211,18 @@ def _colonies(
             values = np.asarray((yield idx), dtype=float)
             scores = np.fmax(values.reshape(len(live), ants), -math.inf)  # NaN last
             picks = scores.argmax(axis=1)
-            tau = _update(tau, idx + offsets, values, config, rule)
+            deposits = not maximizing
             for i, (r, pick, ranked) in enumerate(zip(live, picks.tolist(), scores.tolist())):
                 report, top = reports[r], ranked[pick]
+                deposits = deposits or top >= 0.0
                 improved = report.best is None or top > report.objective
                 if improved:
                     report.best, report.objective = (idx[i * ants + pick] + 1).tolist(), top
                 ended[i] = bool(runs[r].step(improved, top == report.objective))
+            if deposits:
+                tau = _update(tau, idx + offsets, values, config, rule)
+            else:
+                tau = _evaporate(tau, config)
         kept = [not gone for gone in ended]
         live = list(compress(live, kept))
         tau = tau[kept]

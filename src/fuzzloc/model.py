@@ -59,13 +59,16 @@ class Instance:
     ``attraction`` is derived, never given: the read-only matrix
     exp(distance * -logit_sensitivity) that the logit allocation reads, or
     None when logit_sensitivity * max(distance) exceeds ATTRACTION_LIMIT.
-    ``dataclasses.replace`` recomputes it, and instance files do not hold it.
+    ``certified`` is derived too: the tuple whose entry k, for k = 0..n, is
+    True when no k-subset can be feasible (see _certificate), so that
+    no_feasible_subset and Kernel.figures() read one entry.
+    ``dataclasses.replace`` recomputes both, and instance files hold neither.
     Nor do they hold ``_table``, the figures table that figures_table builds
     and every drive and feasible_rows reads from then on; ``dataclasses.replace``
     drops it.
 
-    Instances compare field by field, arrays by value, leaving ``attraction``
-    and ``_table`` out. They are unhashable: their arrays are.
+    Instances compare field by field, arrays by value, leaving ``attraction``,
+    ``certified`` and ``_table`` out. They are unhashable: their arrays are.
     """
 
     n: int
@@ -79,6 +82,7 @@ class Instance:
     logit_sensitivity: float = 0.5
     benefit_weight: Optional[np.ndarray] = None
     attraction: Optional[np.ndarray] = field(init=False, repr=False, compare=False)
+    certified: tuple[bool, ...] = field(init=False, repr=False, compare=False)
     _table: Optional[_FiguresTable] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -132,6 +136,8 @@ class Instance:
             attraction = np.exp(dist * -self.logit_sensitivity)
             attraction.setflags(write=False)
         object.__setattr__(self, "attraction", attraction)
+        object.__setattr__(self, "certified", _certificate(demand, service,
+                                                           capacity_threshold(self)))
         object.__setattr__(self, "_table", None)  # built by figures_table
 
     def __eq__(self, other: object) -> bool:
@@ -270,20 +276,31 @@ def capacity_threshold(instance: Instance) -> float:
     return b_hi - instance.gamma * (b_hi - b_mid)
 
 
-def no_feasible_subset(instance: Instance) -> bool:
-    """A certificate that ``Kernel.feasible()`` holds for no m-subset.
+def _certificate(demand: np.ndarray, service: np.ndarray, threshold: float) -> tuple:
+    """Entry k, for k = 0..n, certifies that ``Kernel.feasible()`` holds for
+    no k-subset.
 
     Each node's logit shares sum to 1, so the open facilities' arrivals sum
-    to the total demand D_s of each slice s. A feasible subset S then has
+    to the total demand D_s of each slice s. A feasible k-subset S then has
     D_mid <= threshold * sum_S mu_mid and D_s < sum_S mu_s for every slice,
-    and the m largest rates of a slice bound sum_S mu_s. The certificate
-    holds when either fails against those m rates by a relative margin of
-    1e-9. Every term is nonnegative, so the kernel's sums, and these, are
-    off by at most about n * 2**-53 relative, far below the margin.
+    and the k largest rates of a slice, one prefix sum of the rates sorted
+    in descending order, bound sum_S mu_s. Entry k holds when either fails
+    against those k rates by a relative margin of 1e-9. Every term is
+    nonnegative, so the kernel's sums, and these, are off by at most about
+    n * 2**-53 relative, far below the margin.
     """
-    demand = instance.demand.sum(axis=0)
-    top = np.sort(instance.service, axis=0)[-instance.m_servers:].sum(axis=0) * (1.0 + 1e-9)
-    return bool(demand[1] > capacity_threshold(instance) * top[1] or (demand >= top).any())
+    total = demand.sum(axis=0)
+    top = np.zeros((len(service) + 1, 3))
+    np.cumsum(np.sort(service, axis=0)[::-1], axis=0, out=top[1:])
+    top *= 1.0 + 1e-9
+    certified = (total[1] > threshold * top[:, 1]) | (total >= top).any(axis=1)
+    return tuple(certified.tolist())
+
+
+def no_feasible_subset(instance: Instance) -> bool:
+    """A certificate that ``Kernel.feasible()`` holds for no m-subset: entry
+    m of ``instance.certified``."""
+    return instance.certified[instance.m_servers]
 
 
 class Kernel:
@@ -374,7 +391,12 @@ class Kernel:
     def figures(self):
         """(feasible, spreads, violation) of every row, each part computed
         only if some row reads it: the spreads None if no row is feasible,
-        the violation None if every row is (it would be 0)."""
+        the violation None if every row is (it would be 0). A block of a
+        subset size that the instance certifies (Instance.certified) has an
+        all-False mask, given without computing it."""
+        if self.instance.certified[self.over.shape[-1]]:
+            # [()] gives a scalar for one subset, as feasible() does
+            return np.zeros(self.over.shape[:-1], bool)[()], None, self.violation()
         feasible = self.feasible()
         count = np.count_nonzero(feasible)
         spreads = self.spreads() if count else None

@@ -136,20 +136,22 @@ class SimulationResult:
     lq_se: float
 
 
-def _draws(lam: float, mu: float, seed: int):
-    """Interarrival and service times, CHUNK_SIZE customers at a time.
+def _draws(lam: float, mu: float, seed: int, size: Optional[int] = None):
+    """Interarrival and service times, ``size`` customers at a time
+    (CHUNK_SIZE, read at the call, when None).
 
     They come from two child streams of ``SeedSequence(seed)``, the first for
     arrivals and the second for services, so the values do not depend on the
-    chunk size.
+    chunk size: the first values of a draw do not depend on its length.
     """
+    size = CHUNK_SIZE if size is None else size
     arrival_seq, service_seq = np.random.SeedSequence(seed).spawn(2)
     arrivals = np.random.default_rng(arrival_seq)
     services = np.random.default_rng(service_seq)
     while True:
         yield (
-            arrivals.exponential(1.0 / lam, CHUNK_SIZE),
-            services.exponential(1.0 / mu, CHUNK_SIZE),
+            arrivals.exponential(1.0 / lam, size),
+            services.exponential(1.0 / mu, size),
         )
 
 
@@ -253,7 +255,11 @@ def mm1_simulate(lam: float, mu: float, event_budget: int, seed: int = 0) -> Sim
     batch means by event count, over BATCHES batches.
 
     Customers are drawn and their departures computed in chunks of
-    CHUNK_SIZE, so memory does not grow with the event budget.
+    CHUNK_SIZE, so memory does not grow with the event budget. A budget of
+    at most CHUNK_SIZE events draws only ``event_budget`` customers, in one
+    chunk: their arrivals alone are that many events, and the events up to
+    the last of them are the first events of a full chunk, so the results
+    keep their bits.
     """
     for name, rate in (("lam", lam), ("mu", mu)):
         if isinstance(rate, bool) or not isinstance(rate, numbers.Real):
@@ -275,7 +281,7 @@ def mm1_simulate(lam: float, mu: float, event_budget: int, seed: int = 0) -> Sim
         raise DomainError(f"event_budget must be a positive integer, got {event_budget!r}")
     if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) or seed < 0:
         raise DomainError(f"seed must be a non-negative integer, got {seed!r}")
-    customers = _customers(_draws(lam, mu, seed))
+    customers = _customers(_draws(lam, mu, seed, min(event_budget, CHUNK_SIZE)))
     return _estimate(*_batch_sums(customers, event_budget, BATCHES))
 
 

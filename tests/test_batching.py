@@ -16,6 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fuzzloc import aco
 from fuzzloc.aco import (
     TAU_MIN,
     ACOConfig,
@@ -32,9 +33,9 @@ from fuzzloc.errors import InfeasibleInstanceError
 from fuzzloc.evaluation import MaximinFitness, drive, make_maximin_eval
 from fuzzloc.ga import GAConfig, run_ga
 from fuzzloc.instances import GeneratorParams, generate_instance
-from fuzzloc.model import Solution
+from fuzzloc.model import Solution, no_feasible_subset
 from fuzzloc.oracle import exact_bounds
-from fuzzloc.protocol import _SIGN, BOUND_RUNS, _BoundFitness
+from fuzzloc.protocol import _SIGN, BOUND_RUNS, _BoundFitness, solve_protocol
 from fuzzloc.reports import Run
 from conftest import aco_run, bound_fitness, mild_params, record, score_block
 from test_kernel import PROBE_CTX, build, cases
@@ -279,6 +280,79 @@ def test_stacked_runs_share_trail_parameters(medium_instance):
                       np.array([-1.0, 1.0, -1.0]))
     first, _, third = drive([(stack, fitness)])[0]
     assert record(first) == record(third)
+
+
+class StepSpy:
+    """Counts the trail steps of the ACO runs made while it is installed:
+    ``full`` _update calls, and ``only`` colonies that only evaporate
+    (aco._evaporate called with no deposits)."""
+
+    def __init__(self, monkeypatch):
+        self.full = self.only = 0
+        update, evaporate = aco._update, aco._evaporate
+
+        def counted_update(*args):
+            self.full += 1
+            return update(*args)
+
+        def counted_evaporate(tau, config, nodes=None, deposits=None):
+            self.only += deposits is None
+            return evaporate(tau, config, nodes, deposits)
+
+        monkeypatch.setattr(aco, "_update", counted_update)
+        monkeypatch.setattr(aco, "_evaporate", counted_evaporate)
+
+
+def _evaporation_cases(instance, seeds, monkeypatch):
+    """run_aco under the maximin fitness of the exact bounds (of PROBE_CTX
+    on a certified instance, where exact_bounds raises) against the
+    ant-by-ant reference, whose deposit loop runs for every colony; returns
+    the spy of the run_aco calls and their number of colonies."""
+    ctx = PROBE_CTX if no_feasible_subset(instance) else exact_bounds(instance)
+    fitness = make_maximin_eval(instance, ctx)
+    config = ACOConfig(stagnation_limit=100)
+    spy, reports = StepSpy(monkeypatch), []
+    for seed in seeds:
+        reports.append(run_aco(instance, fitness, config, seed))
+    for report, seed in zip(reports, seeds):
+        reference = drive([(reference_steps(instance, config, 1.0, seed), fitness)])[0]
+        assert record(report) == record(reference)
+    return spy, sum(report.iterations for report in reports)
+
+
+def test_evaporation_only_colonies_match_reference(table1, monkeypatch):
+    """On table1 no subset is feasible, so every value is a penalty below 0
+    and every colony of a maximizing run only evaporates; the runs end, bit
+    for bit, as the reference that adds each ant's zero deposit."""
+    spy, colonies = _evaporation_cases(table1, [0, 1], monkeypatch)
+    assert spy.full == 0 and spy.only == colonies
+
+
+def test_some_colonies_only_evaporate(monkeypatch):
+    """On a mild instance most colonies hold a feasible subset and deposit,
+    and a few hold none and only evaporate; the runs match the reference."""
+    instance = generate_instance(mild_params(20, 5, 0))
+    spy, colonies = _evaporation_cases(instance, [0, 1, 2], monkeypatch)
+    assert 0 < spy.only < spy.full and spy.full + spy.only == colonies
+
+
+def test_final_run_only_evaporates_and_bound_runs_never(table1, monkeypatch):
+    """table1's certified ACO solve makes no bound run, and its final run
+    only evaporates in every round. In a stack of the six bound runs on
+    table1, every round with a min run live takes the full update, although
+    every value is a penalty: a penalized ant of a min run still deposits
+    theta / F. Once only max runs are live, their rounds only evaporate."""
+    spy = StepSpy(monkeypatch)
+    report, _ = solve_protocol(table1, "aco", 3, aco_config=ACOConfig(stagnation_limit=100))
+    assert spy.full == 0 and spy.only == report.iterations > 0
+    spy.only = 0
+    fitness = _BoundFitness(table1, 0)
+    stack = _colonies(table1, ACOConfig(stagnation_limit=20), [1, 2, 3, 4, 5, 6], _SIGN,
+                      fitness.select)
+    rounds = [run.iterations for run in drive([(stack, fitness)])[0]]
+    min_rounds = max(count for count, sign in zip(rounds, _SIGN) if sign < 0)
+    assert spy.full == min_rounds > 0
+    assert spy.only == max(rounds) - min_rounds
 
 
 @pytest.mark.parametrize("solver", ["ga", "aco"])

@@ -3,6 +3,7 @@
 import dataclasses
 import itertools
 import re
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ from fuzzloc.cli import EXIT_VALIDATION, main
 from fuzzloc.errors import DomainError
 from fuzzloc.evaluation import fuzzy_capacity_feasible
 from fuzzloc.fuzzy import TriFuzzy
-from fuzzloc.instances import GeneratorParams, generate_instance
+from fuzzloc.instances import GeneratorParams, generate_instance, instance_to_dict
 from fuzzloc.model import (
     Instance,
     Kernel,
@@ -401,3 +402,86 @@ class TestNoFeasibleSubset:
     def test_fails_on_mild_ranges(self, n, m):
         for seed in range(5):
             assert not no_feasible_subset(generate_instance(mild_params(n, m, seed)))
+
+
+def reference_certificate(instance) -> bool:
+    """no_feasible_subset as first written: the m largest rates of each
+    slice summed in ascending order, against the total demand with the same
+    1e-9 margin."""
+    demand = instance.demand.sum(axis=0)
+    top = np.sort(instance.service, axis=0)[-instance.m_servers:].sum(axis=0) * (1.0 + 1e-9)
+    return bool(demand[1] > capacity_threshold(instance) * top[1] or (demand >= top).any())
+
+
+def check_certified_figures(instance, idx):
+    """Kernel.figures() of a (B, k) block of a certified size, computed
+    without the feasibility mask: the mask that feasible() computes (all
+    False), no spreads and violation(), byte for byte, for the block and
+    for its first subset alone, whose mask is a scalar."""
+    for one in (Kernel(instance, idx), Kernel(instance, idx[0])):
+        with mock.patch.object(Kernel, "feasible", side_effect=AssertionError("built the mask")):
+            feasible, spreads, violation = one.figures()
+        expected = one.feasible()
+        assert not expected.any()
+        assert type(feasible) is type(expected) and feasible.shape == expected.shape
+        assert feasible.dtype == expected.dtype and feasible.tobytes() == expected.tobytes()
+        assert spreads is None
+        assert violation.tobytes() == one.violation().tobytes()
+
+
+class TestCertifiedSizes:
+    """Instance.certified: entry k certifies that no k-subset is feasible,
+    entry m is no_feasible_subset, and Kernel.figures() reads the entry of
+    its block's size."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        n=st.integers(2, 9),
+        data=st.data(),
+        instance_seed=st.integers(0, 2**16),
+        mild=st.booleans(),
+        ratio=st.sampled_from((None, 0.5, 1.0 - 1e-6, 1.0 + 1e-6, 2.0)),
+    )
+    def test_certified_sizes_have_no_feasible_subset(self, n, data, instance_seed, mild, ratio):
+        """Every subset of every size, scanned, on instances of either
+        range, some rescaled to near the mid capacity bound of size m."""
+        m = data.draw(st.integers(1, n - 1), label="m")
+        params = mild_params(n, m, instance_seed) if mild else GeneratorParams(
+            n=n, m_servers=m, seed=instance_seed)
+        instance = generate_instance(params)
+        if ratio is not None:
+            instance = near_capacity(instance, ratio)
+        certified = instance.certified
+        assert len(certified) == n + 1 and all(type(entry) is bool for entry in certified)
+        assert certified[m] == no_feasible_subset(instance) == reference_certificate(instance)
+        # the k largest rates grow with k: a certified size certifies every smaller one
+        assert list(certified) == sorted(certified, reverse=True)
+        for k in range(1, n + 1):
+            idx = np.array(list(itertools.combinations(range(n), k)))
+            if certified[k]:
+                check_certified_figures(instance, idx)
+            else:  # the mask is computed
+                kernel = Kernel(instance, idx)
+                assert kernel.figures()[0].tobytes() == kernel.feasible().tobytes()
+
+    @settings(max_examples=30, deadline=None)
+    @given(k=st.integers(1, 10), sample_seed=st.integers(0, 2**32 - 1))
+    def test_table1_certifies_sizes_up_to_ten(self, table1, k, sample_seed):
+        """table1's sizes 1-10 are certified, 11-20 not; random blocks of a
+        certified size hold no feasible subset."""
+        assert table1.certified == (True,) * 11 + (False,) * 10
+        assert table1.certified[table1.m_servers] == reference_certificate(table1)
+        rng = np.random.default_rng(sample_seed)
+        idx = np.sort(np.array([rng.choice(table1.n, k, replace=False) for _ in range(64)]), axis=1)
+        check_certified_figures(table1, idx)
+
+    def test_certified_is_derived(self, table1):
+        """Like attraction, certified is no instance datum: it is neither
+        compared, shown nor saved, and dataclasses.replace recomputes it."""
+        field = {f.name: f for f in dataclasses.fields(Instance)}["certified"]
+        assert not (field.init or field.compare or field.repr)
+        assert "certified" not in instance_to_dict(table1)
+        roomy = dataclasses.replace(table1, service=table1.service * 4)
+        assert roomy.certified == (True,) * 3 + (False,) * 18
+        restored = dataclasses.replace(roomy, service=table1.service)
+        assert restored == table1 and restored.certified == table1.certified

@@ -858,6 +858,10 @@ class TestBatchSumsReference:
     # budgets that span several batches and several full chunks
     @example(rho=0.97, event_budget=50_000, batches=20, seed=3, chunk=oracle.CHUNK_SIZE)
     @example(rho=0.3, event_budget=20_000, batches=60, seed=1, chunk=7)
+    # golden cases whose span sums show summation order in their last bit
+    @example(rho=0.05, event_budget=999, batches=20, seed=1, chunk=oracle.CHUNK_SIZE)
+    @example(rho=0.3, event_budget=50_000, batches=20, seed=0, chunk=oracle.CHUNK_SIZE)
+    @example(rho=0.3, event_budget=999, batches=20, seed=1, chunk=oracle.CHUNK_SIZE)
     def test_matches_reference_bit_for_bit(self, rho, event_budget, batches, seed, chunk):
         lam, mu = rho, 1.0
         with mock.patch.object(oracle, "BATCHES", batches):
@@ -871,6 +875,27 @@ class TestBatchSumsReference:
                 result = mm1_simulate(lam, mu, event_budget, seed=seed)
         assert sums.tolist() == expected.tolist()
         assert dataclasses.astuple(result) == dataclasses.astuple(oracle._estimate(*expected))
+
+
+class TestSmallBudgets:
+    @pytest.mark.parametrize("event_budget", [1, 7, 999, oracle.CHUNK_SIZE,
+                                              oracle.CHUNK_SIZE + 1, 50_000])
+    def test_draws_at_most_the_budget_and_keep_the_bits(self, event_budget):
+        """A budget of at most CHUNK_SIZE events draws that many customers,
+        in one chunk, and gives the bits of a full chunk's first events."""
+        sizes, original = [], oracle._draws
+
+        def draws(lam, mu, seed, size=None):
+            sizes.append(size)
+            return original(lam, mu, seed, size)
+
+        for rho, seed in ((0.05, 1), (0.5, 0), (0.97, 3)):
+            with mock.patch.object(oracle, "_draws", draws):
+                result = mm1_simulate(rho, 1.0, event_budget, seed=seed)
+            full = oracle._estimate(*oracle._batch_sums(
+                oracle._customers(oracle._draws(rho, 1.0, seed)), event_budget, oracle.BATCHES))
+            assert dataclasses.astuple(result) == dataclasses.astuple(full)
+        assert sizes == [min(event_budget, oracle.CHUNK_SIZE)] * 3
 
 
 class TestSimulatorMemory:
