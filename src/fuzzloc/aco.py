@@ -89,40 +89,30 @@ def _sample_colonies(log_w: np.ndarray, m: int, noise: np.ndarray) -> np.ndarray
     return picks
 
 
-def _deposit_rule(signs: np.ndarray) -> tuple:
-    """_update's rule for ants of the given signs, 1.0 for an ant of a
-    maximizing run and -1.0 for one of a minimizing run: their signs, least
-    depositing F, and maximize flags, one bool when all share a sign."""
-    maximize = signs > 0
-    maximize = maximize if maximize.any() and not maximize.all() else bool(maximize.all())
-    return np.where(maximize, 1.0, -1.0), np.where(maximize, 0.0, 5e-324), maximize
-
-
 @np.errstate(over="ignore", divide="ignore")
 def _update(tau: np.ndarray, nodes: np.ndarray, values: Sequence[float], config: ACOConfig,
-            rule: tuple) -> np.ndarray:
+            signs: np.ndarray, maximize) -> np.ndarray:
     """The (R, n) trails after one colony per row: evaporate, deposit per
     ant on every node it opened, then clip to [TAU_MIN, max_pheromone], with
     one pass of each for all R runs (the MAX-MIN Ant System rule).
 
     ``nodes`` and ``values`` hold the colonies one after another, each ant's
     nodes as indices into the flattened trails (node j of run r at
-    r * n + j), and ``rule`` is the _deposit_rule of the ants' signs. Every
-    run maximizes its values. An ant's F is sign * value: its value in a
-    maximizing run (sign 1) and -value, the objective it minimizes, in a
-    minimizing run (sign -1). Deposits are theta*F under maximization and
-    theta/F under minimization, with theta = max_pheromone. An ant with a
-    non-finite F, a negative F under maximization or a nonpositive F under
-    minimization deposits nothing. A penalized ant of a minimization bound
-    run has value -1e12 * (1 + violation), so F = 1e12 * (1 + violation),
-    and it still deposits theta/F, about 2e-10. Each node receives its
-    deposits in ant order; an ant that deposits nothing adds 0.0, which
-    leaves every positive trail as it is. A subnormal F deposits inf, as in
-    Python, and deposits near the float maximum may add up to inf on one
-    node; the cap clips both."""
-    sign, floor, maximize = rule
-    f = np.multiply(values, sign)
-    kept = (f >= floor) & (f < math.inf)
+    r * n + j). ``signs`` holds each ant's sign, 1.0 for an ant of a
+    maximizing run and -1.0 for one of a minimizing run, and ``maximize``
+    is signs > 0, one bool when all the ants share a sign. Every run
+    maximizes its values. An ant's F is sign * value: its value in a
+    maximizing run and -value, the objective it minimizes, in a minimizing
+    run. An ant deposits only when 0 < F < inf: theta*F under maximization
+    and theta/F under minimization, with theta = max_pheromone. A penalized
+    ant of a minimization bound run has value -1e12 * (1 + violation), so
+    F = 1e12 * (1 + violation), and it still deposits theta/F, about 2e-10.
+    Each node receives its deposits in ant order; an ant that deposits
+    nothing adds 0.0, which leaves every positive trail as it is. A
+    subnormal F deposits inf, as in Python, and deposits near the float
+    maximum may add up to inf on one node; the cap clips both."""
+    f = np.multiply(values, signs)
+    kept = (f > 0.0) & (f < math.inf)
     theta = config.max_pheromone
     if isinstance(maximize, bool):
         amounts = np.multiply(f, theta, out=f) if maximize else np.divide(theta, f, out=f)
@@ -147,13 +137,13 @@ def _evaporate(tau: np.ndarray, config: ACOConfig, nodes: Optional[np.ndarray] =
 
 def run_aco(instance: Instance, eval_fn: Fitness, config: ACOConfig,
             seed: int = 0) -> SolverReport:
-    """Iterate colonies from ``seed`` that maximize ``eval_fn`` until they
-    converge on the global best, as their bests equal it, or improvement
-    stops: the two windows of reports.Run, which also checks the seed.
+    """Iterate colonies from ``seed`` that maximize ``eval_fn``, one per
+    iteration, until a window of reports.Run closes; Run checks the seed,
+    and Run.step decides which colonies improve the run.
 
     Each colony is sampled first and scored as one block of
-    ``evaluation.drive``; its first ant that beats the best so far becomes
-    the new best, and a NaN value ranks below every other value, as -inf.
+    ``evaluation.drive``; its value is that of its first best ant, and a NaN
+    value ranks below every other value, as -inf.
     """
     return drive([(_colonies(instance, config, [seed], np.ones(1)), eval_fn)])[0][0]
 
@@ -178,15 +168,14 @@ def _colonies(
     as one block, run after run. ``select``, when given, learns the run of
     each row of the blocks to come: before the first block and whenever a
     run ends and its trail row is dropped. Every run ends as it would alone:
-    it draws its Gumbel noise from its own generator, and the walk keeps
-    each run's first ant that is strictly better than its best so far,
-    scoring a NaN value as -inf. A round in which every live run maximizes
-    and every colony's best is below 0 deposits nothing (see _update), so
-    its trails only evaporate (_evaporate). The first step builds the
-    instance's figures table (model.figures_table).
+    it draws its Gumbel noise from its own generator, and hands Run.step the
+    value of its colony's first best ant, a NaN value scoring -inf, and
+    ``ants`` requests. A round in which every live run maximizes and no colony's best
+    is above 0 deposits nothing (see _update), so its trails only evaporate
+    (_evaporate). The first step builds the instance's figures table
+    (model.figures_table).
     """
     runs = [Run("aco", instance, seed, config.stagnation_limit) for seed in seeds]
-    reports = [run.report for run in runs]
     figures_table(instance)
     n, m = instance.n, instance.m_servers
     ants = ant_count(n, m, config.population_coefficient)
@@ -195,8 +184,10 @@ def _colonies(
     live = list(range(len(runs)))  # the runs of the trail rows, in order
     tau = np.ones((len(runs), n))
     while live:
-        rule = _deposit_rule(np.repeat(signs[live], ants))
-        maximizing = rule[2] is True  # every ant deposits theta * value, if any
+        senses = signs[live] > 0
+        # one bool when the live runs share a sense, else one flag per ant
+        maximize = bool(senses[0]) if (senses == senses[0]).all() else senses.repeat(ants)
+        ant_signs = np.repeat(signs[live], ants)
         # run i's trails start at i * n in the flattened trail array
         offsets = np.repeat(np.arange(len(live)) * n, ants)[:, None]
         if select:
@@ -211,21 +202,18 @@ def _colonies(
             values = np.asarray((yield idx), dtype=float)
             scores = np.fmax(values.reshape(len(live), ants), -math.inf)  # NaN last
             picks = scores.argmax(axis=1)
-            deposits = not maximizing
+            deposits = maximize is not True  # else only a colony best above 0 deposits
             for i, (r, pick, ranked) in enumerate(zip(live, picks.tolist(), scores.tolist())):
-                report, top = reports[r], ranked[pick]
-                deposits = deposits or top >= 0.0
-                improved = report.best is None or top > report.objective
-                if improved:
-                    report.best, report.objective = (idx[i * ants + pick] + 1).tolist(), top
-                ended[i] = bool(runs[r].step(improved, top == report.objective))
+                run, top = runs[r], ranked[pick]
+                deposits = deposits or top > 0.0
+                if run.step(top, ants):
+                    run.report.best = (idx[i * ants + pick] + 1).tolist()
+                ended[i] = run.report.termination is not None
             if deposits:
-                tau = _update(tau, idx + offsets, values, config, rule)
+                tau = _update(tau, idx + offsets, values, config, ant_signs, maximize)
             else:
                 tau = _evaporate(tau, config)
         kept = [not gone for gone in ended]
         live = list(compress(live, kept))
         tau = tau[kept]
-    for report in reports:
-        report.evaluations = ants * report.iterations
-    return reports
+    return [run.report for run in runs]

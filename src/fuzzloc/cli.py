@@ -4,8 +4,8 @@ Exit codes: 0 success, 1 usage error, 2 runtime failure, 3 validation failure.
 The enumeration budget can be overridden with FUZZLOC_ENUM_BUDGET, a positive
 integer; any other value is a usage error. So is an --events,
 --network-events or --replications count below 1, a validate --rho
-that is not a finite number above 0, and a solve given both --bounds and
---exact-bounds.
+that is not a finite number above 0, a solve given both --bounds and
+--exact-bounds, and a generate --table1 given a generator flag.
 """
 
 from __future__ import annotations
@@ -43,6 +43,7 @@ from .oracle import (
     simulate_objective_slice,
 )
 from .protocol import estimate_bounds, solve_protocol
+from .reports import check_seed
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -162,28 +163,27 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     gen = sub.add_parser("generate", help="write a random or fixture instance file")
-    gen.add_argument("--n", type=int, default=20)
-    gen.add_argument("--m", type=int, default=5)
-    gen.add_argument("--seed", type=int, default=0)
     gen.add_argument("--out", required=True)
     gen.add_argument("--table1", action="store_true", help="write the 20-node fixture instead")
-    # a range flag that is not given keeps its GeneratorParams default
-    ranges = gen.add_argument_group("generator ranges", argument_default=argparse.SUPPRESS)
-    ranges.add_argument(
-        "--demand-lo", dest="demand_lo_range", type=int, nargs=2, metavar=("MIN", "MAX")
-    )
-    ranges.add_argument("--demand-offsets", type=int, nargs=2)
-    ranges.add_argument(
-        "--service-lo", dest="service_lo_range", type=int, nargs=2, metavar=("MIN", "MAX")
-    )
-    ranges.add_argument("--service-offsets", type=int, nargs=2)
-    ranges.add_argument(
-        "--distance", dest="distance_range", type=int, nargs=2, metavar=("MIN", "MAX")
-    )
-    ranges.add_argument("--idle-min", type=float, nargs=3)
-    ranges.add_argument("--mql", type=float)
-    ranges.add_argument("--gamma", type=float)
-    ranges.add_argument("--logit", dest="logit_sensitivity", type=float)
+    # a generator flag that is not given keeps its default: n = 20, m = 5, else GeneratorParams'
+    generator = gen.add_argument_group("generator", argument_default=argparse.SUPPRESS)
+    span = {"type": int, "nargs": 2, "metavar": ("MIN", "MAX")}
+    flags = [
+        generator.add_argument("--n", type=int),
+        generator.add_argument("--m", dest="m_servers", type=int, metavar="M"),
+        generator.add_argument("--seed", type=int),
+        generator.add_argument("--demand-lo", dest="demand_lo_range", **span),
+        generator.add_argument("--demand-offsets", type=int, nargs=2),
+        generator.add_argument("--service-lo", dest="service_lo_range", **span),
+        generator.add_argument("--service-offsets", type=int, nargs=2),
+        generator.add_argument("--distance", dest="distance_range", **span),
+        generator.add_argument("--idle-min", type=float, nargs=3),
+        generator.add_argument("--mql", type=float),
+        generator.add_argument("--gamma", type=float),
+        generator.add_argument("--logit", dest="logit_sensitivity", type=float),
+    ]
+    # each GeneratorParams field's flag, which --table1 refuses
+    gen.set_defaults(generator_flags={flag.dest: flag.option_strings[0] for flag in flags})
 
     slv = sub.add_parser("solve", help="run the full 7-run protocol on one instance")
     slv.add_argument("--instance", required=True)
@@ -229,19 +229,20 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def cmd_generate(args) -> int:
+    flags = args.generator_flags
+    # in the order given, as each flag sets its field when it is parsed
+    given = {k: tuple(v) if isinstance(v, list) else v for k, v in vars(args).items() if k in flags}
     if args.table1:
+        if given:
+            raise UsageError(f"--table1 takes no generator flag, got {flags[next(iter(given))]}")
         Path(args.out).write_bytes(table1_bytes())
         print(f"wrote table1 fixture to {args.out}")
         return EXIT_OK
-    fields = {f.name for f in dataclasses.fields(GeneratorParams)}
-    given = {
-        k: tuple(v) if isinstance(v, list) else v for k, v in vars(args).items() if k in fields
-    }
     if "idle_min" in given:
         given["idle_min"] = TriFuzzy(*given["idle_min"])
-    params = GeneratorParams(m_servers=args.m, **given)
+    params = GeneratorParams(**{"n": 20, "m_servers": 5, **given})
     save_instance(generate_instance(params), args.out)
-    print(f"wrote n={args.n} m={args.m} instance to {args.out}")
+    print(f"wrote n={params.n} m={params.m_servers} instance to {args.out}")
     return EXIT_OK
 
 
@@ -467,8 +468,7 @@ def main(argv=None) -> int:
         # Before any run or output, naming the bad seed: bench and validate run
         # on seeds derived from --seed (seed + r and 5 * seed + r), tune on --seeds.
         for seed in getattr(args, "seeds", [getattr(args, "seed", 0)]):
-            if seed < 0:
-                raise UsageError(f"seed must be non-negative, got {seed}")
+            check_seed(seed)
         return handlers[args.command](args)
     except (UsageError, DomainError, InstanceFormatError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)

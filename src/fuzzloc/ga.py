@@ -180,9 +180,9 @@ def replace(population: list[Chromosome], candidate: Chromosome) -> bool:
 
 
 def run_ga(instance: Instance, eval_fn: Fitness, config: GAConfig, seed: int = 0) -> SolverReport:
-    """Evolve from ``seed`` until the population converges on its best, as
-    candidates equal the best fitness, or improvement stops: the two windows
-    of reports.Run, which also checks the seed. One iteration is one mating.
+    """Evolve from ``seed``, one mating per iteration, until a window of
+    reports.Run closes; Run checks the seed, and Run.step decides which
+    matings improve the run (a child that ``replace`` keeps out does not).
 
     ``eval_fn`` must depend only on the solution's gene set: each distinct set
     is evaluated once and its value reused, and a repeated mating that drew
@@ -198,8 +198,9 @@ def _steps(instance: Instance, config: GAConfig, seed: int) -> Steps[SolverRepor
     """run_ga of ``config`` at ``seed`` as a step generator over one
     reports.Run, which times the run from its first step and holds its
     report. It yields only the rows its memo has not scored yet, in request
-    order, and counts every request, hits included, from the population
-    size and each mating's parents."""
+    order, and counts every request, hits included: the population's, then
+    each mating's from its parents, which it hands to Run.step with the
+    child's fitness and whether ``replace`` let the child in."""
     run = Run("ga", instance, seed, config.stagnation_limit)
     report = run.report
     rng = random.Random(seed)
@@ -214,13 +215,9 @@ def _steps(instance: Instance, config: GAConfig, seed: int) -> Steps[SolverRepor
         p1, p2 = _distinct_parents(population, rng)
         candidate = yield from _mate(p1, p2, rng, memo)
         d = (p1.mask ^ p2.mask).bit_count() // 2
-        report.evaluations += d * (3 * d + 1) // 2
-        entered = replace(population, candidate)
-        at_best = candidate.fitness == report.objective
-        improved = entered and candidate.fitness > report.objective
-        if improved:
-            report.best, report.objective = sorted(candidate.genes), candidate.fitness
-        if run.step(improved, at_best):
+        if run.step(candidate.fitness, d * (3 * d + 1) // 2, replace(population, candidate)):
+            report.best = sorted(candidate.genes)
+        if report.termination:
             return report
 
 

@@ -54,9 +54,9 @@ class Run:
     """One solver run: its seed, checked first; its clock, started when the
     run is made; its convergence and stagnation counters; and ``report``,
     the run's SolverReport, which is its record. The solver sets the
-    report's ``best`` (ascending 1-based indices, None before the first),
-    its ``objective`` and its ``evaluations``; ``step`` fills the trace and
-    the iteration count of a GA or ACO run, and ``finish`` ends every run.
+    report's ``best`` (ascending 1-based indices, None before the first)
+    when ``step`` says a round improved the run; ``step`` keeps the rest of
+    a GA or ACO run's record, and ``finish`` ends every run.
 
     A GA or ACO run converges after ``limit`` = floor(n * sqrt(m))
     consecutive non-improving iterations that end at the incumbent best,
@@ -75,23 +75,32 @@ class Run:
         self.cap = self.limit * self.limit if cap is None else cap
         self.converged = self.stagnant = 0
 
-    def step(self, improved: bool, at_best: bool) -> Optional[str]:
-        """Count one iteration and trace the best value; once a window
-        closes, finish the run and return the termination reason, else
-        None. An improvement resets both windows."""
+    def step(self, value: float, requests: int, eligible: bool = True) -> bool:
+        """One round of the run that reached ``value`` with ``requests``
+        fitness requests; True if it improved the run. It does when it is
+        the run's first (the objective is NaN until then), or when its value
+        is ``eligible`` and strictly above the objective, which it becomes.
+        Either way the round is counted and the objective traced; once a
+        window closes, the run is finished (``report.termination``). An
+        improvement resets both windows; a value equal to the best counts
+        toward convergence."""
         report = self.report
-        report.trace.append(report.objective)
-        report.iterations += 1
+        objective = report.objective
+        improved = math.isnan(objective) or eligible and value > objective
         if improved:
+            report.objective = value
             self.converged = self.stagnant = 0
         else:
             self.stagnant += 1
-            self.converged = self.converged + 1 if at_best else 0
+            self.converged = self.converged + 1 if value == objective else 0
+        report.evaluations += requests
+        report.trace.append(report.objective)
+        report.iterations += 1
         if self.converged >= self.limit:
             self.finish("convergence")
         elif self.stagnant >= self.cap:
             self.finish("stagnation")
-        return report.termination
+        return improved
 
     def finish(self, termination: str) -> None:
         """End the run: stop its clock and record why it ended."""

@@ -59,8 +59,7 @@ def draw_colony(
 
 def evaporate(tau: np.ndarray, config: ACOConfig) -> np.ndarray:
     """aco._update for a colony without ants."""
-    return aco._update(tau, np.empty((0, 1), dtype=np.intp), [], config,
-                       aco._deposit_rule(np.empty(0)))
+    return aco._update(tau, np.empty((0, 1), dtype=np.intp), [], config, np.empty(0), True)
 
 
 class TestConfig:
@@ -239,9 +238,10 @@ class TestPheromoneUpdate:
 
     @staticmethod
     def update(tau, nodes, values, signs):
+        signs = np.asarray(signs)
         return aco._update(
             np.asarray(tau, dtype=float), np.asarray(nodes, dtype=np.intp), values,
-            ACOConfig(), aco._deposit_rule(np.asarray(signs)),
+            ACOConfig(), signs, signs > 0,
         )
 
     def test_pure_evaporation(self):

@@ -21,7 +21,6 @@ from fuzzloc.aco import (
     TAU_MIN,
     ACOConfig,
     _colonies,
-    _deposit_rule,
     _log_weights,
     _sample_colonies,
     _update,
@@ -125,9 +124,10 @@ values = st.one_of(
 def test_deposit_matches_ant_loop(sense, n, data, seed):
     """One _update of R = 1-4 trail rows, run r's nodes offset by r * n,
     against each row's ant loop. Every row has the given sense's sign, or
-    for "mixed" R >= 2 rows take both signs in a drawn order, so
-    _deposit_rule serves each of its rules. _update takes the values that
-    the runs maximize, so a min row's ant is handed -F."""
+    for "mixed" R >= 2 rows take both signs in a drawn order. _update takes
+    the values that the runs maximize, so a min row's ant is handed -F, and
+    a flag per ant or, as _colonies passes it for rows of one sign, one
+    bool; both flags give the same trails."""
     # few nodes and many ants, so most nodes take several deposits
     runs = data.draw(st.integers(2 if sense == "mixed" else 1, 4))
     m = data.draw(st.integers(1, n - 1))
@@ -160,10 +160,10 @@ def test_deposit_matches_ant_loop(sense, n, data, seed):
         for r in range(runs)
     ]
     sent = [f if sign > 0 else -f for f, sign in zip(fitness, ant_signs)]
-    rule = _deposit_rule(ant_signs)
-    # one bool flag for a live set of one sign, else a flag per ant
-    assert isinstance(rule[2], bool) == (ants == 0 or sense != "mixed")
-    assert np.array_equal(_update(tau, idx + offsets, sent, config, rule), expected)
+    flags = [ant_signs > 0, *([signs[0] > 0] if sense != "mixed" else [])]
+    for maximize in flags:
+        trails = _update(tau, idx + offsets, sent, config, ant_signs, maximize)
+        assert np.array_equal(trails, expected)
 
 
 def test_overflowing_deposits_reach_the_cap_without_warning():
@@ -176,7 +176,7 @@ def test_overflowing_deposits_reach_the_cap_without_warning():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         trails = _update(tau, np.array([[0], [0]]), [-fitness, -fitness], config,
-                         _deposit_rule(np.array([-1.0, -1.0])))
+                         np.array([-1.0, -1.0]), False)
         expected = reference_update(tau[0], [(Solution([1]), fitness)] * 2, config, -1.0)
     assert trails[0, 0] == config.max_pheromone
     assert np.array_equal(trails, [expected])
@@ -186,14 +186,17 @@ def reference_steps(instance, config, sign, seed):
     """One ACO run of ``seed``, ant by ant: each ant's subset drawn on its own, a walk
     that keeps the first ant whose score is strictly above the best so far,
     where a NaN value scores -inf, and the deposit loop above, with F =
-    -value in a run of sign -1.0. It yields and returns as aco_run does,
-    with no wall time."""
+    -value in a run of sign -1.0. It keeps its own best and the count of
+    its requests, and asserts that Run.step, which it hands each colony's
+    best, agrees on them and on which colonies improve the run. It yields
+    and returns as aco_run does, with no wall time."""
     rng = np.random.default_rng(seed)
     n, m = instance.n, instance.m_servers
     run = Run("aco", instance, seed, config.stagnation_limit)
     ants = ant_count(n, m, config.population_coefficient)
     eta = heuristic_index(instance)
     tau = np.ones(n)
+    best, objective, requests = None, math.nan, 0
     while True:
         log_w = _log_weights(tau, config.beta_exp * np.log(eta), config)
         colony = [reference_sample(log_w, m, rng) for _ in range(ants)]
@@ -203,12 +206,17 @@ def reference_steps(instance, config, sign, seed):
             score = -math.inf if math.isnan(value) else value
             if score > colony_best:
                 colony_best = score
-            if run.report.best is None or score > run.report.objective:
-                run.report.best, run.report.objective, improved = solution.sorted(), score, True
+            if best is None or score > objective:
+                best, objective, improved = solution.sorted(), score, True
+        requests += ants
         deposits = [(solution, sign * value) for solution, value in zip(colony, values)]
         tau = reference_update(tau, deposits, config, sign)
-        if run.step(improved, colony_best == run.report.objective):
-            run.report.evaluations = ants * run.report.iterations
+        assert run.step(colony_best, ants) == improved
+        if improved:
+            run.report.best = best
+        assert run.report.objective.hex() == objective.hex()
+        assert run.report.evaluations == requests
+        if run.report.termination:
             return run.report
 
 
@@ -508,6 +516,16 @@ class TestWindows:
         instance = self.N20_M5 if limit is None else types.SimpleNamespace(n=limit, m_servers=1)
         return Run("ga", instance, 0, cap)
 
+    @staticmethod
+    def ends(windows, values):
+        """The termination after each step of a run whose best is 1.0, as a
+        GA run's first population sets it, at the given values."""
+        windows.report.objective, ended = 1.0, []
+        for value in values:
+            windows.step(value, 1)
+            ended.append(windows.report.termination)
+        return ended
+
     def test_defaults(self):
         windows = self.run(None, None)
         assert (windows.limit, windows.cap) == (44, 44 * 44)
@@ -516,19 +534,17 @@ class TestWindows:
 
     def test_convergence_needs_consecutive_steps_at_best(self):
         windows = self.run(3, 100)
-        steps = [(False, True), (False, True), (False, False), (False, True),
-                 (False, True), (True, True), (False, True), (False, True), (False, True)]
-        assert [windows.step(*s) for s in steps] == [None] * 8 + ["convergence"]
+        steps = [1.0, 1.0, 0.5, 1.0, 1.0, 2.0, 2.0, 2.0, 2.0]
+        assert self.ends(windows, steps) == [None] * 8 + ["convergence"]
 
     def test_stagnation_counts_every_step_without_improvement(self):
         windows = self.run(100, 4)
-        steps = [(False, True), (True, False), (False, False), (False, True),
-                 (False, False), (False, False)]
-        assert [windows.step(*s) for s in steps] == [None] * 5 + ["stagnation"]
+        steps = [1.0, 2.0, 0.5, 2.0, 0.5, 0.5]
+        assert self.ends(windows, steps) == [None] * 5 + ["stagnation"]
 
     def test_convergence_checked_first(self):
         windows = self.run(2, 2)
-        assert [windows.step(False, True) for _ in range(2)] == [None, "convergence"]
+        assert self.ends(windows, [1.0, 1.0]) == [None, "convergence"]
 
     def test_new_run_has_an_empty_record(self):
         report = self.run(None, None).report
@@ -538,20 +554,20 @@ class TestWindows:
         assert (report.elapsed_s, report.evaluations) == (0.0, 0)
 
     def test_steps_fill_the_record(self):
-        """Each step traces the objective and counts one iteration; the
-        clock is read only when a window closes."""
+        """Each step traces the objective, counts one iteration and adds its
+        requests; the clock is read only when a window closes. A new run's
+        first step improves it, whatever its value or eligibility."""
         windows = self.run(3, 100)
         report = windows.report
-        steps = [(1.0, True, True), (2.0, True, True), (2.0, False, True),
+        steps = [(1.0, True, False), (2.0, True, True), (2.0, False, True),
                  (2.0, False, True), (2.0, False, True)]
-        for k, (objective, improved, at_best) in enumerate(steps, start=1):
-            report.objective = objective
-            ended = windows.step(improved, at_best)
+        for k, (objective, improved, eligible) in enumerate(steps, start=1):
+            assert windows.step(objective, k, eligible) == improved
             assert report.iterations == len(report.trace) == k
-            assert report.trace[-1] == objective
-            assert ended == report.termination
+            assert report.trace[-1] == report.objective == objective
+            assert report.evaluations == k * (k + 1) // 2
             if k < len(steps):
-                assert ended is None and report.elapsed_s == 0.0
+                assert report.termination is None and report.elapsed_s == 0.0
         assert report.termination == "convergence" and report.elapsed_s > 0
         assert report.trace == [1.0, 2.0, 2.0, 2.0, 2.0]
 
@@ -579,3 +595,71 @@ class TestWindows:
         for run, report in zip(runs, reports):
             assert report is run.report
             assert report.iterations == len(report.trace) > 0 and report.elapsed_s > 0
+
+
+def reference_rounds(limit, cap, objective, rounds):
+    """The improvement rule the solvers applied before Run.step held it, as
+    a loop over (value, requests, eligible) rounds of a run whose best is
+    ``objective`` (NaN for none yet): a round improves the run when the run
+    has no best yet, or when its value is eligible and strictly above the
+    best. Returns each round's improvement, the trace, the request count
+    and the termination, once a window closes or the rounds run out."""
+    improvements, trace, evaluations, termination = [], [], 0, None
+    converged = stagnant = 0
+    for value, requests, eligible in rounds:
+        at_best = value == objective
+        improved = math.isnan(objective) or (eligible and value > objective)
+        if improved:
+            objective, converged, stagnant = value, 0, 0
+        else:
+            stagnant += 1
+            converged = converged + 1 if at_best else 0
+        improvements.append(improved)
+        trace.append(objective)
+        evaluations += requests
+        if converged >= limit:
+            termination = "convergence"
+        elif stagnant >= cap:
+            termination = "stagnation"
+        if termination:
+            break
+    return improvements, trace, evaluations, termination
+
+
+@given(
+    limit=st.integers(2, 6),
+    cap=st.integers(1, 12),
+    start=st.sampled_from((math.nan, -math.inf, 0.0, 1.0)),
+    rounds=st.lists(
+        st.tuples(
+            st.one_of(st.sampled_from((-math.inf, -1.0, -0.0, 0.0, 1.0, 2.0)),
+                      st.floats(-3.0, 3.0)),
+            st.integers(0, 40),
+            st.booleans(),
+        ),
+        min_size=1,
+        max_size=40,
+    ),
+)
+@settings(max_examples=200, deadline=None)
+def test_run_step_matches_reference_rule(limit, cap, start, rounds):
+    """Run.step over random rounds, with ties, values equal to the best,
+    ineligible values above it and first rounds at -inf, against the
+    reference loop: the same improvements, objective, trace, iteration and
+    request counts and termination, bit for bit. ``start`` is the best a GA
+    run's first population sets, or NaN for a run with none."""
+    run = Run("aco", types.SimpleNamespace(n=limit, m_servers=1), 0, cap)
+    report = run.report
+    report.objective = start
+    improvements = []
+    for value, requests, eligible in rounds:
+        improvements.append(run.step(value, requests, eligible))
+        if report.termination:
+            break
+    improved, trace, evaluations, termination = reference_rounds(limit, cap, start, rounds)
+    assert improvements == improved
+    assert [value.hex() for value in report.trace] == [value.hex() for value in trace]
+    assert report.objective.hex() == trace[-1].hex()
+    assert (report.iterations, report.evaluations) == (len(trace), evaluations)
+    assert report.termination == termination
+    assert (report.elapsed_s > 0) == (termination is not None)

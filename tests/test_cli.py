@@ -48,6 +48,23 @@ class TestGenerate:
         assert run(["generate", "--table1", "--out", out]) == EXIT_OK
         assert hashlib.sha256(out.read_bytes()).hexdigest() == TABLE1_SHA256
 
+    @pytest.mark.parametrize("flags, named", [
+        (["--m", 15, "--n", 7, "--seed", 3], "--m"),
+        (["--n", 20], "--n"),
+        (["--seed", 0], "--seed"),
+        (["--demand-lo", 4, 30], "--demand-lo"),
+        (["--logit", 0.8, "--mql", 10], "--logit"),
+    ])
+    def test_table1_refuses_generator_flags(self, tmp_path, capsys, flags, named):
+        """The fixture is fixed: --table1 with a generator flag, even one at
+        its default, stops with one line naming the first flag given, and
+        writes no file."""
+        out = tmp_path / "t.json"
+        assert run(["generate", "--table1", *flags, "--out", out]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == "" and not out.exists()
+        assert captured.err == f"usage error: --table1 takes no generator flag, got {named}\n"
+
     def test_m_at_least_n_rejected(self, tmp_path):
         out = tmp_path / "bad.json"
         assert run(["generate", "--n", 3, "--m", 5, "--out", out]) == EXIT_USAGE

@@ -554,15 +554,21 @@ class TestRoundInvariants:
         population after it, the best that a max(population) scan (first
         member among ties) gives, the best that scan keeps when it beats the
         best so far (the rule before the scan was dropped), and the run's
-        best after the mating."""
-        log, kept = [], []
+        best after the mating, read before the next mating's replace or
+        after the run, as the run sets it once Run.step has ruled."""
+        log, kept, reports = [], [], []
         replace, step = fuzzloc.ga.replace, Run.step
 
         def scan(population):
             top = max(population, key=lambda c: c.fitness)
             return (sorted(top.genes), top.fitness)
 
+        def settled(report):
+            log[-1].append((report.best, report.objective))
+
         def logged_replace(population, candidate):
+            if log:
+                settled(reports[0])
             kept[:] = kept or [scan(population)]  # the first population's best
             entered = replace(population, candidate)
             scanned = scan(population)
@@ -571,14 +577,15 @@ class TestRoundInvariants:
             log.append([candidate, entered, population[:], scanned, kept[0]])
             return entered
 
-        def logged_step(run, improved, at_best):
-            log[-1].append((run.report.best, run.report.objective))
-            return step(run, improved, at_best)
+        def logged_step(run, *args):
+            reports[:] = [run.report]
+            return step(run, *args)
 
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(fuzzloc.ga, "replace", logged_replace)
             patch.setattr(Run, "step", logged_step)
             report = run_ga(instance, fitness, config, seed)
+        settled(report)
         return report, log
 
     @settings(max_examples=60, deadline=None)

@@ -369,6 +369,22 @@ class TestOnePassBrute:
                 assert back.tolist() == ranks.tolist(), (n, m)
 
 
+class TestTable1SubsetSizes:
+    """What table1 exercises at the paper's M = 5: its certificate holds at
+    every size from 1 to 10 and at no larger one, full scans find no
+    feasible subset at M = 11 to 14 either, and M = 15 is the smallest
+    facility count with one, 16 of C(20, 15) = 15 504."""
+
+    def test_certified_up_to_ten(self, table1):
+        assert table1.certified[1:11] == (True,) * 10
+        assert not any(table1.certified[11:])
+
+    @pytest.mark.parametrize("m, feasible", [(11, 0), (12, 0), (13, 0), (14, 0), (15, 16)])
+    def test_full_scan(self, table1, m, feasible):
+        scan = oracle.Scan(dataclasses.replace(table1, m_servers=m))
+        assert (len(scan.subsets), scan.count) == (feasible, math.comb(table1.n, m))
+
+
 class TestCertifiedScan:
     """On an instance that model.no_feasible_subset certifies, a Scan keeps
     no rows and builds no kernel, and the brute errors and results stay."""
