@@ -15,7 +15,7 @@ import numpy as np
 from .errors import DomainError
 from .evaluation import Fitness, Steps, drive
 from .fuzzy import check_count
-from .model import Instance, figures_table
+from .model import BLOCK_SIZE, Instance, figures_table, no_feasible_subset
 from .reports import Run, SolverReport
 
 TAU_MIN = 1e-6
@@ -141,8 +141,10 @@ def run_aco(instance: Instance, eval_fn: Fitness, config: ACOConfig,
     iteration, until a window of reports.Run closes; Run checks the seed,
     and Run.step decides which colonies improve the run.
 
-    Each colony is sampled first and scored as one block of
-    ``evaluation.drive``; its value is that of its first best ant, and a NaN
+    Colonies are sampled first and scored in blocks of
+    ``evaluation.drive``: one colony a block, or on an instance with no
+    feasible subset the colonies of every round the run surely takes (see
+    _colonies). A colony's value is that of its first best ant, and a NaN
     value ranks below every other value, as -inf.
     """
     return drive([(_colonies(instance, config, [seed], np.ones(1)), eval_fn)])[0][0]
@@ -164,16 +166,30 @@ def _colonies(
     ``config``, and so both windows; run r takes its seed from seeds[r] and
     its sign from signs[r], 1.0 or -1.0, which picks only its deposit rule
     (see _update): a run of sign -1.0 minimizes an objective, and its values
-    are minus that objective. Each iteration yields the live runs' colonies
-    as one block, run after run. ``select``, when given, learns the run of
-    each row of the blocks to come: before the first block and whenever a
-    run ends and its trail row is dropped. Every run ends as it would alone:
-    it draws its Gumbel noise from its own generator, and hands Run.step the
-    value of its colony's first best ant, a NaN value scoring -inf, and
-    ``ants`` requests. A round in which every live run maximizes and no colony's best
+    are minus that objective. Every run ends as it would alone: it draws its
+    Gumbel noise from its own generator, and hands Run.step the value of its
+    colony's first best ant, a NaN value scoring -inf, and ``ants``
+    requests. A round in which every live run maximizes and no colony's best
     is above 0 deposits nothing (see _update), so its trails only evaporate
     (_evaporate). The first step builds the instance's figures table
     (model.figures_table).
+
+    The runs step in blocks of k rounds, the fewest that a live run surely
+    takes (Run.sure_rounds), capped so that k rounds of the live runs'
+    colonies hold at most model.BLOCK_SIZE rows, and at least 1. No run ends
+    inside a block, so each live run draws the block's noise in one
+    (k, ants, n) call, the stream of k (ants, n) draws. A round yields the
+    live runs' colonies as one block, run after run. On an instance with no
+    feasible subset (model.no_feasible_subset) whose live runs all
+    maximize, no round deposits unless the fitness scores an infeasible
+    subset above 0; so the k colonies are sampled at once from the trails of
+    k evaporation steps and yielded as one block, round after round. Its
+    rounds go to Run.step in order up to the first that deposits, whose
+    trails _update, and the block's later rounds are sampled one at a time
+    from the noise as drawn. ``select``, when given, learns the run of
+    each row of the blocks to come: before the first block, whenever a run
+    ends and its trail row is dropped, and before and after each block of k
+    rounds.
     """
     runs = [Run("aco", instance, seed, config.stagnation_limit) for seed in seeds]
     figures_table(instance)
@@ -183,37 +199,76 @@ def _colonies(
     rngs = [np.random.default_rng(seed) for seed in seeds]
     live = list(range(len(runs)))  # the runs of the trail rows, in order
     tau = np.ones((len(runs), n))
+
+    def walk(idx: np.ndarray, values: np.ndarray) -> tuple[int, bool]:
+        """Hand Run.step each live run's colony best, round after round of
+        the rows, up to the first round that deposits; return the rounds
+        walked and whether the last of them deposits."""
+        scores = np.fmax(values.reshape(-1, len(live), ants), -math.inf)  # NaN last
+        picks = scores.argmax(axis=-1)
+        row = 0
+        for t, (round_picks, round_scores) in enumerate(zip(picks.tolist(), scores.tolist())):
+            deposits = maximize is not True  # else only a colony best above 0 deposits
+            for r, pick, ranked in zip(live, round_picks, round_scores):
+                top = ranked[pick]
+                deposits = deposits or top > 0.0
+                if runs[r].step(top, ants):
+                    runs[r].report.best = (idx[row + pick] + 1).tolist()
+                row += ants
+            if deposits:
+                return t + 1, True
+        return len(picks), False
+
+    def next_trails(tau: np.ndarray, idx: np.ndarray, values: np.ndarray,
+                    deposits: bool) -> np.ndarray:
+        """The trails after one round of the live runs' colonies."""
+        if deposits:
+            return _update(tau, idx + offsets, values, config, ant_signs, maximize)
+        return _evaporate(tau, config)
+
     while live:
         senses = signs[live] > 0
         # one bool when the live runs share a sense, else one flag per ant
         maximize = bool(senses[0]) if (senses == senses[0]).all() else senses.repeat(ants)
+        # with no feasible subset, only a fitness above 0 on some infeasible
+        # one can make a maximizing colony deposit
+        certified = maximize is True and no_feasible_subset(instance)
         ant_signs = np.repeat(signs[live], ants)
         # run i's trails start at i * n in the flattened trail array
         offsets = np.repeat(np.arange(len(live)) * n, ants)[:, None]
+        row_runs = np.repeat(live, ants)
         if select:
-            select(np.repeat(live, ants))
+            select(row_runs)
         gumbel = [rngs[r].gumbel for r in live]
-        noise = np.empty((len(live), ants, n))
-        ended = [False] * len(live)
-        while not any(ended):
+        kept = [True] * len(live)
+        while all(kept):
+            # no live run ends before the block's last round, so its noise is all used
+            k = max(1, min(min(runs[r].sure_rounds() for r in live), BLOCK_SIZE // len(row_runs)))
+            noise = np.empty((k, len(live), ants, n))
             for i, draw in enumerate(gumbel):
-                noise[i] = draw(size=(ants, n))
-            idx = _sample_colonies(_log_weights(tau, beta_log_eta, config), m, noise)
-            values = np.asarray((yield idx), dtype=float)
-            scores = np.fmax(values.reshape(len(live), ants), -math.inf)  # NaN last
-            picks = scores.argmax(axis=1)
-            deposits = maximize is not True  # else only a colony best above 0 deposits
-            for i, (r, pick, ranked) in enumerate(zip(live, picks.tolist(), scores.tolist())):
-                run, top = runs[r], ranked[pick]
-                deposits = deposits or top > 0.0
-                if run.step(top, ants):
-                    run.report.best = (idx[i * ants + pick] + 1).tolist()
-                ended[i] = run.report.termination is not None
-            if deposits:
-                tau = _update(tau, idx + offsets, values, config, ant_signs, maximize)
-            else:
-                tau = _evaporate(tau, config)
-        kept = [not gone for gone in ended]
+                noise[:, i] = draw(size=(k, ants, n))
+            done = 0
+            if certified:
+                # the block's trails if no round deposits, and its k colonies
+                # sampled from a copy of the noise
+                trails = [tau]
+                for _ in range(k - 1):
+                    trails.append(_evaporate(trails[-1], config))
+                log_w = _log_weights(np.concatenate(trails), beta_log_eta, config)
+                idx = _sample_colonies(log_w, m, noise.reshape(-1, ants, n).copy())
+                if select:
+                    select(np.tile(row_runs, k))
+                values = np.asarray((yield idx), dtype=float)
+                if select:
+                    select(row_runs)
+                done, deposits = walk(idx, values)
+                rows = slice((done - 1) * len(row_runs), done * len(row_runs))
+                tau = next_trails(trails[done - 1], idx[rows], values[rows], deposits)
+            for t in range(done, k):
+                idx = _sample_colonies(_log_weights(tau, beta_log_eta, config), m, noise[t])
+                values = np.asarray((yield idx), dtype=float)
+                tau = next_trails(tau, idx, values, walk(idx, values)[1])
+            kept = [runs[r].report.termination is None for r in live]
         live = list(compress(live, kept))
         tau = tau[kept]
     return [run.report for run in runs]

@@ -61,7 +61,9 @@ class Run:
     A GA or ACO run converges after ``limit`` = floor(n * sqrt(m))
     consecutive non-improving iterations that end at the incumbent best,
     and stagnates after ``cap`` consecutive non-improving iterations, a
-    config's stagnation_limit, or limit² when ``cap`` is None.
+    config's stagnation_limit, or limit² when ``cap`` is None. A live run
+    takes at least ``sure_rounds()`` more rounds, so a solver may draw and
+    score that many at once.
     """
 
     def __init__(self, algorithm: str, instance: Instance, seed: int,
@@ -74,6 +76,11 @@ class Run:
         self.limit = convergence_limit(n, m)
         self.cap = self.limit * self.limit if cap is None else cap
         self.converged = self.stagnant = 0
+
+    def sure_rounds(self) -> int:
+        """The rounds this live run takes before a window can close, the
+        last of them included: each round adds at most 1 to either count."""
+        return min(self.limit - self.converged, self.cap - self.stagnant)
 
     def step(self, value: float, requests: int, eligible: bool = True) -> bool:
         """One round of the run that reached ``value`` with ``requests``

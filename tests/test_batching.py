@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fuzzloc import aco
+from fuzzloc import aco, evaluation, model
 from fuzzloc.aco import (
     TAU_MIN,
     ACOConfig,
@@ -363,6 +363,173 @@ def test_final_run_only_evaporates_and_bound_runs_never(table1, monkeypatch):
     assert spy.only == max(rounds) - min_rounds
 
 
+@pytest.mark.parametrize("rounds", [1, 2, 44, 128])
+@pytest.mark.parametrize("ants, n", [(8, 20), (3, 7)])
+def test_block_noise_is_the_per_round_noise(rounds, ants, n):
+    """One (rounds, ants, n) Gumbel draw gives, bit for bit, the values of
+    ``rounds`` draws of (ants, n) and leaves the generator in the same
+    state: the stream contract that lets _colonies draw a block at once."""
+    block, per_round = np.random.default_rng(7), np.random.default_rng(7)
+    drawn = block.gumbel(size=(rounds, ants, n))
+    expected = np.stack([per_round.gumbel(size=(ants, n)) for _ in range(rounds)])
+    assert np.array_equal(drawn, expected)
+    assert block.bit_generator.state == per_round.bit_generator.state
+
+
+def _constant(solution):
+    return -1.0
+
+
+def recorded(steps, sizes):
+    """``steps`` as a step generator that appends the rows of each block it
+    yields to ``sizes``."""
+    idx = next(steps)
+    while True:
+        sizes.append(len(idx))
+        values = yield idx
+        try:
+            idx = steps.send(values)
+        except StopIteration as stop:
+            return stop.value
+
+
+class DrawSpy:
+    """Records the size of every Gumbel draw of the generators that aco
+    makes while it is installed."""
+
+    def __init__(self, monkeypatch):
+        self.sizes = []
+        make = np.random.default_rng
+        spy = self
+
+        class Generator:
+            def __init__(self, seed):
+                self.rng = make(seed)
+
+            def gumbel(self, size):
+                spy.sizes.append(size)
+                return self.rng.gumbel(size=size)
+
+        monkeypatch.setattr(aco.np.random, "default_rng", Generator)
+
+
+@pytest.mark.parametrize("case", ["mild20", "table1 stack"])
+def test_blocks_stay_within_block_size(table1, monkeypatch, case):
+    """With a stagnation window of 10**9, the convergence window alone
+    bounds a block: 44 rounds at n = 20, m = 5. A constant fitness closes
+    it in round 45 (a maximin run at this window does not end in thousands
+    of rounds). No noise draw and no block that drive sees holds more than
+    BLOCK_SIZE rows, and the runs end as the reference. Three stacked max
+    runs on table1, whose colonies are scored in blocks, would need
+    44 * 3 * 8 = 1056 rows for a full window, so their first block is
+    capped at 42 rounds."""
+    config = ACOConfig(stagnation_limit=10**9)
+    ants = ant_count(20, 5, config.population_coefficient)
+    if case == "mild20":
+        instance, seeds = generate_instance(mild_params(20, 5, 0)), [0]
+    else:
+        instance, seeds = table1, [0, 1, 2]
+    draws, sizes = DrawSpy(monkeypatch), []
+    stack = _colonies(instance, config, seeds, np.ones(len(seeds)))
+    reports = drive([(recorded(stack, sizes), _constant)])[0]
+    monkeypatch.undo()
+    assert max(sizes) <= model.BLOCK_SIZE
+    assert max(rounds * ants for rounds, ants, _ in draws.sizes) <= model.BLOCK_SIZE
+    if case == "table1 stack":
+        assert sizes == [42 * 3 * ants, 3 * 3 * ants]
+    for report, seed in zip(reports, seeds):
+        reference = drive([(reference_steps(instance, config, 1.0, seed), _constant)])[0]
+        assert record(report) == record(reference)
+        assert (report.iterations, report.termination) == (45, "convergence")
+
+
+def test_select_learns_the_rows_of_each_block(table1):
+    """The six bound runs stacked on table1: before each block that drive
+    scores, select has learned the run of each of its rows, also for the
+    blocks of several rounds that the max runs take once the min runs end."""
+    fitness = _BoundFitness(table1, 0)
+    ants = ant_count(table1.n, table1.m_servers, ACOConfig().population_coefficient)
+    learned, rounds = [], []
+
+    def select(runs):
+        learned.append(np.asarray(runs).tolist())
+        fitness.select(runs)
+
+    def checked(stack):
+        idx = next(stack)
+        while True:
+            live = sorted(set(learned[-1]))
+            rounds.append(len(idx) // (len(live) * ants))
+            assert learned[-1] == np.repeat(live, ants).tolist() * rounds[-1]
+            try:
+                idx = stack.send((yield idx))
+            except StopIteration as stop:
+                return stop.value
+
+    config = ACOConfig(stagnation_limit=20)
+    drive([(checked(_colonies(table1, config, [1, 2, 3, 4, 5, 6], _SIGN, select)), fitness)])
+    assert min(rounds) == 1 and max(rounds) > 1
+
+
+class BlockSpy:
+    """Counts the calls of evaluation.block_figures made while it is
+    installed."""
+
+    def __init__(self, monkeypatch):
+        self.blocks = 0
+        figures = evaluation.block_figures
+
+        def counted(instance, idx):
+            self.blocks += 1
+            return figures(instance, idx)
+
+        monkeypatch.setattr(evaluation, "block_figures", counted)
+
+
+@pytest.mark.parametrize("settings", [
+    {},
+    {"max_pheromone": 0.5},  # the initial trail of 1.0 lies above the cap
+    {"evaporation_rate": 0.5},
+    {"alpha_exp": 3.0},
+    {"population_coefficient": 1},
+])
+def test_certified_colonies_are_scored_in_blocks(table1, monkeypatch, settings):
+    """table1 has no feasible subset, so a maximizing run's colonies are
+    sampled and scored a block of rounds at a time: fewer blocks than a
+    tenth of the run's colonies. The run ends as the reference does."""
+    config = ACOConfig(stagnation_limit=100, **settings)
+    fitness = make_maximin_eval(table1, PROBE_CTX)
+    spy = BlockSpy(monkeypatch)
+    report = run_aco(table1, fitness, config, seed=0)
+    assert 0 < spy.blocks < report.iterations / 10
+    reference = drive([(reference_steps(table1, config, 1.0, 0), fitness)])[0]
+    assert record(report) == record(reference)
+
+
+def _three_firsts(solution):
+    """A plain fitness of many values: above 0 on the infeasible table1
+    subsets that open facilities 1, 2 and 3, and below 0 on every other."""
+    value = sum(j * j for j in solution.open) / 1000
+    return value if {1, 2, 3} <= solution.open else -value
+
+
+def test_depositing_round_leaves_the_block(table1, monkeypatch):
+    """A fitness above 0 on some of table1's subsets makes those colonies
+    deposit. The run walks a block's rounds up to the first such round,
+    updates the trails there, and samples the block's later rounds one at
+    a time, so some scored rows go unused; it ends as the reference."""
+    config = ACOConfig(stagnation_limit=100)
+    ants = ant_count(table1.n, table1.m_servers, config.population_coefficient)
+    spy, sizes = StepSpy(monkeypatch), []
+    report = drive([(recorded(aco_run(table1, config, 1.0), sizes), _three_firsts)])[0]
+    monkeypatch.undo()
+    reference = drive([(reference_steps(table1, config, 1.0, 0), _three_firsts)])[0]
+    assert record(report) == record(reference)
+    assert 0 < spy.full < report.iterations
+    assert max(sizes) > ants and min(sizes) == ants
+    assert sum(sizes) > ants * report.iterations
+
+
 @pytest.mark.parametrize("solver", ["ga", "aco"])
 @given(case=cases(max_n=10))
 @settings(max_examples=30, deadline=None)
@@ -663,3 +830,46 @@ def test_run_step_matches_reference_rule(limit, cap, start, rounds):
     assert (report.iterations, report.evaluations) == (len(trace), evaluations)
     assert report.termination == termination
     assert (report.elapsed_s > 0) == (termination is not None)
+
+
+@given(
+    limit=st.integers(1, 6),
+    cap=st.integers(1, 12),
+    start=st.sampled_from((math.nan, -math.inf, 0.0, 1.0)),
+    rounds=st.lists(
+        st.tuples(
+            st.one_of(st.sampled_from((-math.inf, -1.0, -0.0, 0.0, 1.0, 2.0)),
+                      st.floats(-3.0, 3.0)),
+            st.integers(0, 40),
+            st.booleans(),
+        ),
+        max_size=40,
+    ),
+    eligible=st.booleans(),
+)
+@settings(max_examples=200, deadline=None)
+def test_sure_rounds_bound_the_run(limit, cap, start, rounds, eligible):
+    """Run.sure_rounds over random rounds, with ties and values equal to the
+    best: at least 1 while the run is live, and the run never ends in fewer
+    rounds than it said. Once the random rounds run out, rounds at the best
+    end a run that has a best in exactly sure_rounds() rounds."""
+    run = Run("aco", types.SimpleNamespace(n=limit, m_servers=1), 0, cap)
+    report = run.report
+    report.objective = start
+    deadlines = []  # per round taken, the fewest rounds the run could end in
+    for value, requests, eligible_round in rounds:
+        sure = run.sure_rounds()
+        assert sure >= 1
+        deadlines.append(report.iterations + sure)
+        run.step(value, requests, eligible_round)
+        if report.termination:
+            break
+    assert report.iterations >= max(deadlines, default=0) or not report.termination
+    if report.termination or math.isnan(report.objective):
+        return
+    sure = run.sure_rounds()
+    ends = report.iterations + sure
+    while not report.termination:
+        assert run.sure_rounds() >= 1
+        run.step(report.objective, 1, eligible)
+    assert report.iterations == ends
