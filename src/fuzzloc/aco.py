@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import DomainError
 from .evaluation import Fitness, Steps, drive
-from .fuzzy import check_count
+from .fuzzy import check_count, is_number
 from .model import BLOCK_SIZE, Instance, figures_table, no_feasible_subset
 from .reports import Run, SolverReport
 
@@ -36,6 +36,9 @@ class ACOConfig:
     stagnation_limit: Optional[int] = None  # None: reports.Run's default
 
     def __post_init__(self) -> None:
+        for name in ("evaporation_rate", "max_pheromone", "alpha_exp", "beta_exp"):
+            if not is_number(getattr(self, name)):
+                raise DomainError(f"{name} must be a number, got {getattr(self, name)!r}")
         if not all(map(math.isfinite, (self.alpha_exp, self.beta_exp, self.max_pheromone))):
             raise DomainError("alpha_exp, beta_exp and max_pheromone must be finite")
         if not (0 < self.evaporation_rate < 1):
@@ -141,11 +144,11 @@ def run_aco(instance: Instance, eval_fn: Fitness, config: ACOConfig,
     iteration, until a window of reports.Run closes; Run checks the seed,
     and Run.step decides which colonies improve the run.
 
-    Colonies are sampled first and scored in blocks of
-    ``evaluation.drive``: one colony a block, or on an instance with no
-    feasible subset the colonies of every round the run surely takes (see
-    _colonies). A colony's value is that of its first best ant, and a NaN
-    value ranks below every other value, as -inf.
+    Colonies are sampled and scored in passes, one ``evaluation.drive``
+    block each: one colony a pass, or on an instance with no feasible
+    subset the colonies of every round left of those the run surely takes
+    (see _colonies). A colony's value is that of its first best ant, and a
+    NaN value ranks below every other value, as -inf.
     """
     return drive([(_colonies(instance, config, [seed], np.ones(1)), eval_fn)])[0][0]
 
@@ -178,18 +181,20 @@ def _colonies(
     takes (Run.sure_rounds), capped so that k rounds of the live runs'
     colonies hold at most model.BLOCK_SIZE rows, and at least 1. No run ends
     inside a block, so each live run draws the block's noise in one
-    (k, ants, n) call, the stream of k (ants, n) draws. A round yields the
-    live runs' colonies as one block, run after run. On an instance with no
-    feasible subset (model.no_feasible_subset) whose live runs all
-    maximize, no round deposits unless the fitness scores an infeasible
-    subset above 0; so the k colonies are sampled at once from the trails of
-    k evaporation steps and yielded as one block, round after round. Its
-    rounds go to Run.step in order up to the first that deposits, whose
-    trails _update, and the block's later rounds are sampled one at a time
-    from the noise as drawn. ``select``, when given, learns the run of
-    each row of the blocks to come: before the first block, whenever a run
-    ends and its trail row is dropped, and before and after each block of k
-    rounds.
+    (k, ants, n) call, the stream of k (ants, n) draws. A block is taken in
+    passes. A pass samples the live runs' colonies of its s rounds at once,
+    from the trails they have if none of them deposits (the current ones
+    and s - 1 evaporation steps), and yields them as one block, round after
+    round and run after run. Its rounds go to Run.step in order up to the
+    first that deposits, and the trails take one step from that round's:
+    _update after a deposit, else _evaporate. A pass holds the rest of the
+    block on an instance with no feasible subset (model.no_feasible_subset)
+    whose live runs all maximize: no round there deposits unless the
+    fitness scores an infeasible subset above 0, and the rounds after one
+    that does are sampled again in the next pass, from the noise as drawn.
+    Elsewhere a pass is one round. ``select``, when given, learns the run
+    of each row of the blocks to come whenever the live runs or the rounds
+    of a pass change, before the block that needs it.
     """
     runs = [Run("aco", instance, seed, config.stagnation_limit) for seed in seeds]
     figures_table(instance)
@@ -199,33 +204,6 @@ def _colonies(
     rngs = [np.random.default_rng(seed) for seed in seeds]
     live = list(range(len(runs)))  # the runs of the trail rows, in order
     tau = np.ones((len(runs), n))
-
-    def walk(idx: np.ndarray, values: np.ndarray) -> tuple[int, bool]:
-        """Hand Run.step each live run's colony best, round after round of
-        the rows, up to the first round that deposits; return the rounds
-        walked and whether the last of them deposits."""
-        scores = np.fmax(values.reshape(-1, len(live), ants), -math.inf)  # NaN last
-        picks = scores.argmax(axis=-1)
-        row = 0
-        for t, (round_picks, round_scores) in enumerate(zip(picks.tolist(), scores.tolist())):
-            deposits = maximize is not True  # else only a colony best above 0 deposits
-            for r, pick, ranked in zip(live, round_picks, round_scores):
-                top = ranked[pick]
-                deposits = deposits or top > 0.0
-                if runs[r].step(top, ants):
-                    runs[r].report.best = (idx[row + pick] + 1).tolist()
-                row += ants
-            if deposits:
-                return t + 1, True
-        return len(picks), False
-
-    def next_trails(tau: np.ndarray, idx: np.ndarray, values: np.ndarray,
-                    deposits: bool) -> np.ndarray:
-        """The trails after one round of the live runs' colonies."""
-        if deposits:
-            return _update(tau, idx + offsets, values, config, ant_signs, maximize)
-        return _evaporate(tau, config)
-
     while live:
         senses = signs[live] > 0
         # one bool when the live runs share a sense, else one flag per ant
@@ -237,9 +215,8 @@ def _colonies(
         # run i's trails start at i * n in the flattened trail array
         offsets = np.repeat(np.arange(len(live)) * n, ants)[:, None]
         row_runs = np.repeat(live, ants)
-        if select:
-            select(row_runs)
         gumbel = [rngs[r].gumbel for r in live]
+        learned = 0  # the rounds of a pass whose rows select last learned
         kept = [True] * len(live)
         while all(kept):
             # no live run ends before the block's last round, so its noise is all used
@@ -247,27 +224,43 @@ def _colonies(
             noise = np.empty((k, len(live), ants, n))
             for i, draw in enumerate(gumbel):
                 noise[:, i] = draw(size=(k, ants, n))
-            done = 0
-            if certified:
-                # the block's trails if no round deposits, and its k colonies
-                # sampled from a copy of the noise
-                trails = [tau]
-                for _ in range(k - 1):
-                    trails.append(_evaporate(trails[-1], config))
-                log_w = _log_weights(np.concatenate(trails), beta_log_eta, config)
-                idx = _sample_colonies(log_w, m, noise.reshape(-1, ants, n).copy())
-                if select:
-                    select(np.tile(row_runs, k))
+            t = 0
+            while t < k:
+                # a pass of span rounds, sampled from their trails if none deposits
+                span = k - t if certified else 1
+                if span > 1:  # a copy: rounds after a deposit are sampled again
+                    steps = [tau]
+                    for _ in range(span - 1):
+                        steps.append(_evaporate(steps[-1], config))
+                    trails, draws = np.concatenate(steps), noise[t:].reshape(-1, ants, n).copy()
+                else:
+                    trails, draws = tau, noise[t]
+                idx = _sample_colonies(_log_weights(trails, beta_log_eta, config), m, draws)
+                if select and span != learned:
+                    select(np.tile(row_runs, span))
+                    learned = span
                 values = np.asarray((yield idx), dtype=float)
-                if select:
-                    select(row_runs)
-                done, deposits = walk(idx, values)
-                rows = slice((done - 1) * len(row_runs), done * len(row_runs))
-                tau = next_trails(trails[done - 1], idx[rows], values[rows], deposits)
-            for t in range(done, k):
-                idx = _sample_colonies(_log_weights(tau, beta_log_eta, config), m, noise[t])
-                values = np.asarray((yield idx), dtype=float)
-                tau = next_trails(tau, idx, values, walk(idx, values)[1])
+                scores = np.fmax(values.reshape(span, len(live), ants), -math.inf)  # NaN last
+                row = 0
+                for walked, (picks, ranked) in enumerate(zip(scores.argmax(axis=-1).tolist(),
+                                                             scores.tolist())):
+                    deposits = maximize is not True  # else only a colony best above 0 deposits
+                    for r, pick, colony in zip(live, picks, ranked):
+                        top = colony[pick]
+                        deposits = deposits or top > 0.0
+                        if runs[r].step(top, ants):
+                            runs[r].report.best = (idx[row + pick] + 1).tolist()
+                        row += ants
+                    if deposits:
+                        break
+                t += walked + 1
+                if span > 1:  # the trails and rows of the last round walked
+                    rows = slice(row - len(row_runs), row)
+                    trails, idx, values = steps[walked], idx[rows], values[rows]
+                if deposits:
+                    tau = _update(trails, idx + offsets, values, config, ant_signs, maximize)
+                else:
+                    tau = _evaporate(trails, config)
             kept = [runs[r].report.termination is None for r in live]
         live = list(compress(live, kept))
         tau = tau[kept]

@@ -18,6 +18,7 @@ import numpy as np
 from .errors import DomainError, InstanceFormatError
 from .fuzzy import TriFuzzy, check_count, is_count, is_number
 from .model import Instance
+from .reports import check_seed
 
 TABLE1_SHA256 = "172a3c7598cd8bb5d8947d4d27b27de7bcfd52b3584cb20bac03207f75c9db6e"
 
@@ -55,7 +56,7 @@ class GeneratorParams:
         if self.distance_range[0] < 1:
             raise DomainError("distances must be positive")
         check_count("n", self.n, 2, "instance needs at least two nodes")
-        check_count("seed", self.seed, 0, f"seed must be non-negative, got {self.seed}")
+        check_seed(self.seed)
 
 
 def _fuzzy_column(rng: np.random.Generator, n: int, lo_range, offsets) -> np.ndarray:

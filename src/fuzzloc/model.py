@@ -88,9 +88,10 @@ class Instance:
     def __post_init__(self) -> None:
         n = self.n
         check_count("n", n, 2, "instance needs at least two nodes")
-        if not (1 <= self.m_servers < n):
-            raise DomainError(f"m_servers must satisfy 1 <= M < n, got {self.m_servers}")
-        check_count("m_servers", self.m_servers, 1)
+        message = f"m_servers must satisfy 1 <= M < n, got {self.m_servers}"
+        check_count("m_servers", self.m_servers, 1, message)
+        if self.m_servers >= n:
+            raise DomainError(message)
         dist = np.asarray(self.distance, dtype=float)
         if dist.shape != (n, n):
             raise DomainError(f"distance must be {n}x{n}, got {dist.shape}")

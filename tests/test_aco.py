@@ -1,5 +1,6 @@
 """Ant colony optimizer: desirability index, sampling, pheromone dynamics."""
 
+import re
 import warnings
 
 import numpy as np
@@ -77,6 +78,16 @@ class TestConfig:
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     def test_rejects_non_finite(self, field, value):
         with pytest.raises(DomainError):
+            ACOConfig(**{field: value})
+
+    @pytest.mark.parametrize("field", ["evaporation_rate", "max_pheromone", "alpha_exp",
+                                       "beta_exp"])
+    @pytest.mark.parametrize("value", ["x", None, True])
+    def test_rejects_non_numbers(self, field, value):
+        """A value that is not a number (fuzzy.is_number) raises a
+        DomainError naming the field, not a TypeError from a comparison."""
+        message = re.escape(f"{field} must be a number, got {value!r}")
+        with pytest.raises(DomainError, match=f"^{message}$"):
             ACOConfig(**{field: value})
 
     @pytest.mark.parametrize("field", ["stagnation_limit"])

@@ -380,12 +380,12 @@ def _constant(solution):
     return -1.0
 
 
-def recorded(steps, sizes):
-    """``steps`` as a step generator that appends the rows of each block it
-    yields to ``sizes``."""
+def recorded(steps, sizes, note=len):
+    """``steps`` as a step generator that appends ``note`` of each block it
+    yields, by default its rows, to ``sizes``."""
     idx = next(steps)
     while True:
-        sizes.append(len(idx))
+        sizes.append(note(idx))
         values = yield idx
         try:
             idx = steps.send(values)
@@ -516,8 +516,8 @@ def _three_firsts(solution):
 def test_depositing_round_leaves_the_block(table1, monkeypatch):
     """A fitness above 0 on some of table1's subsets makes those colonies
     deposit. The run walks a block's rounds up to the first such round,
-    updates the trails there, and samples the block's later rounds one at
-    a time, so some scored rows go unused; it ends as the reference."""
+    updates the trails there, and samples the block's later rounds again,
+    so some scored rows go unused; it ends as the reference."""
     config = ACOConfig(stagnation_limit=100)
     ants = ant_count(table1.n, table1.m_servers, config.population_coefficient)
     spy, sizes = StepSpy(monkeypatch), []
@@ -528,6 +528,46 @@ def test_depositing_round_leaves_the_block(table1, monkeypatch):
     assert 0 < spy.full < report.iterations
     assert max(sizes) > ants and min(sizes) == ants
     assert sum(sizes) > ants * report.iterations
+
+
+def test_rounds_after_a_deposit_share_a_block(table1, monkeypatch):
+    """After a depositing round, the rest of the block's rounds are sampled
+    in one pass: some block that drive scores right after an _update,
+    with no noise drawn in between, holds more than one round of rows. The
+    run ends as the reference."""
+    config = ACOConfig(stagnation_limit=100)
+    ants = ant_count(table1.n, table1.m_servers, config.population_coefficient)
+    spy, draws, blocks = StepSpy(monkeypatch), DrawSpy(monkeypatch), []
+    steps = recorded(aco_run(table1, config, 1.0), blocks,
+                     lambda idx: (spy.full, len(draws.sizes), len(idx)))
+    report = drive([(steps, _three_firsts)])[0]
+    monkeypatch.undo()
+    assert any(full > before and drawn == drawn_before and rows > ants
+               for (before, drawn_before, _), (full, drawn, rows) in zip(blocks, blocks[1:]))
+    reference = drive([(reference_steps(table1, config, 1.0, 0), _three_firsts)])[0]
+    assert record(report) == record(reference)
+
+
+def test_select_learns_each_live_set_once():
+    """The six bound runs stacked on mild20, which has feasible subsets:
+    every pass is one round, so select learns the rows' runs once per set
+    of live runs, before its first block, and never again until a run
+    ends."""
+    instance = generate_instance(mild_params(20, 5, 0))
+    fitness = _BoundFitness(instance, 0)
+    ants = ant_count(instance.n, instance.m_servers, ACOConfig().population_coefficient)
+    learned = []
+
+    def select(runs):
+        learned.append(np.asarray(runs).tolist())
+        fitness.select(runs)
+
+    stack = _colonies(instance, ACOConfig(stagnation_limit=20), [1, 2, 3, 4, 5, 6], _SIGN, select)
+    reports = drive([(stack, fitness)])[0]
+    ends = sorted({report.iterations for report in reports})
+    live = [[r for r, report in enumerate(reports) if report.iterations > end]
+            for end in [0] + ends[:-1]]
+    assert learned == [np.repeat(runs, ants).tolist() for runs in live]
 
 
 @pytest.mark.parametrize("solver", ["ga", "aco"])

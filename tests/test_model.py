@@ -142,6 +142,7 @@ class TestInstanceValidation:
 
     @pytest.mark.parametrize("field, value", [
         ("n", 2.0), ("n", np.int64(2)), ("m_servers", 1.0), ("m_servers", True),
+        ("m_servers", "3"), ("m_servers", None),
     ])
     def test_counts_are_integers(self, field, value):
         """n and m_servers follow the count rule of instance files, so that

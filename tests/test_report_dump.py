@@ -11,6 +11,7 @@ from fuzzloc.oracle import CHUNK_SIZE, mm1_simulate
 from fuzzloc.protocol import solve_protocol
 
 PATH = Path(__file__).resolve().parent.parent / "tools" / "report_dump.py"
+RECORDED = Path(__file__).resolve().parent / "data" / "report_dump.txt"
 spec = importlib.util.spec_from_file_location("report_dump", PATH)
 report_dump = importlib.util.module_from_spec(spec)
 spec.loader.exec_module(report_dump)
@@ -66,6 +67,17 @@ def test_dump_lines_are_hex_reports(capsys):
         assert cold == warm and "report" in cold
     assert report_dump.main(argv) == 0
     assert capsys.readouterr().out == out
+
+
+def test_default_dump_is_the_recorded_one(capsys):
+    """The default dump equals tests/data/report_dump.txt byte for byte, so
+    every report and simulation of the dump stays bit-identical. Only a
+    change that alters results on purpose records the file again:
+
+        PYTHONPATH=src python3 tools/report_dump.py > tests/data/report_dump.txt
+    """
+    assert report_dump.main([]) == 0
+    assert capsys.readouterr().out == RECORDED.read_text(encoding="utf-8")
 
 
 def test_simulation_line_is_the_hexed_result():
