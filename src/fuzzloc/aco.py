@@ -13,7 +13,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .errors import DomainError
-from .evaluation import Fitness, Steps, drive
+from .evaluation import Fitness, MaximinFitness, Steps, drive
 from .fuzzy import check_count, is_number
 from .model import BLOCK_SIZE, Instance, figures_table, no_feasible_subset
 from .reports import Run, SolverReport
@@ -145,12 +145,16 @@ def run_aco(instance: Instance, eval_fn: Fitness, config: ACOConfig,
     and Run.step decides which colonies improve the run.
 
     Colonies are sampled and scored in passes, one ``evaluation.drive``
-    block each: one colony a pass, or on an instance with no feasible
-    subset the colonies of every round left of those the run surely takes
-    (see _colonies). A colony's value is that of its first best ant, and a
-    NaN value ranks below every other value, as -inf.
+    block each (see _colonies). The run is quiet, and a pass holds the
+    colonies of every round left of those the run surely takes, when no
+    colony can deposit: ``eval_fn`` is exactly a MaximinFitness (a subclass
+    may score an infeasible subset above 0) and its instance has no
+    feasible subset (model.no_feasible_subset), so every value is a penalty
+    below 0. Elsewhere a pass is one colony. A colony's value is that of its
+    first best ant, and a NaN value ranks below every other value, as -inf.
     """
-    return drive([(_colonies(instance, config, [seed], np.ones(1)), eval_fn)])[0][0]
+    quiet = type(eval_fn) is MaximinFitness and no_feasible_subset(eval_fn.instance)
+    return drive([(_colonies(instance, config, [seed], np.ones(1), quiet=quiet), eval_fn)])[0][0]
 
 
 def _colonies(
@@ -159,6 +163,7 @@ def _colonies(
     seeds: Sequence[int],
     signs: np.ndarray,
     select: Optional[Callable[[np.ndarray], None]] = None,
+    quiet: bool = False,
 ) -> Steps[list[SolverReport]]:
     """R ACO runs as one step generator over one (R, n) trail array; it
     returns their SolverReports in order, each the record of the run's
@@ -182,19 +187,15 @@ def _colonies(
     colonies hold at most model.BLOCK_SIZE rows, and at least 1. No run ends
     inside a block, so each live run draws the block's noise in one
     (k, ants, n) call, the stream of k (ants, n) draws. A block is taken in
-    passes. A pass samples the live runs' colonies of its s rounds at once,
-    from the trails they have if none of them deposits (the current ones
-    and s - 1 evaporation steps), and yields them as one block, round after
-    round and run after run. Its rounds go to Run.step in order up to the
-    first that deposits, and the trails take one step from that round's:
-    _update after a deposit, else _evaporate. A pass holds the rest of the
-    block on an instance with no feasible subset (model.no_feasible_subset)
-    whose live runs all maximize: no round there deposits unless the
-    fitness scores an infeasible subset above 0, and the rounds after one
-    that does are sampled again in the next pass, from the noise as drawn.
-    Elsewhere a pass is one round. ``select``, when given, learns the run
-    of each row of the blocks to come whenever the live runs or the rounds
-    of a pass change, before the block that needs it.
+    passes, each yielded as one block of its rounds' colonies, round after
+    round and run after run, and walked whole. A pass is one round, and its
+    trails take one step: _update after a deposit, else _evaporate. In a
+    ``quiet`` run, whose caller knows that no round deposits, a pass holds
+    the rest of the block: its rounds are sampled at once from the current
+    trails and their evaporation steps, and its last trails evaporate.
+    ``select``, when given, learns the run of each row of the blocks to come
+    once per set of live runs, before its first block; it assumes one-round
+    passes, which every run but a quiet one takes.
     """
     runs = [Run("aco", instance, seed, config.stagnation_limit) for seed in seeds]
     figures_table(instance)
@@ -208,15 +209,13 @@ def _colonies(
         senses = signs[live] > 0
         # one bool when the live runs share a sense, else one flag per ant
         maximize = bool(senses[0]) if (senses == senses[0]).all() else senses.repeat(ants)
-        # with no feasible subset, only a fitness above 0 on some infeasible
-        # one can make a maximizing colony deposit
-        certified = maximize is True and no_feasible_subset(instance)
         ant_signs = np.repeat(signs[live], ants)
         # run i's trails start at i * n in the flattened trail array
         offsets = np.repeat(np.arange(len(live)) * n, ants)[:, None]
         row_runs = np.repeat(live, ants)
+        if select:
+            select(row_runs)
         gumbel = [rngs[r].gumbel for r in live]
-        learned = 0  # the rounds of a pass whose rows select last learned
         kept = [True] * len(live)
         while all(kept):
             # no live run ends before the block's last round, so its noise is all used
@@ -226,41 +225,29 @@ def _colonies(
                 noise[:, i] = draw(size=(k, ants, n))
             t = 0
             while t < k:
-                # a pass of span rounds, sampled from their trails if none deposits
-                span = k - t if certified else 1
-                if span > 1:  # a copy: rounds after a deposit are sampled again
-                    steps = [tau]
-                    for _ in range(span - 1):
-                        steps.append(_evaporate(steps[-1], config))
-                    trails, draws = np.concatenate(steps), noise[t:].reshape(-1, ants, n).copy()
-                else:
-                    trails, draws = tau, noise[t]
+                span = k - t if quiet else 1
+                steps = [tau]  # the trails of the pass's rounds: none deposits but the last
+                for _ in range(span - 1):
+                    steps.append(_evaporate(steps[-1], config))
+                trails = np.concatenate(steps) if span > 1 else tau
+                draws = noise[t:t + span].reshape(-1, ants, n)  # a view, sampled in place
                 idx = _sample_colonies(_log_weights(trails, beta_log_eta, config), m, draws)
-                if select and span != learned:
-                    select(np.tile(row_runs, span))
-                    learned = span
                 values = np.asarray((yield idx), dtype=float)
                 scores = np.fmax(values.reshape(span, len(live), ants), -math.inf)  # NaN last
+                deposits = maximize is not True  # else only a colony best above 0 deposits
                 row = 0
-                for walked, (picks, ranked) in enumerate(zip(scores.argmax(axis=-1).tolist(),
-                                                             scores.tolist())):
-                    deposits = maximize is not True  # else only a colony best above 0 deposits
+                for picks, ranked in zip(scores.argmax(axis=-1).tolist(), scores.tolist()):
                     for r, pick, colony in zip(live, picks, ranked):
                         top = colony[pick]
                         deposits = deposits or top > 0.0
                         if runs[r].step(top, ants):
                             runs[r].report.best = (idx[row + pick] + 1).tolist()
                         row += ants
-                    if deposits:
-                        break
-                t += walked + 1
-                if span > 1:  # the trails and rows of the last round walked
-                    rows = slice(row - len(row_runs), row)
-                    trails, idx, values = steps[walked], idx[rows], values[rows]
+                t += span
                 if deposits:
-                    tau = _update(trails, idx + offsets, values, config, ant_signs, maximize)
+                    tau = _update(tau, idx + offsets, values, config, ant_signs, maximize)
                 else:
-                    tau = _evaporate(trails, config)
+                    tau = _evaporate(steps[-1], config)
             kept = [runs[r].report.termination is None for r in live]
         live = list(compress(live, kept))
         tau = tau[kept]

@@ -26,7 +26,7 @@ import numpy as np
 from .aco import ACOConfig
 from .errors import BudgetExceededError, DomainError, InfeasibleInstanceError, InstanceFormatError
 from .evaluation import MaximinContext
-from .fuzzy import TriFuzzy
+from .fuzzy import SLICE_INDEX, TriFuzzy
 from .instances import (
     GeneratorParams,
     generate_instance,
@@ -34,10 +34,9 @@ from .instances import (
     save_instance,
     table1_bytes,
 )
-from .model import Instance, Solution, crisp_objective_slice, mm1_metrics
+from .model import Instance, Kernel, Solution, mm1_metrics
 from .oracle import (
     DEFAULT_ENUM_BUDGET,
-    enumerate_optimum,
     exact_bounds,
     mm1_simulate,
     simulate_objective_slice,
@@ -425,13 +424,12 @@ def cmd_validate(args) -> int:
         instance = generate_instance(GeneratorParams(
             n=6, m_servers=2, demand_lo_range=(4, 30), demand_offsets=(10, 20), seed=123,
         ))
-
-        def mid_objective(solution: Solution) -> float:
-            value = crisp_objective_slice(instance, solution, "mid")
-            return -math.inf if value is None else value
-
-        best = enumerate_optimum(instance, mid_objective).best
-        analytic_obj = crisp_objective_slice(instance, best, "mid")
+        # every subset's mid-slice objective where that slice is stable, on one kernel
+        subsets = np.array(list(itertools.combinations(range(instance.n), instance.m_servers)))
+        kernel, mid = Kernel(instance, subsets), SLICE_INDEX["mid"]
+        scores = np.where(kernel.stable()[:, mid], kernel.slices()[:, mid], -math.inf)
+        first = int(np.argmax(scores))
+        best, analytic_obj = Solution(subsets[first] + 1), float(scores[first])
         sim_obj = simulate_objective_slice(
             instance, best, "mid", args.network_events, seed=args.seed
         )

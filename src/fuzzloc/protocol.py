@@ -66,24 +66,26 @@ def estimate_bounds(instance: Instance, config: GAConfig | ACOConfig,
                     seed: int = 0) -> MaximinContext:
     """Run the six bound-calibration optimizations and collect the extrema.
 
-    The config's type picks the solver, and bound run k (from 0) runs
-    ``config`` at seed + k + 1, so a solve is reproducible from its one
-    seed, which is checked first: seed -1 must not pass as bound seeds 0-5.
-    Bound run k maximizes sign * component, so its best objective read back
-    through _SIGN[k] is its component extremum. A bound run that finds no
-    feasible solution ends at or below the penalty -1e12 and records NaN,
-    which the membership functions treat as degenerate. Exact bounds come
-    from ``oracle.exact_bounds``. The six runs step together in one
-    ``drive`` call, and each ends as it would alone: six GA step
-    generators, or one ACO generator over a six-row trail array whose
-    blocks one ``_BoundFitness`` scores, each row as its own run, and whose
-    deposits take each run's sign from _SIGN.
+    The config's type picks the solver (any other type is a DomainError),
+    and bound run k (from 0) runs ``config`` at seed + k + 1, so a solve is
+    reproducible from its one seed, which is checked first: seed -1 must
+    not pass as bound seeds 0-5. Bound run k maximizes sign * component, so
+    its best objective read back through _SIGN[k] is its component
+    extremum. A bound run that finds no feasible solution ends at or below
+    the penalty -1e12 and records NaN, which the membership functions treat
+    as degenerate. Exact bounds come from ``oracle.exact_bounds``. The six
+    runs step together in one ``drive`` call, and each ends as it would
+    alone: six GA step generators, or one ACO generator over a six-row
+    trail array whose blocks one ``_BoundFitness`` scores, each row as its
+    own run, and whose deposits take each run's sign from _SIGN.
 
     On an instance that ``model.no_feasible_subset`` certifies, every run
     would end at or below the penalty, so no run is made and every bound is
     NaN, the context the six runs would give.
     """
     check_seed(seed)
+    if not isinstance(config, (GAConfig, ACOConfig)):
+        raise DomainError(f"config must be a GAConfig or an ACOConfig, got {type(config).__name__}")
     if no_feasible_subset(instance):
         return MaximinContext(*[(math.nan, math.nan)] * 3, provenance="metaheuristic-estimated")
     seeds = [seed + k + 1 for k in range(len(BOUND_RUNS))]
@@ -122,7 +124,8 @@ def solve_protocol(
     exact bounds. "brute" searches exhaustively in one pass (``oracle.Scan``)
     that yields both its exact bounds and its optimum; ``enum_budget`` caps
     that enumeration. Its report is the record of a reports.Run, as every
-    GA and ACO report is, timed over the scan and the exact bounds.
+    GA and ACO report is, timed over the scan and the exact bounds. A "ga"
+    or "aco" solve given a config of another class raises DomainError first.
     """
     if algo == "brute":
         run = Run("brute", instance, seed)
@@ -137,7 +140,10 @@ def solve_protocol(
         report.trace.append(result.best_value)
         run.finish("exhaustive")
     elif algo in ("ga", "aco"):
-        config = (ga_config or GAConfig()) if algo == "ga" else (aco_config or ACOConfig())
+        kind, config = (GAConfig, ga_config) if algo == "ga" else (ACOConfig, aco_config)
+        config = kind() if config is None else config
+        if not isinstance(config, kind):
+            raise DomainError(f"{algo} needs a {kind.__name__}, got {type(config).__name__}")
         if ctx is None:
             ctx = estimate_bounds(instance, config, seed)
         # Looked up at call time: benchmarks/tracer.py patches run_ga and run_aco here.

@@ -413,62 +413,54 @@ class DrawSpy:
         monkeypatch.setattr(aco.np.random, "default_rng", Generator)
 
 
-@pytest.mark.parametrize("case", ["mild20", "table1 stack"])
+def recorded_runs(monkeypatch, sizes):
+    """Has run_aco record the rows of each block it yields in ``sizes``."""
+    drive_ = aco.drive
+    monkeypatch.setattr(aco, "drive", lambda runs: drive_(
+        [(recorded(steps, sizes), fitness) for steps, fitness in runs]))
+
+
+@pytest.mark.parametrize("case", ["mild20", "table1 stack", "table1 quiet"])
 def test_blocks_stay_within_block_size(table1, monkeypatch, case):
     """With a stagnation window of 10**9, the convergence window alone
     bounds a block: 44 rounds at n = 20, m = 5. A constant fitness closes
     it in round 45 (a maximin run at this window does not end in thousands
     of rounds). No noise draw and no block that drive sees holds more than
     BLOCK_SIZE rows, and the runs end as the reference. Three stacked max
-    runs on table1, whose colonies are scored in blocks, would need
-    44 * 3 * 8 = 1056 rows for a full window, so their first block is
-    capped at 42 rounds."""
+    runs on table1 take one round per pass, as every stack does. The quiet
+    maximin run on table1, at a stagnation window of 100 and 32 ants, would
+    need 44 * 32 = 1408 rows for a full window in one pass, so its first
+    block is capped at 32 rounds, 1024 rows."""
     config = ACOConfig(stagnation_limit=10**9)
-    ants = ant_count(20, 5, config.population_coefficient)
+    fitness = _constant
     if case == "mild20":
         instance, seeds = generate_instance(mild_params(20, 5, 0)), [0]
-    else:
+    elif case == "table1 stack":
         instance, seeds = table1, [0, 1, 2]
+    else:
+        instance, seeds = table1, [0]
+        config = ACOConfig(stagnation_limit=100, population_coefficient=8)
+        fitness = make_maximin_eval(table1, PROBE_CTX)
+    ants = ant_count(20, 5, config.population_coefficient)
     draws, sizes = DrawSpy(monkeypatch), []
-    stack = _colonies(instance, config, seeds, np.ones(len(seeds)))
-    reports = drive([(recorded(stack, sizes), _constant)])[0]
+    if case == "table1 quiet":
+        recorded_runs(monkeypatch, sizes)
+        reports = [run_aco(instance, fitness, config, seeds[0])]
+    else:
+        stack = _colonies(instance, config, seeds, np.ones(len(seeds)))
+        reports = drive([(recorded(stack, sizes), fitness)])[0]
     monkeypatch.undo()
     assert max(sizes) <= model.BLOCK_SIZE
     assert max(rounds * ants for rounds, ants, _ in draws.sizes) <= model.BLOCK_SIZE
     if case == "table1 stack":
-        assert sizes == [42 * 3 * ants, 3 * 3 * ants]
+        assert sizes == [3 * ants] * 45
     for report, seed in zip(reports, seeds):
-        reference = drive([(reference_steps(instance, config, 1.0, seed), _constant)])[0]
+        reference = drive([(reference_steps(instance, config, 1.0, seed), fitness)])[0]
         assert record(report) == record(reference)
-        assert (report.iterations, report.termination) == (45, "convergence")
-
-
-def test_select_learns_the_rows_of_each_block(table1):
-    """The six bound runs stacked on table1: before each block that drive
-    scores, select has learned the run of each of its rows, also for the
-    blocks of several rounds that the max runs take once the min runs end."""
-    fitness = _BoundFitness(table1, 0)
-    ants = ant_count(table1.n, table1.m_servers, ACOConfig().population_coefficient)
-    learned, rounds = [], []
-
-    def select(runs):
-        learned.append(np.asarray(runs).tolist())
-        fitness.select(runs)
-
-    def checked(stack):
-        idx = next(stack)
-        while True:
-            live = sorted(set(learned[-1]))
-            rounds.append(len(idx) // (len(live) * ants))
-            assert learned[-1] == np.repeat(live, ants).tolist() * rounds[-1]
-            try:
-                idx = stack.send((yield idx))
-            except StopIteration as stop:
-                return stop.value
-
-    config = ACOConfig(stagnation_limit=20)
-    drive([(checked(_colonies(table1, config, [1, 2, 3, 4, 5, 6], _SIGN, select)), fitness)])
-    assert min(rounds) == 1 and max(rounds) > 1
+        if case == "table1 quiet":
+            assert sizes[0] == 32 * ants == model.BLOCK_SIZE and len(sizes) < report.iterations
+        else:
+            assert (report.iterations, report.termination) == (45, "convergence")
 
 
 class BlockSpy:
@@ -513,61 +505,73 @@ def _three_firsts(solution):
     return value if {1, 2, 3} <= solution.open else -value
 
 
-def test_depositing_round_leaves_the_block(table1, monkeypatch):
+def test_depositing_fitness_takes_one_round_per_pass(table1, monkeypatch):
     """A fitness above 0 on some of table1's subsets makes those colonies
-    deposit. The run walks a block's rounds up to the first such round,
-    updates the trails there, and samples the block's later rounds again,
-    so some scored rows go unused; it ends as the reference."""
+    deposit, so run_aco takes one round per pass: every block that drive
+    sees holds one colony, 8 rows, and every row scored is used. Some
+    rounds take _update, and the run ends as the reference."""
     config = ACOConfig(stagnation_limit=100)
     ants = ant_count(table1.n, table1.m_servers, config.population_coefficient)
     spy, sizes = StepSpy(monkeypatch), []
-    report = drive([(recorded(aco_run(table1, config, 1.0), sizes), _three_firsts)])[0]
+    recorded_runs(monkeypatch, sizes)
+    report = run_aco(table1, _three_firsts, config, seed=0)
     monkeypatch.undo()
+    assert ants == 8 and sizes == [ants] * report.iterations
+    assert 0 < spy.full < report.iterations
     reference = drive([(reference_steps(table1, config, 1.0, 0), _three_firsts)])[0]
     assert record(report) == record(reference)
-    assert 0 < spy.full < report.iterations
-    assert max(sizes) > ants and min(sizes) == ants
-    assert sum(sizes) > ants * report.iterations
 
 
-def test_rounds_after_a_deposit_share_a_block(table1, monkeypatch):
-    """After a depositing round, the rest of the block's rounds are sampled
-    in one pass: some block that drive scores right after an _update,
-    with no noise drawn in between, holds more than one round of rows. The
-    run ends as the reference."""
+class _Subclassed(MaximinFitness):
+    """A MaximinFitness subclass that changes no score; run_aco cannot know
+    that it keeps infeasible_value."""
+
+
+def test_only_the_maximin_fitness_runs_quiet(table1, monkeypatch):
+    """On table1 the maximin fitness itself makes a quiet run, whose passes
+    hold several rounds. A MaximinFitness subclass, which may score an
+    infeasible subset above 0, and the maximin fitness wrapped in a plain
+    function each take one round per pass, and all three give one report."""
     config = ACOConfig(stagnation_limit=100)
     ants = ant_count(table1.n, table1.m_servers, config.population_coefficient)
-    spy, draws, blocks = StepSpy(monkeypatch), DrawSpy(monkeypatch), []
-    steps = recorded(aco_run(table1, config, 1.0), blocks,
-                     lambda idx: (spy.full, len(draws.sizes), len(idx)))
-    report = drive([(steps, _three_firsts)])[0]
-    monkeypatch.undo()
-    assert any(full > before and drawn == drawn_before and rows > ants
-               for (before, drawn_before, _), (full, drawn, rows) in zip(blocks, blocks[1:]))
-    reference = drive([(reference_steps(table1, config, 1.0, 0), _three_firsts)])[0]
-    assert record(report) == record(reference)
+    maximin = make_maximin_eval(table1, PROBE_CTX)
+    reports = []
+    for fitness in (maximin, _Subclassed(table1, PROBE_CTX), _plain(maximin)):
+        sizes = []
+        recorded_runs(monkeypatch, sizes)
+        reports.append(record(run_aco(table1, fitness, config, seed=0)))
+        monkeypatch.undo()
+        if fitness is maximin:
+            assert max(sizes) > ants
+        else:
+            assert sizes == [ants] * reports[-1]["iterations"]
+    assert reports[0] == reports[1] == reports[2]
 
 
-def test_select_learns_each_live_set_once():
-    """The six bound runs stacked on mild20, which has feasible subsets:
-    every pass is one round, so select learns the rows' runs once per set
-    of live runs, before its first block, and never again until a run
-    ends."""
-    instance = generate_instance(mild_params(20, 5, 0))
-    fitness = _BoundFitness(instance, 0)
-    ants = ant_count(instance.n, instance.m_servers, ACOConfig().population_coefficient)
-    learned = []
+def test_select_learns_each_live_set_once(table1):
+    """The six bound runs stacked on mild20, which has feasible subsets, and
+    on table1, which has none: every pass of a stack is one round, so
+    select learns the rows' runs once per set of live runs, before its
+    first block, and never again until a run ends. Each block that drive
+    scores is one round of the live runs' colonies."""
+    for instance in (generate_instance(mild_params(20, 5, 0)), table1):
+        fitness = _BoundFitness(instance, 0)
+        ants = ant_count(instance.n, instance.m_servers, ACOConfig().population_coefficient)
+        learned, sizes = [], []
 
-    def select(runs):
-        learned.append(np.asarray(runs).tolist())
-        fitness.select(runs)
+        def select(runs):
+            learned.append(np.asarray(runs).tolist())
+            fitness.select(runs)
 
-    stack = _colonies(instance, ACOConfig(stagnation_limit=20), [1, 2, 3, 4, 5, 6], _SIGN, select)
-    reports = drive([(stack, fitness)])[0]
-    ends = sorted({report.iterations for report in reports})
-    live = [[r for r, report in enumerate(reports) if report.iterations > end]
-            for end in [0] + ends[:-1]]
-    assert learned == [np.repeat(runs, ants).tolist() for runs in live]
+        stack = _colonies(instance, ACOConfig(stagnation_limit=20), [1, 2, 3, 4, 5, 6], _SIGN,
+                          select)
+        reports = drive([(recorded(stack, sizes, lambda idx: (len(learned[-1]), len(idx))),
+                          fitness)])[0]
+        ends = sorted({report.iterations for report in reports})
+        live = [[r for r, report in enumerate(reports) if report.iterations > end]
+                for end in [0] + ends[:-1]]
+        assert learned == [np.repeat(runs, ants).tolist() for runs in live]
+        assert all(rows == learned_rows for learned_rows, rows in sizes)
 
 
 @pytest.mark.parametrize("solver", ["ga", "aco"])

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from conftest import mild_params
-from fuzzloc import cli, oracle
+from fuzzloc import cli, evaluation, model, oracle
 from fuzzloc.aco import ACOConfig
 from fuzzloc.cli import BENCH_HEADER, EXIT_OK, EXIT_RUNTIME, EXIT_USAGE, EXIT_VALIDATION, main
 from fuzzloc.evaluation import COMPONENTS, MaximinContext
@@ -656,12 +656,30 @@ class TestValidate:
 
         def analytic(instance, solution, slc, event_budget, seed=0):
             budgets.append(event_budget)
-            return cli.crisp_objective_slice(instance, solution, slc)
+            return model.crisp_objective_slice(instance, solution, slc)
 
         monkeypatch.setattr(cli, "simulate_objective_slice", analytic)
         argv = ["validate", "--events", 2000, "--rho", "0.3", "--network-events", 5000]
         assert run(argv) == EXIT_OK
         assert budgets == [5000]
+
+    def test_network_optimum_makes_no_drive_call(self, monkeypatch, capsys):
+        """The network check takes its optimum, {2,6}, from one Kernel of
+        its instance's 15 subsets, not from a drive run."""
+        drives, drive = [], evaluation.drive
+
+        def counted(runs):
+            drives.append(runs)
+            return drive(runs)
+
+        monkeypatch.setattr(oracle, "drive", counted)
+        monkeypatch.setattr(evaluation, "drive", counted)
+        monkeypatch.setattr(cli, "simulate_objective_slice",
+                            lambda instance, solution, slc, events, seed=0:
+                            model.crisp_objective_slice(instance, solution, slc))
+        assert run(["validate", "--events", 2000, "--rho", "0.3"]) == EXIT_OK
+        assert drives == []
+        assert "(mid slice, facilities {2,6}): analytic 147.5968," in capsys.readouterr().out
 
     def test_negative_seed_is_usage_error(self, capsys):
         assert run(["validate", "--seed", -1, "--skip-network"]) == EXIT_USAGE
@@ -679,7 +697,7 @@ class TestValidate:
     def test_every_rho_unstable_is_usage_error(self, monkeypatch, capsys, rhos, network):
         """With no stable rho there is no row to check: one usage-error line,
         before any simulation and with no "validation passed"."""
-        for name in ("mm1_simulate", "simulate_objective_slice", "enumerate_optimum"):
+        for name in ("mm1_simulate", "simulate_objective_slice", "Kernel"):
             monkeypatch.setattr(cli, name, _never)
         assert run(["validate", "--rho", *rhos, *network]) == EXIT_USAGE
         captured = capsys.readouterr()
@@ -702,7 +720,7 @@ class TestValidate:
         """A --rho that is NaN, infinite or not above 0 is named in one
         usage-error line, before the header, any simulation or any other
         --rho: ``--rho 0.5 -0.5`` prints no row for 0.5."""
-        for name in ("mm1_simulate", "simulate_objective_slice", "enumerate_optimum"):
+        for name in ("mm1_simulate", "simulate_objective_slice", "Kernel"):
             monkeypatch.setattr(cli, name, _never)
         assert run(["validate", *rhos, *network]) == EXIT_USAGE
         captured = capsys.readouterr()
@@ -726,7 +744,7 @@ class TestValidate:
     def test_bad_tolerance_is_usage_error(self, monkeypatch, capsys, flag, bad, network):
         """A tolerance that is NaN, infinite or below 0 is named in one
         usage-error line, before the header or any simulation."""
-        for name in ("mm1_simulate", "simulate_objective_slice", "enumerate_optimum"):
+        for name in ("mm1_simulate", "simulate_objective_slice", "Kernel"):
             monkeypatch.setattr(cli, name, _never)
         assert run(["validate", f"{flag}={bad}", *network]) == EXIT_USAGE
         captured = capsys.readouterr()

@@ -526,6 +526,30 @@ class TestSolveProtocol:
         with pytest.raises(DomainError, match="^seed must be"):
             solve_protocol(medium_instance, algo, seed=seed)
 
+    @pytest.mark.parametrize("case", [
+        ("small", "solve", "ga", ACOConfig(stagnation_limit=5)),
+        ("small", "solve", "aco", GAConfig(stagnation_limit=5)),
+        ("small", "bounds", None, "ga"),
+        ("table1", "bounds", None, "ga"),
+    ], ids=["ga given ACOConfig", "aco given GAConfig", "bounds given str",
+            "certified bounds given str"])
+    def test_config_of_another_class_rejected(self, small_instance, table1, monkeypatch, case):
+        """A solve's config of the other solver's class, or a bound config
+        of neither class, is a DomainError before any block is scored, also
+        on table1, where estimate_bounds makes no run."""
+        name, call, algo, config = case
+        instance = small_instance if name == "small" else table1
+
+        def refuse(*args):
+            raise AssertionError("scored a block")
+
+        monkeypatch.setattr(evaluation, "block_figures", refuse)
+        with pytest.raises(DomainError, match="Config"):
+            if call == "solve":
+                solve_protocol(instance, algo, **{f"{algo}_config": config})
+            else:
+                estimate_bounds(instance, config)
+
     def test_unknown_algorithm_rejected(self, small_instance):
         with pytest.raises(DomainError, match="unknown algorithm"):
             solve_protocol(small_instance, "anneal")
