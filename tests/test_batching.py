@@ -505,11 +505,12 @@ def _three_firsts(solution):
     return value if {1, 2, 3} <= solution.open else -value
 
 
-def test_depositing_fitness_takes_one_round_per_pass(table1, monkeypatch):
+def test_depositing_round_leaves_the_block(table1, monkeypatch):
     """A fitness above 0 on some of table1's subsets makes those colonies
-    deposit, so run_aco takes one round per pass: every block that drive
-    sees holds one colony, 8 rows, and every row scored is used. Some
-    rounds take _update, and the run ends as the reference."""
+    deposit, so run_aco takes one round per pass and a depositing round is
+    the last of its pass: every block that drive sees holds one colony,
+    8 rows, and every row scored is used. Some rounds take _update, and
+    the run ends as the reference."""
     config = ACOConfig(stagnation_limit=100)
     ants = ant_count(table1.n, table1.m_servers, config.population_coefficient)
     spy, sizes = StepSpy(monkeypatch), []
@@ -518,6 +519,25 @@ def test_depositing_fitness_takes_one_round_per_pass(table1, monkeypatch):
     monkeypatch.undo()
     assert ants == 8 and sizes == [ants] * report.iterations
     assert 0 < spy.full < report.iterations
+    reference = drive([(reference_steps(table1, config, 1.0, 0), _three_firsts)])[0]
+    assert record(report) == record(reference)
+
+
+def test_rounds_after_a_deposit_share_a_block(table1, monkeypatch):
+    """After a depositing round, the block's later rounds are sampled from
+    the noise it drew at its start: some pass that drive scores right after
+    an _update has no noise drawn in between. Every pass is one round, and
+    the run ends as the reference."""
+    config = ACOConfig(stagnation_limit=100)
+    ants = ant_count(table1.n, table1.m_servers, config.population_coefficient)
+    spy, draws, blocks = StepSpy(monkeypatch), DrawSpy(monkeypatch), []
+    steps = recorded(aco_run(table1, config, 1.0), blocks,
+                     lambda idx: (spy.full, len(draws.sizes), len(idx)))
+    report = drive([(steps, _three_firsts)])[0]
+    monkeypatch.undo()
+    assert all(rows == ants for _, _, rows in blocks)
+    assert any(full > before and drawn == drawn_before
+               for (before, drawn_before, _), (full, drawn, _) in zip(blocks, blocks[1:]))
     reference = drive([(reference_steps(table1, config, 1.0, 0), _three_firsts)])[0]
     assert record(report) == record(reference)
 
@@ -548,30 +568,58 @@ def test_only_the_maximin_fitness_runs_quiet(table1, monkeypatch):
     assert reports[0] == reports[1] == reports[2]
 
 
-def test_select_learns_each_live_set_once(table1):
-    """The six bound runs stacked on mild20, which has feasible subsets, and
-    on table1, which has none: every pass of a stack is one round, so
-    select learns the rows' runs once per set of live runs, before its
-    first block, and never again until a run ends. Each block that drive
-    scores is one round of the live runs' colonies."""
-    for instance in (generate_instance(mild_params(20, 5, 0)), table1):
-        fitness = _BoundFitness(instance, 0)
-        ants = ant_count(instance.n, instance.m_servers, ACOConfig().population_coefficient)
-        learned, sizes = [], []
+def test_select_learns_the_rows_of_each_block(table1):
+    """The six bound runs stacked on table1, which has no feasible subset:
+    before each block that drive scores, select has learned the run of each
+    of its rows, one round of the live runs' colonies, also for the blocks
+    that the max runs take once the min runs end."""
+    fitness = _BoundFitness(table1, 0)
+    ants = ant_count(table1.n, table1.m_servers, ACOConfig().population_coefficient)
+    learned, rounds = [], []
 
-        def select(runs):
-            learned.append(np.asarray(runs).tolist())
-            fitness.select(runs)
+    def select(runs):
+        learned.append(np.asarray(runs).tolist())
+        fitness.select(runs)
 
-        stack = _colonies(instance, ACOConfig(stagnation_limit=20), [1, 2, 3, 4, 5, 6], _SIGN,
-                          select)
-        reports = drive([(recorded(stack, sizes, lambda idx: (len(learned[-1]), len(idx))),
-                          fitness)])[0]
-        ends = sorted({report.iterations for report in reports})
-        live = [[r for r, report in enumerate(reports) if report.iterations > end]
-                for end in [0] + ends[:-1]]
-        assert learned == [np.repeat(runs, ants).tolist() for runs in live]
-        assert all(rows == learned_rows for learned_rows, rows in sizes)
+    def checked(stack):
+        idx = next(stack)
+        while True:
+            live = sorted(set(learned[-1]))
+            rounds.append(len(idx) // (len(live) * ants))
+            assert learned[-1] == np.repeat(live, ants).tolist() * rounds[-1]
+            try:
+                idx = stack.send((yield idx))
+            except StopIteration as stop:
+                return stop.value
+
+    config = ACOConfig(stagnation_limit=20)
+    drive([(checked(_colonies(table1, config, [1, 2, 3, 4, 5, 6], _SIGN, select)), fitness)])
+    assert len(learned) > 1 and set(rounds) == {1}
+
+
+def test_select_learns_each_live_set_once():
+    """The six bound runs stacked on mild20, which has feasible subsets:
+    every pass of a stack is one round, so select learns the rows' runs
+    once per set of live runs, before its first block, and never again
+    until a run ends. Each block that drive scores is one round of the
+    live runs' colonies."""
+    instance = generate_instance(mild_params(20, 5, 0))
+    fitness = _BoundFitness(instance, 0)
+    ants = ant_count(instance.n, instance.m_servers, ACOConfig().population_coefficient)
+    learned, sizes = [], []
+
+    def select(runs):
+        learned.append(np.asarray(runs).tolist())
+        fitness.select(runs)
+
+    stack = _colonies(instance, ACOConfig(stagnation_limit=20), [1, 2, 3, 4, 5, 6], _SIGN, select)
+    reports = drive([(recorded(stack, sizes, lambda idx: (len(learned[-1]), len(idx))),
+                      fitness)])[0]
+    ends = sorted({report.iterations for report in reports})
+    live = [[r for r, report in enumerate(reports) if report.iterations > end]
+            for end in [0] + ends[:-1]]
+    assert learned == [np.repeat(runs, ants).tolist() for runs in live]
+    assert all(rows == learned_rows for learned_rows, rows in sizes)
 
 
 @pytest.mark.parametrize("solver", ["ga", "aco"])
