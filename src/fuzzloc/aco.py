@@ -43,8 +43,9 @@ class ACOConfig:
             raise DomainError("alpha_exp, beta_exp and max_pheromone must be finite")
         if not (0 < self.evaporation_rate < 1):
             raise DomainError("evaporation_rate must lie in (0, 1)")
-        if self.max_pheromone <= 0:
-            raise DomainError("max_pheromone must be positive")
+        if self.max_pheromone < TAU_MIN:  # else every trail clips to the cap for good
+            raise DomainError(f"max_pheromone must be at least the trail floor "
+                              f"TAU_MIN = {TAU_MIN:g}, got {self.max_pheromone!r}")
         if self.alpha_exp <= 0 or self.beta_exp <= 0:
             raise DomainError("exponents must be positive")
         if self.alpha_exp > MAX_EXPONENT or self.beta_exp > MAX_EXPONENT:
@@ -138,6 +139,29 @@ def _evaporate(tau: np.ndarray, config: ACOConfig, nodes: Optional[np.ndarray] =
     return np.minimum(np.maximum(trails, TAU_MIN, out=trails), config.max_pheromone, out=trails)
 
 
+def _evaporations(tau: np.ndarray, span: int, config: ACOConfig) -> np.ndarray:
+    """The (span, R, n) trails of ``span`` rounds that only evaporate from
+    the (R, n) trails ``tau``, span >= 2: row i holds the trails after i
+    _evaporate steps, bit for bit, so row 0 is ``tau`` and row 1 is
+    _evaporate(tau). Rows 2 on are the running product of row 1 and the
+    evaporation rate, clipped once as _evaporate clips.
+
+    The running product is the chain of steps. Each product x * rho is the
+    IEEE operation of _evaporate, and with rho < 1 it rounds to at most x.
+    Row 1 lies in [TAU_MIN, max_pheromone] (ACOConfig keeps the cap at
+    least TAU_MIN), so no later product rises above the cap, which binds
+    only in row 1, where trails of 1.0 above a cap below 1 meet it. A trail
+    that the chain clips up to TAU_MIN stays there; its running product,
+    below TAU_MIN from then on or 0 after an underflow, clips to it too."""
+    rows = np.empty((span,) + tau.shape)
+    rows[0] = tau
+    rows[1] = _evaporate(tau, config)
+    rows[2:] = config.evaporation_rate
+    products = np.multiply.accumulate(rows[1:], axis=0, out=rows[1:])
+    np.minimum(np.maximum(products, TAU_MIN, out=products), config.max_pheromone, out=products)
+    return rows
+
+
 def run_aco(instance: Instance, eval_fn: Fitness, config: ACOConfig,
             seed: int = 0) -> SolverReport:
     """Iterate colonies from ``seed`` that maximize ``eval_fn``, one per
@@ -192,10 +216,15 @@ def _colonies(
     trails take one step: _update after a deposit, else _evaporate. In a
     ``quiet`` run, whose caller knows that no round deposits, a pass holds
     the rest of the block: its rounds are sampled at once from the current
-    trails and their evaporation steps, and its last trails evaporate.
-    ``select``, when given, learns the run of each row of the blocks to come
-    once per set of live runs, before its first block; it assumes one-round
-    passes, which every run but a quiet one takes.
+    trails and those of its later rounds, one clipped running product of
+    the evaporation rate (_evaporations), and its last trails evaporate.
+    A pass walks its colonies in one flat loop: one argmax call gives each
+    colony's first best ant, whose value is read from the flat list of the
+    pass's values (a max would give 0.0 where that ant has -0.0), and whose
+    row only a colony that improves its run reads. ``select``, when given,
+    learns the run of each row of the blocks to come once per set of live
+    runs, before its first block; it assumes one-round passes, which every
+    run but a quiet one takes.
     """
     runs = [Run("aco", instance, seed, config.stagnation_limit) for seed in seeds]
     figures_table(instance)
@@ -216,6 +245,7 @@ def _colonies(
         if select:
             select(row_runs)
         gumbel = [rngs[r].gumbel for r in live]
+        live_runs = [runs[r] for r in live]
         kept = [True] * len(live)
         while all(kept):
             # no live run ends before the block's last round, so its noise is all used
@@ -226,29 +256,28 @@ def _colonies(
             t = 0
             while t < k:
                 span = k - t if quiet else 1
-                steps = [tau]  # the trails of the pass's rounds: none deposits but the last
-                for _ in range(span - 1):
-                    steps.append(_evaporate(steps[-1], config))
-                trails = np.concatenate(steps) if span > 1 else tau
+                # the trails of the pass's rounds: none deposits but the last
+                trails = _evaporations(tau, span, config).reshape(-1, n) if span > 1 else tau
                 draws = noise[t:t + span].reshape(-1, ants, n)  # a view, sampled in place
                 idx = _sample_colonies(_log_weights(trails, beta_log_eta, config), m, draws)
                 values = np.asarray((yield idx), dtype=float)
-                scores = np.fmax(values.reshape(span, len(live), ants), -math.inf)  # NaN last
+                scores = np.fmax(values, -math.inf)  # NaN last
+                picks = scores.reshape(-1, ants).argmax(axis=1).tolist()
+                ranked = scores.tolist()
                 deposits = maximize is not True  # else only a colony best above 0 deposits
                 row = 0
-                for picks, ranked in zip(scores.argmax(axis=-1).tolist(), scores.tolist()):
-                    for r, pick, colony in zip(live, picks, ranked):
-                        top = colony[pick]
-                        deposits = deposits or top > 0.0
-                        if runs[r].step(top, ants):
-                            runs[r].report.best = (idx[row + pick] + 1).tolist()
-                        row += ants
+                for run, pick in zip(live_runs * span, picks):
+                    top = ranked[row + pick]  # the first best ant's: a max could turn -0.0 to 0.0
+                    deposits = deposits or top > 0.0
+                    if run.step(top, ants):
+                        run.report.best = (idx[row + pick] + 1).tolist()
+                    row += ants
                 t += span
                 if deposits:
                     tau = _update(tau, idx + offsets, values, config, ant_signs, maximize)
                 else:
-                    tau = _evaporate(steps[-1], config)
-            kept = [runs[r].report.termination is None for r in live]
+                    tau = _evaporate(trails[-len(live):], config)
+            kept = [run.report.termination is None for run in live_runs]
         live = list(compress(live, kept))
         tau = tau[kept]
     return [run.report for run in runs]

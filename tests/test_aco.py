@@ -74,6 +74,15 @@ class TestConfig:
         with pytest.raises(DomainError):
             ACOConfig(population_coefficient=0)
 
+    def test_cap_at_least_trail_floor(self):
+        """A cap below TAU_MIN leaves [TAU_MIN, max_pheromone] empty: every
+        trail would be the cap after its first step, for good. A cap of
+        TAU_MIN itself is accepted."""
+        with pytest.raises(DomainError, match=r"^max_pheromone must be at least the trail "
+                                              r"floor TAU_MIN = 1e-06, got 1e-07$"):
+            ACOConfig(max_pheromone=1e-7)
+        assert ACOConfig(max_pheromone=TAU_MIN).max_pheromone == TAU_MIN
+
     @pytest.mark.parametrize("field", ["alpha_exp", "beta_exp", "max_pheromone"])
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     def test_rejects_non_finite(self, field, value):

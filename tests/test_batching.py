@@ -182,6 +182,37 @@ def test_overflowing_deposits_reach_the_cap_without_warning():
     assert np.array_equal(trails, [expected])
 
 
+@given(
+    n=st.integers(2, 20),
+    runs=st.integers(1, 3),
+    ants=st.integers(1, 32),
+    rate=st.one_of(st.sampled_from((0.001, 0.5, 0.97)), st.floats(0.001, 0.999)),
+    cap=st.sampled_from((TAU_MIN, 0.5, 1.0, 200.0)),
+    ones=st.booleans(),
+    data=st.data(),
+)
+@settings(max_examples=60, deadline=None)
+def test_evaporations_match_the_chain(n, runs, ants, rate, cap, ones, data):
+    """The rows of one aco._evaporations call equal, bit for bit, the
+    trails of the chain of _evaporate steps that a quiet pass of ``span``
+    rounds would take one by one: from drawn trails, and from the initial
+    trails of 1.0 above a cap of 0.5. A rate of 0.001 drives the products
+    below TAU_MIN and, over long spans, to 0."""
+    span = data.draw(st.integers(2, model.BLOCK_SIZE // ants))
+    if ones:
+        tau, cap = np.ones((runs, n)), 0.5
+    else:
+        tau = np.array(data.draw(st.lists(trail_rows(n), min_size=runs, max_size=runs)))
+    config = ACOConfig(evaporation_rate=rate, max_pheromone=cap)
+    chain = [tau]
+    for _ in range(span - 1):
+        chain.append(aco._evaporate(chain[-1], config))
+    rows = aco._evaporations(tau, span, config)
+    assert rows.shape == (span, runs, n)
+    assert np.array_equal(rows.reshape(-1, n).view(np.uint64),
+                          np.concatenate(chain).view(np.uint64))
+
+
 def reference_steps(instance, config, sign, seed):
     """One ACO run of ``seed``, ant by ant: each ant's subset drawn on its own, a walk
     that keeps the first ant whose score is strictly above the best so far,
@@ -293,11 +324,12 @@ def test_stacked_runs_share_trail_parameters(medium_instance):
 class StepSpy:
     """Counts the trail steps of the ACO runs made while it is installed:
     ``full`` _update calls, and ``only`` colonies that only evaporate
-    (aco._evaporate called with no deposits)."""
+    (aco._evaporate called with no deposits, and the span - 1 steps of
+    each aco._evaporations call)."""
 
     def __init__(self, monkeypatch):
         self.full = self.only = 0
-        update, evaporate = aco._update, aco._evaporate
+        update, evaporate, evaporations = aco._update, aco._evaporate, aco._evaporations
 
         def counted_update(*args):
             self.full += 1
@@ -307,8 +339,15 @@ class StepSpy:
             self.only += deposits is None
             return evaporate(tau, config, nodes, deposits)
 
+        def counted_evaporations(tau, span, config):
+            only = self.only  # the _evaporate calls made inside count as none
+            rows = evaporations(tau, span, config)
+            self.only = only + span - 1
+            return rows
+
         monkeypatch.setattr(aco, "_update", counted_update)
         monkeypatch.setattr(aco, "_evaporate", counted_evaporate)
+        monkeypatch.setattr(aco, "_evaporations", counted_evaporations)
 
 
 def _evaporation_cases(instance, seeds, monkeypatch):

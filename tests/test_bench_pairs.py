@@ -169,3 +169,55 @@ def test_one_seed_writes_its_file(tmp_path, monkeypatch, capsys):
     assert metric["gain_shown"] is None
     assert ("brute_solve_s: median 0.0125 -> 0.0125, worse by +0.0% (bound 25%): within bound; "
             "change won 0/1, gain n/a" in capsys.readouterr().err.splitlines())
+
+
+def hand_made(margin, quartiles, won, pairs=10, parent_median=4.63):
+    """A lower-is-better summary as summarize writes it, from its margin,
+    the parent's quartiles and the pairs the change won."""
+    summary = {"better": "lower", "parent_median": parent_median,
+               "change_median": parent_median - margin, "bound": 0.25,
+               "worse_by": -margin / parent_median, "within_bound": True,
+               "margin": margin, "parent_quartiles": quartiles, "pairs": pairs,
+               "change_won": won, "parent_won": pairs - won}
+    summary["gain_shown"] = all(bench_pairs.gain_tests(summary).values())
+    return summary
+
+
+@pytest.mark.parametrize(
+    "margin, won, why",
+    [
+        # every pair won, but the margin is inside the parent's spread
+        (0.584, 10, "better by 0.584, parent IQR 0.603 (margin within the parent IQR)"),
+        # a wide margin from too few pairs
+        (0.7, 8, "better by 0.7, parent IQR 0.603 (too few pairs won)"),
+        (0.5, 6, "better by 0.5, parent IQR 0.603 (too few pairs won, "
+                 "margin within the parent IQR)"),
+        # both tests pass
+        (0.7, 9, "better by 0.7, parent IQR 0.603"),
+    ],
+)
+def test_verdict_line_names_the_failed_test(margin, won, why):
+    summary = hand_made(margin, [4.2, 4.803], won)
+    shown = "gain shown" if won >= 9 and margin > 0.603 else "no gain shown"
+    assert summary["gain_shown"] is (shown == "gain shown")
+    line = bench_pairs.verdict_line("aco_solve_s", summary)
+    assert line.endswith(f"within bound; {why}; change won {won}/10, {shown}")
+
+
+def test_verdict_line_gives_no_margin_for_a_worse_median():
+    """A change whose median is no better shows no gain for that alone:
+    its line gives no margin. Neither does a single pair, which has no
+    quartiles."""
+    worse = hand_made(-0.2, [4.2, 4.803], 3)
+    assert bench_pairs.verdict_line("x", worse).endswith(
+        "within bound; change won 3/10, no gain shown")
+    single = dict(hand_made(0.5, [4.0, 5.0], 1, pairs=1), parent_quartiles=None,
+                  gain_shown=None)
+    assert bench_pairs.verdict_line("x", single).endswith(
+        "within bound; change won 1/1, gain n/a")
+
+
+def test_summary_records_the_margin():
+    """The margin is positive for a better median on either sense."""
+    assert bench_pairs.summarize([2.0, 3.0, 4.0], [1.0, 2.5, 3.0], "lower")["margin"] == 0.5
+    assert bench_pairs.summarize([2.0, 3.0, 4.0], [1.0, 2.5, 3.0], "higher")["margin"] == -0.5

@@ -11,14 +11,16 @@ one after the other: the parent first on even seeds, the change first on odd
 ones, so neither side always runs second. It adds the set of pairs to
 ``BENCH_<label>.json`` in the current directory, in place of an earlier set
 of the same workload and seeds. For each end-to-end metric of the change's
-BENCHMARK.json it records both medians, the parent's quartiles, the pairs
+BENCHMARK.json it records both medians, the margin of the change's median
+(``margin``, positive for better), the parent's quartiles, the pairs
 each side won (a tie counts for neither), the raw values in seed order, the
 metric's bound, how much worse the change's median is (``worse_by``,
 relative, positive for worse), whether that stays inside the bound, and
 whether the pairs show a gain (``gain_shown``: the change won at least 9 in
 10 of the pairs, and its median is better than the parent's by more than the
 parent's interquartile range); it prints one line per metric with both
-verdicts.
+verdicts, and, where the change's median is better, its margin, the parent's
+interquartile range and the test of a gain that failed.
 The file also holds the machine record of the first run, both checkouts'
 ``git rev-parse HEAD`` and every run that failed or reported incorrect
 outputs. The exit status is 1 when there is such a run, else 0.
@@ -77,10 +79,11 @@ def summarize(parent: list[float], change: list[float], better: str,
     None when the parent's median is 0. ``within_bound`` says whether it is
     at most ``bound``, and is None when either is None.
 
-    ``gain_shown`` says whether the change won at least 9 in 10 of the pairs
-    (a tie counts for neither side) and its median is better than the
-    parent's by more than the parent's interquartile range. It is None when
-    there are no quartiles."""
+    ``margin`` is how much better the change's median is than the parent's,
+    in the metric's unit (negative for worse). ``gain_shown`` says whether
+    both tests of gain_tests pass: the change won at least 9 in 10 of the
+    pairs (a tie counts for neither side), and the margin is above the
+    parent's interquartile range. It is None when there are no quartiles."""
     sign = 1 if better == "lower" else -1
     won = sum(sign * (c - p) < 0 for p, c in zip(parent, change))
     lost = sum(sign * (c - p) > 0 for p, c in zip(parent, change))
@@ -92,18 +95,15 @@ def summarize(parent: list[float], change: list[float], better: str,
     worse_by = None
     if parent_median != 0:
         worse_by = sign * (change_median - parent_median) / abs(parent_median)
-    gain_shown = None
-    if quartiles is not None:
-        margin = sign * (parent_median - change_median)
-        gain_shown = 10 * won >= 9 * len(parent) and margin > quartiles[1] - quartiles[0]
-    return {
+    summary = {
         "better": better,
         "parent_median": parent_median,
         "change_median": change_median,
         "bound": bound,
         "worse_by": worse_by,
         "within_bound": None if worse_by is None or bound is None else worse_by <= bound,
-        "gain_shown": gain_shown,
+        "gain_shown": None,
+        "margin": sign * (parent_median - change_median),
         "parent_quartiles": quartiles,
         "pairs": len(parent),
         "change_won": won,
@@ -111,18 +111,40 @@ def summarize(parent: list[float], change: list[float], better: str,
         "parent": parent,
         "change": change,
     }
+    if quartiles is not None:
+        summary["gain_shown"] = all(gain_tests(summary).values())
+    return summary
+
+
+def gain_tests(summary: dict) -> dict:
+    """The two tests a gain must pass, by what each failure is called: the
+    change won at least 9 in 10 of the pairs, and its median margin is
+    above the parent's interquartile range. The summary needs quartiles."""
+    q1, q3 = summary["parent_quartiles"]
+    return {
+        "too few pairs won": 10 * summary["change_won"] >= 9 * summary["pairs"],
+        "margin within the parent IQR": summary["margin"] > q3 - q1,
+    }
 
 
 def verdict_line(name: str, summary: dict) -> str:
     """One line on whether a metric's median stayed inside its bound, and
-    whether the pairs show a gain."""
+    whether the pairs show a gain. When the change's median is better and
+    the parent has quartiles, the line gives the margin and the parent's
+    interquartile range, and names each test of gain_tests that failed."""
     worse_by, bound = summary["worse_by"], summary["bound"]
     worse = "n/a" if worse_by is None else f"{worse_by:+.1%}"
     limit = "none" if bound is None else f"{bound:.0%}"
     verdict = {True: "within bound", False: "OUTSIDE BOUND", None: "no verdict"}
     gain = {True: "gain shown", False: "no gain shown", None: "gain n/a"}
+    why = ""
+    if summary["gain_shown"] is not None and summary["margin"] > 0:
+        q1, q3 = summary["parent_quartiles"]
+        failed = [text for text, passed in gain_tests(summary).items() if not passed]
+        why = f"better by {summary['margin']:.6g}, parent IQR {q3 - q1:.6g}"
+        why += f" ({', '.join(failed)}); " if failed else "; "
     return (f"{name}: median {summary['parent_median']:.6g} -> {summary['change_median']:.6g}, "
-            f"worse by {worse} (bound {limit}): {verdict[summary['within_bound']]}; "
+            f"worse by {worse} (bound {limit}): {verdict[summary['within_bound']]}; {why}"
             f"change won {summary['change_won']}/{summary['pairs']}, "
             f"{gain[summary['gain_shown']]}")
 
