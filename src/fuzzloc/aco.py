@@ -112,7 +112,8 @@ def _update(tau: np.ndarray, nodes: np.ndarray, values: Sequence[float], config:
     ant of a minimization bound run has value -1e12 * (1 + violation), so
     F = 1e12 * (1 + violation), and it still deposits theta/F, about 2e-10.
     Each node receives its deposits in ant order; an ant that deposits
-    nothing adds 0.0, which leaves every positive trail as it is. A
+    nothing adds +0.0, which leaves every trail (never -0.0) as it is, so
+    colonies in which no ant deposits get the bytes of _evaporate(tau). A
     subnormal F deposits inf, as in Python, and deposits near the float
     maximum may add up to inf on one node; the cap clips both."""
     f = np.multiply(values, signs)
@@ -130,9 +131,8 @@ def _evaporate(tau: np.ndarray, config: ACOConfig, nodes: Optional[np.ndarray] =
                deposits: Optional[np.ndarray] = None) -> np.ndarray:
     """The (R, n) trails after evaporation, the ``deposits`` added at the
     flattened ``nodes`` when given, and the clip to [TAU_MIN, max_pheromone],
-    in that order. A colony that deposits nothing takes this step without
-    deposits: _update would add 0.0 to every trail, which leaves each
-    positive trail as it is."""
+    in that order: the last step of _update, and the first of
+    _evaporations."""
     trails = tau * config.evaporation_rate
     if deposits is not None:
         np.add.at(trails.reshape(-1), nodes, deposits)
@@ -140,11 +140,11 @@ def _evaporate(tau: np.ndarray, config: ACOConfig, nodes: Optional[np.ndarray] =
 
 
 def _evaporations(tau: np.ndarray, span: int, config: ACOConfig) -> np.ndarray:
-    """The (span, R, n) trails of ``span`` rounds that only evaporate from
-    the (R, n) trails ``tau``, span >= 2: row i holds the trails after i
-    _evaporate steps, bit for bit, so row 0 is ``tau`` and row 1 is
-    _evaporate(tau). Rows 2 on are the running product of row 1 and the
-    evaporation rate, clipped once as _evaporate clips.
+    """The (span, R, n) trails of span - 1 rounds that only evaporate from
+    the (R, n) trails ``tau``, then the trails after them, span >= 2: row i
+    holds the trails after i _evaporate steps, bit for bit, so row 0 is
+    ``tau`` and row 1 is _evaporate(tau). Rows 2 on are the running product
+    of row 1 and the evaporation rate, clipped once as _evaporate clips.
 
     The running product is the chain of steps. Each product x * rho is the
     IEEE operation of _evaporate, and with rho < 1 it rounds to at most x.
@@ -201,9 +201,7 @@ def _colonies(
     are minus that objective. Every run ends as it would alone: it draws its
     Gumbel noise from its own generator, and hands Run.step the value of its
     colony's first best ant, a NaN value scoring -inf, and ``ants``
-    requests. A round in which every live run maximizes and no colony's best
-    is above 0 deposits nothing (see _update), so its trails only evaporate
-    (_evaporate). The first step builds the instance's figures table
+    requests. The first step builds the instance's figures table
     (model.figures_table).
 
     The runs step in blocks of k rounds, the fewest that a live run surely
@@ -212,19 +210,19 @@ def _colonies(
     inside a block, so each live run draws the block's noise in one
     (k, ants, n) call, the stream of k (ants, n) draws. A block is taken in
     passes, each yielded as one block of its rounds' colonies, round after
-    round and run after run, and walked whole. A pass is one round, and its
-    trails take one step: _update after a deposit, else _evaporate. In a
-    ``quiet`` run, whose caller knows that no round deposits, a pass holds
-    the rest of the block: its rounds are sampled at once from the current
-    trails and those of its later rounds, one clipped running product of
-    the evaporation rate (_evaporations), and its last trails evaporate.
-    A pass walks its colonies in one flat loop: one argmax call gives each
-    colony's first best ant, whose value is read from the flat list of the
-    pass's values (a max would give 0.0 where that ant has -0.0), and whose
-    row only a colony that improves its run reads. ``select``, when given,
-    learns the run of each row of the blocks to come once per set of live
-    runs, before its first block; it assumes one-round passes, which every
-    run but a quiet one takes.
+    round and run after run, and walked whole, and its trails take one
+    step. In a ``quiet`` run, whose caller knows that no round deposits, a
+    pass holds the rest of the block, and one clipped running product of
+    the evaporation rate (_evaporations) gives the trails of its rounds,
+    sampled at once, and the trails after them. Any other pass is one round
+    and ends with _update, which gives a round in which no ant deposits
+    the trails of evaporation alone. A pass walks its colonies in one flat
+    loop: one argmax call gives each colony's first best ant, whose value
+    is read from the flat list of the pass's values (a max would give 0.0
+    where that ant has -0.0), and whose row only a colony that improves its
+    run reads. ``select``, when given, learns the run of each row of the
+    blocks to come once per set of live runs, before its first block; it
+    assumes one-round passes, which every run but a quiet one takes.
     """
     runs = [Run("aco", instance, seed, config.stagnation_limit) for seed in seeds]
     figures_table(instance)
@@ -253,30 +251,25 @@ def _colonies(
             noise = np.empty((k, len(live), ants, n))
             for i, draw in enumerate(gumbel):
                 noise[:, i] = draw(size=(k, ants, n))
-            t = 0
-            while t < k:
-                span = k - t if quiet else 1
-                # the trails of the pass's rounds: none deposits but the last
-                trails = _evaporations(tau, span, config).reshape(-1, n) if span > 1 else tau
+            span = k if quiet else 1
+            for t in range(0, k, span):
+                if quiet:  # the trails of the pass's rounds, then the trails after them
+                    rows = _evaporations(tau, span + 1, config)
+                    trails, tau = rows[:span].reshape(-1, n), rows[span]
+                else:
+                    trails = tau
                 draws = noise[t:t + span].reshape(-1, ants, n)  # a view, sampled in place
                 idx = _sample_colonies(_log_weights(trails, beta_log_eta, config), m, draws)
                 values = np.asarray((yield idx), dtype=float)
                 scores = np.fmax(values, -math.inf)  # NaN last
                 picks = scores.reshape(-1, ants).argmax(axis=1).tolist()
                 ranked = scores.tolist()
-                deposits = maximize is not True  # else only a colony best above 0 deposits
-                row = 0
-                for run, pick in zip(live_runs * span, picks):
+                for run, row, pick in zip(live_runs * span, range(0, len(ranked), ants), picks):
                     top = ranked[row + pick]  # the first best ant's: a max could turn -0.0 to 0.0
-                    deposits = deposits or top > 0.0
                     if run.step(top, ants):
                         run.report.best = (idx[row + pick] + 1).tolist()
-                    row += ants
-                t += span
-                if deposits:
+                if not quiet:
                     tau = _update(tau, idx + offsets, values, config, ant_signs, maximize)
-                else:
-                    tau = _evaporate(trails[-len(live):], config)
             kept = [run.report.termination is None for run in live_runs]
         live = list(compress(live, kept))
         tau = tau[kept]

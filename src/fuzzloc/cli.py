@@ -78,14 +78,13 @@ def _fmt(value: float) -> str:
     return format(value, ".12g")
 
 
-def _write_table(path: Path, header: list, rows) -> None:
-    """A CSV file: the header, then each row as ``rows`` yields it, with
-    every float formatted by _fmt."""
-    with path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt(v) if isinstance(v, float) else v for v in row])
+def _write_table(fh, header: list, rows) -> None:
+    """A CSV table in the open file ``fh``: the header, then each row as
+    ``rows`` yields it, with every float formatted by _fmt."""
+    writer = csv.writer(fh)
+    writer.writerow(header)
+    for row in rows:
+        writer.writerow([_fmt(v) if isinstance(v, float) else v for v in row])
 
 
 def _enum_budget() -> int:
@@ -303,43 +302,46 @@ def _bench_row(instance: Instance, name: str, algo: str, seed: int, ctx) -> dict
 def cmd_bench(args) -> int:
     # every file is loaded first, so a bad one stops the command before any run
     instances = [(path, _load(path, args.gamma, args.logit)) for path in args.instance]
+    if args.exact_bounds:
+        _enum_budget()  # and so does a bad budget
     rows, plots = [], {"runtime": [], "objective": []}
-    for inst_path, instance in instances:
-        name = Path(inst_path).stem  # the CSV's instance column
-        try:  # bounds depend on the instance only: build them once
-            ctx = _context(args, instance)
-        except _SOLVE_ERRORS as exc:
-            ctx = exc
-        # each algorithm's (runtime, objective) means over this instance's rows
-        means = {}
-        for algo in ("ga", "aco"):
-            solved = [
-                _bench_row(instance, name, algo, args.seed + rep, ctx)
-                for rep in range(args.replications)
-            ]
-            rows += solved
-            done = [row for row in solved if not math.isnan(row["objective"])]
-            means[algo] = [
-                float(np.mean([row[key] for row in done])) if done else math.nan
-                for key in ("runtime_ms", "objective")
-            ]
-        for algo, pair in sorted(means.items()):
-            for plot, mean in zip(plots.values(), pair):
-                plot.append([instance.n, algo, mean])
-        (ga_rt, ga_obj), (aco_rt, aco_obj) = means["ga"], means["aco"]
-        if math.isnan(ga_obj) or math.isnan(aco_obj):
-            print(f"{inst_path}: incomplete results")
-            continue
-        gap = (ga_obj - aco_obj) / abs(ga_obj) * 100.0 if ga_obj != 0 else math.nan
-        print(
-            f"{inst_path}: GA obj {_fmt(ga_obj)} ({ga_rt:.0f} ms) | "
-            f"ACO obj {_fmt(aco_obj)} ({aco_rt:.0f} ms) | gap {gap:.2f}%"
-        )
     out = Path(args.out)
-    _write_table(out, BENCH_HEADER, ([row[key] for key in BENCH_HEADER] for row in rows))
+    with out.open("w", newline="") as table:  # an unwritable --out stops it before any run too
+        for inst_path, instance in instances:
+            name = Path(inst_path).stem  # the CSV's instance column
+            try:  # bounds depend on the instance only: build them once
+                ctx = _context(args, instance)
+            except _SOLVE_ERRORS as exc:
+                ctx = exc
+            # each algorithm's (runtime, objective) means over this instance's rows
+            means = {}
+            for algo in ("ga", "aco"):
+                solved = [
+                    _bench_row(instance, name, algo, args.seed + rep, ctx)
+                    for rep in range(args.replications)
+                ]
+                rows += solved
+                done = [row for row in solved if not math.isnan(row["objective"])]
+                means[algo] = [
+                    float(np.mean([row[key] for row in done])) if done else math.nan
+                    for key in ("runtime_ms", "objective")
+                ]
+            for algo, pair in sorted(means.items()):
+                for plot, mean in zip(plots.values(), pair):
+                    plot.append([instance.n, algo, mean])
+            (ga_rt, ga_obj), (aco_rt, aco_obj) = means["ga"], means["aco"]
+            if math.isnan(ga_obj) or math.isnan(aco_obj):
+                print(f"{inst_path}: incomplete results")
+                continue
+            gap = (ga_obj - aco_obj) / abs(ga_obj) * 100.0 if ga_obj != 0 else math.nan
+            print(
+                f"{inst_path}: GA obj {_fmt(ga_obj)} ({ga_rt:.0f} ms) | "
+                f"ACO obj {_fmt(aco_obj)} ({aco_rt:.0f} ms) | gap {gap:.2f}%"
+            )
+        _write_table(table, BENCH_HEADER, ([row[key] for key in BENCH_HEADER] for row in rows))
     for field, plot in plots.items():
-        _write_table(out.with_name(f"{out.stem}_{field}_vs_n.csv"),
-                     ["n", "algorithm", "mean_" + field], plot)
+        with out.with_name(f"{out.stem}_{field}_vs_n.csv").open("w", newline="") as fh:
+            _write_table(fh, ["n", "algorithm", "mean_" + field], plot)
     print(f"wrote {len(rows)} rows to {out}")
     return EXIT_OK
 
@@ -356,7 +358,6 @@ def cmd_tune(args) -> int:
         for ev, ph, co, al, be in grid
     ]
     ctx = _context(args, instance)
-    contexts = {seed: ctx or estimate_bounds(instance, ACOConfig(), seed) for seed in args.seeds}
     header = [
         "evaporation_rate", "max_pheromone", "population_coefficient",
         "alpha_exp", "beta_exp", "mean_objective",
@@ -369,11 +370,13 @@ def cmd_tune(args) -> int:
             for seed in args.seeds
         ]))
 
-    # each cell's row is written as soon as its seeds are solved
-    out = Path(args.out)
-    rows = ([*values, mean_objective(config)] for values, config in zip(grid, cells))
-    _write_table(out, header, rows)
-    print(f"wrote {len(cells)} cells to {out}")
+    # opened before the bound runs, so an unwritable --out stops the command before any run
+    with open(args.out, "w", newline="") as fh:
+        contexts = {s: ctx or estimate_bounds(instance, ACOConfig(), s) for s in args.seeds}
+        # each cell's row is written as soon as its seeds are solved
+        _write_table(fh, header, ([*values, mean_objective(config)]
+                                  for values, config in zip(grid, cells)))
+    print(f"wrote {len(cells)} cells to {args.out}")
     return EXIT_OK
 
 

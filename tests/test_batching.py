@@ -166,6 +166,44 @@ def test_deposit_matches_ant_loop(sense, n, data, seed):
         assert np.array_equal(trails, expected)
 
 
+# the values that a max ant and a min ant send with no deposit
+NO_DEPOSIT = {
+    1.0: st.one_of(st.floats(max_value=0.0), st.sampled_from((-0.0, -math.inf, math.nan))),
+    -1.0: st.one_of(st.floats(min_value=0.0), st.sampled_from((math.inf, math.nan))),
+}
+
+
+@given(
+    n=st.integers(2, 8),
+    runs=st.integers(1, 3),
+    rate=st.one_of(st.sampled_from((0.001, 0.5, 0.97)), st.floats(0.001, 0.999)),
+    cap=st.sampled_from((TAU_MIN, 0.5, 200.0)),
+    seed=st.integers(0, 2**32 - 1),
+    data=st.data(),
+)
+@settings(max_examples=60, deadline=None)
+def test_zero_deposits_only_evaporate(n, runs, rate, cap, seed, data):
+    """_update of colonies in which no ant deposits gives the bytes of
+    _evaporate: each ant adds +0.0, which leaves every trail as it is, so
+    a one-round pass takes _update whether or not its ants deposit. Each
+    run's sign is drawn, and ``maximize`` is a flag per ant and, for runs
+    that share a sign, one bool."""
+    tau = np.array(data.draw(st.lists(trail_rows(n), min_size=runs, max_size=runs)))
+    signs = data.draw(st.lists(st.sampled_from((1.0, -1.0)), min_size=runs, max_size=runs))
+    m, ants = data.draw(st.integers(1, n - 1)), data.draw(st.integers(1, 6))
+    ant_signs = np.repeat(signs, ants)
+    sent = [data.draw(NO_DEPOSIT[sign]) for sign in ant_signs]
+    rng = np.random.default_rng(seed)
+    idx = np.sort([rng.choice(n, size=m, replace=False) for _ in range(runs * ants)], axis=1)
+    nodes = idx + np.repeat(np.arange(runs) * n, ants)[:, None]
+    config = ACOConfig(evaporation_rate=rate, max_pheromone=cap)
+    expected = aco._evaporate(tau, config).view(np.uint64)
+    flags = [ant_signs > 0, *([signs[0] > 0] if len(set(signs)) == 1 else [])]
+    for maximize in flags:
+        trails = _update(tau, nodes, sent, config, ant_signs, maximize)
+        assert np.array_equal(trails.view(np.uint64), expected)
+
+
 def test_overflowing_deposits_reach_the_cap_without_warning():
     """Two min-sense ants on one node with a subnormal F each deposit
     theta/F, about 1.02e308; their sum overflows to inf and is clipped to
@@ -194,11 +232,12 @@ def test_overflowing_deposits_reach_the_cap_without_warning():
 @settings(max_examples=60, deadline=None)
 def test_evaporations_match_the_chain(n, runs, ants, rate, cap, ones, data):
     """The rows of one aco._evaporations call equal, bit for bit, the
-    trails of the chain of _evaporate steps that a quiet pass of ``span``
-    rounds would take one by one: from drawn trails, and from the initial
-    trails of 1.0 above a cap of 0.5. A rate of 0.001 drives the products
-    below TAU_MIN and, over long spans, to 0."""
-    span = data.draw(st.integers(2, model.BLOCK_SIZE // ants))
+    chain of _evaporate steps that a quiet pass of ``span`` - 1 rounds would
+    take one by one: its rounds' trails, then the trails after them. They
+    start from drawn trails, and from the initial trails of 1.0 above a cap
+    of 0.5. A rate of 0.001 drives the products below TAU_MIN and, over long
+    spans, to 0."""
+    span = data.draw(st.integers(2, model.BLOCK_SIZE // ants + 1))
     if ones:
         tau, cap = np.ones((runs, n)), 0.5
     else:
@@ -323,9 +362,10 @@ def test_stacked_runs_share_trail_parameters(medium_instance):
 
 class StepSpy:
     """Counts the trail steps of the ACO runs made while it is installed:
-    ``full`` _update calls, and ``only`` colonies that only evaporate
-    (aco._evaporate called with no deposits, and the span - 1 steps of
-    each aco._evaporations call)."""
+    ``full`` _update calls, and ``only`` colonies that only evaporate, the
+    colonies of quiet passes: the span - 1 steps of each aco._evaporations
+    call, and any aco._evaporate call with no deposits, which _colonies
+    does not make."""
 
     def __init__(self, monkeypatch):
         self.full = self.only = 0
@@ -375,20 +415,29 @@ def test_evaporation_only_colonies_match_reference(table1, monkeypatch):
     assert spy.full == 0 and spy.only == colonies
 
 
-def test_some_colonies_only_evaporate(monkeypatch):
+def test_every_one_round_colony_takes_update(monkeypatch):
     """On a mild instance most colonies hold a feasible subset and deposit,
-    and a few hold none and only evaporate; the runs match the reference."""
+    and a few hold none; each is a one-round pass that ends with _update,
+    also when no ant deposits, and the runs match the reference."""
     instance = generate_instance(mild_params(20, 5, 0))
+    update, empty = aco._update, []
+
+    def counted(tau, nodes, values, *args):
+        empty.append(not any(0.0 < value < math.inf for value in values))
+        return update(tau, nodes, values, *args)
+
+    monkeypatch.setattr(aco, "_update", counted)
     spy, colonies = _evaporation_cases(instance, [0, 1, 2], monkeypatch)
-    assert 0 < spy.only < spy.full and spy.full + spy.only == colonies
+    assert spy.only == 0 and spy.full == colonies
+    assert 0 < sum(empty) < colonies
 
 
 def test_final_run_only_evaporates_and_bound_runs_never(table1, monkeypatch):
     """table1's certified ACO solve makes no bound run, and its final run
-    only evaporates in every round. In a stack of the six bound runs on
-    table1, every round with a min run live takes the full update, although
-    every value is a penalty: a penalized ant of a min run still deposits
-    theta / F. Once only max runs are live, their rounds only evaporate."""
+    only evaporates in every round. A stack of the six bound runs on table1
+    is never quiet, so every round takes _update, although every value is a
+    penalty: a penalized ant of a min run still deposits theta / F, and once
+    only max runs are live, no ant deposits."""
     spy = StepSpy(monkeypatch)
     report, _ = solve_protocol(table1, "aco", 3, aco_config=ACOConfig(stagnation_limit=100))
     assert spy.full == 0 and spy.only == report.iterations > 0
@@ -398,8 +447,8 @@ def test_final_run_only_evaporates_and_bound_runs_never(table1, monkeypatch):
                       fitness.select)
     rounds = [run.iterations for run in drive([(stack, fitness)])[0]]
     min_rounds = max(count for count, sign in zip(rounds, _SIGN) if sign < 0)
-    assert spy.full == min_rounds > 0
-    assert spy.only == max(rounds) - min_rounds
+    assert spy.full == max(rounds) > min_rounds > 0
+    assert spy.only == 0
 
 
 @pytest.mark.parametrize("rounds", [1, 2, 44, 128])
@@ -548,7 +597,7 @@ def test_depositing_round_leaves_the_block(table1, monkeypatch):
     """A fitness above 0 on some of table1's subsets makes those colonies
     deposit, so run_aco takes one round per pass and a depositing round is
     the last of its pass: every block that drive sees holds one colony,
-    8 rows, and every row scored is used. Some rounds take _update, and
+    8 rows, and every row scored is used. Every round takes _update, and
     the run ends as the reference."""
     config = ACOConfig(stagnation_limit=100)
     ants = ant_count(table1.n, table1.m_servers, config.population_coefficient)
@@ -557,7 +606,7 @@ def test_depositing_round_leaves_the_block(table1, monkeypatch):
     report = run_aco(table1, _three_firsts, config, seed=0)
     monkeypatch.undo()
     assert ants == 8 and sizes == [ants] * report.iterations
-    assert 0 < spy.full < report.iterations
+    assert spy.full == report.iterations
     reference = drive([(reference_steps(table1, config, 1.0, 0), _three_firsts)])[0]
     assert record(report) == record(reference)
 

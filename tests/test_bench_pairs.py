@@ -99,17 +99,22 @@ def test_gain_shown(better, change, won, shown):
         f"change won {won}/10, {'gain shown' if shown else 'no gain shown'}")
 
 
-def stdout(correct=True, failed=0):
+# the raw figures a run printed before its scaled brute_solve_s of 0.0125
+RAW = {"brute_solve_s": 0.0115, "speed_scale": 1.087}
+
+
+def stdout(correct=True, failed=0, raw=None):
     machine = {"workload": "mild20", "seed": 0, "machine": {"nproc": 2}}
     verdict = {"correct": correct, "attempted": 4, "failed": failed,
                "metrics": {"brute_solve_s": {"value": 0.0125, "unit": "s"}}}
-    return "\n".join([json.dumps(machine), json.dumps({"raw": {}}), json.dumps(verdict)])
+    return "\n".join([json.dumps(machine), json.dumps({"raw": raw or {}}), json.dumps(verdict)])
 
 
 @pytest.mark.parametrize(
     "returncode, text, problem",
     [
         (0, stdout(), None),
+        (0, stdout(raw=RAW), None),
         (0, stdout(correct=False, failed=1), "incorrect outputs: 1 failed operations"),
         (0, stdout(correct=True, failed=2), "incorrect outputs: 2 failed operations"),
         (3, stdout(), "exit 3"),
@@ -123,6 +128,7 @@ def test_parse_run(returncode, text, problem):
     if problem is None:
         assert record["values"] == {"brute_solve_s": 0.0125}
         assert record["machine"] == {"nproc": 2}
+    assert record["raw"] == (RAW if text == stdout(raw=RAW) else {})
 
 
 def test_parse_seeds():
@@ -143,16 +149,17 @@ def test_single_pair_has_no_quartiles():
 
 def test_one_seed_writes_its_file(tmp_path, monkeypatch, capsys):
     """--seeds 4-4 runs one pair per side and still writes BENCH_<label>.json,
-    with null parent quartiles, the metric's bound and its verdict."""
+    with null parent quartiles, the metric's bound and its verdict, which
+    read the scaled figures, and each side's raw figures and their medians."""
     for side in ("parent", "change"):
         (tmp_path / side).mkdir()
     spec = {"end_to_end": [{"name": "brute_solve_s", "better": "lower", "bound": 0.25}]}
     (tmp_path / "change" / "BENCHMARK.json").write_text(json.dumps(spec))
-    runs = []
+    runs, raw = [], {"parent": RAW, "change": {"brute_solve_s": 0.0121, "speed_scale": 1.033}}
 
     def run_once(checkout, workload, seed):
         runs.append((checkout.name, workload, seed))
-        return bench_pairs.parse_run(0, stdout())
+        return bench_pairs.parse_run(0, stdout(raw=raw[checkout.name]))
 
     monkeypatch.setattr(bench_pairs, "run_once", run_once)
     monkeypatch.setattr(bench_pairs, "git_head", lambda checkout: checkout.name)
@@ -167,6 +174,9 @@ def test_one_seed_writes_its_file(tmp_path, monkeypatch, capsys):
     assert metric["parent_quartiles"] is None and metric["pairs"] == 1
     assert (metric["bound"], metric["worse_by"], metric["within_bound"]) == (0.25, 0.0, True)
     assert metric["gain_shown"] is None
+    assert (metric["raw_parent_median"], metric["raw_change_median"]) == (0.0115, 0.0121)
+    assert result["speed_scale"] == {"parent": 1.087, "change": 1.033}
+    assert result["raw"] == {side: [raw[side]] for side in raw}
     assert ("brute_solve_s: median 0.0125 -> 0.0125, worse by +0.0% (bound 25%): within bound; "
             "change won 0/1, gain n/a" in capsys.readouterr().err.splitlines())
 

@@ -491,6 +491,19 @@ def _never(*args, **kwargs):
     raise AssertionError("ran before the usage error")
 
 
+@pytest.mark.parametrize("command", [["bench", "--replications", 1], ["tune"]])
+def test_unwritable_out_stops_before_any_run(small_file, tmp_path, monkeypatch, capsys, command):
+    """An --out in a missing directory stops bench and tune with one error
+    line before their first solve or bound run."""
+    for name in ("solve_protocol", "estimate_bounds"):
+        monkeypatch.setattr(cli, name, _never)
+    out = tmp_path / "missing" / "out.csv"
+    assert run([*command, "--instance", small_file, "--out", out]) == EXIT_RUNTIME
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
 @pytest.mark.parametrize("value", [0, -5])
 @pytest.mark.parametrize("flag", ["--events", "--network-events", "--replications"])
 def test_count_below_one_is_usage_error(small_file, tmp_path, monkeypatch, capsys, flag, value):

@@ -21,6 +21,12 @@ whether the pairs show a gain (``gain_shown``: the change won at least 9 in
 parent's interquartile range); it prints one line per metric with both
 verdicts, and, where the change's median is better, its margin, the parent's
 interquartile range and the test of a gain that failed.
+The verdicts read the figures that run.py scales to its nominal speed.
+Each run also prints the raw figures that it scaled, and ``speed_scale``:
+the file keeps every run's raw figures (``raw``), each metric's raw
+medians (``raw_parent_median``, ``raw_change_median``) and each side's
+median ``speed_scale``, so a reading can be told apart from a shift of
+the machine's speed.
 The file also holds the machine record of the first run, both checkouts'
 ``git rev-parse HEAD`` and every run that failed or reported incorrect
 outputs. The exit status is 1 when there is such a run, else 0.
@@ -50,21 +56,32 @@ def parse_seeds(text: str) -> range:
 
 def parse_run(returncode: int, stdout: str) -> dict:
     """One run's record from its exit status and stdout. run.py prints its
-    machine record on the first line and its verdict and metrics on the
-    last. ``problem`` says why the run does not count, or is None."""
+    machine record on the first line, its raw figures on a line of their
+    own (``{"raw": ...}``, kept as ``raw``, {} when there is none) and its
+    verdict and metrics on the last. ``problem`` says why the run does not
+    count, or is None."""
     lines = stdout.strip().splitlines()
     try:
         machine = json.loads(lines[0])["machine"]
         verdict = json.loads(lines[-1])
         values = {name: m["value"] for name, m in verdict["metrics"].items()}
+        raw = next((json.loads(line)["raw"] for line in lines[1:-1]
+                    if line.startswith('{"raw": ')), {})
     except (IndexError, KeyError, TypeError, ValueError):
-        return {"problem": f"exit {returncode}, no metrics line", "machine": None, "values": {}}
+        return {"problem": f"exit {returncode}, no metrics line", "machine": None, "values": {},
+                "raw": {}}
     problem = None
     if returncode != 0:
         problem = f"exit {returncode}"
     elif verdict.get("correct") is not True or verdict.get("failed") != 0:
         problem = f"incorrect outputs: {verdict.get('failed')} failed operations"
-    return {"problem": problem, "machine": machine, "values": values}
+    return {"problem": problem, "machine": machine, "values": values, "raw": raw}
+
+
+def raw_median(records: list[dict], name: str) -> Optional[float]:
+    """The median of the runs' raw figure ``name``, None when no run has it."""
+    found = [record["raw"][name] for record in records if name in record["raw"]]
+    return statistics.median(found) if found else None
 
 
 def summarize(parent: list[float], change: list[float], better: str,
@@ -195,6 +212,7 @@ def main(argv=None) -> int:
                  if p is not None and c is not None]
         if pairs:
             summary = summarize(*map(list, zip(*pairs)), metric["better"], metric.get("bound"))
+            summary.update({f"raw_{side}_median": raw_median(runs[side], name) for side in SIDES})
             metrics[name] = summary
             print(verdict_line(name, summary), file=sys.stderr)
     result = {
@@ -206,6 +224,8 @@ def main(argv=None) -> int:
         "machine": machine,
         "heads": {side: git_head(checkouts[side]) for side in SIDES},
         "metrics": metrics,
+        "speed_scale": {side: raw_median(runs[side], "speed_scale") for side in SIDES},
+        "raw": {side: [record["raw"] for record in runs[side]] for side in SIDES},
         "problems": problems,
     }
     # One file per label: a later set replaces the set of the same workload
