@@ -64,8 +64,8 @@ class Instance:
     no_feasible_subset and Kernel.figures() read one entry.
     ``dataclasses.replace`` recomputes both, and instance files hold neither.
     Nor do they hold ``_table``, the figures table that figures_table builds
-    and every drive and feasible_rows reads from then on; ``dataclasses.replace``
-    drops it.
+    and every drive, feasible_rows and violations reads from then on;
+    ``dataclasses.replace`` drops it.
 
     Instances compare field by field, arrays by value, leaving ``attraction``,
     ``certified`` and ``_table`` out. They are unhashable: their arrays are.
@@ -439,7 +439,7 @@ def _unrank(counts: np.ndarray, ranks: np.ndarray) -> np.ndarray:
 def _blocks(instance: Instance):
     """Every m-subset as rows of 1-based indices, in lexicographic order, in
     (B, m) arrays of BLOCK_SIZE rows but the last, each one run of ranks
-    unranked. _kernel_pass computes on these blocks."""
+    unranked. _kernel_pass and a cold violations() compute on these blocks."""
     counts = _comb_counts(instance.n, instance.m_servers)
     for first in range(0, counts[0, -1], BLOCK_SIZE):
         yield _unrank(counts, np.arange(first, min(first + BLOCK_SIZE, counts[0, -1])))
@@ -547,10 +547,30 @@ def feasible_rows(instance: Instance):
                               if kept is not None])
 
 
+def violations(instance: Instance) -> tuple[np.ndarray, np.ndarray]:
+    """(feasible, violation) of every m-subset in lexicographic order, the
+    violation 0 where feasible, as the kernel's: the figures table's own
+    read-only columns when the instance holds one, else one Kernel per
+    block of _blocks, which gives each row the table's bits."""
+    table = instance._table
+    if table is not None:
+        return table.feasible, table.violation
+    kernels = (Kernel(instance, block - 1) for block in _blocks(instance))
+    feasible, violation = zip(*((kernel.feasible(), kernel.violation()) for kernel in kernels))
+    return np.concatenate(feasible), np.concatenate(violation)
+
+
+def ranked_subset(instance: Instance, rank: int) -> np.ndarray:
+    """The (m,) row of 1-based indices of the m-subset of lexicographic rank
+    ``rank``, as _blocks gives it."""
+    return _unrank(_comb_counts(instance.n, instance.m_servers), np.array([rank]))[0]
+
+
 def figures_table(instance: Instance) -> Optional[_FiguresTable]:
     """The instance's figures table, built on the first call if comb(n, m) <=
     TABLE_LIMIT, else None. An ACO solve's first round is the only caller;
-    block_figures and feasible_rows read ``instance._table`` itself."""
+    block_figures, feasible_rows and violations read ``instance._table``
+    itself."""
     if instance._table is None and math.comb(instance.n, instance.m_servers) <= TABLE_LIMIT:
         object.__setattr__(instance, "_table", _FiguresTable(instance))
     return instance._table

@@ -13,12 +13,16 @@ import numpy as np
 from .errors import BudgetExceededError, DomainError, InfeasibleInstanceError
 from .evaluation import Fitness, MaximinContext, MaximinFitness, Steps, drive
 from .fuzzy import SLICE_INDEX
-from .model import Instance, Solution, _blocks, feasible_rows, served_share, solution_kernel
+from .model import (
+    Instance, Solution, _blocks, feasible_rows, ranked_subset, served_share, solution_kernel,
+    violations,
+)
 
 # The oracle scans the subsets in blocks of model.BLOCK_SIZE. A Scan (exact
 # bounds, a brute solve) also keeps 24 + m bytes per feasible subset for
 # n < 256 (three doubles and m one-byte indices), at most (24 + m) MB at the
-# default budget.
+# default budget, and a least-violation optimum about 25 bytes per subset at
+# its peak (a violation, a flag and a score, and the parts being joined).
 DEFAULT_ENUM_BUDGET = 10**6
 # Customers per chunk of the simulator's draws. Peak memory grows with this,
 # not with the event budget. The draws do not depend on it, and the estimates
@@ -98,16 +102,26 @@ class Scan:
         self.spreads, self.subsets = feasible_rows(instance)
 
     def optimum(self, fitness: MaximinFitness) -> EnumerationResult:
-        """``enumerate_optimum(instance, fitness)`` from the kept rows: the
-        fitness's score of the feasible spreads, all in one call, and the kept
-        subset at the first argmax, so ties go to the lexicographically first.
-        With no feasible subset, a second pass, enumerate_optimum itself,
-        computes the violations that the penalties read."""
-        if not len(self.subsets):
-            return enumerate_optimum(self.instance, fitness, self.count)
+        """``enumerate_optimum(instance, fitness)``, by its rule (the first
+        subset with the largest value above -inf, a NaN ranked as -inf, else
+        the first subset with its own value), from the kept rows: the
+        fitness's score of the feasible spreads, all in one call, and the
+        kept subset at the first best. A feasible score above -inf beats
+        every penalty, as a maximin degree does. When none is above -inf (no
+        subset is feasible, say), every subset is ranked: the penalties of
+        the violations that model.violations reads, the kept scores at the
+        feasible ranks, and the row of the first best unranked by model."""
         values = fitness.score(True, self.spreads, None)  # every kept row is feasible
-        i = int(np.argmax(values))
-        return EnumerationResult(Solution(self.subsets[i]), float(values[i]), self.count)
+        if len(values):
+            i = int(np.argmax(np.fmax(values, -math.inf)))
+            if values[i] > -math.inf:
+                return EnumerationResult(Solution(self.subsets[i]), float(values[i]), self.count)
+        feasible, violation = violations(self.instance)
+        scores = fitness.score(False, None, violation)
+        scores[feasible] = values
+        i = int(np.argmax(np.fmax(scores, -math.inf)))
+        best = Solution(ranked_subset(self.instance, i))
+        return EnumerationResult(best, float(scores[i]), self.count)
 
 
 def exact_bounds(

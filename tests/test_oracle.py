@@ -13,10 +13,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import crispen, feasible_subsets, mild_params, record
-from fuzzloc import model, oracle
+from fuzzloc import evaluation, model, oracle
 from fuzzloc.aco import ACOConfig
 from fuzzloc.errors import BudgetExceededError, DomainError, InfeasibleInstanceError
-from fuzzloc.evaluation import MaximinContext, make_maximin_eval, violation_total
+from fuzzloc.evaluation import MaximinContext, MaximinFitness, make_maximin_eval, violation_total
 from fuzzloc.fuzzy import TriFuzzy
 from fuzzloc.instances import GeneratorParams, generate_instance
 from fuzzloc.model import (
@@ -549,6 +549,156 @@ class TestWarmScan:
             oracle.Scan(instance, budget=math.comb(8, 3) - 1)
         with pytest.raises(BudgetExceededError):
             solve_protocol(instance, "brute", enum_budget=math.comb(8, 3) - 1)
+
+
+class HidingFitness(MaximinFitness):
+    """A maximin fitness that scores ``fill`` (NaN or -inf) in place of the
+    feasible values that ``hide_feasible`` picks and the penalties that
+    ``hide_penalty`` picks. Both rules read one value at a time, so a block
+    of rows scores as its rows one at a time, as a fitness must."""
+
+    def __init__(self, instance, ctx, fill, hide_feasible, hide_penalty):
+        super().__init__(instance, ctx)
+        self.fill, self.hide_feasible, self.hide_penalty = fill, hide_feasible, hide_penalty
+
+    def feasible_value(self, spreads):
+        values = super().feasible_value(spreads)
+        return np.where(self.hide_feasible(values), self.fill, values)
+
+    def infeasible_value(self, violation):
+        values = super().infeasible_value(violation)
+        return np.where(self.hide_penalty(values), self.fill, values)
+
+
+def never(values):
+    return np.zeros(np.shape(values), bool)
+
+
+def always(values):
+    return np.ones(np.shape(values), bool)
+
+
+def scan_optimum(instance, fitness):
+    """Scan(instance).optimum(fitness), with every path to the batch scorer
+    refused: enumerate_optimum, its _walk and drive."""
+    refuse = {"side_effect": AssertionError("drive")}
+    with mock.patch.object(oracle, "enumerate_optimum", **refuse), \
+            mock.patch.object(oracle, "_walk", **refuse), \
+            mock.patch.object(oracle, "drive", **refuse), \
+            mock.patch.object(evaluation, "drive", **refuse):
+        return oracle.Scan(instance).optimum(fitness)
+
+
+def optimum_record(result) -> tuple:
+    return result.best.sorted(), result.best_value.hex(), result.evaluated_count
+
+
+class TestScanOptimum:
+    """Scan.optimum answers as enumerate_optimum does, bit for bit, without
+    reaching it or drive: from the kept feasible rows when a feasible score
+    is above -inf, else from model.violations and model.ranked_subset."""
+
+    @given(
+        case=st.integers(4, 10).flatmap(
+            lambda n: st.tuples(
+                st.just(n),
+                st.integers(1, min(n - 1, 5)),
+                st.integers(0, 2**32 - 1),
+                st.sampled_from((1.0, 1.6, 2.0, 2.5, 100.0)),
+                st.booleans(),
+            )
+        ),
+        ctx_name=st.sampled_from(sorted(CTXS)),
+        fill=st.sampled_from((math.nan, -math.inf)),
+        feasible_cut=st.sampled_from((None, -math.inf, 0.0, 0.5, 0.9)),
+        penalty_cut=st.sampled_from((None, -math.inf, -1.5, -3.0)),
+        tabled=st.booleans(),
+    )
+    # Feasible, certified, and no feasible subset that the certificate misses.
+    @example(case=(8, 2, 0, 1.0, False), ctx_name="exact", fill=math.nan, feasible_cut=-math.inf,
+             penalty_cut=None, tabled=False)
+    @example(case=(8, 2, 1, 100.0, False), ctx_name="hand", fill=-math.inf, feasible_cut=None,
+             penalty_cut=-math.inf, tabled=True)
+    @example(case=(5, 2, 0, 2.0, False), ctx_name="hand", fill=math.nan, feasible_cut=None,
+             penalty_cut=-1.5, tabled=False)
+    @settings(max_examples=80, deadline=None)
+    def test_matches_enumerate_optimum(self, case, ctx_name, fill, feasible_cut, penalty_cut,
+                                       tabled):
+        """A cut of None scores the plain MaximinFitness; a feasible cut
+        hides every feasible value above it (all of them at -inf), a penalty
+        cut every penalty below it (all of them at -inf), so some cases have
+        no value above -inf and take the first subset with its own value.
+        An exact context falls back to HAND_CTX where no subset is feasible."""
+        instance = brute_instance(*case)
+        if tabled:
+            model.figures_table(instance)
+        ctx = CTXS[ctx_name]
+        if ctx is None:
+            try:
+                ctx = exact_bounds(instance)
+            except InfeasibleInstanceError:
+                ctx = HAND_CTX
+        if feasible_cut is None and penalty_cut is None:
+            fitness = make_maximin_eval(instance, ctx)
+        else:
+            fitness = HidingFitness(
+                instance, ctx, fill,
+                never if feasible_cut is None else lambda values: values > feasible_cut,
+                never if penalty_cut is None else lambda values: values < penalty_cut,
+            )
+        got = scan_optimum(instance, fitness)
+        expected = enumerate_optimum(dataclasses.replace(instance), fitness)
+        assert optimum_record(got) == optimum_record(expected)
+
+    def test_nan_feasible_scores_rank_below_every_value(self):
+        """On mild_params(8, 2, 0) under exact bounds, one NaN at the first
+        feasible subset, [1, 2], leaves the optimum [1, 8] = 0.155, and
+        all-NaN feasible scores leave the first least-violation subset,
+        [3, 6] = -1.117, as enumerate_optimum finds."""
+        instance = generate_instance(mild_params(8, 2, 0))
+        ctx = exact_bounds(instance)
+        first = make_maximin_eval(instance, ctx)(Solution([1, 2]))
+        for hide, best in (lambda values: values == first, [1, 8]), (always, [3, 6]):
+            fitness = HidingFitness(instance, ctx, math.nan, hide, never)
+            got = scan_optimum(instance, fitness)
+            assert optimum_record(got) == optimum_record(enumerate_optimum(instance, fitness))
+            assert got.best.sorted() == best
+        assert round(make_maximin_eval(instance, ctx)(Solution([1, 8])), 3) == 0.155
+        assert round(got.best_value, 3) == -1.117
+
+    @pytest.mark.parametrize("case", [None, (5, 2, 0, 2.0, False)], ids=["table1", "uncertified"])
+    def test_tabled_fallback_builds_no_kernel(self, table1, case):
+        """No subset is feasible: on table1 (certified) under its NaN ACO
+        context and on an instance that the certificate misses. With a
+        figures table the fallback reads the table's violation column and
+        builds no Kernel; a cold copy's violation pass builds one Kernel per
+        block, after the Scan's own kernel pass when no certificate skips
+        it. Both give enumerate_optimum's answer."""
+        instance = dataclasses.replace(table1) if case is None else brute_instance(*case)
+        ctx = MaximinContext(*[(math.nan, math.nan)] * 3, provenance="metaheuristic-estimated")
+        fitness = make_maximin_eval(instance, ctx)
+        cold = dataclasses.replace(instance)
+        assert model.figures_table(instance) is not None
+        with mock.patch.object(Kernel, "__init__", side_effect=AssertionError("kernel")):
+            warm = scan_optimum(instance, fitness)
+            report, _ = solve_protocol(instance, "brute", ctx=ctx)
+        built = []
+        init = Kernel.__init__
+
+        def counted(self, *args):
+            built.append(len(args[1]))
+            init(self, *args)
+
+        with mock.patch.object(Kernel, "__init__", counted):
+            cold_result = scan_optimum(cold, fitness)
+        count = math.comb(instance.n, instance.m_servers)
+        passes = 1 if no_feasible_subset(instance) else 2
+        assert len(built) == passes * math.ceil(count / model.BLOCK_SIZE)
+        assert sum(built) == passes * count
+        expected = optimum_record(enumerate_optimum(cold, fitness))
+        assert optimum_record(warm) == optimum_record(cold_result) == expected
+        assert (report.best, report.objective.hex()) == expected[:2]
+        assert report.objective < 0
 
 
 class TestSimulator:

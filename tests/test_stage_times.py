@@ -1,13 +1,14 @@
 """tools/stage_times.py on the benchmark's tiny ``smoke`` workload."""
 
 import importlib.util
+import math
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from fuzzloc import evaluation
-from fuzzloc.evaluation import MaximinFitness
+from fuzzloc.evaluation import COMPONENTS, MaximinFitness
 from fuzzloc.model import Kernel, block_figures
 from fuzzloc.protocol import _BoundFitness
 
@@ -35,28 +36,36 @@ def test_smoke_prints_every_stage(capsys):
         assert (kernel > 0 and figures > 0) if algo == "ga" else kernel == figures == 0
         # other is the solve's wall time (ms) less its blocks' scoring time
         assert wall > 0 and other == pytest.approx(wall - blocks * total / 1e3, abs=0.01)
-    # one brute row: the warm and the cold solve's median ms
+    # one brute row: the median ms of the warm and the cold solve, without
+    # and with the ACO solve's bounds
     header, row = brutes.splitlines()
-    assert header.split()[:3] == ["solve", "warm", "cold"]
+    assert header.split()[:5] == ["solve", "warm", "cold", "ctx-warm", "ctx-cold"]
     assert row.split()[:2] == ["smoke", "brute"]
-    assert all(float(wall) > 0 for wall in row.split()[2:]) and len(row.split()) == 4
+    assert all(float(wall) > 0 for wall in row.split()[2:]) and len(row.split()) == 6
 
 
 def test_brute_row_times_a_warm_and_a_cold_solve(monkeypatch):
     """Each pass times one brute solve on the instance that the ACO has given
-    its table and one on a fresh copy, which has none. A solve that raises,
-    on table1, where no subset is feasible, is timed too."""
-    assert stage_times.brute_wall(stage_times.workloads.build_instance("table1")) > 0
+    its table and one on a fresh copy, which has none, each without and with
+    the bounds of the ACO solve. A solve that raises, on table1, where no
+    subset is feasible, is timed too, and so is table1's solve under its NaN
+    ACO bounds, which ranks every subset by its violation."""
+    table1 = stage_times.workloads.build_instance("table1")
+    assert stage_times.brute_wall(table1) > 0
+    ctx = stage_times.solve(table1, "aco")[1]
+    assert all(math.isnan(bound) for name in COMPONENTS for bound in ctx.bounds(name))
+    assert stage_times.brute_wall(table1, ctx) > 0
     tables = []
 
-    def timed(instance):
-        tables.append(instance._table is not None)
+    def timed(instance, ctx=None):
+        tables.append((instance._table is not None, ctx is not None))
         return 1e-3
 
     monkeypatch.setattr(stage_times, "brute_wall", timed)
     assert stage_times.main(["--workloads", "smoke", "--passes", "3"]) == 0
-    # passes alternate the order: warm, cold; cold, warm; warm, cold
-    assert tables == [True, False, False, True, True, False]
+    # passes alternate the order: warm, cold, ctx-warm, ctx-cold, then reversed
+    kinds = [(True, False), (False, False), (True, True), (False, True)]
+    assert tables == kinds + kinds[::-1] + kinds
 
 
 def test_recorded_blocks_replay_the_solve(monkeypatch):

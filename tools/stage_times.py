@@ -28,8 +28,12 @@ in the solvers' own Python and ``drive``. Each pass also times one brute
 solve per workload twice: ``warm`` on the instance that the ACO solve has
 given its table, as in the benchmark's rounds, and ``cold`` on a fresh
 copy (``dataclasses.replace``), which makes the oracle's one kernel pass;
-it prints their median ms in one ``brute`` row per workload (a brute solve
-that raises, on an instance with no feasible subset, is timed too). Run it
+and twice more under the bounds of that ACO solve, ``ctx-warm`` and
+``ctx-cold``, which on table1 (no feasible subset, NaN bounds) times the
+oracle's least-violation ranking, from the table's violation column warm
+and from one violation pass cold. It prints their median ms in one
+``brute`` row per workload (a brute solve that raises, on an instance with
+no feasible subset and no given bounds, is timed too). Run it
 against another checkout's ``src`` (PYTHONPATH) to compare two versions on
 the same blocks; a version's blocks are its own, and the scoring path does
 not change them.
@@ -59,6 +63,8 @@ from fuzzloc import InfeasibleInstanceError, evaluation, protocol  # noqa: E402
 from fuzzloc.model import Kernel, block_figures  # noqa: E402
 
 STAGES = ("table", "Kernel()", "figures()", "score")
+# The brute solves of each pass, in the order of even passes.
+BRUTE_KINDS = ("warm", "cold", "ctx-warm", "ctx-cold")
 
 
 def snapshot(fitness):
@@ -71,17 +77,18 @@ def snapshot(fitness):
     return fitness
 
 
-def solve(instance, algo: str):
-    """One seed-0 solve with the benchmark's configs."""
+def solve(instance, algo: str, ctx=None):
+    """One seed-0 solve with the benchmark's configs, under ``ctx`` when
+    given."""
     return protocol.solve_protocol(instance, algo, seed=0, ga_config=workloads.GA_CONFIG,
-                                   aco_config=workloads.ACO_CONFIG)
+                                   aco_config=workloads.ACO_CONFIG, ctx=ctx)
 
 
-def brute_wall(instance) -> float:
-    """The wall time (s) of one brute solve."""
+def brute_wall(instance, ctx=None) -> float:
+    """The wall time (s) of one brute solve, under ``ctx`` when given."""
     start = time.perf_counter()
     try:
-        solve(instance, "brute")
+        solve(instance, "brute", ctx)
     except InfeasibleInstanceError:  # no feasible subset: the documented outcome
         pass
     return time.perf_counter() - start
@@ -153,19 +160,22 @@ def main(argv=None) -> int:
     if args.passes < 1:
         parser.error("--passes must be at least 1")
 
-    solves, instances = [], {}
+    solves, instances, contexts = [], {}, {}
     for name in args.workloads:
         instance = instances[name] = workloads.build_instance(name)
         for algo in ("aco", "ga"):  # the ACO builds the table that the GA reads
             solves.append((f"{name} {algo}", instance, algo, record(instance, algo)))
+        contexts[name] = solve(instance, "aco")[1]
     per_block = {label: [] for label, *_ in solves}
     walls = {label: [] for label, *_ in solves}
-    brutes = {name: {"warm": [], "cold": []} for name in instances}
+    brutes = {name: {kind: [] for kind in BRUTE_KINDS} for name in instances}
     for p in range(args.passes):
         for name, instance in instances.items():
-            runs = {"warm": instance, "cold": dataclasses.replace(instance)}
-            for kind in ("warm", "cold") if p % 2 == 0 else ("cold", "warm"):
-                brutes[name][kind].append(brute_wall(runs[kind]))
+            for kind in BRUTE_KINDS if p % 2 == 0 else BRUTE_KINDS[::-1]:
+                ctx = contexts[name] if kind.startswith("ctx-") else None
+                fresh = kind.endswith("cold")
+                brutes[name][kind].append(
+                    brute_wall(dataclasses.replace(instance) if fresh else instance, ctx))
         for label, instance, algo, blocks in solves if p % 2 == 0 else solves[::-1]:
             gc.disable()  # the replay only: a solve runs as it would alone
             try:
@@ -188,11 +198,12 @@ def main(argv=None) -> int:
         other = wall - len(blocks) * total / 1e3
         print(f"{label:<12} {len(blocks):>6} {rows:>6.1f} "
               + " ".join(f"{v:>10.2f}" for v in stages + [total]) + f" {wall:>8.2f} {other:>8.2f}")
-    print(f"\n{'solve':<12} {'warm':>8} {'cold':>8}"
-          "   (median ms per brute solve; warm after the ACO solve, cold on a fresh copy)")
+    print(f"\n{'solve':<12} " + " ".join(f"{kind:>8}" for kind in BRUTE_KINDS)
+          + "   (median ms per brute solve; warm after the ACO solve, cold on a fresh copy;"
+          " ctx- under the ACO solve's bounds)")
     for name, kinds in brutes.items():
         print(f"{name + ' brute':<12} "
-              + " ".join(f"{statistics.median(kinds[k]) * 1e3:>8.3f}" for k in ("warm", "cold")))
+              + " ".join(f"{statistics.median(kinds[k]) * 1e3:>8.3f}" for k in BRUTE_KINDS))
     return 0
 
 
